@@ -8,6 +8,7 @@ v = v_infinity on F_q(Y); everything is exact (Fractions / big integers).
 """
 
 from fractions import Fraction
+from itertools import chain, islice
 import math
 
 from .errors import (
@@ -25,7 +26,7 @@ from .ffield import (
     euler_phi,
     laurent_expand,
     mertens_sum,
-    monic_polys,
+    poly_range,
     with_retry,
 )
 
@@ -74,27 +75,6 @@ class BTMatrix:
 
     def trace(self):
         return self.a + self.d
-
-    def scalar_normalized(self):
-        """Divide by an entry of minimal valuation (projective normal form)."""
-        vals = [(x.valuation(), x) for x in self.entries() if not x.is_zero()]
-        pivot = min(vals, key=lambda t: t[0])[1]
-        return BTMatrix(self.a / pivot, self.b / pivot,
-                        self.c / pivot, self.d / pivot)
-
-    def proj_equal(self, other):
-        s, o = self.scalar_normalized(), other.scalar_normalized()
-        # after normalisation both have min valuation 0; compare up to the
-        # remaining unit scalar by cross-multiplying
-        for x, y in zip(s.entries(), o.entries()):
-            if x.is_zero() != y.is_zero():
-                return False
-        for x, y in zip(s.entries(), o.entries()):
-            if not x.is_zero():
-                ratio = y / x
-                break
-        return all((y - ratio * x).is_zero()
-                   for x, y in zip(s.entries(), o.entries()))
 
     def apply_boundary(self, z):
         """Homography action on K_v union {inf}; z RatFunc or INF."""
@@ -187,13 +167,20 @@ def translation_length_oracle(g, radius=3, max_center_deg=3):
     """
     q = g.q
     Y = FqPoly.x(q)
+    # centers u = P(Y) + c/Y^k: P monic of degree <= max_center_deg, then 0,
+    # then c/Y^k with k <= radius
+    centers = [RatFunc(f) for d in range(max_center_deg + 1)
+               for f in poly_range(q, q ** d, 2 * q ** d)]
+    centers.append(RatFunc.const(q, 0))
+    centers += [RatFunc(FqPoly.const(q, c), Y ** k)
+                for k in range(1, radius + 1) for c in range(1, q)]
     best = None
     reps = []
     for m in range(-radius, radius + 1):
         for n in range(-radius, radius + 1):
             if abs(m - n) > 2 * radius:
                 continue
-            for u in _small_elements(q, max_center_deg, radius):
+            for u in centers:
                 reps.append((m, n, u))
     for m, n, u in reps:
         pm = RatFunc(FqPoly.one(q), Y ** m) if m >= 0 else RatFunc(Y ** (-m))
@@ -203,26 +190,6 @@ def translation_length_oracle(g, radius=3, max_center_deg=3):
         if best is None or d < best:
             best = d
     return best
-
-
-def _small_elements(q, max_deg, max_neg):
-    """Elements u = P(Y) + Q(1/Y) with small degrees (a sampling grid)."""
-    out = []
-    for dp in range(max_deg + 1):
-        for tail in range(q ** dp):
-            coeffs = []
-            t = tail
-            for _ in range(dp):
-                coeffs.append(t % q)
-                t //= q
-            coeffs.append(1)
-            out.append(RatFunc(FqPoly(q, coeffs)))
-    out.append(RatFunc.const(q, 0))
-    Y = FqPoly.x(q)
-    for k in range(1, max_neg + 1):
-        for c in range(1, q):
-            out.append(RatFunc(FqPoly.const(q, c), Y ** k))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +213,7 @@ def abs_diff(x, y):
         return (x - y).abs_v()
     if (isinstance(x, QuadIrr) and isinstance(y, QuadIrr)
             and (x.A, x.B, x.C) == (y.A, y.B, y.C)):
-        if x.branch == y.branch:
+        if x.sign == y.sign:
             raise DegenerateError("points coincide")
         return Fraction(x.q) ** (-x.sep_valuation())
     q = x.q
@@ -391,9 +358,13 @@ def transform_check(alpha, g, grid=5):
     h_ratio = alpha.complexity() / ga.complexity()
     # adjugate: g^{-1} up to the unit determinant
     A, B, C, D = g.a.num, g.b.num, g.c.num, g.d.num
+    # the zero polynomial, then the monic ones by degree
+    monics = chain.from_iterable(poly_range(q, q ** d, 2 * q ** d)
+                                 for d in range(grid))
+    polys = [FqPoly.zero(q)] + list(islice(monics, grid - 1))
     checked = 0
-    for xv in _grid_polys(q, grid):
-        for yv in _grid_polys(q, grid):
+    for xv in polys:
+        for yv in polys:
             if xv.is_zero() and yv.is_zero():
                 continue
             # (x', y') = adj(g) (x, y)
@@ -407,21 +378,6 @@ def transform_check(alpha, g, grid=5):
                 return False
             checked += 1
     return checked > 0
-
-
-def _grid_polys(q, count):
-    """The first `count` polynomials in the canonical enumeration."""
-    out = []
-    deg = 0
-    while len(out) < count:
-        for f in ([FqPoly.zero(q)] if deg == 0 else []):
-            out.append(f)
-        for f in monic_polys(q, deg):
-            out.append(f)
-            if len(out) >= count:
-                break
-        deg += 1
-    return out[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +434,7 @@ def hecke_index(q, ideal, cross_check=True, budget_deg=4):
     if ideal.degree > budget_deg:
         raise BudgetError("enumeration cross-check capped at degree 4")
     count = 0
-    residues = _residues(q, ideal)
+    residues = list(poly_range(q, 0, q ** ideal.degree))
     for a in residues:
         for b in residues:
             g = a.gcd(b)
@@ -488,19 +444,6 @@ def hecke_index(q, ideal, cross_check=True, budget_deg=4):
     units = euler_phi(ideal)
     assert count % units == 0
     return value, count // units
-
-
-def _residues(q, modulus):
-    out = []
-    d = modulus.degree
-    for tail in range(q ** d):
-        coeffs = []
-        t = tail
-        for _ in range(d):
-            coeffs.append(t % q)
-            t //= q
-        out.append(FqPoly(q, coeffs))
-    return out
 
 
 def farey_count(q, t, hist_depth=1, budget=10 ** 7):
@@ -536,11 +479,9 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
         npoints += 1
     # Q monic of positive degree, P = a Q + P0 with P0 a unit residue
     for d in range(1, t + 1):
-        for Q in monic_polys(q, d):
-            for P0 in _residues(q, Q):
-                if P0.gcd(Q).degree != 0 and not P0.is_zero():
-                    continue
-                if P0.is_zero():
+        for Q in poly_range(q, q ** d, 2 * q ** d):
+            for P0 in poly_range(q, 1, q ** d):
+                if P0.gcd(Q).degree != 0:
                     continue
                 for a in range(q):
                     P = FqPoly.const(q, a) * Q + P0
@@ -555,13 +496,11 @@ def farey_psi_oracle(q, t):
     """Brute-force Psi(t): canonical shear representatives, enumerated."""
     total = q - 1  # unit denominators: one class per unit
     for d in range(1, t + 1):
-        for lead in range(1, q):
-            for Qm in monic_polys(q, d):
-                Q = FqPoly.const(q, lead) * Qm
-                for P in _residues(q, Q):
-                    g = P.gcd(Q) if not P.is_zero() else Q.monic()
-                    if g.degree == 0:
-                        total += 1
+        for Q in poly_range(q, q ** d, q ** (d + 1)):
+            for P in poly_range(q, 0, q ** d):
+                g = P.gcd(Q) if not P.is_zero() else Q.monic()
+                if g.degree == 0:
+                    total += 1
     return total
 
 
@@ -590,7 +529,7 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
 
     BFS over generator words (shears by Y and 1, inversion, and inverse
     shears) up to length word_len, deduplicating by the canonical
-    (A, B, C, branch) form.  mode "complexity" bins by h(beta); mode
+    (A, B, C, sign) form.  mode "complexity" bins by h(beta); mode
     "relative" bins by h_{alpha0}(beta) and asserts every value is a power
     of q.  Returns {"orbit_size", "bins": {value: count},
     "cumulative": [(threshold, N(threshold))]}.

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import bt, counting, library, shift as shift_mod, walks
-from .errors import GeodlabError, UsageError, IOFailure
+from .errors import GeodlabError, IOFailure, TooLargeError, UsageError
 from .ffield import FqPoly, QuadIrr, cf_expand, mertens_sum, parse_poly, \
     parse_ratfunc, euler_phi, laurent_expand
 from .graphs import load_validate
@@ -81,8 +81,9 @@ def cmd_count_perp(args):
     query = counting.PerpQuery(g, args.minus, args.plus, args.nmax)
     series = counting.count_perpendiculars(query, budget=_budget(10 ** 8))
     try:
-        report = counting.theoretical_constant(query)
-        ratios = report.ratios
+        ratios = counting.theoretical_constant(query, series).ratios
+    except TooLargeError:
+        raise
     except GeodlabError:
         ratios = [float("nan")] * args.nmax
     rows = [(n + 1, series.counts[n], series.weighted[n],

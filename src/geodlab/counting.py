@@ -16,6 +16,7 @@ from .errors import (
     BudgetError,
     DegreeMismatchError,
     NotSimpleCycleError,
+    TooLargeError,
     UnsupportedError,
 )
 
@@ -124,7 +125,11 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
         harvest = sum(w[i] for i in end_idx)
         if exact:
             counts.append(harvest)
-            weighted.append(float(harvest))
+            try:
+                weighted.append(float(harvest))
+            except OverflowError as exc:
+                raise TooLargeError(
+                    f"count at length {n} exceeds the float range") from exc
         else:
             counts.append(0)
             weighted.append(harvest)
@@ -271,13 +276,15 @@ def _classify_subgraph(g, subname):
     return "other", {}
 
 
-def theoretical_constant(query, budget=DEFAULT_BUDGET):
+def theoretical_constant(query, series):
     """Asymptotic constant for cumulative perpendicular counts, assembled
-    from the closed-form mass formulas, plus the measured ratio series.
+    from the closed-form mass formulas, plus the ratio series of
+    ``series`` = count_perpendiculars(query) against it.
 
     Supported: regular graphs (any two point/cycle targets) and the
     biregular bipartite case with two cycle targets.  All conductances must
-    vanish.
+    vanish.  Raises TooLargeError when a ratio's terms exceed the float
+    range.
     """
     g = query.graph
     if any(g.edges[e].conductance != 0.0 for e in g.edge_ids):
@@ -286,7 +293,6 @@ def theoretical_constant(query, budget=DEFAULT_BUDGET):
         raise UnsupportedError("constants implemented for trivial orders")
     rep = g.volumes()
     degs = sorted(set(rep.degrees.values()))
-    series = count_perpendiculars(query, budget=budget)
     km = _classify_subgraph(g, query.minus)
     kp = _classify_subgraph(g, query.plus)
 
@@ -307,8 +313,11 @@ def theoretical_constant(query, budget=DEFAULT_BUDGET):
 
         s_minus, s_plus = sk(*km), sk(*kp)
         const = Fraction(q, q - 1) * s_minus * s_plus / m_mass
-        ratios = [series.cumulative[n] / (float(const) * q ** (n + 1))
-                  for n in range(len(series.cumulative))]
+        try:
+            ratios = [series.cumulative[n] / (float(const) * q ** (n + 1))
+                      for n in range(len(series.cumulative))]
+        except OverflowError as exc:
+            raise TooLargeError("ratio terms exceed the float range") from exc
         verdict = "pass" if abs(ratios[-1] - 1) < 0.05 else "fail"
         return AsymptoticReport(delta, float(const), float(q), ratios,
                                 verdict, "probability")
@@ -350,7 +359,12 @@ def theoretical_constant(query, budget=DEFAULT_BUDGET):
         for i, tot in enumerate(cum_par):
             n = i + 1
             cst = const_even if n % 2 == 0 else const_odd
-            ratios.append(tot / (cst * base ** n) if cst else float("nan"))
+            try:
+                ratios.append(tot / (cst * base ** n) if cst
+                              else float("nan"))
+            except OverflowError as exc:
+                raise TooLargeError(
+                    "ratio terms exceed the float range") from exc
         verdict = ("pass" if len(ratios) >= 2
                    and abs(ratios[-1] - 1) < 0.05
                    and abs(ratios[-2] - 1) < 0.05 else "fail")

@@ -83,10 +83,6 @@ class DegreeMismatchError(GeodlabError):
     code = "degree-mismatch"
 
 
-class UnsupportedKindError(GeodlabError):
-    code = "unsupported-kind"
-
-
 class NotSimpleCycleError(GeodlabError):
     code = "not-a-simple-cycle"
 

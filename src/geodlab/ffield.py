@@ -235,32 +235,19 @@ class FqPoly:
                 terms.append(f"Y^{k}" if c == 1 else f"{c}Y^{k}")
         return "+".join(terms)
 
-    def to_list(self):
-        """Little-endian coefficient list (serialization form)."""
-        return list(self.coeffs)
 
+def poly_range(q, start, stop):
+    """Polynomials over F_q whose little-endian coefficients are the base-q
+    digits of start, start + 1, ..., stop - 1, in that order.
 
-def all_polys(q, degree):
-    """All polynomials over F_q of exact degree ``degree`` (monic and not)."""
-    for lead in range(1, q):
-        for tail in range(q ** degree):
-            coeffs = []
-            t = tail
-            for _ in range(degree):
-                coeffs.append(t % q)
-                t //= q
-            coeffs.append(lead)
-            yield FqPoly(q, coeffs)
-
-
-def monic_polys(q, degree):
-    for tail in range(q ** degree):
+    [0, q^d) gives the residues of degree < d, [q^d, 2 q^d) the monic
+    polynomials of degree d and [q^d, q^(d+1)) all those of degree d.
+    """
+    for t in range(start, stop):
         coeffs = []
-        t = tail
-        for _ in range(degree):
-            coeffs.append(t % q)
-            t //= q
-        coeffs.append(1)
+        while t:
+            t, c = divmod(t, q)
+            coeffs.append(c)
         yield FqPoly(q, coeffs)
 
 
@@ -272,7 +259,7 @@ def monic_irreducibles(q, max_degree):
     known = _IRRED_CACHE.setdefault(q, [])
     have = max((p.degree for p in known), default=0)
     for d in range(have + 1, max_degree + 1):
-        for f in monic_polys(q, d):
+        for f in poly_range(q, q ** d, 2 * q ** d):
             if not any(f % p == 0 for p in known if 2 * p.degree <= d):
                 known.append(f)
     return [p for p in known if p.degree <= max_degree]
@@ -332,7 +319,7 @@ def euler_phi(f):
 
 def monic_phi_sum(q, n):
     """Sum of euler_phi over monic polynomials of exact degree n (enumerated)."""
-    return sum(euler_phi(f) for f in monic_polys(q, n))
+    return sum(euler_phi(f) for f in poly_range(q, q ** n, 2 * q ** n))
 
 
 def mertens_sum(q, n, budget=10 ** 7):
@@ -703,7 +690,7 @@ def laurent_expand(x, prec, cap=PREC_CAP):
     if isinstance(x, RatFunc):
         return _rat_to_series(x, prec)
     if isinstance(x, QuadIrr):
-        return x.expand(prec, cap=cap)
+        return x.expand(prec)
     raise TypeError(f"cannot expand {type(x).__name__}")
 
 
@@ -730,16 +717,34 @@ def with_retry(fn, start=32, cap=PREC_CAP):
             prec = min(2 * prec, cap)
 
 
-class QuadIrr:
-    """Quadratic irrational over F_q(Y): a chosen root of A x^2 + B x + C.
+def _canonical_triple(A, B, C):
+    """(A, B, C) divided by their monic gcd and scaled to make A monic."""
+    g = A.gcd(B.gcd(C)) if not (B.is_zero() and C.is_zero()) else A.monic()
+    if g.degree > 0:
+        A, B, C = A // g, B // g, C // g
+    u = pow(A.lc, -1, A.q)
+    return A * u, B * u, C * u
 
-    The triple is canonicalized (common factor removed, A monic).  ``branch``
-    selects one of the two roots in F_q((1/Y)): the roots agree up to their
-    first differing Laurent coefficient, and branch 0 is the root whose
-    coefficient there is the smaller residue.
+
+class QuadIrr:
+    """Quadratic irrational over F_q(Y): the root
+
+        alpha = (-B + s sqrt(D)) / (2A),   D = B^2 - 4AC,
+
+    of A x^2 + B x + C, with sign s = ``self.sign`` in {1, -1}.
+
+    The triple is canonical (common factor removed, A monic).  D has even
+    degree and a square leading coefficient, and sqrt(D) is the series root
+    that ``LaurentSeries.sqrt`` returns, whose leading coefficient r(D) =
+    sqrt_mod(lc D) is the smaller residue root.  The conjugate root has -s.
+
+    The constructor's ``branch`` names the root by its expansion: the two
+    roots agree up to their coefficient of Y^-k, k = sep_valuation(), and
+    branch 0 is the one whose coefficient there is the smaller residue.  It
+    is turned into s once, from the coefficient of -B/(2A) at Y^-k.
     """
 
-    __slots__ = ("A", "B", "C", "branch")
+    __slots__ = ("A", "B", "C", "sign")
 
     def __init__(self, A, B, C, branch=0):
         q = A.q
@@ -747,18 +752,21 @@ class QuadIrr:
             raise CharTwoError("quadratic irrationals need odd q")
         if A.is_zero():
             raise ValueError("leading coefficient A must be nonzero")
-        g = A.gcd(B.gcd(C)) if not (B.is_zero() and C.is_zero()) else A.monic()
-        if not g.is_zero() and g.degree > 0:
-            A, B, C = A // g, B // g, C // g
-        u = pow(A.lc, -1, q)
-        A, B, C = A * u, B * u, C * u
+        A, B, C = _canonical_triple(A, B, C)
         D = B * B - 4 * A * C
         if is_poly_square(D):
             raise NotIrrationalError("discriminant is a square in F_q(Y)")
-        if D.degree % 2 != 0 or sqrt_mod(D.lc, q) is None:
+        r = sqrt_mod(D.lc, q)
+        if D.degree % 2 != 0 or r is None:
             raise NotSplitError("discriminant has no square root in F_q((1/Y))")
         self.A, self.B, self.C = A, B, C
-        self.branch = branch & 1
+        # at Y^-k the roots are b +- r(D)/2: sqrt(D)/(2A) starts there
+        k = self.sep_valuation()
+        b = _rat_to_series(RatFunc(-B, 2 * A),
+                           max(1, B.degree - D.degree // 2 + 1)).coefficient(k)
+        half_r = r * pow(2, -1, q)
+        plus_smaller = (b + half_r) % q < (b - half_r) % q
+        self.sign = 1 if plus_smaller == ((branch & 1) == 0) else -1
 
     @property
     def q(self):
@@ -770,7 +778,7 @@ class QuadIrr:
 
     def conj(self):
         out = object.__new__(QuadIrr)
-        out.A, out.B, out.C, out.branch = self.A, self.B, self.C, 1 - self.branch
+        out.A, out.B, out.C, out.sign = self.A, self.B, self.C, -self.sign
         return out
 
     def trace(self):
@@ -780,7 +788,7 @@ class QuadIrr:
         return RatFunc(self.C, self.A)
 
     def key(self):
-        return (self.A.coeffs, self.B.coeffs, self.C.coeffs, self.branch)
+        return (self.A.coeffs, self.B.coeffs, self.C.coeffs, self.sign)
 
     def __eq__(self, other):
         return isinstance(other, QuadIrr) and self.key() == other.key()
@@ -792,76 +800,58 @@ class QuadIrr:
         """Exact v(alpha - alpha^sigma) = v(sqrt(D)) - v(A)."""
         return (-self.disc.degree // 2) - (-self.A.degree)
 
-    def _roots(self, prec):
-        """Both root expansions, ordered canonically (branch 0 first)."""
-        q = self.q
-        # work at higher precision: division by 2A and the subtraction
-        # -B +- sqrt(D) can consume leading terms
-        work = prec + self.A.degree + max(self.disc.degree, 0) + 4
-        cap = max(work, PREC_CAP)
-        sD = laurent_expand(RatFunc(self.disc), work, cap=cap).sqrt()
-        mB = laurent_expand(RatFunc(-self.B), work, cap=cap) \
-            if not self.B.is_zero() else LaurentSeries.exact_zero(q)
-        twoA = laurent_expand(RatFunc(2 * self.A), work, cap=cap)
-        r_plus = (mB + sD) / twoA
-        r_minus = (mB - sD) / twoA
-        # order by the residue at the first position where they differ,
-        # which is exactly v(sqrt(D)/A)
-        k = self.sep_valuation()
-        cp, cm = r_plus.coefficient(k), r_minus.coefficient(k)
-        assert cp != cm
-        return (r_plus, r_minus) if cp < cm else (r_minus, r_plus)
+    def expand(self, prec):
+        """The first ``prec`` Laurent coefficients of alpha.
 
-    def expand(self, prec, cap=PREC_CAP):
-        def attempt(p):
-            roots = self._roots(p)
-            out = roots[self.branch]
-            if out.prec < prec:
-                raise PrecisionError("root expansion shorter than requested")
-            return out
-
-        return with_retry(attempt, start=max(prec, 8), cap=max(cap, prec))
+        The numerator -B + s sqrt(D) loses its leading term only when
+        deg B = deg(D)/2 and lc(-B) + s r(D) = 0.  The conjugate numerator
+        then keeps it, and the norm identity
+        (-B + s sqrt(D)) (-B - s sqrt(D)) = B^2 - D = 4AC gives the
+        numerator's valuation, so one expansion at a known precision does.
+        """
+        q, A, B = self.q, self.A, self.B
+        D = self.disc
+        e = D.degree // 2
+        if B.degree == e and (self.sign * sqrt_mod(D.lc, q) - B.lc) % q == 0:
+            v = e - A.degree - self.C.degree
+        else:
+            v = -max(B.degree, e)
+        end = v + prec  # the numerator is needed below Y^-end
+        num = _rat_to_series(RatFunc(D), end + e).sqrt()
+        if self.sign < 0:
+            num = -num
+        if not B.is_zero():
+            num = _rat_to_series(RatFunc(-B), end + B.degree) + num
+        return num / _rat_to_series(RatFunc(2 * A), prec)
 
     def apply_homography(self, a, b, c, d):
-        """Image under z -> (az+b)/(cz+d) with FqPoly entries, det != 0."""
+        """Image under z -> (az+b)/(cz+d) with FqPoly entries, det != 0.
+
+        The image of alpha - alpha^sigma = s sqrt(D)/A is
+        det (alpha - alpha^sigma) / ((c alpha + d)(c alpha^sigma + d))
+        = s det sqrt(D) / A2.  The canonical image triple is (A2, B2, C2)
+        u/g, with g their monic gcd and u = 1/lc(A2), so its root is
+        (-B' + s (u det/g) sqrt(D)) / (2A').  (u det/g) sqrt(D) is a square
+        root of D' with leading coefficient u lc(det) r(D): it is sqrt(D')
+        or -sqrt(D'), and s' = s exactly in the first case.
+        """
         q = self.q
         det = a * d - b * c
         if det.is_zero():
             raise ValueError("singular homography")
-        # alpha' = (a alpha + b)/(c alpha + d); substitute the inverse map
-        # z = (d z' - b)/(-c z' + a) into A z^2 + B z + C = 0
+        # substitute the inverse map z = (d z' - b)/(-c z' + a) into
+        # A z^2 + B z + C = 0
         A, B, C = self.A, self.B, self.C
         A2 = A * d * d - B * d * c + C * c * c
         B2 = -2 * A * b * d + B * (a * d + b * c) - 2 * C * a * c
         C2 = A * b * b - B * a * b + C * a * a
         if A2.is_zero():
             raise ValueError("image has infinite leading root")
-        out = QuadIrr(A2, B2, C2, 0)
-        # pick the branch matching the transformed expansion
-        k = out.sep_valuation()
-
-        def attempt(p):
-            alpha = self.expand(p)
-            ca = laurent_expand(RatFunc(c), p) if not c.is_zero() \
-                else LaurentSeries.exact_zero(q)
-            da = laurent_expand(RatFunc(d), p) if not d.is_zero() \
-                else LaurentSeries.exact_zero(q)
-            aa = laurent_expand(RatFunc(a), p) if not a.is_zero() \
-                else LaurentSeries.exact_zero(q)
-            ba = laurent_expand(RatFunc(b), p) if not b.is_zero() \
-                else LaurentSeries.exact_zero(q)
-            img = (aa * alpha + ba) / (ca * alpha + da)
-            root0 = out.expand(p)
-            for s in (img, root0):
-                # coefficient at k must be known (0 above the valuation is
-                # exact knowledge; inside the window it must be computed)
-                if s.val <= k and s.val + s.prec <= k:
-                    raise PrecisionError(
-                        "need deeper expansion to split branches")
-            return img.coefficient(k) == root0.coefficient(k)
-
-        is_branch0 = with_retry(attempt, start=16)
-        out.branch = 0 if is_branch0 else 1
+        lead = pow(A2.lc, -1, q) * det.lc * sqrt_mod(self.disc.lc, q) % q
+        out = object.__new__(QuadIrr)
+        out.A, out.B, out.C = _canonical_triple(A2, B2, C2)
+        # lc(D') = lead^2, so r(D') = sqrt_mod(lead^2)
+        out.sign = self.sign if lead == sqrt_mod(lead * lead, q) else -self.sign
         return out
 
     def complexity(self):
@@ -870,7 +860,7 @@ class QuadIrr:
 
     def __repr__(self):
         return (f"QuadIrr(({self.A})x^2+({self.B})x+({self.C}), "
-                f"branch={self.branch})")
+                f"sign={self.sign:+d})")
 
 
 def quad_invariants(alpha):
@@ -952,15 +942,13 @@ def cf_expand(x):
     if not isinstance(x, QuadIrr):
         raise TypeError("cf_expand takes RatFunc or QuadIrr")
 
-    q = x.q
     D = x.disc
-    # complete quotients (P_i + sqrt(D))/Q_i, exact polynomial bookkeeping;
-    # fold the branch sign into (P, Q): branch root = (-B + s*sqrtD)/(2A)
-    sD_lead_branch0 = _canonical_sqrt_branch(x)
-    if sD_lead_branch0:
-        P, Q = -x.B, 2 * x.A
-    else:
-        P, Q = x.B, -2 * x.A
+    # complete quotients (P_i + sqrt(D))/Q_i with exact polynomial
+    # bookkeeping, from x = (-sB + sqrt(D))/(2sA).  sqrt(D) = S + eps with S
+    # a polynomial and |eps| < 1 <= |Q|, so the polynomial part of
+    # (P + sqrt(D))/Q is the polynomial quotient (P + S) // Q.
+    S = _rat_to_series(RatFunc(D), D.degree // 2 + 1).sqrt().polynomial_part()
+    P, Q = x.sign * -x.B, x.sign * 2 * x.A
     seen = {}
     quotients = []
     i = 0
@@ -970,7 +958,7 @@ def cf_expand(x):
             start = seen[key]
             return CFExpansion(quotients[:start], quotients[start:])
         seen[key] = i
-        a = _complete_quotient_floor(P, Q, D)
+        a = (P + S) // Q
         quotients.append(a)
         P = a * Q - P
         num = D - P * P
@@ -980,41 +968,6 @@ def cf_expand(x):
         i += 1
         if i > 4096:
             raise AssertionError("period not detected within 4096 steps")
-
-
-def _canonical_sqrt_branch(x):
-    """True if x's root uses +sqrt(D) with the canonical series square root."""
-    # compare the root expansion against (-B + sqrtD)/(2A)
-    def attempt(p):
-        work = p + x.A.degree + max(x.disc.degree, 0) + 4
-        cap = max(work, PREC_CAP)
-        sD = laurent_expand(RatFunc(x.disc), work, cap=cap).sqrt()
-        mB = laurent_expand(RatFunc(-x.B), work, cap=cap) \
-            if not x.B.is_zero() else LaurentSeries.exact_zero(x.q)
-        twoA = laurent_expand(RatFunc(2 * x.A), work, cap=cap)
-        plus = (mB + sD) / twoA
-        root = x.expand(p)
-        k = x.sep_valuation()
-        if plus.val + plus.prec <= k or root.val + root.prec <= k:
-            raise PrecisionError("need deeper expansion")
-        return plus.coefficient(k) == root.coefficient(k)
-
-    return with_retry(attempt, start=16)
-
-
-def _complete_quotient_floor(P, Q, D):
-    """Polynomial part of (P + sqrt(D))/Q, exactly."""
-    q = P.q
-
-    def attempt(prec):
-        sD = laurent_expand(RatFunc(D), prec).sqrt()
-        Pn = laurent_expand(RatFunc(P), prec) if not P.is_zero() \
-            else LaurentSeries.exact_zero(q)
-        Qs = laurent_expand(RatFunc(Q), prec)
-        return ((Pn + sD) / Qs).polynomial_part()
-
-    start = 2 * (abs(D.degree) + abs(Q.degree) + abs(P.degree) + 4)
-    return with_retry(attempt, start=min(start, PREC_CAP))
 
 
 def parse_poly(q, text):

@@ -349,12 +349,6 @@ def vol_inner(graph, f, g):
                      for i, v in enumerate(graph.vertex_ids)))
 
 
-def tvol_inner(graph, phi, psi):
-    """<phi, psi> on edges: (1/2) sum (1/|G_e|) phi(e) psi(e)."""
-    return 0.5 * float(sum(phi[i] * psi[i] / graph.edges[e].order
-                           for i, e in enumerate(graph.edge_ids)))
-
-
 def is_reversible(graph, tol=0.0):
     return all(abs(graph.edges[eid].conductance
                    - graph.edges[graph.edges[eid].reverse].conductance) <= tol

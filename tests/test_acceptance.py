@@ -97,8 +97,8 @@ def test_02_regular_counting_constant():
 
 def test_03_biregular_cycles():
     t0 = time.time()
-    rep = theoretical_constant(PerpQuery(biregular_two_cycles(),
-                                         "C1", "C2", 30))
+    query = PerpQuery(biregular_two_cycles(), "C1", "C2", 30)
+    rep = theoretical_constant(query, count_perpendiculars(query))
     # last even-length and odd-length ratios against the per-parity constants
     ok = (rep.verdict == "pass"
           and abs(rep.ratios[-1] - 1) < 0.05

@@ -194,6 +194,34 @@ def test_invalid_graph_document(tmp_path, capsys):
     assert json.loads(err)["error"] == "disconnected"
 
 
+@pytest.mark.parametrize("nmax", ["1024", "3000"])
+def test_count_beyond_float_range_is_a_record(capsys, nmax):
+    # 1024: the ratio denominators overflow; 3000: the counts themselves
+    code, out, err = run_cli(capsys, "count", "perp", "--graph",
+                             "builtin:petersen", "--minus", "P0", "--plus",
+                             "P1", "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "too-large"
+
+
+def test_count_perp_runs_the_dp_once(capsys, monkeypatch):
+    from geodlab import counting
+
+    calls = []
+    dp = counting.count_perpendiculars
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dp(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "count_perpendiculars", counted)
+    code, out, _ = run_cli(capsys, "count", "perp", "--graph",
+                           "builtin:petersen", "--minus", "P0", "--plus",
+                           "P1", "--nmax", "30")
+    assert code == 0 and len(calls) == 1
+    assert "nan" not in out
+
+
 def test_bad_matrix_spec(capsys):
     code, _, err = run_cli(capsys, "bt", "dist", "--q", "3", "--matrix",
                            "1;2;3")

@@ -24,6 +24,7 @@ from geodlab.errors import (
     BudgetError,
     DegreeMismatchError,
     NotSimpleCycleError,
+    TooLargeError,
     UnsupportedError,
 )
 from geodlab.library import (
@@ -123,22 +124,24 @@ def test_skinning_masses():
 
 
 def test_constant_fig8():
-    rep = theoretical_constant(PerpQuery(figure_eight(), "A", "A", 12))
+    query = PerpQuery(figure_eight(), "A", "A", 12)
+    rep = theoretical_constant(query, count_perpendiculars(query))
     assert abs(rep.constant - 2.0) < 1e-12
     assert rep.verdict == "pass"
     assert abs(rep.ratios[-1] - 1) < 0.01
 
 
 def test_constant_petersen_points():
-    rep = theoretical_constant(PerpQuery(petersen(), "P0", "P1", 30))
+    query = PerpQuery(petersen(), "P0", "P1", 30)
+    rep = theoretical_constant(query, count_perpendiculars(query))
     assert abs(rep.constant - 0.3) < 1e-12
     assert rep.verdict == "pass"
     assert abs(rep.ratios[-1] - 1) < 0.03
 
 
 def test_constant_biregular_cycles():
-    rep = theoretical_constant(PerpQuery(biregular_two_cycles(),
-                                         "C1", "C2", 30))
+    query = PerpQuery(biregular_two_cycles(), "C1", "C2", 30)
+    rep = theoretical_constant(query, count_perpendiculars(query))
     assert abs(rep.constant - 11 / 30) < 1e-12
     sp, sq = math.sqrt(2), 4 / math.sqrt(3)
     want_odd = 2 * 6 * 2 * (sp * sq) / (5 * 48)
@@ -148,10 +151,26 @@ def test_constant_biregular_cycles():
     assert abs(rep.ratios[-2] - 1) < 0.05
 
 
+def test_counts_beyond_float_range_raise_too_large():
+    # the DP count at length 1027 exceeds 2^1024
+    with pytest.raises(TooLargeError):
+        count_perpendiculars(PerpQuery(petersen(), "P0", "P1", 3000))
+    # the counts still fit at nmax 1024, the ratio denominators do not
+    query = PerpQuery(petersen(), "P0", "P1", 1024)
+    series = count_perpendiculars(query)
+    with pytest.raises(TooLargeError):
+        theoretical_constant(query, series)
+    query = PerpQuery(biregular_two_cycles(), "C1", "C2", 793)
+    with pytest.raises(TooLargeError):
+        theoretical_constant(query, count_perpendiculars(query))
+
+
 def test_constant_rejects_conductance():
     g = figure_eight().with_conductance({"a+": 1.0})
+    query = PerpQuery(g, "A", "A", 5)
+    series = count_perpendiculars(query)
     with pytest.raises(UnsupportedError):
-        theoretical_constant(PerpQuery(g, "A", "A", 5))
+        theoretical_constant(query, series)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ oracles computed inline.
 """
 
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +16,12 @@ from geodlab.errors import (
     PrecisionCapError,
     PrecisionError,
 )
+from geodlab import ffield
 from geodlab.ffield import (
     FqPoly,
+    LaurentSeries,
     QuadIrr,
-    all_polys,
+    RatFunc,
     cf_expand,
     euler_phi,
     factor,
@@ -28,9 +31,9 @@ from geodlab.ffield import (
     mertens_sum,
     monic_irreducibles,
     monic_phi_sum,
-    monic_polys,
     parse_poly,
     parse_ratfunc,
+    poly_range,
     quad_invariants,
     valuation_abs,
     with_retry,
@@ -88,7 +91,7 @@ def test_gcd_divides(q, a, b):
 
 def test_factor_reconstructs():
     for q in (2, 3):
-        for f in monic_polys(q, 4):
+        for f in poly_range(q, q ** 4, 2 * q ** 4):
             if f.degree < 1:
                 continue
             fac = factor(f)
@@ -102,11 +105,25 @@ def test_factor_reconstructs():
 def test_factor_primes_are_irreducible():
     for q in (2, 3):
         irr = set(monic_irreducibles(q, 4))
-        for f in monic_polys(q, 4):
+        for f in poly_range(q, q ** 4, 2 * q ** 4):
             if f.degree < 1:
                 continue
             for p in factor(f):
                 assert p in irr
+
+
+def test_poly_range_base_q_order():
+    q = 3
+    assert [str(f) for f in poly_range(q, 0, 6)] == [
+        "0", "1", "2", "Y", "Y+1", "Y+2"]
+    # monic of degree 2, then all of degree 1 (leading coefficient outer)
+    monic = list(poly_range(q, q ** 2, 2 * q ** 2))
+    assert [str(f) for f in monic[:4]] == ["Y^2", "Y^2+1", "Y^2+2", "Y^2+Y"]
+    assert len(monic) == 9
+    assert all(f.is_monic() and f.degree == 2 for f in monic)
+    deg1 = [str(f) for f in poly_range(q, q, q ** 2)]
+    assert deg1 == ["Y", "Y+1", "Y+2", "2Y", "2Y+1", "2Y+2"]
+    assert list(poly_range(q, 5, 5)) == []
 
 
 def test_derivative_leibniz():
@@ -124,7 +141,8 @@ def test_derivative_leibniz():
 def _phi_oracle(f):
     """Count residues of degree < deg f coprime to f (brute force)."""
     q = f.q
-    return sum(1 for d in range(f.degree) for g in all_polys(q, d)
+    return sum(1 for d in range(f.degree)
+               for g in poly_range(q, q ** d, q ** (d + 1))
                if f.gcd(g).is_constant())
 
 
@@ -289,6 +307,150 @@ def test_apply_homography_roundtrip():
     assert back.key() == al.key()
 
 
+def _series(f, prec):
+    if f.is_zero():
+        return LaurentSeries.exact_zero(f.q)
+    return laurent_expand(RatFunc(f), prec)
+
+
+def _agree(got, want, upto):
+    """True iff two series agree on their common known window, which must
+    reach past the coefficient of Y^-upto."""
+    hi = min(got.val + got.prec, want.val + want.prec)
+    assert hi > upto, "window too short to decide"
+    return all(got.coefficient(j) == want.coefficient(j)
+               for j in range(min(got.val, want.val), hi))
+
+
+def _generators(q):
+    Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
+    return [(one, Y, zero, one), (one, one, zero, one), (zero, one, one, zero),
+            (one, -Y, zero, one), (one, -one, zero, one)]
+
+
+def _orbit_edges(alpha, word_len):
+    """(beta, g, g beta) for every generator step of a BFS orbit."""
+    seen, frontier, edges = {alpha.key()}, [alpha], []
+    for _ in range(word_len):
+        nxt = []
+        for beta in frontier:
+            for g in _generators(alpha.q):
+                img = beta.apply_homography(*g)
+                edges.append((beta, g, img))
+                if img.key() not in seen:
+                    seen.add(img.key())
+                    nxt.append(img)
+        frontier = nxt
+    return edges
+
+
+def _random_edges(alpha, count, seed):
+    """(alpha, g, g alpha) for random g whose determinant is not a unit."""
+    q, rng, edges = alpha.q, random.Random(seed), []
+    while len(edges) < count:
+        g = tuple(FqPoly(q, [rng.randrange(q) for _ in range(3)])
+                  for _ in range(4))
+        det = g[0] * g[3] - g[1] * g[2]
+        if det.degree < 1:
+            continue
+        try:
+            edges.append((alpha, g, alpha.apply_homography(*g)))
+        except ValueError:  # the image's leading coefficient vanishes
+            continue
+    return edges
+
+
+def _sign_mismatches(edges, prec=40):
+    """Edges whose image expansion differs from the series image
+    (a beta + b)/(c beta + d) of the source expansion."""
+    bad = 0
+    for beta, g, img in edges:
+        a, b, c, d = (_series(e, prec) for e in g)
+        x = beta.expand(prec)
+        want = (a * x + b) / (c * x + d)
+        if not _agree(img.expand(prec), want, img.sep_valuation()):
+            bad += 1
+    return bad
+
+
+def _eps1(beta, g):
+    """+1 iff lc(det) r(D) is the canonical root r(D2) of D2 = det^2 D."""
+    q = beta.q
+    lc_det = (g[0] * g[3] - g[1] * g[2]).lc
+    r = ffield.sqrt_mod(beta.disc.lc, q)
+    r2 = ffield.sqrt_mod(lc_det * lc_det * beta.disc.lc, q)
+    return 1 if lc_det * r % q == r2 else -1
+
+
+@pytest.mark.parametrize("q, disc, word_len", [(3, "Y^2+Y", 5),
+                                               (5, "Y^4+Y+1", 4)])
+def test_sign_transport_matches_series_image(q, disc, word_len):
+    al = _sqrt_quad(q, disc)
+    edges = _orbit_edges(al, word_len) + _random_edges(al, 40, seed=q)
+    assert len(edges) > 150
+    assert _sign_mismatches(edges) == 0
+    # negative control: a rule that drops the det factor eps1 is caught
+    flipped = [(beta, g, img if _eps1(beta, g) > 0 else img.conj())
+               for beta, g, img in edges]
+    assert _sign_mismatches(flipped) > 0
+
+
+def _cancelling(beta):
+    """True iff the leading terms of -B + s sqrt(D) cancel."""
+    D = beta.disc
+    r = ffield.sqrt_mod(D.lc, beta.q)
+    return (beta.B.degree == D.degree // 2
+            and (beta.sign * r - beta.B.lc) % beta.q == 0)
+
+
+@pytest.mark.parametrize("q, disc", [(3, "Y^2+Y"), (5, "Y^2+2"),
+                                     (7, "Y^2+3"), (5, "Y^4+Y+1")])
+def test_expand_is_a_root_where_numerator_cancels(q, disc):
+    al = _sqrt_quad(q, disc)
+    edges = _orbit_edges(al, 3) + _random_edges(al, 200, seed=1)
+    points = [img for _, _, img in edges if _cancelling(img)]
+    assert len(points) >= 3
+    for beta in points:
+        n = 24
+        x = beta.expand(n)
+        assert x.prec == n
+        # A x^2 + B x = -C on the known window
+        lhs = _series(beta.A, n) * x * x + _series(beta.B, n) * x
+        assert _agree(lhs, _series(-beta.C, 3 * n), beta.sep_valuation())
+        # the conjugate agrees strictly above Y^-k and differs at it
+        k = beta.sep_valuation()
+        y = beta.conj().expand(n)
+        assert all(x.coefficient(j) == y.coefficient(j)
+                   for j in range(min(x.val, y.val), k))
+        assert x.coefficient(k) != y.coefficient(k)
+
+
+@pytest.mark.parametrize("triple", [("1", "0", "2Y^2+2Y"),
+                                    ("Y", "2Y", "2"),
+                                    ("Y^2+Y+2", "Y^2+Y", "Y^2+Y"),
+                                    ("Y^2+Y", "2Y^3+2Y^2", "Y^4+Y^3+2")])
+def test_branch_zero_has_the_smaller_residue(triple):
+    q = 3
+    A, B, C = (parse_poly(q, t) for t in triple)
+    b0, b1 = QuadIrr(A, B, C, 0), QuadIrr(A, B, C, 1)
+    assert b0.sign == -b1.sign and b1 == b0.conj()
+    k = b0.sep_valuation()
+    assert b0.expand(12).coefficient(k) < b1.expand(12).coefficient(k)
+
+
+def test_exact_paths_never_retry(monkeypatch):
+    def refuse(fn, start=32, cap=None):
+        raise AssertionError("with_retry called")
+
+    monkeypatch.setattr(ffield, "with_retry", refuse)
+    al = _sqrt_quad(5, "Y^4+Y+1")
+    edges = _orbit_edges(al, 2)
+    assert len(edges) == 30
+    for _, _, img in edges:
+        img.expand(16)
+        cf_expand(img)
+
+
 # ---------------------------------------------------------------------------
 # continued fractions
 
@@ -312,6 +474,39 @@ def test_cf_quadratic_periodic():
     assert len(cf.period) >= 1
     assert [str(a) for a in cf.preperiod] == ["Y+2"]
     assert [str(a) for a in cf.period] == ["Y+2", "2Y+1"]
+
+
+@pytest.mark.parametrize("q, disc, preperiod, period", [
+    (3, "Y^2+1", ["Y"], ["2Y"]),
+    (5, "Y^2+2", ["Y"], ["Y", "2Y"]),
+    (7, "2Y^2+1", ["3Y"], ["6Y"]),
+    (5, "Y^4+Y+1", ["Y^2"],
+     ["2Y+3", "3Y+1", "4Y", "2Y+1", "4Y", "3Y+1", "2Y+3", "2Y^2"]),
+    (3, "Y^4+Y^3+2", ["Y^2+2Y+1"], ["Y", "Y", "2Y^2+Y+2"]),
+    (7, "Y^6+Y+3", ["Y^3"],
+     ["2Y^2+Y+4", "4Y+5", "6Y+6", "6Y+5", "6Y+1", "6Y+6", "Y+5", "5Y+4",
+      "Y+5", "6Y+6", "6Y+1", "6Y+5", "6Y+6", "4Y+5", "2Y^2+Y+4", "2Y^3"]),
+])
+def test_cf_periods_pinned(q, disc, preperiod, period):
+    cf = cf_expand(_sqrt_quad(q, disc))
+    assert [str(a) for a in cf.preperiod] == preperiod
+    assert [str(a) for a in cf.period] == period
+
+
+@pytest.mark.parametrize("q, triple, branch, preperiod, period", [
+    (3, ("1", "0", "2Y^2+2Y"), 1, ["2Y+1"], ["2Y+1", "Y+2"]),
+    (3, ("Y", "2Y", "2"), 0, ["0", "2Y+2"], ["Y+2", "2Y+1"]),
+    (3, ("Y^2+Y", "2Y^3+2Y^2", "Y^4+Y^3+2"), 1,
+     ["2Y", "2Y+1"], ["2Y+1", "Y+2"]),
+    (5, ("Y^4+4Y^2+Y+1", "2Y", "4"), 0, ["0", "Y^2+Y"],
+     ["2Y+3", "3Y+1", "4Y", "2Y+1", "4Y", "3Y+1", "2Y+3", "2Y^2"]),
+    (5, ("Y^4+Y+1", "2Y^5+2Y^2+2Y", "Y^6+Y^3+Y^2+4"), 1, ["4Y", "4Y^2"],
+     ["3Y+2", "2Y+4", "Y", "3Y+4", "Y", "2Y+4", "3Y+2", "3Y^2"]),
+])
+def test_cf_periods_of_orbit_points(q, triple, branch, preperiod, period):
+    cf = cf_expand(QuadIrr(*(parse_poly(q, t) for t in triple), branch))
+    assert [str(a) for a in cf.preperiod] == preperiod
+    assert [str(a) for a in cf.period] == period
 
 
 def test_cf_convergent_quality():
