@@ -281,10 +281,10 @@ def theoretical_constant(query, series):
     from the closed-form mass formulas, plus the ratio series of
     ``series`` = count_perpendiculars(query) against it.
 
-    Supported: regular graphs (any two point/cycle targets) and the
-    biregular bipartite case with two cycle targets.  All conductances must
-    vanish.  Raises TooLargeError when a ratio's terms exceed the float
-    range.
+    Supported: regular graphs of degree >= 3 (any two point/cycle targets)
+    and the biregular bipartite case with two cycle targets.  All
+    conductances must vanish.  Raises TooLargeError when a ratio's terms
+    exceed the float range.
     """
     g = query.graph
     if any(g.edges[e].conductance != 0.0 for e in g.edge_ids):
@@ -298,6 +298,9 @@ def theoretical_constant(query, series):
 
     if len(degs) == 1:
         q = degs[0] - 1
+        if q < 2:
+            raise UnsupportedError(
+                "regular constants need degree >= 3 (exponential growth)")
         delta = math.log(q)
         nverts = g.vertex_count()
         # ||m|| = (q/(q+1)) Vol, probability-normalised sphere measures

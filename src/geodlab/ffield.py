@@ -465,13 +465,11 @@ class LaurentSeries:
 
     ``coeffs[i]`` is the coefficient of Y^{-(val+i)}; the first coefficient
     is nonzero unless the series is exactly zero (val None, empty coeffs).
-    ``source`` (RatFunc or QuadIrr), when present, allows re-expansion at
-    higher precision.
     """
 
-    __slots__ = ("q", "val", "coeffs", "source")
+    __slots__ = ("q", "val", "coeffs")
 
-    def __init__(self, q, val, coeffs, source=None):
+    def __init__(self, q, val, coeffs):
         _check_q(q)
         c = [x % q for x in coeffs]
         # normalize: leading zeros shift the valuation
@@ -479,18 +477,15 @@ class LaurentSeries:
             c.pop(0)
             val += 1
         if not c:
-            if source is None or not _source_is_zero(source):
-                raise PrecisionError("all known coefficients vanish")
-            val = None
+            raise PrecisionError("all known coefficients vanish")
         self.q = q
         self.val = val
         self.coeffs = tuple(c)
-        self.source = source
 
     @classmethod
     def exact_zero(cls, q):
         s = object.__new__(cls)
-        s.q, s.val, s.coeffs, s.source = q, None, (), RatFunc.const(q, 0)
+        s.q, s.val, s.coeffs = q, None, ()
         return s
 
     def is_zero(self):
@@ -517,16 +512,6 @@ class LaurentSeries:
         if k >= self.val + self.prec:
             raise PrecisionError(f"coefficient {k} beyond known precision")
         return self.coeffs[k - self.val]
-
-    def extend(self, prec):
-        """Re-expand the source at precision >= prec."""
-        if self.is_zero():
-            return self
-        if self.prec >= prec:
-            return self
-        if self.source is None:
-            raise PrecisionError("series has no exact source to extend")
-        return laurent_expand(self.source, prec)
 
     def _binop_prec(self, other):
         if other.q != self.q:
@@ -572,11 +557,6 @@ class LaurentSeries:
                 for j, y in enumerate(other.coeffs[:n - i]):
                     out[i + j] += x * y
         return LaurentSeries(self.q, self.val + other.val, out)
-
-    def scalar_mul(self, a):
-        if self.is_zero() or a % self.q == 0:
-            return LaurentSeries.exact_zero(self.q)
-        return LaurentSeries(self.q, self.val, [a * c for c in self.coeffs])
 
     def inverse(self):
         if self.is_zero():
@@ -635,9 +615,6 @@ class LaurentSeries:
             coeffs[-k] = c
         return FqPoly(self.q, coeffs)
 
-    def leading_coefficient(self):
-        return self.coeffs[0] if not self.is_zero() else 0
-
     def __repr__(self):
         if self.is_zero():
             return "LaurentSeries(0)"
@@ -651,10 +628,6 @@ class LaurentSeries:
                     terms.append(f"{c}*Y^{-k}")
         return ("LaurentSeries(" + " + ".join(terms)
                 + f" + O(Y^{-(self.val + self.prec)}))")
-
-
-def _source_is_zero(source):
-    return isinstance(source, RatFunc) and source.is_zero()
 
 
 def _rat_to_series(x, prec):
@@ -676,7 +649,7 @@ def _rat_to_series(x, prec):
         if c:
             for j, y in enumerate(qdesc):
                 rem[i + j] = (rem[i + j] - c * y) % q
-    return LaurentSeries(q, val, out, source=x)
+    return LaurentSeries(q, val, out)
 
 
 def laurent_expand(x, prec, cap=PREC_CAP):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateError, NotTransientError
+from .errors import DegenerateError, NotTransientError, UsageError
 from .seeding import derive_seed
 
 
@@ -76,6 +76,11 @@ class NBRWKernel:
         return w / w.sum()
 
 
+def _check_steps(n):
+    if n < 1:
+        raise UsageError(f"a walk needs n >= 1 edges, got {n}")
+
+
 def nbrw_exact(graph, start_subgraph, n):
     """Vertex distribution after n steps of the non-backtracking walk.
 
@@ -83,6 +88,7 @@ def nbrw_exact(graph, start_subgraph, n):
     "edge_dist", "target" (vol/Vol), "tv_to_target", and a "bipartite"
     warning flag (the walk then oscillates and the target is ill-posed).
     """
+    _check_steps(n)
     kernel = NBRWKernel(graph)
     dist = kernel.start_distribution(start_subgraph)
     for _ in range(n - 1):
@@ -99,27 +105,48 @@ def nbrw_exact(graph, start_subgraph, n):
     }
 
 
+def _successor_table(P):
+    """Inverse-CDF lookup table over the positive entries of P's rows.
+
+    Row i with positive entries at columns j_1 < ... < j_k contributes the
+    keys i + c_1 < ... < i + c_k, c being the running sums of those entries,
+    and ``succ`` holds j_1..j_k at the same positions.  For u in [0, 1) the
+    first key above i + u selects j with probability P[i, j].  The last key
+    of row i is set to exactly i + 1, so rounding in the sums can never
+    reach a zero entry or the next row; ``last[i]`` indexes that key, a
+    clamp for i + u rounding up to i + 1.  The table has one entry per
+    nonzero of P.
+    """
+    keys, succ = [], []
+    for i, row in enumerate(P):
+        (cols,) = np.nonzero(row)
+        c = np.cumsum(row[cols])
+        c[-1] = 1.0
+        keys.append(i + c)
+        succ.append(cols)
+    last = np.cumsum([len(c) for c in succ]) - 1
+    return np.concatenate(keys), np.concatenate(succ), last
+
+
 def nbrw_sample(graph, start_subgraph, n, reps, seed):
     """Monte-Carlo version of nbrw_exact: empirical vertex distribution.
 
-    Vectorized over paths; the per-call RNG stream is derived from the seed
-    so identical (seed, reps, parameters) reruns are bit-identical.
+    Vectorized over paths, one table lookup per path and step; the per-call
+    RNG stream is derived from the seed so identical (seed, reps,
+    parameters) reruns are bit-identical.
     """
+    _check_steps(n)
+    if reps < 1:
+        raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
     kernel = NBRWKernel(graph)
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 0)))
     n_edges = graph.edge_count()
     start = kernel.start_distribution(start_subgraph)
     state = rng.choice(n_edges, size=reps, p=start)
-    # precompute per-edge successor tables (alias-free: cumulative inverse)
-    cums = [np.cumsum(kernel.P[i]) for i in range(n_edges)]
+    keys, succ, last = _successor_table(kernel.P)
     for _ in range(n - 1):
-        u = rng.random(reps)
-        new_state = np.empty(reps, dtype=np.int64)
-        for i in range(n_edges):
-            mask = state == i
-            if mask.any():
-                new_state[mask] = np.searchsorted(cums[i], u[mask])
-        state = new_state
+        pos = np.searchsorted(keys, state + rng.random(reps), side="right")
+        state = succ[np.minimum(pos, last[state], out=pos)]
     term = np.array([graph.vertex_index[graph.edges[eid].terminus]
                      for eid in graph.edge_ids])
     tallies = np.bincount(term[state], minlength=graph.vertex_count())
@@ -135,27 +162,60 @@ def tree_walk_kappa(q, delta):
     return (1 + q) / (math.exp(delta) + q * math.exp(-delta))
 
 
+def _check_tree_walk(q, reps, delta):
+    if q < 2:
+        raise NotTransientError(
+            f"q = {q}: the simple walk on the (q+1)-regular tree is "
+            "recurrent for q < 2")
+    if delta is not None and abs(delta - 0.5 * math.log(q)) < 1e-12:
+        raise NotTransientError("delta = (log q)/2 gives a recurrent walk")
+    if reps < 1:
+        raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
+
+
+def _returns_to_parent(rng, q, size):
+    """Exact last-exit draw for ``size`` walks that have just stepped from
+    depth k - 1 to depth k >= 1 of the (q+1)-regular tree: True where the
+    walk ever comes back to depth k - 1.
+
+    The distance to the parent moves away with probability q/(q+1) at every
+    step, so the walk returns with probability exactly 1/q.  By the strong
+    Markov property a walk that returns stands at the parent with no memory
+    of its excursion, and one that does not stays below its vertex forever.
+    """
+    return rng.random(size) < 1.0 / q
+
+
+def _tree_steps(rng, q, size):
+    """One uniform step draw per walk.  Away from the root s = 0 steps to
+    the parent and s >= 1 to the child s - 1; at the root, which has q + 1
+    children and no parent, s is the child."""
+    return np.minimum((rng.random(size) * (q + 1)).astype(np.int64), q)
+
+
 def tree_harmonic_measure(q, depth, reps, seed, delta=None):
     """Monte-Carlo mass of each depth-d shadow under the exit law of the
     simple random walk on the (q+1)-regular tree (the c=0 case, where the
     harmonic measure is the normalised sphere measure).
 
-    The walk starts at the root and is stopped on exiting the ball of
-    radius depth + 30 (escape truncation; regression probability per level
-    1/q makes the truncation bias < 1e-9).  A walk's shadow is recorded by
-    the labels of its first ``depth`` child choices; relabeling on
-    backtracking through the root is handled by restarting the label
-    prefix whenever the walk returns to the root.
+    The walk starts at the root and moves inside the ball of radius
+    ``depth``.  Each time it steps onto the shadow level it makes one exact
+    last-exit draw (``_returns_to_parent``): with probability 1/q it comes
+    back to the parent and walks on, otherwise it escapes below the vertex
+    it stands on, which is then its shadow.  Nothing is truncated, so the
+    estimates are unbiased.  Shadows are numbered as vertices of the
+    sphere: a first label in 0..q (the root's child), then one in 0..q-1
+    per further level.
 
-    Returns dict shadow-tuple -> estimated mass, plus "target" and "sigma"
-    (per-shadow CLT standard error).
+    Returns dict with "estimates" (per shadow), "target", "sigma"
+    (per-shadow CLT standard error) and "n_shadows".
     """
-    if delta is not None and abs(delta - 0.5 * math.log(q)) < 1e-12:
-        raise NotTransientError("delta = (log q)/2 gives a recurrent walk")
+    _check_tree_walk(q, reps, delta)
     if delta is not None and delta != math.log(q):
         raise NotTransientError(
             "only the simple-walk case (delta = log q) is quantitative")
-    R = depth + 30
+    if depth < 1:
+        raise UsageError(f"shadow depth must be >= 1, got {depth}")
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 1)))
 
     n_shadows = (q + 1) * q ** (depth - 1)
@@ -166,35 +226,27 @@ def tree_harmonic_measure(q, depth, reps, seed, delta=None):
     done = 0
     while done < reps:
         b = min(batch, reps - done)
-        depth_pos = np.zeros(b, dtype=np.int64)
-        # label[k] = which child was taken at level k (first `depth` levels)
-        labels = np.zeros((b, depth), dtype=np.int64)
-        alive = np.ones(b, dtype=bool)
-        while alive.any():
-            idx = np.nonzero(alive)[0]
-            d = depth_pos[idx]
-            u = rng.random(len(idx))
-            at_root = d == 0
-            # away from the root: probability 1/(q+1) to step back
-            back = (~at_root) & (u < 1.0 / (q + 1))
-            depth_pos[idx[back]] -= 1
-            fwd = ~back
-            fi = idx[fwd]
-            fd = d[fwd]
-            # choose a child label among q (or q+1 at the root)
-            nch = np.where(at_root[fwd], q + 1, q)
-            uu = rng.random(len(fi))
-            child = np.minimum((uu * nch).astype(np.int64), nch - 1)
-            shallow = fd < depth
-            rows = fi[shallow]
-            labels[rows, fd[shallow]] = child[shallow]
-            depth_pos[fi] += 1
-            alive[idx] = depth_pos[idx] < R
-        # encode shadows: first coordinate in 0..q, the rest in 0..q-1
-        code = labels[:, 0].copy()
-        for k in range(1, depth):
-            code = code * q + labels[:, k]
-        tallies += np.bincount(code, minlength=n_shadows)
+        # walks still inside the ball: their level, and their vertex's
+        # index in that level's sphere (the shadow code at level depth;
+        # meaningless at the root, whose next step overwrites it)
+        level = np.zeros(b, dtype=np.int64)
+        node = np.zeros(b, dtype=np.int64)
+        escaped = []
+        while node.size:
+            s = _tree_steps(rng, q, node.size)
+            at_root = level == 0
+            back = (s == 0) & ~at_root
+            node = np.where(back, node // q,
+                            np.where(at_root, s, node * q + s - 1))
+            level += np.where(back, -1, 1)
+            edge = np.flatnonzero(level == depth)
+            ret = edge[_returns_to_parent(rng, q, edge.size)]
+            level[ret] -= 1
+            node[ret] //= q
+            inside = level < depth
+            escaped.append(node[~inside])
+            node, level = node[inside], level[inside]
+        tallies += np.bincount(np.concatenate(escaped), minlength=n_shadows)
         done += b
 
     est = tallies / reps
@@ -207,59 +259,54 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, delta=None):
     """Monte-Carlo ratio of Green kernels G(x,y)/G(x,z) for points y, z on a
     common ray from x at distances d_xy, d_xz on the (q+1)-regular tree.
 
+    G(x, y) is the expected number of visits to y of the simple walk from
+    x, the visit at time 0 included.  The walk moves inside the ball of
+    radius dmax = max(d_xy, d_xz); each time it steps to depth dmax + 1 it
+    makes one exact last-exit draw (``_returns_to_parent``): with
+    probability 1/q it comes back to its parent at depth dmax, otherwise it
+    escapes and can visit neither point again.  Nothing is truncated.
+
     Expected ratio for the simple walk: e^{-delta (d_xy - d_xz)} with
     delta = log q.  Returns estimate, target, and a delta-method standard
     error for the ratio.
     """
-    if delta is not None and abs(delta - 0.5 * math.log(q)) < 1e-12:
-        raise NotTransientError("delta = (log q)/2 gives a recurrent walk")
+    _check_tree_walk(q, reps, delta)
+    if d_xy < 0 or d_xz < 0:
+        raise UsageError("distances must be >= 0")
     dmax = max(d_xy, d_xz)
-    R = dmax + 40
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 2)))
 
-    visits_y = np.zeros(reps, dtype=np.int64)
-    visits_z = np.zeros(reps, dtype=np.int64)
+    visits_y = np.full(reps, d_xy == 0, dtype=np.int64)
+    visits_z = np.full(reps, d_xz == 0, dtype=np.int64)
 
     batch = min(reps, 100_000)
     done = 0
     while done < reps:
         b = min(batch, reps - done)
-        # track (depth along the distinguished ray when on it, or -1) via
-        # two coordinates: distance to root, and distance reached along the
-        # ray.  A state is "on the ray" iff dist == on_ray_progress.
+        # per walk still inside the ball: distance to the root, and the
+        # length of the prefix it shares with the distinguished ray; it is
+        # on the ray iff the two agree
+        walk = np.arange(done, done + b)
         dist = np.zeros(b, dtype=np.int64)
-        ray = np.zeros(b, dtype=np.int64)  # ray-prefix length of position
-        alive = np.ones(b, dtype=bool)
-        vy = np.zeros(b, dtype=np.int64)
-        vz = np.zeros(b, dtype=np.int64)
-        while alive.any():
-            idx = np.nonzero(alive)[0]
-            d = dist[idx]
-            r = ray[idx]
-            u = rng.random(len(idx))
-            at_root = d == 0
-            back = (~at_root) & (u < 1.0 / (q + 1))
-            # stepping back: if we were exactly on the ray, stay on it
-            bidx = idx[back]
-            on_ray_b = ray[bidx] == dist[bidx]
-            dist[bidx] -= 1
-            ray[bidx] = np.where(on_ray_b, dist[bidx],
-                                 np.minimum(ray[bidx], dist[bidx]))
-            fwd = ~back
-            fi = idx[fwd]
-            on_ray_f = ray[fi] == dist[fi]
-            nch = np.where(at_root[fwd], q + 1, q)
-            uu = rng.random(len(fi))
-            child = np.minimum((uu * nch).astype(np.int64), nch - 1)
-            # child 0 = continue along the distinguished ray
-            dist[fi] += 1
-            ray[fi] = np.where(on_ray_f & (child == 0), dist[fi], ray[fi])
-            alive[idx] = dist[idx] < R
-            on = ray[idx] == dist[idx]
-            vy[idx] += (on & (dist[idx] == d_xy) & alive[idx])
-            vz[idx] += (on & (dist[idx] == d_xz) & alive[idx])
-        visits_y[done:done + b] = vy
-        visits_z[done:done + b] = vz
+        ray = np.zeros(b, dtype=np.int64)
+        while walk.size:
+            s = _tree_steps(rng, q, walk.size)
+            at_root = dist == 0
+            back = (s == 0) & ~at_root
+            # child 0 continues along the ray
+            along = (ray == dist) & (s == np.where(at_root, 0, 1))
+            dist += np.where(back, -1, 1)
+            ray = np.where(back, np.minimum(ray, dist),
+                           np.where(along, dist, ray))
+            edge = np.flatnonzero(dist > dmax)
+            ret = edge[_returns_to_parent(rng, q, edge.size)]
+            dist[ret] -= 1
+            ray[ret] = np.minimum(ray[ret], dist[ret])
+            inside = dist <= dmax
+            walk, dist, ray = walk[inside], dist[inside], ray[inside]
+            on = ray == dist
+            visits_y[walk] += on & (dist == d_xy)
+            visits_z[walk] += on & (dist == d_xz)
         done += b
 
     my, mz = visits_y.mean(), visits_z.mean()

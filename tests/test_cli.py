@@ -222,6 +222,45 @@ def test_count_perp_runs_the_dp_once(capsys, monkeypatch):
     assert "nan" not in out
 
 
+def _error_codes():
+    from geodlab import errors
+    return {cls.code for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.GeodlabError)}
+
+
+@pytest.mark.parametrize("argv, want", [
+    # q = 1: the walk on the line is recurrent, so it never escapes
+    (("walk", "harmonic", "--q", "1"), "not-transient"),
+    (("walk", "green", "--q", "1"), "not-transient"),
+    (("walk", "harmonic", "--q", "2", "--depth", "0"), "usage"),
+    (("walk", "harmonic", "--q", "2", "--reps", "0"), "usage"),
+    (("walk", "green", "--q", "2", "--reps", "0"), "usage"),
+    (("walk", "green", "--q", "2", "--dxy", "-1"), "usage"),
+    (("walk", "nbrw", "--graph", "builtin:petersen", "--start", "P0",
+      "--n", "0"), "usage"),
+    (("walk", "nbrw", "--graph", "builtin:petersen", "--start", "P0",
+      "--reps", "-1"), "usage"),
+])
+def test_walk_rejects_recurrent_and_empty_walks(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == want and want in _error_codes()
+
+
+@pytest.mark.parametrize("graph, nmax", [("builtin:cycle3", "5"),
+                                         ("builtin:cycle4", "10")])
+def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
+    # q = 1 has no exponential growth, hence no counting constant
+    code, out, err = run_cli(capsys, "count", "perp", "--graph", graph,
+                             "--minus", "C", "--plus", "C", "--nmax", nmax)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "n,count,weighted,cumulative,theory_ratio"
+    assert len(lines) == int(nmax) + 1
+    assert all(line.endswith(",nan") for line in lines[1:])
+
+
 def test_bad_matrix_spec(capsys):
     code, _, err = run_cli(capsys, "bt", "dist", "--q", "3", "--matrix",
                            "1;2;3")

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from geodlab import walks
 from geodlab.errors import DegenerateError, NotTransientError
 from geodlab.library import (
+    biregular_two_cycles,
     order_two_chain,
     petersen,
     theta,
@@ -114,6 +117,62 @@ def test_nbrw_sample_tracks_exact():
     assert (np.abs(np.asarray(emp) - exact) <= 4 * sigma + 1e-12).all()
 
 
+def _masked_nbrw_reference(kernel, start, n, reps, seed):
+    """Per-row inverse-CDF sampler with the same draws as nbrw_sample: the
+    start law through rng.choice, then one uniform per path and step."""
+    rng = np.random.Generator(np.random.Philox(derive_seed(seed, 0)))
+    P = np.asarray(kernel.P)
+    state = rng.choice(len(P), size=reps, p=start)
+    for _ in range(n - 1):
+        u = rng.random(reps)
+        nxt = np.empty(reps, dtype=np.int64)
+        for i in range(len(P)):
+            mask = state == i
+            cols = np.flatnonzero(P[i])
+            pick = np.searchsorted(np.cumsum(P[i, cols]), u[mask],
+                                   side="right")
+            nxt[mask] = cols[np.minimum(pick, len(cols) - 1)]
+        state = nxt
+    return state
+
+
+NONUNIFORM_ROWS = [(order_two_chain, "X", 7), (biregular_two_cycles, "C1", 9)]
+
+
+@pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
+def test_successor_table_one_entry_per_nonzero(make, start, n):
+    P = np.asarray(NBRWKernel(make()).P)
+    keys, succ, last = walks._successor_table(P)
+    assert len(keys) == len(succ) == np.count_nonzero(P)
+    assert (P[np.repeat(np.arange(len(P)), np.diff(last, prepend=-1)),
+              succ] > 0).all()
+    assert (keys[last] == np.arange(1, len(P) + 1)).all()
+    assert (np.diff(keys) > 0).all()
+
+
+@pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
+def test_nbrw_sample_matches_masked_reference(make, start, n):
+    g = make()
+    kernel = NBRWKernel(g)
+    state = _masked_nbrw_reference(
+        kernel, kernel.start_distribution(start), n, 3000, 21)
+    term = np.array([g.vertex_index[g.edges[e].terminus]
+                     for e in g.edge_ids])
+    want = np.bincount(term[state], minlength=g.vertex_count())
+    assert (nbrw_sample(g, start, n, 3000, 21)["tallies"] == want).all()
+
+
+@pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
+def test_nbrw_sample_tracks_exact_nonuniform_rows(make, start, n):
+    # rows with one and two successors (weights 1.0 and 0.5) on the order
+    # chain, two and three on the biregular graph
+    g, reps = make(), 20000
+    emp = nbrw_sample(g, start, n, reps, 4)["empirical"]
+    exact = np.asarray(nbrw_exact(g, start, n)["vertex_dist"])
+    sigma = np.sqrt(exact * (1 - exact) / reps)
+    assert (np.abs(np.asarray(emp) - exact) <= 4 * sigma + 1e-12).all()
+
+
 # ---------------------------------------------------------------------------
 # tree walks
 
@@ -140,15 +199,55 @@ def test_harmonic_depth_two():
         assert abs(est - out["target"]) <= 3 * out["sigma"]
 
 
+@pytest.mark.parametrize("q, depth", [(3, 3), (2, 4)])
+def test_harmonic_deep_shadows_uniform(q, depth):
+    # depth >= 3 steps back between inner levels, which depth 1 and 2 never
+    # do inside the ball
+    reps = 200000
+    out = tree_harmonic_measure(q, depth, reps, 3)
+    counts = np.rint(np.asarray(out["estimates"]) * reps)
+    assert counts.sum() == reps
+    assert stats.chisquare(counts).pvalue > 1e-6
+
+
 def test_harmonic_recurrent_rejected():
     with pytest.raises(NotTransientError):
         tree_harmonic_measure(2, 1, 100, 0, delta=0.5 * math.log(2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_last_exit_return_frequency(q):
+    n = 200000
+    rng = np.random.Generator(np.random.Philox(derive_seed(q, 9)))
+    k = int(walks._returns_to_parent(rng, q, n).sum())
+    # two-sided exact binomial acceptance region at level 1e-6
+    lo, hi = stats.binom.ppf(5e-7, n, 1 / q), stats.binom.isf(5e-7, n, 1 / q)
+    assert lo <= k <= hi
+    assert not lo <= n / (q + 1) <= hi
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+def test_green_gate_sees_wrong_return_probability(monkeypatch, seed):
+    # negative control: 1/(q+1) in place of the exact 1/q must fail the
+    # 3-sigma gate of acceptance check 9
+    monkeypatch.setattr(walks, "_returns_to_parent",
+                        lambda rng, q, size: rng.random(size) < 1 / (q + 1))
+    out = green_ratio_check(2, 1, 2, 20000, seed)
+    assert abs(out["ratio"] - out["target"]) > 3 * out["sigma"]
 
 
 def test_green_ratio():
     out = green_ratio_check(2, 1, 2, 20000, 7)
     assert abs(out["target"] - 2.0) < 1e-15
     assert abs(out["ratio"] - 2.0) <= 3 * out["sigma"]
+
+
+@pytest.mark.parametrize("q, dxz", [(2, 2), (3, 1)])
+def test_green_ratio_from_the_start_point(q, dxz):
+    # G(x, x) counts the visit at time 0; without it the ratio is q^dxz / 2
+    out = green_ratio_check(q, 0, dxz, 20000, 7)
+    assert abs(out["target"] - q ** dxz) < 1e-12
+    assert abs(out["ratio"] - out["target"]) <= 3 * out["sigma"]
 
 
 def test_green_equal_distances():
