@@ -9,7 +9,6 @@ v = v_infinity on F_q(Y); everything is exact (Fractions / big integers).
 
 from fractions import Fraction
 from itertools import chain, islice
-import math
 
 from .errors import (
     BudgetError,
@@ -27,7 +26,9 @@ from .ffield import (
     laurent_expand,
     mertens_sum,
     poly_range,
-    with_retry,
+    sqrt_mod,
+    _poly_sqrt_floor,
+    _surd_valuation,
 )
 
 INF = "inf"  # point at infinity of the projective line
@@ -75,17 +76,6 @@ class BTMatrix:
 
     def trace(self):
         return self.a + self.d
-
-    def apply_boundary(self, z):
-        """Homography action on K_v union {inf}; z RatFunc or INF."""
-        if z == INF:
-            if self.c.is_zero():
-                return INF
-            return self.a / self.c
-        den = self.c * z + self.d
-        if den.is_zero():
-            return INF
-        return (self.a * z + self.b) / den
 
     def min_entry_valuation(self):
         return min(x.valuation() for x in self.entries() if not x.is_zero())
@@ -196,34 +186,42 @@ def translation_length_oracle(g, radius=3, max_center_deg=3):
 # boundary measures
 
 
-def _abs_of(x):
-    """Exact |x|_v for RatFunc / QuadIrr / LaurentSeries."""
+def _surd_parts(x):
+    """(U, W, D, V) with x = (U + W sqrt(D))/V; W = 0, D = None if rational."""
     if isinstance(x, QuadIrr):
-        return Fraction(x.q) ** (-x.expand(4).val)
-    return x.abs_v()
+        return -x.B, FqPoly.const(x.q, x.sign), x.disc, 2 * x.A
+    if isinstance(x, FqPoly):
+        x = RatFunc(x)
+    return x.num, FqPoly.zero(x.q), None, x.den
 
 
 def abs_diff(x, y):
-    """Exact |x - y|_v for x, y in K_v or quadratic over it."""
-    if isinstance(x, FqPoly):
-        x = RatFunc(x)
-    if isinstance(y, FqPoly):
-        y = RatFunc(y)
-    if isinstance(x, RatFunc) and isinstance(y, RatFunc):
-        return (x - y).abs_v()
-    if (isinstance(x, QuadIrr) and isinstance(y, QuadIrr)
-            and (x.A, x.B, x.C) == (y.A, y.B, y.C)):
-        if x.sign == y.sign:
-            raise DegenerateError("points coincide")
-        return Fraction(x.q) ** (-x.sep_valuation())
+    """Exact |x - y|_v for x, y in F_q(Y) or quadratic over it.
+
+    For x = (U1 + W1 sqrt(D1))/V1 and y = (U2 + W2 sqrt(D2))/V2 (a rational
+    point takes the other's D, or 1), S = floor(sqrt(D1 D2)) has S^2 = D1 D2
+    exactly when the fields agree; then sqrt(D2) = eps S sqrt(D1)/D1, eps
+    matching lc sqrt(D2) = r(D2) with lc(S) r(D1)/lc(D1), and x - y =
+    ((U1 V2 - U2 V1) D1 + (W1 V2 D1 - eps W2 V1 S) sqrt(D1)) / (V1 V2 D1).
+    """
     q = x.q
-
-    def attempt(prec):
-        a = x.expand(prec) if isinstance(x, QuadIrr) else laurent_expand(x, prec)
-        b = y.expand(prec) if isinstance(y, QuadIrr) else laurent_expand(y, prec)
-        return (a - b).abs_v()
-
-    return with_retry(attempt, start=16)
+    U1, W1, D1, V1 = _surd_parts(x)
+    U2, W2, D2, V2 = _surd_parts(y)
+    D1 = D1 or D2 or FqPoly.one(q)
+    D2 = D2 or D1
+    S = _poly_sqrt_floor(D1 * D2)
+    if S * S != D1 * D2:
+        raise UnsupportedError("the points lie in different quadratic fields")
+    r1, r2 = sqrt_mod(D1.lc, q), sqrt_mod(D2.lc, q)
+    eps = 1 if (r2 * D1.lc - S.lc * r1) % q == 0 else -1
+    U = (U1 * V2 - U2 * V1) * D1
+    W = W1 * V2 * D1 - eps * W2 * V1 * S
+    if U.is_zero() and W.is_zero():
+        if W1.is_zero():
+            return Fraction(0)
+        raise DegenerateError("points coincide")
+    v = _surd_valuation(U, W, D1) + V1.degree + V2.degree + D1.degree
+    return Fraction(q) ** (-v)
 
 
 def patterson_point_ball(q, center, n):
@@ -232,7 +230,7 @@ def patterson_point_ball(q, center, n):
 
     center: RatFunc; returns an exact Fraction.
     """
-    abs_c = _abs_of(center)
+    abs_c = center.abs_v()
     radius = Fraction(q) ** (-n)
     if radius >= abs_c:
         # ball centered at 0 of the same radius (ultrametric)

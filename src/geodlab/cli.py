@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import bt, counting, library, shift as shift_mod, walks
 from .errors import GeodlabError, IOFailure, TooLargeError, UsageError
 from .ffield import FqPoly, QuadIrr, cf_expand, mertens_sum, parse_poly, \
-    parse_ratfunc, euler_phi, laurent_expand
+    parse_ratfunc, euler_phi, laurent_expand, _check_q
 from .graphs import load_validate
 from .seeding import derive_seed
 
@@ -58,12 +58,26 @@ def emit(header, rows, args):
 
 def _load_graph(spec):
     if spec.startswith("builtin:"):
-        return library.get_builtin(spec.split(":", 1)[1])
+        try:
+            return library.get_builtin(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     try:
         with open(spec) as fh:
-            return load_validate(json.load(fh))
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOFailure(str(exc)) from exc
+    return load_validate(text)
+
+
+def prime(text):
+    """argparse type of --q for ff and bt: a prime up to ffield.MAX_Q."""
+    q = int(text)
+    try:
+        _check_q(q)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return q
 
 
 def _parse_matrix(q, text):
@@ -365,39 +379,41 @@ def build_parser():
         seed={"type": int, "default": 0})
     add(wk, "laplacian", cmd_walk_laplacian, graph={"required": True})
 
+    # ff and bt work over the prime field F_q
+    field_q = {"type": prime, "required": True}
     ff = sub.add_parser("ff").add_subparsers(dest="verb", required=True)
     add(ff, "mertens", cmd_ff_mertens,
-        q={"type": int, "required": True}, n={"type": int, "required": True})
+        q=field_q, n={"type": int, "required": True})
     add(ff, "phi", cmd_ff_phi,
-        q={"type": int, "required": True}, poly={"required": True})
+        q=field_q, poly={"required": True})
     add(ff, "expand", cmd_ff_expand,
-        q={"type": int, "required": True}, value={"required": True},
+        q=field_q, value={"required": True},
         prec={"type": int, "default": 8})
     add(ff, "cf", cmd_ff_cf,
-        q={"type": int, "required": True}, value={"default": None},
+        q=field_q, value={"default": None},
         disc={"default": None,
               "help": "expand the root of x^2 = disc instead"})
 
     btp = sub.add_parser("bt").add_subparsers(dest="verb", required=True)
     add(btp, "dist", cmd_bt_dist,
-        q={"type": int, "required": True}, matrix={"required": True})
+        q=field_q, matrix={"required": True})
     add(btp, "height", cmd_bt_height,
-        q={"type": int, "required": True}, matrix={"required": True})
+        q=field_q, matrix={"required": True})
     add(btp, "translen", cmd_bt_translen,
-        q={"type": int, "required": True}, matrix={"required": True})
+        q=field_q, matrix={"required": True})
     add(btp, "measure", cmd_bt_measure,
-        q={"type": int, "required": True}, kind={"default": "total"},
+        q=field_q, kind={"default": "total"},
         center={"default": None}, radius_exp={"type": int, "default": 1})
     add(btp, "covolume", cmd_bt_covolume,
-        q={"type": int, "required": True}, ideal={"default": None})
+        q=field_q, ideal={"default": None})
     add(btp, "hecke", cmd_bt_hecke,
-        q={"type": int, "required": True}, ideal={"required": True},
+        q=field_q, ideal={"required": True},
         no_check={"action": "store_true"})
     add(btp, "farey", cmd_bt_farey,
-        q={"type": int, "required": True}, t={"type": int, "default": 5},
+        q=field_q, t={"type": int, "default": 5},
         depth={"type": int, "default": 1})
     add(btp, "quad-orbit", cmd_bt_quad_orbit,
-        q={"type": int, "required": True}, disc={"required": True},
+        q=field_q, disc={"required": True},
         mode={"default": "complexity"},
         word_len={"type": int, "default": 5})
 

@@ -411,7 +411,7 @@ def closed_orbit_count(graph, nmax, weighted=False):
     """
     if nmax > 26:
         raise BudgetError("closed-orbit horizon capped at 26")
-    B, _ = graph.nb_transfer(exact=True)
+    B = graph.nb_transfer(exact=True)
     n_edges = len(B)
     fix = []
     M = [row[:] for row in B]
@@ -431,7 +431,7 @@ def closed_orbit_count(graph, nmax, weighted=False):
         orbits.append(primitive[n - 1] // n)
     out = {"fix": fix, "primitive": primitive, "orbits": orbits}
     if weighted:
-        Bw, _ = graph.nb_transfer()
+        Bw = graph.nb_transfer()
         cw = Bw.copy()
         wfix = []
         for n in range(1, nmax + 1):

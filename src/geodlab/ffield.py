@@ -17,6 +17,7 @@ from .errors import (
     PrecisionCapError,
     PrecisionError,
     TooLargeError,
+    UsageError,
 )
 
 PREC_CAP = 256
@@ -206,13 +207,6 @@ class FqPoly:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def __call__(self, a):
-        """Evaluate at a in F_q."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % self.q
-        return acc
-
     def derivative(self):
         return FqPoly(self.q, [i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -292,15 +286,6 @@ def factor(f):
         d += 1
     _FACTOR_CACHE[key] = dict(out)
     return out
-
-
-def is_poly_square(f):
-    """True iff f is a square in F_q[Y] (hence in F_q(Y) for polynomials)."""
-    if f.is_zero():
-        return True
-    if sqrt_mod(f.lc, f.q) is None:
-        return False
-    return all(m % 2 == 0 for m in factor(f).values())
 
 
 def euler_phi(f):
@@ -655,7 +640,7 @@ def _rat_to_series(x, prec):
 def laurent_expand(x, prec, cap=PREC_CAP):
     """Expand a RatFunc or QuadIrr to at least ``prec`` known coefficients."""
     if prec < 1:
-        raise ValueError("prec must be >= 1")
+        raise UsageError(f"prec must be >= 1, got {prec}")
     if prec > cap:
         raise PrecisionCapError(f"requested precision {prec} exceeds cap {cap}")
     if isinstance(x, FqPoly):
@@ -667,27 +652,27 @@ def laurent_expand(x, prec, cap=PREC_CAP):
     raise TypeError(f"cannot expand {type(x).__name__}")
 
 
-def valuation_abs(x):
-    """(v, |x|) for a LaurentSeries (or anything expandable)."""
-    if isinstance(x, (RatFunc, FqPoly)):
-        x = laurent_expand(x, 1) if not (isinstance(x, RatFunc) and x.is_zero()) \
-            else LaurentSeries.exact_zero(x.q)
-    if x.is_zero():
-        return math.inf, Fraction(0)
-    return x.val, x.abs_v()
+def _poly_sqrt_floor(F):
+    """S with |sqrt(F) - S| < 1, the polynomial part of the series root of
+    F (even degree, square lc); S * S == F exactly when F is a square."""
+    return _rat_to_series(RatFunc(F), F.degree // 2 + 1).sqrt().polynomial_part()
 
 
-def with_retry(fn, start=32, cap=PREC_CAP):
-    """Run fn(prec) with doubling precision until it stops raising PrecisionError."""
-    prec = start
-    while True:
-        try:
-            return fn(prec)
-        except PrecisionError:
-            if prec >= cap:
-                raise PrecisionCapError(
-                    f"cancellation persisted up to the precision cap {cap}")
-            prec = min(2 * prec, cap)
+def _surd_valuation(U, W, D):
+    """Exact v(U + W sqrt(D)) for polynomials U, W, not both zero, and a
+    non-square D, lc sqrt(D) = r(D) = sqrt_mod(lc D).  The smaller of
+    v(U) = -deg U and v(W sqrt(D)) = -(deg W + deg(D)/2) unless they tie and
+    lc U + lc W r(D) = 0; then U - W sqrt(D) keeps its leading term 2 lc U,
+    and the norm U^2 - W^2 D of the two gives the valuation."""
+    if W.is_zero():
+        return -U.degree
+    dw = W.degree + D.degree // 2
+    if U.degree != dw:
+        return -max(U.degree, dw)
+    q = U.q
+    if (U.lc + W.lc * sqrt_mod(D.lc, q)) % q:
+        return -dw
+    return dw - (U * U - W * W * D).degree
 
 
 def _canonical_triple(A, B, C):
@@ -727,10 +712,11 @@ class QuadIrr:
             raise ValueError("leading coefficient A must be nonzero")
         A, B, C = _canonical_triple(A, B, C)
         D = B * B - 4 * A * C
-        if is_poly_square(D):
-            raise NotIrrationalError("discriminant is a square in F_q(Y)")
         r = sqrt_mod(D.lc, q)
-        if D.degree % 2 != 0 or r is None:
+        split = D.degree % 2 == 0 and r is not None
+        if D.is_zero() or split and _poly_sqrt_floor(D) ** 2 == D:
+            raise NotIrrationalError("discriminant is a square in F_q(Y)")
+        if not split:
             raise NotSplitError("discriminant has no square root in F_q((1/Y))")
         self.A, self.B, self.C = A, B, C
         # at Y^-k the roots are b +- r(D)/2: sqrt(D)/(2A) starts there
@@ -769,28 +755,24 @@ class QuadIrr:
     def __hash__(self):
         return hash(self.key())
 
+    def valuation(self):
+        """Exact v(alpha) = v(-B + s sqrt(D)) - v(2A)."""
+        return (_surd_valuation(-self.B, FqPoly.const(self.q, self.sign),
+                                self.disc) + self.A.degree)
+
     def sep_valuation(self):
         """Exact v(alpha - alpha^sigma) = v(sqrt(D)) - v(A)."""
         return (-self.disc.degree // 2) - (-self.A.degree)
 
     def expand(self, prec):
-        """The first ``prec`` Laurent coefficients of alpha.
-
-        The numerator -B + s sqrt(D) loses its leading term only when
-        deg B = deg(D)/2 and lc(-B) + s r(D) = 0.  The conjugate numerator
-        then keeps it, and the norm identity
-        (-B + s sqrt(D)) (-B - s sqrt(D)) = B^2 - D = 4AC gives the
-        numerator's valuation, so one expansion at a known precision does.
-        """
-        q, A, B = self.q, self.A, self.B
+        """The first ``prec`` Laurent coefficients of alpha, from one
+        expansion at the precision that the numerator's exact valuation
+        fixes."""
+        A, B = self.A, self.B
         D = self.disc
-        e = D.degree // 2
-        if B.degree == e and (self.sign * sqrt_mod(D.lc, q) - B.lc) % q == 0:
-            v = e - A.degree - self.C.degree
-        else:
-            v = -max(B.degree, e)
-        end = v + prec  # the numerator is needed below Y^-end
-        num = _rat_to_series(RatFunc(D), end + e).sqrt()
+        # the numerator -B + s sqrt(D) is needed below Y^-end
+        end = _surd_valuation(-B, FqPoly.const(self.q, self.sign), D) + prec
+        num = _rat_to_series(RatFunc(D), end + D.degree // 2).sqrt()
         if self.sign < 0:
             num = -num
         if not B.is_zero():
@@ -839,28 +821,28 @@ class QuadIrr:
 def quad_invariants(alpha):
     """(trace, norm, conjugate, complexity h) with a dual-route h check.
 
-    h is computed both from the Laurent expansions of the two branches and
-    from |tr^2 - 4n|^{-1/2}; the two must agree exactly.
+    h is computed both from |tr^2 - 4n|^{-1/2} and from the Laurent
+    expansions of the two branches; the two must agree exactly.
     """
-    tr, nm = alpha.trace(), alpha.norm()
-    # route 1: expansions of the two roots
-    def attempt(p):
-        a = alpha.expand(p)
-        b = alpha.conj().expand(p)
-        return (a - b).abs_v()
-
-    sep = with_retry(attempt, start=16)
-    h_series = 1 / sep
+    tr, nm, conj = alpha.trace(), alpha.norm(), alpha.conj()
     # route 2: normalized discriminant
-    d = tr * tr - 4 * nm
-    v = d.valuation()
+    v = (tr * tr - 4 * nm).valuation()
     assert v % 2 == 0
-    h_formula = Fraction(alpha.q) ** (v // 2)
-    if h_series != h_formula:
+    k = v // 2
+    h_formula = Fraction(alpha.q) ** k
+    # route 1: the expansions of the two roots, each down to Y^-k, must
+    # first differ exactly there
+    prec = max(1, k - min(alpha.valuation(), conj.valuation()) + 1)
+    try:
+        k_series = (alpha.expand(prec) - conj.expand(prec)).val
+    except PrecisionError:
+        k_series = None  # no difference in the window
+    if k_series != k:
+        found = "nowhere" if k_series is None else f"at Y^{-k_series}"
         raise AssertionError(
-            f"complexity mismatch: expansions give {h_series}, "
-            f"formula gives {h_formula}")
-    return tr, nm, alpha.conj(), h_formula
+            f"complexity mismatch: the formula gives {h_formula}, so the roots "
+            f"first differ at Y^{-k}; the expansions differ first {found}")
+    return tr, nm, conj, h_formula
 
 
 class CFExpansion:
@@ -920,7 +902,7 @@ def cf_expand(x):
     # bookkeeping, from x = (-sB + sqrt(D))/(2sA).  sqrt(D) = S + eps with S
     # a polynomial and |eps| < 1 <= |Q|, so the polynomial part of
     # (P + sqrt(D))/Q is the polynomial quotient (P + S) // Q.
-    S = _rat_to_series(RatFunc(D), D.degree // 2 + 1).sqrt().polynomial_part()
+    S = _poly_sqrt_floor(D)
     P, Q = x.sign * -x.B, x.sign * 2 * x.A
     seen = {}
     quotients = []
@@ -944,10 +926,11 @@ def cf_expand(x):
 
 
 def parse_poly(q, text):
-    """Parse "2Y^3+Y+1" style polynomial text over F_q."""
+    """Parse "2Y^3+Y+1" style polynomial text over F_q; malformed text is a
+    UsageError."""
     text = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not text:
-        raise ValueError("empty polynomial")
+        raise UsageError("empty polynomial")
     text = text.replace("-", "+-")
     out = FqPoly.zero(q)
     for term in text.split("+"):
@@ -956,12 +939,15 @@ def parse_poly(q, text):
         neg = term.startswith("-")
         if neg:
             term = term[1:]
-        if "Y" in term:
-            head, _, exp = term.partition("Y")
-            c = int(head) if head else 1
-            k = int(exp[1:]) if exp.startswith("^") else (1 if not exp else int(exp))
-        else:
-            c, k = int(term), 0
+        try:
+            if "Y" in term:
+                head, _, exp = term.partition("Y")
+                c = int(head) if head else 1
+                k = int(exp[1:]) if exp.startswith("^") else (1 if not exp else int(exp))
+            else:
+                c, k = int(term), 0
+        except ValueError:
+            raise UsageError(f"cannot parse the term {term!r} of {text!r}") from None
         if neg:
             c = -c
         out = out + FqPoly.monomial(q, c, k)
@@ -972,6 +958,9 @@ def parse_ratfunc(q, text):
     """Parse "P/Q" (or a bare polynomial) over F_q."""
     if "/" in text:
         p_txt, _, q_txt = text.partition("/")
-        return RatFunc(parse_poly(q, p_txt.strip("()")),
-                       parse_poly(q, q_txt.strip("()")))
+        num = parse_poly(q, p_txt.strip("()"))
+        den = parse_poly(q, q_txt.strip("()"))
+        if den.is_zero():
+            raise UsageError(f"zero denominator in {text!r}")
+        return RatFunc(num, den)
     return RatFunc(parse_poly(q, text))

@@ -118,15 +118,12 @@ class GraphOfGroups:
 
     # -- transfer matrix -------------------------------------------------
 
-    def nb_transfer(self, exact=False, weights=None):
+    def nb_transfer(self, exact=False):
         """Weighted non-backtracking transfer matrix.
 
         B[e, e'] = w(e') when t(e) = o(e') and e' is not the reverse of e,
-        with w(e') = exp(c(e')) by default.  ``exact`` builds a python-object
-        matrix with weight 1 (or the user-supplied rational ``weights``),
-        suitable for big-integer dynamic programming.
-
-        Returns (B, orders_ignored_flag).
+        with w(e') = exp(c(e')).  ``exact`` builds a python-object matrix
+        with weight 1, suitable for big-integer dynamic programming.
         """
         for v in self.vertex_ids:
             if self.tree_degree(v) <= 1:
@@ -143,11 +140,10 @@ class GraphOfGroups:
                     continue
                 j = self.edge_index[fid]
                 if exact:
-                    B[i][j] = 1 if weights is None else weights[fid]
+                    B[i][j] = 1
                 else:
-                    w = np.exp(self.edges[fid].conductance)
-                    B[i, j] = w
-        return B, not self.trivial_orders()
+                    B[i, j] = np.exp(self.edges[fid].conductance)
+        return B
 
     # -- subgraph helpers ------------------------------------------------
 
@@ -174,36 +170,59 @@ class VolumeReport:
                 f"bipartite={self.bipartite})")
 
 
+def _reached(start, arcs):
+    """The nodes reached from ``start`` along the arcs (u, w), u to w."""
+    adj = {}
+    for u, w in arcs:
+        adj.setdefault(u, set()).add(w)
+    seen, stack = {start}, [start]
+    while stack:
+        new = adj.get(stack.pop(), set()) - seen
+        seen |= new
+        stack += new
+    return seen
+
+
+def _read_record(kind, raw, build):
+    """build(raw) for a vertex or edge record with an order >= 1; a record
+    that is not an object, lacks a field or holds a value of the wrong type
+    is a GraphFormatError."""
+    try:
+        record = build(raw)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GraphFormatError(
+            "malformed-document",
+            f"{kind} record {raw!r}: missing or invalid field ({exc!r})") from None
+    if record.order < 1:
+        raise GraphFormatError("order-divisibility",
+                               f"{kind} {record.id!r} has order {record.order}")
+    return record
+
+
 def load_validate(document):
     """Build a GraphOfGroups from a schema document (dict or JSON text)."""
     if isinstance(document, str):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except ValueError as exc:
+            raise GraphFormatError("malformed-document",
+                                   f"document is not JSON: {exc}") from None
     try:
-        vraw = document["vertices"]
-        eraw = document["edges"]
+        vraw = list(document["vertices"])
+        eraw = list(document["edges"])
     except (KeyError, TypeError):
         raise GraphFormatError("dangling-reference",
                                "document needs 'vertices' and 'edges'") from None
 
-    vertices = []
-    for v in vraw:
-        order = int(v.get("order", 1))
-        if order < 1:
-            raise GraphFormatError("order-divisibility",
-                                   f"vertex {v['id']!r} has order {order}")
-        vertices.append(Vertex(v["id"], order))
+    vertices = [_read_record("vertex", v, lambda v: Vertex(
+        v["id"], int(v.get("order", 1)))) for v in vraw]
     vmap = {v.id: v for v in vertices}
     if len(vmap) != len(vertices):
         raise GraphFormatError("dangling-reference", "duplicate vertex id")
 
-    edges = []
-    for e in eraw:
-        order = int(e.get("order", 1))
-        if order < 1:
-            raise GraphFormatError("order-divisibility",
-                                   f"edge {e['id']!r} has order {order}")
-        edges.append(Edge(e["id"], e["from"], e["to"], e["reverse"], order,
-                          float(e.get("conductance", 0.0))))
+    edges = [_read_record("edge", e, lambda e: Edge(
+        e["id"], e["from"], e["to"], e["reverse"], int(e.get("order", 1)),
+        float(e.get("conductance", 0.0)))) for e in eraw]
     emap = {e.id: e for e in edges}
     if len(emap) != len(edges):
         raise GraphFormatError("dangling-reference", "duplicate edge id")
@@ -246,16 +265,7 @@ def load_validate(document):
         raise GraphFormatError("disconnected", "graph has no vertices")
 
     # connectivity (the involution makes directed and undirected agree)
-    adj = {v.id: set() for v in vertices}
-    for e in edges:
-        adj[e.origin].add(e.terminus)
-    seen = {vertices[0].id}
-    stack = [vertices[0].id]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    seen = _reached(vertices[0].id, [(e.origin, e.terminus) for e in edges])
     if len(seen) != len(vertices):
         missing = sorted(set(vmap) - seen)[0]
         raise GraphFormatError("disconnected",
@@ -284,20 +294,10 @@ def load_validate(document):
                 raise GraphFormatError(
                     "dangling-reference",
                     f"subgraph {name!r} edge {eid!r} leaves its vertex set")
-        if sv:
-            sadj = {v: set() for v in sv}
-            for eid in se:
-                sadj[emap[eid].origin].add(emap[eid].terminus)
-            sseen = {sv[0]}
-            sstack = [sv[0]]
-            while sstack:
-                for w in sadj[sstack.pop()]:
-                    if w not in sseen:
-                        sseen.add(w)
-                        sstack.append(w)
-            if len(sseen) != len(sv):
-                raise GraphFormatError("disconnected",
-                                       f"subgraph {name!r} is not connected")
+        arcs = [(emap[eid].origin, emap[eid].terminus) for eid in se]
+        if sv and len(_reached(sv[0], arcs)) != len(sv):
+            raise GraphFormatError("disconnected",
+                                   f"subgraph {name!r} is not connected")
         subgraphs[name] = {"vertices": sv, "edges": se}
 
     return GraphOfGroups(vertices, edges, subgraphs)

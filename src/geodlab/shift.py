@@ -40,7 +40,7 @@ class EdgeShift:
     @classmethod
     def from_graph(cls, g):
         """Shift of the non-backtracking edge dynamics of a graph."""
-        B, _ = g.nb_transfer()
+        B = g.nb_transfer()
         A = (B > 0).astype(float)
         c = g.conductance_vector()
         return cls(list(g.edge_ids), A, c)
@@ -55,9 +55,6 @@ class EdgeShift:
 
     def n_letters(self):
         return len(self.letters)
-
-    def letter_index(self, a):
-        return self.letters.index(a)
 
     def is_irreducible(self):
         return _strongly_connected(self.A)

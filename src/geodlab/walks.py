@@ -13,8 +13,11 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateError, NotTransientError, UsageError
+from .errors import BudgetError, DegenerateError, NotTransientError, UsageError
 from .seeding import derive_seed
+
+# cap on tree_harmonic_measure's shadows, one tally and output row each
+MAX_SHADOWS = 2 ** 20
 
 
 class NBRWKernel:
@@ -162,13 +165,11 @@ def tree_walk_kappa(q, delta):
     return (1 + q) / (math.exp(delta) + q * math.exp(-delta))
 
 
-def _check_tree_walk(q, reps, delta):
+def _check_tree_walk(q, reps):
     if q < 2:
         raise NotTransientError(
             f"q = {q}: the simple walk on the (q+1)-regular tree is "
             "recurrent for q < 2")
-    if delta is not None and abs(delta - 0.5 * math.log(q)) < 1e-12:
-        raise NotTransientError("delta = (log q)/2 gives a recurrent walk")
     if reps < 1:
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
 
@@ -193,7 +194,7 @@ def _tree_steps(rng, q, size):
     return np.minimum((rng.random(size) * (q + 1)).astype(np.int64), q)
 
 
-def tree_harmonic_measure(q, depth, reps, seed, delta=None):
+def tree_harmonic_measure(q, depth, reps, seed):
     """Monte-Carlo mass of each depth-d shadow under the exit law of the
     simple random walk on the (q+1)-regular tree (the c=0 case, where the
     harmonic measure is the normalised sphere measure).
@@ -210,15 +211,15 @@ def tree_harmonic_measure(q, depth, reps, seed, delta=None):
     Returns dict with "estimates" (per shadow), "target", "sigma"
     (per-shadow CLT standard error) and "n_shadows".
     """
-    _check_tree_walk(q, reps, delta)
-    if delta is not None and delta != math.log(q):
-        raise NotTransientError(
-            "only the simple-walk case (delta = log q) is quantitative")
+    _check_tree_walk(q, reps)
     if depth < 1:
         raise UsageError(f"shadow depth must be >= 1, got {depth}")
+    # q >= 2, so a depth beyond the cap's bit length is over the cap too
+    n_shadows = (q + 1) * q ** (min(depth, MAX_SHADOWS.bit_length()) - 1)
+    if n_shadows > MAX_SHADOWS:
+        raise BudgetError(f"q = {q}, depth = {depth}: over {MAX_SHADOWS} shadows")
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 1)))
 
-    n_shadows = (q + 1) * q ** (depth - 1)
     target = 1.0 / n_shadows
     tallies = np.zeros(n_shadows, dtype=np.int64)
 
@@ -255,7 +256,7 @@ def tree_harmonic_measure(q, depth, reps, seed, delta=None):
             "n_shadows": n_shadows}
 
 
-def green_ratio_check(q, d_xy, d_xz, reps, seed, delta=None):
+def green_ratio_check(q, d_xy, d_xz, reps, seed):
     """Monte-Carlo ratio of Green kernels G(x,y)/G(x,z) for points y, z on a
     common ray from x at distances d_xy, d_xz on the (q+1)-regular tree.
 
@@ -266,11 +267,10 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, delta=None):
     probability 1/q it comes back to its parent at depth dmax, otherwise it
     escapes and can visit neither point again.  Nothing is truncated.
 
-    Expected ratio for the simple walk: e^{-delta (d_xy - d_xz)} with
-    delta = log q.  Returns estimate, target, and a delta-method standard
-    error for the ratio.
+    Expected ratio for the simple walk: q^{-(d_xy - d_xz)}.  Returns
+    estimate, target, and a delta-method standard error for the ratio.
     """
-    _check_tree_walk(q, reps, delta)
+    _check_tree_walk(q, reps)
     if d_xy < 0 or d_xz < 0:
         raise UsageError("distances must be >= 0")
     dmax = max(d_xy, d_xz)
@@ -317,8 +317,7 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, delta=None):
     cov = np.cov(visits_y, visits_z)[0, 1] / reps
     sigma = ratio * math.sqrt(max(var_y / my ** 2 + var_z / mz ** 2
                                   - 2 * cov / (my * mz), 0.0))
-    dlt = math.log(q) if delta is None else delta
-    target = math.exp(-dlt * (d_xy - d_xz))
+    target = math.exp(-math.log(q) * (d_xy - d_xz))
     return {"ratio": float(ratio), "target": target, "sigma": float(sigma),
             "mean_visits_y": float(my), "mean_visits_z": float(mz)}
 

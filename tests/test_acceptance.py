@@ -193,7 +193,7 @@ def test_09_green_ratio():
 
 def test_10_closed_orbits():
     out = closed_orbit_count(petersen(), 24)
-    B, _ = petersen().nb_transfer()
+    B = petersen().nb_transfer()
     M = np.array(B, dtype=object)
     P = np.eye(len(M), dtype=object)
     ok = True

@@ -40,8 +40,16 @@ from geodlab.errors import (
     DetNotUnitError,
     FixesInfinityError,
     SingularPointError,
+    UnsupportedError,
 )
-from geodlab.ffield import FqPoly, QuadIrr, RatFunc, parse_poly
+from geodlab.ffield import (
+    FqPoly,
+    QuadIrr,
+    RatFunc,
+    cf_expand,
+    laurent_expand,
+    parse_poly,
+)
 
 
 def _rand_poly(rng, q, max_deg):
@@ -279,6 +287,87 @@ def test_abs_diff_mixed_types():
     # |alpha - alpha^sigma| from the separation valuation
     assert abs_diff(al, al.conj()) == Fraction(q) ** (-al.sep_valuation())
     assert abs_diff(FqPoly.x(q), RatFunc.const(q, 0)) == q
+    assert abs_diff(RatFunc.const(q, 2), FqPoly.const(q, 2)) == 0
+    with pytest.raises(DegenerateError):
+        abs_diff(al, al)
+
+
+def _series_oracle(x, prec):
+    """x expanded from series arithmetic alone: a QuadIrr as
+    (-B + s sqrt(D)) / (2A) with every part to ``prec`` coefficients."""
+    if not isinstance(x, QuadIrr):
+        return laurent_expand(x, prec)
+    root = laurent_expand(RatFunc(x.disc), prec).sqrt()
+    num = root if x.sign > 0 else -root
+    if not x.B.is_zero():
+        num = laurent_expand(RatFunc(-x.B), prec) + num
+    return num / laurent_expand(RatFunc(2 * x.A), prec)
+
+
+def _abs_diff_oracle(x, y, prec=64):
+    return (_series_oracle(x, prec) - _series_oracle(y, prec)).abs_v()
+
+
+def _orbit_points(al, word_len):
+    """BFS orbit of al under the shears by Y and 1, the inversion and the
+    inverse shears, with the conjugate of every point."""
+    q = al.q
+    Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
+    gens = [(one, Y, zero, one), (one, one, zero, one), (zero, one, one, zero),
+            (one, -Y, zero, one), (one, -one, zero, one)]
+    seen, frontier = {al.key(): al}, [al]
+    for _ in range(word_len):
+        frontier = [img for beta in frontier
+                    for img in (beta.apply_homography(*g) for g in gens)
+                    if seen.setdefault(img.key(), img) is img]
+    return [p for beta in seen.values() for p in (beta, beta.conj())]
+
+
+def _rand_rat(rng, q):
+    return RatFunc(_rand_poly(rng, q, 4),
+                   _rand_poly(rng, q, 3) + FqPoly.monomial(q, 1, 4))
+
+
+@pytest.mark.parametrize("q, disc, word_len", [(3, "Y^2+Y", 3),
+                                               (5, "Y^4+Y+1", 2)])
+def test_abs_diff_matches_series_oracle(q, disc, word_len):
+    rng = random.Random(q)
+    pts = _orbit_points(_sqrt_quad(q, disc), word_len)
+    assert {p.sign for p in pts} == {1, -1}
+    pairs = [tuple(rng.sample(pts, 2)) for _ in range(150)]
+    pairs += [(rng.choice(pts), _rand_rat(rng, q)) for _ in range(75)]
+    pairs += [(_rand_rat(rng, q), rng.choice(pts)) for _ in range(75)]
+    for x, y in pairs:
+        assert abs_diff(x, y) == _abs_diff_oracle(x, y), (x, y)
+
+
+@pytest.mark.parametrize("q, disc", [(3, "Y^2+Y"), (5, "Y^4+Y+1"),
+                                     (7, "Y^2+3")])
+def test_abs_diff_where_the_leading_terms_cancel(q, disc):
+    Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
+    al = _sqrt_quad(q, disc)
+    for x in _orbit_points(al, 1):
+        # convergents p/r of x: |x - p/r| = 1/|r r'| is far below |x|
+        for p, r in cf_expand(x).convergents(6)[2:]:
+            y = RatFunc(p, r)
+            want = _abs_diff_oracle(x, y)
+            assert abs_diff(x, y) == want < Fraction(q) ** -x.valuation()
+            assert abs_diff(y, x) == want
+        # x + 1/Y^k lies in the field of x, with discriminant Y^(4k) D / g^2
+        for k in (1, 2, 3):
+            y = x.apply_homography(Y ** k, one, zero, Y ** k)
+            assert y.disc != x.disc
+            want = _abs_diff_oracle(x, y)
+            assert abs_diff(x, y) == Fraction(1, q ** k) == want
+            assert abs_diff(y, x.conj()) == _abs_diff_oracle(y, x.conj())
+
+
+def test_abs_diff_rejects_points_of_different_fields():
+    x, y = _sqrt_quad(3, "Y^2+Y"), _sqrt_quad(3, "Y^2+1")
+    with pytest.raises(UnsupportedError):
+        abs_diff(x, y)
+    with pytest.raises(UnsupportedError):
+        abs_diff(y.conj(), x)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,76 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
     assert all(line.endswith(",nan") for line in lines[1:])
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("ff", "mertens", "--q", "4", "--n", "2"), "usage"),
+    (("bt", "farey", "--q", "4", "--t", "2"), "usage"),
+    (("ff", "phi", "--q", "3", "--poly", "abc"), "usage"),
+    (("ff", "phi", "--q", "3", "--poly", "Y^"), "usage"),
+    (("count", "perp", "--graph", "builtin:nope", "--minus", "a",
+      "--plus", "b"), "usage"),
+    (("ff", "expand", "--q", "3", "--value", "1/0"), "usage"),
+    (("ff", "expand", "--q", "3", "--value", "Y", "--prec", "0"), "usage"),
+    (("ff", "expand", "--q", "3", "--value", "Y", "--prec", "300"),
+     "precision-cap"),
+    # (q+1) q^(depth-1) shadows: 3 * 2^44 tallies would not fit in memory
+    (("walk", "harmonic", "--q", "2", "--depth", "45", "--reps", "10"),
+     "budget"),
+])
+def test_bad_input_is_a_record(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == want and want in _error_codes()
+
+
+def _graph_doc():
+    return {"vertices": [{"id": "a"}, {"id": "b"}],
+            "edges": [{"id": "e+", "from": "a", "to": "b", "reverse": "e-"},
+                      {"id": "e-", "from": "b", "to": "a", "reverse": "e+"}]}
+
+
+def _drop(kind, field):
+    def edit(doc):
+        del doc[kind][0][field]
+    return edit
+
+
+def _set(kind, field, value):
+    def edit(doc):
+        doc[kind][0][field] = value
+    return edit
+
+
+def _replace_vertex(doc):
+    doc["vertices"][0] = "a"
+
+
+@pytest.mark.parametrize("edit", [_drop("vertices", "id"),
+                                  _drop("edges", "from"),
+                                  _set("vertices", "order", "x"),
+                                  _set("edges", "conductance", "x"),
+                                  _replace_vertex])
+def test_malformed_graph_record(tmp_path, capsys, edit):
+    doc = _graph_doc()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "graph", "validate", "--graph", str(path))
+    assert code == 0 and out.endswith("2,2,valid\n")
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "graph", "validate", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed-document"
+
+
+def test_graph_file_not_json(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text("{vertices: [")
+    code, out, err = run_cli(capsys, "graph", "validate", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "malformed-document"
+
+
 def test_bad_matrix_spec(capsys):
     code, _, err = run_cli(capsys, "bt", "dist", "--q", "3", "--matrix",
                            "1;2;3")

@@ -13,8 +13,6 @@ from geodlab.errors import (
     CharTwoError,
     NotIrrationalError,
     NotSplitError,
-    PrecisionCapError,
-    PrecisionError,
 )
 from geodlab import ffield
 from geodlab.ffield import (
@@ -25,7 +23,6 @@ from geodlab.ffield import (
     cf_expand,
     euler_phi,
     factor,
-    is_poly_square,
     laurent_expand,
     mertens_closed_form,
     mertens_sum,
@@ -35,8 +32,6 @@ from geodlab.ffield import (
     parse_ratfunc,
     poly_range,
     quad_invariants,
-    valuation_abs,
-    with_retry,
 )
 
 
@@ -234,24 +229,6 @@ def test_sqrt_odd_valuation_rejected():
         s.sqrt()
 
 
-def test_valuation_abs():
-    x = parse_ratfunc(2, "(Y+1)/(Y^2+Y+1)")
-    v, a = valuation_abs(x)
-    assert v == 1 and a == Fraction(1, 2)
-
-
-def test_with_retry_doubles_then_caps():
-    calls = []
-
-    def fn(p):
-        calls.append(p)
-        raise PrecisionError("never enough")
-
-    with pytest.raises(PrecisionCapError):
-        with_retry(fn, start=16, cap=128)
-    assert calls == [16, 32, 64, 128]
-
-
 # ---------------------------------------------------------------------------
 # quadratic irrationals
 
@@ -284,6 +261,25 @@ def test_quad_trace_norm():
     # norm = -D
     assert nm == parse_ratfunc(3, "2Y^2+2Y")
     assert h == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("factor_text", ["Y^2", "1/Y^2"])
+def test_quad_invariants_catch_a_wrong_formula(monkeypatch, factor_text):
+    # route 2 reads the norm: scaling the norm of sqrt(Y^2+Y) by Y^2 or by
+    # Y^-2 claims a separation one coefficient too early or too late
+    al = _sqrt_quad(3, "Y^2+Y")
+    norm, wrong = QuadIrr.norm, parse_ratfunc(3, factor_text)
+    monkeypatch.setattr(QuadIrr, "norm", lambda self: norm(self) * wrong)
+    with pytest.raises(AssertionError, match="complexity mismatch"):
+        quad_invariants(al)
+
+
+def test_quad_valuation_matches_expansion():
+    for triple in [("1", "0", "2Y^2+2Y"), ("Y", "2Y", "2"),
+                   ("Y^2+Y+2", "Y^2+Y", "Y^2+Y"), ("1", "Y", "Y+1")]:
+        A, B, C = (parse_poly(3, t) for t in triple)
+        for al in (QuadIrr(A, B, C, 0), QuadIrr(A, B, C, 1)):
+            assert al.valuation() == al.expand(4).val
 
 
 def test_quad_char_two_rejected():
@@ -438,11 +434,7 @@ def test_branch_zero_has_the_smaller_residue(triple):
     assert b0.expand(12).coefficient(k) < b1.expand(12).coefficient(k)
 
 
-def test_exact_paths_never_retry(monkeypatch):
-    def refuse(fn, start=32, cap=None):
-        raise AssertionError("with_retry called")
-
-    monkeypatch.setattr(ffield, "with_retry", refuse)
+def test_exact_paths_never_retry():
     al = _sqrt_quad(5, "Y^4+Y+1")
     edges = _orbit_edges(al, 2)
     assert len(edges) == 30
@@ -539,8 +531,3 @@ def test_parse_roundtrip():
     f = parse_poly(5, "3Y^4+Y+2")
     assert parse_poly(5, str(f)) == f
 
-
-def test_is_poly_square():
-    f = parse_poly(3, "Y^2+Y")
-    assert is_poly_square(f * f)
-    assert not is_poly_square(f)

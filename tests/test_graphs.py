@@ -156,7 +156,7 @@ def test_regularity():
 
 def test_nb_transfer_row_structure():
     g = petersen()
-    B, _ = g.nb_transfer()
+    B = g.nb_transfer()
     B = np.asarray(B, dtype=float)
     # every directed edge has exactly q = 2 non-backtracking successors
     assert (B.sum(axis=1) == 2).all()
@@ -168,7 +168,7 @@ def test_nb_transfer_row_structure():
 
 def test_nb_transfer_on_cycle_is_permutation():
     # tree degree 2: the dynamics is a rotation, one successor per edge
-    B, _ = cycle(4).nb_transfer()
+    B = cycle(4).nb_transfer()
     B = np.asarray(B, dtype=float)
     assert (B.sum(axis=1) == 1).all()
 

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from geodlab import walks
-from geodlab.errors import DegenerateError, NotTransientError
+from geodlab.errors import DegenerateError
 from geodlab.library import (
     biregular_two_cycles,
     order_two_chain,
@@ -208,11 +208,6 @@ def test_harmonic_deep_shadows_uniform(q, depth):
     counts = np.rint(np.asarray(out["estimates"]) * reps)
     assert counts.sum() == reps
     assert stats.chisquare(counts).pvalue > 1e-6
-
-
-def test_harmonic_recurrent_rejected():
-    with pytest.raises(NotTransientError):
-        tree_harmonic_measure(2, 1, 100, 0, delta=0.5 * math.log(2))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
