@@ -15,18 +15,22 @@ from .errors import (
     DegenerateError,
     DetNotUnitError,
     FixesInfinityError,
+    PrecisionCapError,
     SingularPointError,
     UnsupportedError,
+    UsageError,
 )
 from .ffield import (
     FqPoly,
     QuadIrr,
     RatFunc,
+    PREC_CAP,
     euler_phi,
-    laurent_expand,
+    factor,
     mertens_sum,
     poly_range,
     sqrt_mod,
+    _divide_at_infinity,
     _poly_sqrt_floor,
     _surd_valuation,
 )
@@ -416,8 +420,6 @@ def hecke_index(q, ideal, cross_check=True, budget_deg=4):
     The cross-check counts the projective line over R/I: unimodular pairs
     (a, b) modulo units, which is in bijection with the coset space.
     """
-    from .ffield import factor
-
     if ideal.is_zero() or ideal.degree == 0:
         raise DegenerateError("ideal must be proper and nonzero")
     norm = q ** ideal.degree
@@ -444,6 +446,26 @@ def hecke_index(q, ideal, cross_check=True, budget_deg=4):
     return value, count // units
 
 
+def _poly_index(f):
+    """The integer whose base-q digits are f's coefficients: the inverse of
+    poly_range."""
+    n = 0
+    for c in reversed(f.coeffs):
+        n = n * f.q + c
+    return n
+
+
+def _laurent_head(top, s, Q, n):
+    """Coefficients of Y^-1, ..., Y^-n in P/Q for the monic Q of degree d,
+    where P has the base-q digits of ``top`` as its coefficients of Y^s,
+    ..., Y^(d-1) and zeros below."""
+    digits = []
+    for _ in range(Q.degree - s):
+        top, c = divmod(top, Q.q)
+        digits.append(c)
+    return tuple(_divide_at_infinity(digits[::-1], Q, n))
+
+
 def farey_count(q, t, hist_depth=1, budget=10 ** 7):
     """Count of Farey classes of height at most q^t and the ball histogram.
 
@@ -455,38 +477,52 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
     form: Q monic, gcd(P, Q) = 1, deg P <= deg Q) and bins them by the
     first hist_depth coefficients of their Laurent expansion (the depth-d
     balls of O_v).  Returns dict with "psi", "points", "histogram".
+
+    Write P = aQ + P0 with deg P0 < deg Q = d and n = hist_depth - 1.
+    The units P0 mod Q come from a sieve over the base-q indices of the
+    residues (see poly_range): the non-units are the multiples pR, p a
+    prime factor of Q, deg R < d - deg p.  The bin of P/Q is (a,) followed
+    by the coefficients of Y^-1 .. Y^-n of P0/Q, and these depend only on
+    the coefficients of P0 from Y^s up, s = max(0, d - n), that is on
+    index(P0) // q^s.  So each block of q^s consecutive indices adds its
+    unit count to one bin per a.
     """
     if q ** (t + 1) > budget:
         raise BudgetError("Farey enumeration budget exceeded")
+    if t < 1 or hist_depth < 1:
+        raise UsageError(f"need t >= 1 and depth >= 1, got t={t}, "
+                         f"depth={hist_depth}")
+    if hist_depth > PREC_CAP:
+        raise PrecisionCapError(
+            f"requested depth {hist_depth} exceeds cap {PREC_CAP}")
     psi = (q - 1) + mertens_sum(q, t, budget=budget)
 
-    histogram = {}
-    npoints = 0
-
-    def bin_of(x):
-        """First hist_depth coefficients (of Y^0 .. Y^{1-depth}) of x."""
-        if x.is_zero():
-            return (0,) * hist_depth
-        s = laurent_expand(x, hist_depth + max(0, -x.valuation()) + 2)
-        return tuple(s.coefficient(k) for k in range(hist_depth))
-
+    n = hist_depth - 1
     # integer points: the constants
-    for cst in range(q):
-        key = (cst,) + (0,) * (hist_depth - 1)
-        histogram[key] = histogram.get(key, 0) + 1
-        npoints += 1
-    # Q monic of positive degree, P = a Q + P0 with P0 a unit residue
+    histogram = {(cst,) + (0,) * n: 1 for cst in range(q)}
+    npoints = q
     for d in range(1, t + 1):
+        s = max(0, d - n)
+        block = q ** s
+        multiples = {}  # p -> indices of p R, 0 < index(R) < q^(d - deg p)
         for Q in poly_range(q, q ** d, 2 * q ** d):
-            for P0 in poly_range(q, 1, q ** d):
-                if P0.gcd(Q).degree != 0:
+            sieve = bytearray(b"\x01") * q ** d
+            sieve[0] = 0
+            for p in factor(Q):
+                if p not in multiples:
+                    multiples[p] = [_poly_index(p * R) for R in
+                                    poly_range(q, 1, q ** (d - p.degree))]
+                for i in multiples[p]:
+                    sieve[i] = 0
+            for top in range(q ** d // block):
+                units = sieve.count(1, top * block, (top + 1) * block)
+                if not units:
                     continue
+                head = _laurent_head(top, s, Q, n)
                 for a in range(q):
-                    P = FqPoly.const(q, a) * Q + P0
-                    x = RatFunc(P, Q)
-                    key = bin_of(x)
-                    histogram[key] = histogram.get(key, 0) + 1
-                    npoints += 1
+                    key = (a,) + head
+                    histogram[key] = histogram.get(key, 0) + units
+                npoints += q * units
     return {"psi": psi, "points": npoints, "histogram": histogram}
 
 

@@ -230,8 +230,10 @@ def cmd_ff_cf(args):
         D = parse_poly(args.q, args.disc)
         alpha = QuadIrr(FqPoly.one(args.q), FqPoly.zero(args.q), -D)
         cf = cf_expand(alpha)
-    else:
+    elif args.value is not None:
         cf = cf_expand(parse_ratfunc(args.q, args.value))
+    else:
+        raise UsageError("need --value or --disc")
     rows = [("preperiod", i, str(a)) for i, a in enumerate(cf.preperiod)]
     rows += [("period", i, str(a)) for i, a in enumerate(cf.period)]
     emit(["part", "index", "quotient"], rows, args)
@@ -331,8 +333,16 @@ def cmd_seed(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse error (bad type, missing or unknown flag) is a UsageError,
+    so it ends in the JSON record too; subparsers are built from this class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="geodlab")
+    p = _Parser(prog="geodlab")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None)
     sub = p.add_subparsers(dest="group", required=True)

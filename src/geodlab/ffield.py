@@ -56,6 +56,15 @@ class FqPoly:
         self.coeffs = tuple(c)
 
     @classmethod
+    def _raw(cls, q, coeffs):
+        """Trusted constructor: ``coeffs`` is a tuple already reduced mod
+        the prime q, with no trailing zero."""
+        self = object.__new__(cls)
+        self.q = q
+        self.coeffs = coeffs
+        return self
+
+    @classmethod
     def zero(cls, q):
         return cls(q, ())
 
@@ -97,9 +106,11 @@ class FqPoly:
         return len(self.coeffs) <= 1
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.lc == 1:
             return self
-        return self * pow(self.lc, -1, self.q)
+        q = self.q
+        inv = pow(self.lc, -1, q)
+        return FqPoly._raw(q, tuple([c * inv % q for c in self.coeffs]))
 
     def __hash__(self):
         return hash((self.q, self.coeffs))
@@ -130,12 +141,15 @@ class FqPoly:
         out = list(a)
         for i, x in enumerate(b):
             out[i] = (out[i] + x) % self.q
-        return FqPoly(self.q, out)
+        while out and out[-1] == 0:
+            out.pop()
+        return FqPoly._raw(self.q, tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FqPoly(self.q, [-x for x in self.coeffs])
+        q = self.q
+        return FqPoly._raw(q, tuple([q - x if x else 0 for x in self.coeffs]))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -153,12 +167,14 @@ class FqPoly:
         if self.is_zero() or other.is_zero():
             return FqPoly.zero(self.q)
         a, b = self.coeffs, other.coeffs
+        q = self.q
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return FqPoly(self.q, out)
+        # over a field lc(a) lc(b) != 0, so the product needs no trimming
+        return FqPoly._raw(q, tuple([c % q for c in out]))
 
     __rmul__ = __mul__
 
@@ -183,7 +199,10 @@ class FqPoly:
             for j, y in enumerate(other.coeffs):
                 rem[k + j] = (rem[k + j] - c * y) % q
             rem.pop()
-        return FqPoly(q, quo), FqPoly(q, rem)
+        while rem and rem[-1] == 0:
+            rem.pop()
+        # quo[-1] is the first quotient digit found, hence nonzero
+        return FqPoly._raw(q, tuple(quo)), FqPoly._raw(q, tuple(rem))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -237,12 +256,13 @@ def poly_range(q, start, stop):
     [0, q^d) gives the residues of degree < d, [q^d, 2 q^d) the monic
     polynomials of degree d and [q^d, q^(d+1)) all those of degree d.
     """
+    _check_q(q)
     for t in range(start, stop):
         coeffs = []
         while t:
             t, c = divmod(t, q)
             coeffs.append(c)
-        yield FqPoly(q, coeffs)
+        yield FqPoly._raw(q, tuple(coeffs))
 
 
 _IRRED_CACHE = {}
@@ -254,7 +274,8 @@ def monic_irreducibles(q, max_degree):
     have = max((p.degree for p in known), default=0)
     for d in range(have + 1, max_degree + 1):
         for f in poly_range(q, q ** d, 2 * q ** d):
-            if not any(f % p == 0 for p in known if 2 * p.degree <= d):
+            if not any((f % p).is_zero() for p in known
+                       if 2 * p.degree <= d):
                 known.append(f)
     return [p for p in known if p.degree <= max_degree]
 
@@ -280,7 +301,7 @@ def factor(f):
         for p in monic_irreducibles(f.q, d):
             if p.degree != d:
                 continue
-            while g % p == 0:
+            while (g % p).is_zero():
                 out[p] = out.get(p, 0) + 1
                 g = g // p
         d += 1
@@ -315,7 +336,7 @@ def mertens_sum(q, n, budget=10 ** 7):
     """
     _check_q(q)
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise UsageError(f"n must be >= 1, got {n}")
     if q ** (n + 1) > budget:
         raise TooLargeError(f"enumeration budget exceeded: q^(n+1)={q ** (n + 1)}")
     return (q - 1) * sum(monic_phi_sum(q, d) for d in range(1, n + 1))
@@ -615,26 +636,31 @@ class LaurentSeries:
                 + f" + O(Y^{-(self.val + self.prec)}))")
 
 
-def _rat_to_series(x, prec):
-    """Exact Laurent expansion of a rational function by long division."""
-    q = x.q
-    if x.is_zero():
-        return LaurentSeries.exact_zero(q)
-    val = x.valuation()
-    P, Q = x.num, x.den
-    dp, dq = P.degree, Q.degree
-    out = []
-    # coefficient of Y^{-(val+i)} by synthetic division of P by Q at infinity
-    rem = list(P.coeffs[::-1]) + [0] * (prec + Q.degree + 1)  # descending
+def _divide_at_infinity(num_desc, Q, count):
+    """The first ``count`` digits of num / Q by synthetic division at
+    infinity, num given by its coefficients in descending order from Y^k
+    (leading zeros allowed): the coefficients of Y^(k - deg Q),
+    Y^(k - deg Q - 1), ... in the Laurent expansion of num / Q."""
+    q = Q.q
+    rem = list(num_desc) + [0] * (count + Q.degree + 1)
     inv_lc = pow(Q.lc, -1, q)
     qdesc = Q.coeffs[::-1]
-    for i in range(prec):
+    out = []
+    for i in range(count):
         c = rem[i] * inv_lc % q
         out.append(c)
         if c:
             for j, y in enumerate(qdesc):
                 rem[i + j] = (rem[i + j] - c * y) % q
-    return LaurentSeries(q, val, out)
+    return out
+
+
+def _rat_to_series(x, prec):
+    """Exact Laurent expansion of a rational function by long division."""
+    if x.is_zero():
+        return LaurentSeries.exact_zero(x.q)
+    return LaurentSeries(x.q, x.valuation(),
+                         _divide_at_infinity(x.num.coeffs[::-1], x.den, prec))
 
 
 def laurent_expand(x, prec, cap=PREC_CAP):

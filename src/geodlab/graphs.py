@@ -183,16 +183,35 @@ def _reached(start, arcs):
     return seen
 
 
-def _read_record(kind, raw, build):
-    """build(raw) for a vertex or edge record with an order >= 1; a record
-    that is not an object, lacks a field or holds a value of the wrong type
-    is a GraphFormatError."""
+def _ident(x):
+    """A vertex or edge id as the document names it: a string or an integer."""
+    if type(x) not in (int, str):
+        raise TypeError(f"id {x!r} is not a string or an integer")
+    return x
+
+
+def _one_id_type(kind, records):
+    """Ids are sorted to fix the matrix order, so they must be all strings
+    or all integers."""
+    if len({type(r.id) for r in records}) > 1:
+        raise GraphFormatError("malformed-document",
+                               f"{kind} ids mix strings and integers")
+
+
+def _read(kind, raw, build):
+    """build(raw); a value that is not an object, lacks a field or holds a
+    value of the wrong type is a GraphFormatError."""
     try:
-        record = build(raw)
+        return build(raw)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(
             "malformed-document",
-            f"{kind} record {raw!r}: missing or invalid field ({exc!r})") from None
+            f"{kind} {raw!r}: missing or invalid field ({exc!r})") from None
+
+
+def _read_record(kind, raw, build):
+    """A vertex or edge record read by _read, with an order >= 1."""
+    record = _read(f"{kind} record", raw, build)
     if record.order < 1:
         raise GraphFormatError("order-divisibility",
                                f"{kind} {record.id!r} has order {record.order}")
@@ -215,14 +234,17 @@ def load_validate(document):
                                "document needs 'vertices' and 'edges'") from None
 
     vertices = [_read_record("vertex", v, lambda v: Vertex(
-        v["id"], int(v.get("order", 1)))) for v in vraw]
+        _ident(v["id"]), int(v.get("order", 1)))) for v in vraw]
+    _one_id_type("vertex", vertices)
     vmap = {v.id: v for v in vertices}
     if len(vmap) != len(vertices):
         raise GraphFormatError("dangling-reference", "duplicate vertex id")
 
     edges = [_read_record("edge", e, lambda e: Edge(
-        e["id"], e["from"], e["to"], e["reverse"], int(e.get("order", 1)),
+        _ident(e["id"]), _ident(e["from"]), _ident(e["to"]),
+        _ident(e["reverse"]), int(e.get("order", 1)),
         float(e.get("conductance", 0.0)))) for e in eraw]
+    _one_id_type("edge", edges)
     emap = {e.id: e for e in edges}
     if len(emap) != len(edges):
         raise GraphFormatError("dangling-reference", "duplicate edge id")
@@ -272,8 +294,11 @@ def load_validate(document):
                                f"vertex {missing!r} unreachable")
 
     subgraphs = {}
-    for name, sub in (document.get("subgraphs") or {}).items():
-        sv, se = list(sub.get("vertices", [])), list(sub.get("edges", []))
+    for name, sub in _read("subgraphs", document.get("subgraphs") or {},
+                           lambda raw: list(raw.items())):
+        sv, se = _read(f"subgraph {name!r}", sub, lambda sub: (
+            [_ident(v) for v in sub.get("vertices", [])],
+            [_ident(e) for e in sub.get("edges", [])]))
         for vid in sv:
             if vid not in vmap:
                 raise GraphFormatError(

@@ -39,16 +39,20 @@ from geodlab.errors import (
     DegenerateError,
     DetNotUnitError,
     FixesInfinityError,
+    PrecisionCapError,
     SingularPointError,
     UnsupportedError,
+    UsageError,
 )
 from geodlab.ffield import (
     FqPoly,
     QuadIrr,
     RatFunc,
     cf_expand,
+    factor,
     laurent_expand,
     parse_poly,
+    poly_range,
 )
 
 
@@ -449,6 +453,65 @@ def test_farey_histogram_uniform():
 def test_farey_budget():
     with pytest.raises(BudgetError):
         farey_count(2, 30)
+
+
+def test_farey_rejects_empty_and_deep_balls():
+    for t, depth in ((0, 1), (-1, 1), (3, 0), (3, -2)):
+        with pytest.raises(UsageError):
+            farey_count(2, t, depth)
+    with pytest.raises(PrecisionCapError):
+        farey_count(2, 1, 300)
+
+
+def _farey_reference(q, t, depth):
+    """Each Farey point of farey_count(q, t, ...) in enumeration order, as
+    (deg Q, first depth Laurent coefficients): a gcd per residue, a RatFunc
+    and a Laurent expansion per point."""
+    points = [(0, (c,) + (0,) * (depth - 1)) for c in range(q)]
+    for d in range(1, t + 1):
+        for Q in poly_range(q, q ** d, 2 * q ** d):
+            for P0 in poly_range(q, 1, q ** d):
+                if P0.gcd(Q).degree != 0:
+                    continue
+                for a in range(q):
+                    x = RatFunc(FqPoly.const(q, a) * Q + P0, Q)
+                    s = laurent_expand(x, depth + 2)
+                    points.append(
+                        (d, tuple(s.coefficient(k) for k in range(depth))))
+    return points
+
+
+def _check_farey_against_reference(q, tmax, dmax):
+    points = _farey_reference(q, tmax, dmax)
+    for t in range(1, tmax + 1):
+        for depth in range(1, dmax + 1):
+            histogram = {}
+            for d, key in points:
+                if d <= t:
+                    key = key[:depth]
+                    histogram[key] = histogram.get(key, 0) + 1
+            out = farey_count(q, t, depth)
+            assert out["points"] == sum(histogram.values()), (q, t, depth)
+            # same bins, counts and first-seen order
+            assert list(out["histogram"].items()) == \
+                list(histogram.items()), (q, t, depth)
+
+
+@pytest.mark.parametrize("q, tmax, dmax", [(2, 6, 4), (3, 3, 3), (5, 2, 2)])
+def test_farey_histogram_matches_reference(q, tmax, dmax):
+    _check_farey_against_reference(q, tmax, dmax)
+
+
+def test_farey_reference_catches_a_dropped_factor(monkeypatch):
+    # a sieve that forgets one prime factor of Q counts non-units as units
+    import geodlab.bt
+
+    def factor_minus_one(f):
+        return dict(list(factor(f).items())[1:])
+
+    monkeypatch.setattr(geodlab.bt, "factor", factor_minus_one)
+    with pytest.raises(AssertionError):
+        _check_farey_against_reference(2, 3, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -275,12 +275,30 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
     # (q+1) q^(depth-1) shadows: 3 * 2^44 tallies would not fit in memory
     (("walk", "harmonic", "--q", "2", "--depth", "45", "--reps", "10"),
      "budget"),
+    (("ff", "cf", "--q", "3"), "usage"),
+    (("ff", "mertens", "--q", "3", "--n", "0"), "usage"),
+    (("bt", "farey", "--q", "2", "--t", "0"), "usage"),
+    (("bt", "farey", "--q", "2", "--t", "2", "--depth", "0"), "usage"),
+    (("bt", "farey", "--q", "2", "--t", "1", "--depth", "300"),
+     "precision-cap"),
+    # argparse's own errors: a bad type, a missing flag, an unknown flag
+    (("ff", "mertens", "--q", "x", "--n", "2"), "usage"),
+    (("ff", "mertens", "--q", "3"), "usage"),
+    (("ff", "mertens", "--q", "3", "--n", "2", "--bogus"), "usage"),
+    (("ff",), "usage"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     record = json.loads(err)
     assert record["error"] == want and want in _error_codes()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ff", "mertens", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: geodlab ff mertens")
 
 
 def _graph_doc():
@@ -305,11 +323,28 @@ def _replace_vertex(doc):
     doc["vertices"][0] = "a"
 
 
+def _mix_id_types(doc):
+    # vertex "a" becomes 1 everywhere, so only the mix of types is wrong
+    doc["vertices"][0]["id"] = 1
+    doc["edges"][0]["from"] = doc["edges"][1]["to"] = 1
+
+
+def _subgraph(sub):
+    def edit(doc):
+        doc["subgraphs"] = sub
+    return edit
+
+
 @pytest.mark.parametrize("edit", [_drop("vertices", "id"),
                                   _drop("edges", "from"),
                                   _set("vertices", "order", "x"),
                                   _set("edges", "conductance", "x"),
-                                  _replace_vertex])
+                                  _replace_vertex,
+                                  _mix_id_types,
+                                  _set("vertices", "id", ["a"]),
+                                  _set("edges", "to", ["b"]),
+                                  _subgraph({"S": {"vertices": [["a"]]}}),
+                                  _subgraph(["S"])])
 def test_malformed_graph_record(tmp_path, capsys, edit):
     doc = _graph_doc()
     path = tmp_path / "g.json"

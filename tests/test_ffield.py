@@ -84,6 +84,38 @@ def test_gcd_divides(q, a, b):
     assert (fb % g).is_zero()
 
 
+def _assert_canonical(f, q):
+    """Reduced mod q, trimmed, and equal (coefficients and hash) to the
+    checked constructor's result on the same coefficients."""
+    assert all(0 <= c < q for c in f.coeffs)
+    assert not f.coeffs or f.coeffs[-1] != 0
+    g = FqPoly(q, f.coeffs)
+    assert f.q == g.q == q and f.coeffs == g.coeffs and hash(f) == hash(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 7]),
+       a=st.lists(st.integers(-20, 20), max_size=8),
+       b=st.lists(st.integers(-20, 20), max_size=6))
+def test_trusted_results_are_canonical(q, a, b):
+    fa, fb = FqPoly(q, a), FqPoly(q, b)
+    results = [fa + fb, fa - fb, fb - fa, -fa, fa * fb, fa.gcd(fb),
+               fa.monic(), fb.monic(), fa + 3, fa * 3]
+    if not fb.is_zero():
+        quo, rem = divmod(fa, fb)
+        assert fa == fb * quo + rem
+        assert rem.is_zero() or rem.degree < fb.degree
+        results += [quo, rem, fa // fb, fa % fb]
+    for f in results:
+        _assert_canonical(f, q)
+
+
+def test_poly_range_is_canonical():
+    for q in (2, 3, 5, 7):
+        for f in poly_range(q, 0, 2 * q ** 3):
+            _assert_canonical(f, q)
+
+
 def test_factor_reconstructs():
     for q in (2, 3):
         for f in poly_range(q, q ** 4, 2 * q ** 4):
