@@ -408,6 +408,8 @@ def covolume_suite(q, ideal=None):
     out = {"nagao_series": series, "via_zeta": via_zeta, "closed_form": closed,
            "agree": series == via_zeta == closed}
     if ideal is not None:
+        if ideal.is_zero():
+            raise DegenerateError("the zero ideal has no covolume")
         norm = q ** ideal.degree
         out["ideal_covol"] = Fraction(norm, q)
     return out

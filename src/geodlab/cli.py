@@ -21,8 +21,19 @@ from .seeding import derive_seed
 
 
 def _budget(default):
+    """The work cap: GEODLAB_BUDGET if it is set and not empty, else
+    ``default``.  A value that is not a positive integer is a UsageError."""
     env = os.environ.get("GEODLAB_BUDGET")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise UsageError(
+            f"GEODLAB_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
 def _fmt(x):

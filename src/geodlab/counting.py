@@ -10,8 +10,6 @@ exact big integers when all conductances vanish.
 from fractions import Fraction
 import math
 
-import numpy as np
-
 from .errors import (
     BudgetError,
     DegreeMismatchError,
@@ -437,7 +435,7 @@ def closed_orbit_count(graph, nmax, weighted=False):
         for n in range(1, nmax + 1):
             if n > 1:
                 cw = cw @ Bw
-            wfix.append(float(np.trace(cw)))
+            wfix.append(float(cw.trace()))
         out["weighted"] = wfix
     return out
 

@@ -312,7 +312,7 @@ def factor(f):
 def euler_phi(f):
     """|(F_q[Y]/f)^x| for nonzero f; invariant under scalar multiples."""
     if f.is_zero():
-        raise ValueError("euler_phi needs a nonzero polynomial")
+        raise UsageError("euler_phi needs a nonzero polynomial")
     if f.degree == 0:
         return 1
     q = f.q

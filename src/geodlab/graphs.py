@@ -5,12 +5,14 @@ involution.  Vertex and edge "orders" are the orders of the attached finite
 groups — only the orders matter here.  The tree degree of a vertex is
 deg(v) = sum of i(e) = |G_{o(e)}|/|G_e| over outgoing edges, i.e. its degree
 in the Bass-Serre tree.
+
+numpy is imported only inside the two float paths, ``conductance_vector``
+and ``nb_transfer(exact=False)``: loading and validating a graph, and every
+exact verb, start without numpy.
 """
 
 from fractions import Fraction
 import json
-
-import numpy as np
 
 from .errors import DegenerateError, GraphFormatError
 
@@ -82,6 +84,8 @@ class GraphOfGroups:
         return len(degs) == 1
 
     def conductance_vector(self):
+        import numpy as np
+
         return np.array([self.edges[e].conductance for e in self.edge_ids])
 
     def with_conductance(self, cmap):
@@ -132,6 +136,8 @@ class GraphOfGroups:
         if exact:
             B = [[0] * n for _ in range(n)]
         else:
+            import numpy as np
+
             B = np.zeros((n, n))
         for i, eid in enumerate(self.edge_ids):
             e = self.edges[eid]

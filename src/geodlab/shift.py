@@ -6,9 +6,10 @@ The potential is always a 1-step function: phi(x) = c(x_0) depends on the
 first letter only, so equilibrium states are Markov measures and the whole
 thermodynamic apparatus reduces to Perron-Frobenius data of the weighted
 transfer matrix B[a,b] = e^{c(b)} [a -> b allowed].
-"""
 
-import numpy as np
+numpy is imported inside the functions that use it: the CLI imports this
+module for every verb, and the exact verbs must start without numpy.
+"""
 
 from .errors import (
     BudgetError,
@@ -27,6 +28,8 @@ class EdgeShift:
 
     def __init__(self, letters, transitions, potential=None):
         """transitions: 0/1 matrix A[a,b]; potential: per-letter array c."""
+        import numpy as np
+
         self.letters = list(letters)
         self.A = np.asarray(transitions, dtype=float)
         n = len(self.letters)
@@ -47,11 +50,11 @@ class EdgeShift:
 
     @classmethod
     def full_shift(cls, k, potential=None):
-        return cls(list(range(k)), np.ones((k, k)), potential)
+        return cls(list(range(k)), [[1.0] * k] * k, potential)
 
     @classmethod
     def golden_mean(cls, potential=None):
-        return cls([0, 1], np.array([[1.0, 1.0], [1.0, 0.0]]), potential)
+        return cls([0, 1], [[1.0, 1.0], [1.0, 0.0]], potential)
 
     def n_letters(self):
         return len(self.letters)
@@ -74,7 +77,7 @@ def _strongly_connected(A):
         stack = [0]
         while stack:
             v = stack.pop()
-            for w in np.nonzero(M[v])[0]:
+            for w in M[v].nonzero()[0]:
                 if w not in seen:
                     seen.add(int(w))
                     stack.append(int(w))
@@ -89,6 +92,8 @@ def _perron(B, tol=POWER_TOL, cap=POWER_CAP):
     Iterates on B + I so periodic (e.g. bipartite) transition structures
     still converge; rho(B + I) = rho(B) + 1 with the same eigenvectors.
     """
+    import numpy as np
+
     n = B.shape[0]
     M = B + np.eye(n)
 
@@ -122,6 +127,8 @@ def pressure(shift):
     This is also the critical exponent of the conductance-weighted
     non-backtracking path count when the shift comes from a graph.
     """
+    import numpy as np
+
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
     rho, _, _ = _perron(shift.B)
@@ -143,6 +150,8 @@ class MarkovMeasure:
 
 
 def _chain_entropy(p, P):
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
     return float(-(p[:, None] * P * logs).sum())
@@ -150,6 +159,8 @@ def _chain_entropy(p, P):
 
 def equilibrium_measure(shift):
     """The Parry-type equilibrium chain: P[a,b] = B[a,b] r(b) / (rho r(a))."""
+    import numpy as np
+
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
     rho, r, l = _perron(shift.B)
@@ -196,6 +207,8 @@ def weak_gibbs_audit(m, maxlen):
     hi/lo, "passes": bool}.  A spread of 1 means the ratios are constant
     (exact Gibbs property).
     """
+    import numpy as np
+
     if maxlen > 16:
         raise BudgetError("weak-Gibbs audit capped at maxlen 16")
     n_letters = m.shift.n_letters()
@@ -235,6 +248,8 @@ def weak_gibbs_audit(m, maxlen):
 def periodic_gibbs_ratios(m, length):
     """All Gibbs ratios of periodic words of exact length ``length``
     (literal enumeration; used as an oracle against the tropical audit)."""
+    import numpy as np
+
     if length > 12:
         raise BudgetError("enumeration capped at length 12")
     k = m.shift.n_letters()
@@ -264,6 +279,8 @@ def periodic_gibbs_ratios(m, length):
 def correlation_decay(m, f, g, nmax):
     """cov_n = E[f(x_0) g(x_n)] - E f E g under the stationary chain, with a
     fitted exponential decay rate and the spectral oracle log(rho2/rho)."""
+    import numpy as np
+
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     p, P = m.p, m.P
@@ -301,6 +318,7 @@ def brute_force_equilibrium(shift, n_starts=32, seed=12345):
     scipy's L-BFGS using an analytic gradient through the stationary
     distribution (fundamental-matrix formula).  Returns the best measure.
     """
+    import numpy as np
     from scipy.optimize import minimize
 
     k = shift.n_letters()

@@ -7,11 +7,12 @@ i(e) = |G_{o(e)}|/|G_e|: from an incoming edge f at the vertex y, the next
 edge f' is chosen with probability proportional to i(f') minus one if f' is
 the reverse of f.  This reproduces the walk on the Bass-Serre tree pushed
 to the quotient without materializing any groups.
+
+numpy is imported inside the functions that use it: the CLI imports this
+module for every verb, and the exact verbs must start without numpy.
 """
 
 import math
-
-import numpy as np
 
 from .errors import BudgetError, DegenerateError, NotTransientError, UsageError
 from .seeding import derive_seed
@@ -24,6 +25,8 @@ class NBRWKernel:
     """Edge-to-edge transition kernel of the non-backtracking walk."""
 
     def __init__(self, graph):
+        import numpy as np
+
         self.graph = graph
         n = graph.edge_count()
         P = np.zeros((n, n))
@@ -47,6 +50,8 @@ class NBRWKernel:
         chosen with probability proportional to 1/|G_v| inside the subgraph,
         then a uniformly weighted outgoing lift (weight i(e), excluding
         subgraph edges)."""
+        import numpy as np
+
         g = self.graph
         sub = g.subgraph(subname)
         vset = list(sub["vertices"])
@@ -66,6 +71,8 @@ class NBRWKernel:
 
     def vertex_pushforward(self, edge_dist):
         """Distribution of the current vertex = terminus of the last edge."""
+        import numpy as np
+
         g = self.graph
         out = np.zeros(g.vertex_count())
         for i, eid in enumerate(g.edge_ids):
@@ -74,6 +81,8 @@ class NBRWKernel:
 
     def target_distribution(self):
         """The limit law vol/Vol over vertices (nonbipartite case)."""
+        import numpy as np
+
         g = self.graph
         w = np.array([1.0 / g.vertices[v].order for v in g.vertex_ids])
         return w / w.sum()
@@ -103,7 +112,7 @@ def nbrw_exact(graph, start_subgraph, n):
         "vertex_dist": vdist,
         "edge_dist": dist,
         "target": target,
-        "tv_to_target": 0.5 * float(np.abs(vdist - target).sum()),
+        "tv_to_target": 0.5 * float(abs(vdist - target).sum()),
         "bipartite": rep.bipartite,
     }
 
@@ -120,6 +129,8 @@ def _successor_table(P):
     clamp for i + u rounding up to i + 1.  The table has one entry per
     nonzero of P.
     """
+    import numpy as np
+
     keys, succ = [], []
     for i, row in enumerate(P):
         (cols,) = np.nonzero(row)
@@ -138,6 +149,8 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed):
     RNG stream is derived from the seed so identical (seed, reps,
     parameters) reruns are bit-identical.
     """
+    import numpy as np
+
     _check_steps(n)
     if reps < 1:
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
@@ -191,6 +204,8 @@ def _tree_steps(rng, q, size):
     """One uniform step draw per walk.  Away from the root s = 0 steps to
     the parent and s >= 1 to the child s - 1; at the root, which has q + 1
     children and no parent, s is the child."""
+    import numpy as np
+
     return np.minimum((rng.random(size) * (q + 1)).astype(np.int64), q)
 
 
@@ -211,6 +226,8 @@ def tree_harmonic_measure(q, depth, reps, seed):
     Returns dict with "estimates" (per shadow), "target", "sigma"
     (per-shadow CLT standard error) and "n_shadows".
     """
+    import numpy as np
+
     _check_tree_walk(q, reps)
     if depth < 1:
         raise UsageError(f"shadow depth must be >= 1, got {depth}")
@@ -270,6 +287,8 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed):
     Expected ratio for the simple walk: q^{-(d_xy - d_xz)}.  Returns
     estimate, target, and a delta-method standard error for the ratio.
     """
+    import numpy as np
+
     _check_tree_walk(q, reps)
     if d_xy < 0 or d_xz < 0:
         raise UsageError("distances must be >= 0")
@@ -339,6 +358,8 @@ def laplacian_matrices(graph):
                                             - sqrt(p(e)) phi(e)).
     For reversible conductances Delta = Dstar D.
     """
+    import numpy as np
+
     nv, ne = graph.vertex_count(), graph.edge_count()
     w = {eid: graph.index_i(eid) * math.exp(graph.edges[eid].conductance)
          for eid in graph.edge_ids}
@@ -381,6 +402,8 @@ def laplacian_matrices(graph):
 
 def laplacian_apply(graph, f):
     """Delta_c f for f given as a dict vertex id -> value or an array."""
+    import numpy as np
+
     Delta, _, _, _ = laplacian_matrices(graph)
     if isinstance(f, dict):
         vec = np.array([f[v] for v in graph.vertex_ids], dtype=float)

@@ -7,6 +7,8 @@ codes, and one checks byte-identical reruns of a stochastic command.
 
 import json
 import os
+from pathlib import Path
+import shutil
 import subprocess
 import sys
 
@@ -286,12 +288,23 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
     (("ff", "mertens", "--q", "3"), "usage"),
     (("ff", "mertens", "--q", "3", "--n", "2", "--bogus"), "usage"),
     (("ff",), "usage"),
+    # the zero ideal and the zero polynomial
+    (("bt", "covolume", "--q", "2", "--ideal", "0"), "degenerate"),
+    (("ff", "phi", "--q", "2", "--poly", "0"), "usage"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     record = json.loads(err)
     assert record["error"] == want and want in _error_codes()
+
+
+@pytest.mark.parametrize("budget", ["abc", "0", "-5", "1.5"])
+def test_bad_budget_is_a_usage_record(capsys, monkeypatch, budget):
+    monkeypatch.setenv("GEODLAB_BUDGET", budget)
+    code, out, err = run_cli(capsys, "ff", "mertens", "--q", "3", "--n", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_help_still_exits_zero(capsys):
@@ -404,3 +417,86 @@ def test_subprocess_budget_env():
     res = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"] == "budget"
+
+
+# ---------------------------------------------------------------------------
+# import boundary: the exact verbs run without numpy
+
+
+# the modules perfbench/tracer.py reads from sys.modules after importing
+# geodlab.cli, so cli must keep importing all of them
+TRACED_MODULES = ("ffield", "graphs", "library", "bt", "counting", "shift",
+                  "walks", "seeding", "cli")
+
+EXACT_ARGV = [
+    ["ff", "mertens", "--q", "3", "--n", "2"],
+    ["ff", "phi", "--q", "3", "--poly", "Y^2+1"],
+    ["ff", "expand", "--q", "3", "--value", "1/(Y+1)"],
+    ["ff", "cf", "--q", "3", "--disc", "Y^2+Y"],
+    ["ff", "cf", "--q", "3", "--value", "(Y^2+1)/Y"],
+    ["bt", "dist", "--q", "3", "--matrix", "Y^2;1;0;1"],
+    ["bt", "height", "--q", "3", "--matrix", "1;0;Y;1"],
+    ["bt", "translen", "--q", "3", "--matrix", "Y;0;0;1/Y"],
+    ["bt", "measure", "--q", "2"],
+    ["bt", "measure", "--q", "2", "--kind", "point-ball", "--center", "Y"],
+    ["bt", "measure", "--q", "2", "--kind", "horoball-ball"],
+    ["bt", "covolume", "--q", "2", "--ideal", "Y+1"],
+    ["bt", "hecke", "--q", "2", "--ideal", "Y^2+1"],
+    ["bt", "farey", "--q", "3", "--t", "2", "--depth", "2"],
+    ["bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y"],
+    ["bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y", "--mode", "relative",
+     "--word-len", "3"],
+    ["graph", "seed", "--master", "7"],
+    ["graph", "validate", "--graph", "builtin:petersen"],
+    ["graph", "volumes", "--graph", "builtin:theta"],
+]
+
+# Prints the geodlab modules missing after `import geodlab.cli`, the exit
+# code of each argv, and the steps after which numpy was in sys.modules.
+_PROBE = """
+import contextlib, io, json, sys
+import geodlab.cli
+traced, argvs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+out = {"missing": [m for m in traced if "geodlab." + m not in sys.modules],
+       "codes": [], "numpy_after": []}
+if "numpy" in sys.modules:
+    out["numpy_after"].append("import geodlab.cli")
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["codes"].append(geodlab.cli.main(argv))
+    if "numpy" in sys.modules:
+        out["numpy_after"].append(" ".join(argv))
+print(json.dumps(out))
+"""
+
+
+def _probe(package_parent):
+    env = _subprocess_env()
+    env["PYTHONPATH"] = str(package_parent)
+    res = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(TRACED_MODULES),
+         json.dumps(EXACT_ARGV)],
+        capture_output=True, text=True, env=env, check=True)
+    return json.loads(res.stdout)
+
+
+def _package_parent():
+    import geodlab
+    return Path(geodlab.__file__).resolve().parents[1]
+
+
+def test_exact_verbs_do_not_import_numpy():
+    out = _probe(_package_parent())
+    assert out["missing"] == []
+    assert out["codes"] == [0] * len(EXACT_ARGV)
+    assert out["numpy_after"] == []
+
+
+def test_import_boundary_sees_a_numpy_import(tmp_path):
+    shutil.copytree(_package_parent() / "geodlab", tmp_path / "geodlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    ffield = tmp_path / "geodlab" / "ffield.py"
+    ffield.write_text("import numpy\n" + ffield.read_text())
+    out = _probe(tmp_path)
+    assert out["missing"] == []
+    assert out["numpy_after"][0] == "import geodlab.cli"
