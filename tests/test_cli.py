@@ -2,7 +2,9 @@
 
 Most tests call main() in-process and capture stdout/stderr; one test goes
 through a real subprocess to check the installed entry point and exit
-codes, and one checks byte-identical reruns of a stochastic command.
+codes, and one checks byte-identical reruns of a stochastic command.  The
+import-boundary tests run the exact verbs in a fresh interpreter and check
+that numpy is never loaded.
 """
 
 import json
