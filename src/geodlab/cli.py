@@ -36,6 +36,13 @@ def _budget(default):
     return budget
 
 
+def _horizon(nmax, least):
+    """--nmax, which must be at least ``least``."""
+    if nmax < least:
+        raise UsageError(f"--nmax must be at least {least}, got {nmax}")
+    return nmax
+
+
 def _fmt(x):
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -103,7 +110,8 @@ def _parse_matrix(q, text):
 
 def cmd_count_perp(args):
     g = _load_graph(args.graph)
-    query = counting.PerpQuery(g, args.minus, args.plus, args.nmax)
+    query = counting.PerpQuery(g, args.minus, args.plus,
+                               _horizon(args.nmax, 1))
     series = counting.count_perpendiculars(query, budget=_budget(10 ** 8))
     try:
         ratios = counting.theoretical_constant(query, series).ratios
@@ -118,7 +126,8 @@ def cmd_count_perp(args):
 
 def cmd_count_orbits(args):
     g = _load_graph(args.graph)
-    out = counting.closed_orbit_count(g, args.nmax, weighted=True)
+    out = counting.closed_orbit_count(g, _horizon(args.nmax, 1),
+                                      weighted=True, budget=_budget(10 ** 8))
     rows = [(n + 1, out["fix"][n], out["primitive"][n], out["orbits"][n],
              out["weighted"][n]) for n in range(args.nmax)]
     emit(["n", "fix", "primitive", "orbits", "weighted"], rows, args)
@@ -127,7 +136,8 @@ def cmd_count_orbits(args):
 def cmd_count_conjugacy(args):
     g = _load_graph(args.graph)
     cyc = args.cycle.split(",")
-    out = counting.conjugacy_count(g, args.basepoint, cyc, args.nmax,
+    out = counting.conjugacy_count(g, args.basepoint, cyc,
+                                   _horizon(args.nmax, 0),
                                    budget=_budget(10 ** 8))
     rows = [(n, out[n]) for n in range(args.nmax + 1)]
     emit(["n", "count"], rows, args)

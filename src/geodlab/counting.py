@@ -13,6 +13,7 @@ import math
 from .errors import (
     BudgetError,
     DegreeMismatchError,
+    GraphFormatError,
     NotSimpleCycleError,
     TooLargeError,
     UnsupportedError,
@@ -67,19 +68,40 @@ class AsymptoticReport:
         self.constant_odd = constant_odd
 
 
-def _start_mask(g, subname):
-    """Edges allowed as first edge of a perpendicular leaving the subgraph."""
+def _boundary(g, subname, end):
+    """Edges not in the subgraph whose ``end`` ("origin" or "terminus") is
+    one of its vertices: the first (last) edges of a perpendicular that
+    leaves (arrives at) it."""
     sub = g.subgraph(subname)
     vset, eset = set(sub["vertices"]), set(sub["edges"])
     return [eid for eid in g.edge_ids
-            if g.edges[eid].origin in vset and eid not in eset]
+            if getattr(g.edges[eid], end) in vset and eid not in eset]
 
 
-def _end_mask(g, subname):
-    sub = g.subgraph(subname)
-    vset, eset = set(sub["vertices"]), set(sub["edges"])
-    return [eid for eid in g.edge_ids
-            if g.edges[eid].terminus in vset and eid not in eset]
+def _nb_step(succ, w, weights=None):
+    """One step w -> wB of the non-backtracking edge dynamics, ``succ`` as
+    from ``GraphOfGroups.nb_successors``.  Exact big-integer masses when
+    B is 0/1 (no ``weights``), float masses when B[i, j] = weights[j]."""
+    if weights is None:
+        nxt = [0] * len(w)
+        for i, mass in enumerate(w):
+            if mass:
+                for j in succ[i]:
+                    nxt[j] += mass
+    else:
+        nxt = [0.0] * len(w)
+        for i, mass in enumerate(w):
+            if mass:
+                for j in succ[i]:
+                    nxt[j] += mass * weights[j]
+    return nxt
+
+
+def _as_float(count, what):
+    try:
+        return float(count)
+    except OverflowError as exc:
+        raise TooLargeError(f"{what} exceeds the float range") from exc
 
 
 def count_perpendiculars(query, budget=DEFAULT_BUDGET):
@@ -94,50 +116,28 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     if n_edges * query.nmax > budget:
         raise BudgetError(
             f"{n_edges} edge states x nmax {query.nmax} exceeds budget")
-    start = _start_mask(g, query.minus)
-    end = set(_end_mask(g, query.plus))
+    start = _boundary(g, query.minus, "origin")
+    end_idx = [g.edge_index[e] for e in _boundary(g, query.plus, "terminus")]
     exact = all(g.edges[e].conductance == 0.0 for e in g.edge_ids)
-
-    succ = []  # successor index lists, aligned with edge order
-    weights = []
-    for eid in g.edge_ids:
-        e = g.edges[eid]
-        row = [g.edge_index[f] for f in g.out_edges(e.terminus)
-               if f != e.reverse]
-        succ.append(row)
-    for eid in g.edge_ids:
-        weights.append(math.exp(g.edges[eid].conductance))
-
-    end_idx = [g.edge_index[e] for e in sorted(end)]
-    if exact:
-        w = [0] * n_edges
-        for eid in start:
-            w[g.edge_index[eid]] = 1
-    else:
-        w = [0.0] * n_edges
-        for eid in start:
-            w[g.edge_index[eid]] = weights[g.edge_index[eid]]
+    succ = g.nb_successors()
+    weights = None if exact else [math.exp(g.edges[eid].conductance)
+                                  for eid in g.edge_ids]
+    w = [0] * n_edges if exact else [0.0] * n_edges
+    for eid in start:
+        i = g.edge_index[eid]
+        w[i] = 1 if exact else weights[i]
 
     counts, weighted = [], []
     for n in range(1, query.nmax + 1):
         harvest = sum(w[i] for i in end_idx)
         if exact:
             counts.append(harvest)
-            try:
-                weighted.append(float(harvest))
-            except OverflowError as exc:
-                raise TooLargeError(
-                    f"count at length {n} exceeds the float range") from exc
+            weighted.append(_as_float(harvest, f"count at length {n}"))
         else:
             counts.append(0)
             weighted.append(harvest)
         if n < query.nmax:
-            nxt = [0] * n_edges if exact else [0.0] * n_edges
-            for i, mass in enumerate(w):
-                if mass:
-                    for j in succ[i]:
-                        nxt[j] += mass if exact else mass * weights[j]
-            w = nxt
+            w = _nb_step(succ, w, weights)
     return CountSeries(counts, weighted)
 
 
@@ -150,8 +150,8 @@ def enumerate_perpendiculars(query):
     g = query.graph
     if g.edge_count() > 32 or query.nmax > 10:
         raise BudgetError("naive enumeration is capped at 32 edges, nmax 10")
-    start = _start_mask(g, query.minus)
-    end = set(_end_mask(g, query.plus))
+    start = _boundary(g, query.minus, "origin")
+    end = set(_boundary(g, query.plus, "terminus"))
     counts = [0] * query.nmax
 
     def rec(eid, length):
@@ -394,65 +394,54 @@ def _mobius(n):
     return out
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def closed_orbit_count(graph, nmax, weighted=False):
+def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
     """Per-length counts of periodic non-backtracking structures.
 
     Returns dict with lists indexed by n-1 for n = 1..nmax:
-      fix: Fix_n = #periodic admissible edge sequences = trace(B^n), exact;
+      fix: Fix_n = #periodic admissible edge sequences = trace(B^n), exact:
+        the mass the exact edge step carries from each edge back to it;
       primitive: primitive periodic sequences (Mobius inversion);
       orbits: prime orbits = primitive sequences / n (rotation classes);
       weighted: sum of e^{c} over Fix_n (floats) when requested.
+    Raises BudgetError when (edge count)^2 * nmax exceeds ``budget``, and
+    TooLargeError when a count or weighted trace exceeds the float range.
     """
-    if nmax > 26:
-        raise BudgetError("closed-orbit horizon capped at 26")
-    B = graph.nb_transfer(exact=True)
-    n_edges = len(B)
-    fix = []
-    M = [row[:] for row in B]
-    # integer matrix powers, trace per step
-    cur = [row[:] for row in B]
-    for n in range(1, nmax + 1):
-        if n > 1:
-            cur = _int_matmul(cur, M)
-        fix.append(sum(cur[i][i] for i in range(n_edges)))
-    primitive = []
-    for n in range(1, nmax + 1):
-        tot = sum(_mobius(n // d) * fix[d - 1] for d in _divisors(n))
-        primitive.append(tot)
-    orbits = []
-    for n in range(1, nmax + 1):
-        assert primitive[n - 1] % n == 0
-        orbits.append(primitive[n - 1] // n)
+    n_edges = graph.edge_count()
+    if n_edges ** 2 * nmax > budget:
+        raise BudgetError(
+            f"{n_edges}^2 edge states x nmax {nmax} exceeds budget")
+    graph.check_branching()
+    succ = graph.nb_successors()
+    fix = [0] * nmax
+    for e in range(n_edges):
+        w = [0] * n_edges
+        w[e] = 1
+        for n in range(nmax):
+            w = _nb_step(succ, w)
+            fix[n] += w[e]
+    for n, f in enumerate(fix, 1):
+        _as_float(f, f"Fix_{n}")
+    primitive = [sum(_mobius(n // d) * fix[d - 1]
+                     for d in range(1, n + 1) if n % d == 0)
+                 for n in range(1, nmax + 1)]
+    assert all(p % n == 0 for n, p in enumerate(primitive, 1))
+    orbits = [p // n for n, p in enumerate(primitive, 1)]
     out = {"fix": fix, "primitive": primitive, "orbits": orbits}
     if weighted:
         Bw = graph.nb_transfer()
+        import numpy as np
+
         cw = Bw.copy()
         wfix = []
-        for n in range(1, nmax + 1):
-            if n > 1:
-                cw = cw @ Bw
-            wfix.append(float(cw.trace()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, nmax + 1):
+                if n > 1:
+                    cw = cw @ Bw
+                wfix.append(float(cw.trace()))
+                if not math.isfinite(wfix[-1]):
+                    raise TooLargeError(f"weighted trace at length {n} "
+                                        "exceeds the float range")
         out["weighted"] = wfix
-    return out
-
-
-def _int_matmul(A, B):
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(n):
-                    if Bk[j]:
-                        row[j] += a * Bk[j]
     return out
 
 
@@ -468,6 +457,10 @@ def validate_simple_cycle(graph, cycle_edges):
     """
     if not cycle_edges:
         raise NotSimpleCycleError("empty cycle")
+    for eid in cycle_edges:
+        if eid not in graph.edges:
+            raise GraphFormatError("dangling-reference",
+                                   f"cycle names unknown edge {eid!r}")
     n = len(cycle_edges)
     for i in range(n):
         e = graph.edges[cycle_edges[i]]
@@ -498,31 +491,23 @@ def conjugacy_count(graph, basepoint, cycle_edges, nmax,
     perpendiculars from the basepoint to the (unoriented) cycle of length at
     most floor((n - len)/2).  Returns the list [N(0), ..., N(nmax)].
     """
+    if basepoint not in graph.vertices:
+        raise GraphFormatError("dangling-reference",
+                               f"no vertex named {basepoint!r}")
     lam = validate_simple_cycle(graph, cycle_edges)
     # basepoint and cycle as throwaway subgraphs
-    cyc_set = set()
-    for eid in cycle_edges:
-        cyc_set.add(eid)
-        cyc_set.add(graph.edges[eid].reverse)
-    verts = sorted({graph.edges[e].origin for e in cyc_set}
-                   | {graph.edges[e].terminus for e in cyc_set})
-    g2 = graph.with_conductance({})
-    g2.subgraphs = dict(graph.subgraphs)
+    cyc_set = set(cycle_edges) | {graph.edges[e].reverse for e in cycle_edges}
+    verts = sorted({graph.edges[e].origin for e in cyc_set})
+    g2 = graph.with_conductance({e: 0.0 for e in graph.edge_ids})
     g2.subgraphs["__base__"] = {"vertices": [basepoint], "edges": []}
     g2.subgraphs["__cycle__"] = {"vertices": verts, "edges": sorted(cyc_set)}
 
-    radius = max((nmax - lam) // 2, 0)
-    on_cycle = basepoint in verts
-    perp = None
+    base = 1 if basepoint in verts else 0  # zero-length perpendicular
+    radius = (nmax - lam) // 2
+    cum = [0]  # cum[r]: perpendiculars of length at most r
     if radius >= 1:
-        perp = count_perpendiculars(
-            PerpQuery(g2, "__base__", "__cycle__", radius), budget=budget)
-    out = []
-    for n in range(nmax + 1):
-        if n < lam:
-            out.append(0)
-            continue
-        r = (n - lam) // 2
-        base = 1 if on_cycle else 0  # zero-length perpendicular
-        out.append(base + (perp.cumulative[r - 1] if r >= 1 else 0))
-    return out
+        cum += count_perpendiculars(
+            PerpQuery(g2, "__base__", "__cycle__", radius),
+            budget=budget).cumulative
+    return [0 if n < lam else base + cum[(n - lam) // 2]
+            for n in range(nmax + 1)]

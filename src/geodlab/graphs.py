@@ -7,8 +7,8 @@ deg(v) = sum of i(e) = |G_{o(e)}|/|G_e| over outgoing edges, i.e. its degree
 in the Bass-Serre tree.
 
 numpy is imported only inside the two float paths, ``conductance_vector``
-and ``nb_transfer(exact=False)``: loading and validating a graph, and every
-exact verb, start without numpy.
+and ``nb_transfer``: loading and validating a graph, and every exact verb,
+start without numpy.
 """
 
 from fractions import Fraction
@@ -120,35 +120,37 @@ class GraphOfGroups:
         return True, ([v for v in self.vertex_ids if color[v] == 0],
                       [v for v in self.vertex_ids if color[v] == 1])
 
-    # -- transfer matrix -------------------------------------------------
+    # -- non-backtracking edge dynamics ------------------------------------
 
-    def nb_transfer(self, exact=False):
-        """Weighted non-backtracking transfer matrix.
+    def nb_successors(self):
+        """For each edge, in ``edge_ids`` order, the indices of its
+        successors e': t(e) = o(e') and e' is not the reverse of e.  These
+        are the nonzero entries of row e of the transfer matrix B."""
+        edges = [self.edges[eid] for eid in self.edge_ids]
+        return [[self.edge_index[f] for f in self._out[e.terminus]
+                 if f != e.reverse] for e in edges]
 
-        B[e, e'] = w(e') when t(e) = o(e') and e' is not the reverse of e,
-        with w(e') = exp(c(e')).  ``exact`` builds a python-object matrix
-        with weight 1, suitable for big-integer dynamic programming.
-        """
+    def check_branching(self):
+        """DegenerateError unless every vertex has tree-degree >= 2, so that
+        every non-backtracking path can be continued."""
         for v in self.vertex_ids:
             if self.tree_degree(v) <= 1:
                 raise DegenerateError(f"vertex {v!r} has tree-degree <= 1")
-        n = len(self.edge_ids)
-        if exact:
-            B = [[0] * n for _ in range(n)]
-        else:
-            import numpy as np
 
-            B = np.zeros((n, n))
-        for i, eid in enumerate(self.edge_ids):
-            e = self.edges[eid]
-            for fid in self._out[e.terminus]:
-                if fid == e.reverse:
-                    continue
-                j = self.edge_index[fid]
-                if exact:
-                    B[i][j] = 1
-                else:
-                    B[i, j] = np.exp(self.edges[fid].conductance)
+    def nb_transfer(self):
+        """Weighted non-backtracking transfer matrix (numpy floats).
+
+        B[e, e'] = w(e') for each successor e' of e (``nb_successors``),
+        with w(e') = exp(c(e')).
+        """
+        self.check_branching()
+        import numpy as np
+
+        n = len(self.edge_ids)
+        B = np.zeros((n, n))
+        for i, row in enumerate(self.nb_successors()):
+            for j in row:
+                B[i, j] = np.exp(self.edges[self.edge_ids[j]].conductance)
         return B
 
     # -- subgraph helpers ------------------------------------------------

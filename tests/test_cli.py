@@ -208,6 +208,34 @@ def test_count_beyond_float_range_is_a_record(capsys, nmax):
     assert json.loads(err)["error"] == "too-large"
 
 
+@pytest.mark.parametrize("basepoint, cycle", [("w", "X"), ("zz", "l+")])
+def test_count_conjugacy_unknown_id_is_a_record(capsys, basepoint, cycle):
+    code, out, err = run_cli(capsys, "count", "conjugacy", "--graph",
+                             "builtin:dumbbell", "--basepoint", basepoint,
+                             "--cycle", cycle, "--nmax", "5")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "dangling-reference"
+
+
+def test_count_orbits_past_the_old_horizon(capsys):
+    code, out, err = run_cli(capsys, "count", "orbits", "--graph",
+                             "builtin:petersen", "--nmax", "200")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 201
+
+
+def test_count_orbits_budget_env(capsys, monkeypatch):
+    # petersen: 30 directed edges, 30^2 * 12 = 10800 edge-state steps
+    monkeypatch.setenv("GEODLAB_BUDGET", "10799")
+    code, out, err = run_cli(capsys, "count", "orbits", "--graph",
+                             "builtin:petersen", "--nmax", "12")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "budget"
+    monkeypatch.setenv("GEODLAB_BUDGET", "10800")
+    assert run_cli(capsys, "count", "orbits", "--graph", "builtin:petersen",
+                   "--nmax", "12")[0] == 0
+
+
 def test_count_perp_runs_the_dp_once(capsys, monkeypatch):
     from geodlab import counting
 
@@ -293,6 +321,15 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
     # the zero ideal and the zero polynomial
     (("bt", "covolume", "--q", "2", "--ideal", "0"), "degenerate"),
     (("ff", "phi", "--q", "2", "--poly", "0"), "usage"),
+    # horizons below the shortest length each verb counts
+    (("count", "perp", "--graph", "builtin:petersen", "--minus", "P0",
+      "--plus", "P1", "--nmax", "0"), "usage"),
+    (("count", "perp", "--graph", "builtin:petersen", "--minus", "P0",
+      "--plus", "P1", "--nmax", "-3"), "usage"),
+    (("count", "orbits", "--graph", "builtin:petersen", "--nmax", "0"),
+     "usage"),
+    (("count", "conjugacy", "--graph", "builtin:dumbbell", "--basepoint",
+      "w", "--cycle", "l+", "--nmax", "-1"), "usage"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
@@ -419,6 +456,18 @@ def test_subprocess_budget_env():
     res = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"] == "budget"
+
+
+def test_subprocess_orbit_counts_beyond_float_range():
+    # Fix_700 on the figure eight is about 3^700 > 2^1024: one record on
+    # stderr, no output and no numpy overflow warning
+    cmd = [sys.executable, "-m", "geodlab.cli", "count", "orbits", "--graph",
+           "builtin:fig8", "--nmax", "700"]
+    res = subprocess.run(cmd, capture_output=True, text=True,
+                         env=_subprocess_env())
+    assert res.returncode == 2 and res.stdout == ""
+    assert "Warning" not in res.stderr
+    assert json.loads(res.stderr)["error"] == "too-large"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Perpendicular counting, closed orbits, conjugacy growth.
 
-Oracles: the naive DFS path enumerator, hand-counted small paths, and the
-closed forms 2(3^n - 1) (figure-8) and 3^n + 2 + (-1)^n (figure-8 traces).
+Oracles: the naive DFS path enumerator, hand-counted small paths, the
+closed forms 2(3^n - 1) (figure-8) and 3^n + 2 + (-1)^n (figure-8 traces),
+and tr(B^n) by integer matrix powers of a transfer matrix built here from
+the edge records.
 """
 
 import math
@@ -22,17 +24,22 @@ from geodlab.counting import (
 )
 from geodlab.errors import (
     BudgetError,
+    DegenerateError,
     DegreeMismatchError,
+    GraphFormatError,
     NotSimpleCycleError,
     TooLargeError,
     UnsupportedError,
 )
+from geodlab.graphs import GraphOfGroups
 from geodlab.library import (
+    BUILTIN,
     biregular_two_cycles,
     dumbbell,
     figure_eight,
     petersen,
     theta,
+    two_vertex_segment,
 )
 
 
@@ -190,9 +197,81 @@ def test_orbit_integrality():
         assert out["orbits"][n - 1] >= 0
 
 
-def test_orbit_horizon_cap():
+def test_orbit_horizon_budget():
+    # 4 directed edges: the horizon is bounded by 4^2 * nmax <= budget
+    out = closed_orbit_count(figure_eight(), 40, budget=4 ** 2 * 40)
+    assert out["fix"][26] == 3 ** 27 + 2 - 1
     with pytest.raises(BudgetError):
-        closed_orbit_count(figure_eight(), 27)
+        closed_orbit_count(figure_eight(), 41, budget=4 ** 2 * 40)
+
+
+def test_orbits_degenerate_graph():
+    with pytest.raises(DegenerateError):
+        closed_orbit_count(two_vertex_segment(), 3)
+
+
+def _transfer_oracle(g):
+    """0/1 matrix B[e, f] = 1 when t(e) = o(f) and f is not the reverse of
+    e, read off the edge records one pair at a time."""
+    ids = sorted(g.edges)
+    return [[int(g.edges[f].origin == g.edges[e].terminus
+                 and f != g.edges[e].reverse) for f in ids] for e in ids]
+
+
+def _trace_powers(B, nmax):
+    """[tr(B^n) for n = 1..nmax] by integer matrix powers."""
+    size, P, out = len(B), B, []
+    for n in range(1, nmax + 1):
+        if n > 1:
+            P = [[sum(row[k] * B[k][j] for k in range(size) if row[k])
+                  for j in range(size)] for row in P]
+        out.append(sum(P[i][i] for i in range(size)))
+    return out
+
+
+def _fix_matches_oracle(g, nmax):
+    return closed_orbit_count(g, nmax)["fix"] == _trace_powers(
+        _transfer_oracle(g), nmax)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_fix_matches_trace_powers(name):
+    g = BUILTIN[name]()
+    try:
+        g.nb_transfer()
+    except DegenerateError:
+        pytest.skip(f"{name} has a vertex of tree-degree <= 1")
+    assert _fix_matches_oracle(g, 26)
+
+
+def test_trace_oracle_catches_backtracking(monkeypatch):
+    # negative control: a successor rule that lets a path turn back
+    def with_backtracking(self):
+        return [[self.edge_index[f]
+                 for f in self.out_edges(self.edges[eid].terminus)]
+                for eid in self.edge_ids]
+
+    monkeypatch.setattr(GraphOfGroups, "nb_successors", with_backtracking)
+    assert not _fix_matches_oracle(petersen(), 26)
+
+
+def test_petersen_orbits_to_200():
+    out = closed_orbit_count(petersen(), 200)
+    assert out["fix"][:26] == _trace_powers(_transfer_oracle(petersen()), 26)
+    for n in range(1, 201):
+        assert out["primitive"][n - 1] % n == 0
+        assert out["orbits"][n - 1] * n == out["primitive"][n - 1] >= 0
+
+
+def test_orbit_counts_beyond_float_range_raise_too_large():
+    # Fix_n = 3^n + 2 + (-1)^n on the figure eight passes 2^1024 at n = 647
+    assert len(closed_orbit_count(figure_eight(), 646)["fix"]) == 646
+    with pytest.raises(TooLargeError):
+        closed_orbit_count(figure_eight(), 647)
+    # a weighted trace can leave the float range before the counts do
+    g = petersen().with_conductance({e: 50.0 for e in petersen().edge_ids})
+    with pytest.raises(TooLargeError):
+        closed_orbit_count(g, 20, weighted=True)
 
 
 def test_weighted_traces():
@@ -230,6 +309,24 @@ def test_conjugacy_basepoint_on_axis():
     out = conjugacy_count(g, "u", ["l+"], 3)
     # translation length 1, basepoint on the axis: one element at n=1
     assert out[1] == 1
+
+
+def test_conjugacy_ignores_conductances():
+    g = dumbbell()
+    plain = conjugacy_count(g, "w", ["l+"], 12)
+    weighted = conjugacy_count(g.with_conductance({"b+": 0.3, "b-": 0.3}),
+                               "w", ["l+"], 12)
+    assert plain == [0, 0, 0, 1, 1, 3, 3, 5, 5, 7, 7, 13, 13]
+    assert weighted == plain
+
+
+@pytest.mark.parametrize("basepoint, cycle", [("zz", ["l+"]),
+                                              ("w", ["X"]),
+                                              ("w", ["l+", "X"])])
+def test_conjugacy_unknown_ids(basepoint, cycle):
+    with pytest.raises(GraphFormatError) as info:
+        conjugacy_count(dumbbell(), basepoint, cycle, 5)
+    assert info.value.code == "dangling-reference"
 
 
 def test_conjugacy_monotone():
