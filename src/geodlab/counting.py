@@ -380,20 +380,6 @@ def theoretical_constant(query, series):
 # closed orbits
 
 
-def _mobius(n):
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
-
-
 def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
     """Per-length counts of periodic non-backtracking structures.
 
@@ -412,18 +398,31 @@ def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
             f"{n_edges}^2 edge states x nmax {nmax} exceeds budget")
     graph.check_branching()
     succ = graph.nb_successors()
+    rev = [graph.edge_index[graph.edges[e].reverse] for e in graph.edge_ids]
+    # i -> j exactly when rev(j) -> rev(i)
+    pred = [[rev[k] for k in succ[r]] for r in rev]
     fix = [0] * nmax
     for e in range(n_edges):
-        w = [0] * n_edges
-        w[e] = 1
+        # step only the edges with a path back to e: other mass never adds
+        # to Fix_n, and past a dead end it would grow unchecked
+        back, todo = {e}, [e]
+        while todo:
+            for i in pred[todo.pop()]:
+                if i not in back:
+                    back.add(i)
+                    todo.append(i)
+        succ_e = [[j for j in row if j in back] for row in succ]
+        w = [int(j == e) for j in range(n_edges)]
         for n in range(nmax):
-            w = _nb_step(succ, w)
-            fix[n] += w[e]
-    for n, f in enumerate(fix, 1):
-        _as_float(f, f"Fix_{n}")
-    primitive = [sum(_mobius(n // d) * fix[d - 1]
-                     for d in range(1, n + 1) if n % d == 0)
-                 for n in range(1, nmax + 1)]
+            w = _nb_step(succ_e, w)
+            if w[e]:  # a partial Fix_n past the float range stays past it
+                fix[n] += w[e]
+                _as_float(fix[n], f"Fix_{n + 1}")
+    # Mobius inversion Fix_n = sum of primitive_d over d | n, by a sieve
+    primitive = list(fix)
+    for d in range(1, nmax + 1):
+        for m in range(2 * d, nmax + 1, d):
+            primitive[m - 1] -= primitive[d - 1]
     assert all(p % n == 0 for n, p in enumerate(primitive, 1))
     orbits = [p // n for n, p in enumerate(primitive, 1)]
     out = {"fix": fix, "primitive": primitive, "orbits": orbits}

@@ -224,6 +224,20 @@ def test_count_orbits_past_the_old_horizon(capsys):
     assert len(out.splitlines()) == 201
 
 
+def test_count_orbits_long_horizon_on_a_cycle(capsys):
+    # cycle3: B permutes 6 edges in two 3-cycles, so Fix_n stays 6 or 0 and
+    # never leaves the float range; the Mobius inversion must stay near
+    # linear in nmax (a divisor scan per n would take minutes here)
+    nmax = 50000
+    code, out, err = run_cli(capsys, "count", "orbits", "--graph",
+                             "builtin:cycle3", "--nmax", str(nmax))
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(rows) == nmax
+    assert rows[2] == "3,6,6,2,6"
+    assert all(r.split(",")[3] == "0" for i, r in enumerate(rows) if i != 2)
+
+
 def test_count_orbits_budget_env(capsys, monkeypatch):
     # petersen: 30 directed edges, 30^2 * 12 = 10800 edge-state steps
     monkeypatch.setenv("GEODLAB_BUDGET", "10799")

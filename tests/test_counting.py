@@ -31,7 +31,7 @@ from geodlab.errors import (
     TooLargeError,
     UnsupportedError,
 )
-from geodlab.graphs import GraphOfGroups
+from geodlab.graphs import GraphOfGroups, load_validate
 from geodlab.library import (
     BUILTIN,
     biregular_two_cycles,
@@ -272,6 +272,57 @@ def test_orbit_counts_beyond_float_range_raise_too_large():
     g = petersen().with_conductance({e: 50.0 for e in petersen().edge_ids})
     with pytest.raises(TooLargeError):
         closed_orbit_count(g, 20, weighted=True)
+
+
+def test_orbit_counts_check_the_float_range_as_they_add():
+    # Fix_n ~ 3^n: a horizon of 10^6 passes the edge budget (4^2 * 10^6)
+    # but must stop near n = 647, not hold 10^6 ever larger integers
+    with pytest.raises(TooLargeError):
+        closed_orbit_count(figure_eight(), 10 ** 6)
+
+
+def _dead_end_graph():
+    """Figure eight at v with an edge to w, whose vertex group of order 3
+    makes its tree-degree 3: a path into w stops there, and a path out of w
+    grows as 3^n without ever coming back to its first edge."""
+    edges = []
+    for name, u, v in [("a", "w", "v"), ("l", "v", "v"), ("m", "v", "v")]:
+        edges += [{"id": name + "+", "from": u, "to": v,
+                   "reverse": name + "-"},
+                  {"id": name + "-", "from": v, "to": u,
+                   "reverse": name + "+"}]
+    return load_validate({"vertices": [{"id": "v"}, {"id": "w", "order": 3}],
+                          "edges": edges})
+
+
+def test_orbits_past_a_dead_end():
+    g = _dead_end_graph()
+    assert _fix_matches_oracle(g, 26)
+    # the run from a+ (first in edge order) never returns to a+: its mass
+    # is dropped, so the float check on the loops ends the count quickly
+    with pytest.raises(TooLargeError):
+        closed_orbit_count(g, 2 * 10 ** 5)
+
+
+def _mobius(n):
+    out, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
+
+
+def test_primitive_counts_are_the_mobius_inversion():
+    out = closed_orbit_count(petersen(), 60)
+    fix = out["fix"]
+    for n in range(1, 61):
+        assert out["primitive"][n - 1] == sum(
+            _mobius(n // d) * fix[d - 1]
+            for d in range(1, n + 1) if n % d == 0)
 
 
 def test_weighted_traces():
