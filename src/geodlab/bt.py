@@ -27,7 +27,6 @@ from .ffield import (
     PREC_CAP,
     euler_phi,
     factor,
-    mertens_sum,
     poly_range,
     sqrt_mod,
     _divide_at_infinity,
@@ -95,39 +94,6 @@ def vertex_distance(g):
     return abs(g.det().valuation() - 2 * g.min_entry_valuation())
 
 
-def vertex_distance_smith(g):
-    """Independent oracle: actual Smith-form elimination over O_v.
-
-    Pivots on a minimal-valuation entry and clears its row and column with
-    multipliers in O_v, yielding diagonal elementary divisors.
-    """
-    m = [[g.a, g.b], [g.c, g.d]]
-
-    def val(x):
-        return x.valuation()
-
-    # choose pivot with minimal valuation
-    best = min(((i, j) for i in range(2) for j in range(2)
-                if not m[i][j].is_zero()), key=lambda t: val(m[t[0]][t[1]]))
-    i0, j0 = best
-    if i0 == 1:
-        m[0], m[1] = m[1], m[0]
-    if j0 == 1:
-        for row in m:
-            row[0], row[1] = row[1], row[0]
-    p = m[0][0]
-    # clear column: row1 -= (m10/p) row0  (multiplier in O_v by minimality)
-    f = m[1][0] / p
-    m[1][0] = m[1][0] - f * m[0][0]
-    m[1][1] = m[1][1] - f * m[0][1]
-    # clear row: col1 -= (m01/p) col0
-    f = m[0][1] / p
-    m[0][1] = m[0][1] - f * m[0][0]
-    m[1][1] = m[1][1] - f * m[1][0]
-    assert m[1][0].is_zero() and m[0][1].is_zero()
-    return abs(val(m[0][0]) - val(m[1][1]))
-
-
 def horoball_height(g):
     """Height and center of the image of the horoball at infinity.
 
@@ -150,40 +116,6 @@ def translation_length(g):
         return 0
     v = tr.valuation()
     return max(0, -2 * v)
-
-
-def translation_length_oracle(g, radius=3, max_center_deg=3):
-    """min over tree vertices x near the base of d(x, g x).
-
-    Vertices are represented by column-Hermite lattice bases
-    [[pi^m, u], [0, pi^n]] with small m, n and polynomial parts of u of
-    bounded degree; pi = 1/Y.
-    """
-    q = g.q
-    Y = FqPoly.x(q)
-    # centers u = P(Y) + c/Y^k: P monic of degree <= max_center_deg, then 0,
-    # then c/Y^k with k <= radius
-    centers = [RatFunc(f) for d in range(max_center_deg + 1)
-               for f in poly_range(q, q ** d, 2 * q ** d)]
-    centers.append(RatFunc.const(q, 0))
-    centers += [RatFunc(FqPoly.const(q, c), Y ** k)
-                for k in range(1, radius + 1) for c in range(1, q)]
-    best = None
-    reps = []
-    for m in range(-radius, radius + 1):
-        for n in range(-radius, radius + 1):
-            if abs(m - n) > 2 * radius:
-                continue
-            for u in centers:
-                reps.append((m, n, u))
-    for m, n, u in reps:
-        pm = RatFunc(FqPoly.one(q), Y ** m) if m >= 0 else RatFunc(Y ** (-m))
-        pn = RatFunc(FqPoly.one(q), Y ** n) if n >= 0 else RatFunc(Y ** (-n))
-        B = BTMatrix(pm, u, RatFunc.const(q, 0), pn)
-        d = vertex_distance(B.inverse() @ (g @ B))
-        if best is None or d < best:
-            best = d
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +406,9 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
     Psi(t) counts coprime pairs (P, Q), deg Q <= t, modulo the shear
     P -> P + kQ: one class per unit Q, and phi_q(Q) classes per Q of
     positive degree, so Psi(t) = (q-1) + sum_{0 < deg Q <= t} phi_q(Q).
+    The q scalar multiples of a monic Q have the same phi_q(Q), and each of
+    its units P0 gives q points P/Q below, as do the q constants, so Psi(t)
+    is (q-1)/q times the number of points.
 
     The histogram enumerates the rational points P/Q inside O_v (canonical
     form: Q monic, gcd(P, Q) = 1, deg P <= deg Q) and bins them by the
@@ -497,8 +432,6 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
     if hist_depth > PREC_CAP:
         raise PrecisionCapError(
             f"requested depth {hist_depth} exceeds cap {PREC_CAP}")
-    psi = (q - 1) + mertens_sum(q, t, budget=budget)
-
     n = hist_depth - 1
     # integer points: the constants
     histogram = {(cst,) + (0,) * n: 1 for cst in range(q)}
@@ -525,19 +458,8 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
                     key = (a,) + head
                     histogram[key] = histogram.get(key, 0) + units
                 npoints += q * units
-    return {"psi": psi, "points": npoints, "histogram": histogram}
-
-
-def farey_psi_oracle(q, t):
-    """Brute-force Psi(t): canonical shear representatives, enumerated."""
-    total = q - 1  # unit denominators: one class per unit
-    for d in range(1, t + 1):
-        for Q in poly_range(q, q ** d, q ** (d + 1)):
-            for P in poly_range(q, 0, q ** d):
-                g = P.gcd(Q) if not P.is_zero() else Q.monic()
-                if g.degree == 0:
-                    total += 1
-    return total
+    return {"psi": (q - 1) * npoints // q, "points": npoints,
+            "histogram": histogram}
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,11 @@ def _budget(default):
     return budget
 
 
-def _horizon(nmax, least):
-    """--nmax, which must be at least ``least``."""
-    if nmax < least:
-        raise UsageError(f"--nmax must be at least {least}, got {nmax}")
-    return nmax
+def _horizon(value, least, flag="--nmax"):
+    """The value of ``flag``, which must be at least ``least``."""
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
+    return value
 
 
 def _fmt(x):
@@ -135,8 +135,12 @@ def cmd_count_orbits(args):
 
 def cmd_count_conjugacy(args):
     g = _load_graph(args.graph)
-    cyc = args.cycle.split(",")
-    out = counting.conjugacy_count(g, args.basepoint, cyc,
+    # the ids of a graph file may be integers: take the id whose str() it is
+    vertex = {str(v): v for v in g.vertices}
+    edge = {str(e): e for e in g.edges}
+    basepoint = vertex.get(args.basepoint, args.basepoint)
+    cyc = [edge.get(e, e) for e in args.cycle.split(",")]
+    out = counting.conjugacy_count(g, basepoint, cyc,
                                    _horizon(args.nmax, 0),
                                    budget=_budget(10 ** 8))
     rows = [(n, out[n]) for n in range(args.nmax + 1)]
@@ -168,9 +172,10 @@ def cmd_shift_equilibrium(args):
 
 
 def cmd_shift_gibbs(args):
+    maxlen = _horizon(args.maxlen, 1, "--maxlen")
     s = _shift_from_args(args)
     m = shift_mod.equilibrium_measure(s)
-    audit = shift_mod.weak_gibbs_audit(m, args.maxlen)
+    audit = shift_mod.weak_gibbs_audit(m, maxlen)
     rows = [(str(letter), lo, hi)
             for letter, (lo, hi) in sorted(audit["per_letter"].items(),
                                            key=lambda kv: str(kv[0]))]
@@ -179,11 +184,12 @@ def cmd_shift_gibbs(args):
 
 
 def cmd_shift_decay(args):
+    nmax = _horizon(args.nmax, 1)
     s = _shift_from_args(args)
     m = shift_mod.equilibrium_measure(s)
     k = s.n_letters()
     f = [1.0 if i == 0 else 0.0 for i in range(k)]
-    out = shift_mod.correlation_decay(m, f, f, args.nmax)
+    out = shift_mod.correlation_decay(m, f, f, nmax)
     rows = [(n, out["cov"][n]) for n in range(len(out["cov"]))]
     rows.append(("__fitted_rate__", out["fitted_rate"]))
     rows.append(("__spectral_rate__", out["spectral_rate"]))

@@ -12,7 +12,6 @@ import math
 
 from .errors import (
     BudgetError,
-    DegreeMismatchError,
     GraphFormatError,
     NotSimpleCycleError,
     TooLargeError,
@@ -141,116 +140,20 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     return CountSeries(counts, weighted)
 
 
-def enumerate_perpendiculars(query):
-    """Naive DFS oracle listing all perpendiculars of length <= nmax.
-
-    Only intended for small graphs and short horizons.  Returns per-length
-    counts.
-    """
-    g = query.graph
-    if g.edge_count() > 32 or query.nmax > 10:
-        raise BudgetError("naive enumeration is capped at 32 edges, nmax 10")
-    start = _boundary(g, query.minus, "origin")
-    end = set(_boundary(g, query.plus, "terminus"))
-    counts = [0] * query.nmax
-
-    def rec(eid, length):
-        if eid in end:
-            counts[length - 1] += 1
-        if length == query.nmax:
-            return
-        e = g.edges[eid]
-        for f in g.out_edges(e.terminus):
-            if f != e.reverse:
-                rec(f, length + 1)
-
-    for eid in start:
-        rec(eid, 1)
-    return counts
-
-
 # ---------------------------------------------------------------------------
-# total masses of the dynamically relevant measures
-
-
-def _entropy_spherical(periods):
-    """Exponential growth rate of the spherically symmetric tree (p_n)."""
-    n = len(periods)
-    return math.log(math.prod(periods)) / n
-
-
-def bm_mass(kind, **kw):
-    """Total mass of the measure of maximal entropy on the quotient.
-
-    kind "regular": args q, vol (probability normalisation on the sphere
-    measures) -> (q/(q+1)) * vol.
-    kind "biregular": args p, q, tvol (sphere measures normalised to
-    (deg)/sqrt(deg-1)) -> tvol.
-    kind "spherical": args periods (palindromic period of the degree
-    sequence p_n), orbit: list of (r_x, stabiliser order) pairs over
-    quotient vertices, norm_sq = squared total mass of the sphere measure
-    at the root (default 1).
-    """
-    if kind == "regular":
-        q, vol = kw["q"], kw["vol"]
-        if q < 2:
-            raise DegreeMismatchError("regular tree needs q >= 2")
-        return Fraction(q, q + 1) * Fraction(vol)
-    if kind == "biregular":
-        p, q, tvol = kw["p"], kw["q"], kw["tvol"]
-        if p < 1 or q < 1 or p == q:
-            raise DegreeMismatchError("biregular needs distinct p, q >= 1")
-        return Fraction(tvol)
-    if kind == "spherical":
-        periods = list(kw["periods"])
-        orbit = kw["orbit"]
-        norm_sq = kw.get("norm_sq", 1.0)
-        h = _entropy_spherical(periods)
-        total = 0.0
-        for r_x, stab in orbit:
-            if r_x == 0:
-                c = periods[0] / (periods[0] + 1)
-            else:
-                p0 = periods[0]
-                denom = (p0 + 1) ** 2
-                for i in range(1, r_x):
-                    denom *= periods[i % len(periods)] ** 2
-                denom *= periods[r_x % len(periods)]
-                c = ((periods[r_x % len(periods)] - 1)
-                     * math.exp(2 * r_x * h) / denom
-                     + 2 * p0 / (p0 + 1) ** 2)
-            total += norm_sq * c / stab
-        return total
-    raise UnsupportedError(f"unknown tree kind {kind!r}")
+# skinning masses
 
 
 def skinning_mass(kind, **kw):
-    """Total skinning masses for the standard convex targets.
-
-    Regular tree of degree q+1, probability normalisation:
-      "point" -> 1/stab; "cycle" of length L -> ((q-1)/(q+1)) L;
-      "horoball" -> (q/(q+1)) vol(ray); "k-regular" subgraph ->
-      ((q+1-k)/(q+1)) * nvertices (unit sphere masses).
-    Biregular (p, q), sphere norm deg/sqrt(deg-1):
-      "biregular-cycle" with Lp vertices of degree p+1 and Lq of degree
-      q+1 -> (p-1)/sqrt(p) Lp + (q-1)/sqrt(q) Lq.
+    """Total skinning masses of the point and cycle targets in the regular
+    tree of degree q+1, probability normalisation: "point" -> 1/stab;
+    "cycle" of length L -> ((q-1)/(q+1)) L.
     """
     if kind == "point":
         return Fraction(1, kw.get("stab", 1))
     if kind == "cycle":
         q, L = kw["q"], kw["L"]
         return Fraction(q - 1, q + 1) * L
-    if kind == "horoball":
-        q, vol = kw["q"], kw["vol"]
-        return Fraction(q, q + 1) * Fraction(vol)
-    if kind == "k-regular":
-        q, k, nv = kw["q"], kw["k"], kw["nvertices"]
-        if not 0 <= k <= q + 1:
-            raise DegreeMismatchError("subgraph degree exceeds ambient degree")
-        return Fraction(q + 1 - k, q + 1) * nv
-    if kind == "biregular-cycle":
-        p, q, lp, lq = kw["p"], kw["q"], kw["Lp"], kw["Lq"]
-        return (p - 1) / math.sqrt(p) * lp + (q - 1) / math.sqrt(q) * lq
     raise UnsupportedError(f"unknown skinning kind {kind!r}")
 
 

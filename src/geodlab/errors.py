@@ -79,10 +79,6 @@ class IOFailure(GeodlabError):
     code = "io"
 
 
-class DegreeMismatchError(GeodlabError):
-    code = "degree-mismatch"
-
-
 class NotSimpleCycleError(GeodlabError):
     code = "not-a-simple-cycle"
 

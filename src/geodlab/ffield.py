@@ -99,9 +99,6 @@ class FqPoly:
             return 0
         return self.coeffs[-1]
 
-    def is_monic(self):
-        return self.lc == 1
-
     def is_constant(self):
         return len(self.coeffs) <= 1
 
@@ -340,12 +337,6 @@ def mertens_sum(q, n, budget=10 ** 7):
     if q ** (n + 1) > budget:
         raise TooLargeError(f"enumeration budget exceeded: q^(n+1)={q ** (n + 1)}")
     return (q - 1) * sum(monic_phi_sum(q, d) for d in range(1, n + 1))
-
-
-def mertens_closed_form(q, n):
-    total = q * (q - 1) * (q ** (2 * n) - 1)
-    assert total % (q + 1) == 0
-    return total // (q + 1)
 
 
 class RatFunc:
@@ -844,33 +835,6 @@ class QuadIrr:
                 f"sign={self.sign:+d})")
 
 
-def quad_invariants(alpha):
-    """(trace, norm, conjugate, complexity h) with a dual-route h check.
-
-    h is computed both from |tr^2 - 4n|^{-1/2} and from the Laurent
-    expansions of the two branches; the two must agree exactly.
-    """
-    tr, nm, conj = alpha.trace(), alpha.norm(), alpha.conj()
-    # route 2: normalized discriminant
-    v = (tr * tr - 4 * nm).valuation()
-    assert v % 2 == 0
-    k = v // 2
-    h_formula = Fraction(alpha.q) ** k
-    # route 1: the expansions of the two roots, each down to Y^-k, must
-    # first differ exactly there
-    prec = max(1, k - min(alpha.valuation(), conj.valuation()) + 1)
-    try:
-        k_series = (alpha.expand(prec) - conj.expand(prec)).val
-    except PrecisionError:
-        k_series = None  # no difference in the window
-    if k_series != k:
-        found = "nowhere" if k_series is None else f"at Y^{-k_series}"
-        raise AssertionError(
-            f"complexity mismatch: the formula gives {h_formula}, so the roots "
-            f"first differ at Y^{-k}; the expansions differ first {found}")
-    return tr, nm, conj, h_formula
-
-
 class CFExpansion:
     """Artin continued fraction: polynomial partial quotients.
 
@@ -882,30 +846,6 @@ class CFExpansion:
     def __init__(self, preperiod, period=()):
         self.preperiod = tuple(preperiod)
         self.period = tuple(period)
-
-    def quotients(self, n):
-        """First n partial quotients."""
-        out = list(self.preperiod[:n])
-        while len(out) < n:
-            if not self.period:
-                break
-            out.extend(self.period[:n - len(out)])
-        return out
-
-    def convergents(self, n):
-        """(p_k, q_k) for k < n, as FqPoly pairs."""
-        qs = self.quotients(n)
-        if not qs:
-            return []
-        q = qs[0].q
-        p_prev, p_cur = FqPoly.one(q), qs[0]
-        q_prev, q_cur = FqPoly.zero(q), FqPoly.one(q)
-        out = [(p_cur, q_cur)]
-        for a in qs[1:]:
-            p_prev, p_cur = p_cur, a * p_cur + p_prev
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            out.append((p_cur, q_cur))
-        return out
 
 
 def cf_expand(x):

@@ -79,10 +79,6 @@ class GraphOfGroups:
         return (all(v.order == 1 for v in self.vertices.values())
                 and all(e.order == 1 for e in self.edges.values()))
 
-    def is_regular(self):
-        degs = {self.tree_degree(v) for v in self.vertex_ids}
-        return len(degs) == 1
-
     def conductance_vector(self):
         import numpy as np
 

@@ -84,11 +84,6 @@ def cycle(n, subgraph_len=None):
     return load_validate(doc)
 
 
-def two_vertex_segment():
-    """A single edge pair between two vertices (degenerate for NB walks)."""
-    return load_validate(_doc(["u", "v"], [("e", "u", "v")]))
-
-
 def biregular_two_cycles():
     """A (3,4)-biregular bipartite graph containing two disjoint 4-cycles.
 

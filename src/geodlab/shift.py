@@ -1,6 +1,5 @@
 """Subshifts of finite type on directed edges: pressure, equilibrium
-measures, weak-Gibbs audits, correlation decay, and a brute-force
-variational oracle.
+measures, weak-Gibbs audits and correlation decay.
 
 The potential is always a 1-step function: phi(x) = c(x_0) depends on the
 first letter only, so equilibrium states are Markov measures and the whole
@@ -245,37 +244,6 @@ def weak_gibbs_audit(m, maxlen):
             "passes": bool(np.isfinite(C) and C >= 1.0)}
 
 
-def periodic_gibbs_ratios(m, length):
-    """All Gibbs ratios of periodic words of exact length ``length``
-    (literal enumeration; used as an oracle against the tropical audit)."""
-    import numpy as np
-
-    if length > 12:
-        raise BudgetError("enumeration capped at length 12")
-    k = m.shift.n_letters()
-    out = []
-
-    def rec(word):
-        if len(word) == length:
-            if m.P[word[-1], word[0]] <= 0:
-                return
-            logm = np.log(m.p[word[0]])
-            for a, b in zip(word, word[1:]):
-                logm += np.log(m.P[a, b])
-            s = sum(m.shift.potential[a] for a in word)
-            out.append(float(np.exp(logm - s + length * m.pressure)))
-            return
-        last = word[-1]
-        for b in range(k):
-            if m.P[last, b] > 0:
-                rec(word + [b])
-
-    for a in range(k):
-        if m.p[a] > 0:
-            rec([a])
-    return out
-
-
 def correlation_decay(m, f, g, nmax):
     """cov_n = E[f(x_0) g(x_n)] - E f E g under the stationary chain, with a
     fitted exponential decay rate and the spectral oracle log(rho2/rho)."""
@@ -307,86 +275,3 @@ def correlation_decay(m, f, g, nmax):
     else:
         rate = 0.0
     return {"cov": covs, "fitted_rate": rate, "spectral_rate": rho2}
-
-
-def brute_force_equilibrium(shift, n_starts=32, seed=12345):
-    """Independent variational oracle: maximize h + int phi over stochastic
-    matrices compatible with the SFT, from random starts.
-
-    Rows are parameterized by softmax over the allowed entries and the
-    objective h(p) + p.phi (p the stationary vector) is ascended with
-    scipy's L-BFGS using an analytic gradient through the stationary
-    distribution (fundamental-matrix formula).  Returns the best measure.
-    """
-    import numpy as np
-    from scipy.optimize import minimize
-
-    k = shift.n_letters()
-    if k > 4:
-        raise BudgetError("brute-force oracle capped at 4 letters")
-    if not shift.is_irreducible():
-        raise ReducibleError("transition structure is not strongly connected")
-    allowed = [np.nonzero(shift.A[a] > 0)[0] for a in range(k)]
-    sizes = [len(s) for s in allowed]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    dim = int(offsets[-1])
-    phi = shift.potential
-
-    def unpack(theta):
-        P = np.zeros((k, k))
-        for a in range(k):
-            t = theta[offsets[a]:offsets[a + 1]]
-            w = np.exp(t - t.max())
-            P[a, allowed[a]] = w / w.sum()
-        return P
-
-    def stationary(P):
-        # solve p(I - P) = 0, sum p = 1
-        M = np.vstack([(np.eye(k) - P).T, np.ones(k)])
-        b = np.zeros(k + 1)
-        b[-1] = 1.0
-        p, *_ = np.linalg.lstsq(M, b, rcond=None)
-        return np.clip(p, 1e-300, None)
-
-    def objective_grad(theta):
-        P = unpack(theta)
-        p = stationary(P)
-        with np.errstate(divide="ignore"):
-            logP = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
-        U = np.where(P > 0, -logP, 0.0)
-        # objective = sum_a p_a sum_b P_ab (-log P_ab) + sum_a p_a phi_a
-        obj = float((p[:, None] * P * U).sum() + p @ phi)
-        gvec = (P * U).sum(axis=1) + phi
-        # gradient: d obj = sum de-contributions + (d p) . gvec, with
-        # dp = p dP Z, Z the fundamental matrix of the chain
-        Z = np.linalg.inv(np.eye(k) - P + np.outer(np.ones(k), p))
-        # dObj/dP[a,b] = p_a (U[a,b] - 1) ... derivative of -PlogP is
-        # -(logP + 1); plus stationary sensitivity p_a (Z g)_b
-        Zg = Z @ gvec
-        dP = np.zeros((k, k))
-        for a in range(k):
-            cols = allowed[a]
-            dP[a, cols] = p[a] * ((U[a, cols] - 1.0) + Zg[cols])
-        # chain rule through the softmax
-        grad = np.zeros(dim)
-        for a in range(k):
-            cols = allowed[a]
-            row = P[a, cols]
-            d = dP[a, cols]
-            grad[offsets[a]:offsets[a + 1]] = row * (d - (row @ d))
-        return -obj, -grad
-
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(n_starts):
-        theta0 = rng.normal(size=dim)
-        res = minimize(objective_grad, theta0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
-        val = -res.fun
-        if best is None or val > best[0]:
-            best = (val, res.x)
-    P = unpack(best[1])
-    p = stationary(P)
-    p = p / p.sum()
-    h = _chain_entropy(p, P)
-    return MarkovMeasure(shift, p, P, h, float(p @ phi), float(best[0]))

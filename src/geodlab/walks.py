@@ -173,11 +173,6 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed):
 # walks on the (q+1)-regular tree
 
 
-def tree_walk_kappa(q, delta):
-    """Spectral parameter of the conductance walk: (1+q)/(e^d + q e^-d)."""
-    return (1 + q) / (math.exp(delta) + q * math.exp(-delta))
-
-
 def _check_tree_walk(q, reps):
     if q < 2:
         raise NotTransientError(
@@ -399,26 +394,3 @@ def laplacian_matrices(graph):
 
     return Delta, D, Dstar, degc
 
-
-def laplacian_apply(graph, f):
-    """Delta_c f for f given as a dict vertex id -> value or an array."""
-    import numpy as np
-
-    Delta, _, _, _ = laplacian_matrices(graph)
-    if isinstance(f, dict):
-        vec = np.array([f[v] for v in graph.vertex_ids], dtype=float)
-    else:
-        vec = np.asarray(f, dtype=float)
-    return Delta @ vec
-
-
-def vol_inner(graph, f, g):
-    """<f, g> with respect to the volume form: sum (1/|G_x|) f(x) g(x)."""
-    return float(sum(f[i] * g[i] / graph.vertices[v].order
-                     for i, v in enumerate(graph.vertex_ids)))
-
-
-def is_reversible(graph, tol=0.0):
-    return all(abs(graph.edges[eid].conductance
-                   - graph.edges[graph.edges[eid].reverse].conductance) <= tol
-               for eid in graph.edge_ids)

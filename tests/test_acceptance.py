@@ -22,7 +22,6 @@ from geodlab.bt import (
     transform_check,
     translation_length,
     vertex_distance,
-    vertex_distance_smith,
 )
 from geodlab.counting import (
     PerpQuery,
@@ -35,7 +34,6 @@ from geodlab.ffield import (
     FqPoly,
     QuadIrr,
     RatFunc,
-    mertens_closed_form,
     mertens_sum,
     monic_phi_sum,
     parse_poly,
@@ -49,7 +47,6 @@ from geodlab.library import (
 )
 from geodlab.shift import (
     EdgeShift,
-    brute_force_equilibrium,
     equilibrium_measure,
     pressure,
     weak_gibbs_audit,
@@ -59,6 +56,11 @@ from geodlab.walks import (
     nbrw_exact,
     nbrw_sample,
     tree_harmonic_measure,
+)
+from oracles import (
+    brute_force_equilibrium,
+    mertens_closed_form,
+    vertex_distance_smith,
 )
 
 

@@ -1,8 +1,9 @@
 """Tree geometry over F_q((1/Y)): distances, horoballs, translation
 lengths, boundary measures, covolumes, Hecke indices, Farey counting.
 
-The Smith-elimination routine and the displacement minimiser serve as
-independent oracles for the closed-form distance and translation length.
+The Smith-elimination routine and the displacement minimiser in
+oracles.py serve as independent oracles for the closed-form distance and
+translation length.
 """
 
 import random
@@ -17,7 +18,6 @@ from geodlab.bt import (
     covolume_suite,
     crossratio_abs,
     farey_count,
-    farey_psi_oracle,
     hecke_index,
     horoball_ball_mass,
     horoball_height,
@@ -29,9 +29,7 @@ from geodlab.bt import (
     relative_height,
     transform_check,
     translation_length,
-    translation_length_oracle,
     vertex_distance,
-    vertex_distance_smith,
     zeta_minus_one,
 )
 from geodlab.errors import (
@@ -53,6 +51,12 @@ from geodlab.ffield import (
     laurent_expand,
     parse_poly,
     poly_range,
+)
+from oracles import (
+    convergents,
+    farey_psi_oracle,
+    translation_length_oracle,
+    vertex_distance_smith,
 )
 
 
@@ -87,12 +91,25 @@ def test_distance_simple_cases():
     assert vertex_distance(BTMatrix(Y * Y, one, zero, one)) == 2
 
 
-def test_distance_matches_smith_oracle():
+def _smith_mismatches(distance):
+    """The random matrices on which ``distance`` and Smith elimination
+    disagree."""
     rng = random.Random(7)
-    for q in (2, 3, 5):
-        for _ in range(70):
-            g = _rand_matrix(rng, q)
-            assert vertex_distance(g) == vertex_distance_smith(g)
+    matrices = [_rand_matrix(rng, q) for q in (2, 3, 5) for _ in range(70)]
+    return [g for g in matrices if distance(g) != vertex_distance_smith(g)]
+
+
+def test_distance_matches_smith_oracle():
+    assert _smith_mismatches(vertex_distance) == []
+
+
+def test_smith_oracle_catches_a_dropped_factor():
+    # negative control: the distance without the factor 2 on the minimal
+    # entry valuation
+    def half_distance(g):
+        return abs(g.det().valuation() - g.min_entry_valuation())
+
+    assert _smith_mismatches(half_distance)
 
 
 def test_distance_symmetry_inverse():
@@ -149,15 +166,35 @@ def test_translation_lengths():
     assert translation_length(BTMatrix(zero, one, -one, zero)) == 0
 
 
+def _displacement_mismatches(length, matrices):
+    """The matrices on which ``length`` and the displacement oracle
+    disagree.  The oracle tries 49 (m, n) pairs times 47 centres each."""
+    out = []
+    for g in matrices:
+        best, points = translation_length_oracle(g)
+        assert points == 2303
+        if length(g) != best:
+            out.append(g)
+    return out
+
+
 def test_translation_length_matches_displacement_oracle():
     q = 3
     Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
-    for g in (BTMatrix(one, Y, zero, one),
-              BTMatrix(Y, one, one, zero),
-              BTMatrix(Y * Y, one, one, zero),
-              BTMatrix(zero, one, -one, zero),
-              BTMatrix(Y, one, one, zero) @ BTMatrix(one, one, zero, one)):
-        assert translation_length(g) == translation_length_oracle(g)
+    matrices = [BTMatrix(one, Y, zero, one),
+                BTMatrix(Y, one, one, zero),
+                BTMatrix(Y * Y, one, one, zero),
+                BTMatrix(zero, one, -one, zero),
+                BTMatrix(Y, one, one, zero) @ BTMatrix(one, one, zero, one)]
+    assert _displacement_mismatches(translation_length, matrices) == []
+
+
+def test_displacement_oracle_catches_a_dropped_factor():
+    # negative control: the translation length without the factor 2
+    q = 3
+    Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
+    assert _displacement_mismatches(lambda g: translation_length(g) // 2,
+                                    [BTMatrix(Y, one, one, zero)])
 
 
 def test_translation_length_det_guard():
@@ -352,7 +389,7 @@ def test_abs_diff_where_the_leading_terms_cancel(q, disc):
     al = _sqrt_quad(q, disc)
     for x in _orbit_points(al, 1):
         # convergents p/r of x: |x - p/r| = 1/|r r'| is far below |x|
-        for p, r in cf_expand(x).convergents(6)[2:]:
+        for p, r in convergents(cf_expand(x), 6)[2:]:
             y = RatFunc(p, r)
             want = _abs_diff_oracle(x, y)
             assert abs_diff(x, y) == want < Fraction(q) ** -x.valuation()
@@ -426,10 +463,25 @@ def test_hecke_index_guards():
 # Farey counting
 
 
+def _psi_mismatches():
+    cases = [(2, t) for t in range(1, 6)] + [(3, 3)]
+    return [(q, t) for q, t in cases
+            if farey_count(q, t)["psi"] != farey_psi_oracle(q, t)]
+
+
 def test_farey_psi_matches_oracle():
-    for t in range(1, 6):
-        assert farey_count(2, t)["psi"] == farey_psi_oracle(2, t)
-    assert farey_count(3, 3)["psi"] == farey_psi_oracle(3, 3)
+    assert _psi_mismatches() == []
+
+
+def test_farey_psi_oracle_catches_a_dropped_factor(monkeypatch):
+    # negative control: a sieve that forgets one prime factor of Q
+    import geodlab.bt
+
+    def factor_minus_one(f):
+        return dict(list(factor(f).items())[1:])
+
+    monkeypatch.setattr(geodlab.bt, "factor", factor_minus_one)
+    assert _psi_mismatches()
 
 
 def test_farey_psi_values():

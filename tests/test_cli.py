@@ -217,6 +217,34 @@ def test_count_conjugacy_unknown_id_is_a_record(capsys, basepoint, cycle):
     assert json.loads(err)["error"] == "dangling-reference"
 
 
+def _integer_dumbbell(tmp_path):
+    """builtin:dumbbell with integer ids: vertices u = 1 and w = 2, the
+    loop at u 10/11, the loop at w 20/21 and the bridge 30/31."""
+    edges = []
+    for e, u, v in [(10, 1, 1), (20, 2, 2), (30, 1, 2)]:
+        edges += [{"id": e, "from": u, "to": v, "reverse": e + 1},
+                  {"id": e + 1, "from": v, "to": u, "reverse": e}]
+    path = tmp_path / "dumbbell.json"
+    path.write_text(json.dumps({"vertices": [{"id": 1}, {"id": 2}],
+                                "edges": edges}))
+    return str(path)
+
+
+def test_count_conjugacy_names_integer_ids(tmp_path, capsys):
+    argv = ("count", "conjugacy", "--nmax", "12", "--graph")
+    want = run_cli(capsys, *argv, "builtin:dumbbell", "--basepoint", "w",
+                   "--cycle", "l+")
+    path = _integer_dumbbell(tmp_path)
+    assert run_cli(capsys, *argv, path, "--basepoint", "2",
+                   "--cycle", "10") == want
+    # an id the graph does not have is still a dangling reference
+    for flags in (("--basepoint", "7", "--cycle", "10"),
+                  ("--basepoint", "2", "--cycle", "10,12")):
+        code, out, err = run_cli(capsys, *argv, path, *flags)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "dangling-reference"
+
+
 def test_count_orbits_past_the_old_horizon(capsys):
     code, out, err = run_cli(capsys, "count", "orbits", "--graph",
                              "builtin:petersen", "--nmax", "200")
@@ -350,6 +378,21 @@ def test_bad_input_is_a_record(capsys, argv, want):
     assert code == 2 and out == ""
     record = json.loads(err)
     assert record["error"] == want and want in _error_codes()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("shift", "decay", "--preset", "golden", "--nmax", "0"), "--nmax"),
+    (("shift", "decay", "--preset", "golden", "--nmax", "-2"), "--nmax"),
+    (("shift", "gibbs-audit", "--preset", "golden", "--maxlen", "0"),
+     "--maxlen"),
+    (("shift", "gibbs-audit", "--graph", "builtin:fig8", "--maxlen", "-1"),
+     "--maxlen"),
+])
+def test_shift_horizon_below_one_is_a_record(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "usage" and flag in record["message"]
 
 
 @pytest.mark.parametrize("budget", ["abc", "0", "-5", "1.5"])

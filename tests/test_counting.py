@@ -1,9 +1,9 @@
 """Perpendicular counting, closed orbits, conjugacy growth.
 
-Oracles: the naive DFS path enumerator, hand-counted small paths, the
-closed forms 2(3^n - 1) (figure-8) and 3^n + 2 + (-1)^n (figure-8 traces),
-and tr(B^n) by integer matrix powers of a transfer matrix built here from
-the edge records.
+Oracles: the naive DFS path enumerator of oracles.py, hand-counted small
+paths, the closed forms 2(3^n - 1) (figure-8) and 3^n + 2 + (-1)^n
+(figure-8 traces), and tr(B^n) by integer matrix powers of a transfer
+matrix built here from the edge records.
 """
 
 import math
@@ -13,11 +13,9 @@ import pytest
 
 from geodlab.counting import (
     PerpQuery,
-    bm_mass,
     closed_orbit_count,
     conjugacy_count,
     count_perpendiculars,
-    enumerate_perpendiculars,
     skinning_mass,
     theoretical_constant,
     validate_simple_cycle,
@@ -25,7 +23,6 @@ from geodlab.counting import (
 from geodlab.errors import (
     BudgetError,
     DegenerateError,
-    DegreeMismatchError,
     GraphFormatError,
     NotSimpleCycleError,
     TooLargeError,
@@ -39,8 +36,8 @@ from geodlab.library import (
     figure_eight,
     petersen,
     theta,
-    two_vertex_segment,
 )
+from oracles import enumerate_perpendiculars, two_vertex_segment
 
 
 def test_fig8_exact_law():
@@ -57,10 +54,28 @@ def test_fig8_per_length():
     assert series.counts == [4 * 3 ** (n - 1) for n in range(1, 7)]
 
 
+def _successors_with_backtracking(self):
+    """GraphOfGroups.nb_successors without the rule that a path may not
+    turn back: the mutation the negative controls below inject."""
+    return [[self.edge_index[f]
+             for f in self.out_edges(self.edges[eid].terminus)]
+            for eid in self.edge_ids]
+
+
+def _dp_matches_dfs_oracle():
+    q = PerpQuery(petersen(), "P0", "P1", 8)
+    return count_perpendiculars(q).counts == enumerate_perpendiculars(q)
+
+
 def test_dp_matches_dfs_oracle():
-    g = petersen()
-    q = PerpQuery(g, "P0", "P1", 8)
-    assert count_perpendiculars(q).counts == enumerate_perpendiculars(q)
+    assert _dp_matches_dfs_oracle()
+
+
+def test_dfs_oracle_catches_backtracking(monkeypatch):
+    # negative control: a DP step that lets a path turn back
+    monkeypatch.setattr(GraphOfGroups, "nb_successors",
+                        _successors_with_backtracking)
+    assert not _dp_matches_dfs_oracle()
 
 
 def test_theta_parity():
@@ -76,7 +91,7 @@ def test_budget_guard():
     g = petersen()
     with pytest.raises(BudgetError):
         count_perpendiculars(PerpQuery(g, "P0", "P1", 10), budget=100)
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValueError):
         enumerate_perpendiculars(PerpQuery(g, "P0", "P1", 11))
 
 
@@ -93,37 +108,12 @@ def test_weighted_counts():
 # closed-form masses
 
 
-def test_bm_mass_regular():
-    assert bm_mass("regular", q=2, vol=1) == Fraction(2, 3)
-    assert bm_mass("regular", q=3, vol=Fraction(5, 2)) == Fraction(15, 8)
-    with pytest.raises(DegreeMismatchError):
-        bm_mass("regular", q=1, vol=1)
-
-
-def test_bm_mass_biregular():
-    assert bm_mass("biregular", p=2, q=3, tvol=Fraction(7)) == Fraction(7)
-    with pytest.raises(DegreeMismatchError):
-        bm_mass("biregular", p=2, q=2, tvol=1)
-
-
-def test_bm_mass_spherical_reduces_to_regular():
-    # constant degree sequence: orbit point at the root gives q/(q+1)
-    val = bm_mass("spherical", periods=[2], orbit=[(0, 1)])
-    assert abs(val - 2 / 3) < 1e-12
-
-
 def test_skinning_masses():
     assert skinning_mass("point") == 1
     assert skinning_mass("point", stab=2) == Fraction(1, 2)
     assert skinning_mass("cycle", q=2, L=3) == 1
-    assert skinning_mass("horoball", q=2, vol=3) == 2
-    assert skinning_mass("k-regular", q=2, k=1, nvertices=4) == Fraction(8, 3)
-    val = skinning_mass("biregular-cycle", p=2, q=3, Lp=2, Lq=2)
-    assert abs(val - (2 / math.sqrt(2) + 4 / math.sqrt(3))) < 1e-12
     with pytest.raises(UnsupportedError):
         skinning_mass("moebius-band")
-    with pytest.raises(DegreeMismatchError):
-        skinning_mass("k-regular", q=2, k=5, nvertices=1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +236,8 @@ def test_fix_matches_trace_powers(name):
 
 def test_trace_oracle_catches_backtracking(monkeypatch):
     # negative control: a successor rule that lets a path turn back
-    def with_backtracking(self):
-        return [[self.edge_index[f]
-                 for f in self.out_edges(self.edges[eid].terminus)]
-                for eid in self.edge_ids]
-
-    monkeypatch.setattr(GraphOfGroups, "nb_successors", with_backtracking)
+    monkeypatch.setattr(GraphOfGroups, "nb_successors",
+                        _successors_with_backtracking)
     assert not _fix_matches_oracle(petersen(), 26)
 
 

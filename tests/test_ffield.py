@@ -24,15 +24,14 @@ from geodlab.ffield import (
     euler_phi,
     factor,
     laurent_expand,
-    mertens_closed_form,
     mertens_sum,
     monic_irreducibles,
     monic_phi_sum,
     parse_poly,
     parse_ratfunc,
     poly_range,
-    quad_invariants,
 )
+from oracles import convergents, mertens_closed_form, quad_invariants
 
 
 def poly_strategy(q, max_deg=6):
@@ -79,7 +78,7 @@ def test_gcd_divides(q, a, b):
     if g.is_zero():
         assert fa.is_zero() and fb.is_zero()
         return
-    assert g.is_monic()
+    assert g.lc == 1
     assert (fa % g).is_zero()
     assert (fb % g).is_zero()
 
@@ -124,7 +123,7 @@ def test_factor_reconstructs():
             fac = factor(f)
             prod = FqPoly.one(q)
             for p, mult in fac.items():
-                assert p.is_monic()
+                assert p.lc == 1
                 prod = prod * p ** mult
             assert prod == f
 
@@ -147,7 +146,7 @@ def test_poly_range_base_q_order():
     monic = list(poly_range(q, q ** 2, 2 * q ** 2))
     assert [str(f) for f in monic[:4]] == ["Y^2", "Y^2+1", "Y^2+2", "Y^2+Y"]
     assert len(monic) == 9
-    assert all(f.is_monic() and f.degree == 2 for f in monic)
+    assert all(f.lc == 1 and f.degree == 2 for f in monic)
     deg1 = [str(f) for f in poly_range(q, q, q ** 2)]
     assert deg1 == ["Y", "Y+1", "Y+2", "2Y", "2Y+1", "2Y+2"]
     assert list(poly_range(q, 5, 5)) == []
@@ -192,10 +191,22 @@ def test_phi_prime_power():
     assert euler_phi(p * p) == 12
 
 
+def _mertens_mismatches():
+    return [(q, n) for q in (2, 3) for n in (1, 2, 3)
+            if mertens_sum(q, n) != mertens_closed_form(q, n)]
+
+
 def test_mertens_exact_small():
-    for q in (2, 3):
-        for n in (1, 2, 3):
-            assert mertens_sum(q, n) == mertens_closed_form(q, n)
+    assert _mertens_mismatches() == []
+
+
+def test_mertens_closed_form_catches_a_dropped_factor(monkeypatch):
+    # negative control: euler_phi of a factorisation that forgets one prime
+    def factor_minus_one(f):
+        return dict(list(factor(f).items())[1:])
+
+    monkeypatch.setattr(ffield, "factor", factor_minus_one)
+    assert _mertens_mismatches()
 
 
 def test_mertens_closed_form_value():
@@ -536,7 +547,7 @@ def test_cf_periods_of_orbit_points(q, triple, branch, preperiod, period):
 def test_cf_convergent_quality():
     al = _sqrt_quad(3, "Y^2+Y")
     s = al.expand(40)
-    for p, qd in cf_expand(al).convergents(5):
+    for p, qd in convergents(cf_expand(al), 5):
         from geodlab.ffield import RatFunc
         approx = laurent_expand(RatFunc(p, qd), 40)
         diff_val = None

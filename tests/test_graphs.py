@@ -10,15 +10,14 @@ from geodlab.errors import DegenerateError, GraphFormatError
 from geodlab.graphs import load_validate, to_document
 from geodlab.library import (
     BUILTIN,
-    biregular_two_cycles,
     cycle,
     figure_eight,
     get_builtin,
     order_two_chain,
     petersen,
     theta,
-    two_vertex_segment,
 )
+from oracles import two_vertex_segment
 
 
 def _base_doc():
@@ -143,11 +142,6 @@ def test_tree_degrees():
     assert all(g.tree_degree(v) == 3 for v in g.vertex_ids)
     g2 = petersen()
     assert all(g2.tree_degree(v) == 3 for v in g2.vertex_ids)
-
-
-def test_regularity():
-    assert petersen().is_regular()
-    assert not biregular_two_cycles().is_regular()
 
 
 # ---------------------------------------------------------------------------

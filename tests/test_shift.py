@@ -2,7 +2,9 @@
 
 Closed-form oracles: full shifts with one-step potentials are Bernoulli
 (p_b proportional to e^{c_b}, pressure log sum e^{c_b}); the golden-mean
-shift has pressure log((1+sqrt 5)/2) with explicit Perron data.
+shift has pressure log((1+sqrt 5)/2) with explicit Perron data.  From
+oracles.py: the literal enumeration of periodic Gibbs ratios and the
+brute-force variational fit.
 """
 
 import math
@@ -12,21 +14,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geodlab.errors import (
-    BudgetError,
     InadmissibleWordError,
     ReducibleError,
 )
 from geodlab.library import figure_eight, petersen
 from geodlab.shift import (
     EdgeShift,
-    brute_force_equilibrium,
+    MarkovMeasure,
     correlation_decay,
     cylinder_measure,
     equilibrium_measure,
-    periodic_gibbs_ratios,
     pressure,
     weak_gibbs_audit,
 )
+from oracles import brute_force_equilibrium, periodic_gibbs_ratios
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -130,17 +131,33 @@ def test_gibbs_audit_fig8():
         assert abs(lo - 0.75) < 1e-9 and abs(hi - 0.75) < 1e-9
 
 
-def test_gibbs_audit_bounds_literal_ratios():
+def _three_letter_measure():
     rng = np.random.default_rng(11)
     A = np.array([[1, 1, 0], [1, 1, 1], [1, 0, 1]])
     pot = rng.normal(scale=0.5, size=3)
-    m = equilibrium_measure(EdgeShift(list(range(3)), A, pot))
-    audit = weak_gibbs_audit(m, 8)
+    return equilibrium_measure(EdgeShift(list(range(3)), A, pot))
+
+
+def _ratios_outside_audit(audit, m):
+    """The literal periodic Gibbs ratios of m outside the audit's range."""
     lo = min(l for l, _ in audit["per_letter"].values())
     hi = max(h for _, h in audit["per_letter"].values())
-    for n in range(1, 9):
-        for r in periodic_gibbs_ratios(m, n):
-            assert lo - 1e-9 <= r <= hi + 1e-9
+    return [r for n in range(1, 9) for r in periodic_gibbs_ratios(m, n)
+            if not lo - 1e-9 <= r <= hi + 1e-9]
+
+
+def test_gibbs_audit_bounds_literal_ratios():
+    m = _three_letter_measure()
+    assert _ratios_outside_audit(weak_gibbs_audit(m, 8), m) == []
+
+
+def test_literal_ratios_catch_an_audit_off_by_a_factor():
+    # negative control: an audit that adds 0.5 to the pressure rates every
+    # word of length n e^{n/2} too high
+    m = _three_letter_measure()
+    wrong = MarkovMeasure(m.shift, m.p, m.P, m.entropy, m.phi_integral,
+                          m.pressure + 0.5)
+    assert _ratios_outside_audit(weak_gibbs_audit(wrong, 8), m)
 
 
 @settings(max_examples=10, deadline=None)
@@ -184,18 +201,34 @@ def test_correlation_constant_observable():
 # brute-force variational oracle
 
 
-def test_brute_force_matches_spectral():
+def _golden_with_potential():
     rng = np.random.default_rng(3)
     A = np.array([[1, 1], [1, 0]], dtype=float)
-    s = EdgeShift([0, 1], A, rng.normal(scale=0.5, size=2))
-    m = equilibrium_measure(s)
+    return EdgeShift([0, 1], A, rng.normal(scale=0.5, size=2))
+
+
+def _matches_brute_force(m, bf):
+    return (abs(bf.pressure - m.pressure) < 1e-6
+            and 0.5 * np.abs(np.asarray(bf.p) - np.asarray(m.p)).sum() < 1e-4)
+
+
+def test_brute_force_matches_spectral():
+    s = _golden_with_potential()
     bf = brute_force_equilibrium(s, n_starts=8, seed=1)
-    assert abs(bf.pressure - m.pressure) < 1e-6
-    assert 0.5 * np.abs(np.asarray(bf.p) - np.asarray(m.p)).sum() < 1e-4
+    assert _matches_brute_force(equilibrium_measure(s), bf)
+
+
+def test_brute_force_catches_a_dropped_potential():
+    # negative control: the equilibrium state of the shift without its
+    # potential
+    s = _golden_with_potential()
+    bf = brute_force_equilibrium(s, n_starts=8, seed=1)
+    no_potential = equilibrium_measure(EdgeShift(s.letters, s.A))
+    assert not _matches_brute_force(no_potential, bf)
 
 
 def test_brute_force_caps_letters():
-    with pytest.raises(BudgetError):
+    with pytest.raises(ValueError):
         brute_force_equilibrium(EdgeShift.full_shift(5))
 
 

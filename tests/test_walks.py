@@ -1,7 +1,5 @@
 """Non-backtracking random walks, tree walks, and the weighted Laplacian."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,21 +11,17 @@ from geodlab.library import (
     order_two_chain,
     petersen,
     theta,
-    two_vertex_segment,
 )
 from geodlab.seeding import derive_seed
 from geodlab.walks import (
     NBRWKernel,
     green_ratio_check,
-    is_reversible,
-    laplacian_apply,
     laplacian_matrices,
     nbrw_exact,
     nbrw_sample,
     tree_harmonic_measure,
-    tree_walk_kappa,
-    vol_inner,
 )
+from oracles import is_reversible, two_vertex_segment, vol_inner
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +171,6 @@ def test_nbrw_sample_tracks_exact_nonuniform_rows(make, start, n):
 # tree walks
 
 
-def test_kappa_at_zero_conductance():
-    for q in (2, 3, 5):
-        assert abs(tree_walk_kappa(q, math.log(q)) - 1.0) < 1e-14
-
-
 def test_harmonic_depth_one():
     out = tree_harmonic_measure(2, 1, 30000, 12)
     assert out["n_shadows"] == 3
@@ -312,13 +301,6 @@ def test_laplacian_degc_weighted_symmetry():
     w = np.array([degc[v] for v in g.vertex_ids])
     M = np.diag(w) @ Delta
     assert np.abs(M - M.T).max() < 1e-12
-
-
-def test_laplacian_apply_matches_matrix():
-    g = _reversible_conductance(theta(), 8)
-    Delta, _, _, _ = laplacian_matrices(g)
-    f = np.array([0.3, -1.2])
-    assert np.abs(laplacian_apply(g, f) - Delta @ f).max() < 1e-12
 
 
 def test_is_reversible_detects_asymmetry():
