@@ -254,8 +254,8 @@ def brute_force_equilibrium(shift, n_starts=32, seed=12345):
     Rows are softmaxes over the allowed entries, and the objective
     h(p) + p.phi (p the stationary vector) is ascended with scipy's L-BFGS
     using an analytic gradient through the stationary distribution (the
-    fundamental-matrix formula).  Returns the best chain as a namespace
-    with p, P, entropy, phi_integral and pressure (the maximum).
+    fundamental-matrix formula).  Returns the stationary vector p of the
+    best chain and the maximum, the pressure, as a namespace.
     """
     from scipy.optimize import minimize
 
@@ -286,14 +286,11 @@ def brute_force_equilibrium(shift, n_starts=32, seed=12345):
         p, *_ = np.linalg.lstsq(M, b, rcond=None)
         return np.clip(p, 1e-300, None)
 
-    def minus_logs(P):
-        with np.errstate(divide="ignore"):
-            return np.where(P > 0, -np.log(np.where(P > 0, P, 1.0)), 0.0)
-
     def objective_grad(theta):
         P = unpack(theta)
         p = stationary(P)
-        U = minus_logs(P)
+        with np.errstate(divide="ignore"):
+            U = np.where(P > 0, -np.log(np.where(P > 0, P, 1.0)), 0.0)
         # objective = sum_a p_a sum_b P_ab (-log P_ab) + sum_a p_a phi_a
         obj = float((p[:, None] * P * U).sum() + p @ phi)
         gvec = (P * U).sum(axis=1) + phi
@@ -318,10 +315,5 @@ def brute_force_equilibrium(shift, n_starts=32, seed=12345):
                        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
         if best is None or -res.fun > best[0]:
             best = (-res.fun, res.x)
-    P = unpack(best[1])
-    p = stationary(P)
-    p = p / p.sum()
-    return SimpleNamespace(p=p, P=P,
-                           entropy=float((p[:, None] * P * minus_logs(P)).sum()),
-                           phi_integral=float(p @ phi),
-                           pressure=float(best[0]))
+    p = stationary(unpack(best[1]))
+    return SimpleNamespace(p=p / p.sum(), pressure=float(best[0]))

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import geodlab.bt
 from geodlab.bt import (
     INF,
     BTMatrix,
@@ -473,14 +474,15 @@ def test_farey_psi_matches_oracle():
     assert _psi_mismatches() == []
 
 
+def _factor_minus_one(f):
+    """factor(f) without its first prime: the mutation the negative
+    controls of the Farey sieve inject."""
+    return dict(list(factor(f).items())[1:])
+
+
 def test_farey_psi_oracle_catches_a_dropped_factor(monkeypatch):
     # negative control: a sieve that forgets one prime factor of Q
-    import geodlab.bt
-
-    def factor_minus_one(f):
-        return dict(list(factor(f).items())[1:])
-
-    monkeypatch.setattr(geodlab.bt, "factor", factor_minus_one)
+    monkeypatch.setattr(geodlab.bt, "factor", _factor_minus_one)
     assert _psi_mismatches()
 
 
@@ -556,12 +558,7 @@ def test_farey_histogram_matches_reference(q, tmax, dmax):
 
 def test_farey_reference_catches_a_dropped_factor(monkeypatch):
     # a sieve that forgets one prime factor of Q counts non-units as units
-    import geodlab.bt
-
-    def factor_minus_one(f):
-        return dict(list(factor(f).items())[1:])
-
-    monkeypatch.setattr(geodlab.bt, "factor", factor_minus_one)
+    monkeypatch.setattr(geodlab.bt, "factor", _factor_minus_one)
     with pytest.raises(AssertionError):
         _check_farey_against_reference(2, 3, 2)
 

@@ -201,10 +201,14 @@ def test_correlation_constant_observable():
 # brute-force variational oracle
 
 
-def _golden_with_potential():
+@pytest.fixture(scope="module")
+def golden_fit():
+    """A golden-mean shift with a random potential and its brute-force
+    variational fit."""
     rng = np.random.default_rng(3)
     A = np.array([[1, 1], [1, 0]], dtype=float)
-    return EdgeShift([0, 1], A, rng.normal(scale=0.5, size=2))
+    s = EdgeShift([0, 1], A, rng.normal(scale=0.5, size=2))
+    return s, brute_force_equilibrium(s, n_starts=8, seed=1)
 
 
 def _matches_brute_force(m, bf):
@@ -212,17 +216,15 @@ def _matches_brute_force(m, bf):
             and 0.5 * np.abs(np.asarray(bf.p) - np.asarray(m.p)).sum() < 1e-4)
 
 
-def test_brute_force_matches_spectral():
-    s = _golden_with_potential()
-    bf = brute_force_equilibrium(s, n_starts=8, seed=1)
+def test_brute_force_matches_spectral(golden_fit):
+    s, bf = golden_fit
     assert _matches_brute_force(equilibrium_measure(s), bf)
 
 
-def test_brute_force_catches_a_dropped_potential():
+def test_brute_force_catches_a_dropped_potential(golden_fit):
     # negative control: the equilibrium state of the shift without its
     # potential
-    s = _golden_with_potential()
-    bf = brute_force_equilibrium(s, n_starts=8, seed=1)
+    s, bf = golden_fit
     no_potential = equilibrium_measure(EdgeShift(s.letters, s.A))
     assert not _matches_brute_force(no_potential, bf)
 
