@@ -141,23 +141,6 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# skinning masses
-
-
-def skinning_mass(kind, **kw):
-    """Total skinning masses of the point and cycle targets in the regular
-    tree of degree q+1, probability normalisation: "point" -> 1/stab;
-    "cycle" of length L -> ((q-1)/(q+1)) L.
-    """
-    if kind == "point":
-        return Fraction(1, kw.get("stab", 1))
-    if kind == "cycle":
-        q, L = kw["q"], kw["L"]
-        return Fraction(q - 1, q + 1) * L
-    raise UnsupportedError(f"unknown skinning kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # theoretical counting constants
 
 
@@ -207,11 +190,13 @@ def theoretical_constant(query, series):
         # ||m|| = (q/(q+1)) Vol, probability-normalised sphere measures
         m_mass = Fraction(q, q + 1) * rep.vol
 
+        # total skinning masses in the probability normalisation: 1 for a
+        # point, ((q-1)/(q+1)) L for a cycle of length L
         def sk(kind, data):
             if kind == "point":
-                return skinning_mass("point")
+                return Fraction(1)
             if kind == "cycle":
-                return skinning_mass("cycle", q=q, L=data["length"])
+                return Fraction(q - 1, q + 1) * data["length"]
             raise UnsupportedError(
                 "regular constants support point/cycle targets")
 

@@ -44,6 +44,9 @@ class NBRWKernel:
             for j, w in row:
                 P[i, j] = w / tot
         self.P = P
+        # vertex index of each edge's terminus, the vertex a walk stands on
+        self.term = np.array([graph.vertex_index[graph.edges[eid].terminus]
+                              for eid in graph.edge_ids], dtype=np.intp)
 
     def start_distribution(self, subname):
         """Initial edge law for a walk leaving the named subgraph: vertex
@@ -73,11 +76,8 @@ class NBRWKernel:
         """Distribution of the current vertex = terminus of the last edge."""
         import numpy as np
 
-        g = self.graph
-        out = np.zeros(g.vertex_count())
-        for i, eid in enumerate(g.edge_ids):
-            out[g.vertex_index[g.edges[eid].terminus]] += edge_dist[i]
-        return out
+        return np.bincount(self.term, weights=edge_dist,
+                           minlength=self.graph.vertex_count())
 
     def target_distribution(self):
         """The limit law vol/Vol over vertices (nonbipartite case)."""
@@ -118,28 +118,42 @@ def nbrw_exact(graph, start_subgraph, n):
 
 
 def _successor_table(P):
-    """Inverse-CDF lookup table over the positive entries of P's rows.
+    """Row-local inverse-CDF lookup table over the positive entries of P.
 
-    Row i with positive entries at columns j_1 < ... < j_k contributes the
-    keys i + c_1 < ... < i + c_k, c being the running sums of those entries,
-    and ``succ`` holds j_1..j_k at the same positions.  For u in [0, 1) the
-    first key above i + u selects j with probability P[i, j].  The last key
-    of row i is set to exactly i + 1, so rounding in the sums can never
-    reach a zero entry or the next row; ``last[i]`` indexes that key, a
-    clamp for i + u rounding up to i + 1.  The table has one entry per
-    nonzero of P.
+    Returns (keys, first, last, succ).  Row i with positive entries at
+    columns j_1 < ... < j_k has the keys keys[m, i] = i + s_m for m < k,
+    s_m being the running sum P[i, j_1] + ... + P[i, j_{m+1}], and ``inf``
+    past them up to the largest k of any row.  ``succ`` lists j_1..j_k of
+    each row in turn, at ``first[i]`` to ``last[i]``: one entry per nonzero
+    of P.  For u in [0, 1) the first key of row i above i + u selects j
+    with probability P[i, j].  The last key of row i is set to exactly
+    i + 1, so rounding in the sums can never reach a zero entry;
+    ``last[i]`` clamps the pick when i + u rounds up to i + 1.
     """
     import numpy as np
 
-    keys, succ = [], []
-    for i, row in enumerate(P):
-        (cols,) = np.nonzero(row)
-        c = np.cumsum(row[cols])
-        c[-1] = 1.0
-        keys.append(i + c)
-        succ.append(cols)
-    last = np.cumsum([len(c) for c in succ]) - 1
-    return np.concatenate(keys), np.concatenate(succ), last
+    cols = [np.flatnonzero(row) for row in P]
+    sizes = np.array([len(c) for c in cols])
+    keys = np.full((sizes.max(), len(P)), np.inf)
+    for i, (row, c) in enumerate(zip(P, cols)):
+        cum = np.cumsum(row[c])
+        cum[-1] = 1.0
+        keys[:len(c), i] = i + cum
+    last = np.cumsum(sizes) - 1
+    return keys, last - sizes + 1, last, np.concatenate(cols)
+
+
+def _nbrw_step(table, state, u):
+    """Next edge of each walk on edge ``state`` with uniform draw ``u``:
+    the successor under the first key of its row above state + u."""
+    import numpy as np
+
+    keys, first, last, succ = table
+    x = state + u
+    pos = first[state]
+    for row_keys in keys:
+        pos += row_keys[state] <= x
+    return succ[np.minimum(pos, last[state], out=pos)]
 
 
 def nbrw_sample(graph, start_subgraph, n, reps, seed):
@@ -156,16 +170,12 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed):
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
     kernel = NBRWKernel(graph)
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 0)))
-    n_edges = graph.edge_count()
     start = kernel.start_distribution(start_subgraph)
-    state = rng.choice(n_edges, size=reps, p=start)
-    keys, succ, last = _successor_table(kernel.P)
+    state = rng.choice(graph.edge_count(), size=reps, p=start)
+    table = _successor_table(kernel.P)
     for _ in range(n - 1):
-        pos = np.searchsorted(keys, state + rng.random(reps), side="right")
-        state = succ[np.minimum(pos, last[state], out=pos)]
-    term = np.array([graph.vertex_index[graph.edges[eid].terminus]
-                     for eid in graph.edge_ids])
-    tallies = np.bincount(term[state], minlength=graph.vertex_count())
+        state = _nbrw_step(table, state, rng.random(reps))
+    tallies = np.bincount(kernel.term[state], minlength=graph.vertex_count())
     return {"tallies": tallies, "empirical": tallies / reps, "reps": reps}
 
 

@@ -203,6 +203,34 @@ def enumerate_perpendiculars(query):
     return counts
 
 
+def nbrw_global_search(P, start, n, reps, philox_seed):
+    """Final edges of ``reps`` non-backtracking walks of n edges with
+    transition matrix P and start law ``start``, one binary search per path
+    and step over the keys of every nonzero of P.
+
+    Draws as walks.nbrw_sample does: the start edges through rng.choice,
+    then one uniform per path and step, from the Philox stream seeded with
+    ``philox_seed``.  Row i's keys are i plus the running sums of its
+    positive entries, the last one set to exactly i + 1; the first key
+    above state + u picks the successor, clamped to the row's last one.
+    """
+    rng = np.random.Generator(np.random.Philox(philox_seed))
+    keys, succ = [], []
+    for i, row in enumerate(P):
+        (cols,) = np.nonzero(row)
+        c = np.cumsum(row[cols])
+        c[-1] = 1.0
+        keys.append(i + c)
+        succ.append(cols)
+    last = np.cumsum([len(c) for c in succ]) - 1
+    keys, succ = np.concatenate(keys), np.concatenate(succ)
+    state = rng.choice(len(P), size=reps, p=start)
+    for _ in range(n - 1):
+        pos = np.searchsorted(keys, state + rng.random(reps), side="right")
+        state = succ[np.minimum(pos, last[state])]
+    return state
+
+
 def vol_inner(graph, f, g):
     """<f, g> for the volume form: sum (1/|G_x|) f(x) g(x)."""
     return float(sum(f[i] * g[i] / graph.vertices[v].order

@@ -16,7 +16,6 @@ from geodlab.counting import (
     closed_orbit_count,
     conjugacy_count,
     count_perpendiculars,
-    skinning_mass,
     theoretical_constant,
     validate_simple_cycle,
 )
@@ -28,7 +27,7 @@ from geodlab.errors import (
     TooLargeError,
     UnsupportedError,
 )
-from geodlab.graphs import GraphOfGroups, load_validate
+from geodlab.graphs import GraphOfGroups, load_validate, to_document
 from geodlab.library import (
     BUILTIN,
     biregular_two_cycles,
@@ -105,19 +104,31 @@ def test_weighted_counts():
 
 
 # ---------------------------------------------------------------------------
-# closed-form masses
-
-
-def test_skinning_masses():
-    assert skinning_mass("point") == 1
-    assert skinning_mass("point", stab=2) == Fraction(1, 2)
-    assert skinning_mass("cycle", q=2, L=3) == 1
-    with pytest.raises(UnsupportedError):
-        skinning_mass("moebius-band")
-
-
-# ---------------------------------------------------------------------------
 # theoretical constants
+
+
+def _petersen_with_rim():
+    """Petersen with its outer 5-cycle o0..o4 as the cycle target "R"."""
+    doc = to_document(petersen())
+    doc["subgraphs"]["R"] = {
+        "vertices": [f"o{i}" for i in range(5)],
+        "edges": [f"r{i}{s}" for i in range(5) for s in "+-"]}
+    return load_validate(doc)
+
+
+@pytest.mark.parametrize("make, minus, plus, want", [
+    # q = 2, Vol = 2 and 10; skinning mass 1 for a point and (1/3) L for a
+    # cycle of length L, so the constant is 3/Vol, L/Vol or L L'/(3 Vol)
+    (dumbbell, "X", "W", Fraction(3, 2)),
+    (dumbbell, "X", "K", Fraction(1, 2)),
+    (dumbbell, "K", "K", Fraction(1, 6)),
+    (_petersen_with_rim, "P0", "R", Fraction(1, 2)),
+    (_petersen_with_rim, "R", "R", Fraction(5, 6)),
+])
+def test_constant_point_and_cycle_targets(make, minus, plus, want):
+    query = PerpQuery(make(), minus, plus, 8)
+    rep = theoretical_constant(query, count_perpendiculars(query))
+    assert abs(rep.constant - float(want)) < 1e-12
 
 
 def test_constant_fig8():

@@ -1,13 +1,17 @@
 """Non-backtracking random walks, tree walks, and the weighted Laplacian."""
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy import stats
 
 from geodlab import walks
 from geodlab.errors import DegenerateError
+from geodlab.graphs import load_validate
 from geodlab.library import (
     biregular_two_cycles,
+    dumbbell,
+    figure_eight,
     order_two_chain,
     petersen,
     theta,
@@ -21,7 +25,12 @@ from geodlab.walks import (
     nbrw_sample,
     tree_harmonic_measure,
 )
-from oracles import is_reversible, two_vertex_segment, vol_inner
+from oracles import (
+    is_reversible,
+    nbrw_global_search,
+    two_vertex_segment,
+    vol_inner,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +139,104 @@ def _masked_nbrw_reference(kernel, start, n, reps, seed):
     return state
 
 
+def _vertex_tallies(g, state):
+    """Walks per vertex, read off the terminus of each final edge."""
+    term = np.array([g.vertex_index[g.edges[e].terminus]
+                     for e in g.edge_ids])
+    return np.bincount(term[state], minlength=g.vertex_count())
+
+
+def _random_cubic():
+    """A seeded random cubic graph on 40 vertices; "S" is one vertex."""
+    h = nx.random_regular_graph(3, 40, seed=11)
+    edges = []
+    for k, (u, v) in enumerate(h.edges()):
+        edges += [{"id": f"e{k}+", "from": f"v{u}", "to": f"v{v}",
+                   "reverse": f"e{k}-"},
+                  {"id": f"e{k}-", "from": f"v{v}", "to": f"v{u}",
+                   "reverse": f"e{k}+"}]
+    return load_validate({
+        "vertices": [{"id": f"v{v}"} for v in h.nodes()], "edges": edges,
+        "subgraphs": {"S": {"vertices": ["v0"], "edges": []}}})
+
+
 NONUNIFORM_ROWS = [(order_two_chain, "X", 7), (biregular_two_cycles, "C1", 9)]
+SAMPLED_WALKS = [(figure_eight, "A"), (theta, "U"), (petersen, "P0"),
+                 (dumbbell, "K"), (biregular_two_cycles, "C1"),
+                 (order_two_chain, "X"), (_random_cubic, "S")]
 
 
 @pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
-def test_successor_table_one_entry_per_nonzero(make, start, n):
+def test_successor_table_invariants(make, start, n):
     P = np.asarray(NBRWKernel(make()).P)
-    keys, succ, last = walks._successor_table(P)
-    assert len(keys) == len(succ) == np.count_nonzero(P)
-    assert (P[np.repeat(np.arange(len(P)), np.diff(last, prepend=-1)),
-              succ] > 0).all()
-    assert (keys[last] == np.arange(1, len(P) + 1)).all()
-    assert (np.diff(keys) > 0).all()
+    keys, first, last, succ = walks._successor_table(P)
+    sizes = np.count_nonzero(P, axis=1)
+    assert (sizes > 1).any() and (sizes < keys.shape[0]).any()
+    # one finite key and one successor per nonzero, row by row
+    assert (np.isfinite(keys).sum(axis=0) == sizes).all()
+    assert len(succ) == sizes.sum()
+    assert first[0] == 0 and (first[1:] == last[:-1] + 1).all()
+    for i, row in enumerate(P):
+        k = sizes[i]
+        assert (succ[first[i]:last[i] + 1] == np.flatnonzero(row)).all()
+        assert keys[k - 1, i] == i + 1
+        assert (np.diff(keys[:k, i]) > 0).all()
+        assert (keys[k:, i] == np.inf).all()
+
+
+def _clamp_picks(table, rows):
+    # i + u rounds up to i + 1 for every row i >= 1
+    u = np.full(len(rows), np.nextafter(1.0, 0.0))
+    assert (rows + u == rows + 1).all()
+    return walks._nbrw_step(table, rows, u)
+
+
+@pytest.mark.parametrize("make, start", SAMPLED_WALKS)
+def test_step_clamps_to_the_last_successor(make, start):
+    P = np.asarray(NBRWKernel(make()).P)
+    rows = np.arange(1, len(P))
+    picks = _clamp_picks(walks._successor_table(P), rows)
+    want = [np.flatnonzero(P[i])[-1] for i in rows]
+    assert (picks == want).all()
+    assert (P[rows, picks] > 0).all()
+
+
+def test_clamp_test_sees_a_missing_clamp():
+    # negative control: without the clamp the pick runs into row i + 1
+    P = np.asarray(NBRWKernel(petersen()).P)
+    keys, first, last, succ = walks._successor_table(P)
+    unclamped = (keys, first, np.full_like(last, len(succ) - 1), succ)
+    rows = np.arange(1, len(P))
+    picks = _clamp_picks(unclamped, rows)
+    assert (P[rows, picks] == 0).any()
+
+
+def _global_search_tallies(g, start, n, reps, seed):
+    kernel = NBRWKernel(g)
+    state = nbrw_global_search(kernel.P, kernel.start_distribution(start),
+                               n, reps, derive_seed(seed, 0))
+    return _vertex_tallies(g, state)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("make, start", SAMPLED_WALKS)
+def test_nbrw_sample_matches_global_search(make, start, seed):
+    g = make()
+    want = _global_search_tallies(g, start, 25, 4000, seed)
+    assert (nbrw_sample(g, start, 25, 4000, seed)["tallies"] == want).all()
+
+
+def test_global_search_sees_a_shifted_row_start(monkeypatch):
+    # negative control: rows read from one entry past their first successor
+    def shifted(P):
+        keys, first, last, succ = table(P)
+        return keys, first + 1, last, succ
+
+    table = walks._successor_table
+    monkeypatch.setattr(walks, "_successor_table", shifted)
+    g = petersen()
+    want = _global_search_tallies(g, "P0", 25, 4000, 3)
+    assert (nbrw_sample(g, "P0", 25, 4000, 3)["tallies"] != want).any()
 
 
 @pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
@@ -150,9 +245,7 @@ def test_nbrw_sample_matches_masked_reference(make, start, n):
     kernel = NBRWKernel(g)
     state = _masked_nbrw_reference(
         kernel, kernel.start_distribution(start), n, 3000, 21)
-    term = np.array([g.vertex_index[g.edges[e].terminus]
-                     for e in g.edge_ids])
-    want = np.bincount(term[state], minlength=g.vertex_count())
+    want = _vertex_tallies(g, state)
     assert (nbrw_sample(g, start, n, 3000, 21)["tallies"] == want).all()
 
 
