@@ -16,7 +16,6 @@ from .errors import (
     DetNotUnitError,
     FixesInfinityError,
     PrecisionCapError,
-    SingularPointError,
     UnsupportedError,
     UsageError,
 )
@@ -31,6 +30,7 @@ from .ffield import (
     sqrt_mod,
     _divide_at_infinity,
     _poly_sqrt_floor,
+    _scaled,
     _surd_valuation,
 )
 
@@ -139,17 +139,27 @@ def abs_diff(x, y):
     exactly when the fields agree; then sqrt(D2) = eps S sqrt(D1)/D1, eps
     matching lc sqrt(D2) = r(D2) with lc(S) r(D1)/lc(D1), and x - y =
     ((U1 V2 - U2 V1) D1 + (W1 V2 D1 - eps W2 V1 S) sqrt(D1)) / (V1 V2 D1).
+
+    When D2 = (l2/l1) D1 (l1, l2 the leading coefficients) and l1 l2 is a
+    square, as for any two points of one unimodular orbit, S is
+    (sqrt_mod(l1 l2)/l1) D1 and needs no series root.
     """
     q = x.q
     U1, W1, D1, V1 = _surd_parts(x)
     U2, W2, D2, V2 = _surd_parts(y)
     D1 = D1 or D2 or FqPoly.one(q)
     D2 = D2 or D1
-    S = _poly_sqrt_floor(D1 * D2)
-    if S * S != D1 * D2:
-        raise UnsupportedError("the points lie in different quadratic fields")
-    r1, r2 = sqrt_mod(D1.lc, q), sqrt_mod(D2.lc, q)
-    eps = 1 if (r2 * D1.lc - S.lc * r1) % q == 0 else -1
+    l1, l2 = D1.lc, D2.lc
+    root = sqrt_mod(l1 * l2, q)
+    if root is not None and _scaled(D2, l1) == _scaled(D1, l2):
+        S = _scaled(D1, root * pow(l1, -1, q) % q)
+    else:
+        S = _poly_sqrt_floor(D1 * D2)
+        if S * S != D1 * D2:
+            raise UnsupportedError(
+                "the points lie in different quadratic fields")
+    r1, r2 = sqrt_mod(l1, q), sqrt_mod(l2, q)
+    eps = 1 if (r2 * l1 - S.lc * r1) % q == 0 else -1
     U = (U1 * V2 - U2 * V1) * D1
     W = W1 * V2 * D1 - eps * W2 * V1 * S
     if U.is_zero() and W.is_zero():
@@ -202,22 +212,6 @@ def horoball_ball_mass(q, n):
     return Fraction(q) ** (-n)
 
 
-def line_density(q, l_minus, l_plus, rho):
-    """Density of the outer skinning measure of the line (l-, l+) at the
-    boundary point rho: |l+ - l-| / (|rho - l-| |rho - l+|)."""
-    for bad in (l_minus, l_plus):
-        if isinstance(rho, RatFunc) and isinstance(bad, RatFunc) \
-                and (rho - bad).is_zero():
-            raise SingularPointError("density evaluated at a line endpoint")
-    if rho == INF:
-        raise SingularPointError("density evaluated at infinity")
-    num = abs_diff(l_plus, l_minus)
-    den = abs_diff(rho, l_minus) * abs_diff(rho, l_plus)
-    if den == 0:
-        raise SingularPointError("density evaluated at a line endpoint")
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # crossratios, heights, norm forms
 
@@ -246,13 +240,21 @@ def crossratio_abs(a, b, c, d):
 
 def relative_height(alpha, beta):
     """h_alpha(beta) = max(|[a, b, b^s, a^s]|, |[a, b^s, b, a^s]|), a power
-    of q equal to q^(distance between the two translation axes)."""
+    of q equal to q^(distance between the two translation axes).
+
+    The two crossratios share the denominator |b - b^s| |a^s - a| =
+    1/(h(a) h(b)), so h_alpha(beta) is
+    max(|b^s - a| |a^s - b|, |b - a| |a^s - b^s|) h(a) h(b).  Points with
+    different triples have different minimal polynomials, so the four
+    differences are nonzero (abs_diff raises DegenerateError on a
+    coincident pair).
+    """
     if (alpha.A, alpha.B, alpha.C) == (beta.A, beta.B, beta.C):
         raise DegenerateError("beta lies in {alpha, alpha^sigma}")
     asig, bsig = alpha.conj(), beta.conj()
-    h1 = crossratio_abs(alpha, beta, bsig, asig)
-    h2 = crossratio_abs(alpha, bsig, beta, asig)
-    h = max(h1, h2)
+    h = (max(abs_diff(bsig, alpha) * abs_diff(asig, beta),
+             abs_diff(beta, alpha) * abs_diff(asig, bsig))
+         * alpha.complexity() * beta.complexity())
     # must be a nonnegative power of q
     n = 0
     acc = Fraction(1)
@@ -467,17 +469,11 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
 
 
 def _orbit_generators(q):
-    Y = FqPoly.x(q)
-    one = FqPoly.one(q)
-    zero = FqPoly.zero(q)
-    gens = [
-        (one, Y, zero, one),        # shear by Y
-        (one, one, zero, one),      # shear by 1
-        (zero, one, one, zero),     # inversion
-        (one, -Y, zero, one),
-        (one, -one, zero, one),
-    ]
-    return gens
+    """The BFS moves: the shears by Y and 1, the inversion, and the inverse
+    shears, each a map QuadIrr -> QuadIrr."""
+    Y, one = FqPoly.x(q), FqPoly.one(q)
+    return [lambda b: b.shear(Y), lambda b: b.shear(one), QuadIrr.invert,
+            lambda b: b.shear(-Y), lambda b: b.shear(-one)]
 
 
 def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
@@ -492,17 +488,20 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
     of q.  Returns {"orbit_size", "bins": {value: count},
     "cumulative": [(threshold, N(threshold))]}.
     """
+    if mode not in ("complexity", "relative"):
+        raise UnsupportedError(f"unknown mode {mode!r}")
+    if word_len < 0:
+        raise UsageError(f"word length must be at least 0, got {word_len}")
     if word_len > 12:
         raise BudgetError("orbit word length capped at 12")
-    q = alpha0.q
-    gens = _orbit_generators(q)
+    moves = _orbit_generators(alpha0.q)
     seen = {alpha0.key(): alpha0}
     frontier = [alpha0]
     for _ in range(word_len):
         nxt = []
         for beta in frontier:
-            for (a, b, c, d) in gens:
-                img = beta.apply_homography(a, b, c, d)
+            for move in moves:
+                img = move(beta)
                 if img.key() not in seen:
                     seen[img.key()] = img
                     nxt.append(img)
@@ -516,12 +515,10 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
     for beta in seen.values():
         if mode == "complexity":
             val = beta.complexity()
-        elif mode == "relative":
-            if (beta.A, beta.B, beta.C) == (alpha0.A, alpha0.B, alpha0.C):
-                continue
-            val = relative_height(alpha0, beta)
+        elif (beta.A, beta.B, beta.C) == (alpha0.A, alpha0.B, alpha0.C):
+            continue
         else:
-            raise UnsupportedError(f"unknown mode {mode!r}")
+            val = relative_height(alpha0, beta)
         bins[val] = bins.get(val, 0) + 1
 
     thresholds = sorted(bins)

@@ -59,10 +59,6 @@ class NoConvergenceError(GeodlabError):
     code = "no-convergence"
 
 
-class InadmissibleWordError(GeodlabError):
-    code = "inadmissible-word"
-
-
 class UnsupportedError(GeodlabError):
     code = "unsupported-configuration"
 
@@ -81,10 +77,6 @@ class IOFailure(GeodlabError):
 
 class NotSimpleCycleError(GeodlabError):
     code = "not-a-simple-cycle"
-
-
-class SingularPointError(GeodlabError):
-    code = "singular-point"
 
 
 class FixesInfinityError(GeodlabError):

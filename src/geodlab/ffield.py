@@ -105,9 +105,7 @@ class FqPoly:
     def monic(self):
         if self.is_zero() or self.lc == 1:
             return self
-        q = self.q
-        inv = pow(self.lc, -1, q)
-        return FqPoly._raw(q, tuple([c * inv % q for c in self.coeffs]))
+        return _scaled(self, pow(self.lc, -1, self.q))
 
     def __hash__(self):
         return hash((self.q, self.coeffs))
@@ -223,9 +221,6 @@ class FqPoly:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def derivative(self):
-        return FqPoly(self.q, [i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         return f"FqPoly(q={self.q}, {self})"
 
@@ -244,6 +239,13 @@ class FqPoly:
             else:
                 terms.append(f"Y^{k}" if c == 1 else f"{c}Y^{k}")
         return "+".join(terms)
+
+
+def _scaled(f, u):
+    """u f for a unit u of F_q, reduced mod q: a coefficient-wise product
+    that needs no trimming."""
+    q = f.q
+    return FqPoly._raw(q, tuple([c * u % q for c in f.coeffs]))
 
 
 def poly_range(q, start, stop):
@@ -698,7 +700,7 @@ def _canonical_triple(A, B, C):
     if g.degree > 0:
         A, B, C = A // g, B // g, C // g
     u = pow(A.lc, -1, A.q)
-    return A * u, B * u, C * u
+    return _scaled(A, u), _scaled(B, u), _scaled(C, u)
 
 
 class QuadIrr:
@@ -717,9 +719,11 @@ class QuadIrr:
     roots agree up to their coefficient of Y^-k, k = sep_valuation(), and
     branch 0 is the one whose coefficient there is the smaller residue.  It
     is turned into s once, from the coefficient of -B/(2A) at Y^-k.
+
+    ``disc`` holds D; every way to make a QuadIrr sets it once.
     """
 
-    __slots__ = ("A", "B", "C", "sign")
+    __slots__ = ("A", "B", "C", "disc", "sign")
 
     def __init__(self, A, B, C, branch=0):
         q = A.q
@@ -735,7 +739,7 @@ class QuadIrr:
             raise NotIrrationalError("discriminant is a square in F_q(Y)")
         if not split:
             raise NotSplitError("discriminant has no square root in F_q((1/Y))")
-        self.A, self.B, self.C = A, B, C
+        self.A, self.B, self.C, self.disc = A, B, C, D
         # at Y^-k the roots are b +- r(D)/2: sqrt(D)/(2A) starts there
         k = self.sep_valuation()
         b = _rat_to_series(RatFunc(-B, 2 * A),
@@ -744,18 +748,19 @@ class QuadIrr:
         plus_smaller = (b + half_r) % q < (b - half_r) % q
         self.sign = 1 if plus_smaller == ((branch & 1) == 0) else -1
 
+    @classmethod
+    def _raw(cls, A, B, C, D, sign):
+        """Trusted constructor: (A, B, C) canonical, D = B^2 - 4AC."""
+        self = object.__new__(cls)
+        self.A, self.B, self.C, self.disc, self.sign = A, B, C, D, sign
+        return self
+
     @property
     def q(self):
         return self.A.q
 
-    @property
-    def disc(self):
-        return self.B * self.B - 4 * self.A * self.C
-
     def conj(self):
-        out = object.__new__(QuadIrr)
-        out.A, out.B, out.C, out.sign = self.A, self.B, self.C, -self.sign
-        return out
+        return QuadIrr._raw(self.A, self.B, self.C, self.disc, -self.sign)
 
     def trace(self):
         return RatFunc(-self.B, self.A)
@@ -820,11 +825,43 @@ class QuadIrr:
         if A2.is_zero():
             raise ValueError("image has infinite leading root")
         lead = pow(A2.lc, -1, q) * det.lc * sqrt_mod(self.disc.lc, q) % q
-        out = object.__new__(QuadIrr)
-        out.A, out.B, out.C = _canonical_triple(A2, B2, C2)
-        # lc(D') = lead^2, so r(D') = sqrt_mod(lead^2)
-        out.sign = self.sign if lead == sqrt_mod(lead * lead, q) else -self.sign
-        return out
+        A2, B2, C2 = _canonical_triple(A2, B2, C2)
+        return QuadIrr._raw(A2, B2, C2, B2 * B2 - 4 * A2 * C2,
+                            self._sign_under(lead))
+
+    def _sign_under(self, lead):
+        """The sign of an image whose root is (-B' + s R)/(2A') for the
+        square root R of D' with leading coefficient ``lead``: s' = s
+        exactly when R = sqrt(D'), that is when lead is the canonical root
+        r(D') = sqrt_mod(lead^2)."""
+        if lead == sqrt_mod(lead * lead, self.q):
+            return self.sign
+        return -self.sign
+
+    def shear(self, t):
+        """alpha + t, the image under z -> z + t for t in F_q[Y].
+
+        The triple becomes (A, B - 2At, C - (B - At) t): it stays primitive
+        with A monic, and D and the sign do not change.
+        """
+        At = self.A * t
+        B1 = self.B - At
+        return QuadIrr._raw(self.A, B1 - At, self.C - B1 * t, self.disc,
+                            self.sign)
+
+    def invert(self):
+        """1/alpha, the image under z -> 1/z.
+
+        The triple becomes (C, B, A) u with u = 1/lc(C); C != 0 because D
+        is not a square.  D' = u^2 D, and the sign follows apply_homography's
+        rule with det = -1: lead = -u r(D).
+        """
+        q = self.q
+        u = pow(self.C.lc, -1, q)
+        lead = -u * sqrt_mod(self.disc.lc, q) % q
+        return QuadIrr._raw(_scaled(self.C, u), _scaled(self.B, u),
+                            _scaled(self.A, u), _scaled(self.disc, u * u % q),
+                            self._sign_under(lead))
 
     def complexity(self):
         """h(alpha) = 1/|alpha - alpha^sigma| as an exact Fraction."""

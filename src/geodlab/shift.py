@@ -12,7 +12,6 @@ module for every verb, and the exact verbs must start without numpy.
 
 from .errors import (
     BudgetError,
-    InadmissibleWordError,
     NoConvergenceError,
     ReducibleError,
 )
@@ -170,18 +169,6 @@ def equilibrium_measure(shift):
     h = _chain_entropy(p, P)
     phi_int = float(p @ shift.potential)
     return MarkovMeasure(shift, p, P, h, phi_int, float(np.log(rho)))
-
-
-def cylinder_measure(m, word):
-    """Measure of the cylinder [word]; word is a sequence of letter indices."""
-    if len(word) == 0:
-        return 1.0
-    if not m.shift.admissible(word):
-        raise InadmissibleWordError(f"word {list(word)} is not admissible")
-    out = m.p[word[0]]
-    for a, b in zip(word, word[1:]):
-        out *= m.P[a, b]
-    return float(out)
 
 
 def weak_gibbs_audit(m, maxlen):

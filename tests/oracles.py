@@ -5,7 +5,8 @@ FqPoly/RatFunc/poly_range arithmetic, plain Python, numpy or scipy.  None
 calls the function it checks or a private helper of that function's module,
 and test_oracles.py keeps the geodlab imports below to a fixed list.  The
 objects handed in (matrices, graphs, queries, measures) are read through
-their public fields only.
+their public fields only.  The helpers build inputs instead: orbit_bfs
+walks a quadratic irrational's orbit with its own apply_homography.
 """
 
 from fractions import Fraction
@@ -159,6 +160,35 @@ def convergents(cf, n):
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         out.append((p_cur, q_cur))
     return out
+
+
+def orbit_generators(q):
+    """The generators of the quad-orbit BFS as the entries (a, b, c, d) of
+    z -> (az + b)/(cz + d): the shears by Y and 1, the inversion, and the
+    inverse shears, in that order."""
+    Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
+    return [(one, Y, zero, one), (one, one, zero, one), (zero, one, one, zero),
+            (one, -Y, zero, one), (one, -one, zero, one)]
+
+
+def orbit_bfs(alpha, word_len):
+    """(points, edges) of the BFS from alpha over the words of length at
+    most word_len in orbit_generators, each step taken by the general
+    ``apply_homography``.  points maps each canonical key to its point, in
+    the order the BFS meets them; edges lists (beta, g, g beta) for every
+    step."""
+    gens = orbit_generators(alpha.q)
+    points, frontier, edges = {alpha.key(): alpha}, [alpha], []
+    for _ in range(word_len):
+        nxt = []
+        for beta in frontier:
+            for g in gens:
+                img = beta.apply_homography(*g)
+                edges.append((beta, g, img))
+                if points.setdefault(img.key(), img) is img:
+                    nxt.append(img)
+        frontier = nxt
+    return points, edges
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from geodlab.bt import (
     hecke_index,
     horoball_ball_mass,
     horoball_height,
-    line_density,
     norm_form,
     patterson_point_ball,
     patterson_total,
@@ -38,8 +37,9 @@ from geodlab.errors import (
     DegenerateError,
     DetNotUnitError,
     FixesInfinityError,
+    NotIrrationalError,
+    NotSplitError,
     PrecisionCapError,
-    SingularPointError,
     UnsupportedError,
     UsageError,
 )
@@ -56,6 +56,8 @@ from geodlab.ffield import (
 from oracles import (
     convergents,
     farey_psi_oracle,
+    orbit_bfs,
+    orbit_generators,
     translation_length_oracle,
     vertex_distance_smith,
 )
@@ -250,24 +252,6 @@ def test_horoball_ball_mass():
     assert horoball_ball_mass(3, 0) == 1
 
 
-def test_line_density():
-    q = 3
-    Y, one = FqPoly.x(q), FqPoly.one(q)
-    # endpoints 0 and 1, evaluated at Y: 1 / (q * q)
-    val = line_density(q, RatFunc.const(q, 0), RatFunc.const(q, 1),
-                       RatFunc(Y))
-    assert val == Fraction(1, 9)
-
-
-def test_line_density_singular():
-    q = 3
-    zero, one = RatFunc.const(q, 0), RatFunc.const(q, 1)
-    with pytest.raises(SingularPointError):
-        line_density(q, zero, one, zero)
-    with pytest.raises(SingularPointError):
-        line_density(q, zero, one, INF)
-
-
 # ---------------------------------------------------------------------------
 # crossratios, relative heights, norm forms
 
@@ -351,18 +335,9 @@ def _abs_diff_oracle(x, y, prec=64):
 
 
 def _orbit_points(al, word_len):
-    """BFS orbit of al under the shears by Y and 1, the inversion and the
-    inverse shears, with the conjugate of every point."""
-    q = al.q
-    Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
-    gens = [(one, Y, zero, one), (one, one, zero, one), (zero, one, one, zero),
-            (one, -Y, zero, one), (one, -one, zero, one)]
-    seen, frontier = {al.key(): al}, [al]
-    for _ in range(word_len):
-        frontier = [img for beta in frontier
-                    for img in (beta.apply_homography(*g) for g in gens)
-                    if seen.setdefault(img.key(), img) is img]
-    return [p for beta in seen.values() for p in (beta, beta.conj())]
+    """The BFS orbit of al, with the conjugate of every point."""
+    points, _ = orbit_bfs(al, word_len)
+    return [p for beta in points.values() for p in (beta, beta.conj())]
 
 
 def _rand_rat(rng, q):
@@ -578,12 +553,107 @@ def test_orbit_experiment_complexity():
 def test_orbit_experiment_relative():
     al = _sqrt_quad(3, "Y^2+Y")
     out = quad_orbit_experiment(al, mode="relative", word_len=3)
-    # every relative height is a power of q
-    for val in out["bins"]:
-        n = val
-        while n > 1:
-            n /= 3
-        assert n == 1
+    # alpha's own triple is left out: 42 of the 43 points, every relative
+    # height a power of q
+    assert out["orbit_size"] == 43
+    assert out["cumulative"] == [(Fraction(1), 16), (Fraction(3), 29),
+                                 (Fraction(9), 40), (Fraction(81), 42)]
+
+
+# the starting points of the move and relative-height checks: BFS orbits
+# for q = 3, 5, 7
+ORBITS = [(3, "Y^2+Y", 4), (5, "Y^4+Y+1", 3), (7, "Y^2+3", 3)]
+
+
+def _random_points(q, count, seed):
+    """QuadIrr of random triples of degree <= 3, neither primitive nor
+    monic in general, on a random branch."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        A, B, C = (_rand_poly(rng, q, 3) for _ in range(3))
+        if A.is_zero():
+            continue
+        try:
+            out.append(QuadIrr(A, B, C, rng.randrange(2)))
+        except (NotIrrationalError, NotSplitError):
+            continue
+    return out
+
+
+def _move_mismatches(points):
+    """(point, generator index) where a BFS move of quad_orbit_experiment
+    and apply_homography by the same generator disagree on the triple, the
+    sign or D, or where the move's D is not B^2 - 4AC."""
+    bad = []
+    for beta in points:
+        moves = geodlab.bt._orbit_generators(beta.q)
+        for i, (move, g) in enumerate(zip(moves, orbit_generators(beta.q))):
+            got, want = move(beta), beta.apply_homography(*g)
+            if (got.key() != want.key() or got.disc != want.disc
+                    or got.disc != got.B * got.B - 4 * got.A * got.C):
+                bad.append((beta, i))
+    return bad
+
+
+@pytest.mark.parametrize("q, disc, word_len", ORBITS)
+def test_moves_match_apply_homography(q, disc, word_len):
+    points, _ = orbit_bfs(_sqrt_quad(q, disc), word_len)
+    starts = list(points.values()) + _random_points(q, 30, seed=q)
+    assert len(starts) > 60
+    assert _move_mismatches(starts) == []
+
+
+def test_move_check_sees_a_flipped_inversion_sign(monkeypatch):
+    starts = _random_points(5, 10, seed=1)
+    invert = QuadIrr.invert
+    monkeypatch.setattr(QuadIrr, "invert", lambda self: invert(self).conj())
+    bad = _move_mismatches(starts)
+    # the inversion is generator 2, and only it is caught
+    assert {i for _, i in bad} == {2} and len(bad) == len(starts)
+
+
+def _relative_height_mismatches(alpha, betas):
+    """Points beta where relative_height(alpha, beta) is not the larger of
+    the two crossratios |[a, b, b^s, a^s]| and |[a, b^s, b, a^s]|, or is
+    rejected as no power of q."""
+    asig, bad = alpha.conj(), []
+    for beta in betas:
+        bsig = beta.conj()
+        want = max(crossratio_abs(alpha, beta, bsig, asig),
+                   crossratio_abs(alpha, bsig, beta, asig))
+        try:
+            got = relative_height(alpha, beta)
+        except AssertionError:
+            got = None
+        if got != want:
+            bad.append(beta)
+    return bad
+
+
+def _other_points(alpha, word_len):
+    """_orbit_points without alpha and its conjugate."""
+    return [p for p in _orbit_points(alpha, word_len)
+            if (p.A, p.B, p.C) != (alpha.A, alpha.B, alpha.C)]
+
+
+@pytest.mark.parametrize("q, disc, word_len", ORBITS)
+def test_relative_height_is_the_larger_crossratio(q, disc, word_len):
+    al = _sqrt_quad(q, disc)
+    betas = _other_points(al, word_len - 1)
+    assert len(betas) > 20
+    assert _relative_height_mismatches(al, betas) == []
+
+
+def test_relative_height_check_sees_a_dropped_factor(monkeypatch):
+    # h(beta) = 1 in the formula for every beta but alpha
+    al = _sqrt_quad(3, "Y^2+Y")
+    betas = _other_points(al, 2)
+    complexity = QuadIrr.complexity
+    monkeypatch.setattr(QuadIrr, "complexity", lambda self: (
+        complexity(self) if self is al else Fraction(1)))
+    # caught at every beta whose h(beta) is not 1
+    want = [b for b in betas if complexity(b) != 1]
+    assert want and _relative_height_mismatches(al, betas) == want
 
 
 def test_orbit_budget_guards():

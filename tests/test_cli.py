@@ -112,6 +112,18 @@ def test_ff_cf_quadratic(capsys):
     assert lines[2] == "period,1,2Y+1"
 
 
+@pytest.mark.parametrize("mode, rows", [("complexity", ["1/3,1"]),
+                                        ("relative", [])])
+def test_bt_quad_orbit_of_the_empty_word(capsys, mode, rows):
+    # word length 0 is valid: the orbit is alpha alone, which relative mode
+    # leaves out of the counts
+    code, out, err = run_cli(capsys, "bt", "quad-orbit", "--q", "3", "--disc",
+                             "Y^2+Y", "--word-len", "0", "--mode", mode)
+    assert code == 0 and err == ""
+    assert out.splitlines() == (["threshold,cumulative"] + rows
+                                + ["__orbit_size__,1"])
+
+
 def test_bt_dist_and_translen(capsys):
     code, out, _ = run_cli(capsys, "bt", "dist", "--q", "3", "--matrix",
                            "Y^2;1;0;1")
@@ -372,6 +384,12 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
      "usage"),
     (("count", "conjugacy", "--graph", "builtin:dumbbell", "--basepoint",
       "w", "--cycle", "l+", "--nmax", "-1"), "usage"),
+    (("bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y", "--word-len",
+      "-1"), "usage"),
+    # the mode is checked before the BFS, which at word length 12 would
+    # end in "budget: orbit cap exceeded"
+    (("bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y", "--word-len", "12",
+      "--mode", "foo"), "unsupported-configuration"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)

@@ -31,7 +31,12 @@ from geodlab.ffield import (
     parse_ratfunc,
     poly_range,
 )
-from oracles import convergents, mertens_closed_form, quad_invariants
+from oracles import (
+    convergents,
+    mertens_closed_form,
+    orbit_bfs,
+    quad_invariants,
+)
 
 
 def poly_strategy(q, max_deg=6):
@@ -150,14 +155,6 @@ def test_poly_range_base_q_order():
     deg1 = [str(f) for f in poly_range(q, q, q ** 2)]
     assert deg1 == ["Y", "Y+1", "Y+2", "2Y", "2Y+1", "2Y+2"]
     assert list(poly_range(q, 5, 5)) == []
-
-
-def test_derivative_leibniz():
-    a = parse_poly(3, "Y^3+2Y+1")
-    b = parse_poly(3, "Y^2+Y")
-    lhs = (a * b).derivative()
-    rhs = a.derivative() * b + a * b.derivative()
-    assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -361,28 +358,6 @@ def _agree(got, want, upto):
                for j in range(min(got.val, want.val), hi))
 
 
-def _generators(q):
-    Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
-    return [(one, Y, zero, one), (one, one, zero, one), (zero, one, one, zero),
-            (one, -Y, zero, one), (one, -one, zero, one)]
-
-
-def _orbit_edges(alpha, word_len):
-    """(beta, g, g beta) for every generator step of a BFS orbit."""
-    seen, frontier, edges = {alpha.key()}, [alpha], []
-    for _ in range(word_len):
-        nxt = []
-        for beta in frontier:
-            for g in _generators(alpha.q):
-                img = beta.apply_homography(*g)
-                edges.append((beta, g, img))
-                if img.key() not in seen:
-                    seen.add(img.key())
-                    nxt.append(img)
-        frontier = nxt
-    return edges
-
-
 def _random_edges(alpha, count, seed):
     """(alpha, g, g alpha) for random g whose determinant is not a unit."""
     q, rng, edges = alpha.q, random.Random(seed), []
@@ -425,7 +400,7 @@ def _eps1(beta, g):
                                                (5, "Y^4+Y+1", 4)])
 def test_sign_transport_matches_series_image(q, disc, word_len):
     al = _sqrt_quad(q, disc)
-    edges = _orbit_edges(al, word_len) + _random_edges(al, 40, seed=q)
+    edges = orbit_bfs(al, word_len)[1] + _random_edges(al, 40, seed=q)
     assert len(edges) > 150
     assert _sign_mismatches(edges) == 0
     # negative control: a rule that drops the det factor eps1 is caught
@@ -446,7 +421,7 @@ def _cancelling(beta):
                                      (7, "Y^2+3"), (5, "Y^4+Y+1")])
 def test_expand_is_a_root_where_numerator_cancels(q, disc):
     al = _sqrt_quad(q, disc)
-    edges = _orbit_edges(al, 3) + _random_edges(al, 200, seed=1)
+    edges = orbit_bfs(al, 3)[1] + _random_edges(al, 200, seed=1)
     points = [img for _, _, img in edges if _cancelling(img)]
     assert len(points) >= 3
     for beta in points:
@@ -479,7 +454,7 @@ def test_branch_zero_has_the_smaller_residue(triple):
 
 def test_exact_paths_never_retry():
     al = _sqrt_quad(5, "Y^4+Y+1")
-    edges = _orbit_edges(al, 2)
+    edges = orbit_bfs(al, 2)[1]
     assert len(edges) == 30
     for _, _, img in edges:
         img.expand(16)
