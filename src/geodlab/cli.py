@@ -227,11 +227,11 @@ def cmd_walk_green(args):
 
 def cmd_walk_laplacian(args):
     g = _load_graph(args.graph)
-    Delta, _, _, _ = walks.laplacian_matrices(g)
+    Delta = walks.laplacian_matrices(g)
     rows = []
     for i, v in enumerate(g.vertex_ids):
         for j, w in enumerate(g.vertex_ids):
-            rows.append((v, w, float(Delta[i, j])))
+            rows.append((v, w, Delta[i][j]))
     emit(["row", "col", "value"], rows, args)
 
 

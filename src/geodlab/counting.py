@@ -119,8 +119,7 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     end_idx = [g.edge_index[e] for e in _boundary(g, query.plus, "terminus")]
     exact = all(g.edges[e].conductance == 0.0 for e in g.edge_ids)
     succ = g.nb_successors()
-    weights = None if exact else [math.exp(g.edges[eid].conductance)
-                                  for eid in g.edge_ids]
+    weights = None if exact else g.edge_weights()
     w = [0] * n_edges if exact else [0.0] * n_edges
     for eid in start:
         i = g.edge_index[eid]
@@ -268,6 +267,35 @@ def theoretical_constant(query, series):
 # closed orbits
 
 
+def _sweep_starts(rev, weighted):
+    """(edge, multiplicity) for each edge the closed-orbit sweep starts
+    from.  Reversal (e_0, e_1, ..., e_{n-1}) -> (rev e_0, rev e_{n-1}, ...,
+    rev e_1) maps the closed words through e one-to-one onto those through
+    rev e, so the exact count starts from one edge of each pair, twice.  It
+    does not keep the weights, so the weighted sum starts from every edge."""
+    if weighted:
+        return [(e, 1) for e in range(len(rev))]
+    return [(e, 2) for e in range(len(rev)) if e < rev[e]]
+
+
+def _returns(succ, pred, e, nmax, weights=None):
+    """Yield, for n = 1..nmax, the mass at e after n steps from unit mass on
+    e.  Only the edges with a path back to e are stepped: other mass never
+    returns, and past a dead end it would grow unchecked."""
+    back, todo = {e}, [e]
+    while todo:
+        for i in pred[todo.pop()]:
+            if i not in back:
+                back.add(i)
+                todo.append(i)
+    succ_e = [[j for j in row if j in back] for row in succ]
+    w = [0] * len(succ) if weights is None else [0.0] * len(succ)
+    w[e] = 1
+    for _ in range(nmax):
+        w = _nb_step(succ_e, w, weights)
+        yield w[e]
+
+
 def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
     """Per-length counts of periodic non-backtracking structures.
 
@@ -276,7 +304,9 @@ def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
         the mass the exact edge step carries from each edge back to it;
       primitive: primitive periodic sequences (Mobius inversion);
       orbits: prime orbits = primitive sequences / n (rotation classes);
-      weighted: sum of e^{c} over Fix_n (floats) when requested.
+      weighted: sum of e^{c} over Fix_n (floats) when requested, that is
+        tr(B_w^n) with B_w[e, e'] = e^{c(e')}; float(Fix_n) when every
+        conductance is zero.
     Raises BudgetError when (edge count)^2 * nmax exceeds ``budget``, and
     TooLargeError when a count or weighted trace exceeds the float range.
     """
@@ -290,21 +320,10 @@ def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
     # i -> j exactly when rev(j) -> rev(i)
     pred = [[rev[k] for k in succ[r]] for r in rev]
     fix = [0] * nmax
-    for e in range(n_edges):
-        # step only the edges with a path back to e: other mass never adds
-        # to Fix_n, and past a dead end it would grow unchecked
-        back, todo = {e}, [e]
-        while todo:
-            for i in pred[todo.pop()]:
-                if i not in back:
-                    back.add(i)
-                    todo.append(i)
-        succ_e = [[j for j in row if j in back] for row in succ]
-        w = [int(j == e) for j in range(n_edges)]
-        for n in range(nmax):
-            w = _nb_step(succ_e, w)
-            if w[e]:  # a partial Fix_n past the float range stays past it
-                fix[n] += w[e]
+    for e, mult in _sweep_starts(rev, weighted=False):
+        for n, mass in enumerate(_returns(succ, pred, e, nmax)):
+            if mass:  # a partial Fix_n past the float range stays past it
+                fix[n] += mult * mass
                 _as_float(fix[n], f"Fix_{n + 1}")
     # Mobius inversion Fix_n = sum of primitive_d over d | n, by a sieve
     primitive = list(fix)
@@ -315,21 +334,25 @@ def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
     orbits = [p // n for n, p in enumerate(primitive, 1)]
     out = {"fix": fix, "primitive": primitive, "orbits": orbits}
     if weighted:
-        Bw = graph.nb_transfer()
-        import numpy as np
-
-        cw = Bw.copy()
-        wfix = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(1, nmax + 1):
-                if n > 1:
-                    cw = cw @ Bw
-                wfix.append(float(cw.trace()))
-                if not math.isfinite(wfix[-1]):
-                    raise TooLargeError(f"weighted trace at length {n} "
-                                        "exceeds the float range")
-        out["weighted"] = wfix
+        out["weighted"] = _weighted_traces(graph, succ, pred, rev, fix)
     return out
+
+
+def _weighted_traces(graph, succ, pred, rev, fix):
+    """tr(B_w^n) for n = 1..len(fix), the float step run from each edge."""
+    if all(graph.edges[e].conductance == 0.0 for e in graph.edge_ids):
+        return [float(f) for f in fix]
+    weights = graph.edge_weights()
+    wfix = [0.0] * len(fix)
+    for e, mult in _sweep_starts(rev, weighted=True):
+        for n, mass in enumerate(_returns(succ, pred, e, len(fix), weights)):
+            wfix[n] += mult * mass
+    for n, value in enumerate(wfix, 1):
+        # the masses are positive: an overflow stays infinite, never NaN
+        if not math.isfinite(value):
+            raise TooLargeError(f"weighted trace at length {n} "
+                                "exceeds the float range")
+    return wfix
 
 
 # ---------------------------------------------------------------------------

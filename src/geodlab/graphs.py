@@ -6,15 +6,16 @@ groups — only the orders matter here.  The tree degree of a vertex is
 deg(v) = sum of i(e) = |G_{o(e)}|/|G_e| over outgoing edges, i.e. its degree
 in the Bass-Serre tree.
 
-numpy is imported only inside the two float paths, ``conductance_vector``
-and ``nb_transfer``: loading and validating a graph, and every exact verb,
-start without numpy.
+numpy is imported only by ``nb_transfer``, a dense view of the edge
+operator that no verb calls: loading and validating a graph, and every
+verb that steps over ``nb_successors``, start without numpy.
 """
 
 from fractions import Fraction
 import json
+import math
 
-from .errors import DegenerateError, GraphFormatError
+from .errors import DegenerateError, GraphFormatError, TooLargeError
 
 
 class Vertex:
@@ -79,10 +80,15 @@ class GraphOfGroups:
         return (all(v.order == 1 for v in self.vertices.values())
                 and all(e.order == 1 for e in self.edges.values()))
 
-    def conductance_vector(self):
-        import numpy as np
-
-        return np.array([self.edges[e].conductance for e in self.edge_ids])
+    def edge_weights(self):
+        """w(e) = exp(c(e)) for each edge, in ``edge_ids`` order;
+        TooLargeError when a weight exceeds the float range."""
+        try:
+            return [math.exp(self.edges[e].conductance) for e in self.edge_ids]
+        except OverflowError as exc:
+            raise TooLargeError(
+                "an edge weight exp(conductance) exceeds the float range"
+            ) from exc
 
     def with_conductance(self, cmap):
         """Copy with conductances replaced; cmap maps edge id -> float."""
@@ -134,19 +140,22 @@ class GraphOfGroups:
                 raise DegenerateError(f"vertex {v!r} has tree-degree <= 1")
 
     def nb_transfer(self):
-        """Weighted non-backtracking transfer matrix (numpy floats).
+        """Weighted non-backtracking transfer matrix as a dense numpy array.
 
         B[e, e'] = w(e') for each successor e' of e (``nb_successors``),
-        with w(e') = exp(c(e')).
+        with w = ``edge_weights``.  No verb builds it, as they all step
+        over the successor lists: the tests read it as a dense view, and
+        perfbench/tracer.py wraps it by name.
         """
         self.check_branching()
         import numpy as np
 
         n = len(self.edge_ids)
+        weights = self.edge_weights()
         B = np.zeros((n, n))
         for i, row in enumerate(self.nb_successors()):
             for j in row:
-                B[i, j] = np.exp(self.edges[self.edge_ids[j]].conductance)
+                B[i, j] = weights[j]
         return B
 
     # -- subgraph helpers ------------------------------------------------

@@ -6,14 +6,20 @@ first letter only, so equilibrium states are Markov measures and the whole
 thermodynamic apparatus reduces to Perron-Frobenius data of the weighted
 transfer matrix B[a,b] = e^{c(b)} [a -> b allowed].
 
-numpy is imported inside the functions that use it: the CLI imports this
-module for every verb, and the exact verbs must start without numpy.
+A shift is stored as successor lists, and every step over B runs over them
+in pure Python, in a fixed order: pressure and the equilibrium chain start
+without numpy, and no result depends on a BLAS kernel.  numpy is imported
+only by the Gibbs audit's max-plus DP and by the spectral oracle of
+``correlation_decay`` (a dense LAPACK eigensolve).
 """
+
+import math
 
 from .errors import (
     BudgetError,
     NoConvergenceError,
     ReducibleError,
+    TooLargeError,
 )
 
 POWER_TOL = 1e-12
@@ -24,99 +30,116 @@ class EdgeShift:
     """SFT with letters = directed edges (or abstract letters) and a
     1-step potential given per letter."""
 
-    def __init__(self, letters, transitions, potential=None):
-        """transitions: 0/1 matrix A[a,b]; potential: per-letter array c."""
-        import numpy as np
-
+    def __init__(self, letters, succ, potential=None):
+        """succ[a]: the indices b of the letters allowed after letter a;
+        potential: per-letter c."""
         self.letters = list(letters)
-        self.A = np.asarray(transitions, dtype=float)
         n = len(self.letters)
-        if self.A.shape != (n, n):
-            raise ValueError("transition matrix shape mismatch")
-        self.potential = (np.zeros(n) if potential is None
-                          else np.asarray(potential, dtype=float))
-        # B[a,b] = e^{c(b)} when a -> b is allowed
-        self.B = self.A * np.exp(self.potential)[None, :]
+        self.potential = ([0.0] * n if potential is None
+                          else [float(c) for c in potential])
+        succ = [sorted({int(b) for b in row}) for row in succ]
+        if (len(succ) != n or len(self.potential) != n
+                or any(not 0 <= b < n for row in succ for b in row)):
+            raise ValueError("successor lists or potential do not match "
+                             "the letters")
+        try:
+            self.weights = [math.exp(c) for c in self.potential]
+        except OverflowError as exc:
+            raise TooLargeError(
+                "a weight exp(potential) exceeds the float range") from exc
+        # B[a, b] = weights[b] > 0 exactly for b in succ[a]: a weight that
+        # underflows to 0 takes its letter's transitions out
+        self.succ = [[b for b in row if self.weights[b] > 0] for row in succ]
 
     @classmethod
     def from_graph(cls, g):
         """Shift of the non-backtracking edge dynamics of a graph."""
-        B = g.nb_transfer()
-        A = (B > 0).astype(float)
-        c = g.conductance_vector()
-        return cls(list(g.edge_ids), A, c)
+        g.check_branching()
+        return cls(list(g.edge_ids), g.nb_successors(),
+                   [g.edges[e].conductance for e in g.edge_ids])
 
     @classmethod
     def full_shift(cls, k, potential=None):
-        return cls(list(range(k)), [[1.0] * k] * k, potential)
+        return cls(list(range(k)), [range(k)] * k, potential)
 
     @classmethod
     def golden_mean(cls, potential=None):
-        return cls([0, 1], [[1.0, 1.0], [1.0, 0.0]], potential)
+        return cls([0, 1], [[0, 1], [0]], potential)
 
     def n_letters(self):
         return len(self.letters)
 
     def is_irreducible(self):
-        return _strongly_connected(self.A)
-
-    def admissible(self, word):
-        """word: sequence of letter indices."""
-        return all(self.A[a, b] > 0 for a, b in zip(word, word[1:]))
+        return _strongly_connected(self.succ)
 
 
-def _strongly_connected(A):
-    n = A.shape[0]
-    if n == 0:
+def _predecessors(succ):
+    """pred[b]: the letters a with b in succ[a], ascending."""
+    pred = [[] for _ in succ]
+    for a, row in enumerate(succ):
+        for b in row:
+            pred[b].append(a)
+    return pred
+
+
+def _strongly_connected(succ):
+    if not succ:
         return False
 
-    def reach(M):
-        seen = {0}
-        stack = [0]
+    def reach(adj):
+        seen, stack = {0}, [0]
         while stack:
-            v = stack.pop()
-            for w in M[v].nonzero()[0]:
+            for w in adj[stack.pop()]:
                 if w not in seen:
-                    seen.add(int(w))
-                    stack.append(int(w))
-        return seen
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen)
 
-    return len(reach(A)) == n and len(reach(A.T)) == n
+    return reach(succ) == len(succ) == reach(_predecessors(succ))
 
 
-def _perron(B, tol=POWER_TOL, cap=POWER_CAP):
-    """(rho, right, left) Perron data by power iteration.
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _perron(shift, tol=POWER_TOL, cap=POWER_CAP):
+    """(rho, right, left) Perron data of B by power iteration over the
+    successor lists.
 
     Iterates on B + I so periodic (e.g. bipartite) transition structures
     still converge; rho(B + I) = rho(B) + 1 with the same eigenvectors.
     """
-    import numpy as np
+    succ, wt = shift.succ, shift.weights
+    pred = _predecessors(succ)
+    n = len(succ)
 
-    n = B.shape[0]
-    M = B + np.eye(n)
+    def right_step(v):  # (B + I) v
+        return [v[a] + sum(wt[b] * v[b] for b in row)
+                for a, row in enumerate(succ)]
 
-    def iterate(mat):
-        v = np.ones(n)
-        v /= v.sum()
-        lam = 0.0
+    def left_step(v):  # v (B + I)
+        return [v[b] + wt[b] * sum(v[a] for a in row)
+                for b, row in enumerate(pred)]
+
+    def iterate(step):
+        v = [1.0 / n] * n
         for _ in range(cap):
-            w = mat @ v
-            s = w.sum()
+            w = step(v)
+            s = sum(w)
             if s <= 0:
                 raise ReducibleError("transfer matrix lost all mass")
-            w /= s
-            if np.abs(w - v).max() <= tol * max(1.0, np.abs(v).max()):
-                return s, w
-            lam, v = s, w
+            w = [x / s for x in w]
+            if (max(abs(x - y) for x, y in zip(w, v))
+                    <= tol * max(1.0, max(map(abs, v)))):
+                return w
+            v = w
         raise NoConvergenceError(
             f"power iteration did not converge within {cap} iterations")
 
-    rho_r, right = iterate(M)
-    rho_l, left = iterate(M.T)
-    rho = (rho_r + rho_l) / 2 - 1.0
+    right, left = iterate(right_step), iterate(left_step)
     # one Rayleigh polish for the eigenvalue
-    rho = float(left @ B @ right / (left @ right))
-    return rho, right, left
+    Br = [sum(wt[b] * right[b] for b in row) for row in succ]
+    return _dot(left, Br) / _dot(left, right), right, left
 
 
 def pressure(shift):
@@ -125,12 +148,10 @@ def pressure(shift):
     This is also the critical exponent of the conductance-weighted
     non-backtracking path count when the shift comes from a graph.
     """
-    import numpy as np
-
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
-    rho, _, _ = _perron(shift.B)
-    return float(np.log(rho))
+    rho, _, _ = _perron(shift)
+    return math.log(rho)
 
 
 class MarkovMeasure:
@@ -148,27 +169,29 @@ class MarkovMeasure:
 
 
 def _chain_entropy(p, P):
-    import numpy as np
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
-    return float(-(p[:, None] * P * logs).sum())
+    return -sum(pa * x * math.log(x) for pa, row in zip(p, P)
+                for x in row if x > 0)
 
 
 def equilibrium_measure(shift):
-    """The Parry-type equilibrium chain: P[a,b] = B[a,b] r(b) / (rho r(a))."""
-    import numpy as np
+    """The Parry-type equilibrium chain: P[a,b] = B[a,b] r(b) / (rho r(a)).
 
+    ``P[a]`` lists the transition probabilities to the letters of
+    ``shift.succ[a]``, in that order."""
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
-    rho, r, l = _perron(shift.B)
-    P = shift.B * r[None, :] / (rho * r[:, None])
-    P = P / P.sum(axis=1, keepdims=True)  # kill rounding drift
-    p = l * r
-    p = p / p.sum()
-    h = _chain_entropy(p, P)
-    phi_int = float(p @ shift.potential)
-    return MarkovMeasure(shift, p, P, h, phi_int, float(np.log(rho)))
+    rho, r, l = _perron(shift)
+    wt = shift.weights
+    P = []
+    for a, row in enumerate(shift.succ):
+        prow = [wt[b] * r[b] / (rho * r[a]) for b in row]
+        tot = sum(prow)  # kill rounding drift
+        P.append([x / tot for x in prow])
+    p = [x * y for x, y in zip(l, r)]
+    tot = sum(p)
+    p = [x / tot for x in p]
+    return MarkovMeasure(shift, p, P, _chain_entropy(p, P),
+                         _dot(p, shift.potential), math.log(rho))
 
 
 def weak_gibbs_audit(m, maxlen):
@@ -187,7 +210,8 @@ def weak_gibbs_audit(m, maxlen):
     W[a,b] = log P[a,b] - c(a) + pressure (the closing step contributes
     only -c(last) + pressure plus the admissibility constraint), which
     yields exactly the same extremes as full enumeration without touching
-    k^n words.
+    k^n words.  Each DP step gathers over a predecessor table padded to the
+    largest in-degree k: E * k work per step.
 
     Returns {"per_letter": {letter: (lo, hi)}, "C": max per-letter spread
     hi/lo, "passes": bool}.  A spread of 1 means the ratios are constant
@@ -198,67 +222,83 @@ def weak_gibbs_audit(m, maxlen):
     if maxlen > 16:
         raise BudgetError("weak-Gibbs audit capped at maxlen 16")
     n_letters = m.shift.n_letters()
-    with np.errstate(divide="ignore"):
-        W = np.where(m.P > 0, np.log(np.where(m.P > 0, m.P, 1.0)), -np.inf)
-    W = W - m.shift.potential[:, None] + m.pressure
-    W_min = np.where(np.isneginf(W), np.inf, W)
-    closing = -m.shift.potential + m.pressure  # indexed by the last letter
-    adm = m.P > 0
+    pot = m.shift.potential
+    # the admissible steps a -> b (P[a, b] > 0) into each letter b
+    pred = [[] for _ in range(n_letters)]
+    for a, (row, prow) in enumerate(zip(m.shift.succ, m.P)):
+        for b, x in zip(row, prow):
+            if x > 0:
+                pred[b].append((a, math.log(x) - pot[a] + m.pressure))
+    # column b of the table holds the predecessors of b; the padding points
+    # at slot n_letters, which holds -inf in mx and inf in mn
+    k = max(1, *map(len, pred))
+    src = np.full((k, n_letters), n_letters)
+    W_max = np.full((k, n_letters), -np.inf)
+    W_min = np.full((k, n_letters), np.inf)
+    for b, col in enumerate(pred):
+        for i, (a, w) in enumerate(col):
+            src[i, b] = a
+            W_max[i, b] = W_min[i, b] = w
+    closing = [-c + m.pressure for c in pot]  # indexed by the last letter
 
     per_letter = {}
     for a in range(n_letters):
-        lo, hi = np.inf, -np.inf
-        mx = np.full(n_letters, -np.inf)
-        mn = np.full(n_letters, np.inf)
+        log_pa = math.log(m.p[a])
+        lo, hi = math.inf, -math.inf
+        mx = np.full(n_letters + 1, -np.inf)
+        mn = np.full(n_letters + 1, np.inf)
         mx[a] = 0.0
         mn[a] = 0.0
         for n in range(1, maxlen + 1):
             # paths of length n-1 from a; close up over admissible b -> a
-            for b in range(n_letters):
-                if not adm[b, a]:
-                    continue
-                if np.isfinite(mx[b]):
-                    hi = max(hi, mx[b] + closing[b] + np.log(m.p[a]))
-                if np.isfinite(mn[b]):
-                    lo = min(lo, mn[b] + closing[b] + np.log(m.p[a]))
-            mx = np.max(mx[:, None] + W, axis=0)
-            mn = np.min(mn[:, None] + W_min, axis=0)
-        per_letter[m.shift.letters[a]] = (float(np.exp(lo)), float(np.exp(hi)))
+            for b, _ in pred[a]:
+                if math.isfinite(mx[b]):
+                    hi = max(hi, float(mx[b] + closing[b] + log_pa))
+                if math.isfinite(mn[b]):
+                    lo = min(lo, float(mn[b] + closing[b] + log_pa))
+            mx[:n_letters] = np.max(mx[src] + W_max, axis=0)
+            mn[:n_letters] = np.min(mn[src] + W_min, axis=0)
+        per_letter[m.shift.letters[a]] = (math.exp(lo), math.exp(hi))
     spreads = [hi / lo for lo, hi in per_letter.values()
-               if np.isfinite(lo) and np.isfinite(hi) and lo > 0]
-    C = float(max(spreads)) if spreads else float("inf")
+               if math.isfinite(lo) and math.isfinite(hi) and lo > 0]
+    C = max(spreads) if spreads else math.inf
     return {"per_letter": per_letter, "C": C,
-            "passes": bool(np.isfinite(C) and C >= 1.0)}
+            "passes": math.isfinite(C) and C >= 1.0}
 
 
 def correlation_decay(m, f, g, nmax):
     """cov_n = E[f(x_0) g(x_n)] - E f E g under the stationary chain, with a
-    fitted exponential decay rate and the spectral oracle log(rho2/rho)."""
-    import numpy as np
+    fitted exponential decay rate and the spectral oracle log(rho2/rho).
 
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    p, P = m.p, m.P
-    mean_f = float(p @ f)
-    mean_g = float(p @ g)
-    covs = []
-    vec = g.copy()
-    covs.append(float(p @ (f * vec)) - mean_f * mean_g)
+    The chain steps over the rows of ``m.P`` and the rate is the
+    closed-form least-squares slope, both summed in a fixed order; only the
+    spectral oracle builds the dense P, for LAPACK's eigensolver."""
+    p, P, succ = m.p, m.P, m.shift.succ
+    f = [float(x) for x in f]
+    vec = [float(x) for x in g]
+    mean_fg = _dot(p, f) * _dot(p, vec)
+    covs = [_dot(p, [x * y for x, y in zip(f, vec)]) - mean_fg]
     for _ in range(nmax):
-        vec = P @ vec
-        covs.append(float(p @ (f * vec)) - mean_f * mean_g)
+        vec = [_dot(prow, [vec[b] for b in row]) for row, prow in zip(succ, P)]
+        covs.append(_dot(p, [x * y for x, y in zip(f, vec)]) - mean_fg)
 
     # spectral oracle: second modulus eigenvalue of P (dense solve)
-    eigs = np.sort(np.abs(np.linalg.eigvals(P)))[::-1]
+    import numpy as np
+
+    dense = np.zeros((len(P), len(P)))
+    for a, (row, prow) in enumerate(zip(succ, P)):
+        dense[a, row] = prow
+    eigs = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
     rho2 = float(eigs[1]) if len(eigs) > 1 else 0.0
 
     # fit |cov_n| ~ K * r^n over the indices where it is meaningfully nonzero
-    mags = np.abs(np.array(covs))
-    idx = np.nonzero(mags > 1e-13)[0]
-    idx = idx[idx >= 1]
+    idx = [n for n in range(1, len(covs)) if abs(covs[n]) > 1e-13]
     if len(idx) >= 2:
-        slope = np.polyfit(idx, np.log(mags[idx]), 1)[0]
-        rate = float(np.exp(slope))
+        logs = [math.log(abs(covs[n])) for n in idx]
+        x_bar, y_bar = sum(idx) / len(idx), sum(logs) / len(logs)
+        slope = (sum((x - x_bar) * (y - y_bar) for x, y in zip(idx, logs))
+                 / sum((x - x_bar) ** 2 for x in idx))
+        rate = math.exp(slope)
     else:
         rate = 0.0
     return {"cov": covs, "fitted_rate": rate, "spectral_rate": rho2}

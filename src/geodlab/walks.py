@@ -22,15 +22,17 @@ MAX_SHADOWS = 2 ** 20
 
 
 class NBRWKernel:
-    """Edge-to-edge transition kernel of the non-backtracking walk."""
+    """Edge-to-edge transition kernel of the non-backtracking walk, stored
+    by rows: the successors of edge i are ``col[start[i]:start[i + 1]]``,
+    ascending, with the probabilities ``prob`` at the same positions, and
+    ``row`` repeats i once for each of them."""
 
     def __init__(self, graph):
         import numpy as np
 
         self.graph = graph
-        n = graph.edge_count()
-        P = np.zeros((n, n))
-        for i, eid in enumerate(graph.edge_ids):
+        start, col, prob = [0], [], []
+        for eid in graph.edge_ids:
             e = graph.edges[eid]
             row = []
             for fid in graph.out_edges(e.terminus):
@@ -41,12 +43,24 @@ class NBRWKernel:
             if tot <= 0:
                 raise DegenerateError(
                     f"walk stalls after edge {eid!r} (tree-degree <= 1)")
-            for j, w in row:
-                P[i, j] = w / tot
-        self.P = P
+            col += [j for j, _ in row]
+            prob += [w / tot for _, w in row]
+            start.append(len(col))
+        self.start = np.array(start, dtype=np.intp)
+        self.col = np.array(col, dtype=np.intp)
+        self.prob = np.array(prob)
+        self.row = np.repeat(np.arange(len(start) - 1), np.diff(self.start))
         # vertex index of each edge's terminus, the vertex a walk stands on
         self.term = np.array([graph.vertex_index[graph.edges[eid].terminus]
                               for eid in graph.edge_ids], dtype=np.intp)
+
+    def step(self, dist):
+        """The edge law one step after ``dist``: a gather, a product and
+        additions in the order of the nonzeros, with no BLAS kernel."""
+        import numpy as np
+
+        return np.bincount(self.col, weights=dist[self.row] * self.prob,
+                           minlength=len(dist))
 
     def start_distribution(self, subname):
         """Initial edge law for a walk leaving the named subgraph: vertex
@@ -104,7 +118,7 @@ def nbrw_exact(graph, start_subgraph, n):
     kernel = NBRWKernel(graph)
     dist = kernel.start_distribution(start_subgraph)
     for _ in range(n - 1):
-        dist = dist @ kernel.P
+        dist = kernel.step(dist)
     vdist = kernel.vertex_pushforward(dist)
     target = kernel.target_distribution()
     rep = graph.volumes()
@@ -117,30 +131,32 @@ def nbrw_exact(graph, start_subgraph, n):
     }
 
 
-def _successor_table(P):
-    """Row-local inverse-CDF lookup table over the positive entries of P.
+def _successor_table(kernel):
+    """Row-local inverse-CDF lookup table over the kernel's nonzeros.
 
-    Returns (keys, first, last, succ).  Row i with positive entries at
-    columns j_1 < ... < j_k has the keys keys[m, i] = i + s_m for m < k,
-    s_m being the running sum P[i, j_1] + ... + P[i, j_{m+1}], and ``inf``
-    past them up to the largest k of any row.  ``succ`` lists j_1..j_k of
-    each row in turn, at ``first[i]`` to ``last[i]``: one entry per nonzero
-    of P.  For u in [0, 1) the first key of row i above i + u selects j
-    with probability P[i, j].  The last key of row i is set to exactly
-    i + 1, so rounding in the sums can never reach a zero entry;
-    ``last[i]`` clamps the pick when i + u rounds up to i + 1.
+    Returns (keys, first, last, succ).  Row i with successors j_1 < ... <
+    j_k has the keys keys[m, i] = i + s_m for m < k, s_m being the running
+    sum P[i, j_1] + ... + P[i, j_{m+1}], and ``inf`` past them up to the
+    largest k of any row.  ``succ`` lists j_1..j_k of each row in turn, at
+    ``first[i]`` to ``last[i]``: one entry per nonzero of P.  For u in
+    [0, 1) the first key of row i above i + u selects j with probability
+    P[i, j].  The last key of row i is set to exactly i + 1, so rounding in
+    the sums can never reach a zero entry; ``last[i]`` clamps the pick when
+    i + u rounds up to i + 1.
     """
     import numpy as np
 
-    cols = [np.flatnonzero(row) for row in P]
-    sizes = np.array([len(c) for c in cols])
-    keys = np.full((sizes.max(), len(P)), np.inf)
-    for i, (row, c) in enumerate(zip(P, cols)):
-        cum = np.cumsum(row[c])
-        cum[-1] = 1.0
-        keys[:len(c), i] = i + cum
-    last = np.cumsum(sizes) - 1
-    return keys, last - sizes + 1, last, np.concatenate(cols)
+    start, row = kernel.start, kernel.row
+    sizes = np.diff(start)
+    rows = np.arange(len(sizes))
+    slot = np.arange(len(row)) - start[row]  # position of a nonzero in its row
+    cum = np.zeros((sizes.max(), len(sizes)))
+    cum[slot, row] = kernel.prob
+    cum = np.cumsum(cum, axis=0)  # down each column, one row's sums
+    cum[sizes - 1, rows] = 1.0
+    keys = np.full_like(cum, np.inf)
+    keys[slot, row] = row + cum[slot, row]
+    return keys, start[:-1], start[1:] - 1, kernel.col
 
 
 def _nbrw_step(table, state, u):
@@ -172,7 +188,7 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed):
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 0)))
     start = kernel.start_distribution(start_subgraph)
     state = rng.choice(graph.edge_count(), size=reps, p=start)
-    table = _successor_table(kernel.P)
+    table = _successor_table(kernel)
     for _ in range(n - 1):
         state = _nbrw_step(table, state, rng.random(reps))
     tallies = np.bincount(kernel.term[state], minlength=graph.vertex_count())
@@ -351,56 +367,27 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed):
 
 
 def laplacian_matrices(graph):
-    """(Delta, D, Dstar, degs) for the conductance Laplacian.
+    """Delta for the conductance Laplacian, as a list of rows aligned with
+    ``graph.vertex_ids``.
 
     Delta f(x) = (1/deg_c(x)) sum_{o(e)=x} i(e) e^{c(e)} (f(x) - f(t(e)))
     with deg_c(x) = sum_{o(e)=x} i(e) e^{c(e)}.
-
-    D is the discrete differential (edges x vertices):
-    (D f)(e) = sqrt(p(e)) (f(t(e)) - f(o(e))), p(e) = e^{c(e)}/deg_c(o(e)),
-    and Dstar its adjoint (vertices x edges):
-    (Dstar phi)(x) = sum_{o(e)=x} (i(e)/2) (sqrt(p(ebar)) phi(ebar)
-                                            - sqrt(p(e)) phi(e)).
-    For reversible conductances Delta = Dstar D.
     """
-    import numpy as np
-
-    nv, ne = graph.vertex_count(), graph.edge_count()
-    w = {eid: graph.index_i(eid) * math.exp(graph.edges[eid].conductance)
-         for eid in graph.edge_ids}
+    nv = graph.vertex_count()
+    w = {eid: graph.index_i(eid) * weight
+         for eid, weight in zip(graph.edge_ids, graph.edge_weights())}
     degc = {v: sum(w[eid] for eid in graph.out_edges(v))
             for v in graph.vertex_ids}
     for v, dv in degc.items():
         if dv <= 0:
             raise DegenerateError(f"vertex {v!r} has zero weighted degree")
 
-    Delta = np.zeros((nv, nv))
+    Delta = [[0.0] * nv for _ in range(nv)]
     for v in graph.vertex_ids:
         i = graph.vertex_index[v]
+        row = Delta[i]
         for eid in graph.out_edges(v):
-            e = graph.edges[eid]
-            j = graph.vertex_index[e.terminus]
-            Delta[i, i] += w[eid] / degc[v]
-            Delta[i, j] -= w[eid] / degc[v]
-
-    p = {eid: math.exp(graph.edges[eid].conductance)
-         / degc[graph.edges[eid].origin] for eid in graph.edge_ids}
-    D = np.zeros((ne, nv))
-    for eid in graph.edge_ids:
-        e = graph.edges[eid]
-        k = graph.edge_index[eid]
-        D[k, graph.vertex_index[e.terminus]] += math.sqrt(p[eid])
-        D[k, graph.vertex_index[e.origin]] -= math.sqrt(p[eid])
-
-    Dstar = np.zeros((nv, ne))
-    for eid in graph.edge_ids:
-        e = graph.edges[eid]
-        x = graph.vertex_index[e.origin]
-        k = graph.edge_index[eid]
-        kbar = graph.edge_index[e.reverse]
-        half_i = graph.index_i(eid) / 2.0
-        Dstar[x, kbar] += half_i * math.sqrt(p[e.reverse])
-        Dstar[x, k] -= half_i * math.sqrt(p[eid])
-
-    return Delta, D, Dstar, degc
-
+            j = graph.vertex_index[graph.edges[eid].terminus]
+            row[i] += w[eid] / degc[v]
+            row[j] -= w[eid] / degc[v]
+    return Delta

@@ -18,6 +18,17 @@ from geodlab.ffield import FqPoly, poly_range
 from geodlab.graphs import load_validate
 
 
+def dense(cols, vals=None):
+    """The square array with vals[i][k] (1.0 when vals is None) at row i,
+    column cols[i][k]: a sparse operator stored by rows, such as
+    EdgeShift.succ with MarkovMeasure.P, made dense for the oracles."""
+    M = np.zeros((len(cols), len(cols)))
+    for i, row in enumerate(cols):
+        for k, j in enumerate(row):
+            M[i, j] = 1.0 if vals is None else vals[i][k]
+    return M
+
+
 # ---------------------------------------------------------------------------
 # the tree of PGL_2 over F_q((1/Y))
 
@@ -261,6 +272,39 @@ def nbrw_global_search(P, start, n, reps, philox_seed):
     return state
 
 
+def laplacian_factors(graph):
+    """(D, Dstar, degc) for the conductance Laplacian Delta = Dstar D of a
+    graph with reversible conductances.
+
+    D is the discrete differential (edges x vertices):
+    (D f)(e) = sqrt(p(e)) (f(t(e)) - f(o(e))), p(e) = e^{c(e)}/deg_c(o(e)),
+    with deg_c(x) = sum_{o(e)=x} i(e) e^{c(e)}, and Dstar its adjoint
+    (vertices x edges):
+    (Dstar phi)(x) = sum_{o(e)=x} (i(e)/2) (sqrt(p(ebar)) phi(ebar)
+                                            - sqrt(p(e)) phi(e)).
+    """
+    vindex = {v: i for i, v in enumerate(graph.vertex_ids)}
+    eindex = {e: k for k, e in enumerate(graph.edge_ids)}
+
+    def index_i(e):
+        return graph.vertices[e.origin].order // e.order
+
+    degc = {v: 0.0 for v in graph.vertex_ids}
+    for e in graph.edges.values():
+        degc[e.origin] += index_i(e) * np.exp(e.conductance)
+    p = {eid: np.exp(e.conductance) / degc[e.origin]
+         for eid, e in graph.edges.items()}
+    D = np.zeros((len(eindex), len(vindex)))
+    Dstar = np.zeros((len(vindex), len(eindex)))
+    for eid, e in graph.edges.items():
+        k, kbar = eindex[eid], eindex[e.reverse]
+        D[k, vindex[e.terminus]] += np.sqrt(p[eid])
+        D[k, vindex[e.origin]] -= np.sqrt(p[eid])
+        Dstar[vindex[e.origin], kbar] += index_i(e) / 2 * np.sqrt(p[e.reverse])
+        Dstar[vindex[e.origin], k] -= index_i(e) / 2 * np.sqrt(p[eid])
+    return D, Dstar, degc
+
+
 def vol_inner(graph, f, g):
     """<f, g> for the volume form: sum (1/|G_x|) f(x) g(x)."""
     return float(sum(f[i] * g[i] / graph.vertices[v].order
@@ -283,20 +327,21 @@ def periodic_gibbs_ratios(m, length):
     if length > 12:
         raise ValueError("enumeration capped at length 12")
     k = len(m.p)
+    P = dense(m.shift.succ, m.P)
     out = []
 
     def rec(word):
         if len(word) == length:
-            if m.P[word[-1], word[0]] <= 0:
+            if P[word[-1], word[0]] <= 0:
                 return
             logm = np.log(m.p[word[0]])
             for a, b in zip(word, word[1:]):
-                logm += np.log(m.P[a, b])
+                logm += np.log(P[a, b])
             s = sum(m.shift.potential[a] for a in word)
             out.append(float(np.exp(logm - s + length * m.pressure)))
             return
         for b in range(k):
-            if m.P[word[-1], b] > 0:
+            if P[word[-1], b] > 0:
                 rec(word + [b])
 
     for a in range(k):
@@ -317,7 +362,7 @@ def brute_force_equilibrium(shift, n_starts=32, seed=12345):
     """
     from scipy.optimize import minimize
 
-    A = np.asarray(shift.A)
+    A = dense(shift.succ)
     k = len(A)
     if k > 4:
         raise ValueError("brute-force oracle capped at 4 letters")

@@ -220,6 +220,22 @@ def test_count_beyond_float_range_is_a_record(capsys, nmax):
     assert json.loads(err)["error"] == "too-large"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "perp", "--minus", "U", "--plus", "V"], ["count", "orbits"],
+    ["shift", "pressure"], ["walk", "laplacian"]])
+def test_edge_weight_beyond_float_range_is_a_record(tmp_path, capsys, argv):
+    # e^1000 is past the float range: a record, not an OverflowError
+    from geodlab.graphs import to_document
+    from geodlab.library import theta
+
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps(to_document(
+        theta().with_conductance({"a+": 1000.0}))))
+    code, out, err = run_cli(capsys, *argv, "--graph", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "too-large"
+
+
 @pytest.mark.parametrize("basepoint, cycle", [("w", "X"), ("zz", "l+")])
 def test_count_conjugacy_unknown_id_is_a_record(capsys, basepoint, cycle):
     code, out, err = run_cli(capsys, "count", "conjugacy", "--graph",
@@ -577,6 +593,20 @@ EXACT_ARGV = [
     ["graph", "volumes", "--graph", "builtin:theta"],
 ]
 
+# float verbs that step over the successor lists in pure Python; WEIGHTED
+# stands for a graph file with conductances that the test writes
+WEIGHTED = "{weighted}"
+STEP_ARGV = [
+    ["count", "orbits", "--graph", "builtin:petersen", "--nmax", "12"],
+    ["count", "orbits", "--graph", WEIGHTED, "--nmax", "12"],
+    ["walk", "laplacian", "--graph", "builtin:orderchain"],
+    ["walk", "laplacian", "--graph", WEIGHTED],
+    ["shift", "pressure", "--graph", "builtin:petersen"],
+    ["shift", "pressure", "--graph", WEIGHTED],
+    ["shift", "pressure", "--preset", "golden"],
+    ["shift", "equilibrium", "--graph", WEIGHTED],
+]
+
 # Prints the geodlab modules missing after `import geodlab.cli`, the exit
 # code of each argv, and the steps after which numpy was in sys.modules.
 _PROBE = """
@@ -596,12 +626,12 @@ print(json.dumps(out))
 """
 
 
-def _probe(package_parent):
+def _probe(package_parent, argvs):
     env = _subprocess_env()
     env["PYTHONPATH"] = str(package_parent)
     res = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(TRACED_MODULES),
-         json.dumps(EXACT_ARGV)],
+         json.dumps(argvs)],
         capture_output=True, text=True, env=env, check=True)
     return json.loads(res.stdout)
 
@@ -611,10 +641,26 @@ def _package_parent():
     return Path(geodlab.__file__).resolve().parents[1]
 
 
-def test_exact_verbs_do_not_import_numpy():
-    out = _probe(_package_parent())
+def _numpy_free_argv(tmp_path):
+    """EXACT_ARGV and STEP_ARGV, WEIGHTED written as theta with a
+    conductance on every edge, its reverse's drawn apart."""
+    from geodlab.graphs import to_document
+    from geodlab.library import theta
+
+    g = theta()
+    doc = to_document(g.with_conductance(
+        {e: 0.1 * k - 0.2 for k, e in enumerate(g.edge_ids)}))
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps(doc))
+    return EXACT_ARGV + [[str(path) if a == WEIGHTED else a for a in argv]
+                         for argv in STEP_ARGV]
+
+
+def test_exact_verbs_do_not_import_numpy(tmp_path):
+    argvs = _numpy_free_argv(tmp_path)
+    out = _probe(_package_parent(), argvs)
     assert out["missing"] == []
-    assert out["codes"] == [0] * len(EXACT_ARGV)
+    assert out["codes"] == [0] * len(argvs)
     assert out["numpy_after"] == []
 
 
@@ -623,6 +669,95 @@ def test_import_boundary_sees_a_numpy_import(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     ffield = tmp_path / "geodlab" / "ffield.py"
     ffield.write_text("import numpy\n" + ffield.read_text())
-    out = _probe(tmp_path)
+    out = _probe(tmp_path, _numpy_free_argv(tmp_path))
     assert out["missing"] == []
     assert out["numpy_after"][0] == "import geodlab.cli"
+
+
+# ---------------------------------------------------------------------------
+# printed floats do not depend on the BLAS kernel
+
+
+CORETYPES = ("Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX")
+
+# Prints, under the OPENBLAS_CORETYPE of its environment, the sha256 of the
+# stdout of each argv (the LAPACK line `__spectral_rate__` left out), and of
+# the exact NBRW law by the dense step dist @ P of the previous kernel: the
+# negative control.
+_KERNEL_PROBE = """
+import contextlib, hashlib, io, json, sys
+import numpy as np
+import geodlab.cli
+from geodlab.graphs import load_validate
+from geodlab.walks import NBRWKernel
+argvs, control = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+out = {"stdout": [], "dense": []}
+for argv in argvs:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert geodlab.cli.main(argv) == 0
+    text = "".join(line for line in buf.getvalue().splitlines(True)
+                   if not line.startswith("__spectral_rate__"))
+    out["stdout"].append(hashlib.sha256(text.encode()).hexdigest())
+for path, start, n in control:
+    with open(path) as fh:
+        k = NBRWKernel(load_validate(fh.read()))
+    P = np.zeros((len(k.term), len(k.term)))
+    P[k.row, k.col] = k.prob
+    dist = k.start_distribution(start)
+    for _ in range(n - 1):
+        dist = dist @ P
+    out["dense"].append(hashlib.sha256(dist.tobytes()).hexdigest())
+print(json.dumps(out))
+"""
+
+
+def _regular_graph_file(path, degree, n, seed, conductance):
+    """A connected random regular graph with a point subgraph S, with a
+    seeded conductance on every directed edge when asked."""
+    import networkx as nx
+    import random
+
+    h = nx.random_regular_graph(degree, n, seed=seed)
+    assert nx.is_connected(h)
+    rng = random.Random(seed)
+    edges = []
+    for k, (u, v) in enumerate(sorted(h.edges())):
+        for a, b, s, r in ((u, v, "+", "-"), (v, u, "-", "+")):
+            edges.append({"id": f"e{k:03d}{s}", "from": f"v{a:02d}",
+                          "to": f"v{b:02d}", "reverse": f"e{k:03d}{r}",
+                          "conductance": rng.uniform(-0.5, 0.5)
+                          if conductance else 0.0})
+    path.write_text(json.dumps({
+        "vertices": [{"id": f"v{i:02d}"} for i in range(n)], "edges": edges,
+        "subgraphs": {"S": {"vertices": ["v00"], "edges": []}}}))
+    return str(path)
+
+
+def test_printed_floats_do_not_depend_on_the_blas_kernel(tmp_path):
+    # a weighted quartic graph (rows of thirds, weights off 1) and a cubic
+    # one; the exact walk, the orbit traces and the shift verbs on each
+    graphs = [_regular_graph_file(tmp_path / "w.json", 4, 30, 5, True),
+              _regular_graph_file(tmp_path / "c.json", 3, 40, 6, False)]
+    argvs = []
+    for g in graphs:
+        argvs += [["walk", "nbrw", "--graph", g, "--start", "S", "--n", "200"],
+                  ["count", "orbits", "--graph", g, "--nmax", "12"],
+                  ["shift", "pressure", "--graph", g],
+                  ["shift", "equilibrium", "--graph", g],
+                  ["shift", "gibbs-audit", "--graph", g],
+                  ["shift", "decay", "--graph", g]]
+    control = [[graphs[0], "S", 200]]
+    env = _subprocess_env()
+    env["PYTHONPATH"] = str(_package_parent())
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _KERNEL_PROBE, json.dumps(argvs),
+         json.dumps(control)], stdout=subprocess.PIPE, text=True,
+        env=dict(env, OPENBLAS_CORETYPE=core)) for core in CORETYPES]
+    outs = [json.loads(p.communicate()[0]) for p in procs]
+    assert all(p.returncode == 0 for p in procs)
+    for i, argv in enumerate(argvs):
+        assert len({out["stdout"][i] for out in outs}) == 1, argv
+    # negative control: the dense BLAS step tells the kernels apart
+    assert len({out["dense"][0] for out in outs}) >= 2

@@ -3,14 +3,17 @@
 Oracles: the naive DFS path enumerator of oracles.py, hand-counted small
 paths, the closed forms 2(3^n - 1) (figure-8) and 3^n + 2 + (-1)^n
 (figure-8 traces), and tr(B^n) by integer matrix powers of a transfer
-matrix built here from the edge records.
+matrix built here from the edge records (float powers of its weighted form
+for the weighted traces).
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from geodlab import counting
 from geodlab.counting import (
     PerpQuery,
     closed_orbit_count,
@@ -231,18 +234,25 @@ def _trace_powers(B, nmax):
 
 
 def _fix_matches_oracle(g, nmax):
-    return closed_orbit_count(g, nmax)["fix"] == _trace_powers(
-        _transfer_oracle(g), nmax)
+    """Fix_n and the primitive counts against tr(B^n) and its Mobius
+    inversion, n = 1..nmax."""
+    fix = _trace_powers(_transfer_oracle(g), nmax)
+    primitive = [sum(_mobius(n // d) * fix[d - 1]
+                     for d in range(1, n + 1) if n % d == 0)
+                 for n in range(1, nmax + 1)]
+    out = closed_orbit_count(g, nmax)
+    return out["fix"] == fix and out["primitive"] == primitive
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN))
 def test_fix_matches_trace_powers(name):
+    # fig8 has loops, theta multiple edges and orderchain group orders
     g = BUILTIN[name]()
     try:
-        g.nb_transfer()
+        g.check_branching()
     except DegenerateError:
         pytest.skip(f"{name} has a vertex of tree-degree <= 1")
-    assert _fix_matches_oracle(g, 26)
+    assert _fix_matches_oracle(g, 30)
 
 
 def test_trace_oracle_catches_backtracking(monkeypatch):
@@ -250,6 +260,51 @@ def test_trace_oracle_catches_backtracking(monkeypatch):
     monkeypatch.setattr(GraphOfGroups, "nb_successors",
                         _successors_with_backtracking)
     assert not _fix_matches_oracle(petersen(), 26)
+
+
+@pytest.mark.parametrize("name", ["fig8", "theta", "orderchain"])
+def test_trace_oracle_catches_a_missing_doubling(monkeypatch, name):
+    # negative control: one edge of each reverse pair, counted once
+    monkeypatch.setattr(counting, "_sweep_starts", lambda rev, weighted: [
+        (e, 1) for e in range(len(rev)) if e < rev[e]])
+    assert not _fix_matches_oracle(BUILTIN[name](), 30)
+
+
+def _asymmetric_petersen():
+    """Petersen with a seeded conductance on every edge, its reverse's
+    drawn apart."""
+    rng = np.random.default_rng(17)
+    g = petersen()
+    return g.with_conductance({e: float(rng.uniform(-0.5, 0.5))
+                               for e in g.edge_ids})
+
+
+def _weighted_traces_match_oracle(g, nmax):
+    """The weighted column against tr(B_w^n), B_w[e, f] = e^{c(f)} on the
+    transfer matrix built here, to 1e-12 relative."""
+    ids = sorted(g.edges)
+    Bw = np.array(_transfer_oracle(g), dtype=float) * np.exp(
+        [g.edges[f].conductance for f in ids])[None, :]
+    got = closed_orbit_count(g, nmax, weighted=True)["weighted"]
+    P = np.eye(len(ids))
+    for n in range(nmax):
+        P = P @ Bw
+        if abs(got[n] - np.trace(P)) > 1e-12 * np.trace(P):
+            return False
+    return True
+
+
+def test_weighted_traces_match_dense_powers():
+    assert _weighted_traces_match_oracle(_asymmetric_petersen(), 30)
+
+
+def test_weighted_oracle_catches_pair_halving(monkeypatch):
+    # negative control: reversal does not keep the weights, so the weighted
+    # sweep may not start from one edge of each pair only
+    sweep = counting._sweep_starts
+    monkeypatch.setattr(counting, "_sweep_starts",
+                        lambda rev, weighted: sweep(rev, False))
+    assert not _weighted_traces_match_oracle(_asymmetric_petersen(), 30)
 
 
 def test_petersen_orbits_to_200():

@@ -26,7 +26,9 @@ from geodlab.walks import (
     tree_harmonic_measure,
 )
 from oracles import (
+    dense,
     is_reversible,
+    laplacian_factors,
     nbrw_global_search,
     two_vertex_segment,
     vol_inner,
@@ -59,17 +61,38 @@ def test_derive_seed_streams_distinct():
 # NBRW kernel
 
 
+def _dense_kernel(kernel):
+    """The kernel's transition matrix, from its rows."""
+    cut = kernel.start[1:-1]
+    return dense(np.split(kernel.col, cut), np.split(kernel.prob, cut))
+
+
 def test_kernel_rows_stochastic():
     for g in (petersen(), theta(), order_two_chain()):
         k = NBRWKernel(g)
-        P = np.asarray(k.P)
+        P = _dense_kernel(k)
         assert (P >= 0).all()
         assert np.abs(P.sum(axis=1) - 1).max() < 1e-14
+        # one stored entry per successor, columns ascending in each row
+        assert len(k.col) == np.count_nonzero(P)
+        for i in range(len(P)):
+            assert (np.diff(k.col[k.start[i]:k.start[i + 1]]) > 0).all()
+
+
+def test_kernel_step_matches_dense_product():
+    # rows of one and two successors on the order chain, of two on Petersen
+    for g, start in ((order_two_chain(), "X"), (petersen(), "P0")):
+        k = NBRWKernel(g)
+        dist = k.start_distribution(start)
+        for _ in range(20):
+            want = dist @ _dense_kernel(k)
+            dist = k.step(dist)
+            assert np.abs(dist - want).max() < 1e-15
 
 
 def test_kernel_uniform_for_trivial_orders():
     k = NBRWKernel(petersen())
-    P = np.asarray(k.P)
+    P = _dense_kernel(k)
     # every allowed successor has probability 1/2 on a cubic graph
     assert set(np.round(P[P > 0], 12)) == {0.5}
 
@@ -124,7 +147,7 @@ def _masked_nbrw_reference(kernel, start, n, reps, seed):
     """Per-row inverse-CDF sampler with the same draws as nbrw_sample: the
     start law through rng.choice, then one uniform per path and step."""
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 0)))
-    P = np.asarray(kernel.P)
+    P = _dense_kernel(kernel)
     state = rng.choice(len(P), size=reps, p=start)
     for _ in range(n - 1):
         u = rng.random(reps)
@@ -168,8 +191,9 @@ SAMPLED_WALKS = [(figure_eight, "A"), (theta, "U"), (petersen, "P0"),
 
 @pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
 def test_successor_table_invariants(make, start, n):
-    P = np.asarray(NBRWKernel(make()).P)
-    keys, first, last, succ = walks._successor_table(P)
+    kernel = NBRWKernel(make())
+    P = _dense_kernel(kernel)
+    keys, first, last, succ = walks._successor_table(kernel)
     sizes = np.count_nonzero(P, axis=1)
     assert (sizes > 1).any() and (sizes < keys.shape[0]).any()
     # one finite key and one successor per nonzero, row by row
@@ -179,6 +203,8 @@ def test_successor_table_invariants(make, start, n):
     for i, row in enumerate(P):
         k = sizes[i]
         assert (succ[first[i]:last[i] + 1] == np.flatnonzero(row)).all()
+        # the running sums of the row, in column order
+        assert (keys[:k - 1, i] == i + np.cumsum(row[row > 0])[:-1]).all()
         assert keys[k - 1, i] == i + 1
         assert (np.diff(keys[:k, i]) > 0).all()
         assert (keys[k:, i] == np.inf).all()
@@ -193,9 +219,10 @@ def _clamp_picks(table, rows):
 
 @pytest.mark.parametrize("make", [make for make, _ in SAMPLED_WALKS])
 def test_step_clamps_to_the_last_successor(make):
-    P = np.asarray(NBRWKernel(make()).P)
+    kernel = NBRWKernel(make())
+    P = _dense_kernel(kernel)
     rows = np.arange(1, len(P))
-    picks = _clamp_picks(walks._successor_table(P), rows)
+    picks = _clamp_picks(walks._successor_table(kernel), rows)
     want = [np.flatnonzero(P[i])[-1] for i in rows]
     assert (picks == want).all()
     assert (P[rows, picks] > 0).all()
@@ -203,8 +230,9 @@ def test_step_clamps_to_the_last_successor(make):
 
 def test_clamp_test_sees_a_missing_clamp():
     # negative control: without the clamp the pick runs into row i + 1
-    P = np.asarray(NBRWKernel(petersen()).P)
-    keys, first, last, succ = walks._successor_table(P)
+    kernel = NBRWKernel(petersen())
+    P = _dense_kernel(kernel)
+    keys, first, last, succ = walks._successor_table(kernel)
     unclamped = (keys, first, np.full_like(last, len(succ) - 1), succ)
     rows = np.arange(1, len(P))
     picks = _clamp_picks(unclamped, rows)
@@ -213,7 +241,8 @@ def test_clamp_test_sees_a_missing_clamp():
 
 def _global_search_tallies(g, start, n, reps, seed):
     kernel = NBRWKernel(g)
-    state = nbrw_global_search(kernel.P, kernel.start_distribution(start),
+    state = nbrw_global_search(_dense_kernel(kernel),
+                               kernel.start_distribution(start),
                                n, reps, derive_seed(seed, 0))
     return _vertex_tallies(g, state)
 
@@ -228,8 +257,8 @@ def test_nbrw_sample_matches_global_search(make, start, seed):
 
 def test_global_search_sees_a_shifted_row_start(monkeypatch):
     # negative control: rows read from one entry past their first successor
-    def shifted(P):
-        keys, first, last, succ = table(P)
+    def shifted(kernel):
+        keys, first, last, succ = table(kernel)
         return keys, first + 1, last, succ
 
     table = walks._successor_table
@@ -353,22 +382,23 @@ def _reversible_conductance(g, seed):
 
 
 def test_laplacian_two_vertex():
-    Delta, _, _, _ = laplacian_matrices(two_vertex_segment())
+    Delta = laplacian_matrices(two_vertex_segment())
     eigs = sorted(np.linalg.eigvalsh(Delta).round(12))
     assert eigs == [0.0, 2.0]
 
 
 def test_laplacian_kills_constants():
     g = petersen()
-    Delta, _, _, _ = laplacian_matrices(g)
+    Delta = np.array(laplacian_matrices(g))
     assert np.abs(Delta @ np.ones(g.vertex_count())).max() < 1e-12
 
 
 def test_laplacian_factorizes_reversible():
     g = _reversible_conductance(theta(), 5)
     assert is_reversible(g)
-    Delta, D, Dstar, _ = laplacian_matrices(g)
-    assert np.abs(Delta - Dstar @ D).max() < 1e-12
+    D, Dstar, _ = laplacian_factors(g)
+    assert np.abs(np.array(laplacian_matrices(g)) - Dstar @ D).max() < 1e-12
+
 
 
 def test_laplacian_self_adjoint_and_positive():
@@ -376,7 +406,7 @@ def test_laplacian_self_adjoint_and_positive():
     # regime where the vol inner product makes Delta self-adjoint
     g = petersen().with_conductance(
         {e: 0.3 for e in petersen().edge_ids})
-    Delta, _, _, _ = laplacian_matrices(g)
+    Delta = np.array(laplacian_matrices(g))
     rng = np.random.default_rng(0)
     for _ in range(5):
         f = rng.normal(size=g.vertex_count())
@@ -390,7 +420,8 @@ def test_laplacian_degc_weighted_symmetry():
     # general reversible c: Delta is the generator of a reversible chain,
     # symmetric once rows are weighted by deg_c
     g = _reversible_conductance(petersen(), 6)
-    Delta, _, _, degc = laplacian_matrices(g)
+    Delta = np.array(laplacian_matrices(g))
+    _, _, degc = laplacian_factors(g)
     w = np.array([degc[v] for v in g.vertex_ids])
     M = np.diag(w) @ Delta
     assert np.abs(M - M.T).max() < 1e-12
