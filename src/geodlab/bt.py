@@ -1,7 +1,7 @@
 """Valuative geometry of the (q+1)-regular tree of PGL_2 over F_q((1/Y))
 and its arithmetic: vertex distances, horoball heights, translation
-lengths, boundary measures, crossratios, relative heights, norm forms,
-covolumes, Hecke indices, and Farey counting.
+lengths, boundary measures, relative heights, norm forms, covolumes,
+Hecke indices, and Farey counting.
 
 Distances, heights and measures are all expressed through the valuation
 v = v_infinity on F_q(Y); everything is exact (Fractions / big integers).
@@ -27,14 +27,8 @@ from .ffield import (
     euler_phi,
     factor,
     poly_range,
-    sqrt_mod,
     _divide_at_infinity,
-    _poly_sqrt_floor,
-    _scaled,
-    _surd_valuation,
 )
-
-INF = "inf"  # point at infinity of the projective line
 
 
 class BTMatrix:
@@ -122,54 +116,6 @@ def translation_length(g):
 # boundary measures
 
 
-def _surd_parts(x):
-    """(U, W, D, V) with x = (U + W sqrt(D))/V; W = 0, D = None if rational."""
-    if isinstance(x, QuadIrr):
-        return -x.B, FqPoly.const(x.q, x.sign), x.disc, 2 * x.A
-    if isinstance(x, FqPoly):
-        x = RatFunc(x)
-    return x.num, FqPoly.zero(x.q), None, x.den
-
-
-def abs_diff(x, y):
-    """Exact |x - y|_v for x, y in F_q(Y) or quadratic over it.
-
-    For x = (U1 + W1 sqrt(D1))/V1 and y = (U2 + W2 sqrt(D2))/V2 (a rational
-    point takes the other's D, or 1), S = floor(sqrt(D1 D2)) has S^2 = D1 D2
-    exactly when the fields agree; then sqrt(D2) = eps S sqrt(D1)/D1, eps
-    matching lc sqrt(D2) = r(D2) with lc(S) r(D1)/lc(D1), and x - y =
-    ((U1 V2 - U2 V1) D1 + (W1 V2 D1 - eps W2 V1 S) sqrt(D1)) / (V1 V2 D1).
-
-    When D2 = (l2/l1) D1 (l1, l2 the leading coefficients) and l1 l2 is a
-    square, as for any two points of one unimodular orbit, S is
-    (sqrt_mod(l1 l2)/l1) D1 and needs no series root.
-    """
-    q = x.q
-    U1, W1, D1, V1 = _surd_parts(x)
-    U2, W2, D2, V2 = _surd_parts(y)
-    D1 = D1 or D2 or FqPoly.one(q)
-    D2 = D2 or D1
-    l1, l2 = D1.lc, D2.lc
-    root = sqrt_mod(l1 * l2, q)
-    if root is not None and _scaled(D2, l1) == _scaled(D1, l2):
-        S = _scaled(D1, root * pow(l1, -1, q) % q)
-    else:
-        S = _poly_sqrt_floor(D1 * D2)
-        if S * S != D1 * D2:
-            raise UnsupportedError(
-                "the points lie in different quadratic fields")
-    r1, r2 = sqrt_mod(l1, q), sqrt_mod(l2, q)
-    eps = 1 if (r2 * l1 - S.lc * r1) % q == 0 else -1
-    U = (U1 * V2 - U2 * V1) * D1
-    W = W1 * V2 * D1 - eps * W2 * V1 * S
-    if U.is_zero() and W.is_zero():
-        if W1.is_zero():
-            return Fraction(0)
-        raise DegenerateError("points coincide")
-    v = _surd_valuation(U, W, D1) + V1.degree + V2.degree + D1.degree
-    return Fraction(q) ** (-v)
-
-
 def patterson_point_ball(q, center, n):
     """Mass of the ball B(center, q^{-n}) under the density
     max(1, |z|)^{-2} dHaar (the sphere measure seen from the base vertex).
@@ -213,66 +159,38 @@ def horoball_ball_mass(q, n):
 
 
 # ---------------------------------------------------------------------------
-# crossratios, heights, norm forms
-
-
-def crossratio_abs(a, b, c, d):
-    """|[a,b,c,d]| = |c-a||d-b| / (|c-b||d-a|), with each factor containing
-    an infinite point dropped (one factor upstairs, one downstairs)."""
-    pts = [a, b, c, d]
-    if sum(1 for p in pts if p == INF) > 1:
-        raise DegenerateError("points are not pairwise distinct")
-    num = Fraction(1)
-    den = Fraction(1)
-    factors = [((c, a), True), ((d, b), True), ((c, b), False), ((d, a), False)]
-    for (x, y), top in factors:
-        if x == INF or y == INF:
-            continue  # the paired factor on the other side is dropped too
-        f = abs_diff(x, y)
-        if f == 0:
-            raise DegenerateError("points are not pairwise distinct")
-        if top:
-            num *= f
-        else:
-            den *= f
-    return num / den
+# relative heights, norm forms
 
 
 def relative_height(alpha, beta):
     """h_alpha(beta) = max(|[a, b, b^s, a^s]|, |[a, b^s, b, a^s]|), a power
     of q equal to q^(distance between the two translation axes).
 
-    The two crossratios share the denominator |b - b^s| |a^s - a| =
-    1/(h(a) h(b)), so h_alpha(beta) is
-    max(|b^s - a| |a^s - b|, |b - a| |a^s - b^s|) h(a) h(b).  Points with
-    different triples have different minimal polynomials, so the four
-    differences are nonzero (abs_diff raises DegenerateError on a
-    coincident pair).
+    With a = (-B_a + s_a sqrt(D_a))/(2A_a) and b likewise, the two norms
+    (b - a)(b^s - a^s) and (b - a^s)(b^s - a) are (P +- R)/(2 A_a A_b),
+    where R = s_a s_b sqrt(D_a) sqrt(D_b) and P = 2 A_a C_b + 2 A_b C_a -
+    B_a B_b is the polar invariant of the two forms.  The crossratios are
+    these norms times h(a) h(b) = |A_a A_b| / |R|, and in odd
+    characteristic max(|P + R|, |P - R|) = max(|P|, |R|), so h_alpha(beta)
+    is q^max(0, deg P - (deg D_a + deg D_b)/2): the tree's
+    cosh d = |P| / sqrt(D_a D_b).  It holds for any two points over one q,
+    in one quadratic field or not.
     """
     if (alpha.A, alpha.B, alpha.C) == (beta.A, beta.B, beta.C):
         raise DegenerateError("beta lies in {alpha, alpha^sigma}")
-    asig, bsig = alpha.conj(), beta.conj()
-    h = (max(abs_diff(bsig, alpha) * abs_diff(asig, beta),
-             abs_diff(beta, alpha) * abs_diff(asig, bsig))
-         * alpha.complexity() * beta.complexity())
-    # must be a nonnegative power of q
-    n = 0
-    acc = Fraction(1)
-    while acc < h:
-        acc *= alpha.q
-        n += 1
-    if acc != h:
-        raise AssertionError(f"relative height {h} is not a power of q >= 1")
-    return h
+    P = 2 * (alpha.A * beta.C + beta.A * alpha.C) - alpha.B * beta.B
+    e = P.degree - (alpha.disc.degree + beta.disc.degree) // 2
+    return Fraction(alpha.q) ** max(0, e)
 
 
 def norm_form(alpha, x, y):
-    """Q_alpha(x, y) = |x^2 - xy tr(alpha) + y^2 n(alpha)|_v for FqPoly x, y."""
+    """Q_alpha(x, y) = |x^2 - xy tr(alpha) + y^2 n(alpha)|_v for FqPoly x, y:
+    |A x^2 + B xy + C y^2| / |A|.  The form has no zero but (0, 0), since
+    alpha is irrational."""
     if x.is_zero() and y.is_zero():
         raise DegenerateError("(x, y) must be nonzero")
-    tr, nm = alpha.trace(), alpha.norm()
-    val = RatFunc(x * x) - RatFunc(x * y) * tr + RatFunc(y * y) * nm
-    return val.abs_v()
+    form = alpha.A * x * x + alpha.B * x * y + alpha.C * y * y
+    return Fraction(alpha.q) ** (form.degree - alpha.A.degree)
 
 
 def transform_check(alpha, g, grid=5):
@@ -484,8 +402,7 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
     BFS over generator words (shears by Y and 1, inversion, and inverse
     shears) up to length word_len, deduplicating by the canonical
     (A, B, C, sign) form.  mode "complexity" bins by h(beta); mode
-    "relative" bins by h_{alpha0}(beta) and asserts every value is a power
-    of q.  Returns {"orbit_size", "bins": {value: count},
+    "relative" bins by h_{alpha0}(beta).  Returns {"orbit_size", "bins": {value: count},
     "cumulative": [(threshold, N(threshold))]}.
     """
     if mode not in ("complexity", "relative"):

@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import bt, counting, library, shift as shift_mod, walks
-from .errors import GeodlabError, IOFailure, TooLargeError, UsageError
+from .errors import BudgetError, GeodlabError, IOFailure, TooLargeError, \
+    UsageError
 from .ffield import FqPoly, QuadIrr, cf_expand, mertens_sum, parse_poly, \
     parse_ratfunc, euler_phi, laurent_expand, _check_q
 from .graphs import load_validate
@@ -34,6 +35,16 @@ def _budget(default):
         raise UsageError(
             f"GEODLAB_BUDGET must be a positive integer, got {env!r}")
     return budget
+
+
+def _factorable(f):
+    """f, if trial division may factor it: that tries every monic
+    polynomial of degree up to deg f / 2, so q^(deg f // 2) must be within
+    the budget."""
+    if f.q ** (f.degree // 2) > _budget(10 ** 7):
+        raise BudgetError(f"factoring a polynomial of degree {f.degree} "
+                          "by trial division exceeds the budget")
+    return f
 
 
 def _horizon(value, least, flag="--nmax"):
@@ -127,7 +138,7 @@ def cmd_count_perp(args):
 def cmd_count_orbits(args):
     g = _load_graph(args.graph)
     out = counting.closed_orbit_count(g, _horizon(args.nmax, 1),
-                                      weighted=True, budget=_budget(10 ** 8))
+                                      budget=_budget(10 ** 8))
     rows = [(n + 1, out["fix"][n], out["primitive"][n], out["orbits"][n],
              out["weighted"][n]) for n in range(args.nmax)]
     emit(["n", "fix", "primitive", "orbits", "weighted"], rows, args)
@@ -241,7 +252,7 @@ def cmd_ff_mertens(args):
 
 
 def cmd_ff_phi(args):
-    f = parse_poly(args.q, args.poly)
+    f = _factorable(parse_poly(args.q, args.poly))
     emit(["poly", "phi"], [(str(f), euler_phi(f))], args)
 
 
@@ -309,7 +320,7 @@ def cmd_bt_covolume(args):
 
 
 def cmd_bt_hecke(args):
-    ideal = parse_poly(args.q, args.ideal)
+    ideal = _factorable(parse_poly(args.q, args.ideal))
     formula, enum = bt.hecke_index(args.q, ideal,
                                    cross_check=not args.no_check)
     rows = [(str(ideal), formula, enum if enum is not None else "")]

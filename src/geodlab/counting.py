@@ -267,17 +267,6 @@ def theoretical_constant(query, series):
 # closed orbits
 
 
-def _sweep_starts(rev, weighted):
-    """(edge, multiplicity) for each edge the closed-orbit sweep starts
-    from.  Reversal (e_0, e_1, ..., e_{n-1}) -> (rev e_0, rev e_{n-1}, ...,
-    rev e_1) maps the closed words through e one-to-one onto those through
-    rev e, so the exact count starts from one edge of each pair, twice.  It
-    does not keep the weights, so the weighted sum starts from every edge."""
-    if weighted:
-        return [(e, 1) for e in range(len(rev))]
-    return [(e, 2) for e in range(len(rev)) if e < rev[e]]
-
-
 def _returns(succ, pred, e, nmax, weights=None):
     """Yield, for n = 1..nmax, the mass at e after n steps from unit mass on
     e.  Only the edges with a path back to e are stepped: other mass never
@@ -296,7 +285,20 @@ def _returns(succ, pred, e, nmax, weights=None):
         yield w[e]
 
 
-def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
+def _sweep(succ, pred, starts, nmax, weights=None):
+    """The sum, for n = 1..nmax, of mult times the mass back at e after n
+    steps from unit mass on e, over (e, mult) in ``starts``: exact without
+    ``weights``, where a sum past the float range raises TooLargeError."""
+    total = [0] * nmax if weights is None else [0.0] * nmax
+    for e, mult in starts:
+        for n, mass in enumerate(_returns(succ, pred, e, nmax, weights)):
+            if mass:  # a partial Fix_n past the float range stays past it
+                total[n] += mult * mass
+                _as_float(total[n], f"Fix_{n + 1}")
+    return total
+
+
+def closed_orbit_count(graph, nmax, budget=DEFAULT_BUDGET):
     """Per-length counts of periodic non-backtracking structures.
 
     Returns dict with lists indexed by n-1 for n = 1..nmax:
@@ -304,9 +306,9 @@ def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
         the mass the exact edge step carries from each edge back to it;
       primitive: primitive periodic sequences (Mobius inversion);
       orbits: prime orbits = primitive sequences / n (rotation classes);
-      weighted: sum of e^{c} over Fix_n (floats) when requested, that is
-        tr(B_w^n) with B_w[e, e'] = e^{c(e')}; float(Fix_n) when every
-        conductance is zero.
+      weighted: sum of e^{c} over Fix_n (floats), that is tr(B_w^n) with
+        B_w[e, e'] = e^{c(e')}; float(Fix_n) when every conductance is
+        zero.
     Raises BudgetError when (edge count)^2 * nmax exceeds ``budget``, and
     TooLargeError when a count or weighted trace exceeds the float range.
     """
@@ -319,12 +321,11 @@ def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
     rev = [graph.edge_index[graph.edges[e].reverse] for e in graph.edge_ids]
     # i -> j exactly when rev(j) -> rev(i)
     pred = [[rev[k] for k in succ[r]] for r in rev]
-    fix = [0] * nmax
-    for e, mult in _sweep_starts(rev, weighted=False):
-        for n, mass in enumerate(_returns(succ, pred, e, nmax)):
-            if mass:  # a partial Fix_n past the float range stays past it
-                fix[n] += mult * mass
-                _as_float(fix[n], f"Fix_{n + 1}")
+    # reversal (e_0, e_1, ..., e_{n-1}) -> (rev e_0, rev e_{n-1}, ...,
+    # rev e_1) maps the closed words through e one-to-one onto those
+    # through rev e, so the count starts from one edge of each pair, twice
+    fix = _sweep(succ, pred, [(e, 2) for e in range(n_edges) if e < rev[e]],
+                 nmax)
     # Mobius inversion Fix_n = sum of primitive_d over d | n, by a sieve
     primitive = list(fix)
     for d in range(1, nmax + 1):
@@ -332,21 +333,17 @@ def closed_orbit_count(graph, nmax, weighted=False, budget=DEFAULT_BUDGET):
             primitive[m - 1] -= primitive[d - 1]
     assert all(p % n == 0 for n, p in enumerate(primitive, 1))
     orbits = [p // n for n, p in enumerate(primitive, 1)]
-    out = {"fix": fix, "primitive": primitive, "orbits": orbits}
-    if weighted:
-        out["weighted"] = _weighted_traces(graph, succ, pred, rev, fix)
-    return out
+    return {"fix": fix, "primitive": primitive, "orbits": orbits,
+            "weighted": _weighted_traces(graph, succ, pred, fix)}
 
 
-def _weighted_traces(graph, succ, pred, rev, fix):
-    """tr(B_w^n) for n = 1..len(fix), the float step run from each edge."""
+def _weighted_traces(graph, succ, pred, fix):
+    """tr(B_w^n) for n = 1..len(fix), the float step run from each edge:
+    reversal does not keep the weights, so every edge is a start."""
     if all(graph.edges[e].conductance == 0.0 for e in graph.edge_ids):
         return [float(f) for f in fix]
-    weights = graph.edge_weights()
-    wfix = [0.0] * len(fix)
-    for e, mult in _sweep_starts(rev, weighted=True):
-        for n, mass in enumerate(_returns(succ, pred, e, len(fix), weights)):
-            wfix[n] += mult * mass
+    wfix = _sweep(succ, pred, [(e, 1) for e in range(len(succ))], len(fix),
+                  graph.edge_weights())
     for n, value in enumerate(wfix, 1):
         # the masses are positive: an overflow stays infinite, never NaN
         if not math.isfinite(value):

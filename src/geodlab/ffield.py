@@ -22,6 +22,7 @@ from .errors import (
 
 PREC_CAP = 256
 MAX_Q = 101
+MAX_DEGREE = 10 ** 6  # the largest exponent parse_poly accepts
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101}
@@ -951,6 +952,8 @@ def parse_poly(q, text):
                 c, k = int(term), 0
         except ValueError:
             raise UsageError(f"cannot parse the term {term!r} of {text!r}") from None
+        if k > MAX_DEGREE:
+            raise UsageError(f"exponent {k} exceeds {MAX_DEGREE}")
         if neg:
             c = -c
         out = out + FqPoly.monomial(q, c, k)

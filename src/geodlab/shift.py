@@ -24,6 +24,7 @@ from .errors import (
 
 POWER_TOL = 1e-12
 POWER_CAP = 10 ** 6
+GIBBS_GROWTH = 4.0  # the spread may grow this much from maxlen // 2 to maxlen
 
 
 class EdgeShift:
@@ -214,8 +215,13 @@ def weak_gibbs_audit(m, maxlen):
     largest in-degree k: E * k work per step.
 
     Returns {"per_letter": {letter: (lo, hi)}, "C": max per-letter spread
-    hi/lo, "passes": bool}.  A spread of 1 means the ratios are constant
-    (exact Gibbs property).
+    hi/lo, "C_half": the same spread over the periods <= maxlen // 2,
+    "passes": bool}.  A spread of 1 means the ratios are constant (exact
+    Gibbs property).  The audit passes when the spread stays bounded
+    (bounded distortion, Bowen): C is finite and at most GIBBS_GROWTH
+    times C_half.  C_half is 1 when no period <= maxlen // 2 closes up,
+    always so for maxlen < 2; a wrong pressure or wrong transitions make
+    the spread grow exponentially with the period instead.
     """
     import numpy as np
 
@@ -241,7 +247,7 @@ def weak_gibbs_audit(m, maxlen):
             W_max[i, b] = W_min[i, b] = w
     closing = [-c + m.pressure for c in pot]  # indexed by the last letter
 
-    per_letter = {}
+    per_letter, half = {}, []
     for a in range(n_letters):
         log_pa = math.log(m.p[a])
         lo, hi = math.inf, -math.inf
@@ -256,14 +262,23 @@ def weak_gibbs_audit(m, maxlen):
                     hi = max(hi, float(mx[b] + closing[b] + log_pa))
                 if math.isfinite(mn[b]):
                     lo = min(lo, float(mn[b] + closing[b] + log_pa))
+            if n == maxlen // 2:
+                half.append((math.exp(lo), math.exp(hi)))
             mx[:n_letters] = np.max(mx[src] + W_max, axis=0)
             mn[:n_letters] = np.min(mn[src] + W_min, axis=0)
         per_letter[m.shift.letters[a]] = (math.exp(lo), math.exp(hi))
-    spreads = [hi / lo for lo, hi in per_letter.values()
+    C = _spread(per_letter.values(), math.inf)
+    C_half = _spread(half, 1.0)
+    return {"per_letter": per_letter, "C": C, "C_half": C_half,
+            "passes": math.isfinite(C) and C <= GIBBS_GROWTH * C_half}
+
+
+def _spread(extremes, empty):
+    """The largest hi/lo over the (lo, hi) of the letters with a periodic
+    word; ``empty`` when no letter has one."""
+    spreads = [hi / lo for lo, hi in extremes
                if math.isfinite(lo) and math.isfinite(hi) and lo > 0]
-    C = max(spreads) if spreads else math.inf
-    return {"per_letter": per_letter, "C": C,
-            "passes": math.isfinite(C) and C >= 1.0}
+    return max(spreads) if spreads else empty
 
 
 def correlation_decay(m, f, g, nmax):

@@ -13,11 +13,8 @@ import pytest
 
 import geodlab.bt
 from geodlab.bt import (
-    INF,
     BTMatrix,
-    abs_diff,
     covolume_suite,
-    crossratio_abs,
     farey_count,
     hecke_index,
     horoball_ball_mass,
@@ -40,21 +37,18 @@ from geodlab.errors import (
     NotIrrationalError,
     NotSplitError,
     PrecisionCapError,
-    UnsupportedError,
     UsageError,
 )
 from geodlab.ffield import (
     FqPoly,
     QuadIrr,
     RatFunc,
-    cf_expand,
     factor,
     laurent_expand,
     parse_poly,
     poly_range,
 )
 from oracles import (
-    convergents,
     farey_psi_oracle,
     orbit_bfs,
     orbit_generators,
@@ -253,23 +247,7 @@ def test_horoball_ball_mass():
 
 
 # ---------------------------------------------------------------------------
-# crossratios, relative heights, norm forms
-
-
-def test_crossratio_normalization():
-    q = 3
-    Y = FqPoly.x(q)
-    pts = (RatFunc.const(q, 0), RatFunc.const(q, 1), INF, RatFunc(Y))
-    assert crossratio_abs(*pts) == 1
-
-
-def test_crossratio_degenerate():
-    q = 3
-    z = RatFunc.const(q, 0)
-    with pytest.raises(DegenerateError):
-        crossratio_abs(z, RatFunc(FqPoly.x(q)), z, INF)
-    with pytest.raises(DegenerateError):
-        crossratio_abs(INF, z, INF, RatFunc(FqPoly.x(q)))
+# relative heights, norm forms
 
 
 def _sqrt_quad(q, disc_text):
@@ -307,22 +285,42 @@ def test_norm_form_transforms():
                            @ BTMatrix(zero, one, -one, zero))
 
 
-def test_abs_diff_mixed_types():
-    q = 3
-    al = _sqrt_quad(q, "Y^2+Y")
-    # |alpha - alpha^sigma| from the separation valuation
-    assert abs_diff(al, al.conj()) == Fraction(q) ** (-al.sep_valuation())
-    assert abs_diff(FqPoly.x(q), RatFunc.const(q, 0)) == q
-    assert abs_diff(RatFunc.const(q, 2), FqPoly.const(q, 2)) == 0
-    with pytest.raises(DegenerateError):
-        abs_diff(al, al)
+def _norm_form_mismatches(points, rng, count, form=norm_form):
+    """(alpha, x, y) of ``count`` random draws where ``form`` is not the
+    RatFunc value |x^2 - xy tr(alpha) + y^2 n(alpha)|."""
+    bad = []
+    for _ in range(count):
+        alpha = rng.choice(points)
+        q = alpha.q
+        x, y = _rand_poly(rng, q, 4), _rand_poly(rng, q, 4)
+        if x.is_zero() and y.is_zero():
+            continue
+        want = (RatFunc(x * x) - RatFunc(x * y) * alpha.trace()
+                + RatFunc(y * y) * alpha.norm()).abs_v()
+        if form(alpha, x, y) != want:
+            bad.append((alpha, x, y))
+    return bad
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_norm_form_matches_the_ratfunc_value(q):
+    points = _random_points(q, 20, seed=10 + q)
+    assert _norm_form_mismatches(points, random.Random(q), 150) == []
+
+
+def test_norm_form_check_sees_a_dropped_leading_coefficient():
+    # negative control: |A x^2 + B xy + C y^2| without the division by |A|
+    def undivided(alpha, x, y):
+        return norm_form(alpha, x, y) * alpha.q ** alpha.A.degree
+
+    points = _random_points(5, 20, seed=15)
+    assert any(p.A.degree > 0 for p in points)
+    assert _norm_form_mismatches(points, random.Random(5), 150, undivided)
 
 
 def _series_oracle(x, prec):
-    """x expanded from series arithmetic alone: a QuadIrr as
+    """The QuadIrr x expanded from series arithmetic alone, as
     (-B + s sqrt(D)) / (2A) with every part to ``prec`` coefficients."""
-    if not isinstance(x, QuadIrr):
-        return laurent_expand(x, prec)
     root = laurent_expand(RatFunc(x.disc), prec).sqrt()
     num = root if x.sign > 0 else -root
     if not x.B.is_zero():
@@ -330,61 +328,10 @@ def _series_oracle(x, prec):
     return num / laurent_expand(RatFunc(2 * x.A), prec)
 
 
-def _abs_diff_oracle(x, y, prec=64):
-    return (_series_oracle(x, prec) - _series_oracle(y, prec)).abs_v()
-
-
 def _orbit_points(al, word_len):
     """The BFS orbit of al, with the conjugate of every point."""
     points, _ = orbit_bfs(al, word_len)
     return [p for beta in points.values() for p in (beta, beta.conj())]
-
-
-def _rand_rat(rng, q):
-    return RatFunc(_rand_poly(rng, q, 4),
-                   _rand_poly(rng, q, 3) + FqPoly.monomial(q, 1, 4))
-
-
-@pytest.mark.parametrize("q, disc, word_len", [(3, "Y^2+Y", 3),
-                                               (5, "Y^4+Y+1", 2)])
-def test_abs_diff_matches_series_oracle(q, disc, word_len):
-    rng = random.Random(q)
-    pts = _orbit_points(_sqrt_quad(q, disc), word_len)
-    assert {p.sign for p in pts} == {1, -1}
-    pairs = [tuple(rng.sample(pts, 2)) for _ in range(150)]
-    pairs += [(rng.choice(pts), _rand_rat(rng, q)) for _ in range(75)]
-    pairs += [(_rand_rat(rng, q), rng.choice(pts)) for _ in range(75)]
-    for x, y in pairs:
-        assert abs_diff(x, y) == _abs_diff_oracle(x, y), (x, y)
-
-
-@pytest.mark.parametrize("q, disc", [(3, "Y^2+Y"), (5, "Y^4+Y+1"),
-                                     (7, "Y^2+3")])
-def test_abs_diff_where_the_leading_terms_cancel(q, disc):
-    Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
-    al = _sqrt_quad(q, disc)
-    for x in _orbit_points(al, 1):
-        # convergents p/r of x: |x - p/r| = 1/|r r'| is far below |x|
-        for p, r in convergents(cf_expand(x), 6)[2:]:
-            y = RatFunc(p, r)
-            want = _abs_diff_oracle(x, y)
-            assert abs_diff(x, y) == want < Fraction(q) ** -x.valuation()
-            assert abs_diff(y, x) == want
-        # x + 1/Y^k lies in the field of x, with discriminant Y^(4k) D / g^2
-        for k in (1, 2, 3):
-            y = x.apply_homography(Y ** k, one, zero, Y ** k)
-            assert y.disc != x.disc
-            want = _abs_diff_oracle(x, y)
-            assert abs_diff(x, y) == Fraction(1, q ** k) == want
-            assert abs_diff(y, x.conj()) == _abs_diff_oracle(y, x.conj())
-
-
-def test_abs_diff_rejects_points_of_different_fields():
-    x, y = _sqrt_quad(3, "Y^2+Y"), _sqrt_quad(3, "Y^2+1")
-    with pytest.raises(UnsupportedError):
-        abs_diff(x, y)
-    with pytest.raises(UnsupportedError):
-        abs_diff(y.conj(), x)
 
 
 # ---------------------------------------------------------------------------
@@ -612,21 +559,37 @@ def test_move_check_sees_a_flipped_inversion_sign(monkeypatch):
     assert {i for _, i in bad} == {2} and len(bad) == len(starts)
 
 
-def _relative_height_mismatches(alpha, betas):
-    """Points beta where relative_height(alpha, beta) is not the larger of
-    the two crossratios |[a, b, b^s, a^s]| and |[a, b^s, b, a^s]|, or is
-    rejected as no power of q."""
-    asig, bad = alpha.conj(), []
-    for beta in betas:
-        bsig = beta.conj()
-        want = max(crossratio_abs(alpha, beta, bsig, asig),
-                   crossratio_abs(alpha, bsig, beta, asig))
-        try:
-            got = relative_height(alpha, beta)
-        except AssertionError:
-            got = None
-        if got != want:
-            bad.append(beta)
+# series expansions of the points the relative-height oracle has seen,
+# keyed by (q, triple, sign)
+_EXPANSIONS = {}
+
+
+def _expansion(x, prec=64):
+    key = (x.q, x.key())
+    if key not in _EXPANSIONS:
+        _EXPANSIONS[key] = _series_oracle(x, prec)
+    return _EXPANSIONS[key]
+
+
+def _crossratio_oracle(a, b, c, d):
+    """|[a, b, c, d]| = |c - a| |d - b| / (|c - b| |d - a|) from series
+    differences; a difference whose every known digit vanishes raises
+    PrecisionError."""
+    a, b, c, d = map(_expansion, (a, b, c, d))
+    return ((c - a).abs_v() * (d - b).abs_v()
+            / ((c - b).abs_v() * (d - a).abs_v()))
+
+
+def _relative_height_mismatches(pairs, height=relative_height):
+    """The pairs (alpha, beta) where ``height`` is not the larger of the
+    two crossratios |[a, b, b^s, a^s]| and |[a, b^s, b, a^s]|."""
+    bad = []
+    for alpha, beta in pairs:
+        asig, bsig = alpha.conj(), beta.conj()
+        want = max(_crossratio_oracle(alpha, beta, bsig, asig),
+                   _crossratio_oracle(alpha, bsig, beta, asig))
+        if height(alpha, beta) != want:
+            bad.append((alpha, beta))
     return bad
 
 
@@ -641,19 +604,42 @@ def test_relative_height_is_the_larger_crossratio(q, disc, word_len):
     al = _sqrt_quad(q, disc)
     betas = _other_points(al, word_len - 1)
     assert len(betas) > 20
-    assert _relative_height_mismatches(al, betas) == []
+    assert _relative_height_mismatches([(al, b) for b in betas]) == []
 
 
-def test_relative_height_check_sees_a_dropped_factor(monkeypatch):
-    # h(beta) = 1 in the formula for every beta but alpha
-    al = _sqrt_quad(3, "Y^2+Y")
-    betas = _other_points(al, 2)
-    complexity = QuadIrr.complexity
-    monkeypatch.setattr(QuadIrr, "complexity", lambda self: (
-        complexity(self) if self is al else Fraction(1)))
-    # caught at every beta whose h(beta) is not 1
-    want = [b for b in betas if complexity(b) != 1]
-    assert want and _relative_height_mismatches(al, betas) == want
+def _random_pairs(q, count):
+    """``count`` pairs of _random_points with distinct triples."""
+    points = _random_points(q, 2 * count, seed=100 + q)
+    return [(a, b) for a, b in zip(points[::2], points[1::2])
+            if (a.A, a.B, a.C) != (b.A, b.B, b.C)]
+
+
+def _same_field(a, b):
+    """Whether D_a D_b is a square in F_q[Y]: a and b lie in one quadratic
+    field."""
+    F = a.disc * b.disc
+    root = laurent_expand(RatFunc(F), F.degree // 2 + 1).sqrt()
+    return root.polynomial_part() ** 2 == F
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_relative_height_across_quadratic_fields(q):
+    pairs = _random_pairs(q, 80)
+    # most pairs lie in different quadratic fields: D_a D_b is no square
+    cross = [(a, b) for a, b in pairs if not _same_field(a, b)]
+    assert len(cross) > len(pairs) // 2
+    assert _relative_height_mismatches(pairs) == []
+
+
+def test_relative_height_check_sees_a_dropped_factor():
+    # negative control: deg sqrt(D_a) in place of (deg D_a + deg D_b)/2,
+    # the height without the factor |sqrt(D_b)|
+    def one_sided(alpha, beta):
+        P = 2 * (alpha.A * beta.C + beta.A * alpha.C) - alpha.B * beta.B
+        e = P.degree - alpha.disc.degree // 2
+        return Fraction(alpha.q) ** max(0, e)
+
+    assert _relative_height_mismatches(_random_pairs(5, 80), one_sided)
 
 
 def test_orbit_budget_guards():

@@ -104,6 +104,20 @@ def test_ff_mertens(capsys):
     assert out.strip().split("\n")[1] == "2,2,10"
 
 
+def test_ff_phi_within_the_factoring_budget(capsys, monkeypatch):
+    # 3^10 trial divisors: within the budget of 10^7
+    code, out, _ = run_cli(capsys, "ff", "phi", "--q", "3", "--poly",
+                           "Y^20+Y+2")
+    assert code == 0
+    assert out == "poly,phi\nY^20+Y+2,3472435252\n"
+    # the budget is GEODLAB_BUDGET when it is set: 3^2 > 8
+    monkeypatch.setenv("GEODLAB_BUDGET", "8")
+    code, out, err = run_cli(capsys, "ff", "phi", "--q", "3", "--poly",
+                             "Y^4+1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "budget"
+
+
 def test_ff_cf_quadratic(capsys):
     code, out, _ = run_cli(capsys, "ff", "cf", "--q", "3", "--disc", "Y^2+Y")
     lines = out.strip().split("\n")[1:]
@@ -406,6 +420,17 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
     # end in "budget: orbit cap exceeded"
     (("bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y", "--word-len", "12",
       "--mode", "foo"), "unsupported-configuration"),
+    # trial division would try every monic of degree up to deg f / 2: 3^15
+    # of them is over the budget of 10^7, checked before anything is
+    # factored (the Hecke cross-check too)
+    (("ff", "phi", "--q", "3", "--poly", "Y^30+Y+2"), "budget"),
+    (("ff", "phi", "--q", "3", "--poly", "Y^1000000"), "budget"),
+    (("bt", "hecke", "--q", "3", "--ideal", "Y^30+Y+2"), "budget"),
+    (("bt", "hecke", "--q", "3", "--ideal", "Y^30+Y+2", "--no-check"),
+     "budget"),
+    # an exponent above ffield.MAX_DEGREE, before any tuple is built
+    (("ff", "phi", "--q", "3", "--poly", "Y^100000000"), "usage"),
+    (("bt", "covolume", "--q", "3", "--ideal", "Y^1000001+1"), "usage"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
@@ -672,6 +697,40 @@ def test_import_boundary_sees_a_numpy_import(tmp_path):
     out = _probe(tmp_path, _numpy_free_argv(tmp_path))
     assert out["missing"] == []
     assert out["numpy_after"][0] == "import geodlab.cli"
+
+
+# ---------------------------------------------------------------------------
+# the recorded digests of the benchmark's quadratic verbs
+
+
+# Prints the exit code and the sha256 of the stdout of each argv.
+_DIGEST_PROBE = """
+import contextlib, hashlib, io, json, sys
+import geodlab.cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = geodlab.cli.main(argv)
+    out.append([code, hashlib.sha256(buf.getvalue().encode()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def test_quadratic_verbs_match_the_golden_digests():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    golden = {key: digest for key, digest in json.loads(path.read_text())
+              .items() if key.startswith(("bt quad-orbit", "ff cf"))}
+    assert len(golden) == 6
+    env = _subprocess_env()
+    env["PYTHONPATH"] = str(_package_parent())
+    res = subprocess.run(
+        [sys.executable, "-c", _DIGEST_PROBE,
+         json.dumps([key.split() for key in golden])],
+        capture_output=True, text=True, env=env, check=True)
+    got = json.loads(res.stdout)
+    assert [code for code, _ in got] == [0] * len(golden)
+    assert {key: digest for key, (_, digest) in zip(golden, got)} == golden
 
 
 # ---------------------------------------------------------------------------

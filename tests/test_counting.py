@@ -265,8 +265,9 @@ def test_trace_oracle_catches_backtracking(monkeypatch):
 @pytest.mark.parametrize("name", ["fig8", "theta", "orderchain"])
 def test_trace_oracle_catches_a_missing_doubling(monkeypatch, name):
     # negative control: one edge of each reverse pair, counted once
-    monkeypatch.setattr(counting, "_sweep_starts", lambda rev, weighted: [
-        (e, 1) for e in range(len(rev)) if e < rev[e]])
+    sweep = counting._sweep
+    monkeypatch.setattr(counting, "_sweep", lambda succ, pred, starts, nmax: (
+        sweep(succ, pred, [(e, 1) for e, _ in starts], nmax)))
     assert not _fix_matches_oracle(BUILTIN[name](), 30)
 
 
@@ -285,7 +286,7 @@ def _weighted_traces_match_oracle(g, nmax):
     ids = sorted(g.edges)
     Bw = np.array(_transfer_oracle(g), dtype=float) * np.exp(
         [g.edges[f].conductance for f in ids])[None, :]
-    got = closed_orbit_count(g, nmax, weighted=True)["weighted"]
+    got = closed_orbit_count(g, nmax)["weighted"]
     P = np.eye(len(ids))
     for n in range(nmax):
         P = P @ Bw
@@ -301,10 +302,17 @@ def test_weighted_traces_match_dense_powers():
 def test_weighted_oracle_catches_pair_halving(monkeypatch):
     # negative control: reversal does not keep the weights, so the weighted
     # sweep may not start from one edge of each pair only
-    sweep = counting._sweep_starts
-    monkeypatch.setattr(counting, "_sweep_starts",
-                        lambda rev, weighted: sweep(rev, False))
-    assert not _weighted_traces_match_oracle(_asymmetric_petersen(), 30)
+    g = _asymmetric_petersen()
+    rev = [g.edge_index[g.edges[e].reverse] for e in g.edge_ids]
+    sweep = counting._sweep
+
+    def halved(succ, pred, starts, nmax, weights=None):
+        if weights is not None:
+            starts = [(e, 2) for e, _ in starts if e < rev[e]]
+        return sweep(succ, pred, starts, nmax, weights)
+
+    monkeypatch.setattr(counting, "_sweep", halved)
+    assert not _weighted_traces_match_oracle(g, 30)
 
 
 def test_petersen_orbits_to_200():
@@ -323,7 +331,7 @@ def test_orbit_counts_beyond_float_range_raise_too_large():
     # a weighted trace can leave the float range before the counts do
     g = petersen().with_conductance({e: 50.0 for e in petersen().edge_ids})
     with pytest.raises(TooLargeError):
-        closed_orbit_count(g, 20, weighted=True)
+        closed_orbit_count(g, 20)
 
 
 def test_orbit_counts_check_the_float_range_as_they_add():
@@ -378,7 +386,7 @@ def test_primitive_counts_are_the_mobius_inversion():
 
 
 def test_weighted_traces():
-    out = closed_orbit_count(figure_eight(), 6, weighted=True)
+    out = closed_orbit_count(figure_eight(), 6)
     for n in range(1, 7):
         assert abs(out["weighted"][n - 1] - out["fix"][n - 1]) < 1e-6
 

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geodlab.errors import ReducibleError
-from geodlab.library import figure_eight, petersen
+from geodlab.library import BUILTIN, figure_eight, petersen
 from geodlab.shift import (
+    GIBBS_GROWTH,
     EdgeShift,
     MarkovMeasure,
     correlation_decay,
@@ -181,6 +182,50 @@ def test_gibbs_audit_matches_enumeration(seed):
     ratios = [r for n in range(1, 8) for r in periodic_gibbs_ratios(m, n)]
     assert audit["passes"]
     assert max(ratios) <= audit["C"] + 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILTIN) - {"cycle3", "cycle4"}))
+def test_gibbs_audit_passes_on_the_corpus(name):
+    # the cycles are left out: their non-backtracking shift is reducible
+    m = equilibrium_measure(EdgeShift.from_graph(BUILTIN[name]()))
+    for maxlen in (8, 12):
+        assert weak_gibbs_audit(m, maxlen)["passes"], maxlen
+
+
+def _golden_controls():
+    """The golden-mean measure, the same with its pressure 0.5 too high,
+    and with uniform transitions.  The first scales the Gibbs ratio of a
+    period-n word by e^(n/2); under the second the words 0^n and (01)^(n/2)
+    drift apart by 2^(n/2).  Either spread grows without bound."""
+    m = equilibrium_measure(EdgeShift.golden_mean())
+    shifted = MarkovMeasure(m.shift, m.p, m.P, m.entropy, m.phi_integral,
+                            m.pressure + 0.5)
+    uniform = MarkovMeasure(m.shift, m.p,
+                            [[1 / len(row)] * len(row) for row in m.shift.succ],
+                            m.entropy, m.phi_integral, m.pressure)
+    return m, shifted, uniform
+
+
+def test_gibbs_audit_fails_where_the_spread_grows():
+    m, shifted, uniform = _golden_controls()
+    assert weak_gibbs_audit(m, 12)["passes"]
+    for wrong in (shifted, uniform):
+        audit = weak_gibbs_audit(wrong, 12)
+        assert not audit["passes"]
+        assert math.isfinite(audit["C"])
+        assert audit["C"] > GIBBS_GROWTH * audit["C_half"]
+
+
+def test_gibbs_audit_below_two_compares_with_spread_one():
+    # no period <= maxlen // 2 = 0: C_half is 1, so C itself is bounded
+    m, shifted, _ = _golden_controls()
+    for measure in (m, shifted):
+        audit = weak_gibbs_audit(measure, 1)
+        assert audit["C_half"] == 1.0 and audit["passes"]
+    # no period 1 on the Petersen graph (girth 5): C is infinite
+    audit = weak_gibbs_audit(equilibrium_measure(
+        EdgeShift.from_graph(petersen())), 1)
+    assert audit["C"] == math.inf and not audit["passes"]
 
 
 # ---------------------------------------------------------------------------
