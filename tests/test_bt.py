@@ -559,15 +559,15 @@ def test_move_check_sees_a_flipped_inversion_sign(monkeypatch):
     assert {i for _, i in bad} == {2} and len(bad) == len(starts)
 
 
-# series expansions of the points the relative-height oracle has seen,
-# keyed by (q, triple, sign)
+# 64-coefficient series expansions of the points the relative-height
+# oracle has seen, keyed by (q, triple, sign)
 _EXPANSIONS = {}
 
 
-def _expansion(x, prec=64):
+def _expansion(x):
     key = (x.q, x.key())
     if key not in _EXPANSIONS:
-        _EXPANSIONS[key] = _series_oracle(x, prec)
+        _EXPANSIONS[key] = _series_oracle(x, 64)
     return _EXPANSIONS[key]
 
 
