@@ -30,6 +30,8 @@ from .ffield import (
     _divide_at_infinity,
 )
 
+HECKE_CHECK_DEG = 4  # the enumeration cross-check tries q^(2 deg) pairs
+
 
 class BTMatrix:
     """2x2 matrix over F_q(Y) acting on the tree and its boundary."""
@@ -128,13 +130,9 @@ def patterson_point_ball(q, center, n):
         # ball centered at 0 of the same radius (ultrametric)
         if radius <= 1:
             return radius  # inside O_v, density 1
-        # O_v plus the shells 1 < |z| <= radius
-        kmax = -n
-        total = Fraction(1)
-        for k in range(1, kmax + 1):
-            shell = Fraction(q) ** k - Fraction(q) ** (k - 1)
-            total += shell * Fraction(q) ** (-2 * k)
-        return total
+        # O_v plus the shells 1 < |z| = q^k <= radius = q^K, each of Haar
+        # mass q^k - q^(k-1) at density q^(-2k): a geometric sum
+        return 1 + (1 - Fraction(q) ** n) / q
     # ball inside a single sphere |z| = |center|
     if abs_c <= 1:
         return radius
@@ -267,7 +265,7 @@ def covolume_suite(q, ideal=None):
     return out
 
 
-def hecke_index(q, ideal, cross_check=True, budget_deg=4):
+def hecke_index(q, ideal, cross_check=True):
     """[GL_2(R) : G_I] = N(I) prod_{p | I} (1 + 1/N(p)) for the subgroup of
     matrices with lower-left entry in I = (ideal).
 
@@ -285,8 +283,9 @@ def hecke_index(q, ideal, cross_check=True, budget_deg=4):
     value = int(value)
     if not cross_check:
         return value, None
-    if ideal.degree > budget_deg:
-        raise BudgetError("enumeration cross-check capped at degree 4")
+    if ideal.degree > HECKE_CHECK_DEG:
+        raise BudgetError("enumeration cross-check capped at degree "
+                          f"{HECKE_CHECK_DEG}")
     count = 0
     residues = list(poly_range(q, 0, q ** ideal.degree))
     for a in residues:

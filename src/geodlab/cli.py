@@ -16,7 +16,7 @@ from . import bt, counting, library, shift as shift_mod, walks
 from .errors import BudgetError, GeodlabError, IOFailure, TooLargeError, \
     UsageError
 from .ffield import FqPoly, QuadIrr, cf_expand, mertens_sum, parse_poly, \
-    parse_ratfunc, euler_phi, laurent_expand, _check_q
+    parse_ratfunc, euler_phi, laurent_expand, _check_q, MAX_DEGREE
 from .graphs import load_validate
 from .seeding import derive_seed
 
@@ -67,14 +67,18 @@ def _fmt(x):
 
 
 def emit(header, rows, args):
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, default=_fmt, indent=2) + "\n"
-    else:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        text = "\n".join(lines) + "\n"
+    try:
+        if args.format == "json":
+            payload = [dict(zip(header, row)) for row in rows]
+            text = json.dumps(payload, default=_fmt, indent=2) + "\n"
+        else:
+            lines = [",".join(header)]
+            for row in rows:
+                lines.append(",".join(_fmt(x) for x in row))
+            text = "\n".join(lines) + "\n"
+    except ValueError as exc:  # Python's limit on integer-to-string digits
+        raise TooLargeError(f"an exact value is too large to print: {exc}"
+                            ) from exc
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -123,9 +127,10 @@ def cmd_count_perp(args):
     g = _load_graph(args.graph)
     query = counting.PerpQuery(g, args.minus, args.plus,
                                _horizon(args.nmax, 1))
-    series = counting.count_perpendiculars(query, budget=_budget(10 ** 8))
+    budget = _budget(10 ** 8)
+    series = counting.count_perpendiculars(query, budget=budget)
     try:
-        ratios = counting.theoretical_constant(query, series).ratios
+        ratios = counting.theoretical_constant(query, series, budget).ratios
     except TooLargeError:
         raise
     except GeodlabError:
@@ -294,6 +299,9 @@ def cmd_bt_translen(args):
 
 
 def cmd_bt_measure(args):
+    if abs(args.radius_exp) > MAX_DEGREE:
+        raise UsageError(f"--radius-exp {args.radius_exp} exceeds "
+                         f"{MAX_DEGREE} in absolute value")
     if args.kind == "total":
         emit(["mass"], [(bt.patterson_total(args.q),)], args)
     elif args.kind == "point-ball":

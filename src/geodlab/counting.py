@@ -7,7 +7,6 @@ and arrives at a vertex of Y+ without using an edge of Y+.  Counts are
 exact big integers when all conductances vanish.
 """
 
-from fractions import Fraction
 import math
 
 from .errors import (
@@ -17,6 +16,7 @@ from .errors import (
     TooLargeError,
     UnsupportedError,
 )
+from .shift import EdgeShift, _dot, _perron
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -36,35 +36,31 @@ class PerpQuery:
 class CountSeries:
     """Per-length and cumulative counts (exact ints) and weighted sums."""
 
-    __slots__ = ("counts", "weighted", "cumulative", "cumulative_weighted")
+    __slots__ = ("counts", "weighted", "cumulative")
 
     def __init__(self, counts, weighted):
         self.counts = list(counts)
         self.weighted = list(weighted)
         self.cumulative = []
-        self.cumulative_weighted = []
-        tot, wtot = 0, 0.0
-        for c, w in zip(self.counts, self.weighted):
+        tot = 0
+        for c in self.counts:
             tot += c
-            wtot += w
             self.cumulative.append(tot)
-            self.cumulative_weighted.append(wtot)
 
 
 class AsymptoticReport:
-    __slots__ = ("delta", "constant", "growth_base", "ratios", "verdict",
-                 "normalisation", "constant_odd")
+    """Growth rho and period d of the edge step, the constant C_c of each
+    residue class c of (length - 1) mod d, the ratio of each cumulative
+    count to its constant times rho^length, and the pass/fail verdict."""
 
-    def __init__(self, delta, constant, growth_base, ratios, verdict,
-                 normalisation, constant_odd=None):
-        self.delta = delta
-        self.constant = constant
-        self.growth_base = growth_base
+    __slots__ = ("growth", "period", "constants", "ratios", "verdict")
+
+    def __init__(self, growth, period, constants, ratios, verdict):
+        self.growth = growth
+        self.period = period
+        self.constants = constants
         self.ratios = ratios
         self.verdict = verdict
-        self.normalisation = normalisation
-        # bipartite graphs: separate constant for odd-length perpendiculars
-        self.constant_odd = constant_odd
 
 
 def _boundary(g, subname, end):
@@ -143,124 +139,82 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
 # theoretical counting constants
 
 
-def _classify_subgraph(g, subname):
-    """(kind, data) with kind in {"point", "cycle"}."""
-    sub = g.subgraph(subname)
-    vs, es = sub["vertices"], sub["edges"]
-    if len(vs) == 1 and not es:
-        return "point", {"vertices": 1}
-    # cycle: connected, every vertex meets exactly two directed subgraph edges
-    if es and len(es) == 2 * len(vs):
-        deg = {v: 0 for v in vs}
-        for eid in es:
-            deg[g.edges[eid].origin] += 1
-        if all(d == 2 for d in deg.values()):
-            return "cycle", {"length": len(vs)}
-    return "other", {}
+def _period(succ):
+    """(d, cls): the period d of an irreducible edge step and the cyclic
+    class of each edge, numbered so that every step goes from class c to
+    class c + 1 mod d.  With levels from one breadth-first search, d is the
+    gcd of level(i) + 1 - level(j) over the steps i -> j."""
+    level, todo = {0: 0}, [0]
+    for i in todo:
+        for j in succ[i]:
+            if j not in level:
+                level[j] = level[i] + 1
+                todo.append(j)
+    d = 0
+    for i, row in enumerate(succ):
+        for j in row:
+            d = math.gcd(d, level[i] + 1 - level[j])
+    return d, [level[i] % d for i in range(len(succ))]
 
 
-def theoretical_constant(query, series):
-    """Asymptotic constant for cumulative perpendicular counts, assembled
-    from the closed-form mass formulas, plus the ratio series of
-    ``series`` = count_perpendiculars(query) against it.
+def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
+    """Asymptotic constants of the cumulative perpendicular counts, from
+    the Perron data (rho, r, l) of the edge step B, plus the ratio series
+    of ``series`` = count_perpendiculars(query) against them.
 
-    Supported: regular graphs of degree >= 3 (any two point/cycle targets)
-    and the biregular bipartite case with two cycle targets.  All
-    conductances must vanish.  Raises TooLargeError when a ratio's terms
-    exceed the float range.
+    B of period d has the d peripheral eigenvalues rho w^k, w^d = 1, so
+    the count at length n is about d rho^(n-1) / (l.r) times the sum S_c of
+    r_e l_f over the first edges e and last edges f with cls(f) - cls(e) =
+    c = (n-1) mod d: r and l on those edges are the skinning measures, l.r
+    the Bowen-Margulis mass.  Summed over the lengths n' <= n with n' = n
+    mod d, that is C_c rho^n with
+
+        C_c = d rho^(d-1) S_c / ((rho^d - 1) (l.r)).
+
+    The ratio at n is nan in a class with no perpendiculars (C_c = 0).
+    All conductances must vanish.  Raises UnsupportedError for a reducible
+    B or rho <= 1, DegenerateError for a vertex of tree-degree <= 1,
+    NoConvergenceError when the power iteration needs more than
+    ``budget`` // (number of successor entries) steps, and TooLargeError
+    when a ratio's terms exceed the float range.
     """
     g = query.graph
     if any(g.edges[e].conductance != 0.0 for e in g.edge_ids):
         raise UnsupportedError("constants implemented for zero conductance")
-    if not g.trivial_orders():
-        raise UnsupportedError("constants implemented for trivial orders")
-    rep = g.volumes()
-    degs = sorted(set(rep.degrees.values()))
-    km = _classify_subgraph(g, query.minus)
-    kp = _classify_subgraph(g, query.plus)
-
-    if len(degs) == 1:
-        q = degs[0] - 1
-        if q < 2:
-            raise UnsupportedError(
-                "regular constants need degree >= 3 (exponential growth)")
-        delta = math.log(q)
-        nverts = g.vertex_count()
-        # ||m|| = (q/(q+1)) Vol, probability-normalised sphere measures
-        m_mass = Fraction(q, q + 1) * rep.vol
-
-        # total skinning masses in the probability normalisation: 1 for a
-        # point, ((q-1)/(q+1)) L for a cycle of length L
-        def sk(kind, data):
-            if kind == "point":
-                return Fraction(1)
-            if kind == "cycle":
-                return Fraction(q - 1, q + 1) * data["length"]
-            raise UnsupportedError(
-                "regular constants support point/cycle targets")
-
-        s_minus, s_plus = sk(*km), sk(*kp)
-        const = Fraction(q, q - 1) * s_minus * s_plus / m_mass
+    shift = EdgeShift.from_graph(g)
+    if not shift.is_irreducible():
+        raise UnsupportedError("the edge step is reducible")
+    rho, r, l = _perron(shift, cap=budget // sum(map(len, shift.succ)))
+    if rho <= 1:
+        raise UnsupportedError("the edge step has no exponential growth")
+    d, cls = _period(shift.succ)
+    # r summed over the first edges and l over the last edges, per class
+    r_cls, l_cls = [0.0] * d, [0.0] * d
+    for eid in _boundary(g, query.minus, "origin"):
+        i = g.edge_index[eid]
+        r_cls[cls[i]] += r[i]
+    for eid in _boundary(g, query.plus, "terminus"):
+        i = g.edge_index[eid]
+        l_cls[cls[i]] += l[i]
+    pref = d * rho ** (d - 1) / ((rho ** d - 1) * _dot(l, r))
+    constants = [pref * sum(r_cls[a] * l_cls[(a + c) % d] for a in range(d))
+                 for c in range(d)]
+    cum, ratios = [0] * d, []
+    for n, count in enumerate(series.counts, 1):
+        c = (n - 1) % d
+        cum[c] += count
         try:
-            ratios = [series.cumulative[n] / (float(const) * q ** (n + 1))
-                      for n in range(len(series.cumulative))]
+            scale = constants[c] * rho ** n
+            if math.isinf(scale):
+                raise OverflowError("C_c rho^n is infinite")
+            ratios.append(cum[c] / scale if constants[c] else math.nan)
         except OverflowError as exc:
             raise TooLargeError("ratio terms exceed the float range") from exc
-        verdict = "pass" if abs(ratios[-1] - 1) < 0.05 else "fail"
-        return AsymptoticReport(delta, float(const), float(q), ratios,
-                                verdict, "probability")
-
-    if len(degs) == 2 and rep.bipartite:
-        p, q = degs[0] - 1, degs[1] - 1
-        if km[0] != "cycle" or kp[0] != "cycle":
-            raise UnsupportedError(
-                "biregular constants support two cycle targets")
-
-        # per-degree-class skinning weights of a cycle target: each cycle
-        # vertex of degree d+1 contributes (d-1)/sqrt(d) under the
-        # deg/sqrt(deg-1) sphere normalisation (codegree 2 along the cycle)
-        def class_sigma(subname):
-            sub = g.subgraph(subname)
-            out = {p: 0.0, q: 0.0}
-            for v in sub["vertices"]:
-                d = rep.degrees[v] - 1
-                out[d] += (d - 1) / math.sqrt(d)
-            return out
-
-        sm, sp = class_sigma(query.minus), class_sigma(query.plus)
-        # ||m|| = TVol = number of directed edges for trivial groups
-        m_mass = g.edge_count()
-        pref = 2 * p * q / ((p * q - 1) * m_mass)
-        const_even = pref * (sm[p] * sp[p] + sm[q] * sp[q])
-        const_odd = pref * (sm[p] * sp[q] + sm[q] * sp[p])
-        base = math.sqrt(p * q)
-        # cumulative counts split by length parity; counts[i] has length i+1
-        cum_par = []
-        even_tot = odd_tot = 0
-        for i, c in enumerate(series.counts):
-            if (i + 1) % 2 == 0:
-                even_tot += c
-            else:
-                odd_tot += c
-            cum_par.append(even_tot if (i + 1) % 2 == 0 else odd_tot)
-        ratios = []
-        for i, tot in enumerate(cum_par):
-            n = i + 1
-            cst = const_even if n % 2 == 0 else const_odd
-            try:
-                ratios.append(tot / (cst * base ** n) if cst
-                              else float("nan"))
-            except OverflowError as exc:
-                raise TooLargeError(
-                    "ratio terms exceed the float range") from exc
-        verdict = ("pass" if len(ratios) >= 2
-                   and abs(ratios[-1] - 1) < 0.05
-                   and abs(ratios[-2] - 1) < 0.05 else "fail")
-        return AsymptoticReport(math.log(base), const_even, base, ratios,
-                                verdict, "deg/sqrt(deg-1)",
-                                constant_odd=const_odd)
-
-    raise UnsupportedError("graph is neither regular nor biregular-bipartite")
+    # the last ratio of each residue class with perpendiculars
+    last = [x for x in ratios[-d:] if not math.isnan(x)]
+    verdict = ("pass" if last and all(abs(x - 1) < 0.05 for x in last)
+               else "fail")
+    return AsymptoticReport(rho, d, constants, ratios, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -657,12 +657,14 @@ def _rat_to_series(x, prec):
                          _divide_at_infinity(x.num.coeffs[::-1], x.den, prec))
 
 
-def laurent_expand(x, prec, cap=PREC_CAP):
-    """Expand a RatFunc or QuadIrr to at least ``prec`` known coefficients."""
+def laurent_expand(x, prec):
+    """Expand a RatFunc or QuadIrr to at least ``prec`` known coefficients,
+    at most PREC_CAP."""
     if prec < 1:
         raise UsageError(f"prec must be >= 1, got {prec}")
-    if prec > cap:
-        raise PrecisionCapError(f"requested precision {prec} exceeds cap {cap}")
+    if prec > PREC_CAP:
+        raise PrecisionCapError(
+            f"requested precision {prec} exceeds cap {PREC_CAP}")
     if isinstance(x, FqPoly):
         x = RatFunc(x)
     if isinstance(x, RatFunc):

@@ -103,9 +103,9 @@ def _dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-def _perron(shift, tol=POWER_TOL, cap=POWER_CAP):
+def _perron(shift, cap=POWER_CAP):
     """(rho, right, left) Perron data of B by power iteration over the
-    successor lists.
+    successor lists, at most ``cap`` iterations per vector.
 
     Iterates on B + I so periodic (e.g. bipartite) transition structures
     still converge; rho(B + I) = rho(B) + 1 with the same eigenvectors.
@@ -131,7 +131,7 @@ def _perron(shift, tol=POWER_TOL, cap=POWER_CAP):
                 raise ReducibleError("transfer matrix lost all mass")
             w = [x / s for x in w]
             if (max(abs(x - y) for x, y in zip(w, v))
-                    <= tol * max(1.0, max(map(abs, v)))):
+                    <= POWER_TOL * max(1.0, max(map(abs, v)))):
                 return w
             v = w
         raise NoConvergenceError(

@@ -111,8 +111,8 @@ def nbrw_exact(graph, start_subgraph, n):
     """Vertex distribution after n steps of the non-backtracking walk.
 
     Returns dict with "vertex_dist" (aligned with graph.vertex_ids),
-    "edge_dist", "target" (vol/Vol), "tv_to_target", and a "bipartite"
-    warning flag (the walk then oscillates and the target is ill-posed).
+    "target" (vol/Vol), "tv_to_target", and a "bipartite" warning flag
+    (the walk then oscillates and the target is ill-posed).
     """
     _check_steps(n)
     kernel = NBRWKernel(graph)
@@ -124,7 +124,6 @@ def nbrw_exact(graph, start_subgraph, n):
     rep = graph.volumes()
     return {
         "vertex_dist": vdist,
-        "edge_dist": dist,
         "target": target,
         "tv_to_target": 0.5 * float(abs(vdist - target).sum()),
         "bipartite": rep.bipartite,

@@ -244,6 +244,64 @@ def enumerate_perpendiculars(query):
     return counts
 
 
+def _point_or_cycle(g, name):
+    """(vertices, is_cycle) of a subgraph that is a point (one vertex, no
+    edges) or a simple cycle (as many edge pairs as vertices)."""
+    sub = g.subgraph(name)
+    verts, edges = sub["vertices"], sub["edges"]
+    is_point = len(verts) == 1 and not edges
+    if not is_point and len(edges) != 2 * len(verts):
+        raise ValueError(f"subgraph {name!r} is neither a point nor a cycle")
+    return verts, not is_point
+
+
+def regular_constant(g, minus, plus):
+    """The closed-form counting constant q/(q-1) s- s+ / ||m|| of a
+    (q+1)-regular graph with trivial orders and point or cycle targets:
+    ||m|| = (q/(q+1)) Vol, and the skinning mass is 1 for a point and
+    ((q-1)/(q+1)) L for a cycle of length L (sphere measures normalised to
+    probability).  Exact; the cumulative count at length n is about the
+    constant times q^n when the edge step is aperiodic."""
+    degrees = {len(g.out_edges(v)) for v in g.vertices}
+    if len(degrees) != 1 or not g.trivial_orders():
+        raise ValueError("regular constant needs one degree, trivial orders")
+    q = degrees.pop() - 1
+
+    def mass(name):
+        verts, is_cycle = _point_or_cycle(g, name)
+        return Fraction(q - 1, q + 1) * len(verts) if is_cycle else 1
+
+    return (Fraction(q, q - 1) * mass(minus) * mass(plus)
+            / (Fraction(q, q + 1) * len(g.vertices)))
+
+
+def biregular_constants(g, minus, plus):
+    """(even, odd): the closed-form constants of the cumulative counts of
+    even and of odd length, about the constant times sqrt(pq)^n, on a
+    (p+1, q+1)-biregular bipartite graph with trivial orders and two cycle
+    targets.  A cycle vertex of degree d+1 weighs (d-1)/sqrt(d) under the
+    deg/sqrt(deg-1) sphere normalisation, the pairs within one degree class
+    give the even constant and the pairs across the classes the odd one,
+    each times 2pq / ((pq-1) ||m||) with ||m|| the number of directed
+    edges."""
+    p, q = sorted({len(g.out_edges(v)) - 1 for v in g.vertices})
+
+    def sigma(name):
+        verts, is_cycle = _point_or_cycle(g, name)
+        if not is_cycle:
+            raise ValueError("biregular constants need two cycle targets")
+        out = {p: 0.0, q: 0.0}
+        for v in verts:
+            d = len(g.out_edges(v)) - 1
+            out[d] += (d - 1) / d ** 0.5
+        return out
+
+    sm, sp = sigma(minus), sigma(plus)
+    pref = 2 * p * q / ((p * q - 1) * g.edge_count())
+    return (pref * (sm[p] * sp[p] + sm[q] * sp[q]),
+            pref * (sm[p] * sp[q] + sm[q] * sp[p]))
+
+
 def nbrw_global_search(P, start, n, reps, philox_seed):
     """Final edges of ``reps`` non-backtracking walks of n edges with
     transition matrix P and start law ``start``, one binary search per path

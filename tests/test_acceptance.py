@@ -101,13 +101,15 @@ def test_03_biregular_cycles():
     t0 = time.time()
     query = PerpQuery(biregular_two_cycles(), "C1", "C2", 30)
     rep = theoretical_constant(query, count_perpendiculars(query))
-    # last even-length and odd-length ratios against the per-parity constants
-    ok = (rep.verdict == "pass"
+    # period 2, rho = sqrt(pq): the last odd-length and even-length ratios
+    # against the constants of their residue classes
+    ok = (rep.period == 2 and abs(rep.growth - math.sqrt(6)) < 1e-9
+          and rep.verdict == "pass"
           and abs(rep.ratios[-1] - 1) < 0.05
           and abs(rep.ratios[-2] - 1) < 0.05)
     elapsed = time.time() - t0
     ok = ok and elapsed < 5
-    report(3, ok, f"biregular (2,3) even/odd cumulative within 5% of "
+    report(3, ok, f"biregular (2,3) odd/even cumulative within 5% of "
                   f"C_parity (sqrt pq)^len: ratios {rep.ratios[-2]:.4f}, "
                   f"{rep.ratios[-1]:.4f} ({elapsed:.2f}s)")
 

@@ -234,6 +234,17 @@ def test_patterson_outer_shells():
     assert val == 1 + Fraction(q - 1, q) * Fraction(1, q ** 2) * q
 
 
+def test_patterson_ball_closed_form_is_the_shell_sum():
+    # the ball of radius q^K around 0 is O_v plus the shells |z| = q^k,
+    # k = 1..K, each of Haar mass q^k - q^(k-1) at density q^(-2k)
+    for q in (2, 3, 5):
+        for K in range(1, 21):
+            shells = 1 + sum((Fraction(q) ** k - Fraction(q) ** (k - 1))
+                             * Fraction(q) ** (-2 * k)
+                             for k in range(1, K + 1))
+            assert patterson_point_ball(q, RatFunc.const(q, 0), -K) == shells
+
+
 def test_patterson_small_ball_off_center():
     q = 3
     Y = FqPoly.x(q)

@@ -13,6 +13,7 @@ from pathlib import Path
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -431,12 +432,35 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
     # an exponent above ffield.MAX_DEGREE, before any tuple is built
     (("ff", "phi", "--q", "3", "--poly", "Y^100000000"), "usage"),
     (("bt", "covolume", "--q", "3", "--ideal", "Y^1000001+1"), "usage"),
+    (("bt", "measure", "--q", "3", "--kind", "point-ball", "--radius-exp",
+      "-1000001"), "usage"),
+    (("bt", "measure", "--q", "3", "--kind", "horoball-ball",
+      "--radius-exp", "1000001"), "usage"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     record = json.loads(err)
     assert record["error"] == want and want in _error_codes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("bt", "covolume", "--q", "3", "--ideal", "Y^10000"),
+    ("bt", "measure", "--q", "3", "--kind", "horoball-ball", "--radius-exp",
+     "10000"),
+    ("bt", "measure", "--q", "3", "--kind", "point-ball", "--radius-exp",
+     "10000"),
+    ("bt", "measure", "--q", "3", "--kind", "point-ball", "--radius-exp",
+     "-10000"),
+])
+def test_exact_value_past_the_digit_limit_is_a_record(capsys, argv, fmt):
+    # 3^10000 has more digits than Python converts to a string
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "too-large"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -616,12 +640,23 @@ EXACT_ARGV = [
     ["graph", "seed", "--master", "7"],
     ["graph", "validate", "--graph", "builtin:petersen"],
     ["graph", "volumes", "--graph", "builtin:theta"],
+    ["count", "conjugacy", "--graph", "builtin:petersen", "--basepoint", "o0",
+     "--cycle", "r0+,r1+,r2+,r3+,r4+", "--nmax", "8"],
 ]
 
-# float verbs that step over the successor lists in pure Python; WEIGHTED
-# stands for a graph file with conductances that the test writes
+# float verbs that step over the successor lists in pure Python (`count
+# perp` by the power iteration of its constant); WEIGHTED stands for a graph
+# file with conductances that the test writes
 WEIGHTED = "{weighted}"
 STEP_ARGV = [
+    ["count", "perp", "--graph", "builtin:petersen", "--minus", "P0",
+     "--plus", "P1", "--nmax", "10"],
+    ["count", "perp", "--graph", "builtin:biregular23", "--minus", "C1",
+     "--plus", "C2", "--nmax", "10"],
+    ["count", "perp", "--graph", "builtin:orderchain", "--minus", "X",
+     "--plus", "X", "--nmax", "10"],
+    ["count", "perp", "--graph", WEIGHTED, "--minus", "U", "--plus", "V",
+     "--nmax", "10"],
     ["count", "orbits", "--graph", "builtin:petersen", "--nmax", "12"],
     ["count", "orbits", "--graph", WEIGHTED, "--nmax", "12"],
     ["walk", "laplacian", "--graph", "builtin:orderchain"],
