@@ -26,11 +26,13 @@ from .ffield import (
     PREC_CAP,
     euler_phi,
     factor,
+    multiple_indices,
     poly_range,
+    prime_sieves,
     _divide_at_infinity,
 )
 
-HECKE_CHECK_DEG = 4  # the enumeration cross-check tries q^(2 deg) pairs
+HECKE_CHECK_DEG = 4  # the cross-check takes a gcd for each of q^deg residues
 
 
 class BTMatrix:
@@ -270,7 +272,11 @@ def hecke_index(q, ideal, cross_check=True):
     matrices with lower-left entry in I = (ideal).
 
     The cross-check counts the projective line over R/I: unimodular pairs
-    (a, b) modulo units, which is in bijection with the coset space.
+    (a, b) modulo units, which is in bijection with the coset space.  (a, b)
+    is unimodular mod I exactly when gcd(a, I) and gcd(b, I) are coprime, so
+    one gcd per residue sorts the q^deg I residues into classes by their
+    gcd with I, and the count sums n_g n_h over the coprime class pairs
+    (g, h): q^deg I gcds and then one per pair of monic divisors of I.
     """
     if ideal.is_zero() or ideal.degree == 0:
         raise DegenerateError("ideal must be proper and nonzero")
@@ -286,26 +292,15 @@ def hecke_index(q, ideal, cross_check=True):
     if ideal.degree > HECKE_CHECK_DEG:
         raise BudgetError("enumeration cross-check capped at degree "
                           f"{HECKE_CHECK_DEG}")
-    count = 0
-    residues = list(poly_range(q, 0, q ** ideal.degree))
-    for a in residues:
-        for b in residues:
-            g = a.gcd(b)
-            g = g.gcd(ideal) if not g.is_zero() else ideal.monic()
-            if g.degree == 0:
-                count += 1
+    classes = {}
+    for a in poly_range(q, 0, norm):
+        g = a.gcd(ideal)
+        classes[g] = classes.get(g, 0) + 1
+    count = sum(na * nb for g, na in classes.items()
+                for h, nb in classes.items() if g.gcd(h).degree == 0)
     units = euler_phi(ideal)
     assert count % units == 0
     return value, count // units
-
-
-def _poly_index(f):
-    """The integer whose base-q digits are f's coefficients: the inverse of
-    poly_range."""
-    n = 0
-    for c in reversed(f.coeffs):
-        n = n * f.q + c
-    return n
 
 
 def _laurent_head(top, s, Q, n):
@@ -335,13 +330,14 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
     balls of O_v).  Returns dict with "psi", "points", "histogram".
 
     Write P = aQ + P0 with deg P0 < deg Q = d and n = hist_depth - 1.
-    The units P0 mod Q come from a sieve over the base-q indices of the
-    residues (see poly_range): the non-units are the multiples pR, p a
-    prime factor of Q, deg R < d - deg p.  The bin of P/Q is (a,) followed
-    by the coefficients of Y^-1 .. Y^-n of P0/Q, and these depend only on
-    the coefficients of P0 from Y^s up, s = max(0, d - n), that is on
-    index(P0) // q^s.  So each block of q^s consecutive indices adds its
-    unit count to one bin per a.
+    The prime factors of each Q come from the prime sieve of degree d
+    (prime_sieves), and the units P0 mod Q from a sieve over the base-q
+    indices of the residues (see poly_range): the non-units are the
+    multiples pR, p a prime factor of Q, deg R < d - deg p.  The bin of
+    P/Q is (a,) followed by the coefficients of Y^-1 .. Y^-n of P0/Q, and
+    these depend only on the coefficients of P0 from Y^s up,
+    s = max(0, d - n), that is on index(P0) // q^s.  So each block of q^s
+    consecutive indices adds its unit count to one bin per a.
     """
     if q ** (t + 1) > budget:
         raise BudgetError("Farey enumeration budget exceeded")
@@ -355,19 +351,20 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
     # integer points: the constants
     histogram = {(cst,) + (0,) * n: 1 for cst in range(q)}
     npoints = q
-    for d in range(1, t + 1):
+    for table in prime_sieves(q, t):
+        d = table.d
         s = max(0, d - n)
         block = q ** s
         multiples = {}  # p -> indices of p R, 0 < index(R) < q^(d - deg p)
-        for Q in poly_range(q, q ** d, 2 * q ** d):
+        for i, Q in enumerate(poly_range(q, q ** d, 2 * q ** d)):
             sieve = bytearray(b"\x01") * q ** d
             sieve[0] = 0
-            for p in factor(Q):
+            for p in table.primes(i):
                 if p not in multiples:
-                    multiples[p] = [_poly_index(p * R) for R in
-                                    poly_range(q, 1, q ** (d - p.degree))]
-                for i in multiples[p]:
-                    sieve[i] = 0
+                    multiples[p] = multiple_indices(p, d - p.degree,
+                                                    False)[1:]
+                for j in multiples[p]:
+                    sieve[j] = 0
             for top in range(q ** d // block):
                 units = sieve.count(1, top * block, (top + 1) * block)
                 if not units:

@@ -7,7 +7,9 @@ window of known coefficients starting at its valuation; extending precision
 never rewrites previously reported coefficients.
 """
 
+from array import array
 from fractions import Fraction
+from itertools import repeat
 import math
 
 from .errors import (
@@ -323,23 +325,164 @@ def euler_phi(f):
     return out
 
 
+def poly_index(f):
+    """The integer whose base-q digits are f's coefficients: the inverse of
+    poly_range."""
+    n = 0
+    for c in reversed(f.coeffs):
+        n = n * f.q + c
+    return n
+
+
+def _poly_at(q, i):
+    """The polynomial of index i (see poly_range)."""
+    return next(poly_range(q, i, i + 1))
+
+
+def multiple_indices(F, j, monic):
+    """poly_index(F G) for every G of degree < j, or with ``monic`` every
+    monic G of degree j, in the order of poly_index(G).
+
+    By Horner's rule on G = Y G' + c: F G = Y F G' + c F.  With
+    x = poly_index(F G'), Y F G' has index q x, and c F reaches only its
+    low digits, those of Y r for r = x mod q^deg F.  So poly_index(F G) is
+    q x + poly_index(Y r + c F) - q r, and one table of these last
+    differences, q^(deg F + 1) of them, makes each product a lookup and an
+    add.
+    """
+    q, f = F.q, F.degree
+    w = q ** f
+    # delta[r][c] = poly_index(Y r + c F) - poly_index(Y r), digit by digit
+    columns = []
+    for c in range(q):
+        col = [c * F.coeffs[0] % q]
+        for i in range(1, f + 1):
+            a, s = c * F.coeffs[i], q ** i
+            col = [v + ((b + a) % q - b) * s for b in range(q) for v in col]
+        columns.append(col)
+    delta = list(zip(*columns))
+    level = [poly_index(F)] if monic else [0]
+    for _ in range(j):
+        level = [q * x + e for x in level for e in delta[x % w]]
+    return level
+
+
+class PrimeSieve:
+    """The distinct monic prime factors of each monic polynomial of degree d
+    over F_q, the one of index q^d + i at offset i.
+
+    The factors of offset i form a chain of marks: head[i] is its first
+    mark, or -1 when the polynomial is itself prime, and mark m names the
+    prime of index prime[m] and degree degree[m] and the next mark nxt[m]
+    (-1 ends the chain).
+    """
+
+    __slots__ = ("q", "d", "head", "nxt", "prime", "degree")
+
+    def __init__(self, q, d):
+        size = q ** d
+        # a polynomial of degree d has at most d distinct prime factors
+        code = "i" if (d + 1) * size < 2 ** 31 else "q"
+        self.q, self.d = q, d
+        self.head = array(code, [-1]) * size
+        self.nxt, self.prime = array(code), array(code)
+        self.degree = bytearray()
+
+    def _mark(self, indices, primes, k):
+        """Mark the polynomial of each index in ``indices`` with the prime
+        of degree k in the same place of ``primes``."""
+        head, nxt, size = self.head, self.nxt, self.q ** self.d
+        m = len(nxt)
+        for i in indices:
+            i -= size
+            nxt.append(head[i])
+            head[i] = m
+            m += 1
+        self.prime.extend(primes)
+        self.degree.extend(repeat(k, m - len(self.degree)))
+
+    def primes(self, i):
+        """The distinct monic prime factors of the monic of offset i."""
+        m = self.head[i]
+        if m < 0:
+            return [_poly_at(self.q, self.q ** self.d + i)]
+        out = []
+        while m >= 0:
+            out.append(_poly_at(self.q, self.prime[m]))
+            m = self.nxt[m]
+        return out
+
+    def phi_sum(self):
+        """Sum of euler_phi over the monic polynomials of degree d:
+        phi(f) = q^d prod_{p | f} (N(p) - 1)/N(p), N(p) = q^deg p."""
+        head, nxt, degree = self.head, self.nxt, self.degree
+        norm = [self.q ** k for k in range(self.d + 1)]
+        total = 0
+        for m in head:
+            if m < 0:
+                total += norm[-1] - 1
+                continue
+            phi = norm[-1]
+            while m >= 0:
+                n = norm[degree[m]]
+                phi = phi // n * (n - 1)
+                m = nxt[m]
+            total += phi
+        return total
+
+
+def prime_sieves(q, max_degree):
+    """Yield the PrimeSieve of each degree d = 1, ..., max_degree.
+
+    Each prime p of degree k < d marks the multiples p R, R monic of degree
+    d - k; a monic that no prime marks is itself prime.  multiple_indices
+    builds a table of q^(deg F + 1) entries for a fixed factor F, so a
+    prime with 2k <= d is that factor for its q^(d-k) multiples.  Each
+    larger prime has fewer multiples than its table has entries; those
+    come instead from each monic R of degree d - k < d/2 as the factor:
+    R G for every monic G of degree k, kept where G is prime.
+    """
+    _check_q(q)
+    found = {}  # k -> offsets g < q^k of the primes q^k + g of degree k
+    for d in range(1, max_degree + 1):
+        sieve = PrimeSieve(q, d)
+        for k in range(1, d // 2 + 1):
+            for g in found[k]:
+                p = q ** k + g
+                products = multiple_indices(_poly_at(q, p), d - k, True)
+                sieve._mark(products, repeat(p, len(products)), k)
+        for k in range(d // 2 + 1, d):
+            offsets = found[k]
+            primes = [q ** k + g for g in offsets]
+            for r in range(q ** (d - k), 2 * q ** (d - k)):
+                products = multiple_indices(_poly_at(q, r), k, True)
+                sieve._mark([products[g] for g in offsets], primes, k)
+        found[d] = [i for i, m in enumerate(sieve.head) if m < 0]
+        yield sieve
+
+
 def monic_phi_sum(q, n):
-    """Sum of euler_phi over monic polynomials of exact degree n (enumerated)."""
-    return sum(euler_phi(f) for f in poly_range(q, q ** n, 2 * q ** n))
+    """Sum of euler_phi over monic polynomials of exact degree n (sieved)."""
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n}")
+    for sieve in prime_sieves(q, n):
+        pass
+    return sieve.phi_sum()
 
 
 def mertens_sum(q, n, budget=10 ** 7):
     """Sum of euler_phi over all nonzero f with 0 < deg f <= n.
 
-    Direct enumeration over monic polynomials (each has q-1 scalar multiples
-    with equal phi); equals q(q-1)(q^{2n}-1)/(q+1) exactly.
+    Each monic polynomial has q-1 scalar multiples with equal phi, and phi
+    comes from one prime sieve per degree; the sum equals
+    q(q-1)(q^{2n}-1)/(q+1) exactly.
     """
     _check_q(q)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     if q ** (n + 1) > budget:
         raise TooLargeError(f"enumeration budget exceeded: q^(n+1)={q ** (n + 1)}")
-    return (q - 1) * sum(monic_phi_sum(q, d) for d in range(1, n + 1))
+    return (q - 1) * sum(sieve.phi_sum() for sieve in prime_sieves(q, n))
 
 
 class RatFunc:

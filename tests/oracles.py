@@ -119,6 +119,23 @@ def farey_psi_oracle(q, t):
     return total
 
 
+def hecke_index_oracle(q, ideal):
+    """[GL_2(R) : G_I] as the size of the projective line over R/I: the
+    pairs (a, b) of residues with gcd(a, b, I) = 1, two gcds for each of
+    the q^(2 deg I) pairs, divided by the number of unit residues."""
+    residues = list(poly_range(q, 0, q ** ideal.degree))
+    units = sum(1 for a in residues if a.gcd(ideal).degree == 0)
+    count = 0
+    for a in residues:
+        for b in residues:
+            g = a.gcd(b)
+            g = g.gcd(ideal) if not g.is_zero() else ideal.monic()
+            if g.degree == 0:
+                count += 1
+    assert count % units == 0
+    return count // units
+
+
 # ---------------------------------------------------------------------------
 # F_q[Y] and quadratic irrationals
 

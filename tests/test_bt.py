@@ -43,13 +43,13 @@ from geodlab.ffield import (
     FqPoly,
     QuadIrr,
     RatFunc,
-    factor,
     laurent_expand,
     parse_poly,
     poly_range,
 )
 from oracles import (
     farey_psi_oracle,
+    hecke_index_oracle,
     orbit_bfs,
     orbit_generators,
     translation_length_oracle,
@@ -382,6 +382,26 @@ def test_hecke_index_cross_checked():
         assert count == want
 
 
+def _hecke_mismatches():
+    """The monic ideals of degree 1-3 at q = 2 and 3 and of degree 4 at
+    q = 2 whose class-counted index disagrees with the pair loop."""
+    cases = [(q, d) for q in (2, 3) for d in (1, 2, 3)] + [(2, 4)]
+    return [(q, str(I)) for q, d in cases
+            for I in poly_range(q, q ** d, 2 * q ** d)
+            if hecke_index(q, I)[1] != hecke_index_oracle(q, I)]
+
+
+def test_hecke_classes_match_the_pair_loop():
+    assert _hecke_mismatches() == []
+
+
+def test_hecke_pair_loop_sees_a_dropped_zero_residue(monkeypatch):
+    # negative control: a class count that leaves out the residue 0
+    monkeypatch.setattr(geodlab.bt, "poly_range",
+                        lambda q, start, stop: poly_range(q, start + 1, stop))
+    assert _hecke_mismatches()
+
+
 def test_hecke_index_guards():
     with pytest.raises(DegenerateError):
         hecke_index(2, FqPoly.one(2))
@@ -407,15 +427,8 @@ def test_farey_psi_matches_oracle():
     assert _psi_mismatches() == []
 
 
-def _factor_minus_one(f):
-    """factor(f) without its first prime: the mutation the negative
-    controls of the Farey sieve inject."""
-    return dict(list(factor(f).items())[1:])
-
-
-def test_farey_psi_oracle_catches_a_dropped_factor(monkeypatch):
-    # negative control: a sieve that forgets one prime factor of Q
-    monkeypatch.setattr(geodlab.bt, "factor", _factor_minus_one)
+def test_farey_psi_oracle_catches_a_dropped_factor(sieve_forgets_y):
+    # negative control: a prime sieve that forgets one prime
     assert _psi_mismatches()
 
 
@@ -489,9 +502,8 @@ def test_farey_histogram_matches_reference(q, tmax, dmax):
     _check_farey_against_reference(q, tmax, dmax)
 
 
-def test_farey_reference_catches_a_dropped_factor(monkeypatch):
-    # a sieve that forgets one prime factor of Q counts non-units as units
-    monkeypatch.setattr(geodlab.bt, "factor", _factor_minus_one)
+def test_farey_reference_catches_a_dropped_factor(sieve_forgets_y):
+    # a prime sieve that forgets one prime counts non-units as units
     with pytest.raises(AssertionError):
         _check_farey_against_reference(2, 3, 2)
 

@@ -30,6 +30,7 @@ from geodlab.ffield import (
     parse_poly,
     parse_ratfunc,
     poly_range,
+    prime_sieves,
 )
 from oracles import (
     convergents,
@@ -143,6 +144,16 @@ def test_factor_primes_are_irreducible():
                 assert p in irr
 
 
+@pytest.mark.parametrize("q, dmax", [(2, 6), (3, 4), (5, 3)])
+def test_prime_sieve_matches_trial_division(q, dmax):
+    for d, sieve in enumerate(prime_sieves(q, dmax), 1):
+        assert sieve.d == d
+        for i, f in enumerate(poly_range(q, q ** d, 2 * q ** d)):
+            primes = sieve.primes(i)
+            assert len(primes) == len(set(primes))
+            assert set(primes) == set(factor(f)), str(f)
+
+
 def test_poly_range_base_q_order():
     q = 3
     assert [str(f) for f in poly_range(q, 0, 6)] == [
@@ -189,7 +200,8 @@ def test_phi_prime_power():
 
 
 def _mertens_mismatches():
-    return [(q, n) for q in (2, 3) for n in (1, 2, 3)
+    cases = [(q, n) for q in (2, 3) for n in (1, 2, 3)] + [(2, 12)]
+    return [(q, n) for q, n in cases
             if mertens_sum(q, n) != mertens_closed_form(q, n)]
 
 
@@ -197,12 +209,8 @@ def test_mertens_exact_small():
     assert _mertens_mismatches() == []
 
 
-def test_mertens_closed_form_catches_a_dropped_factor(monkeypatch):
-    # negative control: euler_phi of a factorisation that forgets one prime
-    def factor_minus_one(f):
-        return dict(list(factor(f).items())[1:])
-
-    monkeypatch.setattr(ffield, "factor", factor_minus_one)
+def test_mertens_closed_form_catches_a_dropped_factor(sieve_forgets_y):
+    # negative control: phi from a prime sieve that forgets one prime
     assert _mertens_mismatches()
 
 
