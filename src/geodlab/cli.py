@@ -371,9 +371,9 @@ def cmd_graph_volumes(args):
 
 
 def cmd_seed(args):
+    index = _horizon(args.index, 0, "--index")
     emit(["master", "index", "seed"],
-         [(args.master, args.index, derive_seed(args.master, args.index))],
-         args)
+         [(args.master, index, derive_seed(args.master, index))], args)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ orbits on finite graphs, with the explicit asymptotic constants.
 
 A common perpendicular between subgraphs Y- and Y+ is a non-backtracking
 edge path that starts at a vertex of Y- without using an edge of Y-,
-and arrives at a vertex of Y+ without using an edge of Y+.  Counts are
-exact big integers when all conductances vanish.
+and arrives at a vertex of Y+ without using an edge of Y+: in the tree, from
+one lift of each vertex of Y- to any lift of Y+.  Counts are exact big
+integers when all conductances vanish.
 """
 
 import math
@@ -63,20 +64,20 @@ class AsymptoticReport:
         self.verdict = verdict
 
 
-def _boundary(g, subname, end):
-    """Edges not in the subgraph whose ``end`` ("origin" or "terminus") is
-    one of its vertices: the first (last) edges of a perpendicular that
-    leaves (arrives at) it."""
-    sub = g.subgraph(subname)
-    vset, eset = set(sub["vertices"]), set(sub["edges"])
-    return [eid for eid in g.edge_ids
-            if getattr(g.edges[eid], end) in vset and eid not in eset]
+def _ends(g, minus, plus):
+    """The first edges e of a perpendicular with their start masses i(e)
+    (``GraphOfGroups.exits``), and its last edges, the reverses of the
+    edges that leave Y+: (index, i(e)) pairs and indices, ascending."""
+    first = [(g.edge_index[e], m) for e, m in g.exits(minus)]
+    last = sorted(g.edge_index[g.edges[e].reverse] for e, _ in g.exits(plus))
+    return first, last
 
 
 def _nb_step(succ, w, weights=None):
     """One step w -> wB of the non-backtracking edge dynamics, ``succ`` as
     from ``GraphOfGroups.nb_successors``.  Exact big-integer masses when
-    B is 0/1 (no ``weights``), float masses when B[i, j] = weights[j]."""
+    B counts the successors (no ``weights``), float masses when each
+    successor j carries weights[j]."""
     if weights is None:
         nxt = [0] * len(w)
         for i, mass in enumerate(w):
@@ -111,15 +112,13 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     if n_edges * query.nmax > budget:
         raise BudgetError(
             f"{n_edges} edge states x nmax {query.nmax} exceeds budget")
-    start = _boundary(g, query.minus, "origin")
-    end_idx = [g.edge_index[e] for e in _boundary(g, query.plus, "terminus")]
+    start, end_idx = _ends(g, query.minus, query.plus)
     exact = all(g.edges[e].conductance == 0.0 for e in g.edge_ids)
     succ = g.nb_successors()
     weights = None if exact else g.edge_weights()
     w = [0] * n_edges if exact else [0.0] * n_edges
-    for eid in start:
-        i = g.edge_index[eid]
-        w[i] = 1 if exact else weights[i]
+    for i, m in start:
+        w[i] = m if exact else m * weights[i]
 
     counts, weighted = [], []
     for n in range(1, query.nmax + 1):
@@ -188,13 +187,13 @@ def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
     if rho <= 1:
         raise UnsupportedError("the edge step has no exponential growth")
     d, cls = _period(shift.succ)
-    # r summed over the first edges and l over the last edges, per class
+    # r summed over the first edges with their start masses and l over the
+    # last edges, per class
+    first, last = _ends(g, query.minus, query.plus)
     r_cls, l_cls = [0.0] * d, [0.0] * d
-    for eid in _boundary(g, query.minus, "origin"):
-        i = g.edge_index[eid]
-        r_cls[cls[i]] += r[i]
-    for eid in _boundary(g, query.plus, "terminus"):
-        i = g.edge_index[eid]
+    for i, m in first:
+        r_cls[cls[i]] += m * r[i]
+    for i in last:
         l_cls[cls[i]] += l[i]
     pref = d * rho ** (d - 1) / ((rho ** d - 1) * _dot(l, r))
     constants = [pref * sum(r_cls[a] * l_cls[(a + c) % d] for a in range(d))
@@ -221,33 +220,21 @@ def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
 # closed orbits
 
 
-def _returns(succ, pred, e, nmax, weights=None):
-    """Yield, for n = 1..nmax, the mass at e after n steps from unit mass on
-    e.  Only the edges with a path back to e are stepped: other mass never
-    returns, and past a dead end it would grow unchecked."""
-    back, todo = {e}, [e]
-    while todo:
-        for i in pred[todo.pop()]:
-            if i not in back:
-                back.add(i)
-                todo.append(i)
-    succ_e = [[j for j in row if j in back] for row in succ]
-    w = [0] * len(succ) if weights is None else [0.0] * len(succ)
-    w[e] = 1
-    for _ in range(nmax):
-        w = _nb_step(succ_e, w, weights)
-        yield w[e]
-
-
-def _sweep(succ, pred, starts, nmax, weights=None):
+def _sweep(succ, starts, nmax, weights=None):
     """The sum, for n = 1..nmax, of mult times the mass back at e after n
     steps from unit mass on e, over (e, mult) in ``starts``: exact without
-    ``weights``, where a sum past the float range raises TooLargeError."""
+    ``weights``, where a sum past the float range raises TooLargeError.
+    No mass strays to edges that cannot come back: with tree degrees >= 2
+    the walk that takes each successor entry with equal probability keeps
+    the measure 1/|G_f| > 0, so every edge recurs."""
     total = [0] * nmax if weights is None else [0.0] * nmax
     for e, mult in starts:
-        for n, mass in enumerate(_returns(succ, pred, e, nmax, weights)):
-            if mass:  # a partial Fix_n past the float range stays past it
-                total[n] += mult * mass
+        w = [0] * len(succ) if weights is None else [0.0] * len(succ)
+        w[e] = 1
+        for n in range(nmax):
+            w = _nb_step(succ, w, weights)
+            if w[e]:  # a partial Fix_n past the float range stays past it
+                total[n] += mult * w[e]
                 _as_float(total[n], f"Fix_{n + 1}")
     return total
 
@@ -256,13 +243,13 @@ def closed_orbit_count(graph, nmax, budget=DEFAULT_BUDGET):
     """Per-length counts of periodic non-backtracking structures.
 
     Returns dict with lists indexed by n-1 for n = 1..nmax:
-      fix: Fix_n = #periodic admissible edge sequences = trace(B^n), exact:
-        the mass the exact edge step carries from each edge back to it;
+      fix: Fix_n = trace(B^n), exact: the mass the exact edge step
+        carries from each edge back to it (closed paths of lifts);
       primitive: primitive periodic sequences (Mobius inversion);
       orbits: prime orbits = primitive sequences / n (rotation classes);
       weighted: sum of e^{c} over Fix_n (floats), that is tr(B_w^n) with
-        B_w[e, e'] = e^{c(e')}; float(Fix_n) when every conductance is
-        zero.
+        B_w[e, e'] = B[e, e'] e^{c(e')}; float(Fix_n) when every
+        conductance is zero.
     Raises BudgetError when (edge count)^2 * nmax exceeds ``budget``, and
     TooLargeError when a count or weighted trace exceeds the float range.
     """
@@ -273,13 +260,11 @@ def closed_orbit_count(graph, nmax, budget=DEFAULT_BUDGET):
     graph.check_branching()
     succ = graph.nb_successors()
     rev = [graph.edge_index[graph.edges[e].reverse] for e in graph.edge_ids]
-    # i -> j exactly when rev(j) -> rev(i)
-    pred = [[rev[k] for k in succ[r]] for r in rev]
     # reversal (e_0, e_1, ..., e_{n-1}) -> (rev e_0, rev e_{n-1}, ...,
-    # rev e_1) maps the closed words through e one-to-one onto those
-    # through rev e, so the count starts from one edge of each pair, twice
-    fix = _sweep(succ, pred, [(e, 2) for e in range(n_edges) if e < rev[e]],
-                 nmax)
+    # rev e_1) maps the closed words through e onto those through rev e,
+    # multiplicity kept (B[e, f] |G_f| = B[rev f, rev e] |G_e|), so the
+    # count starts from one edge of each pair, twice
+    fix = _sweep(succ, [(e, 2) for e in range(n_edges) if e < rev[e]], nmax)
     # Mobius inversion Fix_n = sum of primitive_d over d | n, by a sieve
     primitive = list(fix)
     for d in range(1, nmax + 1):
@@ -288,15 +273,15 @@ def closed_orbit_count(graph, nmax, budget=DEFAULT_BUDGET):
     assert all(p % n == 0 for n, p in enumerate(primitive, 1))
     orbits = [p // n for n, p in enumerate(primitive, 1)]
     return {"fix": fix, "primitive": primitive, "orbits": orbits,
-            "weighted": _weighted_traces(graph, succ, pred, fix)}
+            "weighted": _weighted_traces(graph, succ, fix)}
 
 
-def _weighted_traces(graph, succ, pred, fix):
+def _weighted_traces(graph, succ, fix):
     """tr(B_w^n) for n = 1..len(fix), the float step run from each edge:
     reversal does not keep the weights, so every edge is a start."""
     if all(graph.edges[e].conductance == 0.0 for e in graph.edge_ids):
         return [float(f) for f in fix]
-    wfix = _sweep(succ, pred, [(e, 1) for e in range(len(succ))], len(fix),
+    wfix = _sweep(succ, [(e, 1) for e in range(len(succ))], len(fix),
                   graph.edge_weights())
     for n, value in enumerate(wfix, 1):
         # the masses are positive: an overflow stays infinite, never NaN

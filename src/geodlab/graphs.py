@@ -4,7 +4,10 @@ A graph is stored with directed edges; reversal is a fixed-point-free
 involution.  Vertex and edge "orders" are the orders of the attached finite
 groups — only the orders matter here.  The tree degree of a vertex is
 deg(v) = sum of i(e) = |G_{o(e)}|/|G_e| over outgoing edges, i.e. its degree
-in the Bass-Serre tree.
+in the Bass-Serre tree.  ``nb_successors`` holds the one non-backtracking
+edge rule (Bass 1992; Serre, Trees, I.4): a tree path continues from e into
+f, o(f) = t(e), in i(f) - [f = reverse of e] ways.  Counting, the shift and
+the NBRW all step over it.
 
 numpy is imported only by ``nb_transfer``, a dense view of the edge
 operator that no verb calls: loading and validating a graph, and every
@@ -16,6 +19,9 @@ import json
 import math
 
 from .errors import DegenerateError, GraphFormatError, TooLargeError
+
+# cap on the entries of nb_successors: a row is as long as a tree degree
+MAX_SUCCESSORS = 2 ** 20
 
 
 class Vertex:
@@ -125,12 +131,27 @@ class GraphOfGroups:
     # -- non-backtracking edge dynamics ------------------------------------
 
     def nb_successors(self):
-        """For each edge, in ``edge_ids`` order, the indices of its
-        successors e': t(e) = o(e') and e' is not the reverse of e.  These
-        are the nonzero entries of row e of the transfer matrix B."""
+        """For each edge e, in ``edge_ids`` order, the indices of the edges
+        f with o(f) = t(e), ascending, f listed i(f) - [f = reverse of e]
+        times: row e of the transfer matrix B, one entry per way a tree
+        path goes on.  TooLargeError past MAX_SUCCESSORS entries."""
         edges = [self.edges[eid] for eid in self.edge_ids]
+        size = sum(self.tree_degree(e.terminus) - 1 for e in edges)
+        if size > MAX_SUCCESSORS:
+            raise TooLargeError(f"the edge step has {size} successor "
+                                f"entries, over {MAX_SUCCESSORS}")
         return [[self.edge_index[f] for f in self._out[e.terminus]
-                 if f != e.reverse] for e in edges]
+                 for _ in range(self.index_i(f) - (f == e.reverse))]
+                for e in edges]
+
+    def exits(self, name):
+        """(e, i(e)) for each edge e, in ``edge_ids`` order, that leaves the
+        named subgraph (o(e) in it, e not): i(e) lifts of e leave each lift
+        of o(e) in the tree, and their reverses arrive at the subgraph."""
+        sub = self.subgraph(name)
+        vset, eset = set(sub["vertices"]), set(sub["edges"])
+        return [(eid, self.index_i(eid)) for eid in self.edge_ids
+                if self.edges[eid].origin in vset and eid not in eset]
 
     def check_branching(self):
         """DegenerateError unless every vertex has tree-degree >= 2, so that
@@ -142,10 +163,10 @@ class GraphOfGroups:
     def nb_transfer(self):
         """Weighted non-backtracking transfer matrix as a dense numpy array.
 
-        B[e, e'] = w(e') for each successor e' of e (``nb_successors``),
-        with w = ``edge_weights``.  No verb builds it, as they all step
-        over the successor lists: the tests read it as a dense view, and
-        perfbench/tracer.py wraps it by name.
+        B[e, e'] = w(e') times the number of times e' follows e in
+        ``nb_successors``, w = ``edge_weights``.  No verb builds it, as
+        they all step over the successor lists: the tests read it as a
+        dense view, and perfbench/tracer.py wraps it by name.
         """
         self.check_branching()
         import numpy as np
@@ -155,7 +176,7 @@ class GraphOfGroups:
         B = np.zeros((n, n))
         for i, row in enumerate(self.nb_successors()):
             for j in row:
-                B[i, j] = weights[j]
+                B[i, j] += weights[j]
         return B
 
     # -- subgraph helpers ------------------------------------------------

@@ -27,7 +27,7 @@ def _doc(vertices, pairs, subgraphs=None, orders=None):
 
 
 def figure_eight():
-    """One vertex, two loop pairs; 3-regular... actually 4-regular rose."""
+    """One vertex with two loop pairs: the 4-regular rose."""
     doc = _doc(["v"], [("a", "v", "v"), ("b", "v", "v")],
                subgraphs={"A": {"vertices": ["v"], "edges": []}})
     return load_validate(doc)

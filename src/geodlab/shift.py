@@ -4,13 +4,13 @@ measures, weak-Gibbs audits and correlation decay.
 The potential is always a 1-step function: phi(x) = c(x_0) depends on the
 first letter only, so equilibrium states are Markov measures and the whole
 thermodynamic apparatus reduces to Perron-Frobenius data of the weighted
-transfer matrix B[a,b] = e^{c(b)} [a -> b allowed].
+transfer matrix B[a,b] = m(a,b) e^{c(b)}, with m(a,b) ways from a to b.
 
-A shift is stored as successor lists, and every step over B runs over them
-in pure Python, in a fixed order: pressure and the equilibrium chain start
-without numpy, and no result depends on a BLAS kernel.  numpy is imported
-only by the Gibbs audit's max-plus DP and by the spectral oracle of
-``correlation_decay`` (a dense LAPACK eigensolve).
+A shift is stored as successor lists, b repeated m(a,b) times in row a, and
+every step over B runs over them in pure Python, in a fixed order: pressure
+and the equilibrium chain start without numpy, and no result depends on a
+BLAS kernel.  numpy is imported only by the Gibbs audit's max-plus DP and by
+the spectral oracle of ``correlation_decay`` (a dense LAPACK eigensolve).
 """
 
 import math
@@ -32,13 +32,13 @@ class EdgeShift:
     1-step potential given per letter."""
 
     def __init__(self, letters, succ, potential=None):
-        """succ[a]: the indices b of the letters allowed after letter a;
-        potential: per-letter c."""
+        """succ[a]: the indices b of the letters allowed after letter a, b
+        listed m times for m ways from a to b; potential: per-letter c."""
         self.letters = list(letters)
         n = len(self.letters)
         self.potential = ([0.0] * n if potential is None
                           else [float(c) for c in potential])
-        succ = [sorted({int(b) for b in row}) for row in succ]
+        succ = [sorted(int(b) for b in row) for row in succ]
         if (len(succ) != n or len(self.potential) != n
                 or any(not 0 <= b < n for row in succ for b in row)):
             raise ValueError("successor lists or potential do not match "
@@ -48,7 +48,7 @@ class EdgeShift:
         except OverflowError as exc:
             raise TooLargeError(
                 "a weight exp(potential) exceeds the float range") from exc
-        # B[a, b] = weights[b] > 0 exactly for b in succ[a]: a weight that
+        # B[a, b] = m weights[b] > 0 exactly for b in succ[a]: a weight that
         # underflows to 0 takes its letter's transitions out
         self.succ = [[b for b in row if self.weights[b] > 0] for row in succ]
 
@@ -177,8 +177,9 @@ def _chain_entropy(p, P):
 def equilibrium_measure(shift):
     """The Parry-type equilibrium chain: P[a,b] = B[a,b] r(b) / (rho r(a)).
 
-    ``P[a]`` lists the transition probabilities to the letters of
-    ``shift.succ[a]``, in that order."""
+    ``P[a]`` lists the transition probabilities to the entries of
+    ``shift.succ[a]``, in that order: one per way, so the entropy and the
+    Gibbs audit see the ways of a graph of groups apart."""
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
     rho, r, l = _perron(shift)
@@ -302,7 +303,7 @@ def correlation_decay(m, f, g, nmax):
 
     dense = np.zeros((len(P), len(P)))
     for a, (row, prow) in enumerate(zip(succ, P)):
-        dense[a, row] = prow
+        np.add.at(dense, (a, row), prow)
     eigs = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
     rho2 = float(eigs[1]) if len(eigs) > 1 else 0.0
 

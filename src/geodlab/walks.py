@@ -2,16 +2,17 @@
 regular trees (harmonic measure, Green-kernel ratios), and the weighted
 graph Laplacian.
 
-The NBRW on a graph of groups is driven purely by the edge indices
-i(e) = |G_{o(e)}|/|G_e|: from an incoming edge f at the vertex y, the next
-edge f' is chosen with probability proportional to i(f') minus one if f' is
-the reverse of f.  This reproduces the walk on the Bass-Serre tree pushed
-to the quotient without materializing any groups.
+The NBRW on a graph of groups steps over the rows of
+``GraphOfGroups.nb_successors``: after an edge it takes each entry of its
+row with equal probability, so an edge listed m times in a row of L entries
+has probability m/L.  This is the walk on the Bass-Serre tree pushed to the
+quotient, without materializing any groups.
 
 numpy is imported inside the functions that use it: the CLI imports this
 module for every verb, and the exact verbs must start without numpy.
 """
 
+import itertools
 import math
 
 from .errors import BudgetError, DegenerateError, NotTransientError, UsageError
@@ -30,21 +31,14 @@ class NBRWKernel:
     def __init__(self, graph):
         import numpy as np
 
+        graph.check_branching()
         self.graph = graph
         start, col, prob = [0], [], []
-        for eid in graph.edge_ids:
-            e = graph.edges[eid]
-            row = []
-            for fid in graph.out_edges(e.terminus):
-                w = graph.index_i(fid) - (1 if fid == e.reverse else 0)
-                if w > 0:
-                    row.append((graph.edge_index[fid], w))
-            tot = sum(w for _, w in row)
-            if tot <= 0:
-                raise DegenerateError(
-                    f"walk stalls after edge {eid!r} (tree-degree <= 1)")
-            col += [j for j, _ in row]
-            prob += [w / tot for _, w in row]
+        for succ in graph.nb_successors():
+            # a run of m equal entries in a row of L: one entry, m / L
+            for j, run in itertools.groupby(succ):
+                col.append(j)
+                prob.append(len(list(run)) / len(succ))
             start.append(len(col))
         self.start = np.array(start, dtype=np.intp)
         self.col = np.array(col, dtype=np.intp)
@@ -65,24 +59,23 @@ class NBRWKernel:
     def start_distribution(self, subname):
         """Initial edge law for a walk leaving the named subgraph: vertex
         chosen with probability proportional to 1/|G_v| inside the subgraph,
-        then a uniformly weighted outgoing lift (weight i(e), excluding
-        subgraph edges)."""
+        then one of the lifts of its exit edges uniformly: e with weight
+        i(e) (``GraphOfGroups.exits``)."""
         import numpy as np
 
         g = self.graph
-        sub = g.subgraph(subname)
-        vset = list(sub["vertices"])
-        eset = set(sub["edges"])
+        vset = list(g.subgraph(subname)["vertices"])
+        exits = {v: [] for v in vset}
+        for eid, m in g.exits(subname):
+            exits[g.edges[eid].origin].append((g.edge_index[eid], m))
         vweights = np.array([1.0 / g.vertices[v].order for v in vset])
         vweights /= vweights.sum()
         dist = np.zeros(g.edge_count())
         for v, pv in zip(vset, vweights):
-            opts = [(g.edge_index[eid], g.index_i(eid))
-                    for eid in g.out_edges(v) if eid not in eset]
-            tot = sum(w for _, w in opts)
+            tot = sum(w for _, w in exits[v])
             if tot <= 0:
                 raise DegenerateError(f"no exit edges from vertex {v!r}")
-            for j, w in opts:
+            for j, w in exits[v]:
                 dist[j] += pv * w / tot
         return dist
 

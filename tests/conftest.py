@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from geodlab import ffield
+from geodlab.graphs import GraphOfGroups
 
 
 @pytest.fixture
@@ -17,6 +18,29 @@ def sieve_forgets_y(monkeypatch):
         mark(self, [i for i, _ in kept], [p for _, p in kept], k)
 
     monkeypatch.setattr(ffield.PrimeSieve, "_mark", forgetful)
+
+
+@pytest.fixture
+def quotient_only_rule(monkeypatch):
+    """An edge step that ignores the group orders: f follows e once when
+    o(f) = t(e) and f is not the reverse of e.  The first mutation the
+    negative controls of the graph-of-groups checks inject."""
+
+    def quotient_only(self):
+        return [[self.edge_index[f]
+                 for f in self.out_edges(self.edges[eid].terminus)
+                 if f != self.edges[eid].reverse] for eid in self.edge_ids]
+
+    monkeypatch.setattr(GraphOfGroups, "nb_successors", quotient_only)
+
+
+@pytest.fixture
+def merged_repeats_rule(monkeypatch):
+    """An edge step whose rows list each successor once, however many ways
+    lead to it: the second mutation of those negative controls."""
+    rule = GraphOfGroups.nb_successors
+    monkeypatch.setattr(GraphOfGroups, "nb_successors",
+                        lambda self: [sorted(set(row)) for row in rule(self)])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

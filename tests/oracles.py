@@ -19,13 +19,15 @@ from geodlab.graphs import load_validate
 
 
 def dense(cols, vals=None):
-    """The square array with vals[i][k] (1.0 when vals is None) at row i,
-    column cols[i][k]: a sparse operator stored by rows, such as
-    EdgeShift.succ with MarkovMeasure.P, made dense for the oracles."""
+    """The square array with the sum of vals[i][k] (1.0 when vals is None)
+    over the k with cols[i][k] = j at row i, column j: a sparse operator
+    stored by rows, such as EdgeShift.succ with MarkovMeasure.P, made dense
+    for the oracles.  A column repeated in a row adds up, as the ways of a
+    graph of groups do."""
     M = np.zeros((len(cols), len(cols)))
     for i, row in enumerate(cols):
         for k, j in enumerate(row):
-            M[i, j] = 1.0 if vals is None else vals[i][k]
+            M[i, j] += 1.0 if vals is None else vals[i][k]
     return M
 
 
@@ -229,6 +231,46 @@ def two_vertex_segment():
         "vertices": [{"id": "u"}, {"id": "v"}],
         "edges": [{"id": "e+", "from": "u", "to": "v", "reverse": "e-"},
                   {"id": "e-", "from": "v", "to": "u", "reverse": "e+"}]})
+
+
+def graph_of_groups(orders, pairs, subgraphs=None):
+    """A graph of groups from the vertex orders {v: |G_v|}, the edge pairs
+    (name, u, v) or (name, u, v, |G_e|), each giving name+ from u to v and
+    name- back, and point-like subgraphs {name: vertices}, with no edges."""
+    edges = []
+    for name, u, v, *order in pairs:
+        for s, a, b, r in (("+", u, v, "-"), ("-", v, u, "+")):
+            edges.append({"id": name + s, "from": a, "to": b,
+                          "reverse": name + r, "order": (order or [1])[0]})
+    return load_validate({
+        "vertices": [{"id": v, "order": k} for v, k in orders.items()],
+        "edges": edges,
+        "subgraphs": {name: {"vertices": vs, "edges": []}
+                      for name, vs in (subgraphs or {}).items()}})
+
+
+def order_three_pair():
+    """Two order-3 vertices joined by a trivial edge, each with a loop of
+    order 3: tree degree 3 + 2 at both, a 5-regular tree.  After the edge
+    a path goes on along it in 2 ways and along each loop edge in 1."""
+    return graph_of_groups({"a": 3, "b": 3}, [
+        ("t", "a", "b"), ("la", "a", "a", 3), ("lb", "b", "b", 3)])
+
+
+def bass_matrix(g):
+    """Bass's edge matrix of a graph of groups as a list of integer rows,
+    in sorted edge order: B[e][f] = i(f) - [f = reverse of e] when t(e) =
+    o(f), with i(f) = |G_o(f)| / |G_f|, else 0, read off the vertex and
+    edge records one pair at a time."""
+    ids = sorted(g.edges)
+
+    def ways(e, f):
+        if g.edges[f].origin != g.edges[e].terminus:
+            return 0
+        index = g.vertices[g.edges[f].origin].order // g.edges[f].order
+        return index - (f == g.edges[e].reverse)
+
+    return [[ways(e, f) for f in ids] for e in ids]
 
 
 def enumerate_perpendiculars(query):

@@ -176,6 +176,12 @@ def test_graph_seed(capsys):
     assert out.strip().split("\n")[1] == f"42,3,{derive_seed(42, 3)}"
 
 
+def test_graph_seed_negative_index_is_a_usage_record(capsys):
+    code, out, err = run_cli(capsys, "graph", "seed", "--index", "-1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_graph_file_input(tmp_path, capsys):
     from geodlab.graphs import to_document
     from geodlab.library import theta
@@ -363,6 +369,30 @@ def test_walk_rejects_recurrent_and_empty_walks(capsys, argv, want):
     assert code == 2 and out == ""
     record = json.loads(err)
     assert record["error"] == want and want in _error_codes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "perp", "--minus", "B", "--plus", "B"],
+    ["count", "orbits"],
+    ["shift", "pressure"],
+    ["walk", "nbrw", "--start", "B"],
+])
+def test_successor_entries_past_the_cap_are_a_record(tmp_path, capsys, argv):
+    # a of order 10^9 joined by a trivial edge to b, which has a loop: the
+    # row after the edge would list it 10^9 - 1 times
+    edges = [{"id": name + s, "from": u if s == "+" else v,
+              "to": v if s == "+" else u, "reverse": name + r}
+             for name, u, v in (("t", "a", "b"), ("l", "b", "b"))
+             for s, r in (("+", "-"), ("-", "+"))]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "a", "order": 10 ** 9}, {"id": "b"}],
+        "edges": edges,
+        "subgraphs": {"B": {"vertices": ["b"], "edges": []}}}))
+    code, out, err = run_cli(capsys, *argv[:2], "--graph", str(path),
+                             *argv[2:])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "too-large"
 
 
 @pytest.mark.parametrize("graph, nmax", [("builtin:cycle3", "5"),
@@ -855,3 +885,49 @@ def test_printed_floats_do_not_depend_on_the_blas_kernel(tmp_path):
         assert len({out["stdout"][i] for out in outs}) == 1, argv
     # negative control: the dense BLAS step tells the kernels apart
     assert len({out["dense"][0] for out in outs}) >= 2
+
+
+# ---------------------------------------------------------------------------
+# byte-identity on trivial orders
+
+
+# "argv": [exit code, sha256 of stdout] for count perp on every pair of
+# subgraphs, count orbits, shift pressure and shift equilibrium on every
+# builtin with trivial orders, where every multiplicity of the edge step is
+# 1, and walk nbrw, exact from each subgraph and sampled, on every builtin
+DIGESTS = Path(__file__).with_name("stdout_digests.json")
+
+
+def _digest_misses(capsys):
+    """The pinned argv whose exit code or stdout digest moved."""
+    import hashlib
+
+    misses = []
+    for argv, want in json.loads(DIGESTS.read_text()).items():
+        code, out, _ = run_cli(capsys, *argv.split())
+        if [code, hashlib.sha256(out.encode()).hexdigest()] != want:
+            misses.append(argv)
+    return misses
+
+
+def test_graph_verbs_match_the_pinned_digests(capsys):
+    from geodlab.library import BUILTIN
+
+    pinned = {tuple(argv.split()[:4]) for argv in json.loads(
+        DIGESTS.read_text())}
+    for name, make in BUILTIN.items():
+        verbs = [("walk", "nbrw")]
+        if make().trivial_orders():
+            verbs += [("count", "perp"), ("count", "orbits"),
+                      ("shift", "pressure"), ("shift", "equilibrium")]
+        assert {v + ("--graph", "builtin:" + name) for v in verbs} <= pinned
+    assert _digest_misses(capsys) == []
+
+
+def test_pinned_digests_see_the_quotient_only_rule(capsys,
+                                                   quotient_only_rule):
+    # negative control: the rule without multiplicities moves the walk on
+    # orderchain and nothing on trivial orders
+    assert _digest_misses(capsys) == [
+        "walk nbrw --graph builtin:orderchain --start X",
+        "walk nbrw --graph builtin:orderchain --start X --reps 2000 --seed 3"]

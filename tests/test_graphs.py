@@ -17,7 +17,7 @@ from geodlab.library import (
     petersen,
     theta,
 )
-from oracles import two_vertex_segment
+from oracles import bass_matrix, two_vertex_segment
 
 
 def _base_doc():
@@ -165,6 +165,23 @@ def test_nb_transfer_on_cycle_is_permutation():
     B = cycle(4).nb_transfer()
     B = np.asarray(B, dtype=float)
     assert (B.sum(axis=1) == 1).all()
+
+
+@pytest.mark.parametrize("make", [order_two_chain, petersen])
+def test_nb_transfer_is_bass_matrix(make):
+    # on orderchain e+ -> b2+ in two ways: the order-2 vertex v has two
+    # lifts of b2 at each lift, and e+ arrives along neither
+    g = make()
+    B = np.array(bass_matrix(g), dtype=float)
+    assert (g.nb_transfer() == B).all()
+    assert (B == 2).any() == (make is order_two_chain)
+
+
+def test_exits_carry_the_index():
+    g = order_two_chain()
+    g.subgraphs["U"] = {"vertices": ["u"], "edges": []}
+    assert g.exits("U") == [("b1+", 2), ("e+", 1)]
+    assert g.exits("X") == [("b1-", 1), ("b2-", 1), ("c+", 1)]
 
 
 def test_nb_transfer_degenerate_on_segment():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geodlab.errors import ReducibleError
-from geodlab.library import BUILTIN, figure_eight, petersen
+from geodlab.library import BUILTIN, figure_eight, order_two_chain, petersen
 from geodlab.shift import (
     GIBBS_GROWTH,
     EdgeShift,
@@ -24,7 +24,13 @@ from geodlab.shift import (
     pressure,
     weak_gibbs_audit,
 )
-from oracles import brute_force_equilibrium, dense, periodic_gibbs_ratios
+from oracles import (
+    brute_force_equilibrium,
+    dense,
+    graph_of_groups,
+    order_three_pair,
+    periodic_gibbs_ratios,
+)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -49,6 +55,46 @@ def test_pressure_graph_shifts():
                - math.log(3)) < 1e-10
     assert abs(pressure(EdgeShift.from_graph(petersen()))
                - math.log(2)) < 1e-10
+
+
+def _order_three_lollipop():
+    """An order-3 vertex a joined by a trivial edge to b, which has a loop:
+    tree degree 3 at both, a 3-regular tree."""
+    return graph_of_groups({"a": 3, "b": 1},
+                           [("t", "a", "b"), ("l", "b", "b")])
+
+
+# graphs of groups whose Bass-Serre tree is (q+1)-regular, with their q
+GROUP_GRAPHS = [(order_two_chain, 2), (_order_three_lollipop, 2),
+                (order_three_pair, 4)]
+
+
+def _pressure_misses():
+    """The graphs of GROUP_GRAPHS whose pressure is not log q to 1e-10, or
+    whose edge step is reducible."""
+    misses = []
+    for make, q in GROUP_GRAPHS:
+        g = make()
+        assert {g.tree_degree(v) for v in g.vertex_ids} == {q + 1}
+        try:
+            got = pressure(EdgeShift.from_graph(g))
+        except ReducibleError:
+            got = math.nan
+        if not abs(got - math.log(q)) < 1e-10:
+            misses.append(make.__name__)
+    return misses
+
+
+def test_pressure_is_log_q_on_graphs_of_groups():
+    assert _pressure_misses() == []
+
+
+@pytest.mark.parametrize("rule", ["quotient_only_rule",
+                                  "merged_repeats_rule"])
+def test_pressure_check_catches_a_rule_without_multiplicities(request, rule):
+    # negative control: every graph of groups misses log q
+    request.getfixturevalue(rule)
+    assert len(_pressure_misses()) == len(GROUP_GRAPHS)
 
 
 def test_pressure_weighted_full_shift():
@@ -87,6 +133,48 @@ def test_variational_identity():
     c = [0.1, -0.4]
     m = equilibrium_measure(EdgeShift.golden_mean(c))
     assert abs(m.entropy + m.phi_integral - m.pressure) < 1e-12
+
+
+def _orderchain_measure(conductance):
+    """The equilibrium state of orderchain's edge shift, under a seeded
+    potential when asked."""
+    rng = np.random.default_rng(11)
+    g = order_two_chain()
+    if conductance:
+        g = g.with_conductance({e: float(rng.uniform(-0.5, 0.5))
+                                for e in g.edge_ids})
+    return equilibrium_measure(EdgeShift.from_graph(g))
+
+
+@pytest.mark.parametrize("conductance", [False, True])
+def test_variational_identity_on_a_graph_of_groups(conductance):
+    m = _orderchain_measure(conductance)
+    assert abs(m.entropy + m.phi_integral - m.pressure) < 1e-12
+    # the chain with the ways to one successor added up is stationary
+    P = dense(m.shift.succ, m.P)
+    assert np.abs(P.sum(axis=1) - 1).max() < 1e-12
+    assert np.abs(np.asarray(m.p) @ P - m.p).max() < 1e-10
+
+
+def test_variational_identity_sees_merged_repeats():
+    # negative control: the entropy of the chain whose rows merge the ways
+    # to one successor misses the identity by sum p_a P_ab log m_ab
+    m = _orderchain_measure(True)
+    P = dense(m.shift.succ, m.P)
+    merged = -sum(pa * x * math.log(x) for pa, row in zip(m.p, P)
+                  for x in row if x > 0)
+    assert abs(merged + m.phi_integral - m.pressure) > 1e-3
+
+
+def test_spectral_rate_adds_the_ways():
+    # the dense chain of the spectral oracle adds repeated successors: its
+    # top eigenvalue is 1 and the rate is the next modulus
+    m = _orderchain_measure(True)
+    f = [1.0] + [0.0] * (m.shift.n_letters() - 1)
+    rate = correlation_decay(m, f, f, 4)["spectral_rate"]
+    eigs = np.sort(np.abs(np.linalg.eigvals(dense(m.shift.succ, m.P))))
+    assert abs(eigs[-1] - 1) < 1e-12
+    assert abs(rate - eigs[-2]) < 1e-12
 
 
 # the cylinder [w] has mass p(w_0) prod_i P[w_i, w_(i+1)]

@@ -26,10 +26,12 @@ from geodlab.walks import (
     tree_harmonic_measure,
 )
 from oracles import (
+    bass_matrix,
     dense,
     is_reversible,
     laplacian_factors,
     nbrw_global_search,
+    order_three_pair,
     two_vertex_segment,
     vol_inner,
 )
@@ -77,6 +79,27 @@ def test_kernel_rows_stochastic():
         assert len(k.col) == np.count_nonzero(P)
         for i in range(len(P)):
             assert (np.diff(k.col[k.start[i]:k.start[i + 1]]) > 0).all()
+
+
+def _kernel_misses():
+    """The graphs whose kernel is not Bass's matrix over its row sums."""
+    misses = []
+    for g in (order_two_chain(), order_three_pair(), petersen(), theta()):
+        B = np.array(bass_matrix(g), dtype=float)
+        want = B / B.sum(axis=1, keepdims=True)
+        if np.abs(_dense_kernel(NBRWKernel(g)) - want).max() > 1e-15:
+            misses.append(sorted(g.vertices))
+    return misses
+
+
+def test_kernel_is_bass_matrix_over_its_row_sums():
+    assert _kernel_misses() == []
+
+
+def test_kernel_check_catches_merged_repeats(merged_repeats_rule):
+    # negative control: orderchain's repeats fill whole rows, where merging
+    # keeps the law; the pair's rows hold 2 ways along t and 1 along a loop
+    assert _kernel_misses() == [sorted(order_three_pair().vertices)]
 
 
 def test_kernel_step_matches_dense_product():
