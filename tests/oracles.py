@@ -249,6 +249,14 @@ def graph_of_groups(orders, pairs, subgraphs=None):
                       for name, vs in (subgraphs or {}).items()}})
 
 
+def order_three_lollipop():
+    """An order-3 vertex a joined by a trivial edge to b, which has a loop:
+    tree degree 3 at both, a 3-regular tree.  A = {a}, B = {b}."""
+    return graph_of_groups({"a": 3, "b": 1},
+                           [("t", "a", "b"), ("l", "b", "b")],
+                           {"A": ["a"], "B": ["b"]})
+
+
 def order_three_pair():
     """Two order-3 vertices joined by a trivial edge, each with a loop of
     order 3: tree degree 3 + 2 at both, a 5-regular tree.  After the edge

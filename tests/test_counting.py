@@ -6,7 +6,8 @@ paths, the closed forms 2(3^n - 1) (figure-8) and 3^n + 2 + (-1)^n
 built by oracles.py from the edge records (float powers of its weighted
 form for the weighted traces), the regular and biregular closed-form
 counting constants of oracles.py for the Perron constants, and, for the
-graph of groups orderchain, its two degree-2 covers with trivial groups.
+graphs of groups orderchain and the order-3 lollipop of oracles.py, two
+covers of each with trivial groups.
 """
 
 import itertools
@@ -50,6 +51,7 @@ from oracles import (
     biregular_constants,
     enumerate_perpendiculars,
     graph_of_groups,
+    order_three_lollipop,
     regular_constant,
     two_vertex_segment,
 )
@@ -94,7 +96,7 @@ def test_dfs_oracle_catches_backtracking(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# orderchain against its covers
+# graphs of groups against their covers
 
 
 def _orderchain_cover(parallel):
@@ -112,35 +114,60 @@ def _orderchain_cover(parallel):
         {"W1": ["w1"], "W2": ["w2"], "U": ["u"]})
 
 
-# (Y-, Y+) on orderchain, X = {w} and U = {u} of order 2, and on a cover:
-# one lift of Y-, and the lifts of Y+, whose counts add up
-COVER_PAIRS = [("X", "X", "W1", ["W1", "W2"]), ("U", "X", "U", ["W1", "W2"]),
-               ("U", "U", "U", ["U"]), ("X", "U", "W1", ["U"])]
+def _lollipop_cover(cycle):
+    """A degree-3 cover of the order-3 lollipop with trivial groups.  a
+    lifts once, with the three lifts of the edge t to b1, b2 and b3; the
+    loop at b lifts to a loop at each b_i, or to the cycle b1-b2-b3.  A is
+    the lift of a, B1, B2 and B3 those of b."""
+    pairs = [("t1", "a", "b1"), ("t2", "a", "b2"), ("t3", "a", "b3")]
+    pairs += ([("l1", "b1", "b2"), ("l2", "b2", "b3"), ("l3", "b3", "b1")]
+              if cycle else [("l1", "b1", "b1"), ("l2", "b2", "b2"),
+                             ("l3", "b3", "b3")])
+    return graph_of_groups(
+        {v: 1 for v in ("a", "b1", "b2", "b3")}, pairs,
+        {"A": ["a"], "B1": ["b1"], "B2": ["b2"], "B3": ["b3"]})
+
+
+def _cover_cases():
+    """(name, graph of groups, its two covers, pairs): for each (Y-, Y+)
+    on the graph, one lift of Y- on a cover and the lifts of Y+, whose
+    counts add up.  On orderchain X = {w} and U = {u} of order 2, on the
+    lollipop A = {a} of order 3 and B = {b}."""
+    doc = to_document(order_two_chain())
+    doc["subgraphs"]["U"] = {"vertices": ["u"], "edges": []}
+    lifts_b = ["B1", "B2", "B3"]
+    return [
+        ("orderchain", load_validate(doc),
+         [_orderchain_cover(parallel) for parallel in (False, True)],
+         [("X", "X", "W1", ["W1", "W2"]), ("U", "X", "U", ["W1", "W2"]),
+          ("U", "U", "U", ["U"]), ("X", "U", "W1", ["U"])]),
+        ("lollipop", order_three_lollipop(),
+         [_lollipop_cover(cycle) for cycle in (False, True)],
+         [("B", "B", "B1", lifts_b), ("A", "B", "A", lifts_b),
+          ("A", "A", "A", ["A"]), ("B", "A", "B1", ["A"])])]
 
 
 def _cover_misses(nmax=40):
-    """The (cover, Y-, Y+) where count perp on orderchain differs from the
-    DFS oracle on the cover (to length 10) or from the count on the cover
-    (to ``nmax``)."""
-    doc = to_document(order_two_chain())
-    doc["subgraphs"]["U"] = {"vertices": ["u"], "edges": []}
-    g = load_validate(doc)
+    """The (graph, cover, Y-, Y+) where count perp on the graph of groups
+    differs from the DFS oracle on the cover (to length 10) or from the
+    count on the cover (to ``nmax``)."""
     misses = []
-    for parallel in (False, True):
-        cover = _orderchain_cover(parallel)
-        for minus, plus, cminus, lifts in COVER_PAIRS:
-            got = count_perpendiculars(PerpQuery(g, minus, plus, nmax)).counts
-            want = [sum(col) for col in zip(*(count_perpendiculars(
-                PerpQuery(cover, cminus, lift, nmax)).counts
-                for lift in lifts))]
-            dfs = [sum(col) for col in zip(*(enumerate_perpendiculars(
-                PerpQuery(cover, cminus, lift, 10)) for lift in lifts))]
-            if got != want or got[:10] != dfs:
-                misses.append((parallel, minus, plus))
+    for name, g, covers, pairs in _cover_cases():
+        for k, cover in enumerate(covers):
+            for minus, plus, cminus, lifts in pairs:
+                got = count_perpendiculars(
+                    PerpQuery(g, minus, plus, nmax)).counts
+                want = [sum(col) for col in zip(*(count_perpendiculars(
+                    PerpQuery(cover, cminus, lift, nmax)).counts
+                    for lift in lifts))]
+                dfs = [sum(col) for col in zip(*(enumerate_perpendiculars(
+                    PerpQuery(cover, cminus, lift, 10)) for lift in lifts))]
+                if got != want or got[:10] != dfs:
+                    misses.append((name, k, minus, plus))
     return misses
 
 
-def test_orderchain_counts_match_both_covers():
+def test_graphs_of_groups_match_both_covers():
     assert _cover_misses() == []
     series = count_perpendiculars(PerpQuery(order_two_chain(), "X", "X", 8))
     assert series.counts == [0, 2, 6, 4, 18, 36, 54, 140]
@@ -151,17 +178,19 @@ def test_orderchain_counts_match_both_covers():
 def test_covers_catch_a_rule_without_multiplicities(request, rule):
     # negative control: every pair misses on both covers
     request.getfixturevalue(rule)
-    assert len(_cover_misses(12)) == 2 * len(COVER_PAIRS)
+    assert len(_cover_misses(12)) == 2 * 8
 
 
 def test_covers_catch_a_start_mass_of_one(monkeypatch):
     # negative control: one start per exit edge, not i(e); only the starts
-    # at the order-2 vertex u, whose exit to w has i = 2, miss
+    # at u of order 2 and at a of order 3, whose exits have i > 1, miss
     exits = GraphOfGroups.exits
     monkeypatch.setattr(GraphOfGroups, "exits", lambda self, name: [
         (e, 1) for e, _ in exits(self, name)])
-    assert {(minus, plus) for _, minus, plus in _cover_misses(12)} == {
-        ("U", "X"), ("U", "U")}
+    assert {(name, minus, plus) for name, _, minus, plus
+            in _cover_misses(12)} == {
+        ("orderchain", "U", "X"), ("orderchain", "U", "U"),
+        ("lollipop", "A", "B"), ("lollipop", "A", "A")}
 
 
 def test_theta_parity():

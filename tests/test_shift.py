@@ -27,7 +27,7 @@ from geodlab.shift import (
 from oracles import (
     brute_force_equilibrium,
     dense,
-    graph_of_groups,
+    order_three_lollipop,
     order_three_pair,
     periodic_gibbs_ratios,
 )
@@ -57,15 +57,8 @@ def test_pressure_graph_shifts():
                - math.log(2)) < 1e-10
 
 
-def _order_three_lollipop():
-    """An order-3 vertex a joined by a trivial edge to b, which has a loop:
-    tree degree 3 at both, a 3-regular tree."""
-    return graph_of_groups({"a": 3, "b": 1},
-                           [("t", "a", "b"), ("l", "b", "b")])
-
-
 # graphs of groups whose Bass-Serre tree is (q+1)-regular, with their q
-GROUP_GRAPHS = [(order_two_chain, 2), (_order_three_lollipop, 2),
+GROUP_GRAPHS = [(order_two_chain, 2), (order_three_lollipop, 2),
                 (order_three_pair, 4)]
 
 
