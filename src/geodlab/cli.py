@@ -4,9 +4,18 @@ Emits CSV (default) or JSON.  Integers are printed exactly; reals with 17
 significant digits, so reruns with identical inputs are byte-identical.
 Validation failures exit with status 2 and a machine-readable error record
 on stderr.
+
+``main`` runs each command with ``OPENBLAS_NUM_THREADS=1`` when numpy is not
+loaded yet and none of ``BLAS_THREAD_VARS`` is set, and then gives
+os.environ back as it found it.  numpy loads OpenBLAS at import, whose
+worker threads busy-wait for about 0.1 s before they sleep; no verb has
+work for them (see walks.py), so one thread saves that CPU time and prints
+the same bytes.  A count the user sets wins; ``import geodlab`` sets
+nothing.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -18,7 +27,11 @@ from .errors import BudgetError, GeodlabError, IOFailure, TooLargeError, \
 from .ffield import FqPoly, QuadIrr, cf_expand, mertens_sum, parse_poly, \
     parse_ratfunc, euler_phi, laurent_expand, _check_q, MAX_DEGREE
 from .graphs import load_validate
-from .seeding import derive_seed
+from .seeding import MASK, derive_seed
+
+# OpenBLAS takes its thread count from the first of these that is set
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
 
 
 def _budget(default):
@@ -51,6 +64,14 @@ def _horizon(value, least, flag="--nmax"):
     """The value of ``flag``, which must be at least ``least``."""
     if value < least:
         raise UsageError(f"{flag} must be at least {least}, got {value}")
+    return value
+
+
+def _seed(value, flag):
+    """The value of ``flag``, a seed or stream index of ``derive_seed``,
+    which must be in [0, 2^64): it mixes its inputs modulo 2^64."""
+    if not 0 <= value <= MASK:
+        raise UsageError(f"{flag} must be in [0, 2^64), got {value}")
     return value
 
 
@@ -213,9 +234,10 @@ def cmd_shift_decay(args):
 
 
 def cmd_walk_nbrw(args):
+    seed = _seed(args.seed, "--seed")
     g = _load_graph(args.graph)
     if args.reps:
-        out = walks.nbrw_sample(g, args.start, args.n, args.reps, args.seed)
+        out = walks.nbrw_sample(g, args.start, args.n, args.reps, seed)
         rows = [(v, float(out["empirical"][i]))
                 for i, v in enumerate(g.vertex_ids)]
     else:
@@ -228,7 +250,7 @@ def cmd_walk_nbrw(args):
 
 def cmd_walk_harmonic(args):
     out = walks.tree_harmonic_measure(args.q, args.depth, args.reps,
-                                      args.seed)
+                                      _seed(args.seed, "--seed"))
     rows = [(i, float(out["estimates"][i]), out["sigma"], out["target"])
             for i in range(out["n_shadows"])]
     emit(["shadow", "estimate", "stderr", "target"], rows, args)
@@ -236,7 +258,7 @@ def cmd_walk_harmonic(args):
 
 def cmd_walk_green(args):
     out = walks.green_ratio_check(args.q, args.dxy, args.dxz, args.reps,
-                                  args.seed)
+                                  _seed(args.seed, "--seed"))
     emit(["ratio", "target", "stderr"],
          [(out["ratio"], out["target"], out["sigma"])], args)
 
@@ -371,9 +393,10 @@ def cmd_graph_volumes(args):
 
 
 def cmd_seed(args):
-    index = _horizon(args.index, 0, "--index")
+    master = _seed(args.master, "--master")
+    index = _seed(args.index, "--index")
     emit(["master", "index", "seed"],
-         [(args.master, index, derive_seed(args.master, index))], args)
+         [(master, index, derive_seed(master, index))], args)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +505,28 @@ def build_parser():
     return p
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set OPENBLAS_NUM_THREADS=1 for the body, unless numpy is loaded
+    already (its thread count is fixed) or the caller set one of
+    BLAS_THREAD_VARS; unset it again afterwards."""
+    if "numpy" in sys.modules or any(v in os.environ
+                                     for v in BLAS_THREAD_VARS):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.func(args)
+        with _one_blas_thread():
+            args = parser.parse_args(argv)
+            args.func(args)
         return 0
     except GeodlabError as exc:
         record = {"error": exc.code, "message": str(exc)}

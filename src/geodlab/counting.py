@@ -106,15 +106,18 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     Exact (big-integer) when all conductances are zero, float-weighted
     otherwise.  Entry n (1-based length) of the returned CountSeries is the
     number / weighted mass of perpendiculars of length exactly n.
+    Raises BudgetError when (successor entries) * nmax, the most entry
+    steps the DP takes, exceeds ``budget``.
     """
     g = query.graph
     n_edges = g.edge_count()
-    if n_edges * query.nmax > budget:
-        raise BudgetError(
-            f"{n_edges} edge states x nmax {query.nmax} exceeds budget")
+    succ = g.nb_successors()
+    entries = sum(map(len, succ))
+    if entries * query.nmax > budget:
+        raise BudgetError(f"{entries} successor entries x nmax {query.nmax} "
+                          "exceeds budget")
     start, end_idx = _ends(g, query.minus, query.plus)
     exact = all(g.edges[e].conductance == 0.0 for e in g.edge_ids)
-    succ = g.nb_successors()
     weights = None if exact else g.edge_weights()
     w = [0] * n_edges if exact else [0.0] * n_edges
     for i, m in start:
@@ -250,15 +253,17 @@ def closed_orbit_count(graph, nmax, budget=DEFAULT_BUDGET):
       weighted: sum of e^{c} over Fix_n (floats), that is tr(B_w^n) with
         B_w[e, e'] = B[e, e'] e^{c(e')}; float(Fix_n) when every
         conductance is zero.
-    Raises BudgetError when (edge count)^2 * nmax exceeds ``budget``, and
+    Raises BudgetError when (edge count) * (successor entries) * nmax, the
+    most entry steps of a sweep from every edge, exceeds ``budget``, and
     TooLargeError when a count or weighted trace exceeds the float range.
     """
     n_edges = graph.edge_count()
-    if n_edges ** 2 * nmax > budget:
-        raise BudgetError(
-            f"{n_edges}^2 edge states x nmax {nmax} exceeds budget")
-    graph.check_branching()
     succ = graph.nb_successors()
+    entries = sum(map(len, succ))
+    if n_edges * entries * nmax > budget:
+        raise BudgetError(f"{n_edges} edges x {entries} successor entries "
+                          f"x nmax {nmax} exceeds budget")
+    graph.check_branching()
     rev = [graph.edge_index[graph.edges[e].reverse] for e in graph.edge_ids]
     # reversal (e_0, e_1, ..., e_{n-1}) -> (rev e_0, rev e_{n-1}, ...,
     # rev e_1) maps the closed words through e onto those through rev e,

@@ -1,7 +1,8 @@
 """Deterministic derivation of independent RNG substreams.
 
 derive_seed mixes (master seed, stream index) through the splitmix64
-finalizer, giving a 64-bit seed per stream.  The test suite pins the
+finalizer, giving a 64-bit seed per stream.  Both inputs must lie in
+[0, 2^64), where the mixing is one-to-one in each.  The test suite pins the
 reference vector derive_seed(0, 0) so the mixing can never drift silently.
 """
 
@@ -21,7 +22,9 @@ def _mix(z):
 
 def derive_seed(master, index):
     """64-bit substream seed; injective on (master, index) in practice."""
-    if index < 0:
-        raise ValueError("stream index must be nonnegative")
+    if not 0 <= master <= MASK:
+        raise ValueError("master seed must be in [0, 2^64)")
+    if not 0 <= index <= MASK:
+        raise ValueError("stream index must be in [0, 2^64)")
     state = (master + (index + 1) * GAMMA) & MASK
     return _mix(state)

@@ -9,7 +9,11 @@ has probability m/L.  This is the walk on the Bass-Serre tree pushed to the
 quotient, without materializing any groups.
 
 numpy is imported inside the functions that use it: the CLI imports this
-module for every verb, and the exact verbs must start without numpy.
+module for every verb, and the exact verbs must start without numpy.  The
+kernels step over successor lists or run elementwise numpy; the one BLAS
+call is ``np.cov`` on two vectors in ``green_ratio_check``.  So the CLI
+loads numpy with one OpenBLAS thread (see cli.py), and a thread count the
+user sets changes no printed float.
 """
 
 import itertools

@@ -182,6 +182,25 @@ def test_graph_seed_negative_index_is_a_usage_record(capsys):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "seed", "--master"],
+    ["graph", "seed", "--index"],
+    ["walk", "harmonic", "--q", "2", "--reps", "10", "--seed"],
+    ["walk", "green", "--q", "2", "--reps", "10", "--seed"],
+    ["walk", "nbrw", "--graph", "builtin:petersen", "--start", "P0", "--n",
+     "5", "--reps", "10", "--seed"],
+])
+def test_seeds_outside_64_bits_are_a_usage_record(capsys, argv):
+    # derive_seed mixes modulo 2^64: -1 would alias 2^64 - 1, and 2^64 zero
+    for bad in (-1, 2 ** 64):
+        code, out, err = run_cli(capsys, *argv, str(bad))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "usage"
+    # control: the largest seed runs
+    code, out, err = run_cli(capsys, *argv, str(2 ** 64 - 1))
+    assert code == 0 and err == ""
+
+
 def test_graph_file_input(tmp_path, capsys):
     from geodlab.graphs import to_document
     from geodlab.library import theta
@@ -316,13 +335,14 @@ def test_count_orbits_long_horizon_on_a_cycle(capsys):
 
 
 def test_count_orbits_budget_env(capsys, monkeypatch):
-    # petersen: 30 directed edges, 30^2 * 12 = 10800 edge-state steps
-    monkeypatch.setenv("GEODLAB_BUDGET", "10799")
+    # petersen: 30 directed edges, 60 successor entries, 30 * 60 * 12 =
+    # 21600 entry steps
+    monkeypatch.setenv("GEODLAB_BUDGET", "21599")
     code, out, err = run_cli(capsys, "count", "orbits", "--graph",
                              "builtin:petersen", "--nmax", "12")
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "budget"
-    monkeypatch.setenv("GEODLAB_BUDGET", "10800")
+    monkeypatch.setenv("GEODLAB_BUDGET", "21600")
     assert run_cli(capsys, "count", "orbits", "--graph", "builtin:petersen",
                    "--nmax", "12")[0] == 0
 
@@ -378,21 +398,42 @@ def test_walk_rejects_recurrent_and_empty_walks(capsys, argv, want):
     ["walk", "nbrw", "--start", "B"],
 ])
 def test_successor_entries_past_the_cap_are_a_record(tmp_path, capsys, argv):
-    # a of order 10^9 joined by a trivial edge to b, which has a loop: the
-    # row after the edge would list it 10^9 - 1 times
+    # the row after the edge into a would list it 10^9 - 1 times
+    path = _heavy_vertex_graph(tmp_path, 10 ** 9)
+    code, out, err = run_cli(capsys, *argv[:2], "--graph", path, *argv[2:])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "too-large"
+
+
+def _heavy_vertex_graph(tmp_path, order):
+    """a of the given order joined by a trivial edge to b, which has a loop:
+    4 directed edges, with order - 1 successor entries after the edge into
+    a and 2 after each other edge."""
     edges = [{"id": name + s, "from": u if s == "+" else v,
               "to": v if s == "+" else u, "reverse": name + r}
              for name, u, v in (("t", "a", "b"), ("l", "b", "b"))
              for s, r in (("+", "-"), ("-", "+"))]
-    path = tmp_path / "big.json"
+    path = tmp_path / "heavy.json"
     path.write_text(json.dumps({
-        "vertices": [{"id": "a", "order": 10 ** 9}, {"id": "b"}],
+        "vertices": [{"id": "a", "order": order}, {"id": "b"}],
         "edges": edges,
         "subgraphs": {"B": {"vertices": ["b"], "edges": []}}}))
-    code, out, err = run_cli(capsys, *argv[:2], "--graph", str(path),
-                             *argv[2:])
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "perp", "--minus", "B", "--plus", "B", "--nmax", "1000000"],
+    ["count", "orbits", "--nmax", "1000"],
+])
+def test_count_budgets_bound_the_successor_entries(tmp_path, capsys, argv):
+    # 100005 entries: (entries) * 10^6 and 4 * (entries) * 1000 exceed the
+    # budget of 10^8, which (edge count) * 10^6 and 4^2 * 1000 would pass
+    path = _heavy_vertex_graph(tmp_path, 10 ** 5)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv[:2], "--graph", path, *argv[2:])
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "too-large"
+    assert json.loads(err)["error"] == "budget"
 
 
 @pytest.mark.parametrize("graph, nmax", [("builtin:cycle3", "5"),
@@ -885,6 +926,87 @@ def test_printed_floats_do_not_depend_on_the_blas_kernel(tmp_path):
         assert len({out["stdout"][i] for out in outs}) == 1, argv
     # negative control: the dense BLAS step tells the kernels apart
     assert len({out["dense"][0] for out in outs}) >= 2
+
+
+def test_printed_floats_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the two verbs that reach BLAS or LAPACK: the eigvals oracle of shift
+    # decay, and np.cov in walk green; the whole stdout of each
+    graphs = [_regular_graph_file(tmp_path / "w.json", 4, 30, 5, True),
+              _regular_graph_file(tmp_path / "c.json", 3, 40, 6, False)]
+    argvs = [["shift", "decay", "--graph", g] for g in graphs]
+    argvs += [["walk", "green", "--q", q, "--dxz", "3", "--reps", "20000",
+               "--seed", "4"] for q in ("2", "3")]
+    outs = []
+    for threads in ("1", "2"):
+        env = _subprocess_env()
+        env["PYTHONPATH"] = str(_package_parent())
+        env["OPENBLAS_NUM_THREADS"] = threads
+        res = subprocess.run(
+            [sys.executable, "-c", _DIGEST_PROBE, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, check=True)
+        outs.append(json.loads(res.stdout))
+    assert [code for code, _ in outs[0]] == [0] * len(argvs)
+    assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# the CLI loads numpy with one BLAS thread unless the user names a count
+
+
+# Prints the exit code of geodlab.cli.main(argv), whether importing
+# geodlab.cli left os.environ and sys.modules' numpy alone and main left
+# os.environ alone, and the threads of the process after it.
+_THREAD_PROBE = """
+import contextlib, io, json, os, sys
+before = dict(os.environ)
+import geodlab.cli
+imported = dict(os.environ) == before and "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = geodlab.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "import_untouched": imported,
+                  "numpy": "numpy" in sys.modules,
+                  "environ_restored": dict(os.environ) == before,
+                  "threads": len(os.listdir("/proc/self/task"))}))
+"""
+
+NBRW_ARGV = ["walk", "nbrw", "--graph", "builtin:petersen", "--start", "P0",
+             "--n", "5", "--reps", "10", "--seed", "1"]
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="counts threads in /proc/self/task")
+
+
+def _thread_census(**blas_env):
+    from geodlab.cli import BLAS_THREAD_VARS
+
+    env = {k: v for k, v in _subprocess_env().items()
+           if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(_package_parent())
+    env.update(blas_env)
+    res = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, json.dumps(NBRW_ARGV)],
+        capture_output=True, text=True, env=env, check=True)
+    return json.loads(res.stdout)
+
+
+@needs_proc
+def test_cli_loads_numpy_with_one_blas_thread():
+    assert _thread_census() == {"code": 0, "import_untouched": True,
+                                "numpy": True, "environ_restored": True,
+                                "threads": 1}
+
+
+@needs_proc
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2
+                    if hasattr(os, "sched_getaffinity") else True,
+                    reason="OpenBLAS runs at most one thread per CPU")
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                 "OMP_NUM_THREADS"])
+def test_a_blas_thread_count_the_user_names_wins(var):
+    # negative control of the census: the worker thread is there to count
+    assert _thread_census(**{var: "2"}) == {
+        "code": 0, "import_untouched": True, "numpy": True,
+        "environ_restored": True, "threads": 2}
 
 
 # ---------------------------------------------------------------------------

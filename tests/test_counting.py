@@ -203,9 +203,12 @@ def test_theta_parity():
 
 
 def test_budget_guard():
+    # 30 directed edges with 2 successor entries each: 60 * 10 entry steps
     g = petersen()
     with pytest.raises(BudgetError):
-        count_perpendiculars(PerpQuery(g, "P0", "P1", 10), budget=100)
+        count_perpendiculars(PerpQuery(g, "P0", "P1", 10), budget=599)
+    assert count_perpendiculars(PerpQuery(g, "P0", "P1", 10),
+                                budget=600).counts
     with pytest.raises(ValueError):
         enumerate_perpendiculars(PerpQuery(g, "P0", "P1", 11))
 
@@ -443,11 +446,12 @@ def test_orbit_integrality():
 
 
 def test_orbit_horizon_budget():
-    # 4 directed edges: the horizon is bounded by 4^2 * nmax <= budget
-    out = closed_orbit_count(figure_eight(), 40, budget=4 ** 2 * 40)
+    # 4 directed edges with 3 successor entries each: the horizon is
+    # bounded by 4 * 12 * nmax <= budget
+    out = closed_orbit_count(figure_eight(), 40, budget=4 * 12 * 40)
     assert out["fix"][26] == 3 ** 27 + 2 - 1
     with pytest.raises(BudgetError):
-        closed_orbit_count(figure_eight(), 41, budget=4 ** 2 * 40)
+        closed_orbit_count(figure_eight(), 41, budget=4 * 12 * 40)
 
 
 def test_orbits_degenerate_graph():
@@ -574,7 +578,7 @@ def test_orbit_counts_beyond_float_range_raise_too_large():
 
 
 def test_orbit_counts_check_the_float_range_as_they_add():
-    # Fix_n ~ 3^n: a horizon of 10^6 passes the edge budget (4^2 * 10^6)
+    # Fix_n ~ 3^n: a horizon of 10^6 passes the budget (4 * 12 * 10^6)
     # but must stop near n = 647, not hold 10^6 ever larger integers
     with pytest.raises(TooLargeError):
         closed_orbit_count(figure_eight(), 10 ** 6)

@@ -59,6 +59,15 @@ def test_derive_seed_streams_distinct():
     assert len(seeds) == 100
 
 
+def test_derive_seed_rejects_inputs_outside_64_bits():
+    for master, index in [(-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)]:
+        with pytest.raises(ValueError):
+            derive_seed(master, index)
+    # why: mixed modulo 2^64, -1 would be 2^64 - 1 and 2^64 would be 0
+    assert _splitmix64_oracle(-1, 0) == derive_seed(2 ** 64 - 1, 0)
+    assert _splitmix64_oracle(2 ** 64, 0) == derive_seed(0, 0)
+
+
 # ---------------------------------------------------------------------------
 # NBRW kernel
 
