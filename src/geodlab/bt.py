@@ -339,7 +339,8 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
     s = max(0, d - n), that is on index(P0) // q^s.  So each block of q^s
     consecutive indices adds its unit count to one bin per a.
     """
-    if q ** (t + 1) > budget:
+    # q >= 2: an exponent past the budget's bit length is over it too
+    if q ** min(t + 1, budget.bit_length()) > budget:
         raise BudgetError("Farey enumeration budget exceeded")
     if t < 1 or hist_depth < 1:
         raise UsageError(f"need t >= 1 and depth >= 1, got t={t}, "

@@ -226,7 +226,7 @@ def cmd_shift_decay(args):
     m = shift_mod.equilibrium_measure(s)
     k = s.n_letters()
     f = [1.0 if i == 0 else 0.0 for i in range(k)]
-    out = shift_mod.correlation_decay(m, f, f, nmax)
+    out = shift_mod.correlation_decay(m, f, f, nmax, budget=_budget(10 ** 8))
     rows = [(n, out["cov"][n]) for n in range(len(out["cov"]))]
     rows.append(("__fitted_rate__", out["fitted_rate"]))
     rows.append(("__spectral_rate__", out["spectral_rate"]))
@@ -237,11 +237,13 @@ def cmd_walk_nbrw(args):
     seed = _seed(args.seed, "--seed")
     g = _load_graph(args.graph)
     if args.reps:
-        out = walks.nbrw_sample(g, args.start, args.n, args.reps, seed)
+        out = walks.nbrw_sample(g, args.start, args.n, args.reps, seed,
+                                budget=_budget(10 ** 8))
         rows = [(v, float(out["empirical"][i]))
                 for i, v in enumerate(g.vertex_ids)]
     else:
-        out = walks.nbrw_exact(g, args.start, args.n)
+        out = walks.nbrw_exact(g, args.start, args.n,
+                               budget=_budget(10 ** 8))
         rows = [(v, float(out["vertex_dist"][i]))
                 for i, v in enumerate(g.vertex_ids)]
         rows.append(("__tv_to_target__", out["tv_to_target"]))
@@ -250,7 +252,8 @@ def cmd_walk_nbrw(args):
 
 def cmd_walk_harmonic(args):
     out = walks.tree_harmonic_measure(args.q, args.depth, args.reps,
-                                      _seed(args.seed, "--seed"))
+                                      _seed(args.seed, "--seed"),
+                                      budget=_budget(10 ** 8))
     rows = [(i, float(out["estimates"][i]), out["sigma"], out["target"])
             for i in range(out["n_shadows"])]
     emit(["shadow", "estimate", "stderr", "target"], rows, args)
@@ -258,7 +261,8 @@ def cmd_walk_harmonic(args):
 
 def cmd_walk_green(args):
     out = walks.green_ratio_check(args.q, args.dxy, args.dxz, args.reps,
-                                  _seed(args.seed, "--seed"))
+                                  _seed(args.seed, "--seed"),
+                                  budget=_budget(10 ** 8))
     emit(["ratio", "target", "stderr"],
          [(out["ratio"], out["target"], out["sigma"])], args)
 

@@ -13,6 +13,7 @@ from itertools import repeat
 import math
 
 from .errors import (
+    BudgetError,
     CharTwoError,
     NotIrrationalError,
     NotSplitError,
@@ -25,6 +26,7 @@ from .errors import (
 PREC_CAP = 256
 MAX_Q = 101
 MAX_DEGREE = 10 ** 6  # the largest exponent parse_poly accepts
+MAX_CF_STEPS = 4096  # cf_expand looks this far for a period
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97, 101}
@@ -267,32 +269,13 @@ def poly_range(q, start, stop):
         yield FqPoly._raw(q, tuple(coeffs))
 
 
-_IRRED_CACHE = {}
-
-
-def monic_irreducibles(q, max_degree):
-    """Monic irreducible polynomials of degree <= max_degree, by trial division."""
-    known = _IRRED_CACHE.setdefault(q, [])
-    have = max((p.degree for p in known), default=0)
-    for d in range(have + 1, max_degree + 1):
-        for f in poly_range(q, q ** d, 2 * q ** d):
-            if not any((f % p).is_zero() for p in known
-                       if 2 * p.degree <= d):
-                known.append(f)
-    return [p for p in known if p.degree <= max_degree]
-
-
-_FACTOR_CACHE = {}
-
-
 def factor(f):
-    """Factor a nonzero polynomial into monic irreducibles: dict {p: mult}."""
+    """Factor a nonzero polynomial into monic irreducibles: dict {p: mult},
+    by trial division with every monic polynomial by ascending degree d up
+    to deg g / 2 of the cofactor g left.  Each monic that divides g is
+    prime, as its own factors were divided out at lower degrees."""
     if f.is_zero():
         raise ValueError("cannot factor 0")
-    key = (f.q, f.monic().coeffs)
-    hit = _FACTOR_CACHE.get(key)
-    if hit is not None:
-        return dict(hit)
     g = f.monic()
     out = {}
     d = 1
@@ -300,14 +283,11 @@ def factor(f):
         if 2 * d > g.degree:
             out[g] = out.get(g, 0) + 1
             break
-        for p in monic_irreducibles(f.q, d):
-            if p.degree != d:
-                continue
+        for p in poly_range(f.q, f.q ** d, 2 * f.q ** d):
             while (g % p).is_zero():
                 out[p] = out.get(p, 0) + 1
                 g = g // p
         d += 1
-    _FACTOR_CACHE[key] = dict(out)
     return out
 
 
@@ -480,8 +460,10 @@ def mertens_sum(q, n, budget=10 ** 7):
     _check_q(q)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    if q ** (n + 1) > budget:
-        raise TooLargeError(f"enumeration budget exceeded: q^(n+1)={q ** (n + 1)}")
+    # q >= 2: an exponent past the budget's bit length is over it too
+    if q ** min(n + 1, budget.bit_length()) > budget:
+        raise TooLargeError(f"enumeration budget exceeded: q^(n+1) with "
+                            f"n = {n} is over {budget}")
     return (q - 1) * sum(sieve.phi_sum() for sieve in prime_sieves(q, n))
 
 
@@ -1070,8 +1052,8 @@ def cf_expand(x):
         assert rem.is_zero(), "complete quotient bookkeeping broke"
         Q = Q_next
         i += 1
-        if i > 4096:
-            raise AssertionError("period not detected within 4096 steps")
+        if i > MAX_CF_STEPS:
+            raise BudgetError(f"no period within {MAX_CF_STEPS} steps")
 
 
 def parse_poly(q, text):

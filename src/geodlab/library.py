@@ -9,19 +9,21 @@ from .graphs import load_validate
 
 
 def _doc(vertices, pairs, subgraphs=None, orders=None):
-    """pairs: list of (name, from, to); creates name+ and name-."""
+    """pairs: list of (name, from, to) or (name, from, to, edge order);
+    creates name+ and name-, of order 1 unless given."""
     orders = orders or {}
     doc = {
         "vertices": [{"id": v, "order": orders.get(v, 1)} for v in vertices],
         "edges": [],
         "subgraphs": subgraphs or {},
     }
-    for name, u, v in pairs:
+    for name, u, v, *order in pairs:
+        order = order[0] if order else 1
         doc["edges"].append({"id": name + "+", "from": u, "to": v,
-                             "reverse": name + "-", "order": 1,
+                             "reverse": name + "-", "order": order,
                              "conductance": 0.0})
         doc["edges"].append({"id": name + "-", "from": v, "to": u,
-                             "reverse": name + "+", "order": 1,
+                             "reverse": name + "+", "order": order,
                              "conductance": 0.0})
     return doc
 
@@ -127,26 +129,11 @@ def order_two_chain():
     graph nonbipartite, so the vertex law of the non-backtracking walk
     converges to vol/Vol = (1/6, 1/6, 1/3, 1/3), not to uniform.
     """
-    doc = {
-        "vertices": [{"id": "u", "order": 2}, {"id": "v", "order": 2},
-                     {"id": "w", "order": 1}, {"id": "x", "order": 1}],
-        "edges": [],
-        "subgraphs": {"X": {"vertices": ["w"], "edges": []}},
-    }
-
-    def pair(name, f, t, order=1):
-        doc["edges"].append({"id": name + "+", "from": f, "to": t,
-                             "reverse": name + "-", "order": order,
-                             "conductance": 0.0})
-        doc["edges"].append({"id": name + "-", "from": t, "to": f,
-                             "reverse": name + "+", "order": order,
-                             "conductance": 0.0})
-
-    pair("e", "u", "v", order=2)
-    pair("b1", "u", "w")
-    pair("b2", "v", "w")
-    pair("c", "w", "x")
-    pair("m", "x", "x")
+    doc = _doc(["u", "v", "w", "x"],
+               [("e", "u", "v", 2), ("b1", "u", "w"), ("b2", "v", "w"),
+                ("c", "w", "x"), ("m", "x", "x")],
+               subgraphs={"X": {"vertices": ["w"], "edges": []}},
+               orders={"u": 2, "v": 2})
     return load_validate(doc)
 
 

@@ -282,14 +282,20 @@ def _spread(extremes, empty):
     return max(spreads) if spreads else empty
 
 
-def correlation_decay(m, f, g, nmax):
+def correlation_decay(m, f, g, nmax, budget=10 ** 8):
     """cov_n = E[f(x_0) g(x_n)] - E f E g under the stationary chain, with a
     fitted exponential decay rate and the spectral oracle log(rho2/rho).
 
     The chain steps over the rows of ``m.P`` and the rate is the
     closed-form least-squares slope, both summed in a fixed order; only the
-    spectral oracle builds the dense P, for LAPACK's eigensolver."""
+    spectral oracle builds the dense P, for LAPACK's eigensolver.  The
+    nmax steps take (successor entries) * nmax products, at most
+    ``budget``."""
     p, P, succ = m.p, m.P, m.shift.succ
+    work = sum(map(len, succ)) * nmax
+    if work > budget:
+        raise BudgetError(f"(successor entries) * nmax = {work} exceeds the "
+                          f"budget {budget}")
     f = [float(x) for x in f]
     vec = [float(x) for x in g]
     mean_fg = _dot(p, f) * _dot(p, vec)

@@ -6,7 +6,13 @@ The NBRW on a graph of groups steps over the rows of
 ``GraphOfGroups.nb_successors``: after an edge it takes each entry of its
 row with equal probability, so an edge listed m times in a row of L entries
 has probability m/L.  This is the walk on the Bass-Serre tree pushed to the
-quotient, without materializing any groups.
+quotient, without materializing any groups.  The exact law merges each
+row's repeats into probabilities m/L; the sampler keeps the rows as they
+are and moves a path on a row of L entries to entry floor(u L) for one
+uniform u.
+
+Every walk checks its steps (paths times steps, or successor entries times
+steps for the exact law) against a budget before it draws or allocates.
 
 numpy is imported inside the functions that use it: the CLI imports this
 module for every verb, and the exact verbs must start without numpy.  The
@@ -19,26 +25,40 @@ user sets changes no printed float.
 import itertools
 import math
 
-from .errors import BudgetError, DegenerateError, NotTransientError, UsageError
+from .errors import BudgetError, DegenerateError, NotTransientError, \
+    TooLargeError, UsageError
 from .seeding import derive_seed
 
 # cap on tree_harmonic_measure's shadows, one tally and output row each
 MAX_SHADOWS = 2 ** 20
+# the largest q + 1 whose step draw floor(u (q + 1)) reaches every child:
+# a double u < 1 is a multiple of 2^-53
+MAX_TREE_DEGREE = 2 ** 53
 
 
 class NBRWKernel:
-    """Edge-to-edge transition kernel of the non-backtracking walk, stored
-    by rows: the successors of edge i are ``col[start[i]:start[i + 1]]``,
-    ascending, with the probabilities ``prob`` at the same positions, and
-    ``row`` repeats i once for each of them."""
+    """Edge-to-edge transition kernel of the non-backtracking walk, read
+    from one ``nb_successors`` call and stored twice.
+
+    - Merged, for the exact law: the successors of edge i are
+      ``col[start[i]:start[i + 1]]``, ascending, with the probabilities
+      ``prob`` at the same positions, and ``row`` repeats i once for each.
+    - Unmerged, for the sampler: the rows end to end in ``entries``, row i
+      at ``entries[offset[i]:offset[i] + length[i]]``.
+    """
 
     def __init__(self, graph):
         import numpy as np
 
         graph.check_branching()
         self.graph = graph
+        rows = graph.nb_successors()
+        self.entries = np.array(list(itertools.chain.from_iterable(rows)),
+                                dtype=np.intp)
+        self.length = np.array([len(succ) for succ in rows], dtype=np.intp)
+        self.offset = np.cumsum(self.length) - self.length
         start, col, prob = [0], [], []
-        for succ in graph.nb_successors():
+        for succ in rows:
             # a run of m equal entries in a row of L: one entry, m / L
             for j, run in itertools.groupby(succ):
                 col.append(j)
@@ -104,8 +124,17 @@ def _check_steps(n):
         raise UsageError(f"a walk needs n >= 1 edges, got {n}")
 
 
-def nbrw_exact(graph, start_subgraph, n):
-    """Vertex distribution after n steps of the non-backtracking walk.
+def _check_work(what, work, budget):
+    """BudgetError when ``work``, the steps ``what`` names, is over the
+    budget."""
+    if work > budget:
+        raise BudgetError(f"{what} = {work} steps exceeds the budget "
+                          f"{budget}")
+
+
+def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
+    """Vertex distribution after n steps of the non-backtracking walk, at
+    most (successor entries) * n entry steps under ``budget``.
 
     Returns dict with "vertex_dist" (aligned with graph.vertex_ids),
     "target" (vol/Vol), "tv_to_target", and a "bipartite" warning flag
@@ -113,6 +142,7 @@ def nbrw_exact(graph, start_subgraph, n):
     """
     _check_steps(n)
     kernel = NBRWKernel(graph)
+    _check_work("successor entries * n", len(kernel.entries) * n, budget)
     dist = kernel.start_distribution(start_subgraph)
     for _ in range(n - 1):
         dist = kernel.step(dist)
@@ -127,66 +157,30 @@ def nbrw_exact(graph, start_subgraph, n):
     }
 
 
-def _successor_table(kernel):
-    """Row-local inverse-CDF lookup table over the kernel's nonzeros.
+def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
+    """Monte-Carlo version of nbrw_exact: empirical vertex distribution of
+    reps paths, reps * n under ``budget``.
 
-    Returns (keys, first, last, succ).  Row i with successors j_1 < ... <
-    j_k has the keys keys[m, i] = i + s_m for m < k, s_m being the running
-    sum P[i, j_1] + ... + P[i, j_{m+1}], and ``inf`` past them up to the
-    largest k of any row.  ``succ`` lists j_1..j_k of each row in turn, at
-    ``first[i]`` to ``last[i]``: one entry per nonzero of P.  For u in
-    [0, 1) the first key of row i above i + u selects j with probability
-    P[i, j].  The last key of row i is set to exactly i + 1, so rounding in
-    the sums can never reach a zero entry; ``last[i]`` clamps the pick when
-    i + u rounds up to i + 1.
-    """
-    import numpy as np
-
-    start, row = kernel.start, kernel.row
-    sizes = np.diff(start)
-    rows = np.arange(len(sizes))
-    slot = np.arange(len(row)) - start[row]  # position of a nonzero in its row
-    cum = np.zeros((sizes.max(), len(sizes)))
-    cum[slot, row] = kernel.prob
-    cum = np.cumsum(cum, axis=0)  # down each column, one row's sums
-    cum[sizes - 1, rows] = 1.0
-    keys = np.full_like(cum, np.inf)
-    keys[slot, row] = row + cum[slot, row]
-    return keys, start[:-1], start[1:] - 1, kernel.col
-
-
-def _nbrw_step(table, state, u):
-    """Next edge of each walk on edge ``state`` with uniform draw ``u``:
-    the successor under the first key of its row above state + u."""
-    import numpy as np
-
-    keys, first, last, succ = table
-    x = state + u
-    pos = first[state]
-    for row_keys in keys:
-        pos += row_keys[state] <= x
-    return succ[np.minimum(pos, last[state], out=pos)]
-
-
-def nbrw_sample(graph, start_subgraph, n, reps, seed):
-    """Monte-Carlo version of nbrw_exact: empirical vertex distribution.
-
-    Vectorized over paths, one table lookup per path and step; the per-call
-    RNG stream is derived from the seed so identical (seed, reps,
-    parameters) reruns are bit-identical.
+    Vectorized over paths.  At each step a path on edge e draws one uniform
+    u and moves to entry floor(u L) of e's row of L entries, which is below
+    L for every double u < 1 while L <= 2^53 (rows hold at most
+    graphs.MAX_SUCCESSORS).  The per-call RNG stream is derived from the
+    seed, so identical (seed, reps, parameters) reruns are bit-identical.
     """
     import numpy as np
 
     _check_steps(n)
     if reps < 1:
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
+    _check_work("reps * n", reps * n, budget)
     kernel = NBRWKernel(graph)
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 0)))
     start = kernel.start_distribution(start_subgraph)
     state = rng.choice(graph.edge_count(), size=reps, p=start)
-    table = _successor_table(kernel)
+    entries, offset, length = kernel.entries, kernel.offset, kernel.length
     for _ in range(n - 1):
-        state = _nbrw_step(table, state, rng.random(reps))
+        pick = (rng.random(reps) * length[state]).astype(np.intp)
+        state = entries[offset[state] + pick]
     tallies = np.bincount(kernel.term[state], minlength=graph.vertex_count())
     return {"tallies": tallies, "empirical": tallies / reps, "reps": reps}
 
@@ -200,6 +194,9 @@ def _check_tree_walk(q, reps):
         raise NotTransientError(
             f"q = {q}: the simple walk on the (q+1)-regular tree is "
             "recurrent for q < 2")
+    if q + 1 > MAX_TREE_DEGREE:
+        raise TooLargeError(f"q = {q}: the step draw reaches every child "
+                            f"only for q + 1 <= {MAX_TREE_DEGREE}")
     if reps < 1:
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
 
@@ -226,7 +223,7 @@ def _tree_steps(rng, q, size):
     return np.minimum((rng.random(size) * (q + 1)).astype(np.int64), q)
 
 
-def tree_harmonic_measure(q, depth, reps, seed):
+def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     """Monte-Carlo mass of each depth-d shadow under the exit law of the
     simple random walk on the (q+1)-regular tree (the c=0 case, where the
     harmonic measure is the normalised sphere measure).
@@ -240,6 +237,9 @@ def tree_harmonic_measure(q, depth, reps, seed):
     sphere: a first label in 0..q (the root's child), then one in 0..q-1
     per further level.
 
+    A walk takes at least ``depth`` steps, and reps * depth must be within
+    ``budget``.
+
     Returns dict with "estimates" (per shadow), "target", "sigma"
     (per-shadow CLT standard error) and "n_shadows".
     """
@@ -252,6 +252,7 @@ def tree_harmonic_measure(q, depth, reps, seed):
     n_shadows = (q + 1) * q ** (min(depth, MAX_SHADOWS.bit_length()) - 1)
     if n_shadows > MAX_SHADOWS:
         raise BudgetError(f"q = {q}, depth = {depth}: over {MAX_SHADOWS} shadows")
+    _check_work("reps * depth", reps * depth, budget)
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 1)))
 
     target = 1.0 / n_shadows
@@ -290,7 +291,7 @@ def tree_harmonic_measure(q, depth, reps, seed):
             "n_shadows": n_shadows}
 
 
-def green_ratio_check(q, d_xy, d_xz, reps, seed):
+def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
     """Monte-Carlo ratio of Green kernels G(x,y)/G(x,z) for points y, z on a
     common ray from x at distances d_xy, d_xz on the (q+1)-regular tree.
 
@@ -299,7 +300,9 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed):
     radius dmax = max(d_xy, d_xz); each time it steps to depth dmax + 1 it
     makes one exact last-exit draw (``_returns_to_parent``): with
     probability 1/q it comes back to its parent at depth dmax, otherwise it
-    escapes and can visit neither point again.  Nothing is truncated.
+    escapes and can visit neither point again.  Nothing is truncated.  A
+    walk takes at least dmax + 1 steps, and reps * (dmax + 1) must be
+    within ``budget``.
 
     Expected ratio for the simple walk: q^{-(d_xy - d_xz)}.  Returns
     estimate, target, and a delta-method standard error for the ratio.
@@ -310,6 +313,7 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed):
     if d_xy < 0 or d_xz < 0:
         raise UsageError("distances must be >= 0")
     dmax = max(d_xy, d_xz)
+    _check_work("reps * (dmax + 1)", reps * (dmax + 1), budget)
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 2)))
 
     visits_y = np.full(reps, d_xy == 0, dtype=np.int64)
@@ -346,6 +350,10 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed):
         done += b
 
     my, mz = visits_y.mean(), visits_z.mean()
+    if not my or not mz:
+        raise DegenerateError(
+            f"no sampled walk visited {'y' if not my else 'z'}: the ratio "
+            "and its error need visits to both points")
     ratio = my / mz
     # delta method for the variance of the ratio of means
     var_y = visits_y.var() / reps

@@ -260,9 +260,11 @@ def order_three_lollipop():
 def order_three_pair():
     """Two order-3 vertices joined by a trivial edge, each with a loop of
     order 3: tree degree 3 + 2 at both, a 5-regular tree.  After the edge
-    a path goes on along it in 2 ways and along each loop edge in 1."""
+    a path goes on along it in 2 ways and along each loop edge in 1.
+    A = {a}, B = {b}."""
     return graph_of_groups({"a": 3, "b": 3}, [
-        ("t", "a", "b"), ("la", "a", "a", 3), ("lb", "b", "b", 3)])
+        ("t", "a", "b"), ("la", "a", "a", 3), ("lb", "b", "b", 3)],
+        {"A": ["a"], "B": ["b"]})
 
 
 def bass_matrix(g):

@@ -7,16 +7,22 @@ import-boundary tests run the exact verbs in a fresh interpreter and check
 that numpy is never loaded.
 """
 
+import argparse
+import contextlib
+import io
 import json
 import os
 from pathlib import Path
 import shutil
+import signal
 import subprocess
 import sys
 import time
 
+from hypothesis import Phase, given, settings, strategies as st
 import pytest
 
+from geodlab import cli
 from geodlab.cli import main
 
 
@@ -434,6 +440,69 @@ def test_count_budgets_bound_the_successor_entries(tmp_path, capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "budget"
+
+
+PETERSEN_WALK = ["walk", "nbrw", "--graph", "builtin:petersen", "--start",
+                 "P0"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    # the step draw floor(u (q + 1)) reaches every child only to 2^53
+    (["walk", "green", "--q", str(2 ** 64)], "too-large"),
+    (["walk", "green", "--q", str(2 ** 63 - 1)], "too-large"),
+    # reps * steps against the budget of 10^8, before any array is built
+    (["walk", "green", "--q", "3", "--reps", str(10 ** 12)], "budget"),
+    (PETERSEN_WALK + ["--reps", str(10 ** 12)], "budget"),
+    (["walk", "harmonic", "--q", "2", "--reps", str(10 ** 12)], "budget"),
+    # the exact law: 60 successor entries * 10^8 steps
+    (PETERSEN_WALK + ["--n", str(10 ** 8)], "budget"),
+])
+def test_walk_work_past_the_budget_is_a_record(capsys, argv, want):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == want
+
+
+@pytest.mark.parametrize("argv, work", [
+    (PETERSEN_WALK + ["--n", "7", "--reps", "11"], 77),  # reps * n
+    (PETERSEN_WALK + ["--n", "7"], 420),  # 60 successor entries * n
+    (["walk", "harmonic", "--q", "2", "--depth", "3", "--reps", "11"], 33),
+    # reps * (max(dxy, dxz) + 1)
+    (["walk", "green", "--q", "2", "--dxz", "3", "--reps", "1000"], 4000),
+    (["shift", "decay", "--graph", "builtin:petersen", "--nmax", "7"], 420),
+])
+def test_walk_and_decay_budgets_env(capsys, monkeypatch, argv, work):
+    monkeypatch.setenv("GEODLAB_BUDGET", str(work - 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "budget"
+    monkeypatch.setenv("GEODLAB_BUDGET", str(work))
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_green_ratio_without_visits_is_a_record(capsys):
+    # from the root, a step along the ray has probability 1 / (q + 1)
+    code, out, err = run_cli(capsys, "walk", "green", "--q", str(10 ** 12),
+                             "--reps", "100")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "degenerate"
+
+
+@pytest.mark.parametrize("argv", [
+    # the budget checks q^(n+1) and q^(t+1) without building the power
+    ["ff", "mertens", "--q", "2", "--n", str(10 ** 12)],
+    ["bt", "farey", "--q", "7", "--t", str(2 ** 63 - 1)],
+    # a period past cf_expand's 4096 complete quotients
+    ["ff", "cf", "--q", "7", "--disc", "Y^24+Y+2"],
+])
+def test_work_caps_end_quickly_in_a_record(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] in ("budget", "too-large")
 
 
 @pytest.mark.parametrize("graph, nmax", [("builtin:cycle3", "5"),
@@ -1053,3 +1122,96 @@ def test_pinned_digests_see_the_quotient_only_rule(capsys,
     assert _digest_misses(capsys) == [
         "walk nbrw --graph builtin:orderchain --start X",
         "walk nbrw --graph builtin:orderchain --start X --reps 2000 --seed 3"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv: every input ends in exit 0 or in exit 2 with a JSON record
+
+
+def _verb_flags():
+    """(group, verb, flags) for every verb of build_parser(), each flag as
+    (option string, whether it takes a value)."""
+    from geodlab.cli import build_parser
+
+    def choices(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    return [(group, verb, [(a.option_strings[0], a.nargs != 0)
+                           for a in sub._actions
+                           if a.option_strings and a.dest != "help"])
+            for group, gp in choices(build_parser()).items()
+            for verb, sub in choices(gp).items()]
+
+
+# numbers at and past the edges of every range, malformed text, polynomials,
+# matrices, builtin graphs and the names of their subgraphs, vertices, edges
+FUZZ_VALUES = ["-1", "0", "1", "2", "3", "7", "1.5", str(2 ** 64),
+               str(2 ** 63 - 1), str(10 ** 12), "", "x", "1/0", "Y", "Y^2+Y",
+               "2Y^3+Y+1", "Y^24+Y+2", "Y^1000001", "(Y+1)/Y^2", "1;0;0;1",
+               "Y;1;1;0", "0;0;0;0", "builtin:petersen", "builtin:orderchain",
+               "builtin:theta", "builtin:cycle3", "builtin:nope", "P0", "P1",
+               "X", "U", "C", "o0", "w", "r0+,s1+", "l+", "total",
+               "point-ball", "horoball-ball", "relative", "complexity",
+               "full2", "golden"]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    group, verb, flags = draw(st.sampled_from(_verb_flags()))
+    argv = draw(st.sampled_from([[], ["--format", "json"]])) + [group, verb]
+    for flag, takes_value in flags:
+        if draw(st.integers(0, 3)):
+            argv.append(flag)
+            if takes_value:
+                argv.append(draw(st.sampled_from(FUZZ_VALUES)))
+    return argv
+
+
+def _check_fuzzed_argv(examples):
+    """Run cli.main on drawn argv under a budget of 10^5, each within a 3 s
+    alarm: exit 0, or exit 2 with one JSON record of a known error code."""
+    codes = _error_codes() | {"bad-involution", "dangling-reference",
+                              "disconnected", "malformed-document",
+                              "order-divisibility"}
+
+    def alarm(signum, frame):
+        raise TimeoutError("an argv ran past 3 s")
+
+    # no shrinking: a failing argv is short already
+    @settings(max_examples=examples, deadline=None, derandomize=True,
+              database=None, phases=[Phase.generate])
+    @given(_fuzz_argv())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        signal.signal(signal.SIGALRM, alarm)
+        signal.alarm(3)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+        if code != 0:
+            assert code == 2 and out.getvalue() == ""
+            record = json.loads(err.getvalue())
+            assert set(record) == {"error", "message"}
+            assert record["error"] in codes
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GEODLAB_BUDGET", "100000")
+        check()
+
+
+def test_fuzzed_argv_end_in_output_or_a_record():
+    _check_fuzzed_argv(150)
+
+
+def test_argv_fuzz_sees_a_plain_value_error(monkeypatch):
+    # negative control: a verb that raises an exception cli.main lets through
+    def broken(args):
+        raise ValueError("not a GeodlabError")
+
+    monkeypatch.setattr(cli, "cmd_seed", broken)
+    with pytest.raises(ValueError, match="not a GeodlabError"):
+        _check_fuzzed_argv(150)

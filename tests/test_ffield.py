@@ -25,10 +25,10 @@ from geodlab.ffield import (
     factor,
     laurent_expand,
     mertens_sum,
-    monic_irreducibles,
     monic_phi_sum,
     parse_poly,
     parse_ratfunc,
+    poly_index,
     poly_range,
     prime_sieves,
 )
@@ -136,12 +136,12 @@ def test_factor_reconstructs():
 
 def test_factor_primes_are_irreducible():
     for q in (2, 3):
-        irr = set(monic_irreducibles(q, 4))
+        sieves = list(prime_sieves(q, 4))
         for f in poly_range(q, q ** 4, 2 * q ** 4):
-            if f.degree < 1:
-                continue
             for p in factor(f):
-                assert p in irr
+                # a monic is prime when the sieve lists itself as its factor
+                sieve = sieves[p.degree - 1]
+                assert sieve.primes(poly_index(p) - q ** p.degree) == [p]
 
 
 @pytest.mark.parametrize("q, dmax", [(2, 6), (3, 4), (5, 3)])

@@ -7,7 +7,7 @@ from scipy import stats
 
 from geodlab import walks
 from geodlab.errors import DegenerateError
-from geodlab.graphs import load_validate
+from geodlab.graphs import MAX_SUCCESSORS, load_validate
 from geodlab.library import (
     biregular_two_cycles,
     dumbbell,
@@ -221,54 +221,21 @@ SAMPLED_WALKS = [(figure_eight, "A"), (theta, "U"), (petersen, "P0"),
                  (order_two_chain, "X"), (_random_cubic, "S")]
 
 
-@pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
-def test_successor_table_invariants(make, start, n):
-    kernel = NBRWKernel(make())
-    P = _dense_kernel(kernel)
-    keys, first, last, succ = walks._successor_table(kernel)
-    sizes = np.count_nonzero(P, axis=1)
-    assert (sizes > 1).any() and (sizes < keys.shape[0]).any()
-    # one finite key and one successor per nonzero, row by row
-    assert (np.isfinite(keys).sum(axis=0) == sizes).all()
-    assert len(succ) == sizes.sum()
-    assert first[0] == 0 and (first[1:] == last[:-1] + 1).all()
-    for i, row in enumerate(P):
-        k = sizes[i]
-        assert (succ[first[i]:last[i] + 1] == np.flatnonzero(row)).all()
-        # the running sums of the row, in column order
-        assert (keys[:k - 1, i] == i + np.cumsum(row[row > 0])[:-1]).all()
-        assert keys[k - 1, i] == i + 1
-        assert (np.diff(keys[:k, i]) > 0).all()
-        assert (keys[k:, i] == np.inf).all()
+def _row_bound_misses(u):
+    """The row lengths L <= MAX_SUCCESSORS whose entry floor(u L), the one a
+    draw u picks, lies past the row."""
+    rows = np.arange(1, MAX_SUCCESSORS + 1)
+    return rows[(u * rows).astype(np.intp) >= rows]
 
 
-def _clamp_picks(table, rows):
-    # i + u rounds up to i + 1 for every row i >= 1
-    u = np.full(len(rows), np.nextafter(1.0, 0.0))
-    assert (rows + u == rows + 1).all()
-    return walks._nbrw_step(table, rows, u)
+def test_entry_index_stays_in_its_row():
+    # the largest double rng.random can return
+    assert _row_bound_misses(np.nextafter(1.0, 0.0)).size == 0
 
 
-@pytest.mark.parametrize("make", [make for make, _ in SAMPLED_WALKS])
-def test_step_clamps_to_the_last_successor(make):
-    kernel = NBRWKernel(make())
-    P = _dense_kernel(kernel)
-    rows = np.arange(1, len(P))
-    picks = _clamp_picks(walks._successor_table(kernel), rows)
-    want = [np.flatnonzero(P[i])[-1] for i in rows]
-    assert (picks == want).all()
-    assert (P[rows, picks] > 0).all()
-
-
-def test_clamp_test_sees_a_missing_clamp():
-    # negative control: without the clamp the pick runs into row i + 1
-    kernel = NBRWKernel(petersen())
-    P = _dense_kernel(kernel)
-    keys, first, last, succ = walks._successor_table(kernel)
-    unclamped = (keys, first, np.full_like(last, len(succ) - 1), succ)
-    rows = np.arange(1, len(P))
-    picks = _clamp_picks(unclamped, rows)
-    assert (P[rows, picks] == 0).any()
+def test_row_bound_check_sees_a_draw_of_one():
+    # negative control: u = 1 picks entry L, the first of the next row
+    assert _row_bound_misses(1.0).size == MAX_SUCCESSORS
 
 
 def _global_search_tallies(g, start, n, reps, seed):
@@ -287,17 +254,51 @@ def test_nbrw_sample_matches_global_search(make, start, seed):
     assert (nbrw_sample(g, start, 25, 4000, seed)["tallies"] == want).all()
 
 
-def test_global_search_sees_a_shifted_row_start(monkeypatch):
-    # negative control: rows read from one entry past their first successor
-    def shifted(kernel):
-        keys, first, last, succ = table(kernel)
-        return keys, first + 1, last, succ
+def test_global_search_sees_shifted_entry_offsets(monkeypatch):
+    # negative control: each row read from one entry before its first
+    init = NBRWKernel.__init__
 
-    table = walks._successor_table
-    monkeypatch.setattr(walks, "_successor_table", shifted)
+    def shifted(self, graph):
+        init(self, graph)
+        self.offset = self.offset - 1
+
+    monkeypatch.setattr(NBRWKernel, "__init__", shifted)
     g = petersen()
     want = _global_search_tallies(g, "P0", 25, 4000, 3)
     assert (nbrw_sample(g, "P0", 25, 4000, 3)["tallies"] != want).any()
+
+
+def _pair_sample_misses(seeds, n=25, reps=4000):
+    """The seeds at which nbrw_sample on the order-3 pair, from A = {a},
+    differs from the global search over Bass's matrix divided by its row
+    sums, with the start law read off the edge records: exit e of a with
+    weight i(e).  Neither the kernel nor the edge rule enters the oracle."""
+    g = order_three_pair()
+    ids = sorted(g.edges)
+    B = np.array(bass_matrix(g), dtype=float)
+    ways = np.array([g.vertices["a"].order // g.edges[e].order
+                     if g.edges[e].origin == "a" else 0 for e in ids])
+    term = [g.vertex_index[g.edges[e].terminus] for e in ids]
+    misses = []
+    for seed in seeds:
+        state = nbrw_global_search(B / B.sum(axis=1, keepdims=True),
+                                   ways / ways.sum(), n, reps,
+                                   derive_seed(seed, 0))
+        want = np.bincount(np.take(term, state), minlength=2)
+        if (nbrw_sample(g, "A", n, reps, seed)["tallies"] != want).any():
+            misses.append(seed)
+    return misses
+
+
+def test_nbrw_sample_follows_bass_matrix_on_a_graph_of_groups():
+    # rows of 4 entries: 2 ways back along t and 1 along each loop edge
+    # after t, 3 ways along t and 1 along the loop after a loop edge
+    assert _pair_sample_misses([3, 8]) == []
+
+
+def test_bass_sample_check_sees_merged_repeats(merged_repeats_rule):
+    # negative control: each successor once, so uniform over distinct ones
+    assert _pair_sample_misses([3, 8]) == [3, 8]
 
 
 @pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
