@@ -291,8 +291,8 @@ def _pair_sample_misses(seeds, n=25, reps=4000):
 
 
 def test_nbrw_sample_follows_bass_matrix_on_a_graph_of_groups():
-    # rows of 4 entries: 2 ways back along t and 1 along each loop edge
-    # after t, 3 ways along t and 1 along the loop after a loop edge
+    # rows of 4 entries: after t, 2 ways back along t and 1 along each
+    # loop edge; after a loop edge, 3 ways along t and 1 along the loop
     assert _pair_sample_misses([3, 8]) == []
 
 
