@@ -288,17 +288,25 @@ def cmd_ff_phi(args):
 
 
 def cmd_ff_expand(args):
-    x = parse_ratfunc(args.q, args.value)
-    s = laurent_expand(x, args.prec)
-    rows = [(s.val + i, c) for i, c in enumerate(s.coeffs)]
-    emit(["exponent_of_inv_Y", "coefficient"], rows, args)
+    v, digits = laurent_expand(parse_ratfunc(args.q, args.value), args.prec)
+    emit(["exponent_of_inv_Y", "coefficient"],
+         [(v + i, c) for i, c in enumerate(digits)], args)
+
+
+def _sqrt_disc(q, text, budget):
+    """sqrt(D) as a QuadIrr, D the polynomial of ``text``.  Its root costs
+    about (deg D)^2 coefficient products, checked against the budget first."""
+    D = parse_poly(q, text)
+    if D.degree ** 2 > budget:
+        raise BudgetError(f"the square root of a discriminant of degree "
+                          f"{D.degree} exceeds the budget")
+    return QuadIrr(FqPoly.one(q), FqPoly.zero(q), -D)
 
 
 def cmd_ff_cf(args):
     if args.disc:
-        D = parse_poly(args.q, args.disc)
-        alpha = QuadIrr(FqPoly.one(args.q), FqPoly.zero(args.q), -D)
-        cf = cf_expand(alpha)
+        budget = _budget(10 ** 7)
+        cf = cf_expand(_sqrt_disc(args.q, args.disc, budget), budget)
     elif args.value is not None:
         cf = cf_expand(parse_ratfunc(args.q, args.value))
     else:
@@ -371,8 +379,7 @@ def cmd_bt_farey(args):
 
 
 def cmd_bt_quad_orbit(args):
-    D = parse_poly(args.q, args.disc)
-    alpha = QuadIrr(FqPoly.one(args.q), FqPoly.zero(args.q), -D)
+    alpha = _sqrt_disc(args.q, args.disc, _budget(10 ** 7))
     out = bt.quad_orbit_experiment(alpha, mode=args.mode,
                                    word_len=args.word_len)
     rows = [(str(s), n) for s, n in out["cumulative"]]

@@ -11,10 +11,6 @@ class GeodlabError(Exception):
         self.context = context
 
 
-class PrecisionError(GeodlabError):
-    code = "precision-exhausted"
-
-
 class PrecisionCapError(GeodlabError):
     code = "precision-cap"
 

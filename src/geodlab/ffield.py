@@ -1,10 +1,12 @@
-"""Exact arithmetic over F_q: polynomials, rational functions, truncated
-Laurent series in 1/Y, quadratic irrationals and their continued fractions.
+"""Exact arithmetic over F_q: polynomials, rational functions, quadratic
+irrationals and their continued fractions.
 
 Conventions.  The valuation is the one at infinity: v(P/Q) = deg Q - deg P,
-so v(Y) = -1 and the uniformiser is 1/Y.  A Laurent series is stored as a
-window of known coefficients starting at its valuation; extending precision
-never rewrites previously reported coefficients.
+so v(Y) = -1 and the uniformiser is 1/Y.  No Laurent series is kept: the
+digits of a fraction in F_q((1/Y)) come from one long division at infinity
+(_divide_at_infinity), and a quadratic irrational is its exact triple
+(A, B, C) and sign, whose sqrt(D) enters only through its polynomial part
+(_poly_sqrt_floor).
 """
 
 from array import array
@@ -18,7 +20,6 @@ from .errors import (
     NotIrrationalError,
     NotSplitError,
     PrecisionCapError,
-    PrecisionError,
     TooLargeError,
     UsageError,
 )
@@ -585,185 +586,16 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
 
-class LaurentSeries:
-    """Truncated element of F_q((1/Y)) with exact valuation.
-
-    ``coeffs[i]`` is the coefficient of Y^{-(val+i)}; the first coefficient
-    is nonzero unless the series is exactly zero (val None, empty coeffs).
-    """
-
-    __slots__ = ("q", "val", "coeffs")
-
-    def __init__(self, q, val, coeffs):
-        _check_q(q)
-        c = [x % q for x in coeffs]
-        # normalize: leading zeros shift the valuation
-        while c and c[0] == 0:
-            c.pop(0)
-            val += 1
-        if not c:
-            raise PrecisionError("all known coefficients vanish")
-        self.q = q
-        self.val = val
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def exact_zero(cls, q):
-        s = object.__new__(cls)
-        s.q, s.val, s.coeffs = q, None, ()
-        return s
-
-    def is_zero(self):
-        return self.val is None
-
-    @property
-    def prec(self):
-        return len(self.coeffs)
-
-    def valuation(self):
-        return math.inf if self.is_zero() else self.val
-
-    def abs_v(self):
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(self.q) ** (-self.val)
-
-    def coefficient(self, k):
-        """Coefficient of Y^{-k}; raises if k beyond the known window."""
-        if self.is_zero():
-            return 0
-        if k < self.val:
-            return 0
-        if k >= self.val + self.prec:
-            raise PrecisionError(f"coefficient {k} beyond known precision")
-        return self.coeffs[k - self.val]
-
-    def _binop_prec(self, other):
-        if other.q != self.q:
-            raise ValueError("mixed characteristics")
-
-    def __add__(self, other):
-        self._binop_prec(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        val = min(self.val, other.val)
-        # known window: positions strictly below both unknown frontiers
-        hi = min(self.val + self.prec, other.val + other.prec)
-        n = hi - val
-        if n <= 0:
-            raise PrecisionError("no overlapping known window")
-        out = [0] * n
-        for i in range(n):
-            k = val + i
-            if self.val <= k < self.val + self.prec:
-                out[i] += self.coeffs[k - self.val]
-            if other.val <= k < other.val + other.prec:
-                out[i] += other.coeffs[k - other.val]
-        return LaurentSeries(self.q, val, out)
-
-    def __neg__(self):
-        if self.is_zero():
-            return self
-        return LaurentSeries(self.q, self.val, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._binop_prec(other)
-        if self.is_zero() or other.is_zero():
-            return LaurentSeries.exact_zero(self.q)
-        n = min(self.prec, other.prec)
-        out = [0] * n
-        for i, x in enumerate(self.coeffs[:n]):
-            if x:
-                for j, y in enumerate(other.coeffs[:n - i]):
-                    out[i + j] += x * y
-        return LaurentSeries(self.q, self.val + other.val, out)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError
-        q, n = self.q, self.prec
-        a0inv = pow(self.coeffs[0], -1, q)
-        # invert the unit part 1 + u with u = tail/lead
-        inv = [a0inv] + [0] * (n - 1)
-        for k in range(1, n):
-            s = 0
-            for j in range(1, k + 1):
-                if j < len(self.coeffs):
-                    s += self.coeffs[j] * inv[k - j]
-            inv[k] = (-a0inv * s) % q
-        return LaurentSeries(q, -self.val, inv)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def sqrt(self):
-        """Square root; requires q odd, even valuation, square leading coeff."""
-        if self.is_zero():
-            return self
-        q = self.q
-        if q == 2:
-            raise CharTwoError("square roots need odd characteristic")
-        if self.val % 2 != 0:
-            raise NotSplitError("odd valuation has no square root")
-        r0 = sqrt_mod(self.coeffs[0], q)
-        if r0 is None:
-            raise NotSplitError("leading coefficient is not a square")
-        n = self.prec
-        inv_lead = pow(self.coeffs[0], -1, q)
-        u = [c * inv_lead % q for c in self.coeffs]  # u0 = 1
-        r = [1] + [0] * (n - 1)
-        inv2 = pow(2, -1, q)
-        for k in range(1, n):
-            s = sum(r[i] * r[k - i] for i in range(1, k))
-            r[k] = (u[k] - s) * inv2 % q
-        return LaurentSeries(q, self.val // 2, [r0 * c for c in r])
-
-    def polynomial_part(self):
-        """The polynomial of terms with nonnegative Y-exponent (needs prec)."""
-        if self.is_zero():
-            return FqPoly.zero(self.q)
-        if self.val > 0:
-            return FqPoly.zero(self.q)
-        if self.val + self.prec <= 0:
-            raise PrecisionError("polynomial part not fully known")
-        # exponent of Y at offset i is -(val+i); keep -(val+i) >= 0
-        coeffs = [0] * (-self.val + 1)
-        for i, c in enumerate(self.coeffs):
-            k = self.val + i
-            if k > 0:
-                break
-            coeffs[-k] = c
-        return FqPoly(self.q, coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "LaurentSeries(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs[:6]):
-            if c:
-                k = self.val + i
-                if k == 0:
-                    terms.append(str(c))
-                else:
-                    terms.append(f"{c}*Y^{-k}")
-        return ("LaurentSeries(" + " + ".join(terms)
-                + f" + O(Y^{-(self.val + self.prec)}))")
-
-
 def _divide_at_infinity(num_desc, Q, count):
     """The first ``count`` digits of num / Q by synthetic division at
     infinity, num given by its coefficients in descending order from Y^k
     (leading zeros allowed): the coefficients of Y^(k - deg Q),
-    Y^(k - deg Q - 1), ... in the Laurent expansion of num / Q."""
+    Y^(k - deg Q - 1), ... in the Laurent expansion of num / Q.  Only the
+    top ``count`` coefficients of num and Q reach them: count^2 work."""
     q = Q.q
-    rem = list(num_desc) + [0] * (count + Q.degree + 1)
+    rem = list(num_desc[:count]) + [0] * (2 * count)
     inv_lc = pow(Q.lc, -1, q)
-    qdesc = Q.coeffs[::-1]
+    qdesc = Q.coeffs[:-count - 1:-1]
     out = []
     for i in range(count):
         c = rem[i] * inv_lc % q
@@ -774,52 +606,36 @@ def _divide_at_infinity(num_desc, Q, count):
     return out
 
 
-def _rat_to_series(x, prec):
-    """Exact Laurent expansion of a rational function by long division."""
-    if x.is_zero():
-        return LaurentSeries.exact_zero(x.q)
-    return LaurentSeries(x.q, x.valuation(),
-                         _divide_at_infinity(x.num.coeffs[::-1], x.den, prec))
-
-
 def laurent_expand(x, prec):
-    """Expand a RatFunc or QuadIrr to at least ``prec`` known coefficients,
-    at most PREC_CAP."""
+    """(v, digits): the valuation of a RatFunc x and the coefficients of
+    Y^-v, ..., Y^-(v + prec - 1), prec <= PREC_CAP; (inf, []) for 0."""
     if prec < 1:
         raise UsageError(f"prec must be >= 1, got {prec}")
     if prec > PREC_CAP:
         raise PrecisionCapError(
             f"requested precision {prec} exceeds cap {PREC_CAP}")
-    if isinstance(x, FqPoly):
-        x = RatFunc(x)
-    if isinstance(x, RatFunc):
-        return _rat_to_series(x, prec)
-    if isinstance(x, QuadIrr):
-        return x.expand(prec)
-    raise TypeError(f"cannot expand {type(x).__name__}")
+    if x.is_zero():
+        return math.inf, []
+    return x.valuation(), _divide_at_infinity(x.num.coeffs[::-1], x.den, prec)
 
 
 def _poly_sqrt_floor(F):
-    """S with |sqrt(F) - S| < 1, the polynomial part of the series root of
-    F (even degree, square lc); S * S == F exactly when F is a square."""
-    return _rat_to_series(RatFunc(F), F.degree // 2 + 1).sqrt().polynomial_part()
+    """S with |sqrt(F) - S| < 1 for F of degree 2m with a square lc: the
+    terms of degree 0..m of the root led by s_m = sqrt_mod(lc F).  S^2 and
+    F agree from Y^m up, so their coefficients of Y^(2m-k) give, k = 1..m,
 
+        s_(m-k) = (f_(2m-k) - sum_{i=1}^{k-1} s_(m-i) s_(m-k+i)) / (2 s_m).
 
-def _surd_valuation(U, W, D):
-    """Exact v(U + W sqrt(D)) for polynomials U, W, not both zero, and a
-    non-square D, lc sqrt(D) = r(D) = sqrt_mod(lc D).  The smaller of
-    v(U) = -deg U and v(W sqrt(D)) = -(deg W + deg(D)/2) unless they tie and
-    lc U + lc W r(D) = 0; then U - W sqrt(D) keeps its leading term 2 lc U,
-    and the norm U^2 - W^2 D of the two gives the valuation."""
-    if W.is_zero():
-        return -U.degree
-    dw = W.degree + D.degree // 2
-    if U.degree != dw:
-        return -max(U.degree, dw)
-    q = U.q
-    if (U.lc + W.lc * sqrt_mod(D.lc, q)) % q:
-        return -dw
-    return dw - (U * U - W * W * D).degree
+    S * S == F exactly when F is a square."""
+    q, f = F.q, F.coeffs
+    m = F.degree // 2
+    s = [0] * (m + 1)
+    s[m] = sqrt_mod(F.lc, q)
+    inv = pow(2 * s[m], -1, q)
+    for k in range(1, m + 1):
+        acc = f[2 * m - k] - sum(s[m - i] * s[m - k + i] for i in range(1, k))
+        s[m - k] = acc * inv % q
+    return FqPoly._raw(q, tuple(s))
 
 
 def _canonical_triple(A, B, C):
@@ -839,9 +655,9 @@ class QuadIrr:
     of A x^2 + B x + C, with sign s = ``self.sign`` in {1, -1}.
 
     The triple is canonical (common factor removed, A monic).  D has even
-    degree and a square leading coefficient, and sqrt(D) is the series root
-    that ``LaurentSeries.sqrt`` returns, whose leading coefficient r(D) =
-    sqrt_mod(lc D) is the smaller residue root.  The conjugate root has -s.
+    degree and a square leading coefficient, and sqrt(D) is its root in
+    F_q((1/Y)) whose leading coefficient r(D) = sqrt_mod(lc D) is the
+    smaller residue root.  The conjugate root has -s.
 
     The constructor's ``branch`` names the root by its expansion: the two
     roots agree up to their coefficient of Y^-k, k = sep_valuation(), and
@@ -863,15 +679,18 @@ class QuadIrr:
         D = B * B - 4 * A * C
         r = sqrt_mod(D.lc, q)
         split = D.degree % 2 == 0 and r is not None
-        if D.is_zero() or split and _poly_sqrt_floor(D) ** 2 == D:
+        S = _poly_sqrt_floor(D) if split else None
+        if D.is_zero() or split and S * S == D:
             raise NotIrrationalError("discriminant is a square in F_q(Y)")
         if not split:
             raise NotSplitError("discriminant has no square root in F_q((1/Y))")
         self.A, self.B, self.C, self.disc = A, B, C, D
-        # at Y^-k the roots are b +- r(D)/2: sqrt(D)/(2A) starts there
-        k = self.sep_valuation()
-        b = _rat_to_series(RatFunc(-B, 2 * A),
-                           max(1, B.degree - D.degree // 2 + 1)).coefficient(k)
+        # at Y^-k, k = sep_valuation(), the roots are b +- r(D)/2, b digit
+        # j = deg B - deg D/2 of -B/(2A), whose digits start at Y^(deg B -
+        # deg A); b = 0 when j < 0, B = 0 included
+        j = B.degree - D.degree // 2
+        b = (_divide_at_infinity((-B).coeffs[::-1], _scaled(A, 2), j + 1)[j]
+             if j >= 0 else 0)
         half_r = r * pow(2, -1, q)
         plus_smaller = (b + half_r) % q < (b - half_r) % q
         self.sign = 1 if plus_smaller == ((branch & 1) == 0) else -1
@@ -890,12 +709,6 @@ class QuadIrr:
     def conj(self):
         return QuadIrr._raw(self.A, self.B, self.C, self.disc, -self.sign)
 
-    def trace(self):
-        return RatFunc(-self.B, self.A)
-
-    def norm(self):
-        return RatFunc(self.C, self.A)
-
     def key(self):
         return (self.A.coeffs, self.B.coeffs, self.C.coeffs, self.sign)
 
@@ -905,29 +718,9 @@ class QuadIrr:
     def __hash__(self):
         return hash(self.key())
 
-    def valuation(self):
-        """Exact v(alpha) = v(-B + s sqrt(D)) - v(2A)."""
-        return (_surd_valuation(-self.B, FqPoly.const(self.q, self.sign),
-                                self.disc) + self.A.degree)
-
     def sep_valuation(self):
         """Exact v(alpha - alpha^sigma) = v(sqrt(D)) - v(A)."""
         return (-self.disc.degree // 2) - (-self.A.degree)
-
-    def expand(self, prec):
-        """The first ``prec`` Laurent coefficients of alpha, from one
-        expansion at the precision that the numerator's exact valuation
-        fixes."""
-        A, B = self.A, self.B
-        D = self.disc
-        # the numerator -B + s sqrt(D) is needed below Y^-end
-        end = _surd_valuation(-B, FqPoly.const(self.q, self.sign), D) + prec
-        num = _rat_to_series(RatFunc(D), end + D.degree // 2).sqrt()
-        if self.sign < 0:
-            num = -num
-        if not B.is_zero():
-            num = _rat_to_series(RatFunc(-B), end + B.degree) + num
-        return num / _rat_to_series(RatFunc(2 * A), prec)
 
     def apply_homography(self, a, b, c, d):
         """Image under z -> (az+b)/(cz+d) with FqPoly entries, det != 0.
@@ -1013,11 +806,11 @@ class CFExpansion:
         self.period = tuple(period)
 
 
-def cf_expand(x):
-    """Continued fraction of a RatFunc (finite) or QuadIrr (eventually periodic)."""
-    if isinstance(x, (FqPoly, RatFunc)):
-        if isinstance(x, FqPoly):
-            x = RatFunc(x)
+def cf_expand(x, budget=10 ** 7):
+    """Continued fraction of a RatFunc (finite) or QuadIrr (eventually
+    periodic).  Each complete quotient of a QuadIrr costs about (deg D)^2
+    coefficient products, and their sum must stay within ``budget``."""
+    if isinstance(x, RatFunc):
         quotients = []
         P, Q = x.num, x.den
         while not Q.is_zero():
@@ -1037,13 +830,17 @@ def cf_expand(x):
     P, Q = x.sign * -x.B, x.sign * 2 * x.A
     seen = {}
     quotients = []
-    i = 0
+    i = spent = 0
     while True:
         key = (P.coeffs, Q.coeffs)
         if key in seen:
             start = seen[key]
             return CFExpansion(quotients[:start], quotients[start:])
         seen[key] = i
+        spent += D.degree ** 2
+        if spent > budget:
+            raise BudgetError(f"{i + 1} complete quotients of a discriminant "
+                              f"of degree {D.degree} exceed the budget")
         a = (P + S) // Q
         quotients.append(a)
         P = a * Q - P

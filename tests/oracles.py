@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity that geodlab computes, by another route:
 FqPoly/RatFunc/poly_range arithmetic, plain Python, numpy or scipy.  None
 calls the function it checks or a private helper of that function's module,
-and test_oracles.py keeps the geodlab imports below to a fixed list.  The
+and test_oracles.py keeps the geodlab imports below to a fixed list; the
+Laurent expansions of Series use their own inverse and square root.  The
 objects handed in (matrices, graphs, queries, measures) are read through
 their public fields only.  The helpers build inputs instead: orbit_bfs
 walks a quadratic irrational's orbit with its own apply_homography.
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from geodlab.ffield import FqPoly, poly_range
+from geodlab.ffield import FqPoly, RatFunc, poly_range
 from geodlab.graphs import load_validate
 
 
@@ -150,19 +151,144 @@ def mertens_closed_form(q, n):
     return total // (q + 1)
 
 
+class Series:
+    """A truncated element of F_q((1/Y)): coeffs[i] is the coefficient of
+    Y^-(val + i), and the first is nonzero; Series(q, None) is the exact
+    zero.  A sum knows the coefficients below both frontiers, a product as
+    many as the shorter factor.  A window whose every known coefficient
+    vanishes raises ArithmeticError."""
+
+    def __init__(self, q, val, coeffs=()):
+        c = [x % q for x in coeffs]
+        if val is not None:
+            lead = next((i for i, x in enumerate(c) if x), None)
+            if lead is None:
+                raise ArithmeticError("every known coefficient vanishes")
+            val, c = val + lead, c[lead:]
+        self.q, self.val, self.coeffs = q, val, tuple(c)
+
+    def is_zero(self):
+        return self.val is None
+
+    @property
+    def prec(self):
+        return len(self.coeffs)
+
+    def abs_v(self):
+        return Fraction(0) if self.is_zero() else Fraction(self.q) ** -self.val
+
+    def coefficient(self, k):
+        """The coefficient of Y^-k, which must be known."""
+        if self.is_zero() or k < self.val:
+            return 0
+        if k >= self.val + self.prec:
+            raise ArithmeticError(f"coefficient {k} beyond known precision")
+        return self.coeffs[k - self.val]
+
+    def __add__(self, other):
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        val = min(self.val, other.val)
+        hi = min(self.val + self.prec, other.val + other.prec)
+        return Series(self.q, val, [self.coefficient(k) + other.coefficient(k)
+                                    for k in range(val, hi)])
+
+    def __neg__(self):
+        return self * Series(self.q, 0, [-1] + [0] * self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return Series(self.q, None)
+        n = min(self.prec, other.prec)
+        out = [0] * n
+        for i, x in enumerate(self.coeffs[:n]):
+            for j, y in enumerate(other.coeffs[:n - i]):
+                out[i + j] += x * y
+        return Series(self.q, self.val + other.val, out)
+
+    def inverse(self):
+        """1/x from inv_0 = 1/a_0 and sum_{j<=k} a_j inv_(k-j) = 0."""
+        q, a = self.q, self.coeffs
+        a0inv = pow(a[0], -1, q)
+        inv = [a0inv]
+        for k in range(1, self.prec):
+            inv.append(-a0inv * sum(a[j] * inv[k - j]
+                                    for j in range(1, k + 1)) % q)
+        return Series(q, -self.val, inv)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def sqrt(self):
+        """The square root whose leading coefficient is the smaller residue
+        root of a_0, from r_0 = that root and sum_{i<=k} r_i r_(k-i) = a_k."""
+        q, a = self.q, self.coeffs
+        if self.val % 2:
+            raise ValueError("odd valuation has no square root")
+        r0 = next(r for r in range(q) if r * r % q == a[0])
+        inv = pow(2 * r0, -1, q)
+        r = [r0]
+        for k in range(1, self.prec):
+            s = sum(r[i] * r[k - i] for i in range(1, k))
+            r.append((a[k] - s) * inv % q)
+        return Series(q, self.val // 2, r)
+
+    def polynomial_part(self):
+        """The terms of nonnegative Y-exponent, which must all be known."""
+        if self.is_zero() or self.val > 0:
+            return FqPoly(self.q)
+        if self.val + self.prec <= 0:
+            raise ArithmeticError("polynomial part not fully known")
+        return FqPoly(self.q, self.coeffs[-self.val::-1])
+
+
+def series(x, prec):
+    """The first ``prec`` coefficients of an FqPoly or RatFunc: those of a
+    polynomial then zeros, or the numerator times the inverse of the
+    denominator."""
+    if isinstance(x, RatFunc):
+        return series(x.num, prec) * series(x.den, prec).inverse()
+    if x.is_zero():
+        return Series(x.q, None)
+    return Series(x.q, -x.degree, (list(x.coeffs[::-1]) + [0] * prec)[:prec])
+
+
+def quad_series(alpha, prec):
+    """The first ``prec`` coefficients of alpha = N/(2A), N = -B + s
+    sqrt(D), sqrt(D) the series root led by the smaller residue root.  N
+    N^sigma = B^2 - D = 4AC and v(N^sigma) >= -max(deg B, deg D/2) bound
+    v(N) above, however much the leading terms of N cancel."""
+    A, B, C, D = alpha.A, alpha.B, alpha.C, alpha.disc
+    half = D.degree // 2
+    n = max(max(B.degree, half) - A.degree - C.degree + half, 0) + prec
+    num = series(D, n).sqrt() * series(FqPoly(D.q, [alpha.sign]), n)
+    return (series(-B, n + B.degree + D.degree) + num) / series(A + A, prec)
+
+
+def trace_norm(alpha):
+    """(alpha + alpha^sigma, alpha alpha^sigma) = (-B/A, C/A)."""
+    return RatFunc(-alpha.B, alpha.A), RatFunc(alpha.C, alpha.A)
+
+
 def quad_invariants(alpha):
     """(trace, norm, conjugate, complexity h) with h found two ways.
 
     h = |tr^2 - 4n|^{-1/2} from the trace and norm, and the Laurent
     expansions of the two roots must first differ at the same power of Y.
     """
-    tr, nm, conj = alpha.trace(), alpha.norm(), alpha.conj()
+    (tr, nm), conj = trace_norm(alpha), alpha.conj()
     v = (tr * tr - 4 * nm).valuation()
     assert v % 2 == 0
     k = v // 2
     h_formula = Fraction(alpha.q) ** k
-    prec = max(1, k - min(alpha.valuation(), conj.valuation()) + 1)
-    x, y = alpha.expand(prec), conj.expand(prec)
+    lead = min(quad_series(alpha, 1).val, quad_series(conj, 1).val)
+    prec = max(1, k - lead + 1)
+    x, y = quad_series(alpha, prec), quad_series(conj, prec)
     window = range(min(x.val, y.val), min(x.val + x.prec, y.val + y.prec))
     k_series = next((j for j in window
                      if x.coefficient(j) != y.coefficient(j)), None)

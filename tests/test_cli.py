@@ -472,6 +472,12 @@ def test_walk_work_past_the_budget_is_a_record(capsys, argv, want):
     # reps * (max(dxy, dxz) + 1)
     (["walk", "green", "--q", "2", "--dxz", "3", "--reps", "1000"], 4000),
     (["shift", "decay", "--graph", "builtin:petersen", "--nmax", "7"], 420),
+    # the quadratic verbs too: (deg D)^2 for each complete quotient of ff
+    # cf, 1 + 2 and 1 + 8 of them, and for the root of bt quad-orbit
+    (["ff", "cf", "--q", "3", "--disc", "Y^2+Y"], 3 * 4),
+    (["ff", "cf", "--q", "5", "--disc", "Y^4+Y+1"], 9 * 16),
+    (["bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y", "--word-len", "2"],
+     4),
 ])
 def test_walk_and_decay_budgets_env(capsys, monkeypatch, argv, work):
     monkeypatch.setenv("GEODLAB_BUDGET", str(work - 1))
@@ -480,6 +486,12 @@ def test_walk_and_decay_budgets_env(capsys, monkeypatch, argv, work):
     assert json.loads(err)["error"] == "budget"
     monkeypatch.setenv("GEODLAB_BUDGET", str(work))
     assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_cf_step_cap_comes_before_the_budget(capsys):
+    # 4097 complete quotients cost 4097 * 24^2 < 10^7
+    err = run_cli(capsys, "ff", "cf", "--q", "7", "--disc", "Y^24+Y+2")[2]
+    assert json.loads(err)["message"] == "no period within 4096 steps"
 
 
 def test_green_ratio_without_visits_is_a_record(capsys):
@@ -496,6 +508,14 @@ def test_green_ratio_without_visits_is_a_record(capsys):
     ["bt", "farey", "--q", "7", "--t", str(2 ** 63 - 1)],
     # a period past cf_expand's 4096 complete quotients
     ["ff", "cf", "--q", "7", "--disc", "Y^24+Y+2"],
+    # (deg D)^2 per complete quotient against the budget of 10^7
+    ["ff", "cf", "--q", "3", "--disc", "Y^100+Y+2"],
+    ["ff", "cf", "--q", "3", "--disc", "Y^200+Y+2"],
+    ["ff", "cf", "--q", "3", "--disc", "Y^400+Y+2"],
+    ["ff", "cf", "--q", "3", "--disc", "Y^1000+Y+2"],
+    # (deg D)^2 against the budget before the root is built
+    ["ff", "cf", "--q", "3", "--disc", "Y^1000000+Y+2"],
+    ["bt", "quad-orbit", "--q", "3", "--disc", "Y^10000+Y+2"],
 ])
 def test_work_caps_end_quickly_in_a_record(capsys, argv):
     start = time.perf_counter()
@@ -1085,7 +1105,9 @@ def test_a_blas_thread_count_the_user_names_wins(var):
 # "argv": [exit code, sha256 of stdout] for count perp on every pair of
 # subgraphs, count orbits, shift pressure and shift equilibrium on every
 # builtin with trivial orders, where every multiplicity of the edge step is
-# 1, and walk nbrw, exact from each subgraph and sampled, on every builtin
+# 1, and walk nbrw, exact from each subgraph and sampled, on every builtin;
+# and ff expand and ff cf on zero, polynomial, fractional and quadratic
+# values
 DIGESTS = Path(__file__).with_name("stdout_digests.json")
 
 

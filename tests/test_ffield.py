@@ -1,9 +1,11 @@
-"""Tests for polynomial / Laurent-series / continued-fraction arithmetic
-over F_q(Y).  Derived values are frozen from independent brute-force
-oracles computed inline.
+"""Tests for polynomial / rational-function / continued-fraction
+arithmetic over F_q(Y).  Derived values are frozen from independent
+brute-force oracles computed inline; Laurent expansions are checked against
+the series oracle of oracles.py.
 """
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -12,12 +14,11 @@ from hypothesis import given, settings, strategies as st
 from geodlab.errors import (
     CharTwoError,
     NotIrrationalError,
-    NotSplitError,
 )
 from geodlab import ffield
+import oracles
 from geodlab.ffield import (
     FqPoly,
-    LaurentSeries,
     QuadIrr,
     RatFunc,
     cf_expand,
@@ -33,10 +34,13 @@ from geodlab.ffield import (
     prime_sieves,
 )
 from oracles import (
+    Series,
     convergents,
     mertens_closed_form,
     orbit_bfs,
     quad_invariants,
+    quad_series,
+    series,
 )
 
 
@@ -226,36 +230,31 @@ def test_monic_phi_per_degree():
 
 
 # ---------------------------------------------------------------------------
-# Laurent series
+# Laurent expansions and polynomial square roots
 
 
 def test_expansion_reconstructs_fraction():
-    for q, text in [(2, "(Y+1)/(Y^2+Y+1)"), (3, "(Y^2+2)/(Y^3+Y+1)"),
-                    (5, "1/(Y+3)")]:
-        x = parse_ratfunc(q, text)
-        s = laurent_expand(x, 12)
-        assert s.val == x.valuation()
-        # multiply back by the denominator and compare with the numerator
-        t = s
-        prod = laurent_expand(RatFuncWrap(x.den, q), 12) * t
-        num = laurent_expand(RatFuncWrap(x.num, q), 12)
-        lo = max(prod.val, num.val)
-        hi = min(prod.val + prod.prec, num.val + num.prec)
-        for k in range(lo, hi):
-            assert prod.coefficient(k) == num.coefficient(k)
-
-
-class RatFuncWrap:
-    """Tiny adapter: polynomial viewed as a rational function for expansion."""
-
-    def __new__(cls, poly, q):
-        from geodlab.ffield import RatFunc
-        return RatFunc(poly, FqPoly.one(q))
+    # the digits of ff expand times the denominator give the numerator back
+    rng = random.Random(4)
+    for q in (2, 3, 5, 7):
+        for _ in range(40):
+            num, den = (FqPoly(q, [rng.randrange(q) for _ in range(9)])
+                        for _ in range(2))
+            if den.is_zero():
+                continue
+            x, prec = RatFunc(num, den), rng.randrange(1, 30)
+            v, digits = laurent_expand(x, prec)
+            if x.is_zero():
+                assert (v, digits) == (math.inf, [])
+                continue
+            prod = series(x.den, prec) * Series(q, v, digits)
+            assert len(digits) == prec and v == x.valuation()
+            assert prod.coeffs == series(x.num, prec).coeffs
 
 
 def test_series_inverse():
     x = parse_ratfunc(3, "(Y^2+1)/(Y^3+2Y+2)")
-    s = laurent_expand(x, 10)
+    s = series(x, 10)
     prod = s * s.inverse()
     assert prod.coefficient(0) == 1
     for k in range(1, 8):
@@ -264,7 +263,7 @@ def test_series_inverse():
 
 def test_series_sqrt_squares_back():
     x = parse_ratfunc(3, "(Y^2+Y+1)/(Y^2)")  # even valuation, square lead
-    s = laurent_expand(x, 12)
+    s = series(x, 12)
     r = s.sqrt()
     sq = r * r
     for k in range(s.val, s.val + 8):
@@ -272,9 +271,56 @@ def test_series_sqrt_squares_back():
 
 
 def test_sqrt_odd_valuation_rejected():
-    s = laurent_expand(parse_ratfunc(3, "1/Y"), 8)
-    with pytest.raises(NotSplitError):
+    s = series(parse_ratfunc(3, "1/Y"), 8)
+    with pytest.raises(ValueError, match="odd valuation"):
         s.sqrt()
+
+
+def _root_mismatches(q, count, seed):
+    """Of ``count`` random F of degree <= 40 with a square lc and as many
+    squares, those whose _poly_sqrt_floor is not the polynomial part of the
+    series root, or whose root does not square back to a square."""
+    rng, bad = random.Random(seed), []
+    for _ in range(count):
+        F = FqPoly(q, [rng.randrange(q) for _ in range(2 * rng.randrange(21))]
+                   + [rng.randrange(1, q) ** 2])
+        G = FqPoly(q, [rng.randrange(q) for _ in range(rng.randrange(21))]
+                   + [rng.randrange(1, q)])
+        for f in (F, G * G):
+            root = ffield._poly_sqrt_floor(f)
+            want = series(f, f.degree // 2 + 1).sqrt().polynomial_part()
+            if root != want or f == G * G and root * root != f:
+                bad.append(f)
+    return bad
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_poly_sqrt_floor_matches_the_series_root(q):
+    assert _root_mismatches(q, 60, seed=q) == []
+
+
+def test_root_check_sees_the_larger_residue_root(monkeypatch):
+    # negative control: a root that starts from the larger residue root of
+    # lc F is -S, whose square is still F
+    sqrt_mod = ffield.sqrt_mod
+    monkeypatch.setattr(ffield, "sqrt_mod",
+                        lambda a, q: (q - sqrt_mod(a, q)) % q)
+    assert len(_root_mismatches(5, 20, seed=5)) == 40
+
+
+def test_series_oracle_is_independent(monkeypatch):
+    al = _sqrt_quad(5, "Y^4+Y+1")
+    x = parse_ratfunc(3, "(Y^2+2)/(Y^3+Y+1)")
+    root, digits = quad_series(al, 20), laurent_expand(x, 20)
+    # with geodlab's root and long division gone, ff expand cannot run and
+    # the oracle still expands both values
+    for name in ("_poly_sqrt_floor", "_divide_at_infinity"):
+        monkeypatch.setattr(ffield, name, None)
+    with pytest.raises(TypeError):
+        laurent_expand(x, 20)
+    got, s = quad_series(al, 20), series(x, 20)
+    assert (got.val, got.coeffs) == (root.val, root.coeffs)
+    assert (s.val, list(s.coeffs)) == digits
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +334,9 @@ def _sqrt_quad(q, disc_text):
 
 def test_quad_expansion_is_a_root():
     al = _sqrt_quad(3, "Y^2+Y")
-    s = al.expand(20)
+    s = quad_series(al, 20)
     sq = s * s
-    d = laurent_expand(parse_ratfunc(3, "Y^2+Y"), 20)
+    d = series(parse_ratfunc(3, "Y^2+Y"), 20)
     for k in range(sq.val, sq.val + 12):
         assert sq.coefficient(k) == d.coefficient(k)
 
@@ -299,7 +345,8 @@ def test_quad_conjugate_differs_at_separation():
     al = _sqrt_quad(3, "Y^2+Y")
     co = al.conj()
     k = al.sep_valuation()
-    assert al.expand(8).coefficient(k) != co.expand(8).coefficient(k)
+    assert quad_series(al, 8).coefficient(k) != \
+        quad_series(co, 8).coefficient(k)
 
 
 def test_quad_trace_norm():
@@ -308,7 +355,7 @@ def test_quad_trace_norm():
     assert tr.is_zero()
     # norm = -D
     assert nm == parse_ratfunc(3, "2Y^2+2Y")
-    assert h == Fraction(1, 3)
+    assert h == Fraction(1, 3) == al.complexity()
 
 
 @pytest.mark.parametrize("factor_text", ["Y^2", "1/Y^2"])
@@ -316,18 +363,21 @@ def test_quad_invariants_catch_a_wrong_formula(monkeypatch, factor_text):
     # route 2 reads the norm: scaling the norm of sqrt(Y^2+Y) by Y^2 or by
     # Y^-2 claims a separation one coefficient too early or too late
     al = _sqrt_quad(3, "Y^2+Y")
-    norm, wrong = QuadIrr.norm, parse_ratfunc(3, factor_text)
-    monkeypatch.setattr(QuadIrr, "norm", lambda self: norm(self) * wrong)
+    trace_norm, wrong = oracles.trace_norm, parse_ratfunc(3, factor_text)
+    monkeypatch.setattr(oracles, "trace_norm",
+                        lambda a: (trace_norm(a)[0], trace_norm(a)[1] * wrong))
     with pytest.raises(AssertionError, match="complexity mismatch"):
         quad_invariants(al)
 
 
 def test_quad_valuation_matches_expansion():
+    # the product of the roots is C/A: the valuations of the two
+    # expansions add up to deg A - deg C, also where the numerator cancels
     for triple in [("1", "0", "2Y^2+2Y"), ("Y", "2Y", "2"),
                    ("Y^2+Y+2", "Y^2+Y", "Y^2+Y"), ("1", "Y", "Y+1")]:
-        A, B, C = (parse_poly(3, t) for t in triple)
-        for al in (QuadIrr(A, B, C, 0), QuadIrr(A, B, C, 1)):
-            assert al.valuation() == al.expand(4).val
+        al = QuadIrr(*(parse_poly(3, t) for t in triple))
+        x, y = quad_series(al, 4), quad_series(al.conj(), 4)
+        assert x.val + y.val == al.A.degree - al.C.degree
 
 
 def test_quad_char_two_rejected():
@@ -349,12 +399,6 @@ def test_apply_homography_roundtrip():
     img = al.apply_homography(y, one, one, zero)
     back = img.apply_homography(zero, one, one, -y)
     assert back.key() == al.key()
-
-
-def _series(f, prec):
-    if f.is_zero():
-        return LaurentSeries.exact_zero(f.q)
-    return laurent_expand(RatFunc(f), prec)
 
 
 def _agree(got, want, upto):
@@ -387,10 +431,10 @@ def _sign_mismatches(edges, prec=40):
     (a beta + b)/(c beta + d) of the source expansion."""
     bad = 0
     for beta, g, img in edges:
-        a, b, c, d = (_series(e, prec) for e in g)
-        x = beta.expand(prec)
+        a, b, c, d = (series(e, prec) for e in g)
+        x = quad_series(beta, prec)
         want = (a * x + b) / (c * x + d)
-        if not _agree(img.expand(prec), want, img.sep_valuation()):
+        if not _agree(quad_series(img, prec), want, img.sep_valuation()):
             bad += 1
     return bad
 
@@ -434,14 +478,14 @@ def test_expand_is_a_root_where_numerator_cancels(q, disc):
     assert len(points) >= 3
     for beta in points:
         n = 24
-        x = beta.expand(n)
+        x = quad_series(beta, n)
         assert x.prec == n
         # A x^2 + B x = -C on the known window
-        lhs = _series(beta.A, n) * x * x + _series(beta.B, n) * x
-        assert _agree(lhs, _series(-beta.C, 3 * n), beta.sep_valuation())
+        lhs = series(beta.A, n) * x * x + series(beta.B, n) * x
+        assert _agree(lhs, series(-beta.C, 3 * n), beta.sep_valuation())
         # the conjugate agrees strictly above Y^-k and differs at it
         k = beta.sep_valuation()
-        y = beta.conj().expand(n)
+        y = quad_series(beta.conj(), n)
         assert all(x.coefficient(j) == y.coefficient(j)
                    for j in range(min(x.val, y.val), k))
         assert x.coefficient(k) != y.coefficient(k)
@@ -457,7 +501,8 @@ def test_branch_zero_has_the_smaller_residue(triple):
     b0, b1 = QuadIrr(A, B, C, 0), QuadIrr(A, B, C, 1)
     assert b0.sign == -b1.sign and b1 == b0.conj()
     k = b0.sep_valuation()
-    assert b0.expand(12).coefficient(k) < b1.expand(12).coefficient(k)
+    assert quad_series(b0, 12).coefficient(k) < \
+        quad_series(b1, 12).coefficient(k)
 
 
 def test_exact_paths_never_retry():
@@ -465,7 +510,6 @@ def test_exact_paths_never_retry():
     edges = orbit_bfs(al, 2)[1]
     assert len(edges) == 30
     for _, _, img in edges:
-        img.expand(16)
         cf_expand(img)
 
 
@@ -480,7 +524,6 @@ def test_cf_rational_terminates():
     # reconstruct from the quotients bottom-up
     value = None
     for a in reversed(cf.preperiod):
-        from geodlab.ffield import RatFunc
         ra = RatFunc(a, FqPoly.one(2))
         value = ra if value is None else ra + value.inverse()
     assert value == x
@@ -529,10 +572,9 @@ def test_cf_periods_of_orbit_points(q, triple, branch, preperiod, period):
 
 def test_cf_convergent_quality():
     al = _sqrt_quad(3, "Y^2+Y")
-    s = al.expand(40)
+    s = quad_series(al, 40)
     for p, qd in convergents(cf_expand(al), 5):
-        from geodlab.ffield import RatFunc
-        approx = laurent_expand(RatFunc(p, qd), 40)
+        approx = Series(3, *laurent_expand(RatFunc(p, qd), 40))
         diff_val = None
         for k in range(s.val, s.val + 30):
             if s.coefficient(k) != approx.coefficient(k):
