@@ -5,13 +5,18 @@ significant digits, so reruns with identical inputs are byte-identical.
 Validation failures exit with status 2 and a machine-readable error record
 on stderr.
 
+``main`` parses argv with the parsers of the groups and verbs it names
+only; help and every error come from the full tree, so their text is the
+same.  The verb's ``cmd_*`` function is looked up when the tree is built,
+at each call.
+
 ``main`` runs each command with ``OPENBLAS_NUM_THREADS=1`` when numpy is not
 loaded yet and none of ``BLAS_THREAD_VARS`` is set, and then gives
 os.environ back as it found it.  numpy loads OpenBLAS at import, whose
 worker threads busy-wait for about 0.1 s before they sleep; no verb has
-work for them (see walks.py), so one thread saves that CPU time and prints
-the same bytes.  A count the user sets wins; ``import geodlab`` sets
-nothing.
+work for them (see walks.py; the one LAPACK call is the small ``eigvals``
+of shift.py), so one thread saves that CPU time and prints the same
+bytes.  A count the user sets wins; ``import geodlab`` sets nothing.
 """
 
 import argparse
@@ -421,20 +426,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser():
+def build_parser(names=None):
+    """The argparse tree of every group and verb, or, when ``names`` is
+    given, of the groups and verbs in it only: a parse that names no other
+    one ends the same in both."""
     p = _Parser(prog="geodlab")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None)
     sub = p.add_subparsers(dest="group", required=True)
 
+    def kept(name):
+        return names is None or name in names
+
+    def group(name):
+        if kept(name):
+            return sub.add_parser(name).add_subparsers(dest="verb",
+                                                       required=True)
+        return None
+
     def add(group_parser, name, fn, **flags):
+        if group_parser is None or not kept(name):
+            return
         sp = group_parser.add_parser(name)
         for flag, spec in flags.items():
             sp.add_argument("--" + flag.replace("_", "-"), **spec)
         sp.set_defaults(func=fn)
-        return sp
 
-    count = sub.add_parser("count").add_subparsers(dest="verb", required=True)
+    count = group("count")
     add(count, "perp", cmd_count_perp,
         graph={"required": True}, minus={"required": True},
         plus={"required": True}, nmax={"type": int, "default": 15})
@@ -445,7 +463,7 @@ def build_parser():
         cycle={"required": True, "help": "comma-separated edge ids"},
         nmax={"type": int, "default": 20})
 
-    sh = sub.add_parser("shift").add_subparsers(dest="verb", required=True)
+    sh = group("shift")
     shift_flags = {"graph": {"default": None}, "preset": {"default": None}}
     add(sh, "pressure", cmd_shift_pressure, **shift_flags)
     add(sh, "equilibrium", cmd_shift_equilibrium, **shift_flags)
@@ -454,7 +472,7 @@ def build_parser():
     add(sh, "decay", cmd_shift_decay,
         nmax={"type": int, "default": 20}, **shift_flags)
 
-    wk = sub.add_parser("walk").add_subparsers(dest="verb", required=True)
+    wk = group("walk")
     add(wk, "nbrw", cmd_walk_nbrw,
         graph={"required": True}, start={"required": True},
         n={"type": int, "default": 60}, reps={"type": int, "default": 0},
@@ -471,7 +489,7 @@ def build_parser():
 
     # ff and bt work over the prime field F_q
     field_q = {"type": prime, "required": True}
-    ff = sub.add_parser("ff").add_subparsers(dest="verb", required=True)
+    ff = group("ff")
     add(ff, "mertens", cmd_ff_mertens,
         q=field_q, n={"type": int, "required": True})
     add(ff, "phi", cmd_ff_phi,
@@ -484,7 +502,7 @@ def build_parser():
         disc={"default": None,
               "help": "expand the root of x^2 = disc instead"})
 
-    btp = sub.add_parser("bt").add_subparsers(dest="verb", required=True)
+    btp = group("bt")
     add(btp, "dist", cmd_bt_dist,
         q=field_q, matrix={"required": True})
     add(btp, "height", cmd_bt_height,
@@ -507,7 +525,7 @@ def build_parser():
         mode={"default": "complexity"},
         word_len={"type": int, "default": 5})
 
-    gr = sub.add_parser("graph").add_subparsers(dest="verb", required=True)
+    gr = group("graph")
     add(gr, "validate", cmd_graph_validate, graph={"required": True})
     add(gr, "volumes", cmd_graph_volumes, graph={"required": True})
     add(gr, "seed", cmd_seed,
@@ -532,11 +550,23 @@ def _one_blas_thread():
         os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 
+def _parse_args(argv):
+    """argv parsed by the tree of the groups and verbs it names, which
+    builds in a fraction of the full tree's time.  Help and every error
+    come from the full tree, whose text lists all choices."""
+    if not any(a.startswith(("-h", "--h")) for a in argv):
+        try:
+            return build_parser(set(argv)).parse_args(argv)
+        except UsageError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         with _one_blas_thread():
-            args = parser.parse_args(argv)
+            args = _parse_args(argv)
             args.func(args)
         return 0
     except GeodlabError as exc:

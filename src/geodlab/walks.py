@@ -14,12 +14,16 @@ uniform u.
 Every walk checks its steps (paths times steps, or successor entries times
 steps for the exact law) against a budget before it draws or allocates.
 
+The tree walks run in batches of fixed size and update each batch's
+buffers in place, so their memory does not grow with the number of walks;
+every sampler draws from its Philox stream in a fixed order, so a rerun
+with the same seed prints the same bytes.
+
 numpy is imported inside the functions that use it: the CLI imports this
 module for every verb, and the exact verbs must start without numpy.  The
-kernels step over successor lists or run elementwise numpy; the one BLAS
-call is ``np.cov`` on two vectors in ``green_ratio_check``.  So the CLI
-loads numpy with one OpenBLAS thread (see cli.py), and a thread count the
-user sets changes no printed float.
+kernels step over successor lists or run elementwise numpy and make no
+BLAS call.  So the CLI loads numpy with one OpenBLAS thread (see cli.py),
+and a thread count the user sets changes no printed float.
 """
 
 import itertools
@@ -177,11 +181,19 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 0)))
     start = kernel.start_distribution(start_subgraph)
     state = rng.choice(graph.edge_count(), size=reps, p=start)
-    entries, offset, length = kernel.entries, kernel.offset, kernel.length
+    # two buffers refilled at each step: once floor(u L) is in pick, the
+    # draws' bytes hold the row offsets.  Every index is in range, and
+    # mode="wrap" gathers without the copy that mode="raise" makes.
+    u = np.empty(reps)
+    pick, base = np.empty(reps, dtype=np.intp), u.view(np.intp)
     for _ in range(n - 1):
-        pick = (rng.random(reps) * length[state]).astype(np.intp)
-        state = entries[offset[state] + pick]
-    tallies = np.bincount(kernel.term[state], minlength=graph.vertex_count())
+        rng.random(out=u)
+        u *= np.take(kernel.length, state, out=pick, mode="wrap")
+        np.copyto(pick, u, casting="unsafe")
+        pick += np.take(kernel.offset, state, out=base, mode="wrap")
+        np.take(kernel.entries, pick, out=state, mode="wrap")
+    np.take(kernel.term, state, out=pick, mode="wrap")
+    tallies = np.bincount(pick, minlength=graph.vertex_count())
     return {"tallies": tallies, "empirical": tallies / reps, "reps": reps}
 
 
@@ -201,26 +213,40 @@ def _check_tree_walk(q, reps):
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
 
 
-def _returns_to_parent(rng, q, size):
-    """Exact last-exit draw for ``size`` walks that have just stepped from
-    depth k - 1 to depth k >= 1 of the (q+1)-regular tree: True where the
-    walk ever comes back to depth k - 1.
+def _returns_to_parent(rng, q, u):
+    """Exact last-exit draw for walks that have just stepped from depth
+    k - 1 to depth k >= 1 of the (q+1)-regular tree, one uniform per walk
+    drawn into the float buffer ``u``: True where the walk ever comes back
+    to depth k - 1.
 
     The distance to the parent moves away with probability q/(q+1) at every
     step, so the walk returns with probability exactly 1/q.  By the strong
     Markov property a walk that returns stands at the parent with no memory
     of its excursion, and one that does not stays below its vertex forever.
     """
-    return rng.random(size) < 1.0 / q
+    return rng.random(out=u) < 1.0 / q
 
 
-def _tree_steps(rng, q, size):
-    """One uniform step draw per walk.  Away from the root s = 0 steps to
-    the parent and s >= 1 to the child s - 1; at the root, which has q + 1
+def _tree_steps(rng, q, u, s):
+    """Fill ``s`` with one uniform step draw per walk, drawn into the float
+    buffer ``u`` of the same length.  Away from the root s = 0 steps to the
+    parent and s >= 1 to the child s - 1; at the root, which has q + 1
     children and no parent, s is the child."""
     import numpy as np
 
-    return np.minimum((rng.random(size) * (q + 1)).astype(np.int64), q)
+    rng.random(out=u)
+    np.multiply(u, q + 1, out=u)
+    np.copyto(s, u, casting="unsafe")
+    return np.minimum(s, q, out=s)
+
+
+def _draw_returns(rng, q, edge, u):
+    """Keep True in the mask ``edge`` only for the walks whose last-exit
+    draw returns them, drawn in order over the walks it marks."""
+    import numpy as np
+
+    edge[edge] = _returns_to_parent(rng, q, u[:np.count_nonzero(edge)])
+    return edge
 
 
 def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
@@ -238,7 +264,10 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     per further level.
 
     A walk takes at least ``depth`` steps, and reps * depth must be within
-    ``budget``.
+    ``budget``.  Walks run in batches of at most 200,000, in buffers of the
+    batch's length whose front holds the walks still inside the ball; the
+    ``MAX_SHADOWS`` cap lets an int8 hold each level and an int32 each
+    vertex index.
 
     Returns dict with "estimates" (per shadow), "target", "sigma"
     (per-shadow CLT standard error) and "n_shadows".
@@ -259,31 +288,53 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     tallies = np.zeros(n_shadows, dtype=np.int64)
 
     batch = min(reps, 200_000)
-    done = 0
-    while done < reps:
-        b = min(batch, reps - done)
-        # walks still inside the ball: their level, and their vertex's
-        # index in that level's sphere (the shadow code at level depth;
-        # meaningless at the root, whose next step overwrites it)
-        level = np.zeros(b, dtype=np.int64)
-        node = np.zeros(b, dtype=np.int64)
-        escaped = []
-        while node.size:
-            s = _tree_steps(rng, q, node.size)
+    # per walk: its level, and its vertex's index in that level's sphere
+    # (the shadow code at level depth; meaningless at the root, whose next
+    # step overwrites it)
+    level_buf = np.empty(batch, dtype=np.int8)
+    node_buf = np.empty(batch, dtype=np.int32)
+    u_buf = np.empty(batch)
+    s_buf = np.empty(batch, dtype=np.int32)
+    for done in range(0, reps, batch):
+        alive = min(batch, reps - done)
+        level_buf[:alive] = 0
+        node_buf[:alive] = 0
+        while alive:
+            level, node, u = level_buf[:alive], node_buf[:alive], u_buf[:alive]
+            s = _tree_steps(rng, q, u, s_buf[:alive])
             at_root = level == 0
-            back = (s == 0) & ~at_root
-            node = np.where(back, node // q,
-                            np.where(at_root, s, node * q + s - 1))
-            level += np.where(back, -1, 1)
-            edge = np.flatnonzero(level == depth)
-            ret = edge[_returns_to_parent(rng, q, edge.size)]
-            level[ret] -= 1
-            node[ret] //= q
+            back = s == 0
+            back &= ~at_root
+            # node * q + s - 1 after a step forward, node // q after one
+            # back, s from the root: blended by the masks, which is faster
+            # than a masked ufunc or np.where on a random mask
+            up = node // q
+            node *= q
+            node += s
+            node -= 1
+            up -= node
+            up *= back
+            node += up
+            s -= node
+            s *= at_root
+            node += s
+            level += 1
+            level -= back
+            level -= back
+            del at_root, back, up
+            ret = _draw_returns(rng, q, level == depth, u)
+            level -= ret
+            up = node // q
+            up -= node
+            up *= ret
+            node += up
+            del ret, up
             inside = level < depth
-            escaped.append(node[~inside])
-            node, level = node[inside], level[inside]
-        tallies += np.bincount(np.concatenate(escaped), minlength=n_shadows)
-        done += b
+            # one add per escape: a bincount would cost n_shadows per pass
+            np.add.at(tallies, node[~inside], 1)
+            alive = np.count_nonzero(inside)
+            node_buf[:alive] = node[inside]
+            level_buf[:alive] = level[inside]
 
     est = tallies / reps
     sigma = math.sqrt(target * (1 - target) / reps)
@@ -304,6 +355,12 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
     walk takes at least dmax + 1 steps, and reps * (dmax + 1) must be
     within ``budget``.
 
+    Walks run in batches of at most 100,000.  The visits Y, Z of each walk
+    to y and z add to exact integer sums of Y, Z, Y^2, Z^2 and YZ, so the
+    memory is the batch's whatever ``reps`` is.  Each moment is one
+    rounding of its exact value: the means and variances divide by reps,
+    the covariance by reps - 1 (nan for one walk).
+
     Expected ratio for the simple walk: q^{-(d_xy - d_xz)}.  Returns
     estimate, target, and a delta-method standard error for the ratio.
     """
@@ -316,54 +373,77 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
     _check_work("reps * (dmax + 1)", reps * (dmax + 1), budget)
     rng = np.random.Generator(np.random.Philox(derive_seed(seed, 2)))
 
-    visits_y = np.full(reps, d_xy == 0, dtype=np.int64)
-    visits_z = np.full(reps, d_xz == 0, dtype=np.int64)
-
+    sy = sz = syy = szz = syz = 0
     batch = min(reps, 100_000)
-    done = 0
-    while done < reps:
-        b = min(batch, reps - done)
-        # per walk still inside the ball: distance to the root, and the
-        # length of the prefix it shares with the distinguished ray; it is
-        # on the ray iff the two agree
-        walk = np.arange(done, done + b)
-        dist = np.zeros(b, dtype=np.int64)
-        ray = np.zeros(b, dtype=np.int64)
-        while walk.size:
-            s = _tree_steps(rng, q, walk.size)
+    # per walk still inside the ball: its visits to y and z so far, its
+    # distance to the root, and the length of the prefix it shares with
+    # the distinguished ray; it is on the ray iff the two agree
+    vy_buf = np.empty(batch, dtype=np.int64)
+    vz_buf = np.empty(batch, dtype=np.int64)
+    dist_buf = np.empty(batch, dtype=np.int64)
+    ray_buf = np.empty(batch, dtype=np.int64)
+    u_buf = np.empty(batch)
+    s_buf = np.empty(batch, dtype=np.int64)
+    for done in range(0, reps, batch):
+        alive = min(batch, reps - done)
+        vy_buf[:alive] = d_xy == 0
+        vz_buf[:alive] = d_xz == 0
+        dist_buf[:alive] = 0
+        ray_buf[:alive] = 0
+        while alive:
+            vy, vz = vy_buf[:alive], vz_buf[:alive]
+            dist, ray, u = dist_buf[:alive], ray_buf[:alive], u_buf[:alive]
+            s = _tree_steps(rng, q, u, s_buf[:alive])
             at_root = dist == 0
-            back = (s == 0) & ~at_root
-            # child 0 continues along the ray
-            along = (ray == dist) & (s == np.where(at_root, 0, 1))
-            dist += np.where(back, -1, 1)
-            ray = np.where(back, np.minimum(ray, dist),
-                           np.where(along, dist, ray))
-            edge = np.flatnonzero(dist > dmax)
-            ret = edge[_returns_to_parent(rng, q, edge.size)]
-            dist[ret] -= 1
-            ray[ret] = np.minimum(ray[ret], dist[ret])
+            back = s == 0
+            back &= ~at_root
+            # child 0 continues along the ray: s = 1, or s = 0 at the root
+            along = s == ~at_root
+            along &= ray == dist
+            dist += 1
+            dist -= back
+            dist -= back
+            # ray <= dist before the step, so only a step back can cut it
+            np.minimum(ray, dist, out=ray)
+            ray += along
+            del at_root, back, along
+            ret = _draw_returns(rng, q, dist > dmax, u)
+            dist -= ret
+            np.minimum(ray, dist, out=ray)
             inside = dist <= dmax
-            walk, dist, ray = walk[inside], dist[inside], ray[inside]
+            # an escaped walk visits neither point again
+            out = ~inside
+            y, z = vy[out], vz[out]
+            sy += int(y.sum())
+            sz += int(z.sum())
+            syy += int((y * y).sum())
+            szz += int((z * z).sum())
+            syz += int((y * z).sum())
+            alive = np.count_nonzero(inside)
+            for buf, col in ((vy_buf, vy), (vz_buf, vz), (dist_buf, dist),
+                             (ray_buf, ray)):
+                buf[:alive] = col[inside]
+            dist, ray = dist_buf[:alive], ray_buf[:alive]
             on = ray == dist
-            visits_y[walk] += on & (dist == d_xy)
-            visits_z[walk] += on & (dist == d_xz)
-        done += b
+            vy_buf[:alive] += on & (dist == d_xy)
+            vz_buf[:alive] += on & (dist == d_xz)
 
-    my, mz = visits_y.mean(), visits_z.mean()
-    if not my or not mz:
+    if not sy or not sz:
         raise DegenerateError(
-            f"no sampled walk visited {'y' if not my else 'z'}: the ratio "
+            f"no sampled walk visited {'y' if not sy else 'z'}: the ratio "
             "and its error need visits to both points")
+    n = reps
+    my, mz = sy / n, sz / n
     ratio = my / mz
     # delta method for the variance of the ratio of means
-    var_y = visits_y.var() / reps
-    var_z = visits_z.var() / reps
-    cov = np.cov(visits_y, visits_z)[0, 1] / reps
+    var_y = (n * syy - sy * sy) / n ** 2 / n
+    var_z = (n * szz - sz * sz) / n ** 2 / n
+    cov = (n * syz - sy * sz) / (n * (n - 1)) / n if n > 1 else math.nan
     sigma = ratio * math.sqrt(max(var_y / my ** 2 + var_z / mz ** 2
                                   - 2 * cov / (my * mz), 0.0))
     target = math.exp(-math.log(q) * (d_xy - d_xz))
-    return {"ratio": float(ratio), "target": target, "sigma": float(sigma),
-            "mean_visits_y": float(my), "mean_visits_z": float(mz)}
+    return {"ratio": ratio, "target": target, "sigma": sigma,
+            "mean_visits_y": my, "mean_visits_z": mz}
 
 
 # ---------------------------------------------------------------------------

@@ -525,6 +525,98 @@ def nbrw_global_search(P, start, n, reps, philox_seed):
     return state
 
 
+def _tree_returns(rng, q, size):
+    """Last-exit draws of ``size`` walks, one uniform each: True with
+    probability 1/q, a return to the parent."""
+    return rng.random(size) < 1.0 / q
+
+
+def _tree_steps(rng, q, size):
+    """One uniform step draw per walk: 0 is the parent, s >= 1 the child
+    s - 1; at the root s is the child."""
+    return np.minimum((rng.random(size) * (q + 1)).astype(np.int64), q)
+
+
+def tree_harmonic_reference(q, depth, reps, philox_seed):
+    """Shadow tallies of ``reps`` simple walks from the root of the
+    (q+1)-regular tree, drawn as walks.tree_harmonic_measure does, from the
+    Philox stream seeded with ``philox_seed``: batches of 200,000, int64
+    states updated by nested np.where, returns picked by index arrays, the
+    escaped walks of a batch concatenated and counted once."""
+    rng = np.random.Generator(np.random.Philox(philox_seed))
+    n_shadows = (q + 1) * q ** (depth - 1)
+    tallies = np.zeros(n_shadows, dtype=np.int64)
+    batch = min(reps, 200_000)
+    done = 0
+    while done < reps:
+        b = min(batch, reps - done)
+        level = np.zeros(b, dtype=np.int64)
+        node = np.zeros(b, dtype=np.int64)
+        escaped = []
+        while node.size:
+            s = _tree_steps(rng, q, node.size)
+            at_root = level == 0
+            back = (s == 0) & ~at_root
+            node = np.where(back, node // q,
+                            np.where(at_root, s, node * q + s - 1))
+            level += np.where(back, -1, 1)
+            edge = np.flatnonzero(level == depth)
+            ret = edge[_tree_returns(rng, q, edge.size)]
+            level[ret] -= 1
+            node[ret] //= q
+            inside = level < depth
+            escaped.append(node[~inside])
+            node, level = node[inside], level[inside]
+        tallies += np.bincount(np.concatenate(escaped), minlength=n_shadows)
+        done += b
+    return tallies
+
+
+def green_ratio_reference(q, d_xy, d_xz, reps, philox_seed):
+    """(ratio, stderr) of the Green-kernel ratio G(x,y)/G(x,z) from
+    ``reps`` walks drawn as walks.green_ratio_check does, from the Philox
+    stream seeded with ``philox_seed``: batches of 100,000, one visit
+    count per walk for all reps, the variances by np.var and the
+    covariance by np.cov."""
+    rng = np.random.Generator(np.random.Philox(philox_seed))
+    dmax = max(d_xy, d_xz)
+    visits_y = np.full(reps, d_xy == 0, dtype=np.int64)
+    visits_z = np.full(reps, d_xz == 0, dtype=np.int64)
+    batch = min(reps, 100_000)
+    done = 0
+    while done < reps:
+        b = min(batch, reps - done)
+        walk = np.arange(done, done + b)
+        dist = np.zeros(b, dtype=np.int64)
+        ray = np.zeros(b, dtype=np.int64)
+        while walk.size:
+            s = _tree_steps(rng, q, walk.size)
+            at_root = dist == 0
+            back = (s == 0) & ~at_root
+            along = (ray == dist) & (s == np.where(at_root, 0, 1))
+            dist += np.where(back, -1, 1)
+            ray = np.where(back, np.minimum(ray, dist),
+                           np.where(along, dist, ray))
+            edge = np.flatnonzero(dist > dmax)
+            ret = edge[_tree_returns(rng, q, edge.size)]
+            dist[ret] -= 1
+            ray[ret] = np.minimum(ray[ret], dist[ret])
+            inside = dist <= dmax
+            walk, dist, ray = walk[inside], dist[inside], ray[inside]
+            on = ray == dist
+            visits_y[walk] += on & (dist == d_xy)
+            visits_z[walk] += on & (dist == d_xz)
+        done += b
+    my, mz = visits_y.mean(), visits_z.mean()
+    ratio = my / mz
+    var_y = visits_y.var() / reps
+    var_z = visits_z.var() / reps
+    cov = np.cov(visits_y, visits_z)[0, 1] / reps
+    sigma = ratio * np.sqrt(max(var_y / my ** 2 + var_z / mz ** 2
+                                - 2 * cov / (my * mz), 0.0))
+    return float(ratio), float(sigma)
+
+
 def laplacian_factors(graph):
     """(D, Dstar, degc) for the conductance Laplacian Delta = Dstar D of a
     graph with reversible conductances.

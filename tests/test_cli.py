@@ -9,6 +9,7 @@ that numpy is never loaded.
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -222,11 +223,15 @@ def test_graph_file_input(tmp_path, capsys):
 
 
 def test_stochastic_rerun_byte_identical(capsys):
-    argv = ("walk", "harmonic", "--q", "2", "--depth", "1", "--reps",
-            "5000", "--seed", "9")
-    _, out1, _ = run_cli(capsys, *argv)
-    _, out2, _ = run_cli(capsys, *argv)
-    assert out1 == out2 and out1
+    for argv in (("walk", "harmonic", "--q", "2", "--depth", "1", "--reps",
+                  "5000", "--seed", "9"),
+                 ("walk", "green", "--q", "3", "--dxy", "0", "--reps", "5000",
+                  "--seed", "9"),
+                 ("walk", "nbrw", "--graph", "builtin:petersen", "--start",
+                  "P0", "--n", "20", "--reps", "5000", "--seed", "9")):
+        _, out1, _ = run_cli(capsys, *argv)
+        _, out2, _ = run_cli(capsys, *argv)
+        assert out1 == out2 and out1
 
 
 # ---------------------------------------------------------------------------
@@ -1150,6 +1155,7 @@ def test_pinned_digests_see_the_quotient_only_rule(capsys,
 # fuzzed argv: every input ends in exit 0 or in exit 2 with a JSON record
 
 
+@functools.cache
 def _verb_flags():
     """(group, verb, flags) for every verb of build_parser(), each flag as
     (option string, whether it takes a value)."""
@@ -1237,3 +1243,67 @@ def test_argv_fuzz_sees_a_plain_value_error(monkeypatch):
     monkeypatch.setattr(cli, "cmd_seed", broken)
     with pytest.raises(ValueError, match="not a GeodlabError"):
         _check_fuzzed_argv(150)
+
+
+# ---------------------------------------------------------------------------
+# the tree of the named groups and verbs parses as the full tree does
+
+
+def _parse_outcome(parse, argv):
+    """What parse(argv) ends in: ("args", the namespace's fields),
+    ("usage", message) or ("exit", code, stdout)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return ("args", vars(parse(argv)))
+    except cli.UsageError as exc:
+        return ("usage", str(exc))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue())
+
+
+def _named_tree_misses(argvs, full):
+    """The argv that cli._parse_args ends otherwise than ``full``, the
+    full tree."""
+    return [argv for argv in argvs if _parse_outcome(cli._parse_args, argv)
+            != _parse_outcome(full.parse_args, argv)]
+
+
+# help, unknown groups and verbs, a stray group name, abbreviated flags
+PARSE_ARGV = [[], ["-h"], ["--help"], ["walk"], ["walk", "-h"],
+              ["walk", "green", "-h"], ["walk", "green", "--he"],
+              ["--format", "json", "-h"], ["nope"], ["walk", "nope"],
+              ["walk", "green", "nope"],
+              ["count", "walk", "green", "--q", "2"],
+              ["walk", "green", "--q", "2", "--re", "10"],
+              ["walk", "green", "--q"], ["--format", "xml", "graph", "seed"],
+              ["--output", "walk", "graph", "seed"],
+              ["--format", "json", "ff", "phi", "--q", "4", "--poly", "Y"]]
+
+
+def test_named_tree_parses_as_the_full_tree():
+    assert _named_tree_misses(PARSE_ARGV, cli.build_parser()) == []
+
+
+def test_named_tree_parses_fuzzed_argv_as_the_full_tree():
+    full = cli.build_parser()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None, phases=[Phase.generate])
+    @given(_fuzz_argv())
+    def check(argv):
+        assert _named_tree_misses([argv], full) == []
+
+    check()
+
+
+def test_named_tree_check_sees_a_missing_fallback(monkeypatch):
+    # negative control: help and errors from the named tree list only the
+    # groups and verbs named
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser(
+        set(argv)).parse_args(argv))
+    assert _named_tree_misses(PARSE_ARGV, cli.build_parser()) == [
+        argv for argv in PARSE_ARGV if argv in (
+            ["-h"], ["--help"], ["walk", "-h"], ["--format", "json", "-h"],
+            ["nope"], ["walk", "nope"],
+            ["count", "walk", "green", "--q", "2"])]

@@ -1,5 +1,8 @@
 """Non-backtracking random walks, tree walks, and the weighted Laplacian."""
 
+import math
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -28,10 +31,12 @@ from geodlab.walks import (
 from oracles import (
     bass_matrix,
     dense,
+    green_ratio_reference,
     is_reversible,
     laplacian_factors,
     nbrw_global_search,
     order_three_pair,
+    tree_harmonic_reference,
     two_vertex_segment,
     vol_inner,
 )
@@ -354,11 +359,17 @@ def test_harmonic_deep_shadows_uniform(q, depth):
     assert stats.chisquare(counts).pvalue > 1e-6
 
 
+def wrong_return_probability(monkeypatch):
+    """Last-exit draws that return with probability 1/(q+1), not 1/q."""
+    monkeypatch.setattr(walks, "_returns_to_parent",
+                        lambda rng, q, u: rng.random(out=u) < 1 / (q + 1))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_last_exit_return_frequency(q):
     n = 200000
     rng = np.random.Generator(np.random.Philox(derive_seed(q, 9)))
-    k = int(walks._returns_to_parent(rng, q, n).sum())
+    k = int(walks._returns_to_parent(rng, q, np.empty(n)).sum())
     # two-sided exact binomial acceptance region at level 1e-6
     lo, hi = stats.binom.ppf(5e-7, n, 1 / q), stats.binom.isf(5e-7, n, 1 / q)
     assert lo <= k <= hi
@@ -369,8 +380,7 @@ def test_last_exit_return_frequency(q):
 def test_green_gate_sees_wrong_return_probability(monkeypatch, seed):
     # negative control: 1/(q+1) in place of the exact 1/q must fail the
     # 3-sigma gate of acceptance check 9
-    monkeypatch.setattr(walks, "_returns_to_parent",
-                        lambda rng, q, size: rng.random(size) < 1 / (q + 1))
+    wrong_return_probability(monkeypatch)
     out = green_ratio_check(2, 1, 2, 20000, seed)
     assert abs(out["ratio"] - out["target"]) > 3 * out["sigma"]
 
@@ -398,6 +408,91 @@ def test_green_seed_consistency():
     a = green_ratio_check(2, 1, 2, 10000, 1)
     b = green_ratio_check(2, 1, 2, 10000, 2)
     assert abs(a["ratio"] - b["ratio"]) <= 3 * (a["sigma"] + b["sigma"])
+
+
+# the kernels against the references they replaced: the same draws, so the
+# same tallies and ratio; reps past one batch (200,000 and 100,000)
+
+
+def _harmonic_misses(cases, reps):
+    """The (q, depth) whose tallies differ from the reference's."""
+    return [(q, depth) for q, depth in cases
+            if (np.rint(tree_harmonic_measure(q, depth, reps, 4)["estimates"]
+                        * reps).astype(np.int64)
+                != tree_harmonic_reference(q, depth, reps,
+                                           derive_seed(4, 1))).any()]
+
+
+def _green_misses(cases):
+    """The (q, d_xy, d_xz, reps) whose ratio differs from the reference's
+    or whose stderr is more than 1e-13 from it, relatively."""
+    misses = []
+    for case in cases:
+        out = green_ratio_check(*case, 6)
+        ratio, sigma = green_ratio_reference(*case, derive_seed(6, 2))
+        if out["ratio"] != ratio or not math.isclose(out["sigma"], sigma,
+                                                     rel_tol=1e-13):
+            misses.append(case)
+    return misses
+
+
+HARMONIC_CASES = [(q, depth) for q in (2, 3, 5) for depth in (1, 2, 3)]
+GREEN_CASES = [(2, 1, 2, 250_000), (3, 0, 2, 150_000), (2, 0, 1, 20_000),
+               (3, 2, 1, 20_000), (5, 1, 1, 1_000)]
+
+
+def test_harmonic_tallies_match_the_reference():
+    assert _harmonic_misses(HARMONIC_CASES, 450_000) == []
+
+
+def test_green_ratio_matches_the_reference():
+    assert _green_misses(GREEN_CASES) == []
+
+
+def test_reference_checks_see_a_wrong_return_probability(monkeypatch):
+    # negative control: each reference keeps its own exact draw
+    wrong_return_probability(monkeypatch)
+    assert _harmonic_misses(HARMONIC_CASES[:4], 20_000) == \
+        HARMONIC_CASES[:4]
+    assert _green_misses(GREEN_CASES[2:4]) == GREEN_CASES[2:4]
+
+
+def _peak_mb(fn, *args):
+    """Peak traced allocation of fn(*args), in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _harmonic_peak_mb(fn):
+    return _peak_mb(fn, 2, 2, 200_000, 5)
+
+
+def _green_growth(fn):
+    """Peak at 10^6 walks over the peak at 10^5."""
+    return (_peak_mb(fn, 2, 1, 2, 10 ** 6, 5)
+            / _peak_mb(fn, 2, 1, 2, 10 ** 5, 5))
+
+
+def test_harmonic_memory_is_bounded_by_the_batch():
+    assert _harmonic_peak_mb(tree_harmonic_measure) <= 6.0
+
+
+def test_harmonic_memory_bound_sees_the_reference():
+    # negative control: int64 states and np.where temporaries, 9.7 MB
+    assert _harmonic_peak_mb(tree_harmonic_reference) > 6.0
+
+
+def test_green_memory_does_not_grow_with_reps():
+    assert _green_growth(green_ratio_check) <= 1.5
+
+
+def test_green_memory_bound_sees_the_reference():
+    # negative control: visit arrays as long as reps, and np.cov's copy
+    assert _green_growth(green_ratio_reference) > 1.5
 
 
 # ---------------------------------------------------------------------------
