@@ -14,10 +14,15 @@ uniform u.
 Every walk checks its steps (paths times steps, or successor entries times
 steps for the exact law) against a budget before it draws or allocates.
 
-The tree walks run in batches of fixed size and update each batch's
-buffers in place, so their memory does not grow with the number of walks;
-every sampler draws from its Philox stream in a fixed order, so a rerun
-with the same seed prints the same bytes.
+Every sampler reads its draws from one Philox stream, and each walk reads
+its own fixed positions of it, so a rerun with the same seed prints the
+same bytes.  Philox is counter-based: ``_positioned`` starts a generator at
+any draw of the stream without drawing the ones before.  So the kernels
+step their walks in chunks of ``CHUNK`` and keep every draw buffer and
+temporary chunk-long; a chunk reads its draws where the whole set of walks
+would have read them in one pass.  The tree walks keep only their state
+batch-long (a fixed batch size); the NBRW keeps nothing as long as its
+paths.
 
 numpy is imported inside the functions that use it: the CLI imports this
 module for every verb, and the exact verbs must start without numpy.  The
@@ -38,6 +43,8 @@ MAX_SHADOWS = 2 ** 20
 # the largest q + 1 whose step draw floor(u (q + 1)) reaches every child:
 # a double u < 1 is a multiple of 2^-53
 MAX_TREE_DEGREE = 2 ** 53
+# walks stepped at once: the length of every draw buffer and temporary
+CHUNK = 2 ** 14
 
 
 class NBRWKernel:
@@ -161,15 +168,43 @@ def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
     }
 
 
+def _philox_key(seed, index):
+    """The Philox key of substream ``index`` of ``seed``."""
+    import numpy as np
+
+    return np.random.Philox(derive_seed(seed, index)).state["state"]["key"]
+
+
+def _positioned(key, pos):
+    """A generator that reads the Philox stream of ``key`` from draw
+    ``pos`` on: its draws are those the stream's draws pos, pos + 1, ...
+    would be.  Philox makes four doubles from each value of its counter,
+    so the generator advances the counter pos // 4 times and discards the
+    first pos % 4 draws of the next block."""
+    import numpy as np
+
+    bits = np.random.Philox(key=key)
+    # advance rejects numpy integers
+    bits.advance(int(pos) // 4)
+    rng = np.random.Generator(bits)
+    rng.random(pos % 4)
+    return rng
+
+
 def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
     """Monte-Carlo version of nbrw_exact: empirical vertex distribution of
     reps paths, reps * n under ``budget``.
 
-    Vectorized over paths.  At each step a path on edge e draws one uniform
-    u and moves to entry floor(u L) of e's row of L entries, which is below
-    L for every double u < 1 while L <= 2^53 (rows hold at most
-    graphs.MAX_SUCCESSORS).  The per-call RNG stream is derived from the
-    seed, so identical (seed, reps, parameters) reruns are bit-identical.
+    Path i starts on the first edge whose entry of the start law's
+    cumulative sums is above draw i of the stream (the inverse CDF that
+    ``Generator.choice`` applies).  At step t it reads draw t * reps + i,
+    u, and moves from edge e to entry floor(u L) of e's row of L entries,
+    which is below L for every double u < 1 while L <= 2^53 (rows hold at
+    most graphs.MAX_SUCCESSORS).  The paths run in chunks of ``CHUNK``, one
+    chunk through all its steps before the next, so every buffer is
+    chunk-long whatever ``reps`` is; a chunk reads each step's draws at
+    their own positions.  The stream is derived from the seed, so
+    identical (seed, reps, parameters) reruns are bit-identical.
     """
     import numpy as np
 
@@ -178,22 +213,29 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
     _check_work("reps * n", reps * n, budget)
     kernel = NBRWKernel(graph)
-    rng = np.random.Generator(np.random.Philox(derive_seed(seed, 0)))
-    start = kernel.start_distribution(start_subgraph)
-    state = rng.choice(graph.edge_count(), size=reps, p=start)
+    key = _philox_key(seed, 0)
+    cdf = kernel.start_distribution(start_subgraph).cumsum()
+    cdf /= cdf[-1]
+    tallies = np.zeros(graph.vertex_count(), dtype=np.int64)
     # two buffers refilled at each step: once floor(u L) is in pick, the
     # draws' bytes hold the row offsets.  Every index is in range, and
     # mode="wrap" gathers without the copy that mode="raise" makes.
-    u = np.empty(reps)
-    pick, base = np.empty(reps, dtype=np.intp), u.view(np.intp)
-    for _ in range(n - 1):
-        rng.random(out=u)
-        u *= np.take(kernel.length, state, out=pick, mode="wrap")
-        np.copyto(pick, u, casting="unsafe")
-        pick += np.take(kernel.offset, state, out=base, mode="wrap")
-        np.take(kernel.entries, pick, out=state, mode="wrap")
-    np.take(kernel.term, state, out=pick, mode="wrap")
-    tallies = np.bincount(pick, minlength=graph.vertex_count())
+    u_buf = np.empty(min(reps, CHUNK))
+    pick_buf = np.empty(len(u_buf), dtype=np.intp)
+    base_buf = u_buf.view(np.intp)
+    for a in range(0, reps, CHUNK):
+        m = min(CHUNK, reps - a)
+        u, pick, base = u_buf[:m], pick_buf[:m], base_buf[:m]
+        state = cdf.searchsorted(_positioned(key, a).random(out=u),
+                                 side="right")
+        for t in range(1, n):
+            _positioned(key, t * reps + a).random(out=u)
+            u *= np.take(kernel.length, state, out=pick, mode="wrap")
+            np.copyto(pick, u, casting="unsafe")
+            pick += np.take(kernel.offset, state, out=base, mode="wrap")
+            np.take(kernel.entries, pick, out=state, mode="wrap")
+        np.take(kernel.term, state, out=pick, mode="wrap")
+        tallies += np.bincount(pick, minlength=len(tallies))
     return {"tallies": tallies, "empirical": tallies / reps, "reps": reps}
 
 
@@ -264,10 +306,15 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     per further level.
 
     A walk takes at least ``depth`` steps, and reps * depth must be within
-    ``budget``.  Walks run in batches of at most 200,000, in buffers of the
-    batch's length whose front holds the walks still inside the ball; the
-    ``MAX_SHADOWS`` cap lets an int8 hold each level and an int32 each
-    vertex index.
+    ``budget``.  Walks run in batches of at most 200,000, whose state is an
+    int8 level and an int32 vertex index per walk (the ``MAX_SHADOWS`` cap
+    lets them hold every value); the front of the state holds the walks
+    still inside the ball.  A pass steps each of them once, chunk by
+    chunk.  If a pass starts at draw P of the stream with ``alive`` walks,
+    the step draws of chunk [a, b) are draws P + a ... P + b - 1, and the
+    walks of all chunks that reach the shadow level read their last-exit
+    draws in order from P + alive on.  So two cursors read the pass, and
+    the next one starts where the second stops.
 
     Returns dict with "estimates" (per shadow), "target", "sigma"
     (per-shadow CLT standard error) and "n_shadows".
@@ -282,7 +329,7 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     if n_shadows > MAX_SHADOWS:
         raise BudgetError(f"q = {q}, depth = {depth}: over {MAX_SHADOWS} shadows")
     _check_work("reps * depth", reps * depth, budget)
-    rng = np.random.Generator(np.random.Philox(derive_seed(seed, 1)))
+    key = _philox_key(seed, 1)
 
     target = 1.0 / n_shadows
     tallies = np.zeros(n_shadows, dtype=np.int64)
@@ -293,48 +340,60 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     # step overwrites it)
     level_buf = np.empty(batch, dtype=np.int8)
     node_buf = np.empty(batch, dtype=np.int32)
-    u_buf = np.empty(batch)
-    s_buf = np.empty(batch, dtype=np.int32)
+    u_buf = np.empty(min(batch, CHUNK))
+    s_buf = np.empty(len(u_buf), dtype=np.int32)
+    # rng reads the step draws of the pass that starts at draw pos
+    pos, rng = 0, _positioned(key, 0)
     for done in range(0, reps, batch):
         alive = min(batch, reps - done)
         level_buf[:alive] = 0
         node_buf[:alive] = 0
         while alive:
-            level, node, u = level_buf[:alive], node_buf[:alive], u_buf[:alive]
-            s = _tree_steps(rng, q, u, s_buf[:alive])
-            at_root = level == 0
-            back = s == 0
-            back &= ~at_root
-            # node * q + s - 1 after a step forward, node // q after one
-            # back, s from the root: blended by the masks, which is faster
-            # than a masked ufunc or np.where on a random mask
-            up = node // q
-            node *= q
-            node += s
-            node -= 1
-            up -= node
-            up *= back
-            node += up
-            s -= node
-            s *= at_root
-            node += s
-            level += 1
-            level -= back
-            level -= back
-            del at_root, back, up
-            ret = _draw_returns(rng, q, level == depth, u)
-            level -= ret
-            up = node // q
-            up -= node
-            up *= ret
-            node += up
-            del ret, up
-            inside = level < depth
-            # one add per escape: a bincount would cost n_shadows per pass
-            np.add.at(tallies, node[~inside], 1)
-            alive = np.count_nonzero(inside)
-            node_buf[:alive] = node[inside]
-            level_buf[:alive] = level[inside]
+            # one chunk reads its returns right after its steps
+            ret_rng = rng if alive <= CHUNK else _positioned(key, pos + alive)
+            kept = hits = 0
+            for a in range(0, alive, CHUNK):
+                m = min(CHUNK, alive - a)
+                level, node = level_buf[a:a + m], node_buf[a:a + m]
+                u = u_buf[:m]
+                s = _tree_steps(rng, q, u, s_buf[:m])
+                at_root = level == 0
+                back = s == 0
+                back &= ~at_root
+                # node * q + s - 1 after a step forward, node // q after
+                # one back, s from the root: blended by the masks, which is
+                # faster than a masked ufunc or np.where on a random mask
+                up = node // q
+                node *= q
+                node += s
+                node -= 1
+                up -= node
+                up *= back
+                node += up
+                s -= node
+                s *= at_root
+                node += s
+                level += 1
+                level -= back
+                level -= back
+                edge = level == depth
+                hits += np.count_nonzero(edge)
+                ret = _draw_returns(ret_rng, q, edge, u)
+                level -= ret
+                up = node // q
+                up -= node
+                up *= ret
+                node += up
+                inside = level < depth
+                # one add per escape: a bincount would cost n_shadows per
+                # chunk
+                np.add.at(tallies, node[~inside], 1)
+                k = np.count_nonzero(inside)
+                node_buf[kept:kept + k] = node[inside]
+                level_buf[kept:kept + k] = level[inside]
+                kept += k
+            pos += alive + hits
+            rng, alive = ret_rng, kept
 
     est = tallies / reps
     sigma = math.sqrt(target * (1 - target) / reps)
@@ -355,11 +414,14 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
     walk takes at least dmax + 1 steps, and reps * (dmax + 1) must be
     within ``budget``.
 
-    Walks run in batches of at most 100,000.  The visits Y, Z of each walk
-    to y and z add to exact integer sums of Y, Z, Y^2, Z^2 and YZ, so the
-    memory is the batch's whatever ``reps`` is.  Each moment is one
-    rounding of its exact value: the means and variances divide by reps,
-    the covariance by reps - 1 (nan for one walk).
+    Walks run in batches of at most 100,000, stepped chunk by chunk and
+    drawn in the order of ``tree_harmonic_measure``; each keeps its visits
+    Y, Z to y and z, its distance to x and the length of the prefix it
+    shares with the ray in batch-long columns.  The visits of each escaped
+    walk add to exact integer sums of Y, Z, Y^2, Z^2 and YZ, so the memory
+    is the batch's whatever ``reps`` is.  Each moment is one rounding of
+    its exact value: the means and variances divide by reps, the
+    covariance by reps - 1 (nan for one walk).
 
     Expected ratio for the simple walk: q^{-(d_xy - d_xz)}.  Returns
     estimate, target, and a delta-method standard error for the ratio.
@@ -371,19 +433,20 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
         raise UsageError("distances must be >= 0")
     dmax = max(d_xy, d_xz)
     _check_work("reps * (dmax + 1)", reps * (dmax + 1), budget)
-    rng = np.random.Generator(np.random.Philox(derive_seed(seed, 2)))
+    key = _philox_key(seed, 2)
 
     sy = sz = syy = szz = syz = 0
     batch = min(reps, 100_000)
     # per walk still inside the ball: its visits to y and z so far, its
     # distance to the root, and the length of the prefix it shares with
     # the distinguished ray; it is on the ray iff the two agree
-    vy_buf = np.empty(batch, dtype=np.int64)
-    vz_buf = np.empty(batch, dtype=np.int64)
-    dist_buf = np.empty(batch, dtype=np.int64)
-    ray_buf = np.empty(batch, dtype=np.int64)
-    u_buf = np.empty(batch)
-    s_buf = np.empty(batch, dtype=np.int64)
+    bufs = [np.empty(batch, dtype=np.int64) for _ in range(4)]
+    vy_buf, vz_buf, dist_buf, ray_buf = bufs
+    u_buf = np.empty(min(batch, CHUNK))
+    s_buf = np.empty(len(u_buf), dtype=np.int64)
+    # rng reads the step draws of the pass that starts at draw pos, as in
+    # tree_harmonic_measure
+    pos, rng = 0, _positioned(key, 0)
     for done in range(0, reps, batch):
         alive = min(batch, reps - done)
         vy_buf[:alive] = d_xy == 0
@@ -391,42 +454,51 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
         dist_buf[:alive] = 0
         ray_buf[:alive] = 0
         while alive:
-            vy, vz = vy_buf[:alive], vz_buf[:alive]
-            dist, ray, u = dist_buf[:alive], ray_buf[:alive], u_buf[:alive]
-            s = _tree_steps(rng, q, u, s_buf[:alive])
-            at_root = dist == 0
-            back = s == 0
-            back &= ~at_root
-            # child 0 continues along the ray: s = 1, or s = 0 at the root
-            along = s == ~at_root
-            along &= ray == dist
-            dist += 1
-            dist -= back
-            dist -= back
-            # ray <= dist before the step, so only a step back can cut it
-            np.minimum(ray, dist, out=ray)
-            ray += along
-            del at_root, back, along
-            ret = _draw_returns(rng, q, dist > dmax, u)
-            dist -= ret
-            np.minimum(ray, dist, out=ray)
-            inside = dist <= dmax
-            # an escaped walk visits neither point again
-            out = ~inside
-            y, z = vy[out], vz[out]
-            sy += int(y.sum())
-            sz += int(z.sum())
-            syy += int((y * y).sum())
-            szz += int((z * z).sum())
-            syz += int((y * z).sum())
-            alive = np.count_nonzero(inside)
-            for buf, col in ((vy_buf, vy), (vz_buf, vz), (dist_buf, dist),
-                             (ray_buf, ray)):
-                buf[:alive] = col[inside]
-            dist, ray = dist_buf[:alive], ray_buf[:alive]
-            on = ray == dist
-            vy_buf[:alive] += on & (dist == d_xy)
-            vz_buf[:alive] += on & (dist == d_xz)
+            ret_rng = rng if alive <= CHUNK else _positioned(key, pos + alive)
+            kept = hits = 0
+            for a in range(0, alive, CHUNK):
+                m = min(CHUNK, alive - a)
+                vy, vz, dist, ray = (buf[a:a + m] for buf in bufs)
+                u = u_buf[:m]
+                s = _tree_steps(rng, q, u, s_buf[:m])
+                at_root = dist == 0
+                back = s == 0
+                back &= ~at_root
+                # child 0 continues along the ray: s = 1, or s = 0 at the
+                # root
+                along = s == ~at_root
+                along &= ray == dist
+                dist += 1
+                dist -= back
+                dist -= back
+                # ray <= dist before the step, so only a step back can cut
+                # it
+                np.minimum(ray, dist, out=ray)
+                ray += along
+                edge = dist > dmax
+                hits += np.count_nonzero(edge)
+                ret = _draw_returns(ret_rng, q, edge, u)
+                dist -= ret
+                np.minimum(ray, dist, out=ray)
+                inside = dist <= dmax
+                # an escaped walk visits neither point again
+                out = ~inside
+                y, z = vy[out], vz[out]
+                sy += int(y.sum())
+                sz += int(z.sum())
+                syy += int((y * y).sum())
+                szz += int((z * z).sum())
+                syz += int((y * z).sum())
+                # escaped walks are past dmax, so only walks inside count
+                on = ray == dist
+                vy += on & (dist == d_xy)
+                vz += on & (dist == d_xz)
+                k = np.count_nonzero(inside)
+                for buf, col in zip(bufs, (vy, vz, dist, ray)):
+                    buf[kept:kept + k] = col[inside]
+                kept += k
+            pos += alive + hits
+            rng, alive = ret_rng, kept
 
     if not sy or not sz:
         raise DegenerateError(

@@ -525,6 +525,27 @@ def nbrw_global_search(P, start, n, reps, philox_seed):
     return state
 
 
+def nbrw_sample_reference(kernel, start, n, reps, philox_seed):
+    """Vertex tallies of ``reps`` non-backtracking walks of n edges over the
+    unmerged rows of ``kernel`` (an NBRWKernel), drawn as
+    walks.nbrw_sample does from the Philox stream seeded with
+    ``philox_seed``, but all paths at once and the stream read in order:
+    the start edges through rng.choice with the law ``start``, then one
+    uniform per path and step.  Three arrays of ``reps`` entries."""
+    rng = np.random.Generator(np.random.Philox(philox_seed))
+    state = rng.choice(len(start), size=reps, p=start)
+    u = np.empty(reps)
+    pick, base = np.empty(reps, dtype=np.intp), u.view(np.intp)
+    for _ in range(n - 1):
+        rng.random(out=u)
+        u *= np.take(kernel.length, state, out=pick, mode="wrap")
+        np.copyto(pick, u, casting="unsafe")
+        pick += np.take(kernel.offset, state, out=base, mode="wrap")
+        np.take(kernel.entries, pick, out=state, mode="wrap")
+    np.take(kernel.term, state, out=pick, mode="wrap")
+    return np.bincount(pick, minlength=len(kernel.graph.vertex_ids))
+
+
 def _tree_returns(rng, q, size):
     """Last-exit draws of ``size`` walks, one uniform each: True with
     probability 1/q, a return to the parent."""

@@ -1111,8 +1111,10 @@ def test_a_blas_thread_count_the_user_names_wins(var):
 # subgraphs, count orbits, shift pressure and shift equilibrium on every
 # builtin with trivial orders, where every multiplicity of the edge step is
 # 1, and walk nbrw, exact from each subgraph and sampled, on every builtin;
-# and ff expand and ff cf on zero, polynomial, fractional and quadratic
-# values
+# ff expand and ff cf on zero, polynomial, fractional and quadratic values;
+# and walk harmonic, walk green and walk nbrw --reps at path counts one
+# below, at and past walks.CHUNK, at 3 * CHUNK + 5 and past harmonic's
+# batch of 200,000
 DIGESTS = Path(__file__).with_name("stdout_digests.json")
 
 

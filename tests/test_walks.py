@@ -35,6 +35,7 @@ from oracles import (
     is_reversible,
     laplacian_factors,
     nbrw_global_search,
+    nbrw_sample_reference,
     order_three_pair,
     tree_harmonic_reference,
     two_vertex_segment,
@@ -316,6 +317,91 @@ def test_nbrw_sample_matches_masked_reference(make, start, n):
     assert (nbrw_sample(g, start, n, 3000, 21)["tallies"] == want).all()
 
 
+def _skipping_discard(key, pos):
+    """_positioned without its discard: it reads from the start of the
+    four-draw block that holds draw pos."""
+    bits = np.random.Philox(key=key)
+    bits.advance(int(pos) // 4)
+    return np.random.Generator(bits)
+
+
+def _position_misses(positioned):
+    """The positions at which ``positioned`` reads other draws than the
+    stream does from there on: each pos % 4 with reads across block edges,
+    and positions past 2^40, checked against a read from the start of the
+    block two before."""
+    key = walks._philox_key(3, 0)
+    stream = np.random.Generator(np.random.Philox(derive_seed(3, 0)))
+    draws = stream.random(64)
+    misses = [pos for pos in range(40) if (positioned(key, pos).random(24)
+                                           != draws[pos:pos + 24]).any()]
+    for pos in range(2 ** 40, 2 ** 40 + 4):
+        skip = pos % 4 + 8
+        if (positioned(key, pos).random(24)
+                != positioned(key, pos - skip).random(24 + skip)[skip:]).any():
+            misses.append(pos)
+    return misses
+
+
+def test_positioned_generator_reads_the_stream_from_its_position():
+    assert _position_misses(walks._positioned) == []
+
+
+def test_position_check_sees_a_skipped_discard():
+    # negative control: only block starts are read right
+    assert _position_misses(_skipping_discard) == [
+        pos for pos in range(40) if pos % 4] + [2 ** 40 + 1, 2 ** 40 + 2,
+                                                 2 ** 40 + 3]
+
+
+@pytest.mark.parametrize("law", [
+    NBRWKernel(petersen()).start_distribution("P0"),
+    np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0])],
+    ids=["petersen", "zeros"])
+def test_choice_is_the_inverse_cdf_of_as_many_draws(law):
+    # nbrw_sample picks its start edges as rng.choice, which its
+    # reference calls, does from the same draws: one draw per path,
+    # through the normalised cumulative sums
+    m = 5000
+    got = np.random.Generator(np.random.Philox(7)).choice(len(law), size=m,
+                                                          p=law)
+    cdf = law.cumsum()
+    cdf /= cdf[-1]
+    draws = np.random.Generator(np.random.Philox(7)).random(m)
+    assert (got == cdf.searchsorted(draws, side="right")).all()
+    assert (law[got] > 0).all()
+
+
+# paths in one chunk, at its edges, and in four chunks, the last of 5
+NBRW_REPS = [1, walks.CHUNK - 1, walks.CHUNK, walks.CHUNK + 1,
+             3 * walks.CHUNK + 5]
+
+
+def _nbrw_reference_misses(n):
+    """The reps of NBRW_REPS at which nbrw_sample on Petersen, n steps,
+    differs from the reference that draws every path at once."""
+    g = petersen()
+    kernel = NBRWKernel(g)
+    law = kernel.start_distribution("P0")
+    return [reps for reps in NBRW_REPS
+            if (nbrw_sample(g, "P0", n, reps, 13)["tallies"]
+                != nbrw_sample_reference(kernel, law, n, reps,
+                                         derive_seed(13, 0))).any()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 60])
+def test_nbrw_sample_matches_the_reference(n):
+    assert _nbrw_reference_misses(n) == []
+
+
+def test_nbrw_reference_check_sees_a_skipped_discard(monkeypatch):
+    # negative control: the step draws of a chunk start at t * reps + a,
+    # off a block start whenever reps is not a multiple of 4
+    monkeypatch.setattr(walks, "_positioned", _skipping_discard)
+    assert _nbrw_reference_misses(2) == [walks.CHUNK - 1, walks.CHUNK + 1,
+                                         3 * walks.CHUNK + 5]
+
+
 @pytest.mark.parametrize("make, start, n", NONUNIFORM_ROWS)
 def test_nbrw_sample_tracks_exact_nonuniform_rows(make, start, n):
     # rows with one and two successors (weights 1.0 and 0.5) on the order
@@ -457,6 +543,38 @@ def test_reference_checks_see_a_wrong_return_probability(monkeypatch):
     assert _green_misses(GREEN_CASES[2:4]) == GREEN_CASES[2:4]
 
 
+def _small_chunk_misses():
+    """The kernels whose draws move when every pass or path set runs in
+    chunks of 61 walks, so that most chunks read from inside a block:
+    harmonic and Green against their references, the NBRW against the one
+    that draws all paths at once."""
+    misses = _harmonic_misses(HARMONIC_CASES[:4], 2_000)
+    misses += _green_misses([(2, 1, 2, 2_000), (3, 0, 2, 2_000)])
+    for make, start in SAMPLED_WALKS:
+        g = make()
+        kernel = NBRWKernel(g)
+        want = nbrw_sample_reference(kernel, kernel.start_distribution(start),
+                                     9, 500, derive_seed(2, 0))
+        if (nbrw_sample(g, start, 9, 500, 2)["tallies"] != want).any():
+            misses.append(start)
+    return misses
+
+
+def test_kernels_draw_the_same_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(walks, "CHUNK", 61)
+    assert _small_chunk_misses() == []
+
+
+def test_small_chunk_check_sees_a_skipped_discard(monkeypatch):
+    # negative control: every kernel moves, except the NBRW on the figure
+    # eight, whose one vertex takes every path, and on theta, where the
+    # parity of the step fixes the vertex
+    monkeypatch.setattr(walks, "CHUNK", 61)
+    monkeypatch.setattr(walks, "_positioned", _skipping_discard)
+    assert _small_chunk_misses() == HARMONIC_CASES[:4] + [
+        (2, 1, 2, 2_000), (3, 0, 2, 2_000), "P0", "K", "C1", "X", "S"]
+
+
 def _peak_mb(fn, *args):
     """Peak traced allocation of fn(*args), in MB."""
     tracemalloc.start()
@@ -477,13 +595,31 @@ def _green_growth(fn):
             / _peak_mb(fn, 2, 1, 2, 10 ** 5, 5))
 
 
+def _nbrw_growth(fn):
+    """Peak of fn(reps), two steps of reps paths on Petersen, at 10^6
+    paths over the peak at 10^5."""
+    return _peak_mb(fn, 10 ** 6) / _peak_mb(fn, 10 ** 5)
+
+
+# a batch's level and vertex columns take 1 MB, chunk-long draws and
+# temporaries 0.4 MB
+HARMONIC_PEAK_MB = 2.5
+
+
 def test_harmonic_memory_is_bounded_by_the_batch():
-    assert _harmonic_peak_mb(tree_harmonic_measure) <= 6.0
+    assert _harmonic_peak_mb(tree_harmonic_measure) <= HARMONIC_PEAK_MB
+
+
+def test_harmonic_memory_bound_sees_batch_long_draws(monkeypatch):
+    # negative control: one chunk per batch, so draws and temporaries as
+    # long as the batch, 5.8 MB
+    monkeypatch.setattr(walks, "CHUNK", 200_000)
+    assert _harmonic_peak_mb(tree_harmonic_measure) > HARMONIC_PEAK_MB
 
 
 def test_harmonic_memory_bound_sees_the_reference():
-    # negative control: int64 states and np.where temporaries, 9.7 MB
-    assert _harmonic_peak_mb(tree_harmonic_reference) > 6.0
+    # negative control: int64 states and np.where temporaries, 10 MB
+    assert _harmonic_peak_mb(tree_harmonic_reference) > HARMONIC_PEAK_MB
 
 
 def test_green_memory_does_not_grow_with_reps():
@@ -493,6 +629,19 @@ def test_green_memory_does_not_grow_with_reps():
 def test_green_memory_bound_sees_the_reference():
     # negative control: visit arrays as long as reps, and np.cov's copy
     assert _green_growth(green_ratio_reference) > 1.5
+
+
+def test_nbrw_memory_does_not_grow_with_reps():
+    g = petersen()
+    assert _nbrw_growth(lambda reps: nbrw_sample(g, "P0", 2, reps, 5)) <= 1.5
+
+
+def test_nbrw_memory_bound_sees_the_reference():
+    # negative control: three arrays of reps entries
+    kernel = NBRWKernel(petersen())
+    law = kernel.start_distribution("P0")
+    assert _nbrw_growth(lambda reps: nbrw_sample_reference(
+        kernel, law, 2, reps, derive_seed(5, 0))) > 1.5
 
 
 # ---------------------------------------------------------------------------
