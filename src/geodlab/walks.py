@@ -176,11 +176,11 @@ def _philox_key(seed, index):
 
 
 def _positioned(key, pos):
-    """A generator that reads the Philox stream of ``key`` from draw
-    ``pos`` on: its draws are those the stream's draws pos, pos + 1, ...
-    would be.  Philox makes four doubles from each value of its counter,
-    so the generator advances the counter pos // 4 times and discards the
-    first pos % 4 draws of the next block."""
+    """A generator whose k-th draw is draw pos + k of the Philox stream of
+    ``key``, with none of the first pos drawn.  Philox makes four doubles
+    from each value of its counter, so the generator advances the counter
+    pos // 4 times and discards the first pos % 4 draws of the next
+    block."""
     import numpy as np
 
     bits = np.random.Philox(key=key)
