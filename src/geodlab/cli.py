@@ -216,6 +216,13 @@ def cmd_shift_equilibrium(args):
 def cmd_shift_gibbs(args):
     maxlen = _horizon(args.maxlen, 1, "--maxlen")
     s = _shift_from_args(args)
+    # the audit adds every successor entry for every start letter at each
+    # length; checked before the equilibrium is computed
+    work = s.n_letters() * sum(map(len, s.succ)) * maxlen
+    budget = _budget(10 ** 8)
+    if work > budget:
+        raise BudgetError(f"(letters) * (successor entries) * maxlen = "
+                          f"{work} exceeds the budget {budget}")
     m = shift_mod.equilibrium_measure(s)
     audit = shift_mod.weak_gibbs_audit(m, maxlen)
     rows = [(str(letter), lo, hi)

@@ -226,19 +226,59 @@ def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
 def _sweep(succ, starts, nmax, weights=None):
     """The sum, for n = 1..nmax, of mult times the mass back at e after n
     steps from unit mass on e, over (e, mult) in ``starts``: exact without
-    ``weights``, where a sum past the float range raises TooLargeError.
-    No mass strays to edges that cannot come back: with tree degrees >= 2
-    the walk that takes each successor entry with equal probability keeps
-    the measure 1/|G_f| > 0, so every edge recurs."""
-    total = [0] * nmax if weights is None else [0.0] * nmax
+    ``weights`` (``_packed_sweep``), float masses, one sweep per start,
+    with them.  No mass strays to edges that cannot come back: with tree
+    degrees >= 2 the walk that takes each successor entry with equal
+    probability keeps the measure 1/|G_f| > 0, so every edge recurs."""
+    if weights is None:
+        return _packed_sweep(succ, starts, nmax)
+    total = [0.0] * nmax
     for e, mult in starts:
-        w = [0] * len(succ) if weights is None else [0.0] * len(succ)
+        w = [0.0] * len(succ)
         w[e] = 1
         for n in range(nmax):
             w = _nb_step(succ, w, weights)
-            if w[e]:  # a partial Fix_n past the float range stays past it
+            if w[e]:
                 total[n] += mult * w[e]
-                _as_float(total[n], f"Fix_{n + 1}")
+    return total
+
+
+def _slot_bits(succ, nmax):
+    """The bits of one start's slot in ``_packed_sweep``, one more than the
+    largest mass it forms needs.
+
+    After n steps from unit mass every edge holds at most L^n, L the
+    longest row.  The sweep stops at the first Fix_n past the float range,
+    below 2^1024, and an edge that holds mass m after n steps sends it back
+    to the start within d <= E steps (every edge recurs; E edges), so
+    Fix_{n+d} >= m: no mass the sweep forms is above 2^1024 L^(E+1)."""
+    rows, edges = max(map(len, succ)), len(succ)
+    # for L >= 2, L^n is past the second bound by n = E + 1025
+    bound = min(rows ** min(nmax, edges + 1025), rows ** (edges + 1) << 1024)
+    return bound.bit_length() + 1
+
+
+def _packed_sweep(succ, starts, nmax):
+    """``_sweep``'s exact sums in one sweep for all starts.
+
+    Start k owns bits [k b, (k + 1) b) of every edge's mass, b =
+    ``_slot_bits``: the masses are non-negative and each fits its slot, so
+    the exact integer step adds every slot on its own, and the mass back at
+    the k-th start edge is read off its own slot.  Raises TooLargeError at
+    the first n whose Fix_n is past the float range."""
+    bits = _slot_bits(succ, nmax)
+    mask = (1 << bits) - 1
+    w = [0] * len(succ)
+    for k, (e, _) in enumerate(starts):
+        w[e] += 1 << (k * bits)
+    total = [0] * nmax
+    for n in range(nmax):
+        w = _nb_step(succ, w)
+        fix = 0
+        for k, (e, mult) in enumerate(starts):
+            fix += mult * ((w[e] >> (k * bits)) & mask)
+        total[n] = fix
+        _as_float(fix, f"Fix_{n + 1}")
     return total
 
 

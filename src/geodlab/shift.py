@@ -7,10 +7,10 @@ thermodynamic apparatus reduces to Perron-Frobenius data of the weighted
 transfer matrix B[a,b] = m(a,b) e^{c(b)}, with m(a,b) ways from a to b.
 
 A shift is stored as successor lists, b repeated m(a,b) times in row a, and
-every step over B runs over them in pure Python, in a fixed order: pressure
-and the equilibrium chain start without numpy, and no result depends on a
-BLAS kernel.  numpy is imported only by the Gibbs audit's max-plus DP and by
-the spectral oracle of ``correlation_decay`` (a dense LAPACK eigensolve).
+every step over B runs over them in pure Python, in a fixed order: pressure,
+the equilibrium chain and the Gibbs audit start without numpy, and no result
+depends on a BLAS kernel.  numpy is imported only by the spectral oracle of
+``correlation_decay`` (a dense LAPACK eigensolve).
 """
 
 import math
@@ -212,8 +212,11 @@ def weak_gibbs_audit(m, maxlen):
     W[a,b] = log P[a,b] - c(a) + pressure (the closing step contributes
     only -c(last) + pressure plus the admissibility constraint), which
     yields exactly the same extremes as full enumeration without touching
-    k^n words.  Each DP step gathers over a predecessor table padded to the
-    largest in-degree k: E * k work per step.
+    k^n words.  The program runs for all start letters at once over
+    columns: column b holds, per start letter, the extreme weight of the
+    paths of the current length that end at b, and the next column b is
+    the elementwise max (min) over the steps s -> b of column s plus
+    W[s, b]: (letters) * (predecessor entries) additions per length.
 
     Returns {"per_letter": {letter: (lo, hi)}, "C": max per-letter spread
     hi/lo, "C_half": the same spread over the periods <= maxlen // 2,
@@ -224,8 +227,6 @@ def weak_gibbs_audit(m, maxlen):
     always so for maxlen < 2; a wrong pressure or wrong transitions make
     the spread grow exponentially with the period instead.
     """
-    import numpy as np
-
     if maxlen > 16:
         raise BudgetError("weak-Gibbs audit capped at maxlen 16")
     n_letters = m.shift.n_letters()
@@ -236,42 +237,58 @@ def weak_gibbs_audit(m, maxlen):
         for b, x in zip(row, prow):
             if x > 0:
                 pred[b].append((a, math.log(x) - pot[a] + m.pressure))
-    # column b of the table holds the predecessors of b; the padding points
-    # at slot n_letters, which holds -inf in mx and inf in mn
-    k = max(1, *map(len, pred))
-    src = np.full((k, n_letters), n_letters)
-    W_max = np.full((k, n_letters), -np.inf)
-    W_min = np.full((k, n_letters), np.inf)
-    for b, col in enumerate(pred):
-        for i, (a, w) in enumerate(col):
-            src[i, b] = a
-            W_max[i, b] = W_min[i, b] = w
     closing = [-c + m.pressure for c in pot]  # indexed by the last letter
+    log_p = [math.log(x) for x in m.p]
+    # the min-plus program runs as the max-plus one on negated weights:
+    # rounding to nearest commutes with negation, so -max(-x - w) is the
+    # float min(x + w), up to the sign of a zero, which the sums with the
+    # closing weights below drop (no closing weight is -0.0)
+    neg_pred = [[(a, -w) for a, w in steps] for steps in pred]
 
-    per_letter, half = {}, []
+    # hi_cols[b][a], lo_cols[b][a]: the largest weight of the paths from a
+    # to b of the current length and the negated smallest, -inf for none
+    hi_cols = [[-math.inf] * n_letters for _ in range(n_letters)]
     for a in range(n_letters):
-        log_pa = math.log(m.p[a])
-        lo, hi = math.inf, -math.inf
-        mx = np.full(n_letters + 1, -np.inf)
-        mn = np.full(n_letters + 1, np.inf)
-        mx[a] = 0.0
-        mn[a] = 0.0
-        for n in range(1, maxlen + 1):
-            # paths of length n-1 from a; close up over admissible b -> a
-            for b, _ in pred[a]:
-                if math.isfinite(mx[b]):
-                    hi = max(hi, float(mx[b] + closing[b] + log_pa))
-                if math.isfinite(mn[b]):
-                    lo = min(lo, float(mn[b] + closing[b] + log_pa))
-            if n == maxlen // 2:
-                half.append((math.exp(lo), math.exp(hi)))
-            mx[:n_letters] = np.max(mx[src] + W_max, axis=0)
-            mn[:n_letters] = np.min(mn[src] + W_min, axis=0)
-        per_letter[m.shift.letters[a]] = (math.exp(lo), math.exp(hi))
+        hi_cols[a][a] = 0.0
+    lo_cols = [list(col) for col in hi_cols]
+    lo, hi, half = [math.inf] * n_letters, [-math.inf] * n_letters, []
+    for n in range(1, maxlen + 1):
+        # paths of length n-1 from a; close up over admissible b -> a
+        for a, steps in enumerate(pred):
+            for b, _ in steps:
+                x = hi_cols[b][a]
+                if math.isfinite(x):
+                    hi[a] = max(hi[a], x + closing[b] + log_p[a])
+                x = -lo_cols[b][a]
+                if math.isfinite(x):
+                    lo[a] = min(lo[a], x + closing[b] + log_p[a])
+        if n == maxlen // 2:
+            half = [(math.exp(x), math.exp(y)) for x, y in zip(lo, hi)]
+        if n < maxlen:
+            hi_cols = _max_plus_step(hi_cols, pred)
+            lo_cols = _max_plus_step(lo_cols, neg_pred)
+    per_letter = {letter: (math.exp(x), math.exp(y))
+                  for letter, x, y in zip(m.shift.letters, lo, hi)}
     C = _spread(per_letter.values(), math.inf)
     C_half = _spread(half, 1.0)
     return {"per_letter": per_letter, "C": C, "C_half": C_half,
             "passes": math.isfinite(C) and C <= GIBBS_GROWTH * C_half}
+
+
+def _max_plus_step(cols, pred):
+    """The columns one step on: column b is the elementwise max over the
+    steps (s, w) in pred[b] of column s plus w, -inf where there is none."""
+    out = []
+    for steps in pred:
+        if not steps:
+            out.append([-math.inf] * len(cols))
+            continue
+        (s, w), *rest = steps
+        col = [x + w for x in cols[s]]
+        for s, w in rest:
+            col = [y if y >= x + w else x + w for y, x in zip(col, cols[s])]
+        out.append(col)
+    return out
 
 
 def _spread(extremes, empty):

@@ -24,15 +24,18 @@ would have read them in one pass.  The tree walks keep only their state
 batch-long (a fixed batch size); the NBRW keeps nothing as long as its
 paths.
 
-numpy is imported inside the functions that use it: the CLI imports this
-module for every verb, and the exact verbs must start without numpy.  The
-kernels step over successor lists or run elementwise numpy and make no
-BLAS call.  So the CLI loads numpy with one OpenBLAS thread (see cli.py),
-and a thread count the user sets changes no printed float.
+numpy is imported inside the samplers only: the CLI imports this module
+for every verb, and the exact verbs, the exact NBRW law and the Laplacian
+included, run in Python lists without it.  The exact law forms the floats
+the array code did: its sums run in numpy's order.  The samplers run
+elementwise numpy and make no BLAS call.  So the CLI loads numpy with one
+OpenBLAS thread (see cli.py), and a thread count the user sets changes no
+printed float.
 """
 
 import itertools
 import math
+import operator
 
 from .errors import BudgetError, DegenerateError, NotTransientError, \
     TooLargeError, UsageError
@@ -49,7 +52,7 @@ CHUNK = 2 ** 14
 
 class NBRWKernel:
     """Edge-to-edge transition kernel of the non-backtracking walk, read
-    from one ``nb_successors`` call and stored twice.
+    from one ``nb_successors`` call and stored twice, in Python lists.
 
     - Merged, for the exact law: the successors of edge i are
       ``col[start[i]:start[i + 1]]``, ascending, with the probabilities
@@ -59,53 +62,66 @@ class NBRWKernel:
     """
 
     def __init__(self, graph):
-        import numpy as np
-
         graph.check_branching()
         self.graph = graph
         rows = graph.nb_successors()
-        self.entries = np.array(list(itertools.chain.from_iterable(rows)),
-                                dtype=np.intp)
-        self.length = np.array([len(succ) for succ in rows], dtype=np.intp)
-        self.offset = np.cumsum(self.length) - self.length
-        start, col, prob = [0], [], []
-        for succ in rows:
+        self.entries = list(itertools.chain.from_iterable(rows))
+        self.length = [len(succ) for succ in rows]
+        self.offset = [0, *itertools.accumulate(self.length)][:-1]
+        self.start, self.col, self.prob, self.row = [0], [], [], []
+        for i, succ in enumerate(rows):
             # a run of m equal entries in a row of L: one entry, m / L
             for j, run in itertools.groupby(succ):
-                col.append(j)
-                prob.append(len(list(run)) / len(succ))
-            start.append(len(col))
-        self.start = np.array(start, dtype=np.intp)
-        self.col = np.array(col, dtype=np.intp)
-        self.prob = np.array(prob)
-        self.row = np.repeat(np.arange(len(start) - 1), np.diff(self.start))
+                self.col.append(j)
+                self.prob.append(len(list(run)) / len(succ))
+                self.row.append(i)
+            self.start.append(len(self.col))
         # vertex index of each edge's terminus, the vertex a walk stands on
-        self.term = np.array([graph.vertex_index[graph.edges[eid].terminus]
-                              for eid in graph.edge_ids], dtype=np.intp)
+        self.term = [graph.vertex_index[graph.edges[eid].terminus]
+                     for eid in graph.edge_ids]
+        # the step in layers: the targets ranked by falling in-degree, and
+        # layer r holding the r-th entry, in ascending order of the source,
+        # of each target with more than r, a prefix of the ranking
+        into = [[] for _ in self.term]
+        for k, j in enumerate(self.col):
+            into[j].append(k)
+        rank = sorted(range(len(into)), key=lambda j: -len(into[j]))
+        self._layers = []
+        for r in range(len(into[rank[0]]) if rank else 0):
+            ks = [into[j][r] for j in rank if len(into[j]) > r]
+            self._layers.append(([self.row[k] for k in ks],
+                                 [self.prob[k] for k in ks]))
+        self._unrank = [0] * len(rank)
+        for pos, j in enumerate(rank):
+            self._unrank[j] = pos
 
     def step(self, dist):
-        """The edge law one step after ``dist``: a gather, a product and
-        additions in the order of the nonzeros, with no BLAS kernel."""
-        import numpy as np
-
-        return np.bincount(self.col, weights=dist[self.row] * self.prob,
-                           minlength=len(dist))
+        """The edge law one step after ``dist``: each target adds its
+        products dist[i] * prob in ascending order of the source i, from
+        0.0, the floats ``np.bincount(col, dist[row] * prob)`` forms (0.0
+        plus the first product is that product, none being -0.0).  Layer by
+        layer the products of all targets are formed and added at once."""
+        get = dist.__getitem__
+        acc = []
+        for src, prob in self._layers:
+            terms = map(operator.mul, map(get, src), prob)
+            acc[:len(src)] = (list(terms) if not acc
+                              else map(operator.add, acc[:len(src)], terms))
+        acc += [0.0] * (len(dist) - len(acc))
+        return list(map(acc.__getitem__, self._unrank))
 
     def start_distribution(self, subname):
         """Initial edge law for a walk leaving the named subgraph: vertex
         chosen with probability proportional to 1/|G_v| inside the subgraph,
         then one of the lifts of its exit edges uniformly: e with weight
         i(e) (``GraphOfGroups.exits``)."""
-        import numpy as np
-
         g = self.graph
         vset = list(g.subgraph(subname)["vertices"])
         exits = {v: [] for v in vset}
         for eid, m in g.exits(subname):
             exits[g.edges[eid].origin].append((g.edge_index[eid], m))
-        vweights = np.array([1.0 / g.vertices[v].order for v in vset])
-        vweights /= vweights.sum()
-        dist = np.zeros(g.edge_count())
+        vweights = _normalised([1.0 / g.vertices[v].order for v in vset])
+        dist = [0.0] * g.edge_count()
         for v, pv in zip(vset, vweights):
             tot = sum(w for _, w in exits[v])
             if tot <= 0:
@@ -116,18 +132,50 @@ class NBRWKernel:
 
     def vertex_pushforward(self, edge_dist):
         """Distribution of the current vertex = terminus of the last edge."""
-        import numpy as np
-
-        return np.bincount(self.term, weights=edge_dist,
-                           minlength=self.graph.vertex_count())
+        out = [0.0] * self.graph.vertex_count()
+        for v, x in zip(self.term, edge_dist):
+            out[v] += x
+        return out
 
     def target_distribution(self):
         """The limit law vol/Vol over vertices (nonbipartite case)."""
-        import numpy as np
-
         g = self.graph
-        w = np.array([1.0 / g.vertices[v].order for v in g.vertex_ids])
-        return w / w.sum()
+        return _normalised([1.0 / g.vertices[v].order for v in g.vertex_ids])
+
+
+def _pairwise_sum(xs, lo=0, n=None):
+    """The sum of xs[lo:lo + n] (all of xs by default) in the order of
+    numpy's pairwise summation, which ``np.sum`` of a float64 array uses:
+    below 8 terms one by one from 0.0; to 128 terms eight running sums over
+    the terms of each residue mod 8, combined as ((0+1)+(2+3))+((4+5)+(6+7)),
+    then the rest one by one; past 128 the two halves at a multiple of 8
+    below n / 2.  Python's ``sum`` rounds otherwise from 3.12 on."""
+    if n is None:
+        n = len(xs)
+    if n < 8:
+        res = 0.0
+        for x in xs[lo:lo + n]:
+            res += x
+        return res
+    if n <= 128:
+        body = lo + n - n % 8
+        r = xs[lo:lo + 8]
+        for i in range(lo + 8, body, 8):
+            for j in range(8):
+                r[j] += xs[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[body:lo + n]:
+            res += x
+        return res
+    half = n // 2 - n // 2 % 8
+    return (_pairwise_sum(xs, lo, half)
+            + _pairwise_sum(xs, lo + half, n - half))
+
+
+def _normalised(weights):
+    """``weights`` over their sum, as ``w / w.sum()`` on an array."""
+    total = _pairwise_sum(weights)
+    return [w / total for w in weights]
 
 
 def _check_steps(n):
@@ -143,9 +191,39 @@ def _check_work(what, work, budget):
                           f"{budget}")
 
 
+def _iterate(step, x, k):
+    """``step`` applied k times to ``x``, stopped once the states repeat.
+
+    Brent's cycle detection (BIT 20, 1980) keeps one saved state and moves
+    it up to the current one after 1, 2, 4, ... steps; each state is also
+    compared with the one before it, which finds a fixed point at once.
+    When the state after t steps equals one lam steps earlier, every later
+    state repeats with period lam, so the state after k steps is the one
+    after t + (k - t) mod lam.  Equal states are equal bit for bit as long
+    as they hold no -0.0 and no NaN, which no law of the walk does."""
+    saved, saved_t, power = x, 0, 1
+    for t in range(1, k + 1):
+        prev, x = x, step(x)
+        if x == prev:
+            return x
+        if x == saved:
+            for _ in range((k - t) % (t - saved_t)):
+                x = step(x)
+            return x
+        if t - saved_t == power:
+            saved, saved_t, power = x, t, 2 * power
+    return x
+
+
 def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
     """Vertex distribution after n steps of the non-backtracking walk, at
     most (successor entries) * n entry steps under ``budget``.
+
+    The law steps in floats until it repeats exactly (``_iterate``): the
+    walk mixes fast, and the law of every graph probed reaches a fixed point
+    or a short cycle within about 130 steps, so a long walk costs no more
+    than that.  Every sum is formed in numpy's order, so the floats are
+    those of the array code this replaces.
 
     Returns dict with "vertex_dist" (aligned with graph.vertex_ids),
     "target" (vol/Vol), "tv_to_target", and a "bipartite" warning flag
@@ -154,18 +232,24 @@ def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
     _check_steps(n)
     kernel = NBRWKernel(graph)
     _check_work("successor entries * n", len(kernel.entries) * n, budget)
-    dist = kernel.start_distribution(start_subgraph)
-    for _ in range(n - 1):
-        dist = kernel.step(dist)
+    dist = _iterate(kernel.step, kernel.start_distribution(start_subgraph),
+                    n - 1)
     vdist = kernel.vertex_pushforward(dist)
     target = kernel.target_distribution()
     rep = graph.volumes()
     return {
         "vertex_dist": vdist,
         "target": target,
-        "tv_to_target": 0.5 * float(abs(vdist - target).sum()),
+        "tv_to_target": 0.5 * _pairwise_sum([abs(x - y) for x, y
+                                             in zip(vdist, target)]),
         "bipartite": rep.bipartite,
     }
+
+
+# Philox objects whose generators their kernel has dropped: _positioned
+# starts its next generator on one of them instead of building a new one,
+# which seeds itself from OS entropy before taking the key
+_SPARE_BITS = []
 
 
 def _philox_key(seed, index):
@@ -180,15 +264,40 @@ def _positioned(key, pos):
     ``key``, with none of the first pos drawn.  Philox makes four doubles
     from each value of its counter, so the generator advances the counter
     pos // 4 times and discards the first pos % 4 draws of the next
-    block."""
+    block.  A spare Philox object (``_drop``) is reset to the start of the
+    stream, the state a new one would have."""
     import numpy as np
 
-    bits = np.random.Philox(key=key)
+    if _SPARE_BITS:
+        bits = _SPARE_BITS.pop()
+        zero = np.zeros(4, dtype=np.uint64)
+        bits.state = {"bit_generator": "Philox",
+                      "state": {"counter": zero, "key": key},
+                      "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
+                      "uinteger": 0}
+    else:
+        bits = np.random.Philox(key=key)
     # advance rejects numpy integers
     bits.advance(int(pos) // 4)
     rng = np.random.Generator(bits)
     rng.random(pos % 4)
     return rng
+
+
+def _drop(rng):
+    """Give the Philox object of ``rng``, which its caller reads no more,
+    back to ``_positioned``; a kernel holds at most two generators at once,
+    so two spares are kept."""
+    if len(_SPARE_BITS) < 2:
+        _SPARE_BITS.append(rng.bit_generator)
+
+
+def _fill(key, pos, out):
+    """``out`` filled with the draws of the stream of ``key`` from pos on."""
+    rng = _positioned(key, pos)
+    rng.random(out=out)
+    _drop(rng)
+    return out
 
 
 def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
@@ -213,8 +322,11 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
     _check_work("reps * n", reps * n, budget)
     kernel = NBRWKernel(graph)
+    length, offset, entries, term = (
+        np.array(x, dtype=np.intp)
+        for x in (kernel.length, kernel.offset, kernel.entries, kernel.term))
     key = _philox_key(seed, 0)
-    cdf = kernel.start_distribution(start_subgraph).cumsum()
+    cdf = np.cumsum(kernel.start_distribution(start_subgraph))
     cdf /= cdf[-1]
     tallies = np.zeros(graph.vertex_count(), dtype=np.int64)
     # two buffers refilled at each step: once floor(u L) is in pick, the
@@ -226,15 +338,14 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
     for a in range(0, reps, CHUNK):
         m = min(CHUNK, reps - a)
         u, pick, base = u_buf[:m], pick_buf[:m], base_buf[:m]
-        state = cdf.searchsorted(_positioned(key, a).random(out=u),
-                                 side="right")
+        state = cdf.searchsorted(_fill(key, a, u), side="right")
         for t in range(1, n):
-            _positioned(key, t * reps + a).random(out=u)
-            u *= np.take(kernel.length, state, out=pick, mode="wrap")
+            _fill(key, t * reps + a, u)
+            u *= np.take(length, state, out=pick, mode="wrap")
             np.copyto(pick, u, casting="unsafe")
-            pick += np.take(kernel.offset, state, out=base, mode="wrap")
-            np.take(kernel.entries, pick, out=state, mode="wrap")
-        np.take(kernel.term, state, out=pick, mode="wrap")
+            pick += np.take(offset, state, out=base, mode="wrap")
+            np.take(entries, pick, out=state, mode="wrap")
+        np.take(term, state, out=pick, mode="wrap")
         tallies += np.bincount(pick, minlength=len(tallies))
     return {"tallies": tallies, "empirical": tallies / reps, "reps": reps}
 
@@ -393,6 +504,8 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
                 level_buf[kept:kept + k] = level[inside]
                 kept += k
             pos += alive + hits
+            if ret_rng is not rng:
+                _drop(rng)
             rng, alive = ret_rng, kept
 
     est = tallies / reps
@@ -498,6 +611,8 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
                     buf[kept:kept + k] = col[inside]
                 kept += k
             pos += alive + hits
+            if ret_rng is not rng:
+                _drop(rng)
             rng, alive = ret_rng, kept
 
     if not sy or not sz:

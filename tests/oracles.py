@@ -10,6 +10,8 @@ their public fields only.  The helpers build inputs instead: orbit_bfs
 walks a quadratic irrational's orbit with its own apply_homography.
 """
 
+import itertools
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -409,6 +411,24 @@ def bass_matrix(g):
     return [[ways(e, f) for f in ids] for e in ids]
 
 
+def per_start_sweep(succ, starts, nmax):
+    """For n = 1..nmax, the sum over (e, mult) in ``starts`` of mult times
+    the number of non-backtracking paths of n steps from e back to e over
+    the successor lists ``succ``: one exact big-integer sweep per start."""
+    total = [0] * nmax
+    for e, mult in starts:
+        w = [0] * len(succ)
+        w[e] = 1
+        for n in range(nmax):
+            nxt = [0] * len(w)
+            for i, mass in enumerate(w):
+                for j in succ[i]:
+                    nxt[j] += mass
+            w = nxt
+            total[n] += mult * w[e]
+    return total
+
+
 def enumerate_perpendiculars(query):
     """Per-length counts of the perpendiculars of length <= nmax, listed
     one by one by depth-first search.  Capped at 32 edges and nmax 10."""
@@ -495,6 +515,47 @@ def biregular_constants(g, minus, plus):
     pref = 2 * p * q / ((p * q - 1) * g.edge_count())
     return (pref * (sm[p] * sp[p] + sm[q] * sp[q]),
             pref * (sm[p] * sp[q] + sm[q] * sp[p]))
+
+
+def nbrw_law_reference(graph, start, ns):
+    """{n: (vertex law, target law, total variation)} after n steps of the
+    non-backtracking walk from the subgraph ``start``, for each n in
+    ``ns``: the array code walks.nbrw_exact ran before it stopped at the
+    law's exact cycle.  It steps all max(ns) - 1 times with np.bincount
+    over the merged rows of ``graph.nb_successors()`` (a run of m equal
+    entries in a row of L is one entry, m / L) and sums with np.sum."""
+    col, prob, row = [], [], []
+    for i, succ in enumerate(graph.nb_successors()):
+        for j, run in itertools.groupby(succ):
+            col.append(j)
+            prob.append(len(list(run)) / len(succ))
+            row.append(i)
+    col, prob, row = np.array(col), np.array(prob), np.array(row)
+    term = [graph.vertex_index[graph.edges[e].terminus]
+            for e in graph.edge_ids]
+    vset = list(graph.subgraph(start)["vertices"])
+    exits = {v: [] for v in vset}
+    for eid, m in graph.exits(start):
+        exits[graph.edges[eid].origin].append((graph.edge_index[eid], m))
+    vweights = np.array([1.0 / graph.vertices[v].order for v in vset])
+    vweights /= vweights.sum()
+    dist = np.zeros(graph.edge_count())
+    for v, pv in zip(vset, vweights):
+        tot = sum(w for _, w in exits[v])
+        for j, w in exits[v]:
+            dist[j] += pv * w / tot
+    w = np.array([1.0 / graph.vertices[v].order for v in graph.vertex_ids])
+    target = w / w.sum()
+    out = {}
+    for n in range(1, max(ns) + 1):
+        if n > 1:
+            dist = np.bincount(col, weights=dist[row] * prob,
+                               minlength=len(dist))
+        if n in ns:
+            vdist = np.bincount(term, weights=dist,
+                                minlength=graph.vertex_count())
+            out[n] = (vdist, target, 0.5 * float(abs(vdist - target).sum()))
+    return out
 
 
 def nbrw_global_search(P, start, n, reps, philox_seed):
@@ -714,6 +775,55 @@ def periodic_gibbs_ratios(m, length):
         if m.p[a] > 0:
             rec([a])
     return out
+
+
+def gibbs_audit_reference(m, maxlen):
+    """(per_letter, C, C_half) of shift.weak_gibbs_audit by the numpy
+    program it ran before it went over Python columns: one start letter at
+    a time, each step a gather over a predecessor table padded to the
+    largest in-degree, with -inf (max) and inf (min) in the padding."""
+    n_letters = len(m.p)
+    pot = m.shift.potential
+    pred = [[] for _ in range(n_letters)]
+    for a, (row, prow) in enumerate(zip(m.shift.succ, m.P)):
+        for b, x in zip(row, prow):
+            if x > 0:
+                pred[b].append((a, math.log(x) - pot[a] + m.pressure))
+    k = max(1, *map(len, pred))
+    src = np.full((k, n_letters), n_letters)
+    W_max = np.full((k, n_letters), -np.inf)
+    W_min = np.full((k, n_letters), np.inf)
+    for b, col in enumerate(pred):
+        for i, (a, w) in enumerate(col):
+            src[i, b] = a
+            W_max[i, b] = W_min[i, b] = w
+    closing = [-c + m.pressure for c in pot]
+
+    per_letter, half = {}, []
+    for a in range(n_letters):
+        log_pa = math.log(m.p[a])
+        lo, hi = math.inf, -math.inf
+        mx = np.full(n_letters + 1, -np.inf)
+        mn = np.full(n_letters + 1, np.inf)
+        mx[a] = mn[a] = 0.0
+        for n in range(1, maxlen + 1):
+            for b, _ in pred[a]:
+                if math.isfinite(mx[b]):
+                    hi = max(hi, float(mx[b] + closing[b] + log_pa))
+                if math.isfinite(mn[b]):
+                    lo = min(lo, float(mn[b] + closing[b] + log_pa))
+            if n == maxlen // 2:
+                half.append((math.exp(lo), math.exp(hi)))
+            mx[:n_letters] = np.max(mx[src] + W_max, axis=0)
+            mn[:n_letters] = np.min(mn[src] + W_min, axis=0)
+        per_letter[m.shift.letters[a]] = (math.exp(lo), math.exp(hi))
+
+    def spread(extremes, empty):
+        spreads = [hi / lo for lo, hi in extremes
+                   if math.isfinite(lo) and math.isfinite(hi) and lo > 0]
+        return max(spreads) if spreads else empty
+
+    return per_letter, spread(per_letter.values(), math.inf), spread(half, 1.0)
 
 
 def brute_force_equilibrium(shift, n_starts=32, seed=12345):

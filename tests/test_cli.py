@@ -470,6 +470,22 @@ def test_walk_work_past_the_budget_is_a_record(capsys, argv, want):
     assert json.loads(err)["error"] == want
 
 
+PETERSEN_GIBBS = ["shift", "gibbs-audit", "--graph", "builtin:petersen",
+                  "--maxlen", "7"]
+
+
+def _budget_verdicts(capsys, monkeypatch, argv, work):
+    """What argv ends in under the budgets work - 1 and work: the error of
+    its record, with nothing on stdout, or its exit code."""
+    verdicts = []
+    for budget in (work - 1, work):
+        monkeypatch.setenv("GEODLAB_BUDGET", str(budget))
+        code, out, err = run_cli(capsys, *argv)
+        verdicts.append(json.loads(err)["error"] if code == 2 and out == ""
+                        else code)
+    return verdicts
+
+
 @pytest.mark.parametrize("argv, work", [
     (PETERSEN_WALK + ["--n", "7", "--reps", "11"], 77),  # reps * n
     (PETERSEN_WALK + ["--n", "7"], 420),  # 60 successor entries * n
@@ -483,14 +499,31 @@ def test_walk_work_past_the_budget_is_a_record(capsys, argv, want):
     (["ff", "cf", "--q", "5", "--disc", "Y^4+Y+1"], 9 * 16),
     (["bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y", "--word-len", "2"],
      4),
+    # (letters) * (successor entries) * maxlen for the Gibbs audit
+    (PETERSEN_GIBBS, 30 * 60 * 7),
+    (["shift", "gibbs-audit", "--preset", "golden", "--maxlen", "5"],
+     2 * 3 * 5),
 ])
 def test_walk_and_decay_budgets_env(capsys, monkeypatch, argv, work):
-    monkeypatch.setenv("GEODLAB_BUDGET", str(work - 1))
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "budget"
-    monkeypatch.setenv("GEODLAB_BUDGET", str(work))
-    assert run_cli(capsys, *argv)[0] == 0
+    assert _budget_verdicts(capsys, monkeypatch, argv, work) == ["budget", 0]
+
+
+def test_gibbs_budget_boundary_sees_a_charge_without_the_letters(
+        capsys, monkeypatch):
+    # negative control: 60 successor entries * maxlen 7, the charge of
+    # shift decay, is not the audit's boundary
+    assert _budget_verdicts(capsys, monkeypatch, PETERSEN_GIBBS,
+                            60 * 7) == ["budget", "budget"]
+
+
+def test_gibbs_budget_ends_before_the_equilibrium(capsys, monkeypatch):
+    from geodlab import shift
+
+    calls = []
+    monkeypatch.setattr(shift, "equilibrium_measure", calls.append)
+    monkeypatch.setenv("GEODLAB_BUDGET", str(30 * 60 * 7 - 1))
+    code, out, err = run_cli(capsys, *PETERSEN_GIBBS)
+    assert json.loads(err)["error"] == "budget" and calls == []
 
 
 def test_cf_step_cap_comes_before_the_budget(capsys):
@@ -814,6 +847,12 @@ EXACT_ARGV = [
 # file with conductances that the test writes
 WEIGHTED = "{weighted}"
 STEP_ARGV = [
+    ["walk", "nbrw", "--graph", "builtin:orderchain", "--start", "X",
+     "--n", "50"],
+    ["walk", "nbrw", "--graph", WEIGHTED, "--start", "U", "--n", "333"],
+    ["shift", "gibbs-audit", "--graph", "builtin:petersen", "--maxlen", "8"],
+    ["shift", "gibbs-audit", "--preset", "golden"],
+    ["shift", "gibbs-audit", "--graph", WEIGHTED],
     ["count", "perp", "--graph", "builtin:petersen", "--minus", "P0",
      "--plus", "P1", "--nmax", "10"],
     ["count", "perp", "--graph", "builtin:biregular23", "--minus", "C1",
@@ -881,12 +920,17 @@ def _numpy_free_argv(tmp_path):
                          for argv in STEP_ARGV]
 
 
+# the one graph verb that loads numpy, for the LAPACK oracle of its
+# __spectral_rate__ row
+DECAY_ARGV = ["shift", "decay", "--graph", "builtin:petersen"]
+
+
 def test_exact_verbs_do_not_import_numpy(tmp_path):
-    argvs = _numpy_free_argv(tmp_path)
+    argvs = _numpy_free_argv(tmp_path) + [DECAY_ARGV]
     out = _probe(_package_parent(), argvs)
     assert out["missing"] == []
     assert out["codes"] == [0] * len(argvs)
-    assert out["numpy_after"] == []
+    assert out["numpy_after"] == [" ".join(DECAY_ARGV)]
 
 
 def test_import_boundary_sees_a_numpy_import(tmp_path):

@@ -52,6 +52,7 @@ from oracles import (
     enumerate_perpendiculars,
     graph_of_groups,
     order_three_lollipop,
+    per_start_sweep,
     regular_constant,
     two_vertex_segment,
 )
@@ -512,6 +513,39 @@ def test_trace_oracle_catches_a_missing_doubling(monkeypatch, name):
         # of the Mobius inversion: primitive_4 = 3 - 1 is not divisible by 4
         caught = name == "orderchain"
     assert caught
+
+
+def _packed_sweep_misses():
+    """The (builtin, nmax) at which the exact sweep, all starts packed into
+    one integer per edge, differs from one sweep per start edge, with every
+    edge a start of multiplicity 1 and the reverse pairs' first edges of
+    multiplicity 2, up to nmax 60."""
+    misses = []
+    for name in sorted(BUILTIN):
+        g = BUILTIN[name]()
+        succ = g.nb_successors()
+        rev = [g.edge_index[g.edges[e].reverse] for e in g.edge_ids]
+        for starts in ([(e, 1) for e in range(len(succ))],
+                       [(e, 2) for e in range(len(succ)) if e < rev[e]]):
+            want = per_start_sweep(succ, starts, 60)
+            misses += [(name, nmax) for nmax in (1, 2, 7, 60)
+                       if counting._sweep(succ, starts, nmax)
+                       != want[:nmax]]
+    return misses
+
+
+def test_packed_sweep_is_the_per_start_sweep():
+    assert _packed_sweep_misses() == []
+
+
+def test_sweep_check_sees_a_slot_too_narrow(monkeypatch):
+    # negative control: half the bits, so a large mass carries into the
+    # next start's slot; only the cycles, whose masses stay 1, pass
+    bits = counting._slot_bits
+    monkeypatch.setattr(counting, "_slot_bits",
+                        lambda succ, nmax: bits(succ, nmax) // 2)
+    assert {name for name, _ in _packed_sweep_misses()} == (
+        set(BUILTIN) - {"cycle3", "cycle4"})
 
 
 def _asymmetric_petersen():

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geodlab.errors import ReducibleError
-from geodlab.library import BUILTIN, figure_eight, order_two_chain, petersen
+from geodlab.library import (
+    BUILTIN,
+    figure_eight,
+    order_two_chain,
+    petersen,
+    theta,
+)
 from geodlab.shift import (
     GIBBS_GROWTH,
     EdgeShift,
@@ -27,6 +33,7 @@ from geodlab.shift import (
 from oracles import (
     brute_force_equilibrium,
     dense,
+    gibbs_audit_reference,
     order_three_lollipop,
     order_three_pair,
     periodic_gibbs_ratios,
@@ -307,6 +314,41 @@ def test_gibbs_audit_below_two_compares_with_spread_one():
     audit = weak_gibbs_audit(equilibrium_measure(
         EdgeShift.from_graph(petersen())), 1)
     assert audit["C"] == math.inf and not audit["passes"]
+
+
+def _gibbs_measures():
+    """(name, measure): the builtins whose shift is irreducible, the golden
+    mean and full-shift presets, the golden controls, theta with a
+    conductance on every edge, and seeded random SFTs with potentials."""
+    out = [(name, equilibrium_measure(EdgeShift.from_graph(BUILTIN[name]())))
+           for name in sorted(set(BUILTIN) - {"cycle3", "cycle4"})]
+    out += [("full2", equilibrium_measure(EdgeShift.full_shift(2))),
+            ("full3", equilibrium_measure(EdgeShift.full_shift(
+                3, [0.3, -0.2, 0.5])))]
+    out += zip(("golden", "shifted", "uniform"), _golden_controls())
+    g = theta()
+    out.append(("weighted theta", equilibrium_measure(EdgeShift.from_graph(
+        g.with_conductance({e: 0.1 * k - 0.2
+                            for k, e in enumerate(g.edge_ids)})))))
+    rng = np.random.default_rng(23)
+    while len(out) < 20:
+        k = int(rng.integers(3, 7))
+        A = (rng.random((k, k)) < 0.5).astype(float)
+        s = EdgeShift(list(range(k)), _rows(A), rng.normal(scale=0.5, size=k))
+        if s.is_irreducible():
+            out.append((f"random {len(out)}", equilibrium_measure(s)))
+    return out
+
+
+def test_gibbs_audit_is_the_array_program_bit_for_bit():
+    misses = []
+    for name, m in _gibbs_measures():
+        for maxlen in range(1, 13):
+            audit = weak_gibbs_audit(m, maxlen)
+            got = (audit["per_letter"], audit["C"], audit["C_half"])
+            if repr(got) != repr(gibbs_audit_reference(m, maxlen)):
+                misses.append((name, maxlen))
+    assert misses == []
 
 
 # ---------------------------------------------------------------------------

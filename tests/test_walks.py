@@ -12,6 +12,7 @@ from geodlab import walks
 from geodlab.errors import DegenerateError
 from geodlab.graphs import MAX_SUCCESSORS, load_validate
 from geodlab.library import (
+    BUILTIN,
     biregular_two_cycles,
     dumbbell,
     figure_eight,
@@ -35,6 +36,7 @@ from oracles import (
     is_reversible,
     laplacian_factors,
     nbrw_global_search,
+    nbrw_law_reference,
     nbrw_sample_reference,
     order_three_pair,
     tree_harmonic_reference,
@@ -135,6 +137,74 @@ def test_kernel_uniform_for_trivial_orders():
     assert set(np.round(P[P > 0], 12)) == {0.5}
 
 
+LAW_STEPS = (1, 2, 3, 7, 50, 333, 1000, 5000)
+
+
+def _law_walks():
+    """(name, graph, start subgraph): every builtin with tree degrees >= 2
+    from each of its subgraphs with exit edges, and seeded cubic and
+    quartic graphs."""
+    out = [("cubic", _random_cubic(), "S"),
+           ("quartic", _random_regular(4, 30, 5), "S")]
+    for name in sorted(BUILTIN):
+        g = BUILTIN[name]()
+        for sub in sorted(g.subgraphs):
+            try:
+                NBRWKernel(g).start_distribution(sub)
+            except DegenerateError:
+                continue
+            out.append((name, g, sub))
+    return out
+
+
+# the array code's laws by (graph, start), shared by the check and its
+# control
+_LAW_REFERENCE = {}
+
+
+def _law_misses():
+    """The (graph, start, n) at which nbrw_exact's law, target or total
+    variation differs in any bit from the array code's, n in LAW_STEPS."""
+    misses = []
+    for name, g, sub in _law_walks():
+        if (name, sub) not in _LAW_REFERENCE:
+            _LAW_REFERENCE[name, sub] = nbrw_law_reference(g, sub, LAW_STEPS)
+        want = _LAW_REFERENCE[name, sub]
+        for n in LAW_STEPS:
+            out = nbrw_exact(g, sub, n)
+            got = np.array([*out["vertex_dist"], *out["target"],
+                            out["tv_to_target"]])
+            if got.tobytes() != np.array([*want[n][0], *want[n][1],
+                                          want[n][2]]).tobytes():
+                misses.append((name, sub, n))
+    return misses
+
+
+def test_exact_law_is_the_array_code_bit_for_bit():
+    assert _law_misses() == []
+
+
+def _stop_without_tail(step, x, k):
+    """walks._iterate returning the state at which the repeat shows,
+    without the (k - t) mod lam steps on to step k."""
+    saved, saved_t, power = x, 0, 1
+    for t in range(1, k + 1):
+        prev, x = x, step(x)
+        if x == prev or x == saved:
+            return x
+        if t - saved_t == power:
+            saved, saved_t, power = x, t, 2 * power
+    return x
+
+
+def test_law_check_sees_a_cycle_stop_without_its_tail(monkeypatch):
+    # negative control: theta's law is periodic with period 2 and
+    # dumbbell's with period 6, so stopping where the cycle shows is off
+    # at most horizons; a fixed point needs no tail
+    monkeypatch.setattr(walks, "_iterate", _stop_without_tail)
+    assert {name for name, _, _ in _law_misses()} == {"theta", "dumbbell"}
+
+
 def test_nbrw_exact_petersen_converges():
     out = nbrw_exact(petersen(), "P0", 60)
     assert not out["bipartite"]
@@ -207,9 +277,9 @@ def _vertex_tallies(g, state):
     return np.bincount(term[state], minlength=g.vertex_count())
 
 
-def _random_cubic():
-    """A seeded random cubic graph on 40 vertices; "S" is one vertex."""
-    h = nx.random_regular_graph(3, 40, seed=11)
+def _random_regular(degree, n, seed):
+    """A seeded random regular graph; "S" is one vertex."""
+    h = nx.random_regular_graph(degree, n, seed=seed)
     edges = []
     for k, (u, v) in enumerate(h.edges()):
         edges += [{"id": f"e{k}+", "from": f"v{u}", "to": f"v{v}",
@@ -219,6 +289,11 @@ def _random_cubic():
     return load_validate({
         "vertices": [{"id": f"v{v}"} for v in h.nodes()], "edges": edges,
         "subgraphs": {"S": {"vertices": ["v0"], "edges": []}}})
+
+
+def _random_cubic():
+    """A seeded random cubic graph on 40 vertices; "S" is one vertex."""
+    return _random_regular(3, 40, 11)
 
 
 NONUNIFORM_ROWS = [(order_two_chain, "X", 7), (biregular_two_cycles, "C1", 9)]
@@ -266,7 +341,7 @@ def test_global_search_sees_shifted_entry_offsets(monkeypatch):
 
     def shifted(self, graph):
         init(self, graph)
-        self.offset = self.offset - 1
+        self.offset = [o - 1 for o in self.offset]
 
     monkeypatch.setattr(NBRWKernel, "__init__", shifted)
     g = petersen()
@@ -355,7 +430,7 @@ def test_position_check_sees_a_skipped_discard():
 
 
 @pytest.mark.parametrize("law", [
-    NBRWKernel(petersen()).start_distribution("P0"),
+    np.array(NBRWKernel(petersen()).start_distribution("P0")),
     np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0])],
     ids=["petersen", "zeros"])
 def test_choice_is_the_inverse_cdf_of_as_many_draws(law):
