@@ -17,6 +17,7 @@ from .errors import (
     TooLargeError,
     UnsupportedError,
 )
+from .graphs import ScatterAdd
 from .shift import EdgeShift, _dot, _perron
 
 DEFAULT_BUDGET = 10 ** 8
@@ -73,24 +74,29 @@ def _ends(g, minus, plus):
     return first, last
 
 
-def _nb_step(succ, w, weights=None):
-    """One step w -> wB of the non-backtracking edge dynamics, ``succ`` as
-    from ``GraphOfGroups.nb_successors``.  Exact big-integer masses when
-    B counts the successors (no ``weights``), float masses when each
-    successor j carries weights[j]."""
+def _nb_step(succ, weights=None):
+    """The step w -> wB of the non-backtracking edge dynamics, ``succ`` as
+    from ``GraphOfGroups.nb_successors``, as a function of w.  Exact
+    big-integer masses when B counts the successors (no ``weights``),
+    added a layer of successor entries at a time (``ScatterAdd``); float
+    masses when each successor j carries weights[j], added in ascending
+    order of the source."""
     if weights is None:
-        nxt = [0] * len(w)
-        for i, mass in enumerate(w):
-            if mass:
-                for j in succ[i]:
-                    nxt[j] += mass
-    else:
+        scatter = ScatterAdd([j for row in succ for j in row], len(succ))
+        src = [i for i, row in enumerate(succ) for _ in row]
+        layers = [[src[k] for k in ks] for ks in scatter.layers]
+        return lambda w: scatter(
+            (map(w.__getitem__, layer) for layer in layers), 0)
+
+    def step(w):
         nxt = [0.0] * len(w)
         for i, mass in enumerate(w):
             if mass:
                 for j in succ[i]:
                     nxt[j] += mass * weights[j]
-    return nxt
+        return nxt
+
+    return step
 
 
 def _as_float(count, what):
@@ -123,6 +129,7 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     for i, m in start:
         w[i] = m if exact else m * weights[i]
 
+    step = _nb_step(succ, weights)
     counts, weighted = [], []
     for n in range(1, query.nmax + 1):
         harvest = sum(w[i] for i in end_idx)
@@ -133,7 +140,7 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
             counts.append(0)
             weighted.append(harvest)
         if n < query.nmax:
-            w = _nb_step(succ, w, weights)
+            w = step(w)
     return CountSeries(counts, weighted)
 
 
@@ -232,12 +239,13 @@ def _sweep(succ, starts, nmax, weights=None):
     probability keeps the measure 1/|G_f| > 0, so every edge recurs."""
     if weights is None:
         return _packed_sweep(succ, starts, nmax)
+    step = _nb_step(succ, weights)
     total = [0.0] * nmax
     for e, mult in starts:
         w = [0.0] * len(succ)
         w[e] = 1
         for n in range(nmax):
-            w = _nb_step(succ, w, weights)
+            w = step(w)
             if w[e]:
                 total[n] += mult * w[e]
     return total
@@ -271,9 +279,10 @@ def _packed_sweep(succ, starts, nmax):
     w = [0] * len(succ)
     for k, (e, _) in enumerate(starts):
         w[e] += 1 << (k * bits)
+    step = _nb_step(succ)
     total = [0] * nmax
     for n in range(nmax):
-        w = _nb_step(succ, w)
+        w = step(w)
         fix = 0
         for k, (e, mult) in enumerate(starts):
             fix += mult * ((w[e] >> (k * bits)) & mask)

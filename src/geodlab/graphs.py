@@ -7,7 +7,8 @@ deg(v) = sum of i(e) = |G_{o(e)}|/|G_e| over outgoing edges, i.e. its degree
 in the Bass-Serre tree.  ``nb_successors`` holds the one non-backtracking
 edge rule (Bass 1992; Serre, Trees, I.4): a tree path continues from e into
 f, o(f) = t(e), in i(f) - [f = reverse of e] ways.  Counting, the shift and
-the NBRW all step over it.
+the NBRW all step over it; the exact count and the exact NBRW law add the
+terms of a step a layer at a time (``ScatterAdd``).
 
 numpy is imported only by ``nb_transfer``, a dense view of the edge
 operator that no verb calls: loading and validating a graph, and every
@@ -17,6 +18,7 @@ verb that steps over ``nb_successors``, start without numpy.
 from fractions import Fraction
 import json
 import math
+import operator
 
 from .errors import DegenerateError, GraphFormatError, TooLargeError
 
@@ -202,6 +204,37 @@ class VolumeReport:
     def __repr__(self):
         return (f"VolumeReport(vol={self.vol}, tvol={self.tvol}, "
                 f"bipartite={self.bipartite})")
+
+
+class ScatterAdd:
+    """out[targets[k]] += term k for every entry k, in ascending k from a
+    zero, the order of ``np.bincount``, with the Python work done by map()
+    over whole layers: the targets are ranked by falling number of
+    entries, and layer r holds the r-th entry of each target with more than
+    r, a prefix of the ranking.  ``layers`` lists each layer's entries."""
+
+    def __init__(self, targets, size):
+        into = [[] for _ in range(size)]
+        for k, j in enumerate(targets):
+            into[j].append(k)
+        rank = sorted(range(size), key=lambda j: -len(into[j]))
+        self.layers = []
+        for r in range(len(into[rank[0]]) if rank else 0):
+            self.layers.append([into[j][r] for j in rank if len(into[j]) > r])
+        self.unrank = [0] * size
+        for pos, j in enumerate(rank):
+            self.unrank[j] = pos
+
+    def __call__(self, layer_terms, zero):
+        """The sums, from an iterable over the layers of iterables over
+        their terms: zero plus the first term of a target is taken to be
+        that term, which holds for any int and for every float but -0.0."""
+        acc = []
+        for ks, terms in zip(self.layers, layer_terms):
+            acc[:len(ks)] = (list(terms) if not acc
+                             else map(operator.add, acc[:len(ks)], terms))
+        acc += [zero] * (len(self.unrank) - len(acc))
+        return list(map(acc.__getitem__, self.unrank))
 
 
 def _reached(start, arcs):

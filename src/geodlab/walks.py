@@ -39,6 +39,7 @@ import operator
 
 from .errors import BudgetError, DegenerateError, NotTransientError, \
     TooLargeError, UsageError
+from .graphs import ScatterAdd
 from .seeding import derive_seed
 
 # cap on tree_harmonic_measure's shadows, one tally and output row each
@@ -79,36 +80,19 @@ class NBRWKernel:
         # vertex index of each edge's terminus, the vertex a walk stands on
         self.term = [graph.vertex_index[graph.edges[eid].terminus]
                      for eid in graph.edge_ids]
-        # the step in layers: the targets ranked by falling in-degree, and
-        # layer r holding the r-th entry, in ascending order of the source,
-        # of each target with more than r, a prefix of the ranking
-        into = [[] for _ in self.term]
-        for k, j in enumerate(self.col):
-            into[j].append(k)
-        rank = sorted(range(len(into)), key=lambda j: -len(into[j]))
-        self._layers = []
-        for r in range(len(into[rank[0]]) if rank else 0):
-            ks = [into[j][r] for j in rank if len(into[j]) > r]
-            self._layers.append(([self.row[k] for k in ks],
-                                 [self.prob[k] for k in ks]))
-        self._unrank = [0] * len(rank)
-        for pos, j in enumerate(rank):
-            self._unrank[j] = pos
+        # the step's sources and probabilities, layer by layer
+        self._scatter = ScatterAdd(self.col, len(self.term))
+        self._layers = [([self.row[k] for k in ks], [self.prob[k] for k in ks])
+                        for ks in self._scatter.layers]
 
     def step(self, dist):
         """The edge law one step after ``dist``: each target adds its
         products dist[i] * prob in ascending order of the source i, from
-        0.0, the floats ``np.bincount(col, dist[row] * prob)`` forms (0.0
-        plus the first product is that product, none being -0.0).  Layer by
-        layer the products of all targets are formed and added at once."""
+        0.0, the floats ``np.bincount(col, dist[row] * prob)`` forms; no
+        product is -0.0."""
         get = dist.__getitem__
-        acc = []
-        for src, prob in self._layers:
-            terms = map(operator.mul, map(get, src), prob)
-            acc[:len(src)] = (list(terms) if not acc
-                              else map(operator.add, acc[:len(src)], terms))
-        acc += [0.0] * (len(dist) - len(acc))
-        return list(map(acc.__getitem__, self._unrank))
+        return self._scatter((map(operator.mul, map(get, src), prob)
+                              for src, prob in self._layers), 0.0)
 
     def start_distribution(self, subname):
         """Initial edge law for a walk leaving the named subgraph: vertex
