@@ -25,6 +25,8 @@ from .errors import (
 POWER_TOL = 1e-12
 POWER_CAP = 10 ** 6
 GIBBS_GROWTH = 4.0  # the spread may grow this much from maxlen // 2 to maxlen
+# path weights the Gibbs audit holds at once, (letters) * (start letters)
+GIBBS_CELLS = 2 ** 18
 
 
 class EdgeShift:
@@ -212,11 +214,13 @@ def weak_gibbs_audit(m, maxlen):
     W[a,b] = log P[a,b] - c(a) + pressure (the closing step contributes
     only -c(last) + pressure plus the admissibility constraint), which
     yields exactly the same extremes as full enumeration without touching
-    k^n words.  The program runs for all start letters at once over
+    k^n words.  The program runs for a block of start letters at once over
     columns: column b holds, per start letter, the extreme weight of the
     paths of the current length that end at b, and the next column b is
     the elementwise max (min) over the steps s -> b of column s plus
-    W[s, b]: (letters) * (predecessor entries) additions per length.
+    W[s, b]: (start letters) * (predecessor entries) additions per length.
+    A block holds GIBBS_CELLS // (letters) start letters, at least one, so
+    the columns hold at most GIBBS_CELLS weights, or one per letter.
 
     Returns {"per_letter": {letter: (lo, hi)}, "C": max per-letter spread
     hi/lo, "C_half": the same spread over the periods <= maxlen // 2,
@@ -239,34 +243,14 @@ def weak_gibbs_audit(m, maxlen):
                 pred[b].append((a, math.log(x) - pot[a] + m.pressure))
     closing = [-c + m.pressure for c in pot]  # indexed by the last letter
     log_p = [math.log(x) for x in m.p]
-    # the min-plus program runs as the max-plus one on negated weights:
-    # rounding to nearest commutes with negation, so -max(-x - w) is the
-    # float min(x + w), up to the sign of a zero, which the sums with the
-    # closing weights below drop (no closing weight is -0.0)
-    neg_pred = [[(a, -w) for a, w in steps] for steps in pred]
-
-    # hi_cols[b][a], lo_cols[b][a]: the largest weight of the paths from a
-    # to b of the current length and the negated smallest, -inf for none
-    hi_cols = [[-math.inf] * n_letters for _ in range(n_letters)]
-    for a in range(n_letters):
-        hi_cols[a][a] = 0.0
-    lo_cols = [list(col) for col in hi_cols]
-    lo, hi, half = [math.inf] * n_letters, [-math.inf] * n_letters, []
-    for n in range(1, maxlen + 1):
-        # paths of length n-1 from a; close up over admissible b -> a
-        for a, steps in enumerate(pred):
-            for b, _ in steps:
-                x = hi_cols[b][a]
-                if math.isfinite(x):
-                    hi[a] = max(hi[a], x + closing[b] + log_p[a])
-                x = -lo_cols[b][a]
-                if math.isfinite(x):
-                    lo[a] = min(lo[a], x + closing[b] + log_p[a])
-        if n == maxlen // 2:
-            half = [(math.exp(x), math.exp(y)) for x, y in zip(lo, hi)]
-        if n < maxlen:
-            hi_cols = _max_plus_step(hi_cols, pred)
-            lo_cols = _max_plus_step(lo_cols, neg_pred)
+    lo, hi, half = [], [], []
+    block = max(1, GIBBS_CELLS // n_letters)
+    for first in range(0, n_letters, block):
+        starts = range(first, min(first + block, n_letters))
+        extremes = _log_ratio_extremes(pred, closing, log_p, starts, maxlen)
+        lo += extremes[0]
+        hi += extremes[1]
+        half += extremes[2]
     per_letter = {letter: (math.exp(x), math.exp(y))
                   for letter, x, y in zip(m.shift.letters, lo, hi)}
     C = _spread(per_letter.values(), math.inf)
@@ -275,13 +259,49 @@ def weak_gibbs_audit(m, maxlen):
             "passes": math.isfinite(C) and C <= GIBBS_GROWTH * C_half}
 
 
+def _log_ratio_extremes(pred, closing, log_p, starts, maxlen):
+    """(lo, hi, half) for the letters ``starts``: the least and the largest
+    log Gibbs ratio of the periodic words from each of period <= maxlen
+    (inf and -inf for none), and the (lo, hi) ratios, exponentiated, over
+    the periods <= maxlen // 2 (no pairs for maxlen < 2)."""
+    # the min-plus program runs as the max-plus one on negated weights:
+    # rounding to nearest commutes with negation, so -max(-x - w) is the
+    # float min(x + w), up to the sign of a zero, which the sums with the
+    # closing weights below drop (no closing weight is -0.0)
+    neg_pred = [[(a, -w) for a, w in steps] for steps in pred]
+    # hi_cols[b][i], lo_cols[b][i]: the largest weight of the paths of the
+    # current length from starts[i] to b and the negated smallest, -inf
+    # for none
+    hi_cols = [[-math.inf] * len(starts) for _ in pred]
+    for i, a in enumerate(starts):
+        hi_cols[a][i] = 0.0
+    lo_cols = [list(col) for col in hi_cols]
+    lo, hi, half = [math.inf] * len(starts), [-math.inf] * len(starts), []
+    for n in range(1, maxlen + 1):
+        # paths of length n-1 from a; close up over admissible b -> a
+        for i, a in enumerate(starts):
+            for b, _ in pred[a]:
+                x = hi_cols[b][i]
+                if math.isfinite(x):
+                    hi[i] = max(hi[i], x + closing[b] + log_p[a])
+                x = -lo_cols[b][i]
+                if math.isfinite(x):
+                    lo[i] = min(lo[i], x + closing[b] + log_p[a])
+        if n == maxlen // 2:
+            half = [(math.exp(x), math.exp(y)) for x, y in zip(lo, hi)]
+        if n < maxlen:
+            hi_cols = _max_plus_step(hi_cols, pred)
+            lo_cols = _max_plus_step(lo_cols, neg_pred)
+    return lo, hi, half
+
+
 def _max_plus_step(cols, pred):
     """The columns one step on: column b is the elementwise max over the
     steps (s, w) in pred[b] of column s plus w, -inf where there is none."""
     out = []
     for steps in pred:
         if not steps:
-            out.append([-math.inf] * len(cols))
+            out.append([-math.inf] * len(cols[0]))
             continue
         (s, w), *rest = steps
         col = [x + w for x in cols[s]]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geodlab import shift
 from geodlab.errors import ReducibleError
 from geodlab.library import (
     BUILTIN,
@@ -349,6 +350,17 @@ def test_gibbs_audit_is_the_array_program_bit_for_bit():
             if repr(got) != repr(gibbs_audit_reference(m, maxlen)):
                 misses.append((name, maxlen))
     assert misses == []
+
+
+def test_gibbs_audit_in_blocks_of_start_letters_is_the_same(monkeypatch):
+    # every measure above fits one block; 21 cells make blocks of one to
+    # three letters on six letters or more, and of four and then one on
+    # the random five-letter shifts
+    want = [repr(weak_gibbs_audit(m, maxlen)) for _, m in _gibbs_measures()
+            for maxlen in (1, 12)]
+    monkeypatch.setattr(shift, "GIBBS_CELLS", 21)
+    assert [repr(weak_gibbs_audit(m, maxlen)) for _, m in _gibbs_measures()
+            for maxlen in (1, 12)] == want
 
 
 # ---------------------------------------------------------------------------
