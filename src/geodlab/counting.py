@@ -17,7 +17,7 @@ from .errors import (
     TooLargeError,
     UnsupportedError,
 )
-from .graphs import ScatterAdd
+from .graphs import ScatterAdd, fold_sum
 from .shift import EdgeShift, _dot, _perron
 
 DEFAULT_BUDGET = 10 ** 8
@@ -132,7 +132,7 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     step = _nb_step(succ, weights)
     counts, weighted = [], []
     for n in range(1, query.nmax + 1):
-        harvest = sum(w[i] for i in end_idx)
+        harvest = fold_sum(w[i] for i in end_idx)
         if exact:
             counts.append(harvest)
             weighted.append(_as_float(harvest, f"count at length {n}"))
@@ -206,7 +206,8 @@ def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
     for i in last:
         l_cls[cls[i]] += l[i]
     pref = d * rho ** (d - 1) / ((rho ** d - 1) * _dot(l, r))
-    constants = [pref * sum(r_cls[a] * l_cls[(a + c) % d] for a in range(d))
+    constants = [pref * fold_sum(r_cls[a] * l_cls[(a + c) % d]
+                                 for a in range(d))
                  for c in range(d)]
     cum, ratios = [0] * d, []
     for n, count in enumerate(series.counts, 1):

@@ -442,15 +442,6 @@ def prime_sieves(q, max_degree):
         yield sieve
 
 
-def monic_phi_sum(q, n):
-    """Sum of euler_phi over monic polynomials of exact degree n (sieved)."""
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
-    for sieve in prime_sieves(q, n):
-        pass
-    return sieve.phi_sum()
-
-
 def mertens_sum(q, n, budget=10 ** 7):
     """Sum of euler_phi over all nonzero f with 0 < deg f <= n.
 
@@ -705,9 +696,6 @@ class QuadIrr:
     @property
     def q(self):
         return self.A.q
-
-    def conj(self):
-        return QuadIrr._raw(self.A, self.B, self.C, self.disc, -self.sign)
 
     def key(self):
         return (self.A.coeffs, self.B.coeffs, self.C.coeffs, self.sign)

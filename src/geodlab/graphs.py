@@ -8,7 +8,9 @@ in the Bass-Serre tree.  ``nb_successors`` holds the one non-backtracking
 edge rule (Bass 1992; Serre, Trees, I.4): a tree path continues from e into
 f, o(f) = t(e), in i(f) - [f = reverse of e] ways.  Counting, the shift and
 the NBRW all step over it; the exact count and the exact NBRW law add the
-terms of a step a layer at a time (``ScatterAdd``).
+terms of a step a layer at a time (``ScatterAdd``), and the other float
+sums of counting, the shift and the Laplacian add left to right
+(``fold_sum``), so that no printed float depends on the Python version.
 
 numpy is imported only by ``nb_transfer``, a dense view of the edge
 operator that no verb calls: loading and validating a graph, and every
@@ -16,6 +18,7 @@ verb that steps over ``nb_successors``, start without numpy.
 """
 
 from fractions import Fraction
+import functools
 import json
 import math
 import operator
@@ -83,10 +86,6 @@ class GraphOfGroups:
 
     def tree_degree(self, vid):
         return sum(self.index_i(eid) for eid in self._out[vid])
-
-    def trivial_orders(self):
-        return (all(v.order == 1 for v in self.vertices.values())
-                and all(e.order == 1 for e in self.edges.values()))
 
     def edge_weights(self):
         """w(e) = exp(c(e)) for each edge, in ``edge_ids`` order;
@@ -235,6 +234,15 @@ class ScatterAdd:
                              else map(operator.add, acc[:len(ks)], terms))
         acc += [zero] * (len(self.unrank) - len(acc))
         return list(map(acc.__getitem__, self.unrank))
+
+
+def fold_sum(terms):
+    """The terms added one by one from the left, from 0: the floats that
+    builtin ``sum()`` forms through Python 3.11.  From 3.12 on ``sum()``
+    adds floats with compensation, so printed floats would depend on the
+    interpreter.  Sums only ever of ints or Fractions are exact and keep
+    ``sum()``."""
+    return functools.reduce(operator.add, terms, 0)
 
 
 def _reached(start, arcs):

@@ -21,6 +21,7 @@ from .errors import (
     ReducibleError,
     TooLargeError,
 )
+from .graphs import fold_sum
 
 POWER_TOL = 1e-12
 POWER_CAP = 10 ** 6
@@ -102,7 +103,7 @@ def _strongly_connected(succ):
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return fold_sum(a * b for a, b in zip(x, y))
 
 
 def _perron(shift, cap=POWER_CAP):
@@ -117,18 +118,18 @@ def _perron(shift, cap=POWER_CAP):
     n = len(succ)
 
     def right_step(v):  # (B + I) v
-        return [v[a] + sum(wt[b] * v[b] for b in row)
+        return [v[a] + fold_sum(wt[b] * v[b] for b in row)
                 for a, row in enumerate(succ)]
 
     def left_step(v):  # v (B + I)
-        return [v[b] + wt[b] * sum(v[a] for a in row)
+        return [v[b] + wt[b] * fold_sum(v[a] for a in row)
                 for b, row in enumerate(pred)]
 
     def iterate(step):
         v = [1.0 / n] * n
         for _ in range(cap):
             w = step(v)
-            s = sum(w)
+            s = fold_sum(w)
             if s <= 0:
                 raise ReducibleError("transfer matrix lost all mass")
             w = [x / s for x in w]
@@ -141,7 +142,7 @@ def _perron(shift, cap=POWER_CAP):
 
     right, left = iterate(right_step), iterate(left_step)
     # one Rayleigh polish for the eigenvalue
-    Br = [sum(wt[b] * right[b] for b in row) for row in succ]
+    Br = [fold_sum(wt[b] * right[b] for b in row) for row in succ]
     return _dot(left, Br) / _dot(left, right), right, left
 
 
@@ -172,8 +173,8 @@ class MarkovMeasure:
 
 
 def _chain_entropy(p, P):
-    return -sum(pa * x * math.log(x) for pa, row in zip(p, P)
-                for x in row if x > 0)
+    return -fold_sum(pa * x * math.log(x) for pa, row in zip(p, P)
+                     for x in row if x > 0)
 
 
 def equilibrium_measure(shift):
@@ -189,10 +190,10 @@ def equilibrium_measure(shift):
     P = []
     for a, row in enumerate(shift.succ):
         prow = [wt[b] * r[b] / (rho * r[a]) for b in row]
-        tot = sum(prow)  # kill rounding drift
+        tot = fold_sum(prow)  # kill rounding drift
         P.append([x / tot for x in prow])
     p = [x * y for x, y in zip(l, r)]
-    tot = sum(p)
+    tot = fold_sum(p)
     p = [x / tot for x in p]
     return MarkovMeasure(shift, p, P, _chain_entropy(p, P),
                          _dot(p, shift.potential), math.log(rho))
@@ -354,9 +355,10 @@ def correlation_decay(m, f, g, nmax, budget=10 ** 8):
     idx = [n for n in range(1, len(covs)) if abs(covs[n]) > 1e-13]
     if len(idx) >= 2:
         logs = [math.log(abs(covs[n])) for n in idx]
-        x_bar, y_bar = sum(idx) / len(idx), sum(logs) / len(logs)
-        slope = (sum((x - x_bar) * (y - y_bar) for x, y in zip(idx, logs))
-                 / sum((x - x_bar) ** 2 for x in idx))
+        x_bar, y_bar = sum(idx) / len(idx), fold_sum(logs) / len(logs)
+        slope = (fold_sum((x - x_bar) * (y - y_bar)
+                          for x, y in zip(idx, logs))
+                 / fold_sum((x - x_bar) ** 2 for x in idx))
         rate = math.exp(slope)
     else:
         rate = 0.0

@@ -20,9 +20,10 @@ same bytes.  Philox is counter-based: ``_positioned`` starts a generator at
 any draw of the stream without drawing the ones before.  So the kernels
 step their walks in chunks of ``CHUNK`` and keep every draw buffer and
 temporary chunk-long; a chunk reads its draws where the whole set of walks
-would have read them in one pass.  The tree walks keep only their state
-batch-long (a fixed batch size); the NBRW keeps nothing as long as its
-paths.
+would have read them in one pass.  The two tree walks run through one
+driver, ``_tree_walks``, which keeps only their state batch-long (a fixed
+batch size) and whose docstring states their draw layout; the NBRW keeps
+nothing as long as its paths.
 
 numpy is imported inside the samplers only: the CLI imports this module
 for every verb, and the exact verbs, the exact NBRW law and the Laplacian
@@ -39,7 +40,7 @@ import operator
 
 from .errors import BudgetError, DegenerateError, NotTransientError, \
     TooLargeError, UsageError
-from .graphs import ScatterAdd
+from .graphs import ScatterAdd, fold_sum
 from .seeding import derive_seed
 
 # cap on tree_harmonic_measure's shadows, one tally and output row each
@@ -377,13 +378,65 @@ def _tree_steps(rng, q, u, s):
     return np.minimum(s, q, out=s)
 
 
-def _draw_returns(rng, q, edge, u):
-    """Keep True in the mask ``edge`` only for the walks whose last-exit
-    draw returns them, drawn in order over the walks it marks."""
+def _tree_walks(q, reps, batch, key, columns, step):
+    """Run reps walks of the (q+1)-regular tree from the root over the
+    Philox stream of ``key``, in batches of at most ``batch`` walks.
+
+    Each walk's state is one entry of each column, which ``columns`` gives
+    as (dtype, start value); a batch keeps every column batch-long, and the
+    front of each column holds the walks still inside the ball.  A pass
+    steps each of them once, chunk by chunk: ``step(cols, s, returns)``
+    gets the chunk's views of the columns and its step draws ``s``
+    (``_tree_steps``), in the widest dtype of the columns.  It applies
+    them, calls ``returns(edge)`` once with the mask of the walks that
+    stepped past the ball, which keeps True only where the walk's last-exit
+    draw (``_returns_to_parent``) brings it back, and returns the mask of
+    the walks still inside, which move to the front.
+
+    The draw layout: a pass that starts at draw P of the stream with
+    ``alive`` walks reads the step draws of chunk [a, b) at P + a ...
+    P + b - 1, and the last-exit draws of the walks of all its chunks, in
+    order, from P + alive on.  So two cursors read the pass, and the next
+    one starts where the second stops: at P + alive + (the walks that
+    stepped past the ball).  The draws are those of one pass over all walks
+    at once, whatever ``CHUNK`` is.
+    """
     import numpy as np
 
-    edge[edge] = _returns_to_parent(rng, q, u[:np.count_nonzero(edge)])
-    return edge
+    bufs = [np.empty(batch, dtype=dtype) for dtype, _ in columns]
+    u_buf = np.empty(min(batch, CHUNK))
+    s_buf = np.empty(len(u_buf), dtype=np.result_type(*bufs))
+
+    def returns(edge):
+        nonlocal hits
+        n = np.count_nonzero(edge)
+        hits += n
+        edge[edge] = _returns_to_parent(ret_rng, q, u_buf[:n])
+        return edge
+
+    # rng reads the step draws of the pass that starts at draw pos
+    pos, rng = 0, _positioned(key, 0)
+    for done in range(0, reps, batch):
+        alive = min(batch, reps - done)
+        for buf, (_, start) in zip(bufs, columns):
+            buf[:alive] = start
+        while alive:
+            # one chunk reads its returns right after its steps
+            ret_rng = rng if alive <= CHUNK else _positioned(key, pos + alive)
+            kept = hits = 0
+            for a in range(0, alive, CHUNK):
+                m = min(CHUNK, alive - a)
+                cols = [buf[a:a + m] for buf in bufs]
+                inside = step(cols, _tree_steps(rng, q, u_buf[:m], s_buf[:m]),
+                              returns)
+                k = np.count_nonzero(inside)
+                for buf, col in zip(bufs, cols):
+                    buf[kept:kept + k] = col[inside]
+                kept += k
+            pos += alive + hits
+            if ret_rng is not rng:
+                _drop(rng)
+            rng, alive = ret_rng, kept
 
 
 def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
@@ -401,15 +454,10 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     per further level.
 
     A walk takes at least ``depth`` steps, and reps * depth must be within
-    ``budget``.  Walks run in batches of at most 200,000, whose state is an
-    int8 level and an int32 vertex index per walk (the ``MAX_SHADOWS`` cap
-    lets them hold every value); the front of the state holds the walks
-    still inside the ball.  A pass steps each of them once, chunk by
-    chunk.  If a pass starts at draw P of the stream with ``alive`` walks,
-    the step draws of chunk [a, b) are draws P + a ... P + b - 1, and the
-    walks of all chunks that reach the shadow level read their last-exit
-    draws in order from P + alive on.  So two cursors read the pass, and
-    the next one starts where the second stops.
+    ``budget``.  Walks run in batches of at most 200,000 (``_tree_walks``,
+    which states the draw layout), whose state is an int8 level and an
+    int32 vertex index per walk; the ``MAX_SHADOWS`` cap lets them hold
+    every value.
 
     Returns dict with "estimates" (per shadow), "target", "sigma"
     (per-shadow CLT standard error) and "n_shadows".
@@ -424,74 +472,47 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     if n_shadows > MAX_SHADOWS:
         raise BudgetError(f"q = {q}, depth = {depth}: over {MAX_SHADOWS} shadows")
     _check_work("reps * depth", reps * depth, budget)
-    key = _philox_key(seed, 1)
 
     target = 1.0 / n_shadows
     tallies = np.zeros(n_shadows, dtype=np.int64)
 
-    batch = min(reps, 200_000)
-    # per walk: its level, and its vertex's index in that level's sphere
-    # (the shadow code at level depth; meaningless at the root, whose next
-    # step overwrites it)
-    level_buf = np.empty(batch, dtype=np.int8)
-    node_buf = np.empty(batch, dtype=np.int32)
-    u_buf = np.empty(min(batch, CHUNK))
-    s_buf = np.empty(len(u_buf), dtype=np.int32)
-    # rng reads the step draws of the pass that starts at draw pos
-    pos, rng = 0, _positioned(key, 0)
-    for done in range(0, reps, batch):
-        alive = min(batch, reps - done)
-        level_buf[:alive] = 0
-        node_buf[:alive] = 0
-        while alive:
-            # one chunk reads its returns right after its steps
-            ret_rng = rng if alive <= CHUNK else _positioned(key, pos + alive)
-            kept = hits = 0
-            for a in range(0, alive, CHUNK):
-                m = min(CHUNK, alive - a)
-                level, node = level_buf[a:a + m], node_buf[a:a + m]
-                u = u_buf[:m]
-                s = _tree_steps(rng, q, u, s_buf[:m])
-                at_root = level == 0
-                back = s == 0
-                back &= ~at_root
-                # node * q + s - 1 after a step forward, node // q after
-                # one back, s from the root: blended by the masks, which is
-                # faster than a masked ufunc or np.where on a random mask
-                up = node // q
-                node *= q
-                node += s
-                node -= 1
-                up -= node
-                up *= back
-                node += up
-                s -= node
-                s *= at_root
-                node += s
-                level += 1
-                level -= back
-                level -= back
-                edge = level == depth
-                hits += np.count_nonzero(edge)
-                ret = _draw_returns(ret_rng, q, edge, u)
-                level -= ret
-                up = node // q
-                up -= node
-                up *= ret
-                node += up
-                inside = level < depth
-                # one add per escape: a bincount would cost n_shadows per
-                # chunk
-                np.add.at(tallies, node[~inside], 1)
-                k = np.count_nonzero(inside)
-                node_buf[kept:kept + k] = node[inside]
-                level_buf[kept:kept + k] = level[inside]
-                kept += k
-            pos += alive + hits
-            if ret_rng is not rng:
-                _drop(rng)
-            rng, alive = ret_rng, kept
+    def step(cols, s, returns):
+        # per walk: its level, and its vertex's index in that level's
+        # sphere (the shadow code at level depth; meaningless at the root,
+        # whose next step overwrites it)
+        level, node = cols
+        at_root = level == 0
+        back = s == 0
+        back &= ~at_root
+        # node * q + s - 1 after a step forward, node // q after one back,
+        # s from the root: blended by the masks, which is faster than a
+        # masked ufunc or np.where on a random mask
+        up = node // q
+        node *= q
+        node += s
+        node -= 1
+        up -= node
+        up *= back
+        node += up
+        s -= node
+        s *= at_root
+        node += s
+        level += 1
+        level -= back
+        level -= back
+        ret = returns(level == depth)
+        level -= ret
+        up = node // q
+        up -= node
+        up *= ret
+        node += up
+        inside = level < depth
+        # one add per escape: a bincount would cost n_shadows per chunk
+        np.add.at(tallies, node[~inside], 1)
+        return inside
 
+    _tree_walks(q, reps, min(reps, 200_000), _philox_key(seed, 1),
+                [(np.int8, 0), (np.int32, 0)], step)
     est = tallies / reps
     sigma = math.sqrt(target * (1 - target) / reps)
     return {"estimates": est, "target": target, "sigma": sigma,
@@ -511,14 +532,14 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
     walk takes at least dmax + 1 steps, and reps * (dmax + 1) must be
     within ``budget``.
 
-    Walks run in batches of at most 100,000, stepped chunk by chunk and
-    drawn in the order of ``tree_harmonic_measure``; each keeps its visits
-    Y, Z to y and z, its distance to x and the length of the prefix it
-    shares with the ray in batch-long columns.  The visits of each escaped
-    walk add to exact integer sums of Y, Z, Y^2, Z^2 and YZ, so the memory
-    is the batch's whatever ``reps`` is.  Each moment is one rounding of
-    its exact value: the means and variances divide by reps, the
-    covariance by reps - 1 (nan for one walk).
+    Walks run in batches of at most 100,000 (``_tree_walks``, which states
+    the draw layout); each keeps its visits Y, Z to y and z, its distance
+    to x and the length of the prefix it shares with the ray in batch-long
+    columns.  The visits of each escaped walk add to exact integer sums of
+    Y, Z, Y^2, Z^2 and YZ, so the memory is the batch's whatever ``reps``
+    is.  Each moment is one rounding of its exact value: the means and
+    variances divide by reps, the covariance by reps - 1 (nan for one
+    walk).
 
     Expected ratio for the simple walk: q^{-(d_xy - d_xz)}.  Returns
     estimate, target, and a delta-method standard error for the ratio.
@@ -530,75 +551,47 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
         raise UsageError("distances must be >= 0")
     dmax = max(d_xy, d_xz)
     _check_work("reps * (dmax + 1)", reps * (dmax + 1), budget)
-    key = _philox_key(seed, 2)
 
     sy = sz = syy = szz = syz = 0
-    batch = min(reps, 100_000)
-    # per walk still inside the ball: its visits to y and z so far, its
-    # distance to the root, and the length of the prefix it shares with
-    # the distinguished ray; it is on the ray iff the two agree
-    bufs = [np.empty(batch, dtype=np.int64) for _ in range(4)]
-    vy_buf, vz_buf, dist_buf, ray_buf = bufs
-    u_buf = np.empty(min(batch, CHUNK))
-    s_buf = np.empty(len(u_buf), dtype=np.int64)
-    # rng reads the step draws of the pass that starts at draw pos, as in
-    # tree_harmonic_measure
-    pos, rng = 0, _positioned(key, 0)
-    for done in range(0, reps, batch):
-        alive = min(batch, reps - done)
-        vy_buf[:alive] = d_xy == 0
-        vz_buf[:alive] = d_xz == 0
-        dist_buf[:alive] = 0
-        ray_buf[:alive] = 0
-        while alive:
-            ret_rng = rng if alive <= CHUNK else _positioned(key, pos + alive)
-            kept = hits = 0
-            for a in range(0, alive, CHUNK):
-                m = min(CHUNK, alive - a)
-                vy, vz, dist, ray = (buf[a:a + m] for buf in bufs)
-                u = u_buf[:m]
-                s = _tree_steps(rng, q, u, s_buf[:m])
-                at_root = dist == 0
-                back = s == 0
-                back &= ~at_root
-                # child 0 continues along the ray: s = 1, or s = 0 at the
-                # root
-                along = s == ~at_root
-                along &= ray == dist
-                dist += 1
-                dist -= back
-                dist -= back
-                # ray <= dist before the step, so only a step back can cut
-                # it
-                np.minimum(ray, dist, out=ray)
-                ray += along
-                edge = dist > dmax
-                hits += np.count_nonzero(edge)
-                ret = _draw_returns(ret_rng, q, edge, u)
-                dist -= ret
-                np.minimum(ray, dist, out=ray)
-                inside = dist <= dmax
-                # an escaped walk visits neither point again
-                out = ~inside
-                y, z = vy[out], vz[out]
-                sy += int(y.sum())
-                sz += int(z.sum())
-                syy += int((y * y).sum())
-                szz += int((z * z).sum())
-                syz += int((y * z).sum())
-                # escaped walks are past dmax, so only walks inside count
-                on = ray == dist
-                vy += on & (dist == d_xy)
-                vz += on & (dist == d_xz)
-                k = np.count_nonzero(inside)
-                for buf, col in zip(bufs, (vy, vz, dist, ray)):
-                    buf[kept:kept + k] = col[inside]
-                kept += k
-            pos += alive + hits
-            if ret_rng is not rng:
-                _drop(rng)
-            rng, alive = ret_rng, kept
 
+    def step(cols, s, returns):
+        nonlocal sy, sz, syy, szz, syz
+        # per walk still inside the ball: its visits to y and z so far, its
+        # distance to the root, and the length of the prefix it shares
+        # with the distinguished ray; it is on the ray iff the two agree
+        vy, vz, dist, ray = cols
+        at_root = dist == 0
+        back = s == 0
+        back &= ~at_root
+        # child 0 continues along the ray: s = 1, or s = 0 at the root
+        along = s == ~at_root
+        along &= ray == dist
+        dist += 1
+        dist -= back
+        dist -= back
+        # ray <= dist before the step, so only a step back can cut it
+        np.minimum(ray, dist, out=ray)
+        ray += along
+        dist -= returns(dist > dmax)
+        np.minimum(ray, dist, out=ray)
+        inside = dist <= dmax
+        # an escaped walk visits neither point again
+        out = ~inside
+        y, z = vy[out], vz[out]
+        sy += int(y.sum())
+        sz += int(z.sum())
+        syy += int((y * y).sum())
+        szz += int((z * z).sum())
+        syz += int((y * z).sum())
+        # escaped walks are past dmax, so only walks inside count
+        on = ray == dist
+        vy += on & (dist == d_xy)
+        vz += on & (dist == d_xz)
+        return inside
+
+    _tree_walks(q, reps, min(reps, 100_000), _philox_key(seed, 2),
+                [(np.int64, d_xy == 0), (np.int64, d_xz == 0),
+                 (np.int64, 0), (np.int64, 0)], step)
     if not sy or not sz:
         raise DegenerateError(
             f"no sampled walk visited {'y' if not sy else 'z'}: the ratio "
@@ -631,7 +624,7 @@ def laplacian_matrices(graph):
     nv = graph.vertex_count()
     w = {eid: graph.index_i(eid) * weight
          for eid, weight in zip(graph.edge_ids, graph.edge_weights())}
-    degc = {v: sum(w[eid] for eid in graph.out_edges(v))
+    degc = {v: fold_sum(w[eid] for eid in graph.out_edges(v))
             for v in graph.vertex_ids}
     for v, dv in degc.items():
         if dv <= 0:

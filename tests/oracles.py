@@ -10,6 +10,7 @@ their public fields only.  The helpers build inputs instead: orbit_bfs
 walks a quadratic irrational's orbit with its own apply_homography.
 """
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -272,6 +273,14 @@ def quad_series(alpha, prec):
     return (series(-B, n + B.degree + D.degree) + num) / series(A + A, prec)
 
 
+def conj(alpha):
+    """The Galois conjugate alpha^sigma of a quadratic irrational: the same
+    A, B, C and discriminant with the other sign of the square root."""
+    beta = copy.copy(alpha)
+    beta.sign = -alpha.sign
+    return beta
+
+
 def trace_norm(alpha):
     """(alpha + alpha^sigma, alpha alpha^sigma) = (-B/A, C/A)."""
     return RatFunc(-alpha.B, alpha.A), RatFunc(alpha.C, alpha.A)
@@ -283,14 +292,14 @@ def quad_invariants(alpha):
     h = |tr^2 - 4n|^{-1/2} from the trace and norm, and the Laurent
     expansions of the two roots must first differ at the same power of Y.
     """
-    (tr, nm), conj = trace_norm(alpha), alpha.conj()
+    (tr, nm), sigma = trace_norm(alpha), conj(alpha)
     v = (tr * tr - 4 * nm).valuation()
     assert v % 2 == 0
     k = v // 2
     h_formula = Fraction(alpha.q) ** k
-    lead = min(quad_series(alpha, 1).val, quad_series(conj, 1).val)
+    lead = min(quad_series(alpha, 1).val, quad_series(sigma, 1).val)
     prec = max(1, k - lead + 1)
-    x, y = quad_series(alpha, prec), quad_series(conj, prec)
+    x, y = quad_series(alpha, prec), quad_series(sigma, prec)
     window = range(min(x.val, y.val), min(x.val + x.prec, y.val + y.prec))
     k_series = next((j for j in window
                      if x.coefficient(j) != y.coefficient(j)), None)
@@ -299,7 +308,7 @@ def quad_invariants(alpha):
         raise AssertionError(
             f"complexity mismatch: the formula gives {h_formula}, so the roots "
             f"first differ at Y^{-k}; the expansions differ first {found}")
-    return tr, nm, conj, h_formula
+    return tr, nm, sigma, h_formula
 
 
 def convergents(cf, n):
@@ -470,6 +479,12 @@ def _point_or_cycle(g, name):
     return verts, not is_point
 
 
+def trivial_orders(g):
+    """Whether every vertex and edge group of the graph is trivial."""
+    return (all(v.order == 1 for v in g.vertices.values())
+            and all(e.order == 1 for e in g.edges.values()))
+
+
 def regular_constant(g, minus, plus):
     """The closed-form counting constant q/(q-1) s- s+ / ||m|| of a
     (q+1)-regular graph with trivial orders and point or cycle targets:
@@ -478,7 +493,7 @@ def regular_constant(g, minus, plus):
     probability).  Exact; the cumulative count at length n is about the
     constant times q^n when the edge step is aperiodic."""
     degrees = {len(g.out_edges(v)) for v in g.vertices}
-    if len(degrees) != 1 or not g.trivial_orders():
+    if len(degrees) != 1 or not trivial_orders(g):
         raise ValueError("regular constant needs one degree, trivial orders")
     q = degrees.pop() - 1
 

@@ -35,8 +35,8 @@ from geodlab.ffield import (
     QuadIrr,
     RatFunc,
     mertens_sum,
-    monic_phi_sum,
     parse_poly,
+    prime_sieves,
 )
 from geodlab.library import (
     biregular_two_cycles,
@@ -121,7 +121,8 @@ def test_04_polynomial_mertens():
         for n in range(1, 6):
             ok = ok and mertens_sum(q, n, budget=10 ** 8) == \
                 mertens_closed_form(q, n)
-            ok = ok and monic_phi_sum(q, n) == q ** (2 * n) * (q - 1) // q
+            monic = [*prime_sieves(q, n)][-1].phi_sum()
+            ok = ok and monic == q ** (2 * n) * (q - 1) // q
     elapsed = time.time() - t0
     ok = ok and elapsed < 10
     report(4, ok, f"Mertens sums exact for q in (2,3,5), n<=5, plus monic "

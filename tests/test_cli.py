@@ -8,10 +8,12 @@ that numpy is never loaded.
 """
 
 import argparse
+import builtins
 import contextlib
 import functools
 import io
 import json
+import math
 import os
 from pathlib import Path
 import shutil
@@ -25,6 +27,7 @@ import pytest
 
 from geodlab import cli
 from geodlab.cli import main
+from oracles import trivial_orders
 
 
 def run_cli(capsys, *argv):
@@ -1155,10 +1158,11 @@ def test_a_blas_thread_count_the_user_names_wins(var):
 # subgraphs, count orbits, shift pressure and shift equilibrium on every
 # builtin with trivial orders, where every multiplicity of the edge step is
 # 1, and walk nbrw, exact from each subgraph and sampled, on every builtin;
-# ff expand and ff cf on zero, polynomial, fractional and quadratic values;
-# and walk harmonic, walk green and walk nbrw --reps at path counts one
-# below, at and past walks.CHUNK, at 3 * CHUNK + 5 and past harmonic's
-# batch of 200,000
+# shift equilibrium and shift gibbs-audit on orderchain; ff expand and ff
+# cf on zero, polynomial, fractional and quadratic values; and walk
+# harmonic, walk green and walk nbrw --reps at path counts one below, at
+# and past walks.CHUNK, at 3 * CHUNK + 5 and past the batches of harmonic
+# (200,000) and Green (100,000)
 DIGESTS = Path(__file__).with_name("stdout_digests.json")
 
 
@@ -1181,18 +1185,48 @@ def test_graph_verbs_match_the_pinned_digests(capsys):
         DIGESTS.read_text())}
     for name, make in BUILTIN.items():
         verbs = [("walk", "nbrw")]
-        if make().trivial_orders():
+        if trivial_orders(make()):
             verbs += [("count", "perp"), ("count", "orbits"),
                       ("shift", "pressure"), ("shift", "equilibrium")]
         assert {v + ("--graph", "builtin:" + name) for v in verbs} <= pinned
     assert _digest_misses(capsys) == []
 
 
+def _compensated_sum(original):
+    """``sum`` as Python 3.12 forms it on floats: terms that are all floats,
+    from the start 0, add with Neumaier's compensation; any other input
+    goes to ``original``."""
+
+    def compensated(iterable, /, start=0):
+        terms = list(iterable)
+        if (type(start) is not int or start != 0 or not terms
+                or any(type(x) is not float for x in terms)):
+            return original(terms, start)
+        total = c = 0.0
+        for x in terms:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        return total + c if c and math.isfinite(c) else total
+
+    return compensated
+
+
+def test_pinned_digests_do_not_depend_on_the_sum_of_floats(capsys,
+                                                           monkeypatch):
+    # every float sum of the program is added left to right, so the printed
+    # bytes are the same under the compensated sum() of Python 3.12 on
+    monkeypatch.setattr(builtins, "sum", _compensated_sum(sum))
+    assert _digest_misses(capsys) == []
+
+
 def test_pinned_digests_see_the_quotient_only_rule(capsys,
                                                    quotient_only_rule):
-    # negative control: the rule without multiplicities moves the walk on
-    # orderchain and nothing on trivial orders
+    # negative control: the rule without multiplicities moves the shift and
+    # the walk on orderchain and nothing on trivial orders
     assert _digest_misses(capsys) == [
+        "shift equilibrium --graph builtin:orderchain",
+        "shift gibbs-audit --graph builtin:orderchain",
         "walk nbrw --graph builtin:orderchain --start X",
         "walk nbrw --graph builtin:orderchain --start X --reps 2000 --seed 3"]
 
