@@ -1,14 +1,13 @@
 """Valuative geometry of the (q+1)-regular tree of PGL_2 over F_q((1/Y))
 and its arithmetic: vertex distances, horoball heights, translation
-lengths, boundary measures, relative heights, norm forms, covolumes,
-Hecke indices, and Farey counting.
+lengths, boundary measures, relative heights, covolumes, Hecke indices,
+and Farey counting.
 
 Distances, heights and measures are all expressed through the valuation
 v = v_infinity on F_q(Y); everything is exact (Fractions / big integers).
 """
 
 from fractions import Fraction
-from itertools import chain, islice
 
 from .errors import (
     BudgetError,
@@ -69,11 +68,6 @@ class BTMatrix:
                         self.a * other.b + self.b * other.d,
                         self.c * other.a + self.d * other.c,
                         self.c * other.b + self.d * other.d)
-
-    def inverse(self):
-        det = self.det()
-        return BTMatrix(self.d / det, -self.b / det,
-                        -self.c / det, self.a / det)
 
     def trace(self):
         return self.a + self.d
@@ -181,57 +175,6 @@ def relative_height(alpha, beta):
     P = 2 * (alpha.A * beta.C + beta.A * alpha.C) - alpha.B * beta.B
     e = P.degree - (alpha.disc.degree + beta.disc.degree) // 2
     return Fraction(alpha.q) ** max(0, e)
-
-
-def norm_form(alpha, x, y):
-    """Q_alpha(x, y) = |x^2 - xy tr(alpha) + y^2 n(alpha)|_v for FqPoly x, y:
-    |A x^2 + B xy + C y^2| / |A|.  The form has no zero but (0, 0), since
-    alpha is irrational."""
-    if x.is_zero() and y.is_zero():
-        raise DegenerateError("(x, y) must be nonzero")
-    form = alpha.A * x * x + alpha.B * x * y + alpha.C * y * y
-    return Fraction(alpha.q) ** (form.degree - alpha.A.degree)
-
-
-def transform_check(alpha, g, grid=5):
-    """Verify Q_{g alpha}(x,y) = (h(alpha)/h(g alpha)) Q_alpha(g^{-1}(x,y))
-    exactly on a grid of polynomial vectors (x, y).
-
-    g: BTMatrix with entries polynomial and constant nonzero determinant
-    (an element of GL_2(F_q[Y]), so |det| = 1 and the adjugate can replace
-    the inverse inside the absolute values).
-    """
-    det = g.det()
-    if not (det.is_polynomial() and det.num.is_constant()):
-        raise UnsupportedError("g must lie in GL_2(F_q[Y])")
-    for e in g.entries():
-        if not e.is_polynomial():
-            raise UnsupportedError("g must have polynomial entries")
-    q = alpha.q
-    ga = alpha.apply_homography(g.a.num, g.b.num, g.c.num, g.d.num)
-    h_ratio = alpha.complexity() / ga.complexity()
-    # adjugate: g^{-1} up to the unit determinant
-    A, B, C, D = g.a.num, g.b.num, g.c.num, g.d.num
-    # the zero polynomial, then the monic ones by degree
-    monics = chain.from_iterable(poly_range(q, q ** d, 2 * q ** d)
-                                 for d in range(grid))
-    polys = [FqPoly.zero(q)] + list(islice(monics, grid - 1))
-    checked = 0
-    for xv in polys:
-        for yv in polys:
-            if xv.is_zero() and yv.is_zero():
-                continue
-            # (x', y') = adj(g) (x, y)
-            xp = D * xv - B * yv
-            yp = -C * xv + A * yv
-            if xp.is_zero() and yp.is_zero():
-                continue
-            lhs = norm_form(ga, xv, yv)
-            rhs = h_ratio * norm_form(alpha, xp, yp)
-            if lhs != rhs:
-                return False
-            checked += 1
-    return checked > 0
 
 
 # ---------------------------------------------------------------------------

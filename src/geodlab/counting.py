@@ -5,7 +5,10 @@ A common perpendicular between subgraphs Y- and Y+ is a non-backtracking
 edge path that starts at a vertex of Y- without using an edge of Y-,
 and arrives at a vertex of Y+ without using an edge of Y+: in the tree, from
 one lift of each vertex of Y- to any lift of Y+.  Counts are exact big
-integers when all conductances vanish.
+integers when all conductances vanish.  Every step of the counting and
+closed-orbit programs is the push w -> wB over the successor lists, through
+one ``graphs.ScatterAdd`` plan: exact big integers, or float masses with
+each entry into f weighted by e^{c(f)}.
 """
 
 import math
@@ -17,7 +20,7 @@ from .errors import (
     TooLargeError,
     UnsupportedError,
 )
-from .graphs import ScatterAdd, fold_sum
+from .graphs import ScatterAdd, _entries, fold_sum
 from .shift import EdgeShift, _dot, _perron
 
 DEFAULT_BUDGET = 10 ** 8
@@ -74,31 +77,6 @@ def _ends(g, minus, plus):
     return first, last
 
 
-def _nb_step(succ, weights=None):
-    """The step w -> wB of the non-backtracking edge dynamics, ``succ`` as
-    from ``GraphOfGroups.nb_successors``, as a function of w.  Exact
-    big-integer masses when B counts the successors (no ``weights``),
-    added a layer of successor entries at a time (``ScatterAdd``); float
-    masses when each successor j carries weights[j], added in ascending
-    order of the source."""
-    if weights is None:
-        scatter = ScatterAdd([j for row in succ for j in row], len(succ))
-        src = [i for i, row in enumerate(succ) for _ in row]
-        layers = [[src[k] for k in ks] for ks in scatter.layers]
-        return lambda w: scatter(
-            (map(w.__getitem__, layer) for layer in layers), 0)
-
-    def step(w):
-        nxt = [0.0] * len(w)
-        for i, mass in enumerate(w):
-            if mass:
-                for j in succ[i]:
-                    nxt[j] += mass * weights[j]
-        return nxt
-
-    return step
-
-
 def _as_float(count, what):
     try:
         return float(count)
@@ -129,7 +107,9 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     for i, m in start:
         w[i] = m if exact else m * weights[i]
 
-    step = _nb_step(succ, weights)
+    rows, cols = _entries(succ)
+    step = ScatterAdd(cols, rows, None if exact else
+                      [weights[j] for j in cols], n_edges)
     counts, weighted = [], []
     for n in range(1, query.nmax + 1):
         harvest = fold_sum(w[i] for i in end_idx)
@@ -138,7 +118,10 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
             weighted.append(_as_float(harvest, f"count at length {n}"))
         else:
             counts.append(0)
-            weighted.append(harvest)
+            # a step leaves int 0 on an edge that no entry reaches (one out
+            # of a vertex of tree degree 1); the mass is a float whenever
+            # there are last edges
+            weighted.append(float(harvest) if end_idx else harvest)
         if n < query.nmax:
             w = step(w)
     return CountSeries(counts, weighted)
@@ -240,7 +223,8 @@ def _sweep(succ, starts, nmax, weights=None):
     probability keeps the measure 1/|G_f| > 0, so every edge recurs."""
     if weights is None:
         return _packed_sweep(succ, starts, nmax)
-    step = _nb_step(succ, weights)
+    rows, cols = _entries(succ)
+    step = ScatterAdd(cols, rows, [weights[j] for j in cols], len(succ))
     total = [0.0] * nmax
     for e, mult in starts:
         w = [0.0] * len(succ)
@@ -280,7 +264,8 @@ def _packed_sweep(succ, starts, nmax):
     w = [0] * len(succ)
     for k, (e, _) in enumerate(starts):
         w[e] += 1 << (k * bits)
-    step = _nb_step(succ)
+    rows, cols = _entries(succ)
+    step = ScatterAdd(cols, rows, None, len(succ))
     total = [0] * nmax
     for n in range(nmax):
         w = step(w)

@@ -105,9 +105,6 @@ class FqPoly:
             return 0
         return self.coeffs[-1]
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def monic(self):
         if self.is_zero() or self.lc == 1:
             return self
@@ -564,9 +561,6 @@ class RatFunc:
     def __rtruediv__(self, other):
         other = self._coerce(other)
         return other / self
-
-    def inverse(self):
-        return RatFunc(self.den, self.num)
 
     def __repr__(self):
         return f"RatFunc({self})"

@@ -7,10 +7,11 @@ deg(v) = sum of i(e) = |G_{o(e)}|/|G_e| over outgoing edges, i.e. its degree
 in the Bass-Serre tree.  ``nb_successors`` holds the one non-backtracking
 edge rule (Bass 1992; Serre, Trees, I.4): a tree path continues from e into
 f, o(f) = t(e), in i(f) - [f = reverse of e] ways.  Counting, the shift and
-the NBRW all step over it; the exact count and the exact NBRW law add the
-terms of a step a layer at a time (``ScatterAdd``), and the other float
-sums of counting, the shift and the Laplacian add left to right
-(``fold_sum``), so that no printed float depends on the Python version.
+the NBRW all step over it, each linear step through one plan,
+``ScatterAdd``, that adds the terms of every target in the order of its
+entries; the other float sums of counting, the shift and the Laplacian add
+left to right (``fold_sum``), so that no printed float depends on the
+Python version.
 
 numpy is imported only by ``nb_transfer``, a dense view of the edge
 operator that no verb calls: loading and validating a graph, and every
@@ -206,34 +207,53 @@ class VolumeReport:
 
 
 class ScatterAdd:
-    """out[targets[k]] += term k for every entry k, in ascending k from a
-    zero, the order of ``np.bincount``, with the Python work done by map()
-    over whole layers: the targets are ranked by falling number of
-    entries, and layer r holds the r-th entry of each target with more than
-    r, a prefix of the ranking.  ``layers`` lists each layer's entries."""
+    """The linear step x -> out of a list of entries (target, source,
+    coefficient): out[t] is the sum over the entries k with target t of
+    coeffs[k] * x[sources[k]], or of x[sources[k]] when ``coeffs`` is
+    None, added in ascending k from the first term (0 for a target with no
+    entries).  A push x B over successor rows takes target = column and
+    source = row, a pull B x the other way round.
 
-    def __init__(self, targets, size):
+    The Python work is done by map() over whole layers: the targets are
+    ranked by falling number of entries, layer r holds the r-th entry of
+    each target with more than r, a prefix of the ranking, and gathers its
+    sources with one itemgetter."""
+
+    def __init__(self, targets, sources, coeffs, size):
         into = [[] for _ in range(size)]
-        for k, j in enumerate(targets):
-            into[j].append(k)
-        rank = sorted(range(size), key=lambda j: -len(into[j]))
+        for k, t in enumerate(targets):
+            into[t].append(k)
+        rank = sorted(range(size), key=lambda t: -len(into[t]))
         self.layers = []
         for r in range(len(into[rank[0]]) if rank else 0):
-            self.layers.append([into[j][r] for j in rank if len(into[j]) > r])
+            ks = [into[t][r] for t in rank if len(into[t]) > r]
+            src = [sources[k] for k in ks]
+            # itemgetter of one index returns the item, not a 1-tuple
+            gather = (operator.itemgetter(*src) if len(src) > 1
+                      else lambda x, s=src[0]: (x[s],))
+            self.layers.append((len(ks), gather, None if coeffs is None
+                                else [coeffs[k] for k in ks]))
         self.unrank = [0] * size
-        for pos, j in enumerate(rank):
-            self.unrank[j] = pos
+        for pos, t in enumerate(rank):
+            self.unrank[t] = pos
 
-    def __call__(self, layer_terms, zero):
-        """The sums, from an iterable over the layers of iterables over
-        their terms: zero plus the first term of a target is taken to be
-        that term, which holds for any int and for every float but -0.0."""
+    def __call__(self, x):
         acc = []
-        for ks, terms in zip(self.layers, layer_terms):
-            acc[:len(ks)] = (list(terms) if not acc
-                             else map(operator.add, acc[:len(ks)], terms))
-        acc += [zero] * (len(self.unrank) - len(acc))
+        for n, gather, coeffs in self.layers:
+            terms = gather(x)
+            if coeffs is not None:
+                terms = map(operator.mul, coeffs, terms)
+            acc[:n] = map(operator.add, acc[:n], terms) if acc else terms
+        acc += [0] * (len(self.unrank) - len(acc))
         return list(map(acc.__getitem__, self.unrank))
+
+
+def _entries(succ):
+    """(rows, cols): the row and the column of every entry of the successor
+    lists ``succ``, row by row, the sources and targets of a push x B, the
+    targets and sources of a pull B x."""
+    return ([i for i, row in enumerate(succ) for _ in row],
+            [j for row in succ for j in row])
 
 
 def fold_sum(terms):
@@ -402,15 +422,3 @@ def load_validate(document):
 
     return GraphOfGroups(vertices, edges, subgraphs)
 
-
-def to_document(g):
-    """Inverse of load_validate (for serialization and relabeling tests)."""
-    return {
-        "vertices": [{"id": v.id, "order": v.order}
-                     for v in (g.vertices[i] for i in g.vertex_ids)],
-        "edges": [{"id": e.id, "from": e.origin, "to": e.terminus,
-                   "reverse": e.reverse, "order": e.order,
-                   "conductance": e.conductance}
-                  for e in (g.edges[i] for i in g.edge_ids)],
-        "subgraphs": g.subgraphs,
-    }

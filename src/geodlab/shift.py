@@ -7,13 +7,15 @@ thermodynamic apparatus reduces to Perron-Frobenius data of the weighted
 transfer matrix B[a,b] = m(a,b) e^{c(b)}, with m(a,b) ways from a to b.
 
 A shift is stored as successor lists, b repeated m(a,b) times in row a, and
-every step over B runs over them in pure Python, in a fixed order: pressure,
-the equilibrium chain and the Gibbs audit start without numpy, and no result
-depends on a BLAS kernel.  numpy is imported only by the spectral oracle of
+every step over B runs over them in pure Python, in a fixed order (the
+linear ones through ``graphs.ScatterAdd``): pressure, the equilibrium chain
+and the Gibbs audit start without numpy, and no result depends on a BLAS
+kernel.  numpy is imported only by the spectral oracle of
 ``correlation_decay`` (a dense LAPACK eigensolve).
 """
 
 import math
+import operator
 
 from .errors import (
     BudgetError,
@@ -21,7 +23,7 @@ from .errors import (
     ReducibleError,
     TooLargeError,
 )
-from .graphs import fold_sum
+from .graphs import ScatterAdd, _entries, fold_sum
 
 POWER_TOL = 1e-12
 POWER_CAP = 10 ** 6
@@ -112,18 +114,21 @@ def _perron(shift, cap=POWER_CAP):
 
     Iterates on B + I so periodic (e.g. bipartite) transition structures
     still converge; rho(B + I) = rho(B) + 1 with the same eigenvectors.
+    B v pulls wt[b] v[b] over each row a, v B pushes v[a] into each b
+    and then weights it by wt[b]: both ``ScatterAdd`` plans, which add in
+    ascending entry order, b along a row and a down a column.
     """
     succ, wt = shift.succ, shift.weights
-    pred = _predecessors(succ)
     n = len(succ)
+    rows, cols = _entries(succ)
+    pull = ScatterAdd(rows, cols, [wt[b] for b in cols], n)
+    push = ScatterAdd(cols, rows, None, n)
 
     def right_step(v):  # (B + I) v
-        return [v[a] + fold_sum(wt[b] * v[b] for b in row)
-                for a, row in enumerate(succ)]
+        return list(map(operator.add, v, pull(v)))
 
     def left_step(v):  # v (B + I)
-        return [v[b] + wt[b] * fold_sum(v[a] for a in row)
-                for b, row in enumerate(pred)]
+        return [x + w * y for x, w, y in zip(v, wt, push(v))]
 
     def iterate(step):
         v = [1.0 / n] * n
@@ -142,8 +147,7 @@ def _perron(shift, cap=POWER_CAP):
 
     right, left = iterate(right_step), iterate(left_step)
     # one Rayleigh polish for the eigenvalue
-    Br = [fold_sum(wt[b] * right[b] for b in row) for row in succ]
-    return _dot(left, Br) / _dot(left, right), right, left
+    return _dot(left, pull(right)) / _dot(left, right), right, left
 
 
 def pressure(shift):
@@ -324,11 +328,11 @@ def correlation_decay(m, f, g, nmax, budget=10 ** 8):
     """cov_n = E[f(x_0) g(x_n)] - E f E g under the stationary chain, with a
     fitted exponential decay rate and the spectral oracle log(rho2/rho).
 
-    The chain steps over the rows of ``m.P`` and the rate is the
-    closed-form least-squares slope, both summed in a fixed order; only the
-    spectral oracle builds the dense P, for LAPACK's eigensolver.  The
-    nmax steps take (successor entries) * nmax products, at most
-    ``budget``."""
+    The chain steps over the rows of ``m.P``, a pull through one
+    ``ScatterAdd`` plan, and the rate is the closed-form least-squares
+    slope, both summed in a fixed order; only the spectral oracle builds
+    the dense P, for LAPACK's eigensolver.  The nmax steps take (successor
+    entries) * nmax products, at most ``budget``."""
     p, P, succ = m.p, m.P, m.shift.succ
     work = sum(map(len, succ)) * nmax
     if work > budget:
@@ -338,8 +342,12 @@ def correlation_decay(m, f, g, nmax, budget=10 ** 8):
     vec = [float(x) for x in g]
     mean_fg = _dot(p, f) * _dot(p, vec)
     covs = [_dot(p, [x * y for x, y in zip(f, vec)]) - mean_fg]
+    # the pull adds from the first term where _dot adds from 0: that moves
+    # at most the sign of a zero, which the _dot of the covariance drops
+    rows, cols = _entries(succ)
+    chain = ScatterAdd(rows, cols, [x for prow in P for x in prow], len(P))
     for _ in range(nmax):
-        vec = [_dot(prow, [vec[b] for b in row]) for row, prow in zip(succ, P)]
+        vec = chain(vec)
         covs.append(_dot(p, [x * y for x, y in zip(f, vec)]) - mean_fg)
 
     # spectral oracle: second modulus eigenvalue of P (dense solve)

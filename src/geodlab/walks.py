@@ -34,9 +34,9 @@ OpenBLAS thread (see cli.py), and a thread count the user sets changes no
 printed float.
 """
 
+import functools
 import itertools
 import math
-import operator
 
 from .errors import BudgetError, DegenerateError, NotTransientError, \
     TooLargeError, UsageError
@@ -54,13 +54,14 @@ CHUNK = 2 ** 14
 
 class NBRWKernel:
     """Edge-to-edge transition kernel of the non-backtracking walk, read
-    from one ``nb_successors`` call and stored twice, in Python lists.
+    from one ``nb_successors`` call, in Python lists.
 
-    - Merged, for the exact law: the successors of edge i are
+    - For the sampler: the rows end to end in ``entries``, row i at
+      ``entries[offset[i]:offset[i] + length[i]]``, and the vertex ``term``
+      each edge ends at.
+    - For the exact law, merged on first use: the successors of edge i are
       ``col[start[i]:start[i + 1]]``, ascending, with the probabilities
       ``prob`` at the same positions, and ``row`` repeats i once for each.
-    - Unmerged, for the sampler: the rows end to end in ``entries``, row i
-      at ``entries[offset[i]:offset[i] + length[i]]``.
     """
 
     def __init__(self, graph):
@@ -70,30 +71,36 @@ class NBRWKernel:
         self.entries = list(itertools.chain.from_iterable(rows))
         self.length = [len(succ) for succ in rows]
         self.offset = [0, *itertools.accumulate(self.length)][:-1]
-        self.start, self.col, self.prob, self.row = [0], [], [], []
-        for i, succ in enumerate(rows):
-            # a run of m equal entries in a row of L: one entry, m / L
-            for j, run in itertools.groupby(succ):
-                self.col.append(j)
-                self.prob.append(len(list(run)) / len(succ))
-                self.row.append(i)
-            self.start.append(len(self.col))
         # vertex index of each edge's terminus, the vertex a walk stands on
         self.term = [graph.vertex_index[graph.edges[eid].terminus]
                      for eid in graph.edge_ids]
-        # the step's sources and probabilities, layer by layer
-        self._scatter = ScatterAdd(self.col, len(self.term))
-        self._layers = [([self.row[k] for k in ks], [self.prob[k] for k in ks])
-                        for ks in self._scatter.layers]
+
+    @functools.cached_property
+    def _merged(self):
+        """(start, col, prob, row) and the plan of the step over them."""
+        start, col, prob, row = [0], [], [], []
+        entries = iter(self.entries)
+        for i, n in enumerate(self.length):
+            # a run of m equal entries in a row of L: one entry, m / L
+            for j, run in itertools.groupby(itertools.islice(entries, n)):
+                col.append(j)
+                prob.append(len(list(run)) / n)
+                row.append(i)
+            start.append(len(col))
+        return (start, col, prob, row,
+                ScatterAdd(col, row, prob, len(self.term)))
+
+    start = property(lambda self: self._merged[0])
+    col = property(lambda self: self._merged[1])
+    prob = property(lambda self: self._merged[2])
+    row = property(lambda self: self._merged[3])
 
     def step(self, dist):
         """The edge law one step after ``dist``: each target adds its
-        products dist[i] * prob in ascending order of the source i, from
-        0.0, the floats ``np.bincount(col, dist[row] * prob)`` forms; no
-        product is -0.0."""
-        get = dist.__getitem__
-        return self._scatter((map(operator.mul, map(get, src), prob)
-                              for src, prob in self._layers), 0.0)
+        products prob * dist[i] in ascending order of the source i, the
+        floats ``np.bincount(col, dist[row] * prob)`` forms (from 0.0,
+        which changes no sum, as no product is -0.0)."""
+        return self._merged[4](dist)
 
     def start_distribution(self, subname):
         """Initial edge law for a walk leaving the named subgraph: vertex

@@ -8,6 +8,9 @@ Laurent expansions of Series use their own inverse and square root.  The
 objects handed in (matrices, graphs, queries, measures) are read through
 their public fields only.  The helpers build inputs instead: orbit_bfs
 walks a quadratic irrational's orbit with its own apply_homography.
+norm_form, transform_check (acceptance 14, through the irrational's own
+apply_homography and complexity), matrix_inverse and to_document serve
+only the tests, so they live here and not in the package.
 """
 
 import copy
@@ -358,6 +361,61 @@ def orbit_bfs(alpha, word_len):
     return points, edges
 
 
+def matrix_inverse(g):
+    """g^-1 for a BTMatrix g, as the matrix of g's own class."""
+    det = g.det()
+    return type(g)(g.d / det, -g.b / det, -g.c / det, g.a / det)
+
+
+def norm_form(alpha, x, y):
+    """Q_alpha(x, y) = |x^2 - xy tr(alpha) + y^2 n(alpha)|_v for FqPoly x, y:
+    |A x^2 + B xy + C y^2| / |A|.  The form has no zero but (0, 0), since
+    alpha is irrational; ValueError there."""
+    if x.is_zero() and y.is_zero():
+        raise ValueError("(x, y) must be nonzero")
+    form = alpha.A * x * x + alpha.B * x * y + alpha.C * y * y
+    return Fraction(alpha.q) ** (form.degree - alpha.A.degree)
+
+
+def transform_check(alpha, g, grid=5):
+    """Whether Q_{g alpha}(x,y) = (h(alpha)/h(g alpha)) Q_alpha(g^{-1}(x,y))
+    holds exactly on a grid of polynomial vectors (x, y), with g alpha and
+    the complexities h from alpha's own apply_homography and complexity.
+
+    g: BTMatrix with polynomial entries and constant nonzero determinant
+    (an element of GL_2(F_q[Y]), so |det| = 1 and the adjugate can replace
+    the inverse inside the absolute values); ValueError otherwise.
+    """
+    det = g.det()
+    if not (det.is_polynomial() and det.num.degree <= 0):
+        raise ValueError("g must lie in GL_2(F_q[Y])")
+    if not all(e.is_polynomial() for e in g.entries()):
+        raise ValueError("g must have polynomial entries")
+    q = alpha.q
+    ga = alpha.apply_homography(g.a.num, g.b.num, g.c.num, g.d.num)
+    h_ratio = alpha.complexity() / ga.complexity()
+    # adjugate: g^{-1} up to the unit determinant
+    A, B, C, D = g.a.num, g.b.num, g.c.num, g.d.num
+    # the zero polynomial, then the monic ones by degree
+    monics = itertools.chain.from_iterable(
+        poly_range(q, q ** d, 2 * q ** d) for d in range(grid))
+    polys = [FqPoly.zero(q)] + list(itertools.islice(monics, grid - 1))
+    checked = 0
+    for xv in polys:
+        for yv in polys:
+            if xv.is_zero() and yv.is_zero():
+                continue
+            # (x', y') = adj(g) (x, y)
+            xp = D * xv - B * yv
+            yp = -C * xv + A * yv
+            if xp.is_zero() and yp.is_zero():
+                continue
+            if norm_form(ga, xv, yv) != h_ratio * norm_form(alpha, xp, yp):
+                return False
+            checked += 1
+    return checked > 0
+
+
 # ---------------------------------------------------------------------------
 # graphs and counting
 
@@ -402,6 +460,32 @@ def order_three_pair():
     return graph_of_groups({"a": 3, "b": 3}, [
         ("t", "a", "b"), ("la", "a", "a", 3), ("lb", "b", "b", 3)],
         {"A": ["a"], "B": ["b"]})
+
+
+def to_document(g):
+    """The schema document of a GraphOfGroups, the inverse of load_validate,
+    read from its public records."""
+    return {
+        "vertices": [{"id": v.id, "order": v.order}
+                     for v in (g.vertices[i] for i in g.vertex_ids)],
+        "edges": [{"id": e.id, "from": e.origin, "to": e.terminus,
+                   "reverse": e.reverse, "order": e.order,
+                   "conductance": e.conductance}
+                  for e in (g.edges[i] for i in g.edge_ids)],
+        "subgraphs": g.subgraphs,
+    }
+
+
+def entry_sums(targets, sources, coeffs, x, size):
+    """out[t] for t < size: the terms coeffs[k] * x[sources[k]] (or
+    x[sources[k]] when coeffs is None) of the entries k with targets[k] = t
+    added one by one into out[t], in the order of the lists, from the first
+    term; 0 where there is none."""
+    out = [None] * size
+    for k, (t, s) in enumerate(zip(targets, sources)):
+        term = x[s] if coeffs is None else coeffs[k] * x[s]
+        out[t] = term if out[t] is None else out[t] + term
+    return [0 if v is None else v for v in out]
 
 
 def bass_matrix(g):

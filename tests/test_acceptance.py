@@ -19,7 +19,6 @@ from geodlab.bt import (
     horoball_height,
     patterson_point_ball,
     patterson_total,
-    transform_check,
     translation_length,
     vertex_distance,
 )
@@ -60,6 +59,7 @@ from geodlab.walks import (
 from oracles import (
     brute_force_equilibrium,
     mertens_closed_form,
+    transform_check,
     vertex_distance_smith,
 )
 

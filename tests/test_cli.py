@@ -27,7 +27,7 @@ import pytest
 
 from geodlab import cli
 from geodlab.cli import main
-from oracles import trivial_orders
+from oracles import to_document, trivial_orders
 
 
 def run_cli(capsys, *argv):
@@ -212,7 +212,6 @@ def test_seeds_outside_64_bits_are_a_usage_record(capsys, argv):
 
 
 def test_graph_file_input(tmp_path, capsys):
-    from geodlab.graphs import to_document
     from geodlab.library import theta
     path = tmp_path / "g.json"
     path.write_text(json.dumps(to_document(theta())))
@@ -279,7 +278,6 @@ def test_count_beyond_float_range_is_a_record(capsys, nmax):
     ["shift", "pressure"], ["walk", "laplacian"]])
 def test_edge_weight_beyond_float_range_is_a_record(tmp_path, capsys, argv):
     # e^1000 is past the float range: a record, not an OverflowError
-    from geodlab.graphs import to_document
     from geodlab.library import theta
 
     path = tmp_path / "hot.json"
@@ -911,7 +909,6 @@ def _package_parent():
 def _numpy_free_argv(tmp_path):
     """EXACT_ARGV and STEP_ARGV, WEIGHTED written as theta with a
     conductance on every edge, its reverse's drawn apart."""
-    from geodlab.graphs import to_document
     from geodlab.library import theta
 
     g = theta()

@@ -36,7 +36,7 @@ from geodlab.errors import (
     TooLargeError,
     UnsupportedError,
 )
-from geodlab.graphs import GraphOfGroups, load_validate, to_document
+from geodlab.graphs import GraphOfGroups, load_validate
 from geodlab.library import (
     BUILTIN,
     biregular_two_cycles,
@@ -54,6 +54,7 @@ from oracles import (
     order_three_lollipop,
     per_start_sweep,
     regular_constant,
+    to_document,
     two_vertex_segment,
 )
 
@@ -221,6 +222,21 @@ def test_weighted_counts():
     for n in range(1, 5):
         want = 4 * 3 ** (n - 1) * math.exp(0.5 * n)
         assert abs(series.weighted[n - 1] - want) < 1e-9 * want
+
+
+def test_weighted_masses_stay_floats_past_a_leaf():
+    # the triangle T = abc with a pendant edge to d: the perpendiculars
+    # from d end on d -> a, the reverse of T's one exit, which no step
+    # reaches, as d has tree degree 1; no mass arrives after length 1
+    g = graph_of_groups({v: 1 for v in "abcd"}, [
+        ("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a"),
+        ("ad", "a", "d")], {"D": ["d"]})
+    g.subgraphs["T"] = {"vertices": ["a", "b", "c"],
+                        "edges": [e for e in g.edge_ids if "d" not in e]}
+    g = g.with_conductance({e: 0.25 for e in g.edge_ids})
+    weighted = count_perpendiculars(PerpQuery(g, "D", "T", 4)).weighted
+    assert weighted == [math.exp(0.25), 0.0, 0.0, 0.0]
+    assert all(type(x) is float for x in weighted)
 
 
 # ---------------------------------------------------------------------------

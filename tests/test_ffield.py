@@ -181,7 +181,7 @@ def _phi_oracle(f):
     q = f.q
     return sum(1 for d in range(f.degree)
                for g in poly_range(q, q ** d, q ** (d + 1))
-               if f.gcd(g).is_constant())
+               if f.gcd(g).degree <= 0)
 
 
 def test_phi_matches_unit_count():
@@ -526,7 +526,7 @@ def test_cf_rational_terminates():
     value = None
     for a in reversed(cf.preperiod):
         ra = RatFunc(a, FqPoly.one(2))
-        value = ra if value is None else ra + value.inverse()
+        value = ra if value is None else ra + 1 / value
     assert value == x
 
 

@@ -1,13 +1,15 @@
-"""Graph-of-groups loading, validation codes, volumes, transfer matrices."""
+"""Graph-of-groups loading, validation codes, volumes, transfer matrices,
+and the entry-sum plan of every step over the successor lists."""
 
 import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from geodlab.errors import DegenerateError, GraphFormatError
-from geodlab.graphs import load_validate, to_document
+from geodlab.graphs import ScatterAdd, _entries, load_validate
 from geodlab.library import (
     BUILTIN,
     cycle,
@@ -17,7 +19,7 @@ from geodlab.library import (
     petersen,
     theta,
 )
-from oracles import bass_matrix, two_vertex_segment
+from oracles import bass_matrix, entry_sums, to_document, two_vertex_segment
 
 
 def _base_doc():
@@ -204,3 +206,56 @@ def test_subgraph_lookup():
     assert sub["vertices"] == ["v"]
     with pytest.raises(GraphFormatError):
         g.subgraph("missing")
+
+
+# ---------------------------------------------------------------------------
+# the entry-sum plan
+
+
+def _bits(values):
+    """Values compared bit for bit: floats by float.hex, ints as they are."""
+    return [v.hex() if isinstance(v, float) else (type(v), v) for v in values]
+
+
+@st.composite
+def _rows_and_vectors(draw):
+    """Successor rows over n letters, ascending, with repeats as a graph of
+    groups has them, and rows of one entry or none; an int vector, a float
+    vector and positive float coefficients, one per entry."""
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6)
+                         .map(sorted), min_size=n, max_size=n))
+    entries = sum(map(len, rows))
+    ints = draw(st.lists(st.integers(0, 10 ** 30), min_size=n, max_size=n))
+    floats = draw(st.lists(st.floats(0, 1e6), min_size=n, max_size=n))
+    coeffs = draw(st.lists(st.floats(1e-3, 1e3), min_size=entries,
+                           max_size=entries))
+    return rows, ints, floats, coeffs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate])
+@given(_rows_and_vectors())
+def test_plan_matches_the_entry_by_entry_sum(case):
+    rows, ints, floats, coeffs = case
+    n = len(rows)
+    src, dst = _entries(rows)
+    # push x B (target = column) and pull B x (target = row)
+    for targets, sources in ((dst, src), (src, dst)):
+        plan = ScatterAdd(targets, sources, None, n)
+        assert _bits(plan(ints)) == _bits(
+            entry_sums(targets, sources, None, ints, n))
+        plan = ScatterAdd(targets, sources, coeffs, n)
+        assert _bits(plan(floats)) == _bits(
+            entry_sums(targets, sources, coeffs, floats, n))
+
+
+def test_entry_sum_check_sees_the_descending_order():
+    # negative control: one target, three terms; from the first, 1.0 absorbs
+    # each 1e-16, while the two added first reach past half an ulp of 1.0
+    targets, sources, x = [0, 0, 0], [0, 1, 2], [1.0, 1e-16, 1e-16]
+    got = ScatterAdd(targets, sources, None, 1)(x)
+    assert _bits(got) == _bits(entry_sums(targets, sources, None, x, 1))
+    assert _bits(got) != _bits(
+        entry_sums(targets[::-1], sources[::-1], None, x, 1))
+
