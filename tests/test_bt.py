@@ -210,7 +210,8 @@ def test_translation_length_conjugation_invariant():
     Y, one, zero = FqPoly.x(q), FqPoly.one(q), FqPoly.zero(q)
     g = BTMatrix(Y, one, one, zero)
     h = BTMatrix(one, Y, zero, one)
-    assert translation_length(h @ g @ matrix_inverse(h)) == translation_length(g)
+    conjugate = h @ g @ matrix_inverse(h)
+    assert translation_length(conjugate) == translation_length(g)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,8 @@ def test_guard_sees_an_unreferenced_function(tmp_path):
     # negative control: a public function that nothing calls, which calls
     # itself
     copy = tmp_path / "geodlab"
-    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(PACKAGE, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
     with open(copy / "graphs.py", "a") as fh:
         fh.write("\n\ndef orphan(n):\n    return orphan(n - 1) if n else 0\n")
     assert [q for q in unreferenced(copy) if q not in ALLOWED] == [
