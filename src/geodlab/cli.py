@@ -22,6 +22,7 @@ bytes.  A count the user sets wins; ``import geodlab`` sets nothing.
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -95,8 +96,13 @@ def _fmt(x):
 def emit(header, rows, args):
     try:
         if args.format == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            text = json.dumps(payload, default=_fmt, indent=2) + "\n"
+            # JSON has no literal for nan and the infinities: they print
+            # as the tokens of the CSV output
+            payload = [{key: _fmt(x) if isinstance(x, float)
+                        and not math.isfinite(x) else x
+                        for key, x in zip(header, row)} for row in rows]
+            text = json.dumps(payload, default=_fmt, allow_nan=False,
+                              indent=2) + "\n"
         else:
             lines = [",".join(header)]
             for row in rows:

@@ -118,10 +118,7 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
             weighted.append(_as_float(harvest, f"count at length {n}"))
         else:
             counts.append(0)
-            # a step leaves int 0 on an edge that no entry reaches (one out
-            # of a vertex of tree degree 1); the mass is a float whenever
-            # there are last edges
-            weighted.append(float(harvest) if end_idx else harvest)
+            weighted.append(float(harvest))
         if n < query.nmax:
             w = step(w)
     return CountSeries(counts, weighted)

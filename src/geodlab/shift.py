@@ -23,7 +23,7 @@ from .errors import (
     ReducibleError,
     TooLargeError,
 )
-from .graphs import ScatterAdd, _entries, fold_sum
+from .graphs import ScatterAdd, _entries, _reached, fold_sum
 
 POWER_TOL = 1e-12
 POWER_CAP = 10 ** 6
@@ -79,29 +79,12 @@ class EdgeShift:
         return _strongly_connected(self.succ)
 
 
-def _predecessors(succ):
-    """pred[b]: the letters a with b in succ[a], ascending."""
-    pred = [[] for _ in succ]
-    for a, row in enumerate(succ):
-        for b in row:
-            pred[b].append(a)
-    return pred
-
-
 def _strongly_connected(succ):
-    if not succ:
-        return False
-
-    def reach(adj):
-        seen, stack = {0}, [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen)
-
-    return reach(succ) == len(succ) == reach(_predecessors(succ))
+    """Every letter is reached from letter 0 and reaches it (never with no
+    letters: letter 0 always reaches itself)."""
+    arcs = [(a, b) for a, row in enumerate(succ) for b in row]
+    return (len(_reached(0, arcs)) == len(succ)
+            == len(_reached(0, [(b, a) for a, b in arcs])))
 
 
 def _dot(x, y):

@@ -16,11 +16,11 @@ steps for the exact law) against a budget before it draws or allocates.
 
 Every sampler reads its draws from one Philox stream, and each walk reads
 its own fixed positions of it, so a rerun with the same seed prints the
-same bytes.  Philox is counter-based: ``_positioned`` starts a generator at
-any draw of the stream without drawing the ones before.  So the kernels
-step their walks in chunks of ``CHUNK`` and keep every draw buffer and
-temporary chunk-long; a chunk reads its draws where the whole set of walks
-would have read them in one pass.  The two tree walks run through one
+same bytes.  Philox is counter-based: ``_Stream.read`` reads the stream
+from any draw without drawing the ones before.  So the kernels step their
+walks in chunks of ``CHUNK`` and keep every draw buffer and temporary
+chunk-long; a chunk reads its draws where the whole set of walks would
+have read them in one pass.  The two tree walks run through one
 driver, ``_tree_walks``, which keeps only their state batch-long (a fixed
 batch size) and whose docstring states their draw layout; the NBRW keeps
 nothing as long as its paths.
@@ -238,58 +238,34 @@ def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
     }
 
 
-# Philox objects whose generators their kernel has dropped: _positioned
-# starts its next generator on one of them instead of building a new one,
-# which seeds itself from OS entropy before taking the key
-_SPARE_BITS = []
+class _Stream:
+    """The Philox stream of substream ``index`` of ``seed``, read at any
+    draw position without drawing the ones before: Philox is counter-based
+    and makes four doubles from each value of its counter."""
 
+    def __init__(self, seed, index):
+        import numpy as np
 
-def _philox_key(seed, index):
-    """The Philox key of substream ``index`` of ``seed``."""
-    import numpy as np
+        self._rng = np.random.Generator(np.random.Philox(derive_seed(seed,
+                                                                     index)))
+        self._start = self._rng.bit_generator.state
+        # the position at which the last read stopped
+        self.pos = 0
 
-    return np.random.Philox(derive_seed(seed, index)).state["state"]["key"]
-
-
-def _positioned(key, pos):
-    """A generator whose k-th draw is draw pos + k of the Philox stream of
-    ``key``, with none of the first pos drawn.  Philox makes four doubles
-    from each value of its counter, so the generator advances the counter
-    pos // 4 times and discards the first pos % 4 draws of the next
-    block.  A spare Philox object (``_drop``) is reset to the start of the
-    stream, the state a new one would have."""
-    import numpy as np
-
-    if _SPARE_BITS:
-        bits = _SPARE_BITS.pop()
-        zero = np.zeros(4, dtype=np.uint64)
-        bits.state = {"bit_generator": "Philox",
-                      "state": {"counter": zero, "key": key},
-                      "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
-                      "uinteger": 0}
-    else:
-        bits = np.random.Philox(key=key)
-    # advance rejects numpy integers
-    bits.advance(int(pos) // 4)
-    rng = np.random.Generator(bits)
-    rng.random(pos % 4)
-    return rng
-
-
-def _drop(rng):
-    """Give the Philox object of ``rng``, which its caller reads no more,
-    back to ``_positioned``; a kernel holds at most two generators at once,
-    so two spares are kept."""
-    if len(_SPARE_BITS) < 2:
-        _SPARE_BITS.append(rng.bit_generator)
-
-
-def _fill(key, pos, out):
-    """``out`` filled with the draws of the stream of ``key`` from pos on."""
-    rng = _positioned(key, pos)
-    rng.random(out=out)
-    _drop(rng)
-    return out
+    def read(self, pos, out):
+        """``out`` filled with draws pos, pos + 1, ... of the stream.  A
+        read that starts where the last one stopped reads on; any other
+        starts the generator over, advances the counter pos // 4 times and
+        discards the first pos % 4 draws of the next block."""
+        if pos != self.pos:
+            bits = self._rng.bit_generator
+            bits.state = self._start
+            # advance rejects numpy integers
+            bits.advance(int(pos) // 4)
+            self._rng.random(pos % 4)
+        self._rng.random(out=out)
+        self.pos = pos + len(out)
+        return out
 
 
 def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
@@ -317,7 +293,7 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
     length, offset, entries, term = (
         np.array(x, dtype=np.intp)
         for x in (kernel.length, kernel.offset, kernel.entries, kernel.term))
-    key = _philox_key(seed, 0)
+    stream = _Stream(seed, 0)
     cdf = np.cumsum(kernel.start_distribution(start_subgraph))
     cdf /= cdf[-1]
     tallies = np.zeros(graph.vertex_count(), dtype=np.int64)
@@ -330,9 +306,9 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
     for a in range(0, reps, CHUNK):
         m = min(CHUNK, reps - a)
         u, pick, base = u_buf[:m], pick_buf[:m], base_buf[:m]
-        state = cdf.searchsorted(_fill(key, a, u), side="right")
+        state = cdf.searchsorted(stream.read(a, u), side="right")
         for t in range(1, n):
-            _fill(key, t * reps + a, u)
+            stream.read(t * reps + a, u)
             u *= np.take(length, state, out=pick, mode="wrap")
             np.copyto(pick, u, casting="unsafe")
             pick += np.take(offset, state, out=base, mode="wrap")
@@ -358,42 +334,41 @@ def _check_tree_walk(q, reps):
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
 
 
-def _returns_to_parent(rng, q, u):
+def _returns_to_parent(u, q):
     """Exact last-exit draw for walks that have just stepped from depth
-    k - 1 to depth k >= 1 of the (q+1)-regular tree, one uniform per walk
-    drawn into the float buffer ``u``: True where the walk ever comes back
-    to depth k - 1.
+    k - 1 to depth k >= 1 of the (q+1)-regular tree, one uniform ``u`` per
+    walk: True where the walk ever comes back to depth k - 1.
 
     The distance to the parent moves away with probability q/(q+1) at every
     step, so the walk returns with probability exactly 1/q.  By the strong
     Markov property a walk that returns stands at the parent with no memory
     of its excursion, and one that does not stays below its vertex forever.
     """
-    return rng.random(out=u) < 1.0 / q
+    return u < 1.0 / q
 
 
-def _tree_steps(rng, q, u, s):
-    """Fill ``s`` with one uniform step draw per walk, drawn into the float
-    buffer ``u`` of the same length.  Away from the root s = 0 steps to the
-    parent and s >= 1 to the child s - 1; at the root, which has q + 1
-    children and no parent, s is the child."""
+def _tree_steps(u, q, s):
+    """Fill ``s`` with the step of each walk from its uniform ``u``, which
+    it overwrites.  Away from the root s = 0 steps to the parent and
+    s >= 1 to the child s - 1; at the root, which has q + 1 children and no
+    parent, s is the child."""
     import numpy as np
 
-    rng.random(out=u)
     np.multiply(u, q + 1, out=u)
     np.copyto(s, u, casting="unsafe")
     return np.minimum(s, q, out=s)
 
 
-def _tree_walks(q, reps, batch, key, columns, step):
+def _tree_walks(q, reps, batch, seed, index, columns, step):
     """Run reps walks of the (q+1)-regular tree from the root over the
-    Philox stream of ``key``, in batches of at most ``batch`` walks.
+    Philox stream of substream ``index`` of ``seed``, in batches of at most
+    ``batch`` walks.
 
     Each walk's state is one entry of each column, which ``columns`` gives
     as (dtype, start value); a batch keeps every column batch-long, and the
     front of each column holds the walks still inside the ball.  A pass
     steps each of them once, chunk by chunk: ``step(cols, s, returns)``
-    gets the chunk's views of the columns and its step draws ``s``
+    gets the chunk's views of the columns and its steps ``s``
     (``_tree_steps``), in the widest dtype of the columns.  It applies
     them, calls ``returns(edge)`` once with the mask of the walks that
     stepped past the ball, which keeps True only where the walk's last-exit
@@ -403,47 +378,42 @@ def _tree_walks(q, reps, batch, key, columns, step):
     The draw layout: a pass that starts at draw P of the stream with
     ``alive`` walks reads the step draws of chunk [a, b) at P + a ...
     P + b - 1, and the last-exit draws of the walks of all its chunks, in
-    order, from P + alive on.  So two cursors read the pass, and the next
-    one starts where the second stops: at P + alive + (the walks that
-    stepped past the ball).  The draws are those of one pass over all walks
-    at once, whatever ``CHUNK`` is.
+    order, from P + alive on.  So two streams read the pass, one for each
+    kind of draw, and the next pass starts where the last-exit stream
+    stops.  The draws are those of one pass over all walks at once,
+    whatever ``CHUNK`` is.
     """
     import numpy as np
 
     bufs = [np.empty(batch, dtype=dtype) for dtype, _ in columns]
     u_buf = np.empty(min(batch, CHUNK))
     s_buf = np.empty(len(u_buf), dtype=np.result_type(*bufs))
+    steps, exits = _Stream(seed, index), _Stream(seed, index)
 
     def returns(edge):
-        nonlocal hits
-        n = np.count_nonzero(edge)
-        hits += n
-        edge[edge] = _returns_to_parent(ret_rng, q, u_buf[:n])
+        u = exits.read(exits.pos, u_buf[:np.count_nonzero(edge)])
+        edge[edge] = _returns_to_parent(u, q)
         return edge
 
-    # rng reads the step draws of the pass that starts at draw pos
-    pos, rng = 0, _positioned(key, 0)
     for done in range(0, reps, batch):
         alive = min(batch, reps - done)
         for buf, (_, start) in zip(bufs, columns):
             buf[:alive] = start
         while alive:
-            # one chunk reads its returns right after its steps
-            ret_rng = rng if alive <= CHUNK else _positioned(key, pos + alive)
-            kept = hits = 0
+            # the pass starts where the last-exit draws of the one before
+            # stop, and its own last-exit draws start after its step draws
+            pos, kept = exits.pos, 0
+            exits.read(pos + alive, u_buf[:0])
             for a in range(0, alive, CHUNK):
                 m = min(CHUNK, alive - a)
                 cols = [buf[a:a + m] for buf in bufs]
-                inside = step(cols, _tree_steps(rng, q, u_buf[:m], s_buf[:m]),
-                              returns)
+                s = _tree_steps(steps.read(pos + a, u_buf[:m]), q, s_buf[:m])
+                inside = step(cols, s, returns)
                 k = np.count_nonzero(inside)
                 for buf, col in zip(bufs, cols):
                     buf[kept:kept + k] = col[inside]
                 kept += k
-            pos += alive + hits
-            if ret_rng is not rng:
-                _drop(rng)
-            rng, alive = ret_rng, kept
+            alive = kept
 
 
 def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
@@ -518,7 +488,7 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
         np.add.at(tallies, node[~inside], 1)
         return inside
 
-    _tree_walks(q, reps, min(reps, 200_000), _philox_key(seed, 1),
+    _tree_walks(q, reps, min(reps, 200_000), seed, 1,
                 [(np.int8, 0), (np.int32, 0)], step)
     est = tallies / reps
     sigma = math.sqrt(target * (1 - target) / reps)
@@ -596,7 +566,7 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
         vz += on & (dist == d_xz)
         return inside
 
-    _tree_walks(q, reps, min(reps, 100_000), _philox_key(seed, 2),
+    _tree_walks(q, reps, min(reps, 100_000), seed, 2,
                 [(np.int64, d_xy == 0), (np.int64, d_xz == 0),
                  (np.int64, 0), (np.int64, 0)], step)
     if not sy or not sz:

@@ -72,6 +72,49 @@ def test_json_format(capsys):
     assert entries["tvol"] == "6"
 
 
+def _strict_json(text):
+    """The JSON document ``text``; NaN, Infinity and -Infinity, which JSON
+    does not have, raise."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_prints_non_finite_floats_as_the_csv_tokens(capsys):
+    # q = 1: no counting constant, so every theory_ratio is nan
+    code, out, _ = run_cli(capsys, "--format", "json", "count", "perp",
+                           "--graph", "builtin:cycle3", "--minus", "C",
+                           "--plus", "C", "--nmax", "3")
+    assert code == 0
+    assert [row["theory_ratio"] for row in _strict_json(out)] == ["nan"] * 3
+
+
+def test_strict_json_rejects_nan():
+    # negative control: the literal Python's json writes by default
+    with pytest.raises(ValueError):
+        _strict_json(json.dumps([math.nan, math.inf]))
+
+
+def test_weighted_perpendicular_mass_is_a_float(tmp_path, capsys):
+    # Y+ the whole graph has no exit edges, so no last edges: every mass is
+    # 0.0, a float like every other weighted mass
+    from geodlab.library import theta
+
+    doc = to_document(theta().with_conductance({"a+": 0.5}))
+    doc["subgraphs"]["ALL"] = {"vertices": ["u", "v"],
+                               "edges": [e["id"] for e in doc["edges"]]}
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "--format", "json", "count", "perp",
+                           "--graph", str(path), "--minus", "U", "--plus",
+                           "ALL", "--nmax", "3")
+    assert code == 0
+    weighted = [row["weighted"] for row in _strict_json(out)]
+    assert weighted == [0.0] * 3
+    assert all(type(w) is float for w in weighted)
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = run_cli(capsys, "--output", str(target), "graph",
@@ -593,6 +636,8 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
      "budget"),
     (("ff", "cf", "--q", "3"), "usage"),
     (("ff", "mertens", "--q", "3", "--n", "0"), "usage"),
+    # 2^41 polynomials against the budget of 10^7
+    (("ff", "mertens", "--q", "2", "--n", "40"), "budget"),
     (("bt", "farey", "--q", "2", "--t", "0"), "usage"),
     (("bt", "farey", "--q", "2", "--t", "2", "--depth", "0"), "usage"),
     (("bt", "farey", "--q", "2", "--t", "1", "--depth", "300"),
@@ -784,6 +829,42 @@ def test_subprocess_roundtrip():
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.startswith("n,count,weighted,cumulative")
+
+
+# sampled walks past one chunk of walks.CHUNK
+SAMPLED_ARGV = [
+    ["walk", "harmonic", "--q", "2", "--depth", "2", "--reps", "20000",
+     "--seed", "3"],
+    ["walk", "green", "--q", "2", "--reps", "20000", "--seed", "3"],
+    ["walk", "nbrw", "--graph", "builtin:petersen", "--start", "P0", "--n",
+     "5", "--reps", "20000", "--seed", "3"],
+]
+
+_RUN_IN_TURN = """
+import contextlib, io, json, sys
+from geodlab.cli import main
+outs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        main(argv)
+    outs.append(out.getvalue())
+print(json.dumps(outs))
+"""
+
+
+def _stdout_in_one_process(argvs):
+    """The stdout of each argv, run in turn in one new interpreter."""
+    res = subprocess.run([sys.executable, "-c", _RUN_IN_TURN,
+                          json.dumps(argvs)], capture_output=True, text=True,
+                         env=_subprocess_env(), check=True)
+    return json.loads(res.stdout)
+
+
+def test_sampled_walks_in_one_process_print_what_each_prints_alone():
+    alone = [_stdout_in_one_process([argv])[0] for argv in SAMPLED_ARGV]
+    assert all(alone)
+    assert _stdout_in_one_process(SAMPLED_ARGV) == alone
+    assert _stdout_in_one_process(SAMPLED_ARGV[::-1]) == alone[::-1]
 
 
 def test_subprocess_budget_env():

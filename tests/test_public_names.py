@@ -1,8 +1,8 @@
-"""No dead public API: every public module-level function or class of
-geodlab, and every public method of a public class, is named somewhere in
-src/geodlab outside its own def.  A name only the tests call belongs in
-tests/oracles.py.  The scan reads the source with ``ast`` and imports
-nothing."""
+"""No dead code by name: every module-level function or class of geodlab,
+every public method of a public class and every private method that is not
+a dunder is named somewhere in src/geodlab outside its own def.  A name
+only the tests call belongs in tests/oracles.py.  The scan reads the source
+with ``ast`` and imports nothing."""
 
 import ast
 import collections
@@ -29,43 +29,60 @@ def _names(node):
             yield sub.attr
 
 
-def _public_defs(tree, module):
-    """(qualified name, def node) of the public functions and classes of a
-    module and the public methods of its public classes."""
+def _private(name):
+    return name.startswith("_")
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defs(tree, module):
+    """(qualified name, def node) of the functions and classes of a module,
+    the public methods of its public classes and the private methods of
+    all its classes but the dunders."""
     for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield f"{module}.{node.name}", node
-            if isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if (isinstance(sub, ast.FunctionDef)
-                            and not sub.name.startswith("_")):
-                        yield f"{module}.{node.name}.{sub.name}", sub
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not _dunder(sub.name)
+                        and (_private(sub.name) or not _private(node.name))):
+                    yield f"{module}.{node.name}.{sub.name}", sub
 
 
 def unreferenced(package):
-    """The qualified public names of the package whose name appears nowhere
-    in it but inside their own def, in file order."""
+    """The qualified names of the package whose name appears nowhere in it
+    but inside their own def, in file order."""
     refs, defs = collections.Counter(), []
     for path in sorted(Path(package).glob("*.py")):
         tree = ast.parse(path.read_text())
         refs.update(_names(tree))
-        defs += _public_defs(tree, path.stem)
+        defs += _defs(tree, path.stem)
     return [qual for qual, node in defs
             if refs[node.name] == list(_names(node)).count(node.name)]
 
 
 def test_every_public_name_is_referenced():
-    assert [q for q in unreferenced(PACKAGE) if q not in ALLOWED] == []
+    assert [q for q in unreferenced(PACKAGE) if q not in ALLOWED
+            and not _private(q.rsplit(".", 1)[1])] == []
+
+
+def test_every_private_name_is_referenced():
+    assert [q for q in unreferenced(PACKAGE)
+            if _private(q.rsplit(".", 1)[1])] == []
 
 
 def test_guard_sees_an_unreferenced_function(tmp_path):
-    # negative control: a public function that nothing calls, which calls
-    # itself
+    # negative control: a public and a private function that nothing calls,
+    # each of which calls itself
     copy = tmp_path / "geodlab"
     shutil.copytree(PACKAGE, copy,
                     ignore=shutil.ignore_patterns("__pycache__"))
     with open(copy / "graphs.py", "a") as fh:
-        fh.write("\n\ndef orphan(n):\n    return orphan(n - 1) if n else 0\n")
+        for name in ("orphan", "_orphan"):
+            fh.write(f"\n\ndef {name}(n):\n"
+                     f"    return {name}(n - 1) if n else 0\n")
     assert [q for q in unreferenced(copy) if q not in ALLOWED] == [
-        "graphs.orphan"]
+        "graphs.orphan", "graphs._orphan"]

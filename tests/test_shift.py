@@ -9,6 +9,7 @@ brute-force variational fit.
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,33 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 def _rows(A):
     """The successor lists of a 0/1 transition matrix."""
     return [np.flatnonzero(row) for row in A]
+
+
+def _irreducible_misses():
+    """The random 0/1 transition matrices, 1 to 5 letters, on which
+    is_irreducible and networkx's strong connectivity disagree."""
+    rng = np.random.default_rng(8)
+    misses = []
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        A = (rng.random((k, k)) < 0.35).astype(int)
+        if (EdgeShift(range(k), _rows(A)).is_irreducible()
+                != nx.is_strongly_connected(nx.from_numpy_array(
+                    A, create_using=nx.DiGraph))):
+            misses.append(A.tolist())
+    return misses
+
+
+def test_irreducible_is_strong_connectivity():
+    assert _irreducible_misses() == []
+
+
+def test_irreducible_check_sees_one_step_reach(monkeypatch):
+    # negative control: a search that stops after one step
+    monkeypatch.setattr(shift, "_reached",
+                        lambda start, arcs: {start} | {w for u, w in arcs
+                                                       if u == start})
+    assert _irreducible_misses()
 
 
 def test_pressure_full_shift():

@@ -392,41 +392,78 @@ def test_nbrw_sample_matches_masked_reference(make, start, n):
     assert (nbrw_sample(g, start, n, 3000, 21)["tallies"] == want).all()
 
 
-def _skipping_discard(key, pos):
-    """_positioned without its discard: it reads from the start of the
+def _read_skipping_discard(self, pos, out):
+    """_Stream.read without its discard: a seek reads from the start of the
     four-draw block that holds draw pos."""
-    bits = np.random.Philox(key=key)
-    bits.advance(int(pos) // 4)
-    return np.random.Generator(bits)
+    if pos != self.pos:
+        self._rng.bit_generator.state = self._start
+        self._rng.bit_generator.advance(int(pos) // 4)
+    self._rng.random(out=out)
+    self.pos = pos + len(out)
+    return out
 
 
-def _position_misses(positioned):
-    """The positions at which ``positioned`` reads other draws than the
-    stream does from there on: each pos % 4 with reads across block edges,
-    and positions past 2^40, checked against a read from the start of the
-    block two before."""
-    key = walks._philox_key(3, 0)
+def _read_never_seeking(self, pos, out):
+    """_Stream.read that reads on from where the last read stopped,
+    wherever pos is."""
+    self._rng.random(out=out)
+    self.pos = pos + len(out)
+    return out
+
+
+def _read(stream, pos, n):
+    return stream.read(pos, np.empty(n))
+
+
+# reads in turn on one stream, (pos, draws): a seek off a block start, a
+# read that reads on, a seek back to a block start, a read on, and a seek
+# forward off a block start
+ONE_STREAM_READS = [(5, 7), (12, 9), (8, 4), (12, 6), (30, 3)]
+
+
+def _position_misses():
+    """The reads of a _Stream that give other draws than the stream does
+    from their position on: a read of a new stream at each pos % 4, across
+    block edges; at positions past 2^40, checked against a read from the
+    start of the block two before; and the reads of ONE_STREAM_READS on one
+    stream, as ("one stream", pos)."""
     stream = np.random.Generator(np.random.Philox(derive_seed(3, 0)))
     draws = stream.random(64)
-    misses = [pos for pos in range(40) if (positioned(key, pos).random(24)
+    misses = [pos for pos in range(40) if (_read(walks._Stream(3, 0), pos, 24)
                                            != draws[pos:pos + 24]).any()]
     for pos in range(2 ** 40, 2 ** 40 + 4):
         skip = pos % 4 + 8
-        if (positioned(key, pos).random(24)
-                != positioned(key, pos - skip).random(24 + skip)[skip:]).any():
+        if (_read(walks._Stream(3, 0), pos, 24)
+                != _read(walks._Stream(3, 0), pos - skip,
+                         24 + skip)[skip:]).any():
             misses.append(pos)
+    one = walks._Stream(3, 0)
+    misses += [("one stream", pos) for pos, n in ONE_STREAM_READS
+               if (_read(one, pos, n) != draws[pos:pos + n]).any()]
     return misses
 
 
-def test_positioned_generator_reads_the_stream_from_its_position():
-    assert _position_misses(walks._positioned) == []
+def test_stream_reads_from_every_position():
+    assert _position_misses() == []
 
 
-def test_position_check_sees_a_skipped_discard():
-    # negative control: only block starts are read right
-    assert _position_misses(_skipping_discard) == [
-        pos for pos in range(40) if pos % 4] + [2 ** 40 + 1, 2 ** 40 + 2,
-                                                 2 ** 40 + 3]
+def test_position_check_sees_a_skipped_discard(monkeypatch):
+    # negative control: only seeks to block starts are read right, and a
+    # read on from a wrong seek is wrong too
+    monkeypatch.setattr(walks._Stream, "read", _read_skipping_discard)
+    assert _position_misses() == [
+        pos for pos in range(40) if pos % 4] + [
+        2 ** 40 + 1, 2 ** 40 + 2, 2 ** 40 + 3,
+        ("one stream", 5), ("one stream", 12), ("one stream", 30)]
+
+
+def test_position_check_sees_a_read_that_never_seeks(monkeypatch):
+    # negative control: a new stream is right only at draw 0, and one
+    # stream only until its first seek
+    monkeypatch.setattr(walks._Stream, "read", _read_never_seeking)
+    assert _position_misses() == list(range(1, 40)) + [
+        2 ** 40, 2 ** 40 + 1, 2 ** 40 + 2, 2 ** 40 + 3] + [
+        ("one stream", pos) for pos, _ in ONE_STREAM_READS]
 
 
 @pytest.mark.parametrize("law", [
@@ -470,10 +507,19 @@ def test_nbrw_sample_matches_the_reference(n):
 
 
 def test_nbrw_reference_check_sees_a_skipped_discard(monkeypatch):
-    # negative control: the step draws of a chunk start at t * reps + a,
-    # off a block start whenever reps is not a multiple of 4
-    monkeypatch.setattr(walks, "_positioned", _skipping_discard)
-    assert _nbrw_reference_misses(2) == [walks.CHUNK - 1, walks.CHUNK + 1,
+    # negative control: one chunk reads on and never seeks; with more, the
+    # step draws of a chunk start at t * reps + a, off a block start
+    # whenever reps is not a multiple of 4
+    monkeypatch.setattr(walks._Stream, "read", _read_skipping_discard)
+    assert _nbrw_reference_misses(2) == [walks.CHUNK + 1,
+                                         3 * walks.CHUNK + 5]
+
+
+def test_nbrw_reference_check_sees_a_read_that_never_seeks(monkeypatch):
+    # negative control: more than one chunk reads the step draws of its
+    # first chunk where the start draws of the next ones lie
+    monkeypatch.setattr(walks._Stream, "read", _read_never_seeking)
+    assert _nbrw_reference_misses(2) == [walks.CHUNK + 1,
                                          3 * walks.CHUNK + 5]
 
 
@@ -523,14 +569,14 @@ def test_harmonic_deep_shadows_uniform(q, depth):
 def wrong_return_probability(monkeypatch):
     """Last-exit draws that return with probability 1/(q+1), not 1/q."""
     monkeypatch.setattr(walks, "_returns_to_parent",
-                        lambda rng, q, u: rng.random(out=u) < 1 / (q + 1))
+                        lambda u, q: u < 1 / (q + 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_last_exit_return_frequency(q):
     n = 200000
     rng = np.random.Generator(np.random.Philox(derive_seed(q, 9)))
-    k = int(walks._returns_to_parent(rng, q, np.empty(n)).sum())
+    k = int(walks._returns_to_parent(rng.random(n), q).sum())
     # two-sided exact binomial acceptance region at level 1e-6
     lo, hi = stats.binom.ppf(5e-7, n, 1 / q), stats.binom.isf(5e-7, n, 1 / q)
     assert lo <= k <= hi
@@ -640,14 +686,24 @@ def test_kernels_draw_the_same_in_small_chunks(monkeypatch):
     assert _small_chunk_misses() == []
 
 
+# every kernel, except the NBRW on the figure eight, whose one vertex takes
+# every path, and on theta, where the parity of the step fixes the vertex
+SMALL_CHUNK_MOVERS = HARMONIC_CASES[:4] + [
+    (2, 1, 2, 2_000), (3, 0, 2, 2_000), "P0", "K", "C1", "X", "S"]
+
+
 def test_small_chunk_check_sees_a_skipped_discard(monkeypatch):
-    # negative control: every kernel moves, except the NBRW on the figure
-    # eight, whose one vertex takes every path, and on theta, where the
-    # parity of the step fixes the vertex
+    # negative control
     monkeypatch.setattr(walks, "CHUNK", 61)
-    monkeypatch.setattr(walks, "_positioned", _skipping_discard)
-    assert _small_chunk_misses() == HARMONIC_CASES[:4] + [
-        (2, 1, 2, 2_000), (3, 0, 2, 2_000), "P0", "K", "C1", "X", "S"]
+    monkeypatch.setattr(walks._Stream, "read", _read_skipping_discard)
+    assert _small_chunk_misses() == SMALL_CHUNK_MOVERS
+
+
+def test_small_chunk_check_sees_a_read_that_never_seeks(monkeypatch):
+    # negative control
+    monkeypatch.setattr(walks, "CHUNK", 61)
+    monkeypatch.setattr(walks._Stream, "read", _read_never_seeking)
+    assert _small_chunk_misses() == SMALL_CHUNK_MOVERS
 
 
 def _peak_mb(fn, *args):
