@@ -451,7 +451,7 @@ def mertens_sum(q, n, budget=10 ** 7):
     # q >= 2: an exponent past the budget's bit length is over it too
     if q ** min(n + 1, budget.bit_length()) > budget:
         raise BudgetError(f"enumeration budget exceeded: q^(n+1) with "
-                            f"n = {n} is over {budget}")
+                          f"n = {n} is over {budget}")
     return (q - 1) * sum(sieve.phi_sum() for sieve in prime_sieves(q, n))
 
 

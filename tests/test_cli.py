@@ -636,8 +636,6 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
      "budget"),
     (("ff", "cf", "--q", "3"), "usage"),
     (("ff", "mertens", "--q", "3", "--n", "0"), "usage"),
-    # 2^41 polynomials against the budget of 10^7
-    (("ff", "mertens", "--q", "2", "--n", "40"), "budget"),
     (("bt", "farey", "--q", "2", "--t", "0"), "usage"),
     (("bt", "farey", "--q", "2", "--t", "2", "--depth", "0"), "usage"),
     (("bt", "farey", "--q", "2", "--t", "1", "--depth", "300"),
@@ -680,6 +678,8 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
       "-1000001"), "usage"),
     (("bt", "measure", "--q", "3", "--kind", "horoball-ball",
       "--radius-exp", "1000001"), "usage"),
+    # 2^41 polynomials against the budget of 10^7
+    (("ff", "mertens", "--q", "2", "--n", "40"), "budget"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)
