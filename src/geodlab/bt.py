@@ -20,7 +20,6 @@ from .errors import (
 )
 from .ffield import (
     FqPoly,
-    QuadIrr,
     RatFunc,
     PREC_CAP,
     euler_phi,
@@ -28,6 +27,7 @@ from .ffield import (
     multiple_indices,
     poly_range,
     prime_sieves,
+    sqrt_mod,
     _divide_at_infinity,
 )
 
@@ -150,31 +150,6 @@ def patterson_total(q):
 def horoball_ball_mass(q, n):
     """Skinning measure of the horoball at infinity is plain Haar."""
     return Fraction(q) ** (-n)
-
-
-# ---------------------------------------------------------------------------
-# relative heights, norm forms
-
-
-def relative_height(alpha, beta):
-    """h_alpha(beta) = max(|[a, b, b^s, a^s]|, |[a, b^s, b, a^s]|), a power
-    of q equal to q^(distance between the two translation axes).
-
-    With a = (-B_a + s_a sqrt(D_a))/(2A_a) and b likewise, the two norms
-    (b - a)(b^s - a^s) and (b - a^s)(b^s - a) are (P +- R)/(2 A_a A_b),
-    where R = s_a s_b sqrt(D_a) sqrt(D_b) and P = 2 A_a C_b + 2 A_b C_a -
-    B_a B_b is the polar invariant of the two forms.  The crossratios are
-    these norms times h(a) h(b) = |A_a A_b| / |R|, and in odd
-    characteristic max(|P + R|, |P - R|) = max(|P|, |R|), so h_alpha(beta)
-    is q^max(0, deg P - (deg D_a + deg D_b)/2): the tree's
-    cosh d = |P| / sqrt(D_a D_b).  It holds for any two points over one q,
-    in one quadratic field or not.
-    """
-    if (alpha.A, alpha.B, alpha.C) == (beta.A, beta.B, beta.C):
-        raise DegenerateError("beta lies in {alpha, alpha^sigma}")
-    P = 2 * (alpha.A * beta.C + beta.A * alpha.C) - alpha.B * beta.B
-    e = P.degree - (alpha.disc.degree + beta.disc.degree) // 2
-    return Fraction(alpha.q) ** max(0, e)
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +301,108 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
 # orbit experiments on quadratic irrationals
 
 
-def _orbit_generators(q):
-    """The BFS moves: the shears by Y and 1, the inversion, and the inverse
-    shears, each a map QuadIrr -> QuadIrr."""
-    Y, one = FqPoly.x(q), FqPoly.one(q)
-    return [lambda b: b.shear(Y), lambda b: b.shear(one), QuadIrr.invert,
-            lambda b: b.shear(-Y), lambda b: b.shear(-one)]
+# The BFS moves in order: the shears by Y and 1, the inversion and the
+# inverse shears.  _UNDO[i] is the move that undoes move i.
+_UNDO = (3, 4, 2, 0, 1)
+
+
+def _axpy(q, f, c, k, g):
+    """f + c Y^k g over F_q, f and g and the result coefficient tuples."""
+    out = list(f) + [0] * (len(g) + k - len(f))
+    for i, x in enumerate(g, k):
+        out[i] = (out[i] + c * x) % q
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _state(alpha):
+    """The point alpha as the BFS holds it: (A, B, C, s, r), the
+    coefficient tuples of its canonical triple, its sign and r(D) =
+    sqrt_mod(lc D), the smaller square root of lc D in F_q."""
+    return (alpha.A.coeffs, alpha.B.coeffs, alpha.C.coeffs, alpha.sign,
+            sqrt_mod(alpha.disc.lc, alpha.q))
+
+
+def _orbit_moves(q):
+    """The BFS moves, each a map of _state tuples.
+
+    A shear by t = c Y^k maps (A, B, C) to (A, B - 2At, C - Bt + At^2) and
+    keeps s and D.  The inversion maps (A, B, C) to (C, B, A) u, u =
+    1/lc(C) (C != 0, as D is no square), and D to u^2 D.  As in
+    ``QuadIrr.apply_homography`` with det = -1, lead = -u r(D) is a root of
+    lc(u^2 D): s stays exactly when lead is the smaller one, r(u^2 D)."""
+    inverse = [0] + [pow(c, -1, q) for c in range(1, q)]
+
+    def shear(c, k):
+        def move(p):
+            A, B, C, s, r = p
+            return (A, _axpy(q, B, -2 * c, k, A),
+                    _axpy(q, _axpy(q, C, -c, k, B), c * c, 2 * k, A), s, r)
+        return move
+
+    def invert(p):
+        A, B, C, s, r = p
+        u = inverse[C[-1]]
+        lead = -u * r % q
+        root = min(lead, q - lead)
+        return (tuple([x * u % q for x in C]), tuple([x * u % q for x in B]),
+                tuple([x * u % q for x in A]), s if lead == root else -s,
+                root)
+
+    return [shear(1, 1), shear(1, 0), invert, shear(-1, 1), shear(-1, 0)]
+
+
+def _orbit(alpha0, word_len, max_orbit):
+    """The _state of every point the BFS from alpha0 meets over the words
+    of length at most word_len, in the order met.  A point never takes the
+    move that undoes the one that first reached it: that image is the
+    point it came from, which is met already.  BudgetError past max_orbit
+    points."""
+    moves = list(enumerate(_orbit_moves(alpha0.q)))
+    after = [[(i, m) for i, m in moves if i != _UNDO[last]]
+             for last in range(len(moves))]
+    start = _state(alpha0)
+    seen, points = {start}, [start]
+    frontier = [(start, moves)]
+    for _ in range(word_len):
+        nxt = []
+        for beta, steps in frontier:
+            for i, move in steps:
+                img = move(beta)
+                if img not in seen:
+                    seen.add(img)
+                    points.append(img)
+                    nxt.append((img, after[i]))
+                    if len(points) > max_orbit:
+                        raise BudgetError("orbit cap exceeded")
+        frontier = nxt
+        if not frontier:
+            break
+    return points
 
 
 def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
-                          max_orbit=4000):
+                          max_orbit=4000, budget=10 ** 7):
     """Enumerate part of the modular orbit of a quadratic irrational and
     bin it by complexity.
 
     BFS over generator words (shears by Y and 1, inversion, and inverse
     shears) up to length word_len, deduplicating by the canonical
-    (A, B, C, sign) form.  mode "complexity" bins by h(beta); mode
-    "relative" bins by h_{alpha0}(beta).  Returns {"orbit_size", "bins": {value: count},
-    "cumulative": [(threshold, N(threshold))]}.
+    (A, B, C, sign) form (see _orbit).  mode "complexity" bins by h(beta)
+    = q^(deg A - deg D / 2).  mode "relative" bins every beta but alpha0's
+    own triple by the relative height h_{alpha0}(beta) = q^max(0, deg P -
+    deg D), the larger of |[a, b, b^s, a^s]| and |[a, b^s, b, a^s]|, with
+    P = 2 A_0 C + 2 A C_0 - B_0 B the polar invariant of the two forms.
+    Returns {"orbit_size", "bins": {value: count}, "cumulative":
+    [(threshold, N(threshold))]}.
+
+    The work is charged against ``budget`` in coefficient operations
+    before the BFS: 5 moves per point at deg D + 1 each, for at most
+    min(max_orbit, 1 + 5 (4^word_len - 1) / 3) points (each point but
+    alpha0 takes 4 moves that may find a new one), and in mode "relative"
+    (deg D + 1)^2 more per point for its polar invariant.  D, and so its
+    degree, is the same at every point of the orbit.
     """
     if mode not in ("complexity", "relative"):
         raise UnsupportedError(f"unknown mode {mode!r}")
@@ -351,37 +410,38 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
         raise UsageError(f"word length must be at least 0, got {word_len}")
     if word_len > 12:
         raise BudgetError("orbit word length capped at 12")
-    moves = _orbit_generators(alpha0.q)
-    seen = {alpha0.key(): alpha0}
-    frontier = [alpha0]
-    for _ in range(word_len):
-        nxt = []
-        for beta in frontier:
-            for move in moves:
-                img = move(beta)
-                if img.key() not in seen:
-                    seen[img.key()] = img
-                    nxt.append(img)
-                    if len(seen) > max_orbit:
-                        raise BudgetError("orbit cap exceeded")
-        frontier = nxt
-        if not frontier:
-            break
+    q, size = alpha0.q, alpha0.disc.degree + 1
+    points = min(max_orbit, 1 + 5 * (4 ** word_len - 1) // 3)
+    work = points * 5 * size + (points * size ** 2 if mode == "relative"
+                                else 0)
+    if work > budget:
+        raise BudgetError(f"an orbit of up to {points} points of a "
+                          f"discriminant of degree {size - 1} exceeds the "
+                          "budget")
+    orbit = _orbit(alpha0, word_len, max_orbit)
 
-    bins = {}
-    for beta in seen.values():
-        if mode == "complexity":
-            val = beta.complexity()
-        elif (beta.A, beta.B, beta.C) == (alpha0.A, alpha0.B, alpha0.C):
-            continue
-        else:
-            val = relative_height(alpha0, beta)
-        bins[val] = bins.get(val, 0) + 1
+    # h(beta) = q^(deg A - deg D / 2) and D has one degree on the orbit;
+    # the bins count exponents of q, each turned into a Fraction once
+    exponents = {}
+    if mode == "complexity":
+        base = alpha0.sep_valuation() - alpha0.A.degree
+        for point in orbit:
+            e = base + len(point[0]) - 1
+            exponents[e] = exponents.get(e, 0) + 1
+    else:
+        own = (alpha0.A.coeffs, alpha0.B.coeffs, alpha0.C.coeffs)
+        for point in orbit:
+            if point[:3] == own:
+                continue
+            A, B, C = (FqPoly._raw(q, f) for f in point[:3])
+            P = 2 * (alpha0.A * C + A * alpha0.C) - alpha0.B * B
+            e = max(0, P.degree - (size - 1))
+            exponents[e] = exponents.get(e, 0) + 1
+    bins = {Fraction(q) ** e: n for e, n in sorted(exponents.items())}
 
-    thresholds = sorted(bins)
     cumulative = []
     run = 0
-    for s in thresholds:
-        run += bins[s]
+    for s, n in bins.items():
+        run += n
         cumulative.append((s, run))
-    return {"orbit_size": len(seen), "bins": bins, "cumulative": cumulative}
+    return {"orbit_size": len(orbit), "bins": bins, "cumulative": cumulative}

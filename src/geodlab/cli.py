@@ -5,6 +5,13 @@ significant digits, so reruns with identical inputs are byte-identical.
 Validation failures exit with status 2 and a machine-readable error record
 on stderr.
 
+The library modules are reached as attributes of the modules this file
+imports (``ffield.parse_poly``, ``graphs.load_validate``), never by name
+at import: the package registers them lazily (see geodlab/__init__.py),
+so a verb runs only the modules it reads, and ``json`` is imported only
+where JSON is written.  The modules that each verb group runs are listed
+in the README.
+
 ``main`` parses argv with the parsers of the groups and verbs it names
 only; help and every error come from the full tree, so their text is the
 same.  The verb's ``cmd_*`` function is looked up when the tree is built,
@@ -21,18 +28,13 @@ bytes.  A count the user sets wins; ``import geodlab`` sets nothing.
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-from . import bt, counting, library, shift as shift_mod, walks
+from . import bt, counting, ffield, graphs, library, shift as shift_mod, walks
 from .errors import BudgetError, GeodlabError, IOFailure, TooLargeError, \
     UsageError
-from .ffield import FqPoly, QuadIrr, cf_expand, mertens_sum, parse_poly, \
-    parse_ratfunc, euler_phi, laurent_expand, _check_q, MAX_DEGREE
-from .graphs import load_validate
 from .seeding import MASK, derive_seed
 
 # OpenBLAS takes its thread count from the first of these that is set
@@ -86,8 +88,6 @@ def _fmt(x):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)
@@ -98,6 +98,8 @@ def emit(header, rows, args):
         if args.format == "json":
             # JSON has no literal for nan and the infinities: they print
             # as the tokens of the CSV output
+            import json
+
             payload = [{key: _fmt(x) if isinstance(x, float)
                         and not math.isfinite(x) else x
                         for key, x in zip(header, row)} for row in rows]
@@ -132,14 +134,14 @@ def _load_graph(spec):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IOFailure(str(exc)) from exc
-    return load_validate(text)
+    return graphs.load_validate(text)
 
 
 def prime(text):
     """argparse type of --q for ff and bt: a prime up to ffield.MAX_Q."""
     q = int(text)
     try:
-        _check_q(q)
+        ffield._check_q(q)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return q
@@ -149,7 +151,7 @@ def _parse_matrix(q, text):
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != 4:
         raise UsageError("matrix needs 4 semicolon-separated entries")
-    return bt.BTMatrix(*(parse_ratfunc(q, p) for p in parts))
+    return bt.BTMatrix(*(ffield.parse_ratfunc(q, p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +298,18 @@ def cmd_walk_laplacian(args):
 
 
 def cmd_ff_mertens(args):
-    val = mertens_sum(args.q, args.n, budget=_budget(10 ** 7))
+    val = ffield.mertens_sum(args.q, args.n, budget=_budget(10 ** 7))
     emit(["q", "n", "sum"], [(args.q, args.n, val)], args)
 
 
 def cmd_ff_phi(args):
-    f = _factorable(parse_poly(args.q, args.poly))
-    emit(["poly", "phi"], [(str(f), euler_phi(f))], args)
+    f = _factorable(ffield.parse_poly(args.q, args.poly))
+    emit(["poly", "phi"], [(str(f), ffield.euler_phi(f))], args)
 
 
 def cmd_ff_expand(args):
-    v, digits = laurent_expand(parse_ratfunc(args.q, args.value), args.prec)
+    v, digits = ffield.laurent_expand(
+        ffield.parse_ratfunc(args.q, args.value), args.prec)
     emit(["exponent_of_inv_Y", "coefficient"],
          [(v + i, c) for i, c in enumerate(digits)], args)
 
@@ -314,19 +317,19 @@ def cmd_ff_expand(args):
 def _sqrt_disc(q, text, budget):
     """sqrt(D) as a QuadIrr, D the polynomial of ``text``.  Its root costs
     about (deg D)^2 coefficient products, checked against the budget first."""
-    D = parse_poly(q, text)
+    D = ffield.parse_poly(q, text)
     if D.degree ** 2 > budget:
         raise BudgetError(f"the square root of a discriminant of degree "
                           f"{D.degree} exceeds the budget")
-    return QuadIrr(FqPoly.one(q), FqPoly.zero(q), -D)
+    return ffield.QuadIrr(ffield.FqPoly.one(q), ffield.FqPoly.zero(q), -D)
 
 
 def cmd_ff_cf(args):
     if args.disc:
         budget = _budget(10 ** 7)
-        cf = cf_expand(_sqrt_disc(args.q, args.disc, budget), budget)
+        cf = ffield.cf_expand(_sqrt_disc(args.q, args.disc, budget), budget)
     elif args.value is not None:
-        cf = cf_expand(parse_ratfunc(args.q, args.value))
+        cf = ffield.cf_expand(ffield.parse_ratfunc(args.q, args.value))
     else:
         raise UsageError("need --value or --disc")
     rows = [("preperiod", i, str(a)) for i, a in enumerate(cf.preperiod)]
@@ -351,13 +354,13 @@ def cmd_bt_translen(args):
 
 
 def cmd_bt_measure(args):
-    if abs(args.radius_exp) > MAX_DEGREE:
+    if abs(args.radius_exp) > ffield.MAX_DEGREE:
         raise UsageError(f"--radius-exp {args.radius_exp} exceeds "
-                         f"{MAX_DEGREE} in absolute value")
+                         f"{ffield.MAX_DEGREE} in absolute value")
     if args.kind == "total":
         emit(["mass"], [(bt.patterson_total(args.q),)], args)
     elif args.kind == "point-ball":
-        center = parse_ratfunc(args.q, args.center or "0")
+        center = ffield.parse_ratfunc(args.q, args.center or "0")
         emit(["mass"],
              [(bt.patterson_point_ball(args.q, center, args.radius_exp),)],
              args)
@@ -369,7 +372,7 @@ def cmd_bt_measure(args):
 
 
 def cmd_bt_covolume(args):
-    ideal = parse_poly(args.q, args.ideal) if args.ideal else None
+    ideal = ffield.parse_poly(args.q, args.ideal) if args.ideal else None
     out = bt.covolume_suite(args.q, ideal)
     rows = [("nagao", out["nagao_series"]), ("zeta", out["via_zeta"]),
             ("closed", out["closed_form"]),
@@ -380,7 +383,7 @@ def cmd_bt_covolume(args):
 
 
 def cmd_bt_hecke(args):
-    ideal = _factorable(parse_poly(args.q, args.ideal))
+    ideal = _factorable(ffield.parse_poly(args.q, args.ideal))
     formula, enum = bt.hecke_index(args.q, ideal,
                                    cross_check=not args.no_check)
     rows = [(str(ideal), formula, enum if enum is not None else "")]
@@ -583,6 +586,8 @@ def main(argv=None):
             args.func(args)
         return 0
     except GeodlabError as exc:
+        import json
+
         record = {"error": exc.code, "message": str(exc)}
         sys.stderr.write(json.dumps(record) + "\n")
         return 2

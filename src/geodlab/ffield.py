@@ -740,35 +740,6 @@ class QuadIrr:
             return self.sign
         return -self.sign
 
-    def shear(self, t):
-        """alpha + t, the image under z -> z + t for t in F_q[Y].
-
-        The triple becomes (A, B - 2At, C - (B - At) t): it stays primitive
-        with A monic, and D and the sign do not change.
-        """
-        At = self.A * t
-        B1 = self.B - At
-        return QuadIrr._raw(self.A, B1 - At, self.C - B1 * t, self.disc,
-                            self.sign)
-
-    def invert(self):
-        """1/alpha, the image under z -> 1/z.
-
-        The triple becomes (C, B, A) u with u = 1/lc(C); C != 0 because D
-        is not a square.  D' = u^2 D, and the sign follows apply_homography's
-        rule with det = -1: lead = -u r(D).
-        """
-        q = self.q
-        u = pow(self.C.lc, -1, q)
-        lead = -u * sqrt_mod(self.disc.lc, q) % q
-        return QuadIrr._raw(_scaled(self.C, u), _scaled(self.B, u),
-                            _scaled(self.A, u), _scaled(self.disc, u * u % q),
-                            self._sign_under(lead))
-
-    def complexity(self):
-        """h(alpha) = 1/|alpha - alpha^sigma| as an exact Fraction."""
-        return Fraction(self.q) ** self.sep_valuation()
-
     def __repr__(self):
         return (f"QuadIrr(({self.A})x^2+({self.B})x+({self.C}), "
                 f"sign={self.sign:+d})")

@@ -15,12 +15,12 @@ Python version.
 
 numpy is imported only by ``nb_transfer``, a dense view of the edge
 operator that no verb calls: loading and validating a graph, and every
-verb that steps over ``nb_successors``, start without numpy.
+verb that steps over ``nb_successors``, start without numpy.  json and
+fractions are imported by the one function that needs each, so the walk
+verbs, which use this module for its steps only, run without them.
 """
 
-from fractions import Fraction
 import functools
-import json
 import math
 import operator
 
@@ -109,6 +109,8 @@ class GraphOfGroups:
     # -- volumes ---------------------------------------------------------
 
     def volumes(self):
+        from fractions import Fraction
+
         vol = sum(Fraction(1, v.order) for v in self.vertices.values())
         tvol = sum(Fraction(1, e.order) for e in self.edges.values())
         degrees = {v: self.tree_degree(v) for v in self.vertex_ids}
@@ -217,25 +219,53 @@ class ScatterAdd:
     The Python work is done by map() over whole layers: the targets are
     ranked by falling number of entries, layer r holds the r-th entry of
     each target with more than r, a prefix of the ranking, and gathers its
-    sources with one itemgetter."""
+    sources with one itemgetter.  Layering stops at the first layer after
+    the first that holds fewer than FOLD_WIDTH targets; the rest of each of
+    those few long in-lists is added by one reduce() over one gather.  So
+    the passes are at most the layers of FOLD_WIDTH targets plus
+    FOLD_WIDTH, not the longest in-list, which a heavy vertex makes as long
+    as its order.  Such an in-list repeats one entry: a fold forms the
+    product of each distinct (source, coefficient object) once and gathers
+    its terms from those products, the same floats in the same order."""
+
+    FOLD_WIDTH = 4
 
     def __init__(self, targets, sources, coeffs, size):
         into = [[] for _ in range(size)]
         for k, t in enumerate(targets):
             into[t].append(k)
         rank = sorted(range(size), key=lambda t: -len(into[t]))
-        self.layers = []
+        self.layers, self.folds = [], []
         for r in range(len(into[rank[0]]) if rank else 0):
             ks = [into[t][r] for t in rank if len(into[t]) > r]
-            src = [sources[k] for k in ks]
-            # itemgetter of one index returns the item, not a 1-tuple
-            gather = (operator.itemgetter(*src) if len(src) > 1
-                      else lambda x, s=src[0]: (x[s],))
-            self.layers.append((len(ks), gather, None if coeffs is None
+            if r and len(ks) < self.FOLD_WIDTH:
+                for pos, t in enumerate(rank[:len(ks)]):
+                    self.folds.append((pos, *self._fold(
+                        into[t][r:], sources, coeffs)))
+                break
+            self.layers.append((len(ks), _getter([sources[k] for k in ks]),
+                                None if coeffs is None
                                 else [coeffs[k] for k in ks]))
         self.unrank = [0] * size
         for pos, t in enumerate(rank):
             self.unrank[t] = pos
+
+    @staticmethod
+    def _fold(ks, sources, coeffs):
+        """(gather, coefficients, pick) of the entries ks of one in-list:
+        the terms are gather(x) when coeffs is None, else
+        pick(coefficients * gather(x)) over its distinct entries."""
+        if coeffs is None:
+            return _getter([sources[k] for k in ks]), None, None
+        slot, firsts, picks = {}, [], []
+        for k in ks:
+            key = (sources[k], id(coeffs[k]))
+            if key not in slot:
+                slot[key] = len(firsts)
+                firsts.append(k)
+            picks.append(slot[key])
+        return (_getter([sources[k] for k in firsts]),
+                [coeffs[k] for k in firsts], _getter(picks))
 
     def __call__(self, x):
         acc = []
@@ -244,8 +274,21 @@ class ScatterAdd:
             if coeffs is not None:
                 terms = map(operator.mul, coeffs, terms)
             acc[:n] = map(operator.add, acc[:n], terms) if acc else terms
+        for pos, gather, coeffs, pick in self.folds:
+            terms = gather(x)
+            if coeffs is not None:
+                terms = pick(list(map(operator.mul, coeffs, terms)))
+            acc[pos] = functools.reduce(operator.add, terms, acc[pos])
         acc += [0] * (len(self.unrank) - len(acc))
         return list(map(acc.__getitem__, self.unrank))
+
+
+def _getter(indices):
+    """The function x -> tuple of x[i] for i in indices, by one
+    itemgetter (which for one index returns the item, not a 1-tuple)."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return lambda x, i=indices[0]: (x[i],)
 
 
 def _entries(succ):
@@ -316,6 +359,8 @@ def _read_record(kind, raw, build):
 def load_validate(document):
     """Build a GraphOfGroups from a schema document (dict or JSON text)."""
     if isinstance(document, str):
+        import json
+
         try:
             document = json.loads(document)
         except ValueError as exc:

@@ -25,9 +25,9 @@ driver, ``_tree_walks``, which keeps only their state batch-long (a fixed
 batch size) and whose docstring states their draw layout; the NBRW keeps
 nothing as long as its paths.
 
-numpy is imported inside the samplers only: the CLI imports this module
-for every verb, and the exact verbs, the exact NBRW law and the Laplacian
-included, run in Python lists without it.  The exact law forms the floats
+numpy is imported inside the samplers only: the exact NBRW law and the
+Laplacian run in Python lists without it, and so does every verb that
+runs this module without sampling.  The exact law forms the floats
 the array code did: its sums run in numpy's order.  The samplers run
 elementwise numpy and make no BLAS call.  So the CLI loads numpy with one
 OpenBLAS thread (see cli.py), and a thread count the user sets changes no

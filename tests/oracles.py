@@ -8,9 +8,11 @@ Laurent expansions of Series use their own inverse and square root.  The
 objects handed in (matrices, graphs, queries, measures) are read through
 their public fields only.  The helpers build inputs instead: orbit_bfs
 walks a quadratic irrational's orbit with its own apply_homography.
-norm_form, transform_check (acceptance 14, through the irrational's own
-apply_homography and complexity), matrix_inverse and to_document serve
-only the tests, so they live here and not in the package.
+relative_height (the orbit experiment's relative mode bins by its
+exponent), norm_form, transform_check (acceptance 14, through the
+irrational's own apply_homography and sep_valuation), matrix_inverse and
+to_document serve only the tests, so they live here and not in the
+package.
 """
 
 import copy
@@ -367,6 +369,29 @@ def matrix_inverse(g):
     return type(g)(g.d / det, -g.b / det, -g.c / det, g.a / det)
 
 
+def relative_height(alpha, beta):
+    """h_alpha(beta) = max(|[a, b, b^s, a^s]|, |[a, b^s, b, a^s]|), a power
+    of q equal to q^(distance between the two translation axes), read off
+    the two forms.
+
+    With a = (-B_a + s_a sqrt(D_a))/(2A_a) and b likewise, the two norms
+    (b - a)(b^s - a^s) and (b - a^s)(b^s - a) are (P +- R)/(2 A_a A_b),
+    where R = s_a s_b sqrt(D_a) sqrt(D_b) and P = 2 A_a C_b + 2 A_b C_a -
+    B_a B_b is the polar invariant of the two forms.  The crossratios are
+    these norms times h(a) h(b) = |A_a A_b| / |R|, and in odd
+    characteristic max(|P + R|, |P - R|) = max(|P|, |R|), so h_alpha(beta)
+    is q^max(0, deg P - (deg D_a + deg D_b)/2): the tree's
+    cosh d = |P| / sqrt(D_a D_b).  It holds for any two points over one q,
+    in one quadratic field or not.  ValueError when beta has alpha's
+    triple, that is beta in {alpha, alpha^sigma}.
+    """
+    if (alpha.A, alpha.B, alpha.C) == (beta.A, beta.B, beta.C):
+        raise ValueError("beta lies in {alpha, alpha^sigma}")
+    P = 2 * (alpha.A * beta.C + beta.A * alpha.C) - alpha.B * beta.B
+    e = P.degree - (alpha.disc.degree + beta.disc.degree) // 2
+    return Fraction(alpha.q) ** max(0, e)
+
+
 def norm_form(alpha, x, y):
     """Q_alpha(x, y) = |x^2 - xy tr(alpha) + y^2 n(alpha)|_v for FqPoly x, y:
     |A x^2 + B xy + C y^2| / |A|.  The form has no zero but (0, 0), since
@@ -393,7 +418,7 @@ def transform_check(alpha, g, grid=5):
         raise ValueError("g must have polynomial entries")
     q = alpha.q
     ga = alpha.apply_homography(g.a.num, g.b.num, g.c.num, g.d.num)
-    h_ratio = alpha.complexity() / ga.complexity()
+    h_ratio = Fraction(q) ** (alpha.sep_valuation() - ga.sep_valuation())
     # adjugate: g^{-1} up to the unit determinant
     A, B, C, D = g.a.num, g.b.num, g.c.num, g.d.num
     # the zero polynomial, then the monic ones by degree

@@ -22,7 +22,6 @@ from geodlab.bt import (
     patterson_point_ball,
     patterson_total,
     quad_orbit_experiment,
-    relative_height,
     translation_length,
     vertex_distance,
     zeta_minus_one,
@@ -43,6 +42,7 @@ from geodlab.ffield import (
     RatFunc,
     parse_poly,
     poly_range,
+    sqrt_mod,
 )
 from oracles import (
     conj,
@@ -53,6 +53,7 @@ from oracles import (
     orbit_bfs,
     orbit_generators,
     quad_series,
+    relative_height,
     series,
     trace_norm,
     transform_check,
@@ -277,7 +278,7 @@ def test_relative_height_values():
     assert relative_height(al, al.apply_homography(Y, one, one, zero)) == 3
     # a shear keeps the axis at distance zero
     assert relative_height(al, al.apply_homography(one, Y, zero, one)) == 1
-    with pytest.raises(DegenerateError):
+    with pytest.raises(ValueError):
         relative_height(al, conj(al))
 
 
@@ -548,15 +549,18 @@ def _random_points(q, count, seed):
 
 def _move_mismatches(points):
     """(point, generator index) where a BFS move of quad_orbit_experiment
-    and apply_homography by the same generator disagree on the triple, the
-    sign or D, or where the move's D is not B^2 - 4AC."""
+    and apply_homography by the same generator disagree on the triple or
+    the sign, or where the move's r is not r(B^2 - 4AC) of its triple."""
     bad = []
     for beta in points:
-        moves = geodlab.bt._orbit_generators(beta.q)
-        for i, (move, g) in enumerate(zip(moves, orbit_generators(beta.q))):
-            got, want = move(beta), beta.apply_homography(*g)
-            if (got.key() != want.key() or got.disc != want.disc
-                    or got.disc != got.B * got.B - 4 * got.A * got.C):
+        q = beta.q
+        moves = geodlab.bt._orbit_moves(q)
+        for i, (move, g) in enumerate(zip(moves, orbit_generators(q))):
+            A, B, C, sign, r = move(geodlab.bt._state(beta))
+            want = beta.apply_homography(*g)
+            A, B, C = (FqPoly(q, f) for f in (A, B, C))
+            if ((A.coeffs, B.coeffs, C.coeffs, sign) != want.key()
+                    or r != sqrt_mod((B * B - 4 * A * C).lc, q)):
                 bad.append((beta, i))
     return bad
 
@@ -571,11 +575,58 @@ def test_moves_match_apply_homography(q, disc, word_len):
 
 def test_move_check_sees_a_flipped_inversion_sign(monkeypatch):
     starts = _random_points(5, 10, seed=1)
-    invert = QuadIrr.invert
-    monkeypatch.setattr(QuadIrr, "invert", lambda self: conj(invert(self)))
+    moves = geodlab.bt._orbit_moves
+
+    def flipped(q):
+        out = moves(q)
+        invert = out[2]
+        out[2] = lambda p: (lambda A, B, C, s, r: (A, B, C, -s, r))(
+            *invert(p))
+        return out
+
+    monkeypatch.setattr(geodlab.bt, "_orbit_moves", flipped)
     bad = _move_mismatches(starts)
     # the inversion is generator 2, and only it is caught
     assert {i for _, i in bad} == {2} and len(bad) == len(starts)
+
+
+def _orbit_mismatches(q, disc, word_len, mode):
+    """What differs between quad_orbit_experiment and the all-moves BFS of
+    orbit_bfs from the root of disc: the points in the order met, then the
+    bins, each point binned by Fraction(q) ** sep_valuation() or by its
+    relative_height."""
+    al = _sqrt_quad(q, disc)
+    got = [p[:4] for p in geodlab.bt._orbit(al, word_len, 4000)]
+    points = orbit_bfs(al, word_len)[0]
+    if got != list(points):
+        return "points"
+    bins = {}
+    for beta in points.values():
+        if mode == "complexity":
+            value = Fraction(q) ** beta.sep_valuation()
+        elif (beta.A, beta.B, beta.C) == (al.A, al.B, al.C):
+            continue
+        else:
+            value = relative_height(al, beta)
+        bins[value] = bins.get(value, 0) + 1
+    out = quad_orbit_experiment(al, mode=mode, word_len=word_len)
+    if (out["bins"], out["orbit_size"]) != (bins, len(points)):
+        return "bins"
+    return None
+
+
+@pytest.mark.parametrize("mode", ["complexity", "relative"])
+@pytest.mark.parametrize("q, disc, word_len", ORBITS)
+def test_orbit_matches_the_all_moves_bfs(q, disc, word_len, mode):
+    assert _orbit_mismatches(q, disc, word_len, mode) is None
+
+
+def test_orbit_check_sees_a_wrong_undo_table(monkeypatch):
+    # negative control: shear(Y) paired with shear(-1), and shear(1) with
+    # shear(-Y), so a point skips a move that does not lead back
+    monkeypatch.setattr(geodlab.bt, "_UNDO", (4, 3, 2, 1, 0))
+    for q, disc, word_len in ORBITS:
+        assert _orbit_mismatches(q, disc, word_len, "complexity") == "points"
 
 
 # 64-coefficient series expansions of the points the relative-height

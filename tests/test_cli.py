@@ -598,6 +598,12 @@ def test_green_ratio_without_visits_is_a_record(capsys):
     # (deg D)^2 against the budget before the root is built
     ["ff", "cf", "--q", "3", "--disc", "Y^1000000+Y+2"],
     ["bt", "quad-orbit", "--q", "3", "--disc", "Y^10000+Y+2"],
+    # 5 moves of deg D + 1 per point, up to 4000 points, before the BFS,
+    # and (deg D + 1)^2 more per point for relative heights
+    ["bt", "quad-orbit", "--q", "3", "--disc", "Y^3000+Y+2", "--word-len",
+     "8"],
+    ["bt", "quad-orbit", "--q", "3", "--disc", "Y^1000+Y+2", "--mode",
+     "relative", "--word-len", "8"],
 ])
 def test_work_caps_end_quickly_in_a_record(capsys, argv):
     start = time.perf_counter()
@@ -895,7 +901,7 @@ def test_subprocess_orbit_counts_beyond_float_range():
 
 
 # the modules perfbench/tracer.py reads from sys.modules after importing
-# geodlab.cli, so cli must keep importing all of them
+# geodlab.cli, so each must be there, if only registered lazily
 TRACED_MODULES = ("ffield", "graphs", "library", "bt", "counting", "shift",
                   "walks", "seeding", "cli")
 
@@ -1021,7 +1027,77 @@ def test_import_boundary_sees_a_numpy_import(tmp_path):
     ffield.write_text("import numpy\n" + ffield.read_text())
     out = _probe(tmp_path, _numpy_free_argv(tmp_path))
     assert out["missing"] == []
-    assert out["numpy_after"][0] == "import geodlab.cli"
+    # ffield runs at the first verb that reads it, the first of EXACT_ARGV
+    assert out["numpy_after"][0] == "ff mertens --q 3 --n 2"
+
+
+# ---------------------------------------------------------------------------
+# lazy submodules: each invocation executes only the modules its verb runs
+
+
+# Prints the exit code of one argv in a fresh interpreter, then the geodlab
+# modules whose code ran (a lazy module not yet read is a subclass of
+# ModuleType) and which of json and fractions were imported.  It prints no
+# JSON, so that it imports no json itself.
+_RAN_PROBE = """
+import contextlib, io, sys, types
+import geodlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = geodlab.cli.main(sys.argv[1:])
+ran = sorted(m for m, mod in sys.modules.items()
+             if m.startswith("geodlab.") and type(mod) is types.ModuleType)
+print(code)
+print(" ".join(m[len("geodlab."):] for m in ran))
+print(" ".join(m for m in ("json", "fractions") if m in sys.modules))
+"""
+
+ALWAYS_RUN = {"cli", "errors", "seeding"}
+# argv -> the geodlab modules that run besides ALWAYS_RUN, and which of json
+# and fractions are imported
+MODULES_RUN = [
+    (["graph", "seed", "--master", "7"], set(), set()),
+    (["bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y"], {"bt", "ffield"},
+     {"fractions"}),
+    (["ff", "cf", "--q", "3", "--disc", "Y^2+Y"], {"ffield"}, {"fractions"}),
+    (["walk", "harmonic", "--q", "2", "--reps", "100"], {"graphs", "walks"},
+     set()),
+]
+
+
+def _modules_run(package_parent, argv):
+    """(exit code, modules run, which of json and fractions were
+    imported) of argv in a fresh interpreter."""
+    env = _subprocess_env()
+    env["PYTHONPATH"] = str(package_parent)
+    res = subprocess.run([sys.executable, "-c", _RAN_PROBE, *argv],
+                         capture_output=True, text=True, env=env, check=True)
+    code, ran, stdlib = res.stdout.split("\n")[:3]
+    return int(code), set(ran.split()), set(stdlib.split())
+
+
+@pytest.mark.parametrize("argv, modules, imported", MODULES_RUN)
+def test_a_verb_runs_only_its_modules(argv, modules, imported):
+    code, ran, stdlib = _modules_run(_package_parent(), argv)
+    assert code == 0
+    assert (ran, stdlib) == (ALWAYS_RUN | modules, imported)
+
+
+def test_module_check_sees_an_eager_import(tmp_path):
+    # negative control: cli.py imports a name of ffield at the top, which
+    # runs ffield for every verb
+    shutil.copytree(_package_parent() / "geodlab", tmp_path / "geodlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = tmp_path / "geodlab" / "cli.py"
+    seeding = "from .seeding import MASK, derive_seed\n"
+    text = cli_py.read_text()
+    assert seeding in text
+    cli_py.write_text(text.replace(
+        seeding, seeding + "from .ffield import FqPoly  # noqa: F401\n"))
+    argv, modules, imported = MODULES_RUN[0]
+    code, ran, stdlib = _modules_run(tmp_path, argv)
+    assert code == 0
+    assert (ran, stdlib) == (ALWAYS_RUN | modules | {"ffield"},
+                             imported | {"fractions"})
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,7 @@ def test_quad_trace_norm():
     assert tr.is_zero()
     # norm = -D
     assert nm == parse_ratfunc(3, "2Y^2+2Y")
-    assert h == Fraction(1, 3) == al.complexity()
+    assert h == Fraction(1, 3) == Fraction(3) ** al.sep_valuation()
 
 
 @pytest.mark.parametrize("factor_text", ["Y^2", "1/Y^2"])

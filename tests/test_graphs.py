@@ -248,6 +248,11 @@ def test_plan_matches_the_entry_by_entry_sum(case):
         plan = ScatterAdd(targets, sources, coeffs, n)
         assert _bits(plan(floats)) == _bits(
             entry_sums(targets, sources, coeffs, floats, n))
+        # one coefficient object per source, as the weighted steps have
+        shared = [floats[s] for s in sources]
+        plan = ScatterAdd(targets, sources, shared, n)
+        assert _bits(plan(floats)) == _bits(
+            entry_sums(targets, sources, shared, floats, n))
 
 
 def test_entry_sum_check_sees_the_descending_order():
@@ -259,3 +264,41 @@ def test_entry_sum_check_sees_the_descending_order():
     assert _bits(got) != _bits(
         entry_sums(targets[::-1], sources[::-1], None, x, 1))
 
+
+
+# one successor row of 10^5 entries over three columns, as a vertex of
+# order about 10^5 gives its in-edges
+HEAVY_ROW = [0] * 33334 + [1] * 33333 + [2] * 33333
+# the passes a plan may make beyond one per target
+EXTRA_PASSES = 4
+
+
+def _heavy_row_passes():
+    """(targets, passes) of the push and the pull plan of HEAVY_ROW, each
+    checked bit for bit against the entry-by-entry sum."""
+    src, dst = _entries([HEAVY_ROW, [], []])
+    x = [0.1, 1e-17, 3.0]
+    out = []
+    weights = [0.7, 1.3, 2.9, 0.1, 5.0, 0.3, 1.1]
+    for targets, sources in ((dst, src), (src, dst)):
+        # coefficient objects shared by many entries, and one of its own
+        coeffs = [weights[k % 7] for k in range(len(targets))]
+        coeffs[-1] = 1.0 + coeffs[-1]
+        plan = ScatterAdd(targets, sources, coeffs, 3)
+        assert _bits(plan(x)) == _bits(
+            entry_sums(targets, sources, coeffs, x, 3))
+        out.append((len(set(targets)), len(plan.layers) + len(plan.folds)))
+    return out
+
+
+def test_plan_passes_grow_with_targets_not_in_list_length():
+    for targets, passes in _heavy_row_passes():
+        assert passes <= targets + EXTRA_PASSES
+
+
+def test_pass_check_sees_one_pass_per_layer(monkeypatch):
+    # negative control: layering that never folds makes one pass per entry
+    # of the longest in-list
+    monkeypatch.setattr(ScatterAdd, "FOLD_WIDTH", 0)
+    for targets, passes in _heavy_row_passes():
+        assert passes > targets + EXTRA_PASSES

@@ -4,17 +4,27 @@ The tracer wraps each hot method it lists in ``METHODS`` by reading
 ``vars(cls)[name]``, and its arg hook of ``counting.count_perpendiculars``
 reads the graph and the horizon of the query.  A rename or deletion in
 geodlab would otherwise show only when the benchmark runs with tracing on.
-The tracer is loaded from its file, read only.
+The tracer is loaded from its file, read only.  The smoke runs start it
+as the benchmark does, in a fresh interpreter right after which it reads
+every module from sys.modules: the package registers them lazily, and the
+tracer's ``vars(mod)`` is what runs them.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 from pathlib import Path
+import subprocess
+import sys
+
+import pytest
 
 from geodlab.counting import PerpQuery
 from geodlab.library import petersen
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer():
@@ -57,3 +67,30 @@ def test_count_perpendiculars_hook_reads_a_query():
     assert hook(state, (query,), {}) == ((query,), {})
     # 30 edge states stepped 4 times
     assert state.counters["counting.dp_edge_steps"] == 30 * 4
+
+
+def _run(args, tmp_path):
+    env = dict(os.environ)
+    env.pop("GEODLAB_BUDGET", None)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+
+
+@pytest.mark.parametrize("argv, stat, counter", [
+    (["graph", "seed", "--master", "7"], "cli.cmd_seed", None),
+    (["bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y"],
+     "bt.quad_orbit_experiment", "bt.quad_orbit.size"),
+])
+def test_traced_run_prints_what_the_cli_prints(tmp_path, argv, stat,
+                                               counter):
+    plain = _run(["-m", "geodlab.cli", *argv], tmp_path)
+    traced = _run([str(TRACER), str(tmp_path / "trace.json"), *argv],
+                  tmp_path)
+    assert traced.returncode == plain.returncode == 0
+    assert traced.stdout == plain.stdout and traced.stderr == ""
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    calls, _, _, errors = trace["stats"][stat]
+    assert (calls, errors) == (1, 0)
+    if counter is not None:
+        assert trace["counters"][counter] > 0
