@@ -410,14 +410,14 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
         raise UsageError(f"word length must be at least 0, got {word_len}")
     if word_len > 12:
         raise BudgetError("orbit word length capped at 12")
-    q, size = alpha0.q, alpha0.disc.degree + 1
+    q, deg = alpha0.q, alpha0.disc.degree
     points = min(max_orbit, 1 + 5 * (4 ** word_len - 1) // 3)
-    work = points * 5 * size + (points * size ** 2 if mode == "relative"
-                                else 0)
+    work = points * 5 * (deg + 1)
+    if mode == "relative":
+        work += points * (deg + 1) ** 2
     if work > budget:
         raise BudgetError(f"an orbit of up to {points} points of a "
-                          f"discriminant of degree {size - 1} exceeds the "
-                          "budget")
+                          f"discriminant of degree {deg} exceeds the budget")
     orbit = _orbit(alpha0, word_len, max_orbit)
 
     # h(beta) = q^(deg A - deg D / 2) and D has one degree on the orbit;
@@ -435,7 +435,7 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
                 continue
             A, B, C = (FqPoly._raw(q, f) for f in point[:3])
             P = 2 * (alpha0.A * C + A * alpha0.C) - alpha0.B * B
-            e = max(0, P.degree - (size - 1))
+            e = max(0, P.degree - deg)
             exponents[e] = exponents.get(e, 0) + 1
     bins = {Fraction(q) ** e: n for e, n in sorted(exponents.items())}
 
