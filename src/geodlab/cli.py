@@ -209,12 +209,12 @@ def _shift_from_args(args):
 
 def cmd_shift_pressure(args):
     s = _shift_from_args(args)
-    emit(["pressure"], [(shift_mod.pressure(s),)], args)
+    emit(["pressure"], [(shift_mod.pressure(s, _budget(10 ** 8)),)], args)
 
 
 def cmd_shift_equilibrium(args):
     s = _shift_from_args(args)
-    m = shift_mod.equilibrium_measure(s)
+    m = shift_mod.equilibrium_measure(s, _budget(10 ** 8))
     rows = [(str(s.letters[i]), m.p[i]) for i in range(s.n_letters())]
     rows.append(("__entropy__", m.entropy))
     rows.append(("__pressure__", m.pressure))
@@ -224,14 +224,14 @@ def cmd_shift_equilibrium(args):
 def cmd_shift_gibbs(args):
     maxlen = _horizon(args.maxlen, 1, "--maxlen")
     s = _shift_from_args(args)
-    # the audit adds every successor entry for every start letter at each
+    # the audit adds every successor way for every start letter at each
     # length; checked before the equilibrium is computed
-    work = s.n_letters() * sum(map(len, s.succ)) * maxlen
+    work = s.n_letters() * graphs._ways(s.succ) * maxlen
     budget = _budget(10 ** 8)
     if work > budget:
-        raise BudgetError(f"(letters) * (successor entries) * maxlen = "
+        raise BudgetError(f"(letters) * (successor ways) * maxlen = "
                           f"{work} exceeds the budget {budget}")
-    m = shift_mod.equilibrium_measure(s)
+    m = shift_mod.equilibrium_measure(s, budget)
     audit = shift_mod.weak_gibbs_audit(m, maxlen)
     rows = [(str(letter), lo, hi)
             for letter, (lo, hi) in sorted(audit["per_letter"].items(),
@@ -243,10 +243,11 @@ def cmd_shift_gibbs(args):
 def cmd_shift_decay(args):
     nmax = _horizon(args.nmax, 1)
     s = _shift_from_args(args)
-    m = shift_mod.equilibrium_measure(s)
+    budget = _budget(10 ** 8)
+    m = shift_mod.equilibrium_measure(s, budget)
     k = s.n_letters()
     f = [1.0 if i == 0 else 0.0 for i in range(k)]
-    out = shift_mod.correlation_decay(m, f, f, nmax, budget=_budget(10 ** 8))
+    out = shift_mod.correlation_decay(m, f, f, nmax, budget=budget)
     rows = [(n, out["cov"][n]) for n in range(len(out["cov"]))]
     rows.append(("__fitted_rate__", out["fitted_rate"]))
     rows.append(("__spectral_rate__", out["spectral_rate"]))

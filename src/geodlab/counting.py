@@ -6,9 +6,10 @@ edge path that starts at a vertex of Y- without using an edge of Y-,
 and arrives at a vertex of Y+ without using an edge of Y+: in the tree, from
 one lift of each vertex of Y- to any lift of Y+.  Counts are exact big
 integers when all conductances vanish.  Every step of the counting and
-closed-orbit programs is the push w -> wB over the successor lists, through
-one ``graphs.ScatterAdd`` plan: exact big integers, or float masses with
-each entry into f weighted by e^{c(f)}.
+closed-orbit programs is the push w -> wB over the successor rows, through
+one ``graphs.ScatterAdd`` plan with one entry per pair (f, m): exact big
+integers times the ways m, or float masses times m e^{c(f)}.  Budgets
+count the ways, the sum of m over the pairs.
 """
 
 import math
@@ -20,7 +21,7 @@ from .errors import (
     TooLargeError,
     UnsupportedError,
 )
-from .graphs import ScatterAdd, _entries, fold_sum
+from .graphs import ScatterAdd, _entries, _ways, _weighted, fold_sum
 from .shift import EdgeShift, _dot, _perron
 
 DEFAULT_BUDGET = 10 ** 8
@@ -90,15 +91,15 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     Exact (big-integer) when all conductances are zero, float-weighted
     otherwise.  Entry n (1-based length) of the returned CountSeries is the
     number / weighted mass of perpendiculars of length exactly n.
-    Raises BudgetError when (successor entries) * nmax, the most entry
-    steps the DP takes, exceeds ``budget``.
+    Raises BudgetError when (successor ways) * nmax, which bounds the
+    entry steps the DP takes, exceeds ``budget``.
     """
     g = query.graph
     n_edges = g.edge_count()
     succ = g.nb_successors()
-    entries = sum(map(len, succ))
-    if entries * query.nmax > budget:
-        raise BudgetError(f"{entries} successor entries x nmax {query.nmax} "
+    ways = _ways(succ)
+    if ways * query.nmax > budget:
+        raise BudgetError(f"{ways} successor ways x nmax {query.nmax} "
                           "exceeds budget")
     start, end_idx = _ends(g, query.minus, query.plus)
     exact = all(g.edges[e].conductance == 0.0 for e in g.edge_ids)
@@ -107,9 +108,9 @@ def count_perpendiculars(query, budget=DEFAULT_BUDGET):
     for i, m in start:
         w[i] = m if exact else m * weights[i]
 
-    rows, cols = _entries(succ)
-    step = ScatterAdd(cols, rows, None if exact else
-                      [weights[j] for j in cols], n_edges)
+    rows, cols, ways = _entries(succ)
+    step = ScatterAdd(cols, rows, ways if exact else
+                      _weighted(weights, cols, ways), n_edges)
     counts, weighted = [], []
     for n in range(1, query.nmax + 1):
         harvest = fold_sum(w[i] for i in end_idx)
@@ -135,13 +136,13 @@ def _period(succ):
     gcd of level(i) + 1 - level(j) over the steps i -> j."""
     level, todo = {0: 0}, [0]
     for i in todo:
-        for j in succ[i]:
+        for j, _ in succ[i]:
             if j not in level:
                 level[j] = level[i] + 1
                 todo.append(j)
     d = 0
     for i, row in enumerate(succ):
-        for j in row:
+        for j, _ in row:
             d = math.gcd(d, level[i] + 1 - level[j])
     return d, [level[i] % d for i in range(len(succ))]
 
@@ -163,9 +164,9 @@ def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
     The ratio at n is nan in a class with no perpendiculars (C_c = 0).
     All conductances must vanish.  Raises UnsupportedError for a reducible
     B or rho <= 1, DegenerateError for a vertex of tree-degree <= 1,
-    NoConvergenceError when the power iteration needs more than
-    ``budget`` // (number of successor entries) steps, and TooLargeError
-    when a ratio's terms exceed the float range.
+    BudgetError when the power iteration needs more than ``budget`` //
+    (successor ways) steps, and TooLargeError when a ratio's terms exceed
+    the float range.
     """
     g = query.graph
     if any(g.edges[e].conductance != 0.0 for e in g.edge_ids):
@@ -173,7 +174,7 @@ def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
     shift = EdgeShift.from_graph(g)
     if not shift.is_irreducible():
         raise UnsupportedError("the edge step is reducible")
-    rho, r, l = _perron(shift, cap=budget // sum(map(len, shift.succ)))
+    rho, r, l = _perron(shift, budget)
     if rho <= 1:
         raise UnsupportedError("the edge step has no exponential growth")
     d, cls = _period(shift.succ)
@@ -216,12 +217,12 @@ def _sweep(succ, starts, nmax, weights=None):
     steps from unit mass on e, over (e, mult) in ``starts``: exact without
     ``weights`` (``_packed_sweep``), float masses, one sweep per start,
     with them.  No mass strays to edges that cannot come back: with tree
-    degrees >= 2 the walk that takes each successor entry with equal
+    degrees >= 2 the walk that takes each successor way with equal
     probability keeps the measure 1/|G_f| > 0, so every edge recurs."""
     if weights is None:
         return _packed_sweep(succ, starts, nmax)
-    rows, cols = _entries(succ)
-    step = ScatterAdd(cols, rows, [weights[j] for j in cols], len(succ))
+    rows, cols, ways = _entries(succ)
+    step = ScatterAdd(cols, rows, _weighted(weights, cols, ways), len(succ))
     total = [0.0] * nmax
     for e, mult in starts:
         w = [0.0] * len(succ)
@@ -237,14 +238,16 @@ def _slot_bits(succ, nmax):
     """The bits of one start's slot in ``_packed_sweep``, one more than the
     largest mass it forms needs.
 
-    After n steps from unit mass every edge holds at most L^n, L the
-    longest row.  The sweep stops at the first Fix_n past the float range,
-    below 2^1024, and an edge that holds mass m after n steps sends it back
-    to the start within d <= E steps (every edge recurs; E edges), so
-    Fix_{n+d} >= m: no mass the sweep forms is above 2^1024 L^(E+1)."""
-    rows, edges = max(map(len, succ)), len(succ)
+    After n steps from unit mass every edge holds at most L^n, L the most
+    ways of a row (not its pairs: one pair may hold all of its ways).  The
+    sweep stops at the first Fix_n past the float range, below 2^1024, and
+    an edge that holds mass m after n steps sends it back to the start
+    within d <= E steps (every edge recurs; E edges), so Fix_{n+d} >= m: no
+    mass the sweep forms is above 2^1024 L^(E+1)."""
+    ways = max(sum(m for _, m in row) for row in succ)
+    edges = len(succ)
     # for L >= 2, L^n is past the second bound by n = E + 1025
-    bound = min(rows ** min(nmax, edges + 1025), rows ** (edges + 1) << 1024)
+    bound = min(ways ** min(nmax, edges + 1025), ways ** (edges + 1) << 1024)
     return bound.bit_length() + 1
 
 
@@ -261,8 +264,8 @@ def _packed_sweep(succ, starts, nmax):
     w = [0] * len(succ)
     for k, (e, _) in enumerate(starts):
         w[e] += 1 << (k * bits)
-    rows, cols = _entries(succ)
-    step = ScatterAdd(cols, rows, None, len(succ))
+    rows, cols, ways = _entries(succ)
+    step = ScatterAdd(cols, rows, ways, len(succ))
     total = [0] * nmax
     for n in range(nmax):
         w = step(w)
@@ -285,15 +288,15 @@ def closed_orbit_count(graph, nmax, budget=DEFAULT_BUDGET):
       weighted: sum of e^{c} over Fix_n (floats), that is tr(B_w^n) with
         B_w[e, e'] = B[e, e'] e^{c(e')}; float(Fix_n) when every
         conductance is zero.
-    Raises BudgetError when (edge count) * (successor entries) * nmax, the
-    most entry steps of a sweep from every edge, exceeds ``budget``, and
-    TooLargeError when a count or weighted trace exceeds the float range.
+    Raises BudgetError when (edge count) * (successor ways) * nmax, which
+    bounds the entry steps of a sweep from every edge, exceeds ``budget``,
+    and TooLargeError when a count or weighted trace exceeds the float range.
     """
     n_edges = graph.edge_count()
     succ = graph.nb_successors()
-    entries = sum(map(len, succ))
-    if n_edges * entries * nmax > budget:
-        raise BudgetError(f"{n_edges} edges x {entries} successor entries "
+    ways = _ways(succ)
+    if n_edges * ways * nmax > budget:
+        raise BudgetError(f"{n_edges} edges x {ways} successor ways "
                           f"x nmax {nmax} exceeds budget")
     graph.check_branching()
     rev = [graph.edge_index[graph.edges[e].reverse] for e in graph.edge_ids]

@@ -51,10 +51,6 @@ class ReducibleError(GeodlabError):
     code = "reducible"
 
 
-class NoConvergenceError(GeodlabError):
-    code = "no-convergence"
-
-
 class UnsupportedError(GeodlabError):
     code = "unsupported-configuration"
 

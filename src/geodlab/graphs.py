@@ -6,12 +6,13 @@ groups — only the orders matter here.  The tree degree of a vertex is
 deg(v) = sum of i(e) = |G_{o(e)}|/|G_e| over outgoing edges, i.e. its degree
 in the Bass-Serre tree.  ``nb_successors`` holds the one non-backtracking
 edge rule (Bass 1992; Serre, Trees, I.4): a tree path continues from e into
-f, o(f) = t(e), in i(f) - [f = reverse of e] ways.  Counting, the shift and
-the NBRW all step over it, each linear step through one plan,
-``ScatterAdd``, that adds the terms of every target in the order of its
-entries; the other float sums of counting, the shift and the Laplacian add
-left to right (``fold_sum``), so that no printed float depends on the
-Python version.
+f, o(f) = t(e), in m = i(f) - [f = reverse of e] ways, and row e holds the
+pairs (f, m) with m >= 1.  Counting, the shift and the NBRW all step over
+these rows, each linear step through one plan, ``ScatterAdd``, that adds
+the terms of every target in the order of its entries, one entry per pair
+with its ways in the coefficient; the other float sums of counting, the
+shift and the Laplacian add left to right (``fold_sum``), so that no
+printed float depends on the Python version.
 
 numpy is imported only by ``nb_transfer``, a dense view of the edge
 operator that no verb calls: loading and validating a graph, and every
@@ -26,7 +27,8 @@ import operator
 
 from .errors import DegenerateError, GraphFormatError, TooLargeError
 
-# cap on the entries of nb_successors: a row is as long as a tree degree
+# cap on the ways of nb_successors, the sum of m over its pairs: the ways of
+# a row add up to a tree degree
 MAX_SUCCESSORS = 2 ** 20
 
 
@@ -135,17 +137,18 @@ class GraphOfGroups:
     # -- non-backtracking edge dynamics ------------------------------------
 
     def nb_successors(self):
-        """For each edge e, in ``edge_ids`` order, the indices of the edges
-        f with o(f) = t(e), ascending, f listed i(f) - [f = reverse of e]
-        times: row e of the transfer matrix B, one entry per way a tree
-        path goes on.  TooLargeError past MAX_SUCCESSORS entries."""
+        """For each edge e, in ``edge_ids`` order, the pairs (f, m), f
+        ascending: the index of each edge f with o(f) = t(e) that a tree
+        path goes on along, in m = i(f) - [f = reverse of e] >= 1 ways.
+        Row e of the transfer matrix B, B[e, f] = m.  TooLargeError past
+        MAX_SUCCESSORS ways in all."""
         edges = [self.edges[eid] for eid in self.edge_ids]
         size = sum(self.tree_degree(e.terminus) - 1 for e in edges)
         if size > MAX_SUCCESSORS:
             raise TooLargeError(f"the edge step has {size} successor "
-                                f"entries, over {MAX_SUCCESSORS}")
-        return [[self.edge_index[f] for f in self._out[e.terminus]
-                 for _ in range(self.index_i(f) - (f == e.reverse))]
+                                f"ways, over {MAX_SUCCESSORS}")
+        return [[(self.edge_index[f], m) for f in self._out[e.terminus]
+                 if (m := self.index_i(f) - (f == e.reverse))]
                 for e in edges]
 
     def exits(self, name):
@@ -167,7 +170,7 @@ class GraphOfGroups:
     def nb_transfer(self):
         """Weighted non-backtracking transfer matrix as a dense numpy array.
 
-        B[e, e'] = w(e') times the number of times e' follows e in
+        B[e, f] = m w(f) for each pair (f, m) of row e of
         ``nb_successors``, w = ``edge_weights``.  No verb builds it, as
         they all step over the successor lists: the tests read it as a
         dense view, and perfbench/tracer.py wraps it by name.
@@ -179,8 +182,8 @@ class GraphOfGroups:
         weights = self.edge_weights()
         B = np.zeros((n, n))
         for i, row in enumerate(self.nb_successors()):
-            for j in row:
-                B[i, j] += weights[j]
+            for j, m in row:
+                B[i, j] = m * weights[j]
         return B
 
     # -- subgraph helpers ------------------------------------------------
@@ -219,53 +222,27 @@ class ScatterAdd:
     The Python work is done by map() over whole layers: the targets are
     ranked by falling number of entries, layer r holds the r-th entry of
     each target with more than r, a prefix of the ranking, and gathers its
-    sources with one itemgetter.  Layering stops at the first layer after
-    the first that holds fewer than FOLD_WIDTH targets; the rest of each of
-    those few long in-lists is added by one reduce() over one gather.  So
-    the passes are at most the layers of FOLD_WIDTH targets plus
-    FOLD_WIDTH, not the longest in-list, which a heavy vertex makes as long
-    as its order.  Such an in-list repeats one entry: a fold forms the
-    product of each distinct (source, coefficient object) once and gathers
-    its terms from those products, the same floats in the same order."""
-
-    FOLD_WIDTH = 4
+    sources with one itemgetter.  So the passes are as many as the longest
+    in-list.  The rows of ``nb_successors`` hold each successor once, so
+    an in-list of L entries names L distinct edges that all leave, or all
+    arrive at, one vertex.  Their L reverses meet that vertex the other
+    way, and each has at least L - 1 entries in its own in-list: the
+    passes stay at most about sqrt(entries) + 1."""
 
     def __init__(self, targets, sources, coeffs, size):
         into = [[] for _ in range(size)]
         for k, t in enumerate(targets):
             into[t].append(k)
         rank = sorted(range(size), key=lambda t: -len(into[t]))
-        self.layers, self.folds = [], []
+        self.layers = []
         for r in range(len(into[rank[0]]) if rank else 0):
             ks = [into[t][r] for t in rank if len(into[t]) > r]
-            if r and len(ks) < self.FOLD_WIDTH:
-                for pos, t in enumerate(rank[:len(ks)]):
-                    self.folds.append((pos, *self._fold(
-                        into[t][r:], sources, coeffs)))
-                break
             self.layers.append((len(ks), _getter([sources[k] for k in ks]),
                                 None if coeffs is None
                                 else [coeffs[k] for k in ks]))
         self.unrank = [0] * size
         for pos, t in enumerate(rank):
             self.unrank[t] = pos
-
-    @staticmethod
-    def _fold(ks, sources, coeffs):
-        """(gather, coefficients, pick) of the entries ks of one in-list:
-        the terms are gather(x) when coeffs is None, else
-        pick(coefficients * gather(x)) over its distinct entries."""
-        if coeffs is None:
-            return _getter([sources[k] for k in ks]), None, None
-        slot, firsts, picks = {}, [], []
-        for k in ks:
-            key = (sources[k], id(coeffs[k]))
-            if key not in slot:
-                slot[key] = len(firsts)
-                firsts.append(k)
-            picks.append(slot[key])
-        return (_getter([sources[k] for k in firsts]),
-                [coeffs[k] for k in firsts], _getter(picks))
 
     def __call__(self, x):
         acc = []
@@ -274,11 +251,6 @@ class ScatterAdd:
             if coeffs is not None:
                 terms = map(operator.mul, coeffs, terms)
             acc[:n] = map(operator.add, acc[:n], terms) if acc else terms
-        for pos, gather, coeffs, pick in self.folds:
-            terms = gather(x)
-            if coeffs is not None:
-                terms = pick(list(map(operator.mul, coeffs, terms)))
-            acc[pos] = functools.reduce(operator.add, terms, acc[pos])
         acc += [0] * (len(self.unrank) - len(acc))
         return list(map(acc.__getitem__, self.unrank))
 
@@ -292,11 +264,29 @@ def _getter(indices):
 
 
 def _entries(succ):
-    """(rows, cols): the row and the column of every entry of the successor
-    lists ``succ``, row by row, the sources and targets of a push x B, the
-    targets and sources of a pull B x."""
+    """(rows, cols, ways) of the pairs of the successor rows ``succ``, row
+    by row: the row and the column of each pair, the sources and targets of
+    a push x B, the targets and sources of a pull B x; and their ways m,
+    the coefficients of an exact step, or None when every m is 1, so that
+    a step over a simple graph forms no products."""
+    ways = [m for row in succ for _, m in row]
     return ([i for i, row in enumerate(succ) for _ in row],
-            [j for row in succ for j in row])
+            [j for row in succ for j, _ in row],
+            None if all(m == 1 for m in ways) else ways)
+
+
+def _weighted(weights, cols, ways):
+    """The coefficients m w(f) of a float step over the pairs (f, m) with
+    the columns ``cols`` and the ways ``ways`` of ``_entries``."""
+    if ways is None:
+        return [weights[j] for j in cols]
+    return [m * weights[j] for j, m in zip(cols, ways)]
+
+
+def _ways(succ):
+    """The ways of the successor rows ``succ``, the sum of m over their
+    pairs (f, m): the unit in which every budget over them counts."""
+    return sum(m for row in succ for _, m in row)
 
 
 def fold_sum(terms):

@@ -6,27 +6,24 @@ first letter only, so equilibrium states are Markov measures and the whole
 thermodynamic apparatus reduces to Perron-Frobenius data of the weighted
 transfer matrix B[a,b] = m(a,b) e^{c(b)}, with m(a,b) ways from a to b.
 
-A shift is stored as successor lists, b repeated m(a,b) times in row a, and
+A shift is stored as successor rows, the pairs (b, m(a,b)) in row a, and
 every step over B runs over them in pure Python, in a fixed order (the
-linear ones through ``graphs.ScatterAdd``): pressure, the equilibrium chain
-and the Gibbs audit start without numpy, and no result depends on a BLAS
-kernel.  numpy is imported only by the spectral oracle of
+linear ones through ``graphs.ScatterAdd``, one entry per pair):
+pressure, the equilibrium chain and the Gibbs audit start without numpy,
+and no result depends on a BLAS kernel.  The power iteration, like every
+step over the rows, is charged to a budget in ways, the sum of m over the
+pairs.  numpy is imported only by the spectral oracle of
 ``correlation_decay`` (a dense LAPACK eigensolve).
 """
 
+import itertools
 import math
 import operator
 
-from .errors import (
-    BudgetError,
-    NoConvergenceError,
-    ReducibleError,
-    TooLargeError,
-)
-from .graphs import ScatterAdd, _entries, _reached, fold_sum
+from .errors import BudgetError, ReducibleError, TooLargeError
+from .graphs import ScatterAdd, _entries, _reached, _ways, _weighted, fold_sum
 
 POWER_TOL = 1e-12
-POWER_CAP = 10 ** 6
 GIBBS_GROWTH = 4.0  # the spread may grow this much from maxlen // 2 to maxlen
 # path weights the Gibbs audit holds at once, (letters) * (start letters)
 GIBBS_CELLS = 2 ** 18
@@ -37,15 +34,16 @@ class EdgeShift:
     1-step potential given per letter."""
 
     def __init__(self, letters, succ, potential=None):
-        """succ[a]: the indices b of the letters allowed after letter a, b
-        listed m times for m ways from a to b; potential: per-letter c."""
+        """succ[a]: the pairs (b, m) of the letters b allowed after letter
+        a, in m >= 1 ways from a to b; potential: per-letter c."""
         self.letters = list(letters)
         n = len(self.letters)
         self.potential = ([0.0] * n if potential is None
                           else [float(c) for c in potential])
-        succ = [sorted(int(b) for b in row) for row in succ]
+        succ = [sorted((int(b), int(m)) for b, m in row) for row in succ]
         if (len(succ) != n or len(self.potential) != n
-                or any(not 0 <= b < n for row in succ for b in row)):
+                or any(not 0 <= b < n or m < 1 for row in succ
+                       for b, m in row)):
             raise ValueError("successor lists or potential do not match "
                              "the letters")
         try:
@@ -53,9 +51,10 @@ class EdgeShift:
         except OverflowError as exc:
             raise TooLargeError(
                 "a weight exp(potential) exceeds the float range") from exc
-        # B[a, b] = m weights[b] > 0 exactly for b in succ[a]: a weight that
-        # underflows to 0 takes its letter's transitions out
-        self.succ = [[b for b in row if self.weights[b] > 0] for row in succ]
+        # B[a, b] = m weights[b] > 0 exactly for (b, m) in succ[a]: a weight
+        # that underflows to 0 takes its letter's transitions out
+        self.succ = [[(b, m) for b, m in row if self.weights[b] > 0]
+                     for row in succ]
 
     @classmethod
     def from_graph(cls, g):
@@ -66,11 +65,12 @@ class EdgeShift:
 
     @classmethod
     def full_shift(cls, k, potential=None):
-        return cls(list(range(k)), [range(k)] * k, potential)
+        return cls(list(range(k)), [[(b, 1) for b in range(k)]] * k,
+                   potential)
 
     @classmethod
     def golden_mean(cls, potential=None):
-        return cls([0, 1], [[0, 1], [0]], potential)
+        return cls([0, 1], [[(0, 1), (1, 1)], [(0, 1)]], potential)
 
     def n_letters(self):
         return len(self.letters)
@@ -82,7 +82,7 @@ class EdgeShift:
 def _strongly_connected(succ):
     """Every letter is reached from letter 0 and reaches it (never with no
     letters: letter 0 always reaches itself)."""
-    arcs = [(a, b) for a, row in enumerate(succ) for b in row]
+    arcs = [(a, b) for a, row in enumerate(succ) for b, _ in row]
     return (len(_reached(0, arcs)) == len(succ)
             == len(_reached(0, [(b, a) for a, b in arcs])))
 
@@ -91,21 +91,24 @@ def _dot(x, y):
     return fold_sum(a * b for a, b in zip(x, y))
 
 
-def _perron(shift, cap=POWER_CAP):
+def _perron(shift, budget):
     """(rho, right, left) Perron data of B by power iteration over the
-    successor lists, at most ``cap`` iterations per vector.
+    successor rows, at most ``budget`` // (successor ways) iterations per
+    vector; BudgetError past them.
 
     Iterates on B + I so periodic (e.g. bipartite) transition structures
     still converge; rho(B + I) = rho(B) + 1 with the same eigenvectors.
-    B v pulls wt[b] v[b] over each row a, v B pushes v[a] into each b
-    and then weights it by wt[b]: both ``ScatterAdd`` plans, which add in
-    ascending entry order, b along a row and a down a column.
+    B v pulls m wt[b] v[b] over the pairs (b, m) of each row a, v B pushes
+    m v[a] into each b and then weights it by wt[b]: both ``ScatterAdd``
+    plans, which add in ascending entry order, b along a row and a down a
+    column.
     """
     succ, wt = shift.succ, shift.weights
     n = len(succ)
-    rows, cols = _entries(succ)
-    pull = ScatterAdd(rows, cols, [wt[b] for b in cols], n)
-    push = ScatterAdd(cols, rows, None, n)
+    cap = budget // _ways(succ)
+    rows, cols, ways = _entries(succ)
+    pull = ScatterAdd(rows, cols, _weighted(wt, cols, ways), n)
+    push = ScatterAdd(cols, rows, ways, n)
 
     def right_step(v):  # (B + I) v
         return list(map(operator.add, v, pull(v)))
@@ -125,23 +128,25 @@ def _perron(shift, cap=POWER_CAP):
                     <= POWER_TOL * max(1.0, max(map(abs, v)))):
                 return w
             v = w
-        raise NoConvergenceError(
-            f"power iteration did not converge within {cap} iterations")
+        raise BudgetError(f"the power iteration did not converge within "
+                          f"{cap} iterations, the budget {budget} over the "
+                          "successor ways")
 
     right, left = iterate(right_step), iterate(left_step)
     # one Rayleigh polish for the eigenvalue
     return _dot(left, pull(right)) / _dot(left, right), right, left
 
 
-def pressure(shift):
+def pressure(shift, budget=10 ** 8):
     """Gurevic pressure = log Perron radius of the weighted transfer matrix.
 
     This is also the critical exponent of the conductance-weighted
-    non-backtracking path count when the shift comes from a graph.
+    non-backtracking path count when the shift comes from a graph.  The
+    power iteration runs under ``budget`` (``_perron``).
     """
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
-    rho, _, _ = _perron(shift)
+    rho, _, _ = _perron(shift, budget)
     return math.log(rho)
 
 
@@ -159,30 +164,36 @@ class MarkovMeasure:
         self.pressure = pressure
 
 
-def _chain_entropy(p, P):
-    return -fold_sum(pa * x * math.log(x) for pa, row in zip(p, P)
-                     for x in row if x > 0)
+def _chain_entropy(p, P, succ):
+    """-sum of p_a x' log x' over the ways of every row a, x' = x / m for a
+    pair (b, m) of probability x: one term per way, in row order."""
+    return -fold_sum(itertools.chain.from_iterable(
+        itertools.repeat(pa * (x / m) * math.log(x / m), m)
+        for pa, row, prow in zip(p, succ, P)
+        for (_, m), x in zip(row, prow) if x > 0))
 
 
-def equilibrium_measure(shift):
-    """The Parry-type equilibrium chain: P[a,b] = B[a,b] r(b) / (rho r(a)).
+def equilibrium_measure(shift, budget=10 ** 8):
+    """The Parry-type equilibrium chain: P[a,b] = B[a,b] r(b) / (rho r(a)),
+    with the power iteration under ``budget`` (``_perron``).
 
-    ``P[a]`` lists the transition probabilities to the entries of
-    ``shift.succ[a]``, in that order: one per way, so the entropy and the
-    Gibbs audit see the ways of a graph of groups apart."""
+    ``P[a]`` lists the transition probabilities to the pairs of
+    ``shift.succ[a]``, in that order, each the sum over its m ways: the
+    entropy and the Gibbs audit see the ways of a graph of groups apart,
+    each with probability P[a, b] / m."""
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
-    rho, r, l = _perron(shift)
+    rho, r, l = _perron(shift, budget)
     wt = shift.weights
     P = []
     for a, row in enumerate(shift.succ):
-        prow = [wt[b] * r[b] / (rho * r[a]) for b in row]
+        prow = [m * wt[b] * r[b] / (rho * r[a]) for b, m in row]
         tot = fold_sum(prow)  # kill rounding drift
         P.append([x / tot for x in prow])
     p = [x * y for x, y in zip(l, r)]
     tot = fold_sum(p)
     p = [x / tot for x in p]
-    return MarkovMeasure(shift, p, P, _chain_entropy(p, P),
+    return MarkovMeasure(shift, p, P, _chain_entropy(p, P, shift.succ),
                          _dot(p, shift.potential), math.log(rho))
 
 
@@ -223,12 +234,13 @@ def weak_gibbs_audit(m, maxlen):
         raise BudgetError("weak-Gibbs audit capped at maxlen 16")
     n_letters = m.shift.n_letters()
     pot = m.shift.potential
-    # the admissible steps a -> b (P[a, b] > 0) into each letter b
+    # the admissible steps a -> b (P[a, b] > 0) into each letter b, each
+    # way of probability P[a, b] / ways
     pred = [[] for _ in range(n_letters)]
     for a, (row, prow) in enumerate(zip(m.shift.succ, m.P)):
-        for b, x in zip(row, prow):
+        for (b, ways), x in zip(row, prow):
             if x > 0:
-                pred[b].append((a, math.log(x) - pot[a] + m.pressure))
+                pred[b].append((a, math.log(x / ways) - pot[a] + m.pressure))
     closing = [-c + m.pressure for c in pot]  # indexed by the last letter
     log_p = [math.log(x) for x in m.p]
     lo, hi, half = [], [], []
@@ -314,12 +326,12 @@ def correlation_decay(m, f, g, nmax, budget=10 ** 8):
     The chain steps over the rows of ``m.P``, a pull through one
     ``ScatterAdd`` plan, and the rate is the closed-form least-squares
     slope, both summed in a fixed order; only the spectral oracle builds
-    the dense P, for LAPACK's eigensolver.  The nmax steps take (successor
-    entries) * nmax products, at most ``budget``."""
+    the dense P, for LAPACK's eigensolver.  The nmax steps take at most
+    (successor ways) * nmax products, at most ``budget``."""
     p, P, succ = m.p, m.P, m.shift.succ
-    work = sum(map(len, succ)) * nmax
+    work = _ways(succ) * nmax
     if work > budget:
-        raise BudgetError(f"(successor entries) * nmax = {work} exceeds the "
+        raise BudgetError(f"(successor ways) * nmax = {work} exceeds the "
                           f"budget {budget}")
     f = [float(x) for x in f]
     vec = [float(x) for x in g]
@@ -327,7 +339,7 @@ def correlation_decay(m, f, g, nmax, budget=10 ** 8):
     covs = [_dot(p, [x * y for x, y in zip(f, vec)]) - mean_fg]
     # the pull adds from the first term where _dot adds from 0: that moves
     # at most the sign of a zero, which the _dot of the covariance drops
-    rows, cols = _entries(succ)
+    rows, cols, _ = _entries(succ)
     chain = ScatterAdd(rows, cols, [x for prow in P for x in prow], len(P))
     for _ in range(nmax):
         vec = chain(vec)
@@ -338,7 +350,7 @@ def correlation_decay(m, f, g, nmax, budget=10 ** 8):
 
     dense = np.zeros((len(P), len(P)))
     for a, (row, prow) in enumerate(zip(succ, P)):
-        np.add.at(dense, (a, row), prow)
+        np.add.at(dense, (a, [b for b, _ in row]), prow)
     eigs = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
     rho2 = float(eigs[1]) if len(eigs) > 1 else 0.0
 

@@ -3,15 +3,15 @@ regular trees (harmonic measure, Green-kernel ratios), and the weighted
 graph Laplacian.
 
 The NBRW on a graph of groups steps over the rows of
-``GraphOfGroups.nb_successors``: after an edge it takes each entry of its
-row with equal probability, so an edge listed m times in a row of L entries
-has probability m/L.  This is the walk on the Bass-Serre tree pushed to the
-quotient, without materializing any groups.  The exact law merges each
-row's repeats into probabilities m/L; the sampler keeps the rows as they
-are and moves a path on a row of L entries to entry floor(u L) for one
+``GraphOfGroups.nb_successors``: after an edge it takes each way of its row
+with equal probability, so a pair (f, m) in a row of L ways in all has
+probability m/L.  This is the walk on the Bass-Serre tree pushed to the
+quotient, without materializing any groups.  The exact law reads the
+probabilities m/L off the pairs; the sampler expands each pair into m
+entries and moves a path on a row of L entries to entry floor(u L) for one
 uniform u.
 
-Every walk checks its steps (paths times steps, or successor entries times
+Every walk checks its steps (paths times steps, or successor ways times
 steps for the exact law) against a budget before it draws or allocates.
 
 Every sampler reads its draws from one Philox stream, and each walk reads
@@ -40,7 +40,7 @@ import math
 
 from .errors import BudgetError, DegenerateError, NotTransientError, \
     TooLargeError, UsageError
-from .graphs import ScatterAdd, fold_sum
+from .graphs import ScatterAdd, _entries, fold_sum
 from .seeding import derive_seed
 
 # cap on tree_harmonic_measure's shadows, one tally and output row each
@@ -56,51 +56,37 @@ class NBRWKernel:
     """Edge-to-edge transition kernel of the non-backtracking walk, read
     from one ``nb_successors`` call, in Python lists.
 
-    - For the sampler: the rows end to end in ``entries``, row i at
-      ``entries[offset[i]:offset[i] + length[i]]``, and the vertex ``term``
-      each edge ends at.
-    - For the exact law, merged on first use: the successors of edge i are
-      ``col[start[i]:start[i + 1]]``, ascending, with the probabilities
-      ``prob`` at the same positions, and ``row`` repeats i once for each.
+    - ``succ``: its rows of pairs (f, m), and ``length``: the ways L of
+      each row, the sum of its m.
+    - For the sampler: the rows expanded, each pair into m entries f, end
+      to end in ``entries``, row i at ``entries[offset[i]:offset[i] +
+      length[i]]``, and the vertex ``term`` each edge ends at.
+    - For the exact law: ``step``, built on first use.
     """
 
     def __init__(self, graph):
         graph.check_branching()
         self.graph = graph
-        rows = graph.nb_successors()
-        self.entries = list(itertools.chain.from_iterable(rows))
-        self.length = [len(succ) for succ in rows]
+        self.succ = graph.nb_successors()
+        self.length = [sum(m for _, m in row) for row in self.succ]
+        self.entries = [f for row in self.succ for f, m in row
+                        for _ in range(m)]
         self.offset = [0, *itertools.accumulate(self.length)][:-1]
         # vertex index of each edge's terminus, the vertex a walk stands on
         self.term = [graph.vertex_index[graph.edges[eid].terminus]
                      for eid in graph.edge_ids]
 
     @functools.cached_property
-    def _merged(self):
-        """(start, col, prob, row) and the plan of the step over them."""
-        start, col, prob, row = [0], [], [], []
-        entries = iter(self.entries)
-        for i, n in enumerate(self.length):
-            # a run of m equal entries in a row of L: one entry, m / L
-            for j, run in itertools.groupby(itertools.islice(entries, n)):
-                col.append(j)
-                prob.append(len(list(run)) / n)
-                row.append(i)
-            start.append(len(col))
-        return (start, col, prob, row,
-                ScatterAdd(col, row, prob, len(self.term)))
-
-    start = property(lambda self: self._merged[0])
-    col = property(lambda self: self._merged[1])
-    prob = property(lambda self: self._merged[2])
-    row = property(lambda self: self._merged[3])
-
-    def step(self, dist):
-        """The edge law one step after ``dist``: each target adds its
-        products prob * dist[i] in ascending order of the source i, the
-        floats ``np.bincount(col, dist[row] * prob)`` forms (from 0.0,
-        which changes no sum, as no product is -0.0)."""
-        return self._merged[4](dist)
+    def step(self):
+        """The edge law one step after a law dist, built on first use: each
+        target f adds the products prob * dist[i], prob = m / L for the
+        pair (f, m) of row i of L ways, in ascending order of the source i,
+        the floats ``np.bincount(col, dist[row] * prob)`` forms over the
+        pairs (from 0.0, which changes no sum, as no product is -0.0)."""
+        rows, cols, _ = _entries(self.succ)
+        prob = [m / length for row, length in zip(self.succ, self.length)
+                for _, m in row]
+        return ScatterAdd(cols, rows, prob, len(self.term))
 
     def start_distribution(self, subname):
         """Initial edge law for a walk leaving the named subgraph: vertex
@@ -209,7 +195,7 @@ def _iterate(step, x, k):
 
 def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
     """Vertex distribution after n steps of the non-backtracking walk, at
-    most (successor entries) * n entry steps under ``budget``.
+    most (successor ways) * n entry steps under ``budget``.
 
     The law steps in floats until it repeats exactly (``_iterate``): the
     walk mixes fast, and the law of every graph probed reaches a fixed point
@@ -223,7 +209,7 @@ def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
     """
     _check_steps(n)
     kernel = NBRWKernel(graph)
-    _check_work("successor entries * n", len(kernel.entries) * n, budget)
+    _check_work("successor ways * n", len(kernel.entries) * n, budget)
     dist = _iterate(kernel.step, kernel.start_distribution(start_subgraph),
                     n - 1)
     vdist = kernel.vertex_pushforward(dist)

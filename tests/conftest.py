@@ -22,12 +22,12 @@ def sieve_forgets_y(monkeypatch):
 
 @pytest.fixture
 def quotient_only_rule(monkeypatch):
-    """An edge step that ignores the group orders: f follows e once when
-    o(f) = t(e) and f is not the reverse of e.  The first mutation the
+    """An edge step that ignores the group orders: f follows e in one way
+    when o(f) = t(e) and f is not the reverse of e.  The first mutation the
     negative controls of the graph-of-groups checks inject."""
 
     def quotient_only(self):
-        return [[self.edge_index[f]
+        return [[(self.edge_index[f], 1)
                  for f in self.out_edges(self.edges[eid].terminus)
                  if f != self.edges[eid].reverse] for eid in self.edge_ids]
 
@@ -36,11 +36,12 @@ def quotient_only_rule(monkeypatch):
 
 @pytest.fixture
 def merged_repeats_rule(monkeypatch):
-    """An edge step whose rows list each successor once, however many ways
-    lead to it: the second mutation of those negative controls."""
+    """An edge step whose pairs all have m set to 1, however many ways
+    lead to each successor: the second mutation of those negative
+    controls."""
     rule = GraphOfGroups.nb_successors
-    monkeypatch.setattr(GraphOfGroups, "nb_successors",
-                        lambda self: [sorted(set(row)) for row in rule(self)])
+    monkeypatch.setattr(GraphOfGroups, "nb_successors", lambda self: [
+        [(f, 1) for f, _ in row] for row in rule(self)])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -27,16 +27,15 @@ from geodlab.ffield import FqPoly, RatFunc, poly_range
 from geodlab.graphs import load_validate
 
 
-def dense(cols, vals=None):
-    """The square array with the sum of vals[i][k] (1.0 when vals is None)
-    over the k with cols[i][k] = j at row i, column j: a sparse operator
-    stored by rows, such as EdgeShift.succ with MarkovMeasure.P, made dense
-    for the oracles.  A column repeated in a row adds up, as the ways of a
-    graph of groups do."""
-    M = np.zeros((len(cols), len(cols)))
-    for i, row in enumerate(cols):
-        for k, j in enumerate(row):
-            M[i, j] += 1.0 if vals is None else vals[i][k]
+def dense(rows, vals=None):
+    """The square array with the sum of vals[i][k] (m when vals is None)
+    over the pairs k = (j, m) of rows[i] at row i, column j: a sparse
+    operator stored by rows of pairs, such as EdgeShift.succ with
+    MarkovMeasure.P, made dense for the oracles."""
+    M = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for k, (j, m) in enumerate(row):
+            M[i, j] += m if vals is None else vals[i][k]
     return M
 
 
@@ -469,12 +468,21 @@ def graph_of_groups(orders, pairs, subgraphs=None):
                       for name, vs in (subgraphs or {}).items()}})
 
 
-def order_three_lollipop():
-    """An order-3 vertex a joined by a trivial edge to b, which has a loop:
-    tree degree 3 at both, a 3-regular tree.  A = {a}, B = {b}."""
-    return graph_of_groups({"a": 3, "b": 1},
+def lollipop(order):
+    """A vertex a of the given order joined by a trivial edge to b, which
+    has a loop: tree degree ``order`` at a and 3 at b.  After the edge
+    into a a path goes on along it in order - 1 ways, so at order 10^5
+    that row holds one successor in 99,999 ways: the heavy-vertex graph.
+    A = {a}, B = {b}."""
+    return graph_of_groups({"a": order, "b": 1},
                            [("t", "a", "b"), ("l", "b", "b")],
                            {"A": ["a"], "B": ["b"]})
+
+
+def order_three_lollipop():
+    """The lollipop of order 3: tree degree 3 at both vertices, a 3-regular
+    tree."""
+    return lollipop(3)
 
 
 def order_three_pair():
@@ -529,19 +537,22 @@ def bass_matrix(g):
     return [[ways(e, f) for f in ids] for e in ids]
 
 
-def per_start_sweep(succ, starts, nmax):
+def per_start_sweep(g, starts, nmax):
     """For n = 1..nmax, the sum over (e, mult) in ``starts`` of mult times
-    the number of non-backtracking paths of n steps from e back to e over
-    the successor lists ``succ``: one exact big-integer sweep per start."""
+    the number of non-backtracking paths of n steps from edge e back to e
+    in the graph of groups g, counted with their ways over ``bass_matrix``:
+    one exact big-integer sweep per start."""
+    nonzero = [[(j, b) for j, b in enumerate(row) if b]
+               for row in bass_matrix(g)]
     total = [0] * nmax
     for e, mult in starts:
-        w = [0] * len(succ)
+        w = [0] * len(nonzero)
         w[e] = 1
         for n in range(nmax):
             nxt = [0] * len(w)
             for i, mass in enumerate(w):
-                for j in succ[i]:
-                    nxt[j] += mass
+                for j, b in nonzero[i]:
+                    nxt[j] += mass * b
             w = nxt
             total[n] += mult * w[e]
     return total
@@ -646,13 +657,13 @@ def nbrw_law_reference(graph, start, ns):
     non-backtracking walk from the subgraph ``start``, for each n in
     ``ns``: the array code walks.nbrw_exact ran before it stopped at the
     law's exact cycle.  It steps all max(ns) - 1 times with np.bincount
-    over the merged rows of ``graph.nb_successors()`` (a run of m equal
-    entries in a row of L is one entry, m / L) and sums with np.sum."""
+    over the pairs of ``graph.nb_successors()`` (a pair (f, m) in a row of
+    L ways is one entry, m / L) and sums with np.sum."""
     col, prob, row = [], [], []
     for i, succ in enumerate(graph.nb_successors()):
-        for j, run in itertools.groupby(succ):
+        for j, m in succ:
             col.append(j)
-            prob.append(len(list(run)) / len(succ))
+            prob.append(m / sum(k for _, k in succ))
             row.append(i)
     col, prob, row = np.array(col), np.array(prob), np.array(row)
     term = [graph.vertex_index[graph.edges[e].terminus]
@@ -910,9 +921,9 @@ def gibbs_audit_reference(m, maxlen):
     pot = m.shift.potential
     pred = [[] for _ in range(n_letters)]
     for a, (row, prow) in enumerate(zip(m.shift.succ, m.P)):
-        for b, x in zip(row, prow):
+        for (b, ways), x in zip(row, prow):
             if x > 0:
-                pred[b].append((a, math.log(x) - pot[a] + m.pressure))
+                pred[b].append((a, math.log(x / ways) - pot[a] + m.pressure))
     k = max(1, *map(len, pred))
     src = np.full((k, n_letters), n_letters)
     W_max = np.full((k, n_letters), -np.inf)

@@ -148,7 +148,8 @@ def test_06_variational_and_weak_gibbs():
         k = int(rng.integers(2, 5))
         while True:
             A = (rng.random((k, k)) < 0.75).astype(float)
-            s = EdgeShift(list(range(k)), [np.flatnonzero(r) for r in A],
+            s = EdgeShift(list(range(k)),
+                          [[(b, 1) for b in np.flatnonzero(r)] for r in A],
                           rng.normal(scale=0.5, size=k))
             if s.is_irreducible():
                 break

@@ -27,7 +27,7 @@ import pytest
 
 from geodlab import cli
 from geodlab.cli import main
-from oracles import to_document, trivial_orders
+from oracles import bass_matrix, lollipop, to_document, trivial_orders
 
 
 def run_cli(capsys, *argv):
@@ -390,7 +390,7 @@ def test_count_orbits_long_horizon_on_a_cycle(capsys):
 
 
 def test_count_orbits_budget_env(capsys, monkeypatch):
-    # petersen: 30 directed edges, 60 successor entries, 30 * 60 * 12 =
+    # petersen: 30 directed edges, 60 successor ways, 30 * 60 * 12 =
     # 21600 entry steps
     monkeypatch.setenv("GEODLAB_BUDGET", "21599")
     code, out, err = run_cli(capsys, "count", "orbits", "--graph",
@@ -461,18 +461,11 @@ def test_successor_entries_past_the_cap_are_a_record(tmp_path, capsys, argv):
 
 
 def _heavy_vertex_graph(tmp_path, order):
-    """a of the given order joined by a trivial edge to b, which has a loop:
-    4 directed edges, with order - 1 successor entries after the edge into
-    a and 2 after each other edge."""
-    edges = [{"id": name + s, "from": u if s == "+" else v,
-              "to": v if s == "+" else u, "reverse": name + r}
-             for name, u, v in (("t", "a", "b"), ("l", "b", "b"))
-             for s, r in (("+", "-"), ("-", "+"))]
+    """The file of ``oracles.lollipop(order)``: 4 directed edges, with
+    order - 1 successor ways after the edge into a and 2 after each other
+    edge."""
     path = tmp_path / "heavy.json"
-    path.write_text(json.dumps({
-        "vertices": [{"id": "a", "order": order}, {"id": "b"}],
-        "edges": edges,
-        "subgraphs": {"B": {"vertices": ["b"], "edges": []}}}))
+    path.write_text(json.dumps(to_document(lollipop(order))))
     return str(path)
 
 
@@ -491,6 +484,47 @@ def test_count_budgets_bound_the_successor_entries(tmp_path, capsys, argv):
     assert json.loads(err)["error"] == "budget"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "perp", "--minus", "B", "--plus", "B", "--nmax", "20"],
+    ["shift", "pressure"],
+])
+def test_heavy_vertex_verbs_end_within_a_second(tmp_path, capsys, argv):
+    path = _heavy_vertex_graph(tmp_path, 10 ** 5)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv[:2], "--graph", path, *argv[2:])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+
+
+def test_heavy_vertex_pressure_is_the_log_of_the_top_root(tmp_path, capsys):
+    # the top root of Bass's matrix is 58.81540036164124949...; a power
+    # iteration that adds the 99,999 ways one by one lands 2.3e-11 off it
+    import numpy as np
+
+    path = _heavy_vertex_graph(tmp_path, 10 ** 5)
+    code, out, _ = run_cli(capsys, "shift", "pressure", "--graph", path)
+    B = np.array(bass_matrix(lollipop(10 ** 5)), dtype=float)
+    want = math.log(max(np.linalg.eigvals(B).real))
+    assert code == 0
+    assert abs(float(out.split()[1]) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("argv", [
+    ["shift", "pressure", "--graph", "builtin:orderchain"],
+    ["shift", "equilibrium", "--preset", "golden"],
+])
+def test_power_iteration_past_the_budget_is_a_record(capsys, monkeypatch,
+                                                     argv):
+    # the budget over the successor ways caps the iterations per vector:
+    # 30 // 20 and 30 // 3, too few to converge
+    monkeypatch.setenv("GEODLAB_BUDGET", "30")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "budget"
+    monkeypatch.delenv("GEODLAB_BUDGET")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 PETERSEN_WALK = ["walk", "nbrw", "--graph", "builtin:petersen", "--start",
                  "P0"]
 
@@ -503,7 +537,7 @@ PETERSEN_WALK = ["walk", "nbrw", "--graph", "builtin:petersen", "--start",
     (["walk", "green", "--q", "3", "--reps", str(10 ** 12)], "budget"),
     (PETERSEN_WALK + ["--reps", str(10 ** 12)], "budget"),
     (["walk", "harmonic", "--q", "2", "--reps", str(10 ** 12)], "budget"),
-    # the exact law: 60 successor entries * 10^8 steps
+    # the exact law: 60 successor ways * 10^8 steps
     (PETERSEN_WALK + ["--n", str(10 ** 8)], "budget"),
 ])
 def test_walk_work_past_the_budget_is_a_record(capsys, argv, want):
@@ -532,7 +566,7 @@ def _budget_verdicts(capsys, monkeypatch, argv, work):
 
 @pytest.mark.parametrize("argv, work", [
     (PETERSEN_WALK + ["--n", "7", "--reps", "11"], 77),  # reps * n
-    (PETERSEN_WALK + ["--n", "7"], 420),  # 60 successor entries * n
+    (PETERSEN_WALK + ["--n", "7"], 420),  # 60 successor ways * n
     (["walk", "harmonic", "--q", "2", "--depth", "3", "--reps", "11"], 33),
     # reps * (max(dxy, dxz) + 1)
     (["walk", "green", "--q", "2", "--dxz", "3", "--reps", "1000"], 4000),
@@ -543,10 +577,12 @@ def _budget_verdicts(capsys, monkeypatch, argv, work):
     (["ff", "cf", "--q", "5", "--disc", "Y^4+Y+1"], 9 * 16),
     (["bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y", "--word-len", "2"],
      4),
-    # (letters) * (successor entries) * maxlen for the Gibbs audit
+    # (letters) * (successor ways) * maxlen for the Gibbs audit; the
+    # golden mean's power iteration takes 15 steps of 3 ways, within the
+    # budget from maxlen 8 on
     (PETERSEN_GIBBS, 30 * 60 * 7),
-    (["shift", "gibbs-audit", "--preset", "golden", "--maxlen", "5"],
-     2 * 3 * 5),
+    (["shift", "gibbs-audit", "--preset", "golden", "--maxlen", "16"],
+     2 * 3 * 16),
 ])
 def test_walk_and_decay_budgets_env(capsys, monkeypatch, argv, work):
     assert _budget_verdicts(capsys, monkeypatch, argv, work) == ["budget", 0]
@@ -554,7 +590,7 @@ def test_walk_and_decay_budgets_env(capsys, monkeypatch, argv, work):
 
 def test_gibbs_budget_boundary_sees_a_charge_without_the_letters(
         capsys, monkeypatch):
-    # negative control: 60 successor entries * maxlen 7, the charge of
+    # negative control: 60 successor ways * maxlen 7, the charge of
     # shift decay, is not the audit's boundary
     assert _budget_verdicts(capsys, monkeypatch, PETERSEN_GIBBS,
                             60 * 7) == ["budget", "budget"]
@@ -1163,7 +1199,9 @@ for path, start, n in control:
     with open(path) as fh:
         k = NBRWKernel(load_validate(fh.read()))
     P = np.zeros((len(k.term), len(k.term)))
-    P[k.row, k.col] = k.prob
+    for i, row in enumerate(k.succ):
+        for f, m in row:
+            P[i, f] = m / k.length[i]
     dist = k.start_distribution(start)
     for _ in range(n - 1):
         dist = dist @ P
@@ -1344,6 +1382,57 @@ def test_graph_verbs_match_the_pinned_digests(capsys):
                       ("shift", "pressure"), ("shift", "equilibrium")]
         assert {v + ("--graph", "builtin:" + name) for v in verbs} <= pinned
     assert _digest_misses(capsys) == []
+
+
+@functools.cache
+def _foreign_digests():
+    """{version: {argv: [exit code, stdout digest]}} of the pinned argv
+    that load no numpy (all but the sampled walks, which take --reps), run
+    in one subprocess under each of python3.10 to python3.13 on PATH that
+    starts and is not the running version."""
+    argvs = [argv for argv in json.loads(DIGESTS.read_text())
+             if "--reps" not in argv.split()]
+    env = _subprocess_env()
+    env["PYTHONPATH"] = str(_package_parent())
+    running = "%d.%d" % sys.version_info[:2]
+    out = {}
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            capture_output=True, text=True, env=env)
+        version = probe.stdout.strip()
+        if probe.returncode or version in (running, *out):
+            continue
+        res = subprocess.run(
+            [exe, "-c", _DIGEST_PROBE, json.dumps([a.split() for a in argvs])],
+            capture_output=True, text=True, env=env, check=True)
+        out[version] = dict(zip(argvs, json.loads(res.stdout)))
+    if not out:
+        pytest.skip("no other python3.10 to python3.13 on PATH starts")
+    return out
+
+
+def _foreign_misses(pinned):
+    """(version, argv) of each argv whose exit code or digest under another
+    interpreter is not the one ``pinned`` holds."""
+    return [(version, argv) for version, got in _foreign_digests().items()
+            for argv, digest in got.items() if digest != pinned[argv]]
+
+
+def test_pinned_digests_under_other_interpreters():
+    assert _foreign_misses(json.loads(DIGESTS.read_text())) == []
+
+
+def test_interpreter_check_sees_an_altered_digest():
+    # negative control: one pinned digest altered
+    pinned = json.loads(DIGESTS.read_text())
+    argv = "count orbits --graph builtin:petersen"
+    pinned[argv] = [0, "0" * 64]
+    assert _foreign_misses(pinned) == [(version, argv)
+                                       for version in _foreign_digests()]
 
 
 def _compensated_sum(original):

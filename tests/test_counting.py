@@ -51,7 +51,9 @@ from oracles import (
     biregular_constants,
     enumerate_perpendiculars,
     graph_of_groups,
+    lollipop,
     order_three_lollipop,
+    order_three_pair,
     per_start_sweep,
     regular_constant,
     to_document,
@@ -75,8 +77,9 @@ def test_fig8_per_length():
 
 def _successors_with_backtracking(self):
     """GraphOfGroups.nb_successors without the rule that a path may not
-    turn back: the mutation the negative controls below inject."""
-    return [[self.edge_index[f]
+    turn back, one way to each successor: the mutation the negative
+    controls below inject."""
+    return [[(self.edge_index[f], 1)
              for f in self.out_edges(self.edges[eid].terminus)]
             for eid in self.edge_ids]
 
@@ -205,7 +208,7 @@ def test_theta_parity():
 
 
 def test_budget_guard():
-    # 30 directed edges with 2 successor entries each: 60 * 10 entry steps
+    # 30 directed edges with 2 successor ways each: 60 * 10 entry steps
     g = petersen()
     with pytest.raises(BudgetError):
         count_perpendiculars(PerpQuery(g, "P0", "P1", 10), budget=599)
@@ -414,7 +417,7 @@ def test_period_of_the_subdivided_theta():
     assert d == math.gcd(*(n for n, f in enumerate(fix, 1) if f)) == 6
     # every step moves on by one class
     assert all(cls[j] == (cls[i] + 1) % d
-               for i, row in enumerate(g.nb_successors()) for j in row)
+               for i, row in enumerate(g.nb_successors()) for j, _ in row)
     query = PerpQuery(g, "U", "V", 200)
     rep = theoretical_constant(query, count_perpendiculars(query))
     assert rep.period == 6
@@ -463,7 +466,7 @@ def test_orbit_integrality():
 
 
 def test_orbit_horizon_budget():
-    # 4 directed edges with 3 successor entries each: the horizon is
+    # 4 directed edges with 3 successor ways each: the horizon is
     # bounded by 4 * 12 * nmax <= budget
     out = closed_orbit_count(figure_eight(), 40, budget=4 * 12 * 40)
     assert out["fix"][26] == 3 ** 27 + 2 - 1
@@ -532,18 +535,21 @@ def test_trace_oracle_catches_a_missing_doubling(monkeypatch, name):
 
 
 def _packed_sweep_misses():
-    """The (builtin, nmax) at which the exact sweep, all starts packed into
-    one integer per edge, differs from one sweep per start edge, with every
-    edge a start of multiplicity 1 and the reverse pairs' first edges of
-    multiplicity 2, up to nmax 60."""
+    """The (graph, nmax) at which the exact sweep, all starts packed into
+    one integer per edge, differs from one sweep per start edge over
+    ``bass_matrix``, with every edge a start of multiplicity 1 and the
+    reverse pairs' first edges of multiplicity 2, up to nmax 60: on every
+    builtin, the order-3 pair and the lollipop of order 10^3, whose row
+    into a holds one pair of 999 ways."""
     misses = []
-    for name in sorted(BUILTIN):
-        g = BUILTIN[name]()
+    graphs = [(name, BUILTIN[name]()) for name in sorted(BUILTIN)]
+    graphs += [("pair", order_three_pair()), ("heavy", lollipop(10 ** 3))]
+    for name, g in graphs:
         succ = g.nb_successors()
         rev = [g.edge_index[g.edges[e].reverse] for e in g.edge_ids]
         for starts in ([(e, 1) for e in range(len(succ))],
                        [(e, 2) for e in range(len(succ)) if e < rev[e]]):
-            want = per_start_sweep(succ, starts, 60)
+            want = per_start_sweep(g, starts, 60)
             misses += [(name, nmax) for nmax in (1, 2, 7, 60)
                        if counting._sweep(succ, starts, nmax)
                        != want[:nmax]]
@@ -556,12 +562,24 @@ def test_packed_sweep_is_the_per_start_sweep():
 
 def test_sweep_check_sees_a_slot_too_narrow(monkeypatch):
     # negative control: half the bits, so a large mass carries into the
-    # next start's slot; only the cycles, whose masses stay 1, pass
+    # next start's slot; the cycles, whose masses stay 1, pass, and so does
+    # the heavy lollipop, whose 999 ways come at most every second step,
+    # so its masses stay near 999^(n/2), inside half of its L^n bound
     bits = counting._slot_bits
     monkeypatch.setattr(counting, "_slot_bits",
                         lambda succ, nmax: bits(succ, nmax) // 2)
     assert {name for name, _ in _packed_sweep_misses()} == (
-        set(BUILTIN) - {"cycle3", "cycle4"})
+        set(BUILTIN) - {"cycle3", "cycle4"} | {"pair"})
+
+
+def test_sweep_check_sees_slots_sized_by_pairs(monkeypatch):
+    # negative control: slots sized as if every m were 1, so by the pairs
+    # of the longest row and not its ways; the heavy row's one pair of 999
+    # ways overflows its slot
+    bits = counting._slot_bits
+    monkeypatch.setattr(counting, "_slot_bits", lambda succ, nmax: bits(
+        [[(f, 1) for f, _ in row] for row in succ], nmax))
+    assert "heavy" in {name for name, _ in _packed_sweep_misses()}
 
 
 def _asymmetric_petersen():

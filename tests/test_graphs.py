@@ -8,8 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from geodlab.counting import (
+    PerpQuery,
+    closed_orbit_count,
+    count_perpendiculars,
+    theoretical_constant,
+)
 from geodlab.errors import DegenerateError, GraphFormatError
-from geodlab.graphs import ScatterAdd, _entries, load_validate
+from geodlab.graphs import GraphOfGroups, ScatterAdd, _entries, load_validate
 from geodlab.library import (
     BUILTIN,
     cycle,
@@ -19,7 +25,15 @@ from geodlab.library import (
     petersen,
     theta,
 )
-from oracles import bass_matrix, entry_sums, to_document, two_vertex_segment
+from geodlab.shift import EdgeShift, pressure
+from geodlab.walks import nbrw_exact
+from oracles import (
+    bass_matrix,
+    entry_sums,
+    lollipop,
+    to_document,
+    two_vertex_segment,
+)
 
 
 def _base_doc():
@@ -219,12 +233,15 @@ def _bits(values):
 
 @st.composite
 def _rows_and_vectors(draw):
-    """Successor rows over n letters, ascending, with repeats as a graph of
-    groups has them, and rows of one entry or none; an int vector, a float
-    vector and positive float coefficients, one per entry."""
+    """Successor rows over n letters, pairs (f, m) with f ascending and m
+    ways as a graph of groups has them, and rows of one pair or none; an
+    int vector, a float vector and positive float coefficients, one per
+    pair."""
     n = draw(st.integers(1, 7))
-    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6)
-                         .map(sorted), min_size=n, max_size=n))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n - 1),
+                                         st.integers(1, 4), max_size=6)
+                         .map(lambda row: sorted(row.items())),
+                         min_size=n, max_size=n))
     entries = sum(map(len, rows))
     ints = draw(st.lists(st.integers(0, 10 ** 30), min_size=n, max_size=n))
     floats = draw(st.lists(st.floats(0, 1e6), min_size=n, max_size=n))
@@ -239,20 +256,15 @@ def _rows_and_vectors(draw):
 def test_plan_matches_the_entry_by_entry_sum(case):
     rows, ints, floats, coeffs = case
     n = len(rows)
-    src, dst = _entries(rows)
+    src, dst, _ = _entries(rows)
+    # the ways as the coefficients of the exact step
+    ways = [m for row in rows for _, m in row]
     # push x B (target = column) and pull B x (target = row)
     for targets, sources in ((dst, src), (src, dst)):
-        plan = ScatterAdd(targets, sources, None, n)
-        assert _bits(plan(ints)) == _bits(
-            entry_sums(targets, sources, None, ints, n))
-        plan = ScatterAdd(targets, sources, coeffs, n)
-        assert _bits(plan(floats)) == _bits(
-            entry_sums(targets, sources, coeffs, floats, n))
-        # one coefficient object per source, as the weighted steps have
-        shared = [floats[s] for s in sources]
-        plan = ScatterAdd(targets, sources, shared, n)
-        assert _bits(plan(floats)) == _bits(
-            entry_sums(targets, sources, shared, floats, n))
+        for coeffs, x in ((None, ints), (ways, ints), (coeffs, floats)):
+            plan = ScatterAdd(targets, sources, coeffs, n)
+            assert _bits(plan(x)) == _bits(
+                entry_sums(targets, sources, coeffs, x, n))
 
 
 def test_entry_sum_check_sees_the_descending_order():
@@ -266,39 +278,58 @@ def test_entry_sum_check_sees_the_descending_order():
 
 
 
-# one successor row of 10^5 entries over three columns, as a vertex of
-# order about 10^5 gives its in-edges
-HEAVY_ROW = [0] * 33334 + [1] * 33333 + [2] * 33333
+class _Built(Exception):
+    """Raised where a plan is built, to stop its verb there."""
+
+
+def _heavy_plan_passes(monkeypatch, run=True):
+    """(targets, passes) of every plan that count perp from B to B to
+    length 20 with its constant, count orbits to 20, shift pressure and
+    the exact walk nbrw to 20 steps build on the lollipop of order 10^5.
+    With ``run`` False each verb stops at its first plan."""
+    plans = []
+    init = ScatterAdd.__init__
+
+    def recorded(self, targets, sources, coeffs, size):
+        init(self, targets, sources, coeffs, size)
+        plans.append((len(set(targets)), len(self.layers)))
+        if not run:
+            raise _Built
+
+    monkeypatch.setattr(ScatterAdd, "__init__", recorded)
+    g = lollipop(10 ** 5)
+    query = PerpQuery(g, "B", "B", 20)
+    verbs = [lambda: theoretical_constant(query, count_perpendiculars(query)),
+             lambda: closed_orbit_count(g, 20),
+             lambda: pressure(EdgeShift.from_graph(g)),
+             lambda: nbrw_exact(g, "B", 20)]
+    for verb in verbs:
+        try:
+            verb()
+        except _Built:
+            pass
+    return plans
+
+
 # the passes a plan may make beyond one per target
 EXTRA_PASSES = 4
 
 
-def _heavy_row_passes():
-    """(targets, passes) of the push and the pull plan of HEAVY_ROW, each
-    checked bit for bit against the entry-by-entry sum."""
-    src, dst = _entries([HEAVY_ROW, [], []])
-    x = [0.1, 1e-17, 3.0]
-    out = []
-    weights = [0.7, 1.3, 2.9, 0.1, 5.0, 0.3, 1.1]
-    for targets, sources in ((dst, src), (src, dst)):
-        # coefficient objects shared by many entries, and one of its own
-        coeffs = [weights[k % 7] for k in range(len(targets))]
-        coeffs[-1] = 1.0 + coeffs[-1]
-        plan = ScatterAdd(targets, sources, coeffs, 3)
-        assert _bits(plan(x)) == _bits(
-            entry_sums(targets, sources, coeffs, x, 3))
-        out.append((len(set(targets)), len(plan.layers) + len(plan.folds)))
-    return out
+def test_heavy_vertex_plans_pass_once_per_target(monkeypatch):
+    plans = _heavy_plan_passes(monkeypatch)
+    # the count's step, the constant's and the pressure's two power
+    # iteration steps each, the sweep of the orbits and the law's step
+    assert len(plans) == 7
+    assert all(passes <= targets + EXTRA_PASSES for targets, passes in plans)
 
 
-def test_plan_passes_grow_with_targets_not_in_list_length():
-    for targets, passes in _heavy_row_passes():
-        assert passes <= targets + EXTRA_PASSES
-
-
-def test_pass_check_sees_one_pass_per_layer(monkeypatch):
-    # negative control: layering that never folds makes one pass per entry
-    # of the longest in-list
-    monkeypatch.setattr(ScatterAdd, "FOLD_WIDTH", 0)
-    for targets, passes in _heavy_row_passes():
-        assert passes > targets + EXTRA_PASSES
+def test_pass_check_sees_each_way_as_an_entry(monkeypatch):
+    # negative control: each pair (f, m) expanded back into m entries
+    # (f, 1), so the heavy row's in-list takes one pass per way; the
+    # verbs stop at their first plan, which would take minutes to run
+    rule = GraphOfGroups.nb_successors
+    monkeypatch.setattr(GraphOfGroups, "nb_successors", lambda self: [
+        [(f, 1) for f, m in row for _ in range(m)] for row in rule(self)])
+    plans = _heavy_plan_passes(monkeypatch, run=False)
+    assert len(plans) == 4
+    assert any(passes > targets + EXTRA_PASSES for targets, passes in plans)

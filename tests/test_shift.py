@@ -45,8 +45,9 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 def _rows(A):
-    """The successor lists of a 0/1 transition matrix."""
-    return [np.flatnonzero(row) for row in A]
+    """The successor rows of a 0/1 transition matrix: a pair (b, 1) for
+    each 1 at column b."""
+    return [[(b, 1) for b in np.flatnonzero(row)] for row in A]
 
 
 def _irreducible_misses():
@@ -231,8 +232,8 @@ def test_cylinder_inadmissible():
 
 def test_admissible_predicate():
     # 0 may follow either letter, 1 only 0
-    assert EdgeShift.golden_mean().succ == [[0, 1], [0]]
-    assert EdgeShift.full_shift(3).succ == [[0, 1, 2]] * 3
+    assert EdgeShift.golden_mean().succ == [[(0, 1), (1, 1)], [(0, 1)]]
+    assert EdgeShift.full_shift(3).succ == [[(0, 1), (1, 1), (2, 1)]] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,7 @@ def test_brute_force_caps_letters():
 
 
 def test_reducible_rejected():
-    s = EdgeShift([0, 1], [[0, 1], [1]])
+    s = EdgeShift([0, 1], [[(0, 1), (1, 1)], [(1, 1)]])
     with pytest.raises(ReducibleError):
         equilibrium_measure(s)
     # e^-1000 underflows to 0: no step enters that edge

@@ -31,9 +31,9 @@ from geodlab.walks import (
 )
 from oracles import (
     bass_matrix,
-    dense,
     green_ratio_reference,
     is_reversible,
+    lollipop,
     laplacian_factors,
     nbrw_global_search,
     nbrw_law_reference,
@@ -81,9 +81,11 @@ def test_derive_seed_rejects_inputs_outside_64_bits():
 
 
 def _dense_kernel(kernel):
-    """The kernel's transition matrix, from its rows."""
-    cut = kernel.start[1:-1]
-    return dense(np.split(kernel.col, cut), np.split(kernel.prob, cut))
+    """The kernel's transition matrix: row i is the law one step after a
+    unit mass on edge i."""
+    n = len(kernel.term)
+    return np.array([kernel.step([float(i == j) for j in range(n)])
+                     for i in range(n)])
 
 
 def test_kernel_rows_stochastic():
@@ -92,10 +94,10 @@ def test_kernel_rows_stochastic():
         P = _dense_kernel(k)
         assert (P >= 0).all()
         assert np.abs(P.sum(axis=1) - 1).max() < 1e-14
-        # one stored entry per successor, columns ascending in each row
-        assert len(k.col) == np.count_nonzero(P)
-        for i in range(len(P)):
-            assert (np.diff(k.col[k.start[i]:k.start[i + 1]]) > 0).all()
+        # one pair per successor, columns ascending in each row
+        assert sum(map(len, k.succ)) == np.count_nonzero(P)
+        for row in k.succ:
+            assert (np.diff([f for f, _ in row]) > 0).all()
 
 
 def _kernel_misses():
@@ -117,6 +119,34 @@ def test_kernel_check_catches_merged_repeats(merged_repeats_rule):
     # negative control: orderchain's repeats fill whole rows, where merging
     # keeps the law; the pair's rows hold 2 ways along t and 1 along a loop
     assert _kernel_misses() == [sorted(order_three_pair().vertices)]
+
+
+def _sampler_table_misses():
+    """The graphs whose sampler table, row by row, is not each successor f
+    listed B[e][f] times in ascending f, B read off ``bass_matrix``: the
+    table a draw floor(u L) indexes, so the same draw picks the same
+    successor as in the rows of repeated entries."""
+    graphs = [(name, BUILTIN[name]()) for name in sorted(BUILTIN)]
+    graphs += [("lollipop", lollipop(3)), ("heavy", lollipop(10 ** 5))]
+    misses = []
+    for name, g in graphs:
+        kernel = NBRWKernel(g)
+        want = [[f for f, ways in enumerate(row) for _ in range(ways)]
+                for row in bass_matrix(g)]
+        if [kernel.entries[o:o + n] for o, n in zip(kernel.offset,
+                                                     kernel.length)] != want:
+            misses.append(name)
+    return misses
+
+
+def test_sampler_table_is_bass_matrix_expanded():
+    assert _sampler_table_misses() == []
+
+
+def test_sampler_table_check_sees_merged_repeats(merged_repeats_rule):
+    # negative control: every m set to 1 shortens the rows with group
+    # orders
+    assert _sampler_table_misses() == ["orderchain", "lollipop", "heavy"]
 
 
 def test_kernel_step_matches_dense_product():
