@@ -261,10 +261,10 @@ def test_plan_matches_the_entry_by_entry_sum(case):
     ways = [m for row in rows for _, m in row]
     # push x B (target = column) and pull B x (target = row)
     for targets, sources in ((dst, src), (src, dst)):
-        for coeffs, x in ((None, ints), (ways, ints), (coeffs, floats)):
-            plan = ScatterAdd(targets, sources, coeffs, n)
+        for c, x in ((None, ints), (ways, ints), (coeffs, floats)):
+            plan = ScatterAdd(targets, sources, c, n)
             assert _bits(plan(x)) == _bits(
-                entry_sums(targets, sources, coeffs, x, n))
+                entry_sums(targets, sources, c, x, n))
 
 
 def test_entry_sum_check_sees_the_descending_order():
