@@ -17,6 +17,8 @@ from .errors import (
     PrecisionCapError,
     UnsupportedError,
     UsageError,
+    budget,
+    charge,
 )
 from .ffield import (
     FqPoly,
@@ -32,6 +34,7 @@ from .ffield import (
 )
 
 HECKE_CHECK_DEG = 4  # the cross-check takes a gcd for each of q^deg residues
+MAX_ORBIT = 4000  # the most points quad_orbit_experiment's search keeps
 
 
 class BTMatrix:
@@ -198,9 +201,10 @@ def hecke_index(q, ideal, cross_check=True):
     """
     if ideal.is_zero() or ideal.degree == 0:
         raise DegenerateError("ideal must be proper and nonzero")
+    primes = factor(ideal)  # its charge comes before q^deg I is formed
     norm = q ** ideal.degree
     value = Fraction(norm)
-    for p in factor(ideal):
+    for p in primes:
         np_ = q ** p.degree
         value *= Fraction(np_ + 1, np_)
     assert value.denominator == 1
@@ -232,7 +236,7 @@ def _laurent_head(top, s, Q, n):
     return tuple(_divide_at_infinity(digits[::-1], Q, n))
 
 
-def farey_count(q, t, hist_depth=1, budget=10 ** 7):
+def farey_count(q, t, hist_depth=1):
     """Count of Farey classes of height at most q^t and the ball histogram.
 
     Psi(t) counts coprime pairs (P, Q), deg Q <= t, modulo the shear
@@ -257,12 +261,12 @@ def farey_count(q, t, hist_depth=1, budget=10 ** 7):
     s = max(0, d - n), that is on index(P0) // q^s.  So each block of q^s
     consecutive indices adds its unit count to one bin per a.
     """
-    # q >= 2: an exponent past the budget's bit length is over it too
-    if q ** min(t + 1, budget.bit_length()) > budget:
-        raise BudgetError("Farey enumeration budget exceeded")
     if t < 1 or hist_depth < 1:
         raise UsageError(f"need t >= 1 and depth >= 1, got t={t}, "
                          f"depth={hist_depth}")
+    # q >= 2: an exponent past the budget's bit length is over it too
+    charge("q^(t+1) polynomials",
+           q ** min(t + 1, budget(10 ** 7).bit_length()), 10 ** 7)
     if hist_depth > PREC_CAP:
         raise PrecisionCapError(
             f"requested depth {hist_depth} exceeds cap {PREC_CAP}")
@@ -353,11 +357,11 @@ def _orbit_moves(q):
     return [shear(1, 1), shear(1, 0), invert, shear(-1, 1), shear(-1, 0)]
 
 
-def _orbit(alpha0, word_len, max_orbit):
+def _orbit(alpha0, word_len):
     """The _state of every point the BFS from alpha0 meets over the words
     of length at most word_len, in the order met.  A point never takes the
     move that undoes the one that first reached it: that image is the
-    point it came from, which is met already.  BudgetError past max_orbit
+    point it came from, which is met already.  BudgetError past MAX_ORBIT
     points."""
     moves = list(enumerate(_orbit_moves(alpha0.q)))
     after = [[(i, m) for i, m in moves if i != _UNDO[last]]
@@ -374,7 +378,7 @@ def _orbit(alpha0, word_len, max_orbit):
                     seen.add(img)
                     points.append(img)
                     nxt.append((img, after[i]))
-                    if len(points) > max_orbit:
+                    if len(points) > MAX_ORBIT:
                         raise BudgetError("orbit cap exceeded")
         frontier = nxt
         if not frontier:
@@ -382,8 +386,7 @@ def _orbit(alpha0, word_len, max_orbit):
     return points
 
 
-def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
-                          max_orbit=4000, budget=10 ** 7):
+def quad_orbit_experiment(alpha0, mode="complexity", word_len=6):
     """Enumerate part of the modular orbit of a quadratic irrational and
     bin it by complexity.
 
@@ -397,9 +400,9 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
     Returns {"orbit_size", "bins": {value: count}, "cumulative":
     [(threshold, N(threshold))]}.
 
-    The work is charged against ``budget`` in coefficient operations
-    before the BFS: 5 moves per point at deg D + 1 each, for at most
-    min(max_orbit, 1 + 5 (4^word_len - 1) / 3) points (each point but
+    The work is charged against the budget (10^7) in coefficient
+    operations before the BFS: 5 moves per point at deg D + 1 each, for at
+    most min(MAX_ORBIT, 1 + 5 (4^word_len - 1) / 3) points (each point but
     alpha0 takes 4 moves that may find a new one), and in mode "relative"
     (deg D + 1)^2 more per point for its polar invariant.  D, and so its
     degree, is the same at every point of the orbit.
@@ -411,14 +414,13 @@ def quad_orbit_experiment(alpha0, mode="complexity", word_len=6,
     if word_len > 12:
         raise BudgetError("orbit word length capped at 12")
     q, deg = alpha0.q, alpha0.disc.degree
-    points = min(max_orbit, 1 + 5 * (4 ** word_len - 1) // 3)
+    points = min(MAX_ORBIT, 1 + 5 * (4 ** word_len - 1) // 3)
     work = points * 5 * (deg + 1)
     if mode == "relative":
         work += points * (deg + 1) ** 2
-    if work > budget:
-        raise BudgetError(f"an orbit of up to {points} points of a "
-                          f"discriminant of degree {deg} exceeds the budget")
-    orbit = _orbit(alpha0, word_len, max_orbit)
+    charge(f"coefficient operations of up to {points} orbit points of a "
+           f"discriminant of degree {deg}", work, 10 ** 7)
+    orbit = _orbit(alpha0, word_len)
 
     # h(beta) = q^(deg A - deg D / 2) and D has one degree on the orbit;
     # the bins count exponents of q, each turned into a Fraction once

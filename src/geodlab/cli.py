@@ -12,6 +12,12 @@ so a verb runs only the modules it reads, and ``json`` is imported only
 where JSON is written.  The modules that each verb group runs are listed
 in the README.
 
+No budget is read or passed on here: each work cap is GEODLAB_BUDGET or
+the default of its check, read where the work is counted
+(``errors.charge``).  Two charges stay in this file because they come
+before work it does itself: the root of a discriminant, before -D is
+formed, and the Gibbs audit, before the equilibrium.
+
 ``main`` parses argv with the parsers of the groups and verbs it names
 only; help and every error come from the full tree, so their text is the
 same.  The verb's ``cmd_*`` function is looked up when the tree is built,
@@ -33,39 +39,13 @@ import os
 import sys
 
 from . import bt, counting, ffield, graphs, library, shift as shift_mod, walks
-from .errors import BudgetError, GeodlabError, IOFailure, TooLargeError, \
-    UsageError
+from .errors import GeodlabError, IOFailure, TooLargeError, UsageError, \
+    charge
 from .seeding import MASK, derive_seed
 
 # OpenBLAS takes its thread count from the first of these that is set
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                     "OMP_NUM_THREADS")
-
-
-def _budget(default):
-    """The work cap: GEODLAB_BUDGET if it is set and not empty, else
-    ``default``.  A value that is not a positive integer is a UsageError."""
-    env = os.environ.get("GEODLAB_BUDGET")
-    if not env:
-        return default
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise UsageError(
-            f"GEODLAB_BUDGET must be a positive integer, got {env!r}")
-    return budget
-
-
-def _factorable(f):
-    """f, if trial division may factor it: that tries every monic
-    polynomial of degree up to deg f / 2, so q^(deg f // 2) must be within
-    the budget."""
-    if f.q ** (f.degree // 2) > _budget(10 ** 7):
-        raise BudgetError(f"factoring a polynomial of degree {f.degree} "
-                          "by trial division exceeds the budget")
-    return f
 
 
 def _horizon(value, least, flag="--nmax"):
@@ -161,10 +141,9 @@ def cmd_count_perp(args):
     g = _load_graph(args.graph)
     query = counting.PerpQuery(g, args.minus, args.plus,
                                _horizon(args.nmax, 1))
-    budget = _budget(10 ** 8)
-    series = counting.count_perpendiculars(query, budget=budget)
+    series = counting.count_perpendiculars(query)
     try:
-        ratios = counting.theoretical_constant(query, series, budget).ratios
+        ratios = counting.theoretical_constant(query, series).ratios
     except TooLargeError:
         raise
     except GeodlabError:
@@ -176,8 +155,7 @@ def cmd_count_perp(args):
 
 def cmd_count_orbits(args):
     g = _load_graph(args.graph)
-    out = counting.closed_orbit_count(g, _horizon(args.nmax, 1),
-                                      budget=_budget(10 ** 8))
+    out = counting.closed_orbit_count(g, _horizon(args.nmax, 1))
     rows = [(n + 1, out["fix"][n], out["primitive"][n], out["orbits"][n],
              out["weighted"][n]) for n in range(args.nmax)]
     emit(["n", "fix", "primitive", "orbits", "weighted"], rows, args)
@@ -191,8 +169,7 @@ def cmd_count_conjugacy(args):
     basepoint = vertex.get(args.basepoint, args.basepoint)
     cyc = [edge.get(e, e) for e in args.cycle.split(",")]
     out = counting.conjugacy_count(g, basepoint, cyc,
-                                   _horizon(args.nmax, 0),
-                                   budget=_budget(10 ** 8))
+                                   _horizon(args.nmax, 0))
     rows = [(n, out[n]) for n in range(args.nmax + 1)]
     emit(["n", "count"], rows, args)
 
@@ -209,12 +186,12 @@ def _shift_from_args(args):
 
 def cmd_shift_pressure(args):
     s = _shift_from_args(args)
-    emit(["pressure"], [(shift_mod.pressure(s, _budget(10 ** 8)),)], args)
+    emit(["pressure"], [(shift_mod.pressure(s),)], args)
 
 
 def cmd_shift_equilibrium(args):
     s = _shift_from_args(args)
-    m = shift_mod.equilibrium_measure(s, _budget(10 ** 8))
+    m = shift_mod.equilibrium_measure(s)
     rows = [(str(s.letters[i]), m.p[i]) for i in range(s.n_letters())]
     rows.append(("__entropy__", m.entropy))
     rows.append(("__pressure__", m.pressure))
@@ -225,13 +202,10 @@ def cmd_shift_gibbs(args):
     maxlen = _horizon(args.maxlen, 1, "--maxlen")
     s = _shift_from_args(args)
     # the audit adds every successor way for every start letter at each
-    # length; checked before the equilibrium is computed
-    work = s.n_letters() * graphs._ways(s.succ) * maxlen
-    budget = _budget(10 ** 8)
-    if work > budget:
-        raise BudgetError(f"(letters) * (successor ways) * maxlen = "
-                          f"{work} exceeds the budget {budget}")
-    m = shift_mod.equilibrium_measure(s, budget)
+    # length; charged before the equilibrium is computed
+    charge("(letters) * (successor ways) * maxlen path steps",
+           s.n_letters() * graphs._ways(s.succ) * maxlen, 10 ** 8)
+    m = shift_mod.equilibrium_measure(s)
     audit = shift_mod.weak_gibbs_audit(m, maxlen)
     rows = [(str(letter), lo, hi)
             for letter, (lo, hi) in sorted(audit["per_letter"].items(),
@@ -243,11 +217,10 @@ def cmd_shift_gibbs(args):
 def cmd_shift_decay(args):
     nmax = _horizon(args.nmax, 1)
     s = _shift_from_args(args)
-    budget = _budget(10 ** 8)
-    m = shift_mod.equilibrium_measure(s, budget)
+    m = shift_mod.equilibrium_measure(s)
     k = s.n_letters()
     f = [1.0 if i == 0 else 0.0 for i in range(k)]
-    out = shift_mod.correlation_decay(m, f, f, nmax, budget=budget)
+    out = shift_mod.correlation_decay(m, f, f, nmax)
     rows = [(n, out["cov"][n]) for n in range(len(out["cov"]))]
     rows.append(("__fitted_rate__", out["fitted_rate"]))
     rows.append(("__spectral_rate__", out["spectral_rate"]))
@@ -258,13 +231,11 @@ def cmd_walk_nbrw(args):
     seed = _seed(args.seed, "--seed")
     g = _load_graph(args.graph)
     if args.reps:
-        out = walks.nbrw_sample(g, args.start, args.n, args.reps, seed,
-                                budget=_budget(10 ** 8))
+        out = walks.nbrw_sample(g, args.start, args.n, args.reps, seed)
         rows = [(v, float(out["empirical"][i]))
                 for i, v in enumerate(g.vertex_ids)]
     else:
-        out = walks.nbrw_exact(g, args.start, args.n,
-                               budget=_budget(10 ** 8))
+        out = walks.nbrw_exact(g, args.start, args.n)
         rows = [(v, float(out["vertex_dist"][i]))
                 for i, v in enumerate(g.vertex_ids)]
         rows.append(("__tv_to_target__", out["tv_to_target"]))
@@ -273,8 +244,7 @@ def cmd_walk_nbrw(args):
 
 def cmd_walk_harmonic(args):
     out = walks.tree_harmonic_measure(args.q, args.depth, args.reps,
-                                      _seed(args.seed, "--seed"),
-                                      budget=_budget(10 ** 8))
+                                      _seed(args.seed, "--seed"))
     rows = [(i, float(out["estimates"][i]), out["sigma"], out["target"])
             for i in range(out["n_shadows"])]
     emit(["shadow", "estimate", "stderr", "target"], rows, args)
@@ -282,8 +252,7 @@ def cmd_walk_harmonic(args):
 
 def cmd_walk_green(args):
     out = walks.green_ratio_check(args.q, args.dxy, args.dxz, args.reps,
-                                  _seed(args.seed, "--seed"),
-                                  budget=_budget(10 ** 8))
+                                  _seed(args.seed, "--seed"))
     emit(["ratio", "target", "stderr"],
          [(out["ratio"], out["target"], out["sigma"])], args)
 
@@ -299,12 +268,12 @@ def cmd_walk_laplacian(args):
 
 
 def cmd_ff_mertens(args):
-    val = ffield.mertens_sum(args.q, args.n, budget=_budget(10 ** 7))
+    val = ffield.mertens_sum(args.q, args.n)
     emit(["q", "n", "sum"], [(args.q, args.n, val)], args)
 
 
 def cmd_ff_phi(args):
-    f = _factorable(ffield.parse_poly(args.q, args.poly))
+    f = ffield.parse_poly(args.q, args.poly)
     emit(["poly", "phi"], [(str(f), ffield.euler_phi(f))], args)
 
 
@@ -315,20 +284,19 @@ def cmd_ff_expand(args):
          [(v + i, c) for i, c in enumerate(digits)], args)
 
 
-def _sqrt_disc(q, text, budget):
+def _sqrt_disc(q, text):
     """sqrt(D) as a QuadIrr, D the polynomial of ``text``.  Its root costs
-    about (deg D)^2 coefficient products, checked against the budget first."""
+    about (deg D)^2 coefficient products, charged to the budget (10^7)
+    before -D is formed."""
     D = ffield.parse_poly(q, text)
-    if D.degree ** 2 > budget:
-        raise BudgetError(f"the square root of a discriminant of degree "
-                          f"{D.degree} exceeds the budget")
+    charge(f"(deg D)^2 coefficient products of the root of a discriminant "
+           f"of degree {D.degree}", D.degree ** 2, 10 ** 7)
     return ffield.QuadIrr(ffield.FqPoly.one(q), ffield.FqPoly.zero(q), -D)
 
 
 def cmd_ff_cf(args):
     if args.disc:
-        budget = _budget(10 ** 7)
-        cf = ffield.cf_expand(_sqrt_disc(args.q, args.disc, budget), budget)
+        cf = ffield.cf_expand(_sqrt_disc(args.q, args.disc))
     elif args.value is not None:
         cf = ffield.cf_expand(ffield.parse_ratfunc(args.q, args.value))
     else:
@@ -384,7 +352,7 @@ def cmd_bt_covolume(args):
 
 
 def cmd_bt_hecke(args):
-    ideal = _factorable(ffield.parse_poly(args.q, args.ideal))
+    ideal = ffield.parse_poly(args.q, args.ideal)
     formula, enum = bt.hecke_index(args.q, ideal,
                                    cross_check=not args.no_check)
     rows = [(str(ideal), formula, enum if enum is not None else "")]
@@ -392,8 +360,7 @@ def cmd_bt_hecke(args):
 
 
 def cmd_bt_farey(args):
-    out = bt.farey_count(args.q, args.t, args.depth,
-                         budget=_budget(10 ** 7))
+    out = bt.farey_count(args.q, args.t, args.depth)
     rows = [("psi", "", out["psi"]), ("points", "", out["points"])]
     for key in sorted(out["histogram"]):
         rows.append(("ball", ".".join(map(str, key)), out["histogram"][key]))
@@ -401,7 +368,7 @@ def cmd_bt_farey(args):
 
 
 def cmd_bt_quad_orbit(args):
-    alpha = _sqrt_disc(args.q, args.disc, _budget(10 ** 7))
+    alpha = _sqrt_disc(args.q, args.disc)
     out = bt.quad_orbit_experiment(alpha, mode=args.mode,
                                    word_len=args.word_len)
     rows = [(str(s), n) for s, n in out["cumulative"]]

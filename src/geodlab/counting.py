@@ -15,16 +15,14 @@ count the ways, the sum of m over the pairs.
 import math
 
 from .errors import (
-    BudgetError,
     GraphFormatError,
     NotSimpleCycleError,
     TooLargeError,
     UnsupportedError,
+    charge,
 )
 from .graphs import ScatterAdd, _entries, _ways, _weighted, fold_sum
 from .shift import EdgeShift, _dot, _perron
-
-DEFAULT_BUDGET = 10 ** 8
 
 
 class PerpQuery:
@@ -85,22 +83,20 @@ def _as_float(count, what):
         raise TooLargeError(f"{what} exceeds the float range") from exc
 
 
-def count_perpendiculars(query, budget=DEFAULT_BUDGET):
+def count_perpendiculars(query):
     """Dynamic programming over directed-edge states.
 
     Exact (big-integer) when all conductances are zero, float-weighted
     otherwise.  Entry n (1-based length) of the returned CountSeries is the
     number / weighted mass of perpendiculars of length exactly n.
     Raises BudgetError when (successor ways) * nmax, which bounds the
-    entry steps the DP takes, exceeds ``budget``.
+    entry steps the DP takes, exceeds the budget (10^8).
     """
     g = query.graph
     n_edges = g.edge_count()
     succ = g.nb_successors()
-    ways = _ways(succ)
-    if ways * query.nmax > budget:
-        raise BudgetError(f"{ways} successor ways x nmax {query.nmax} "
-                          "exceeds budget")
+    charge("(successor ways) * nmax entry steps",
+           _ways(succ) * query.nmax, 10 ** 8)
     start, end_idx = _ends(g, query.minus, query.plus)
     exact = all(g.edges[e].conductance == 0.0 for e in g.edge_ids)
     weights = None if exact else g.edge_weights()
@@ -147,7 +143,7 @@ def _period(succ):
     return d, [level[i] % d for i in range(len(succ))]
 
 
-def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
+def theoretical_constant(query, series):
     """Asymptotic constants of the cumulative perpendicular counts, from
     the Perron data (rho, r, l) of the edge step B, plus the ratio series
     of ``series`` = count_perpendiculars(query) against them.
@@ -164,9 +160,9 @@ def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
     The ratio at n is nan in a class with no perpendiculars (C_c = 0).
     All conductances must vanish.  Raises UnsupportedError for a reducible
     B or rho <= 1, DegenerateError for a vertex of tree-degree <= 1,
-    BudgetError when the power iteration needs more than ``budget`` //
-    (successor ways) steps, and TooLargeError when a ratio's terms exceed
-    the float range.
+    BudgetError when the power iteration needs more steps than the budget
+    (10^8) over the successor ways, and TooLargeError when a ratio's terms
+    exceed the float range.
     """
     g = query.graph
     if any(g.edges[e].conductance != 0.0 for e in g.edge_ids):
@@ -174,7 +170,7 @@ def theoretical_constant(query, series, budget=DEFAULT_BUDGET):
     shift = EdgeShift.from_graph(g)
     if not shift.is_irreducible():
         raise UnsupportedError("the edge step is reducible")
-    rho, r, l = _perron(shift, budget)
+    rho, r, l = _perron(shift)
     if rho <= 1:
         raise UnsupportedError("the edge step has no exponential growth")
     d, cls = _period(shift.succ)
@@ -277,7 +273,7 @@ def _packed_sweep(succ, starts, nmax):
     return total
 
 
-def closed_orbit_count(graph, nmax, budget=DEFAULT_BUDGET):
+def closed_orbit_count(graph, nmax):
     """Per-length counts of periodic non-backtracking structures.
 
     Returns dict with lists indexed by n-1 for n = 1..nmax:
@@ -289,15 +285,14 @@ def closed_orbit_count(graph, nmax, budget=DEFAULT_BUDGET):
         B_w[e, e'] = B[e, e'] e^{c(e')}; float(Fix_n) when every
         conductance is zero.
     Raises BudgetError when (edge count) * (successor ways) * nmax, which
-    bounds the entry steps of a sweep from every edge, exceeds ``budget``,
-    and TooLargeError when a count or weighted trace exceeds the float range.
+    bounds the entry steps of a sweep from every edge, exceeds the budget
+    (10^8), and TooLargeError when a count or weighted trace exceeds the
+    float range.
     """
     n_edges = graph.edge_count()
     succ = graph.nb_successors()
-    ways = _ways(succ)
-    if n_edges * ways * nmax > budget:
-        raise BudgetError(f"{n_edges} edges x {ways} successor ways "
-                          f"x nmax {nmax} exceeds budget")
+    charge("(edges) * (successor ways) * nmax entry steps",
+           n_edges * _ways(succ) * nmax, 10 ** 8)
     graph.check_branching()
     rev = [graph.edge_index[graph.edges[e].reverse] for e in graph.edge_ids]
     # reversal (e_0, e_1, ..., e_{n-1}) -> (rev e_0, rev e_{n-1}, ...,
@@ -367,8 +362,7 @@ def validate_simple_cycle(graph, cycle_edges):
     return n
 
 
-def conjugacy_count(graph, basepoint, cycle_edges, nmax,
-                    budget=DEFAULT_BUDGET):
+def conjugacy_count(graph, basepoint, cycle_edges, nmax):
     """Orbit counts in the conjugacy class of the loxodromic element whose
     axis projects to the given primitive simple cycle.
 
@@ -393,7 +387,6 @@ def conjugacy_count(graph, basepoint, cycle_edges, nmax,
     cum = [0]  # cum[r]: perpendiculars of length at most r
     if radius >= 1:
         cum += count_perpendiculars(
-            PerpQuery(g2, "__base__", "__cycle__", radius),
-            budget=budget).cumulative
+            PerpQuery(g2, "__base__", "__cycle__", radius)).cumulative
     return [0 if n < lam else base + cum[(n - lam) // 2]
             for n in range(nmax + 1)]

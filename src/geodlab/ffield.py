@@ -21,6 +21,8 @@ from .errors import (
     NotSplitError,
     PrecisionCapError,
     UsageError,
+    budget,
+    charge,
 )
 
 PREC_CAP = 256
@@ -270,9 +272,13 @@ def factor(f):
     """Factor a nonzero polynomial into monic irreducibles: dict {p: mult},
     by trial division with every monic polynomial by ascending degree d up
     to deg g / 2 of the cofactor g left.  Each monic that divides g is
-    prime, as its own factors were divided out at lower degrees."""
+    prime, as its own factors were divided out at lower degrees.  The
+    q^(deg f // 2) trial divisors are charged to the budget (10^7) first."""
     if f.is_zero():
         raise ValueError("cannot factor 0")
+    # q >= 2: an exponent past the budget's bit length is over it too
+    charge("q^(deg f // 2) trial divisors",
+           f.q ** min(f.degree // 2, budget(10 ** 7).bit_length()), 10 ** 7)
     g = f.monic()
     out = {}
     d = 1
@@ -438,7 +444,7 @@ def prime_sieves(q, max_degree):
         yield sieve
 
 
-def mertens_sum(q, n, budget=10 ** 7):
+def mertens_sum(q, n):
     """Sum of euler_phi over all nonzero f with 0 < deg f <= n.
 
     Each monic polynomial has q-1 scalar multiples with equal phi, and phi
@@ -449,9 +455,8 @@ def mertens_sum(q, n, budget=10 ** 7):
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     # q >= 2: an exponent past the budget's bit length is over it too
-    if q ** min(n + 1, budget.bit_length()) > budget:
-        raise BudgetError(f"enumeration budget exceeded: q^(n+1) with "
-                          f"n = {n} is over {budget}")
+    charge("q^(n+1) polynomials",
+           q ** min(n + 1, budget(10 ** 7).bit_length()), 10 ** 7)
     return (q - 1) * sum(sieve.phi_sum() for sieve in prime_sieves(q, n))
 
 
@@ -758,10 +763,11 @@ class CFExpansion:
         self.period = tuple(period)
 
 
-def cf_expand(x, budget=10 ** 7):
+def cf_expand(x):
     """Continued fraction of a RatFunc (finite) or QuadIrr (eventually
     periodic).  Each complete quotient of a QuadIrr costs about (deg D)^2
-    coefficient products, and their sum must stay within ``budget``."""
+    coefficient products, and their sum must stay within the budget
+    (10^7)."""
     if isinstance(x, RatFunc):
         quotients = []
         P, Q = x.num, x.den
@@ -790,9 +796,9 @@ def cf_expand(x, budget=10 ** 7):
             return CFExpansion(quotients[:start], quotients[start:])
         seen[key] = i
         spent += D.degree ** 2
-        if spent > budget:
-            raise BudgetError(f"{i + 1} complete quotients of a discriminant "
-                              f"of degree {D.degree} exceed the budget")
+        charge(f"(deg D)^2 coefficient products of {i + 1} complete "
+               f"quotients of a discriminant of degree {D.degree}", spent,
+               10 ** 7)
         a = (P + S) // Q
         quotients.append(a)
         P = a * Q - P

@@ -73,7 +73,7 @@ def dumbbell():
     return load_validate(doc)
 
 
-def cycle(n, subgraph_len=None):
+def cycle(n):
     """Simple cycle on n >= 3 vertices; subgraph "C" is the whole cycle."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")

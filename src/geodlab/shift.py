@@ -11,16 +11,16 @@ every step over B runs over them in pure Python, in a fixed order (the
 linear ones through ``graphs.ScatterAdd``, one entry per pair):
 pressure, the equilibrium chain and the Gibbs audit start without numpy,
 and no result depends on a BLAS kernel.  The power iteration, like every
-step over the rows, is charged to a budget in ways, the sum of m over the
-pairs.  numpy is imported only by the spectral oracle of
-``correlation_decay`` (a dense LAPACK eigensolve).
+step over the rows, is charged to the budget (10^8, ``errors.budget``) in
+ways, the sum of m over the pairs.  numpy is imported only by the spectral
+oracle of ``correlation_decay`` (a dense LAPACK eigensolve).
 """
 
 import itertools
 import math
 import operator
 
-from .errors import BudgetError, ReducibleError, TooLargeError
+from .errors import BudgetError, ReducibleError, TooLargeError, budget, charge
 from .graphs import ScatterAdd, _entries, _reached, _ways, _weighted, fold_sum
 
 POWER_TOL = 1e-12
@@ -80,10 +80,11 @@ class EdgeShift:
 
 
 def _strongly_connected(succ):
-    """Every letter is reached from letter 0 and reaches it (never with no
-    letters: letter 0 always reaches itself)."""
+    """Some transition exists, and every letter is reached from letter 0
+    and reaches it (never with no letters: letter 0 always reaches
+    itself).  A letter alone with no transition has no Perron data."""
     arcs = [(a, b) for a, row in enumerate(succ) for b, _ in row]
-    return (len(_reached(0, arcs)) == len(succ)
+    return (bool(arcs) and len(_reached(0, arcs)) == len(succ)
             == len(_reached(0, [(b, a) for a, b in arcs])))
 
 
@@ -91,10 +92,10 @@ def _dot(x, y):
     return fold_sum(a * b for a, b in zip(x, y))
 
 
-def _perron(shift, budget):
+def _perron(shift):
     """(rho, right, left) Perron data of B by power iteration over the
-    successor rows, at most ``budget`` // (successor ways) iterations per
-    vector; BudgetError past them.
+    successor rows, at most the budget (10^8) // (successor ways)
+    iterations per vector; BudgetError past them.
 
     Iterates on B + I so periodic (e.g. bipartite) transition structures
     still converge; rho(B + I) = rho(B) + 1 with the same eigenvectors.
@@ -105,7 +106,8 @@ def _perron(shift, budget):
     """
     succ, wt = shift.succ, shift.weights
     n = len(succ)
-    cap = budget // _ways(succ)
+    total = budget(10 ** 8)
+    cap = total // _ways(succ)
     rows, cols, ways = _entries(succ)
     pull = ScatterAdd(rows, cols, _weighted(wt, cols, ways), n)
     push = ScatterAdd(cols, rows, ways, n)
@@ -129,7 +131,7 @@ def _perron(shift, budget):
                 return w
             v = w
         raise BudgetError(f"the power iteration did not converge within "
-                          f"{cap} iterations, the budget {budget} over the "
+                          f"{cap} iterations, the budget {total} over the "
                           "successor ways")
 
     right, left = iterate(right_step), iterate(left_step)
@@ -137,16 +139,16 @@ def _perron(shift, budget):
     return _dot(left, pull(right)) / _dot(left, right), right, left
 
 
-def pressure(shift, budget=10 ** 8):
+def pressure(shift):
     """Gurevic pressure = log Perron radius of the weighted transfer matrix.
 
     This is also the critical exponent of the conductance-weighted
     non-backtracking path count when the shift comes from a graph.  The
-    power iteration runs under ``budget`` (``_perron``).
+    power iteration runs under the budget (``_perron``).
     """
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
-    rho, _, _ = _perron(shift, budget)
+    rho, _, _ = _perron(shift)
     return math.log(rho)
 
 
@@ -173,9 +175,9 @@ def _chain_entropy(p, P, succ):
         for (_, m), x in zip(row, prow) if x > 0))
 
 
-def equilibrium_measure(shift, budget=10 ** 8):
+def equilibrium_measure(shift):
     """The Parry-type equilibrium chain: P[a,b] = B[a,b] r(b) / (rho r(a)),
-    with the power iteration under ``budget`` (``_perron``).
+    with the power iteration under the budget (``_perron``).
 
     ``P[a]`` lists the transition probabilities to the pairs of
     ``shift.succ[a]``, in that order, each the sum over its m ways: the
@@ -183,7 +185,7 @@ def equilibrium_measure(shift, budget=10 ** 8):
     each with probability P[a, b] / m."""
     if not shift.is_irreducible():
         raise ReducibleError("transition structure is not strongly connected")
-    rho, r, l = _perron(shift, budget)
+    rho, r, l = _perron(shift)
     wt = shift.weights
     P = []
     for a, row in enumerate(shift.succ):
@@ -319,7 +321,7 @@ def _spread(extremes, empty):
     return max(spreads) if spreads else empty
 
 
-def correlation_decay(m, f, g, nmax, budget=10 ** 8):
+def correlation_decay(m, f, g, nmax):
     """cov_n = E[f(x_0) g(x_n)] - E f E g under the stationary chain, with a
     fitted exponential decay rate and the spectral oracle log(rho2/rho).
 
@@ -327,12 +329,9 @@ def correlation_decay(m, f, g, nmax, budget=10 ** 8):
     ``ScatterAdd`` plan, and the rate is the closed-form least-squares
     slope, both summed in a fixed order; only the spectral oracle builds
     the dense P, for LAPACK's eigensolver.  The nmax steps take at most
-    (successor ways) * nmax products, at most ``budget``."""
+    (successor ways) * nmax products, at most the budget (10^8)."""
     p, P, succ = m.p, m.P, m.shift.succ
-    work = _ways(succ) * nmax
-    if work > budget:
-        raise BudgetError(f"(successor ways) * nmax = {work} exceeds the "
-                          f"budget {budget}")
+    charge("(successor ways) * nmax products", _ways(succ) * nmax, 10 ** 8)
     f = [float(x) for x in f]
     vec = [float(x) for x in g]
     mean_fg = _dot(p, f) * _dot(p, vec)

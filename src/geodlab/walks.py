@@ -11,8 +11,9 @@ probabilities m/L off the pairs; the sampler expands each pair into m
 entries and moves a path on a row of L entries to entry floor(u L) for one
 uniform u.
 
-Every walk checks its steps (paths times steps, or successor ways times
-steps for the exact law) against a budget before it draws or allocates.
+Every walk charges its steps (paths times steps, or successor ways times
+steps for the exact law) to the budget (10^8, ``errors.charge``) before it
+draws or allocates.
 
 Every sampler reads its draws from one Philox stream, and each walk reads
 its own fixed positions of it, so a rerun with the same seed prints the
@@ -39,7 +40,7 @@ import itertools
 import math
 
 from .errors import BudgetError, DegenerateError, NotTransientError, \
-    TooLargeError, UsageError
+    TooLargeError, UsageError, charge
 from .graphs import ScatterAdd, _entries, fold_sum
 from .seeding import derive_seed
 
@@ -161,14 +162,6 @@ def _check_steps(n):
         raise UsageError(f"a walk needs n >= 1 edges, got {n}")
 
 
-def _check_work(what, work, budget):
-    """BudgetError when ``work``, the steps ``what`` names, is over the
-    budget."""
-    if work > budget:
-        raise BudgetError(f"{what} = {work} steps exceeds the budget "
-                          f"{budget}")
-
-
 def _iterate(step, x, k):
     """``step`` applied k times to ``x``, stopped once the states repeat.
 
@@ -193,9 +186,9 @@ def _iterate(step, x, k):
     return x
 
 
-def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
+def nbrw_exact(graph, start_subgraph, n):
     """Vertex distribution after n steps of the non-backtracking walk, at
-    most (successor ways) * n entry steps under ``budget``.
+    most (successor ways) * n entry steps under the budget.
 
     The law steps in floats until it repeats exactly (``_iterate``): the
     walk mixes fast, and the law of every graph probed reaches a fixed point
@@ -209,7 +202,8 @@ def nbrw_exact(graph, start_subgraph, n, budget=10 ** 8):
     """
     _check_steps(n)
     kernel = NBRWKernel(graph)
-    _check_work("successor ways * n", len(kernel.entries) * n, budget)
+    charge("(successor ways) * n entry steps", len(kernel.entries) * n,
+           10 ** 8)
     dist = _iterate(kernel.step, kernel.start_distribution(start_subgraph),
                     n - 1)
     vdist = kernel.vertex_pushforward(dist)
@@ -254,9 +248,9 @@ class _Stream:
         return out
 
 
-def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
+def nbrw_sample(graph, start_subgraph, n, reps, seed):
     """Monte-Carlo version of nbrw_exact: empirical vertex distribution of
-    reps paths, reps * n under ``budget``.
+    reps paths, reps * n steps under the budget.
 
     Path i starts on the first edge whose entry of the start law's
     cumulative sums is above draw i of the stream (the inverse CDF that
@@ -274,7 +268,7 @@ def nbrw_sample(graph, start_subgraph, n, reps, seed, budget=10 ** 8):
     _check_steps(n)
     if reps < 1:
         raise UsageError(f"need reps >= 1 sampled paths, got {reps}")
-    _check_work("reps * n", reps * n, budget)
+    charge("reps * n steps", reps * n, 10 ** 8)
     kernel = NBRWKernel(graph)
     length, offset, entries, term = (
         np.array(x, dtype=np.intp)
@@ -402,7 +396,7 @@ def _tree_walks(q, reps, batch, seed, index, columns, step):
             alive = kept
 
 
-def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
+def tree_harmonic_measure(q, depth, reps, seed):
     """Monte-Carlo mass of each depth-d shadow under the exit law of the
     simple random walk on the (q+1)-regular tree (the c=0 case, where the
     harmonic measure is the normalised sphere measure).
@@ -417,7 +411,7 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     per further level.
 
     A walk takes at least ``depth`` steps, and reps * depth must be within
-    ``budget``.  Walks run in batches of at most 200,000 (``_tree_walks``,
+    the budget.  Walks run in batches of at most 200,000 (``_tree_walks``,
     which states the draw layout), whose state is an int8 level and an
     int32 vertex index per walk; the ``MAX_SHADOWS`` cap lets them hold
     every value.
@@ -434,7 +428,7 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
     n_shadows = (q + 1) * q ** (min(depth, MAX_SHADOWS.bit_length()) - 1)
     if n_shadows > MAX_SHADOWS:
         raise BudgetError(f"q = {q}, depth = {depth}: over {MAX_SHADOWS} shadows")
-    _check_work("reps * depth", reps * depth, budget)
+    charge("reps * depth steps", reps * depth, 10 ** 8)
 
     target = 1.0 / n_shadows
     tallies = np.zeros(n_shadows, dtype=np.int64)
@@ -482,7 +476,7 @@ def tree_harmonic_measure(q, depth, reps, seed, budget=10 ** 8):
             "n_shadows": n_shadows}
 
 
-def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
+def green_ratio_check(q, d_xy, d_xz, reps, seed):
     """Monte-Carlo ratio of Green kernels G(x,y)/G(x,z) for points y, z on a
     common ray from x at distances d_xy, d_xz on the (q+1)-regular tree.
 
@@ -493,7 +487,7 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
     probability 1/q it comes back to its parent at depth dmax, otherwise it
     escapes and can visit neither point again.  Nothing is truncated.  A
     walk takes at least dmax + 1 steps, and reps * (dmax + 1) must be
-    within ``budget``.
+    within the budget.
 
     Walks run in batches of at most 100,000 (``_tree_walks``, which states
     the draw layout); each keeps its visits Y, Z to y and z, its distance
@@ -513,7 +507,7 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed, budget=10 ** 8):
     if d_xy < 0 or d_xz < 0:
         raise UsageError("distances must be >= 0")
     dmax = max(d_xy, d_xz)
-    _check_work("reps * (dmax + 1)", reps * (dmax + 1), budget)
+    charge("reps * (dmax + 1) steps", reps * (dmax + 1), 10 ** 8)
 
     sy = sz = syy = szz = syz = 0
 

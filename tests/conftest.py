@@ -6,6 +6,13 @@ from geodlab import ffield
 from geodlab.graphs import GraphOfGroups
 
 
+@pytest.fixture(autouse=True)
+def default_budget(monkeypatch):
+    """Every test starts with GEODLAB_BUDGET unset, so a value in the
+    caller's shell moves no verdict; a test that needs one sets it."""
+    monkeypatch.delenv("GEODLAB_BUDGET", raising=False)
+
+
 @pytest.fixture
 def sieve_forgets_y(monkeypatch):
     """A prime sieve that never marks with the prime Y (index q): the

@@ -596,7 +596,7 @@ def _orbit_mismatches(q, disc, word_len, mode):
     bins, each point binned by Fraction(q) ** sep_valuation() or by its
     relative_height."""
     al = _sqrt_quad(q, disc)
-    got = [p[:4] for p in geodlab.bt._orbit(al, word_len, 4000)]
+    got = [p[:4] for p in geodlab.bt._orbit(al, word_len)]
     points = orbit_bfs(al, word_len)[0]
     if got != list(points):
         return "points"
@@ -712,9 +712,10 @@ def test_relative_height_check_sees_a_dropped_factor():
     assert _relative_height_mismatches(_random_pairs(5, 80), one_sided)
 
 
-def test_orbit_budget_guards():
+def test_orbit_budget_guards(monkeypatch):
     al = _sqrt_quad(3, "Y^2+Y")
     with pytest.raises(BudgetError):
         quad_orbit_experiment(al, word_len=13)
+    monkeypatch.setattr(geodlab.bt, "MAX_ORBIT", 10)
     with pytest.raises(BudgetError):
-        quad_orbit_experiment(al, word_len=4, max_orbit=10)
+        quad_orbit_experiment(al, word_len=4)

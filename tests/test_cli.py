@@ -564,7 +564,9 @@ def _budget_verdicts(capsys, monkeypatch, argv, work):
     return verdicts
 
 
-@pytest.mark.parametrize("argv, work", [
+# one row per charge of the work to the budget: each ends in a budget
+# record at work - 1 and runs at work
+BUDGET_ROWS = [
     (PETERSEN_WALK + ["--n", "7", "--reps", "11"], 77),  # reps * n
     (PETERSEN_WALK + ["--n", "7"], 420),  # 60 successor ways * n
     (["walk", "harmonic", "--q", "2", "--depth", "3", "--reps", "11"], 33),
@@ -572,20 +574,55 @@ def _budget_verdicts(capsys, monkeypatch, argv, work):
     (["walk", "green", "--q", "2", "--dxz", "3", "--reps", "1000"], 4000),
     (["shift", "decay", "--graph", "builtin:petersen", "--nmax", "7"], 420),
     # the quadratic verbs too: (deg D)^2 for each complete quotient of ff
-    # cf, 1 + 2 and 1 + 8 of them, and for the root of bt quad-orbit
+    # cf, 1 + 2 and 1 + 8 of them; for bt quad-orbit, whose root costs 4,
+    # 26 orbit points * 5 moves * (deg D + 1) coefficient operations
     (["ff", "cf", "--q", "3", "--disc", "Y^2+Y"], 3 * 4),
     (["ff", "cf", "--q", "5", "--disc", "Y^4+Y+1"], 9 * 16),
     (["bt", "quad-orbit", "--q", "3", "--disc", "Y^2+Y", "--word-len", "2"],
-     4),
+     26 * 5 * 3),
     # (letters) * (successor ways) * maxlen for the Gibbs audit; the
     # golden mean's power iteration takes 15 steps of 3 ways, within the
     # budget from maxlen 8 on
     (PETERSEN_GIBBS, 30 * 60 * 7),
     (["shift", "gibbs-audit", "--preset", "golden", "--maxlen", "16"],
      2 * 3 * 16),
-])
+    # 60 successor ways * nmax
+    (["count", "perp", "--graph", "builtin:petersen", "--minus", "P0",
+      "--plus", "P1", "--nmax", "10"], 600),
+    # 30 edges * 60 successor ways * nmax
+    (["count", "orbits", "--graph", "builtin:petersen", "--nmax", "3"],
+     30 * 60 * 3),
+    # 12 successor ways * the radius (nmax - 1) // 2 around the loop
+    (["count", "conjugacy", "--graph", "builtin:dumbbell", "--basepoint",
+      "w", "--cycle", "l+", "--nmax", "9"], 12 * 4),
+    # q^(n+1) and q^(t+1) polynomials, q^(deg f // 2) trial divisors
+    (["ff", "mertens", "--q", "2", "--n", "3"], 2 ** 4),
+    (["bt", "farey", "--q", "2", "--t", "3"], 2 ** 4),
+    (["ff", "phi", "--q", "3", "--poly", "Y^4+1"], 3 ** 2),
+    (["bt", "hecke", "--q", "3", "--ideal", "Y^4+Y+2"], 3 ** 2),
+]
+
+
+@pytest.mark.parametrize("argv, work", BUDGET_ROWS)
 def test_walk_and_decay_budgets_env(capsys, monkeypatch, argv, work):
     assert _budget_verdicts(capsys, monkeypatch, argv, work) == ["budget", 0]
+
+
+@pytest.mark.parametrize("module", ["bt", "cli", "counting", "ffield",
+                                    "shift", "walks"])
+def test_budget_rows_see_a_hard_coded_default(capsys, monkeypatch, module):
+    # negative control: the charges of one module compare the work with
+    # their default, not with GEODLAB_BUDGET; some row of the table then
+    # no longer ends at its work
+    from geodlab.errors import BudgetError
+
+    def hard_coded(what, work, default):
+        if work > default:
+            raise BudgetError(what)
+
+    monkeypatch.setattr(f"geodlab.{module}.charge", hard_coded)
+    assert any(_budget_verdicts(capsys, monkeypatch, argv, work)
+               != ["budget", 0] for argv, work in BUDGET_ROWS)
 
 
 def test_gibbs_budget_boundary_sees_a_charge_without_the_letters(
@@ -640,6 +677,8 @@ def test_green_ratio_without_visits_is_a_record(capsys):
      "8"],
     ["bt", "quad-orbit", "--q", "3", "--disc", "Y^1000+Y+2", "--mode",
      "relative", "--word-len", "8"],
+    # q^(deg I // 2) trial divisors, charged before q^deg I is formed
+    ["bt", "hecke", "--q", "101", "--ideal", "Y^1000000+Y+2"],
 ])
 def test_work_caps_end_quickly_in_a_record(capsys, argv):
     start = time.perf_counter()
@@ -722,6 +761,9 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
       "--radius-exp", "1000001"), "usage"),
     # 2^41 polynomials against the budget of 10^7
     (("ff", "mertens", "--q", "2", "--n", "40"), "budget"),
+    # t is checked before q^(t+1) is charged: 2 to a 400-digit negative
+    # power is past the float range
+    (("bt", "farey", "--q", "2", "--t", "-" + "9" * 400), "usage"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)

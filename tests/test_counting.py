@@ -207,13 +207,14 @@ def test_theta_parity():
     assert all(series2.counts[n - 1] == 0 for n in range(2, 13, 2))
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     # 30 directed edges with 2 successor ways each: 60 * 10 entry steps
     g = petersen()
+    monkeypatch.setenv("GEODLAB_BUDGET", "599")
     with pytest.raises(BudgetError):
-        count_perpendiculars(PerpQuery(g, "P0", "P1", 10), budget=599)
-    assert count_perpendiculars(PerpQuery(g, "P0", "P1", 10),
-                                budget=600).counts
+        count_perpendiculars(PerpQuery(g, "P0", "P1", 10))
+    monkeypatch.setenv("GEODLAB_BUDGET", "600")
+    assert count_perpendiculars(PerpQuery(g, "P0", "P1", 10)).counts
     with pytest.raises(ValueError):
         enumerate_perpendiculars(PerpQuery(g, "P0", "P1", 11))
 
@@ -465,13 +466,14 @@ def test_orbit_integrality():
         assert out["orbits"][n - 1] >= 0
 
 
-def test_orbit_horizon_budget():
+def test_orbit_horizon_budget(monkeypatch):
     # 4 directed edges with 3 successor ways each: the horizon is
     # bounded by 4 * 12 * nmax <= budget
-    out = closed_orbit_count(figure_eight(), 40, budget=4 * 12 * 40)
+    monkeypatch.setenv("GEODLAB_BUDGET", str(4 * 12 * 40))
+    out = closed_orbit_count(figure_eight(), 40)
     assert out["fix"][26] == 3 ** 27 + 2 - 1
     with pytest.raises(BudgetError):
-        closed_orbit_count(figure_eight(), 41, budget=4 * 12 * 40)
+        closed_orbit_count(figure_eight(), 41)
 
 
 def test_orbits_degenerate_graph():

@@ -52,15 +52,18 @@ def _rows(A):
 
 def _irreducible_misses():
     """The random 0/1 transition matrices, 1 to 5 letters, on which
-    is_irreducible and networkx's strong connectivity disagree."""
+    is_irreducible and networkx's strong connectivity disagree.  networkx
+    calls one letter without a transition strongly connected; a shift
+    with no transition has no Perron data, so it is reducible."""
     rng = np.random.default_rng(8)
     misses = []
     for _ in range(300):
         k = int(rng.integers(1, 6))
         A = (rng.random((k, k)) < 0.35).astype(int)
+        connected = nx.is_strongly_connected(nx.from_numpy_array(
+            A, create_using=nx.DiGraph))
         if (EdgeShift(range(k), _rows(A)).is_irreducible()
-                != nx.is_strongly_connected(nx.from_numpy_array(
-                    A, create_using=nx.DiGraph))):
+                != (A.any() and connected)):
             misses.append(A.tolist())
     return misses
 
@@ -457,3 +460,13 @@ def test_reducible_rejected():
     g = petersen().with_conductance({"r0+": -1000.0})
     with pytest.raises(ReducibleError):
         pressure(EdgeShift.from_graph(g))
+
+
+@pytest.mark.parametrize("verb", [pressure, equilibrium_measure])
+def test_letter_without_transitions_is_reducible(verb):
+    # one letter and no transition: no Perron data, and no ways to divide
+    # the budget by
+    s = EdgeShift([0], [[]])
+    assert not s.is_irreducible()
+    with pytest.raises(ReducibleError):
+        verb(s)
