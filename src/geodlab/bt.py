@@ -8,6 +8,7 @@ v = v_infinity on F_q(Y); everything is exact (Fractions / big integers).
 """
 
 from fractions import Fraction
+import math
 
 from .errors import (
     BudgetError,
@@ -26,7 +27,7 @@ from .ffield import (
     PREC_CAP,
     euler_phi,
     factor,
-    multiple_indices,
+    poly_index,
     poly_range,
     prime_sieves,
     sqrt_mod,
@@ -236,6 +237,15 @@ def _laurent_head(top, s, Q, n):
     return tuple(_divide_at_infinity(digits[::-1], Q, n))
 
 
+def _signed_divisors(primes):
+    """(factors, degree, mu) of each squarefree product of the distinct
+    primes: its prime factors, its degree and its Moebius sign."""
+    out = [((), 0, 1)]
+    for p in primes:
+        out += [(f + (p,), k + p.degree, -mu) for f, k, mu in out]
+    return out
+
+
 def farey_count(q, t, hist_depth=1):
     """Count of Farey classes of height at most q^t and the ball histogram.
 
@@ -251,22 +261,21 @@ def farey_count(q, t, hist_depth=1):
     first hist_depth coefficients of their Laurent expansion (the depth-d
     balls of O_v).  Returns dict with "psi", "points", "histogram".
 
-    Write P = aQ + P0 with deg P0 < deg Q = d and n = hist_depth - 1.
-    The prime factors of each Q come from the prime sieve of degree d
-    (prime_sieves), and the units P0 mod Q from a sieve over the base-q
-    indices of the residues (see poly_range): the non-units are the
-    multiples pR, p a prime factor of Q, deg R < d - deg p.  The bin of
-    P/Q is (a,) followed by the coefficients of Y^-1 .. Y^-n of P0/Q, and
-    these depend only on the coefficients of P0 from Y^s up,
-    s = max(0, d - n), that is on index(P0) // q^s.  So each block of q^s
-    consecutive indices adds its unit count to one bin per a.
+    Write P = aQ + P0, deg P0 < deg Q = d, n = hist_depth - 1 and
+    s = max(0, d - n).  The bin of P/Q is (a,) and the coefficients of
+    Y^-1 .. Y^-n of P0/Q, which depend only on the block index(P0) // q^s
+    (see poly_range).  Its units are the sum over the squarefree g | Q
+    (prime_sieves) of mu(g) times the multiples g H, deg H < d - deg g, in
+    it: q^(s - deg g) in each block if deg g <= s, else at most one, in the
+    block of its top digits (two differ from Y^s up), kept per g.
     """
     if t < 1 or hist_depth < 1:
         raise UsageError(f"need t >= 1 and depth >= 1, got t={t}, "
                          f"depth={hist_depth}")
     # q >= 2: an exponent past the budget's bit length is over it too
-    charge("q^(t+1) polynomials",
-           q ** min(t + 1, budget(10 ** 7).bit_length()), 10 ** 7)
+    charge("q^(t+1) * q^min(depth-1, t) (denominator, block) pairs",
+           q ** min(t + 1 + min(hist_depth - 1, t),
+                    budget(10 ** 7).bit_length()), 10 ** 7)
     if hist_depth > PREC_CAP:
         raise PrecisionCapError(
             f"requested depth {hist_depth} exceeds cap {PREC_CAP}")
@@ -278,25 +287,27 @@ def farey_count(q, t, hist_depth=1):
         d = table.d
         s = max(0, d - n)
         block = q ** s
-        multiples = {}  # p -> indices of p R, 0 < index(R) < q^(d - deg p)
+        tops = {}  # factors of g -> the block of each g H
         for i, Q in enumerate(poly_range(q, q ** d, 2 * q ** d)):
-            sieve = bytearray(b"\x01") * q ** d
-            sieve[0] = 0
-            for p in table.primes(i):
-                if p not in multiples:
-                    multiples[p] = multiple_indices(p, d - p.degree,
-                                                    False)[1:]
-                for j in multiples[p]:
-                    sieve[j] = 0
-            for top in range(q ** d // block):
-                units = sieve.count(1, top * block, (top + 1) * block)
-                if not units:
+            base, extra = 0, {}
+            for f, k, mu in _signed_divisors(table.primes(i)):
+                if k <= s:
+                    base += mu * q ** (s - k)
                     continue
-                head = _laurent_head(top, s, Q, n)
-                for a in range(q):
-                    key = (a,) + head
-                    histogram[key] = histogram.get(key, 0) + units
-                npoints += q * units
+                if f not in tops:
+                    g = math.prod(f[1:], start=f[0])
+                    tops[f] = [poly_index(g * H) // block
+                               for H in poly_range(q, 0, q ** (d - k))]
+                for top in tops[f]:
+                    extra[top] = extra.get(top, 0) + mu
+            for top in range(q ** d // block):
+                units = base + extra.get(top, 0)
+                if units:
+                    head = _laurent_head(top, s, Q, n)
+                    for a in range(q):
+                        key = (a,) + head
+                        histogram[key] = histogram.get(key, 0) + units
+                    npoints += q * units
     return {"psi": (q - 1) * npoints // q, "points": npoints,
             "histogram": histogram}
 

@@ -322,16 +322,15 @@ def _poly_at(q, i):
     return next(poly_range(q, i, i + 1))
 
 
-def multiple_indices(F, j, monic):
-    """poly_index(F G) for every G of degree < j, or with ``monic`` every
-    monic G of degree j, in the order of poly_index(G).
+def multiple_indices(F, j):
+    """poly_index(F G) for each monic G of degree j, by poly_index(G).
 
     By Horner's rule on G = Y G' + c: F G = Y F G' + c F.  With
     x = poly_index(F G'), Y F G' has index q x, and c F reaches only its
     low digits, those of Y r for r = x mod q^deg F.  So poly_index(F G) is
     q x + poly_index(Y r + c F) - q r, and one table of these last
     differences, q^(deg F + 1) of them, makes each product a lookup and an
-    add.
+    add, from poly_index(F) for G = 1 on.
     """
     q, f = F.q, F.degree
     w = q ** f
@@ -344,7 +343,7 @@ def multiple_indices(F, j, monic):
             col = [v + ((b + a) % q - b) * s for b in range(q) for v in col]
         columns.append(col)
     delta = list(zip(*columns))
-    level = [poly_index(F)] if monic else [0]
+    level = [poly_index(F)]
     for _ in range(j):
         level = [q * x + e for x in level for e in delta[x % w]]
     return level
@@ -432,13 +431,13 @@ def prime_sieves(q, max_degree):
         for k in range(1, d // 2 + 1):
             for g in found[k]:
                 p = q ** k + g
-                products = multiple_indices(_poly_at(q, p), d - k, True)
+                products = multiple_indices(_poly_at(q, p), d - k)
                 sieve._mark(products, repeat(p, len(products)), k)
         for k in range(d // 2 + 1, d):
             offsets = found[k]
             primes = [q ** k + g for g in offsets]
             for r in range(q ** (d - k), 2 * q ** (d - k)):
-                products = multiple_indices(_poly_at(q, r), k, True)
+                products = multiple_indices(_poly_at(q, r), k)
                 sieve._mark([products[g] for g in offsets], primes, k)
         found[d] = [i for i, m in enumerate(sieve.head) if m < 0]
         yield sieve

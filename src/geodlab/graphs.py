@@ -24,6 +24,7 @@ verbs, which use this module for its steps only, run without them.
 import functools
 import math
 import operator
+from collections import namedtuple
 
 from .errors import DegenerateError, GraphFormatError, TooLargeError
 
@@ -116,8 +117,7 @@ class GraphOfGroups:
         vol = sum(Fraction(1, v.order) for v in self.vertices.values())
         tvol = sum(Fraction(1, e.order) for e in self.edges.values())
         degrees = {v: self.tree_degree(v) for v in self.vertex_ids}
-        bip, classes = self._two_color()
-        return VolumeReport(vol, tvol, degrees, bip, classes)
+        return VolumeReport(vol, tvol, degrees, self._two_color())
 
     def _two_color(self):
         color = {self.vertex_ids[0]: 0}
@@ -130,9 +130,8 @@ class GraphOfGroups:
                     color[w] = 1 - color[v]
                     stack.append(w)
                 elif color[w] == color[v]:
-                    return False, None
-        return True, ([v for v in self.vertex_ids if color[v] == 0],
-                      [v for v in self.vertex_ids if color[v] == 1])
+                    return False
+        return True
 
     # -- non-backtracking edge dynamics ------------------------------------
 
@@ -196,19 +195,8 @@ class GraphOfGroups:
                                    f"no subgraph named {name!r}") from None
 
 
-class VolumeReport:
-    __slots__ = ("vol", "tvol", "degrees", "bipartite", "classes")
-
-    def __init__(self, vol, tvol, degrees, bipartite, classes):
-        self.vol = vol
-        self.tvol = tvol
-        self.degrees = degrees
-        self.bipartite = bipartite
-        self.classes = classes
-
-    def __repr__(self):
-        return (f"VolumeReport(vol={self.vol}, tvol={self.tvol}, "
-                f"bipartite={self.bipartite})")
+# the volumes, the tree degree of each vertex and whether it is bipartite
+VolumeReport = namedtuple("VolumeReport", "vol tvol degrees bipartite")
 
 
 class ScatterAdd:

@@ -208,13 +208,12 @@ def nbrw_exact(graph, start_subgraph, n):
                     n - 1)
     vdist = kernel.vertex_pushforward(dist)
     target = kernel.target_distribution()
-    rep = graph.volumes()
     return {
         "vertex_dist": vdist,
         "target": target,
         "tv_to_target": 0.5 * _pairwise_sum([abs(x - y) for x, y
                                              in zip(vdist, target)]),
-        "bipartite": rep.bipartite,
+        "bipartite": graph._two_color(),
     }
 
 

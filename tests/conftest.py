@@ -16,7 +16,7 @@ def default_budget(monkeypatch):
 @pytest.fixture
 def sieve_forgets_y(monkeypatch):
     """A prime sieve that never marks with the prime Y (index q): the
-    mutation the negative controls of phi and the Farey unit sieve inject.
+    mutation the negative controls of phi and the Farey unit count inject.
     The multiples of Y lose a factor, and its powers pass for primes."""
     mark = ffield.PrimeSieve._mark
 

@@ -505,6 +505,20 @@ def test_farey_reference_catches_a_dropped_factor(sieve_forgets_y):
         _check_farey_against_reference(2, 3, 2)
 
 
+def test_farey_reference_catches_first_order_inclusion_exclusion(
+        monkeypatch):
+    # negative control: inclusion-exclusion over 1 and the primes alone
+    # takes the multiples of each product of two primes off twice
+    from geodlab import bt
+
+    def first_order(primes):
+        return [((), 0, 1)] + [((p,), p.degree, -1) for p in primes]
+
+    monkeypatch.setattr(bt, "_signed_divisors", first_order)
+    with pytest.raises(AssertionError):
+        _check_farey_against_reference(3, 3, 3)
+
+
 # ---------------------------------------------------------------------------
 # orbit experiment
 

@@ -496,6 +496,23 @@ def test_heavy_vertex_verbs_end_within_a_second(tmp_path, capsys, argv):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("q, t", [(53, 2), (13, 3)])
+def test_wide_farey_counts_end_within_a_second(capsys, q, t):
+    # q^t denominators of degree t, each with q^t residues in one block
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bt", "farey", "--q", str(q), "--t",
+                             str(t))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    psi = (q - 1) * (1 + sum(q ** (2 * d) - q ** (2 * d - 1)
+                             for d in range(1, t + 1)))
+    assert rows[0] == ["psi", "", str(psi)]
+    assert [ball for _, ball, _ in rows[2:]] == [str(a) for a in range(q)]
+    # q * psi / (q - 1) points, equal in the q balls of depth 1
+    assert {count for _, _, count in rows[2:]} == {str(psi // (q - 1))}
+
+
 def test_heavy_vertex_pressure_is_the_log_of_the_top_root(tmp_path, capsys):
     # the top root of Bass's matrix is 58.81540036164124949...; a power
     # iteration that adds the 99,999 ways one by one lands 2.3e-11 off it
@@ -595,11 +612,13 @@ BUDGET_ROWS = [
     # 12 successor ways * the radius (nmax - 1) // 2 around the loop
     (["count", "conjugacy", "--graph", "builtin:dumbbell", "--basepoint",
       "w", "--cycle", "l+", "--nmax", "9"], 12 * 4),
-    # q^(n+1) and q^(t+1) polynomials, q^(deg f // 2) trial divisors
+    # q^(n+1) polynomials, q^(t+1) * q^min(depth-1, t) (denominator, block)
+    # pairs, q^(deg f // 2) trial divisors
     (["ff", "mertens", "--q", "2", "--n", "3"], 2 ** 4),
     (["bt", "farey", "--q", "2", "--t", "3"], 2 ** 4),
     (["ff", "phi", "--q", "3", "--poly", "Y^4+1"], 3 ** 2),
     (["bt", "hecke", "--q", "3", "--ideal", "Y^4+Y+2"], 3 ** 2),
+    (["bt", "farey", "--q", "2", "--t", "3", "--depth", "3"], 2 ** 4 * 2 ** 2),
 ]
 
 
@@ -1139,6 +1158,8 @@ MODULES_RUN = [
     (["ff", "cf", "--q", "3", "--disc", "Y^2+Y"], {"ffield"}, {"fractions"}),
     (["walk", "harmonic", "--q", "2", "--reps", "100"], {"graphs", "walks"},
      set()),
+    (["walk", "nbrw", "--graph", "builtin:petersen", "--start", "P0", "--n",
+      "5"], {"graphs", "library", "walks"}, set()),
 ]
 
 

@@ -146,13 +146,6 @@ def test_volumes_with_orders():
     assert not rep.bipartite
 
 
-def test_bipartite_classes_partition():
-    rep = theta().volumes()
-    a, b = rep.classes
-    assert set(a) | set(b) == {"u", "v"}
-    assert not set(a) & set(b)
-
-
 def test_tree_degrees():
     g = order_two_chain()
     assert all(g.tree_degree(v) == 3 for v in g.vertex_ids)
