@@ -32,6 +32,7 @@ from .ffield import (
     prime_sieves,
     sqrt_mod,
     _divide_at_infinity,
+    _poly_at,
 )
 
 HECKE_CHECK_DEG = 4  # the cross-check takes a gcd for each of q^deg residues
@@ -239,10 +240,11 @@ def _laurent_head(top, s, Q, n):
 
 def _signed_divisors(primes):
     """(factors, degree, mu) of each squarefree product of the distinct
-    primes: its prime factors, its degree and its Moebius sign."""
+    primes, given as (index, degree) pairs: the indices of its prime
+    factors, its degree and its Moebius sign."""
     out = [((), 0, 1)]
-    for p in primes:
-        out += [(f + (p,), k + p.degree, -mu) for f, k, mu in out]
+    for p, e in primes:
+        out += [(f + (p,), k + e, -mu) for f, k, mu in out]
     return out
 
 
@@ -295,7 +297,8 @@ def farey_count(q, t, hist_depth=1):
                     base += mu * q ** (s - k)
                     continue
                 if f not in tops:
-                    g = math.prod(f[1:], start=f[0])
+                    polys = [_poly_at(q, p) for p in f]
+                    g = math.prod(polys[1:], start=polys[0])
                     tops[f] = [poly_index(g * H) // block
                                for H in poly_range(q, 0, q ** (d - k))]
                 for top in tops[f]:

@@ -11,7 +11,6 @@ digits of a fraction in F_q((1/Y)) come from one long division at infinity
 
 from array import array
 from fractions import Fraction
-from itertools import repeat
 import math
 
 from .errors import (
@@ -323,14 +322,16 @@ def _poly_at(q, i):
 
 
 def multiple_indices(F, j):
-    """poly_index(F G) for each monic G of degree j, by poly_index(G).
+    """An iterator over poly_index(F G) for each monic G of degree j, by
+    poly_index(G).
 
     By Horner's rule on G = Y G' + c: F G = Y F G' + c F.  With
     x = poly_index(F G'), Y F G' has index q x, and c F reaches only its
     low digits, those of Y r for r = x mod q^deg F.  So poly_index(F G) is
     q x + poly_index(Y r + c F) - q r, and one table of these last
     differences, q^(deg F + 1) of them, makes each product a lookup and an
-    add, from poly_index(F) for G = 1 on.
+    add, from poly_index(F) for G = 1 on.  Each degree of G is a generator
+    over the one below, so no level is kept.
     """
     q, f = F.q, F.degree
     w = q ** f
@@ -345,101 +346,87 @@ def multiple_indices(F, j):
     delta = list(zip(*columns))
     level = [poly_index(F)]
     for _ in range(j):
-        level = [q * x + e for x in level for e in delta[x % w]]
+        level = (q * x + e for x in level for e in delta[x % w])
     return level
 
 
 class PrimeSieve:
-    """The distinct monic prime factors of each monic polynomial of degree d
-    over F_q, the one of index q^d + i at offset i.
+    """The monic polynomials of degree d over F_q, the one of index q^d + i
+    at offset i, by their least prime factor p, least in (degree, index)
+    order.
 
-    The factors of offset i form a chain of marks: head[i] is its first
-    mark, or -1 when the polynomial is itself prime, and mark m names the
-    prime of index prime[m] and degree degree[m] and the next mark nxt[m]
-    (-1 ends the chain).
+    low[i] is the index of p, or -1 when the monic is itself prime; cof[i]
+    is the offset of the cofactor f/p in the sieve of degree d - deg p, and
+    phi[i] is euler_phi of the monic, each below q^d in a C int.  sieves[e]
+    is the sieve of degree e, for each e up to d.
     """
 
-    __slots__ = ("q", "d", "head", "nxt", "prime", "degree")
+    __slots__ = ("q", "d", "low", "cof", "phi", "sieves")
 
-    def __init__(self, q, d):
+    def __init__(self, q, d, sieves):
         size = q ** d
-        # a polynomial of degree d has at most d distinct prime factors
-        code = "i" if (d + 1) * size < 2 ** 31 else "q"
-        self.q, self.d = q, d
-        self.head = array(code, [-1]) * size
-        self.nxt, self.prime = array(code), array(code)
-        self.degree = bytearray()
+        self.q, self.d, self.sieves = q, d, sieves
+        # every monic counts as prime until a mark says otherwise
+        self.low = array("i", [-1]) * size
+        self.cof = array("i", [0]) * size
+        self.phi = array("i", [size - 1]) * size
 
-    def _mark(self, indices, primes, k):
-        """Mark the polynomial of each index in ``indices`` with the prime
-        of degree k in the same place of ``primes``."""
-        head, nxt, size = self.head, self.nxt, self.q ** self.d
-        m = len(nxt)
-        for i in indices:
-            i -= size
-            nxt.append(head[i])
-            head[i] = m
-            m += 1
-        self.prime.extend(primes)
-        self.degree.extend(repeat(k, m - len(self.degree)))
+    def _mark(self, p, k):
+        """Mark the multiples p R of the prime of index p and degree k that
+        no smaller prime has marked: phi(p R) is phi(R) q^k when p divides
+        R, that is when p is R or the least prime of R, else phi(R) (q^k - 1).
+        """
+        q, d, low, cof, phi = self.q, self.d, self.low, self.cof, self.phi
+        below = self.sieves[d - k]
+        size, rsize, n = q ** d, q ** (d - k), q ** k
+        for r, j in enumerate(multiple_indices(_poly_at(q, p), d - k)):
+            j -= size
+            if low[j] < 0:
+                low[j], cof[j] = p, r
+                same = below.low[r] == p or rsize + r == p
+                phi[j] = below.phi[r] * (n if same else n - 1)
 
     def primes(self, i):
-        """The distinct monic prime factors of the monic of offset i."""
-        m = self.head[i]
-        if m < 0:
-            return [_poly_at(self.q, self.q ** self.d + i)]
-        out = []
-        while m >= 0:
-            out.append(_poly_at(self.q, self.prime[m]))
-            m = self.nxt[m]
-        return out
+        """The distinct monic prime factors of the monic of offset i, as
+        (index, degree) pairs: its least prime, then those of the cofactor.
+        Each prime is at least the one before, so a repeat follows its
+        first."""
+        q, sieve, k, out = self.q, self, 1, []
+        while True:
+            p = sieve.low[i]
+            if p < 0:
+                p, k = q ** sieve.d + i, sieve.d
+            while q ** (k + 1) <= p:
+                k += 1
+            if not out or out[-1][0] != p:
+                out.append((p, k))
+            if k == sieve.d:
+                return out
+            i, sieve = sieve.cof[i], self.sieves[sieve.d - k]
 
     def phi_sum(self):
-        """Sum of euler_phi over the monic polynomials of degree d:
-        phi(f) = q^d prod_{p | f} (N(p) - 1)/N(p), N(p) = q^deg p."""
-        head, nxt, degree = self.head, self.nxt, self.degree
-        norm = [self.q ** k for k in range(self.d + 1)]
-        total = 0
-        for m in head:
-            if m < 0:
-                total += norm[-1] - 1
-                continue
-            phi = norm[-1]
-            while m >= 0:
-                n = norm[degree[m]]
-                phi = phi // n * (n - 1)
-                m = nxt[m]
-            total += phi
-        return total
+        """Sum of euler_phi over the monic polynomials of degree d."""
+        return sum(self.phi)
 
 
 def prime_sieves(q, max_degree):
     """Yield the PrimeSieve of each degree d = 1, ..., max_degree.
 
-    Each prime p of degree k < d marks the multiples p R, R monic of degree
-    d - k; a monic that no prime marks is itself prime.  multiple_indices
-    builds a table of q^(deg F + 1) entries for a fixed factor F, so a
-    prime with 2k <= d is that factor for its q^(d-k) multiples.  Each
-    larger prime has fewer multiples than its table has entries; those
-    come instead from each monic R of degree d - k < d/2 as the factor:
-    R G for every monic G of degree k, kept where G is prime.
+    A composite monic of degree d has a prime factor of degree at most
+    d/2, so the primes of those degrees, in ascending (degree, index)
+    order, each mark their multiples (multiple_indices) and reach every
+    composite first through its least prime; a monic that no prime marks is
+    itself prime.
     """
     _check_q(q)
-    found = {}  # k -> offsets g < q^k of the primes q^k + g of degree k
+    sieves = [None]
     for d in range(1, max_degree + 1):
-        sieve = PrimeSieve(q, d)
+        sieve = PrimeSieve(q, d, sieves)
         for k in range(1, d // 2 + 1):
-            for g in found[k]:
-                p = q ** k + g
-                products = multiple_indices(_poly_at(q, p), d - k)
-                sieve._mark(products, repeat(p, len(products)), k)
-        for k in range(d // 2 + 1, d):
-            offsets = found[k]
-            primes = [q ** k + g for g in offsets]
-            for r in range(q ** (d - k), 2 * q ** (d - k)):
-                products = multiple_indices(_poly_at(q, r), k)
-                sieve._mark([products[g] for g in offsets], primes, k)
-        found[d] = [i for i, m in enumerate(sieve.head) if m < 0]
+            for g, m in enumerate(sieves[k].low):
+                if m < 0:
+                    sieve._mark(q ** k + g, k)
+        sieves.append(sieve)
         yield sieve
 
 
@@ -816,11 +803,11 @@ def parse_poly(q, text):
     text = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not text:
         raise UsageError("empty polynomial")
-    text = text.replace("-", "+-")
+    terms = text.replace("+-", "-").replace("-", "+-").split("+")
+    if not terms[0]:  # a leading sign
+        del terms[0]
     out = FqPoly.zero(q)
-    for term in text.split("+"):
-        if not term:
-            continue
+    for term in terms:
         neg = term.startswith("-")
         if neg:
             term = term[1:]

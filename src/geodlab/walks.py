@@ -499,6 +499,10 @@ def green_ratio_check(q, d_xy, d_xz, reps, seed):
 
     Expected ratio for the simple walk: q^{-(d_xy - d_xz)}.  Returns
     estimate, target, and a delta-method standard error for the ratio.
+    The ratio of means is biased by O(1/reps): to leading order (delta
+    method) E[Ybar/Zbar] - muy/muz is (muy/muz) (Var Zbar/muz^2
+    - Cov(Ybar, Zbar)/(muy muz)), which the same sums estimate as
+    ratio (var_z/mz^2 - cov/(my mz)) below; it is not subtracted.
     """
     import numpy as np
 

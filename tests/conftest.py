@@ -20,9 +20,9 @@ def sieve_forgets_y(monkeypatch):
     The multiples of Y lose a factor, and its powers pass for primes."""
     mark = ffield.PrimeSieve._mark
 
-    def forgetful(self, indices, primes, k):
-        kept = [(i, p) for i, p in zip(indices, primes) if p != self.q]
-        mark(self, [i for i, _ in kept], [p for _, p in kept], k)
+    def forgetful(self, p, k):
+        if p != self.q:
+            mark(self, p, k)
 
     monkeypatch.setattr(ffield.PrimeSieve, "_mark", forgetful)
 

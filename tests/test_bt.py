@@ -512,7 +512,7 @@ def test_farey_reference_catches_first_order_inclusion_exclusion(
     from geodlab import bt
 
     def first_order(primes):
-        return [((), 0, 1)] + [((p,), p.degree, -1) for p in primes]
+        return [((), 0, 1)] + [((p,), k, -1) for p, k in primes]
 
     monkeypatch.setattr(bt, "_signed_divisors", first_order)
     with pytest.raises(AssertionError):

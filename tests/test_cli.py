@@ -783,6 +783,9 @@ def test_count_perp_two_regular_prints_nan_ratios(capsys, graph, nmax):
     # t is checked before q^(t+1) is charged: 2 to a 400-digit negative
     # power is past the float range
     (("bt", "farey", "--q", "2", "--t", "-" + "9" * 400), "usage"),
+    # an empty term past the first (a leading sign) is malformed
+    (("ff", "phi", "--q", "3", "--poly", "Y+"), "usage"),
+    (("ff", "phi", "--q", "3", "--poly", "Y++1"), "usage"),
 ])
 def test_bad_input_is_a_record(capsys, argv, want):
     code, out, err = run_cli(capsys, *argv)

@@ -144,8 +144,8 @@ def test_factor_primes_are_irreducible():
         for f in poly_range(q, q ** 4, 2 * q ** 4):
             for p in factor(f):
                 # a monic is prime when the sieve lists itself as its factor
-                sieve = sieves[p.degree - 1]
-                assert sieve.primes(poly_index(p) - q ** p.degree) == [p]
+                sieve, i = sieves[p.degree - 1], poly_index(p)
+                assert sieve.primes(i - q ** p.degree) == [(i, p.degree)]
 
 
 @pytest.mark.parametrize("q, dmax", [(2, 6), (3, 4), (5, 3)])
@@ -154,8 +154,53 @@ def test_prime_sieve_matches_trial_division(q, dmax):
         assert sieve.d == d
         for i, f in enumerate(poly_range(q, q ** d, 2 * q ** d)):
             primes = sieve.primes(i)
-            assert len(primes) == len(set(primes))
-            assert set(primes) == set(factor(f)), str(f)
+            # distinct and ascending, as the cofactor walk meets them
+            assert primes == sorted(set(primes))
+            assert primes == sorted((poly_index(p), p.degree)
+                                    for p in factor(f)), str(f)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_prime_sieve_multiplies_only_by_primes(q, monkeypatch):
+    # every mark comes from a prime: no cofactor is ever the factor
+    factors = []
+    multiple_indices = ffield.multiple_indices
+
+    def recording(F, j):
+        factors.append(F)
+        return multiple_indices(F, j)
+
+    monkeypatch.setattr(ffield, "multiple_indices", recording)
+    list(prime_sieves(q, 8))
+    assert factors
+    assert all(factor(F) == {F: 1} for F in factors)
+
+
+def _sieve_phi_mismatches(q, dmax):
+    return [str(f) for d, sieve in enumerate(prime_sieves(q, dmax), 1)
+            for i, f in enumerate(poly_range(q, q ** d, 2 * q ** d))
+            if sieve.phi[i] != euler_phi(f)]
+
+
+@pytest.mark.parametrize("q, dmax", [(2, 8), (3, 5), (7, 3)])
+def test_prime_sieve_phi_matches_euler_phi(q, dmax):
+    assert _sieve_phi_mismatches(q, dmax) == []
+
+
+def test_sieve_phi_check_sees_a_coprime_update(monkeypatch):
+    # negative control: phi(p R) = phi(R) (q^k - 1) even where p divides R
+    mark = ffield.PrimeSieve._mark
+
+    def coprime_only(self, p, k):
+        before = self.low[:]
+        mark(self, p, k)
+        below = self.sieves[self.d - k]
+        for j, m in enumerate(self.low):
+            if m != before[j]:
+                self.phi[j] = below.phi[self.cof[j]] * (self.q ** k - 1)
+
+    monkeypatch.setattr(ffield.PrimeSieve, "_mark", coprime_only)
+    assert "Y^2" in _sieve_phi_mismatches(2, 3)
 
 
 def test_poly_range_base_q_order():
