@@ -322,7 +322,7 @@ def _poly_at(q, i):
 
 
 def multiple_indices(F, j):
-    """An iterator over poly_index(F G) for each monic G of degree j, by
+    """An iterable over poly_index(F G) for each monic G of degree j, by
     poly_index(G).
 
     By Horner's rule on G = Y G' + c: F G = Y F G' + c F.  With
