@@ -27,9 +27,11 @@ at each call.
 loaded yet and none of ``BLAS_THREAD_VARS`` is set, and then gives
 os.environ back as it found it.  numpy loads OpenBLAS at import, whose
 worker threads busy-wait for about 0.1 s before they sleep; no verb has
-work for them (see walks.py; the one LAPACK call is the small ``eigvals``
-of shift.py), so one thread saves that CPU time and prints the same
-bytes.  A count the user sets wins; ``import geodlab`` sets nothing.
+work for them (see walks.py; the one LAPACK call, ``eigvals`` of the
+spectral rate of ``shift decay`` on a weighted or non-regular aperiodic
+graph or a preset, is held to (letters)^3 within the budget), so one
+thread saves that CPU time and prints the same bytes.  A count the user
+sets wins; ``import geodlab`` sets nothing.
 """
 
 import argparse

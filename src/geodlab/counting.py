@@ -22,7 +22,7 @@ from .errors import (
     charge,
 )
 from .graphs import ScatterAdd, _entries, _ways, _weighted, fold_sum
-from .shift import EdgeShift, _dot, _perron
+from .shift import EdgeShift, _dot, _period, _perron
 
 
 class PerpQuery:
@@ -123,24 +123,6 @@ def count_perpendiculars(query):
 
 # ---------------------------------------------------------------------------
 # theoretical counting constants
-
-
-def _period(succ):
-    """(d, cls): the period d of an irreducible edge step and the cyclic
-    class of each edge, numbered so that every step goes from class c to
-    class c + 1 mod d.  With levels from one breadth-first search, d is the
-    gcd of level(i) + 1 - level(j) over the steps i -> j."""
-    level, todo = {0: 0}, [0]
-    for i in todo:
-        for j, _ in succ[i]:
-            if j not in level:
-                level[j] = level[i] + 1
-                todo.append(j)
-    d = 0
-    for i, row in enumerate(succ):
-        for j, _ in row:
-            d = math.gcd(d, level[i] + 1 - level[j])
-    return d, [level[i] % d for i in range(len(succ))]
 
 
 def theoretical_constant(query, series):

@@ -12,8 +12,11 @@ linear ones through ``graphs.ScatterAdd``, one entry per pair):
 pressure, the equilibrium chain and the Gibbs audit start without numpy,
 and no result depends on a BLAS kernel.  The power iteration, like every
 step over the rows, is charged to the budget (10^8, ``errors.budget``) in
-ways, the sum of m over the pairs.  numpy is imported only by the spectral
-oracle of ``correlation_decay`` (a dense LAPACK eigensolve).
+ways, the sum of m over the pairs.  The spectral rate of
+``correlation_decay`` is 1 on a periodic shift, and on the shift of a
+regular graph with no potential it comes from the Ihara-Bass identity,
+by Lanczos in pure Python; numpy is imported only for the other shifts,
+whose rate comes from a dense LAPACK eigensolve.
 """
 
 import itertools
@@ -22,11 +25,18 @@ import operator
 
 from .errors import BudgetError, ReducibleError, TooLargeError, budget, charge
 from .graphs import ScatterAdd, _entries, _reached, _ways, _weighted, fold_sum
+from .seeding import derive_seed
 
 POWER_TOL = 1e-12
 GIBBS_GROWTH = 4.0  # the spread may grow this much from maxlen // 2 to maxlen
 # path weights the Gibbs audit holds at once, (letters) * (start letters)
 GIBBS_CELLS = 2 ** 18
+# Lanczos of the Ihara-Bass rate: the seed of its start vector, the
+# residual (times q + 1) at which it has found an invariant subspace, and
+# the halvings of a Gershgorin interval per extreme eigenvalue
+LANCZOS_SEED = 0x1A2B
+LANCZOS_BREAKDOWN = 1e-12
+LANCZOS_BISECTIONS = 64
 
 
 class EdgeShift:
@@ -55,13 +65,16 @@ class EdgeShift:
         # that underflows to 0 takes its letter's transitions out
         self.succ = [[(b, m) for b, m in row if self.weights[b] > 0]
                      for row in succ]
+        self._graph = None  # the graph of ``from_graph``
 
     @classmethod
     def from_graph(cls, g):
         """Shift of the non-backtracking edge dynamics of a graph."""
         g.check_branching()
-        return cls(list(g.edge_ids), g.nb_successors(),
-                   [g.edges[e].conductance for e in g.edge_ids])
+        shift = cls(list(g.edge_ids), g.nb_successors(),
+                    [g.edges[e].conductance for e in g.edge_ids])
+        shift._graph = g
+        return shift
 
     @classmethod
     def full_shift(cls, k, potential=None):
@@ -86,6 +99,25 @@ def _strongly_connected(succ):
     arcs = [(a, b) for a, row in enumerate(succ) for b, _ in row]
     return (bool(arcs) and len(_reached(0, arcs)) == len(succ)
             == len(_reached(0, [(b, a) for a, b in arcs])))
+
+
+def _period(succ):
+    """(d, cls): the period d of an irreducible step over the successor
+    rows ``succ`` and the cyclic class of each letter, numbered so that
+    every step goes from class c to class c + 1 mod d.  With levels from
+    one breadth-first search, d is the gcd of level(i) + 1 - level(j) over
+    the steps i -> j."""
+    level, todo = {0: 0}, [0]
+    for i in todo:
+        for j, _ in succ[i]:
+            if j not in level:
+                level[j] = level[i] + 1
+                todo.append(j)
+    d = 0
+    for i, row in enumerate(succ):
+        for j, _ in row:
+            d = math.gcd(d, level[i] + 1 - level[j])
+    return d, [level[i] % d for i in range(len(succ))]
 
 
 def _dot(x, y):
@@ -323,15 +355,17 @@ def _spread(extremes, empty):
 
 def correlation_decay(m, f, g, nmax):
     """cov_n = E[f(x_0) g(x_n)] - E f E g under the stationary chain, with a
-    fitted exponential decay rate and the spectral oracle log(rho2/rho).
+    fitted exponential decay rate and the spectral rate |lambda_2| of P,
+    the second largest modulus of its eigenvalues (``_spectral_rate``).
 
     The chain steps over the rows of ``m.P``, a pull through one
     ``ScatterAdd`` plan, and the rate is the closed-form least-squares
-    slope, both summed in a fixed order; only the spectral oracle builds
-    the dense P, for LAPACK's eigensolver.  The nmax steps take at most
-    (successor ways) * nmax products, at most the budget (10^8)."""
+    slope, both summed in a fixed order.  The nmax steps take at most
+    (successor ways) * nmax products, at most the budget (10^8); the
+    spectral rate is charged apart, before it is computed."""
     p, P, succ = m.p, m.P, m.shift.succ
     charge("(successor ways) * nmax products", _ways(succ) * nmax, 10 ** 8)
+    rho2 = _spectral_rate(m)
     f = [float(x) for x in f]
     vec = [float(x) for x in g]
     mean_fg = _dot(p, f) * _dot(p, vec)
@@ -343,15 +377,6 @@ def correlation_decay(m, f, g, nmax):
     for _ in range(nmax):
         vec = chain(vec)
         covs.append(_dot(p, [x * y for x, y in zip(f, vec)]) - mean_fg)
-
-    # spectral oracle: second modulus eigenvalue of P (dense solve)
-    import numpy as np
-
-    dense = np.zeros((len(P), len(P)))
-    for a, (row, prow) in enumerate(zip(succ, P)):
-        np.add.at(dense, (a, [b for b, _ in row]), prow)
-    eigs = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
-    rho2 = float(eigs[1]) if len(eigs) > 1 else 0.0
 
     # fit |cov_n| ~ K * r^n over the indices where it is meaningfully nonzero
     idx = [n for n in range(1, len(covs)) if abs(covs[n]) > 1e-13]
@@ -365,3 +390,211 @@ def correlation_decay(m, f, g, nmax):
     else:
         rate = 0.0
     return {"cov": covs, "fitted_rate": rate, "spectral_rate": rho2}
+
+
+def _spectral_rate(m):
+    """|lambda_2| of the chain P of m, the equilibrium chain of its shift.
+
+    An irreducible chain of period d > 1 has the d eigenvalues of modulus 1
+    (the d-th roots of unity), so the rate is 1.  A shift of a graph with
+    no potential whose vertices all have tree degree q + 1 has P = B / q,
+    and its rate comes from the Ihara-Bass identity in pure Python
+    (``_ihara_bass_rate``).  Every other shift, a weighted or non-regular
+    graph or a preset, builds the dense P for LAPACK's ``eigvals``, the
+    one numpy import of the shift verbs: (letters)^3 steps, charged to the
+    budget (10^8) before the array is allocated."""
+    shift = m.shift
+    if _period(shift.succ)[0] > 1:
+        return 1.0
+    g = shift._graph
+    if g is not None and not any(shift.potential):
+        degrees = {g.tree_degree(v) for v in g.vertex_ids}
+        if len(degrees) == 1:
+            return _ihara_bass_rate(g, degrees.pop() - 1)
+    k = len(m.P)
+    charge("(letters)^3 eigensolver steps", k ** 3, 10 ** 8)
+    import numpy as np
+
+    dense = np.zeros((k, k))
+    for a, (row, prow) in enumerate(zip(shift.succ, m.P)):
+        np.add.at(dense, (a, [b for b, _ in row]), prow)
+    eigs = np.sort(np.abs(np.linalg.eigvals(dense)))[::-1]
+    return float(eigs[1]) if k > 1 else 0.0
+
+
+def _ihara_bass_rate(g, q):
+    """|lambda_2(B)| / q for a graph whose tree degrees are all q + 1.
+
+    With m undirected edges, V vertices and A[v, x] the sum of i(f) over
+    the edges f from v to x, the Ihara-Bass identity (Ihara 1966; Bass,
+    Int. J. Math. 3, 1992) reads
+
+        det(mu I - B) = (mu^2 - 1)^(m - V) prod_lambda (mu^2 - lambda mu + q)
+
+    over the eigenvalues lambda of A.  The factor of lambda = q + 1 is
+    (mu - 1)(mu - q): B has the Perron root q and the eigenvalue 1.  The
+    roots of the other factors have modulus sqrt(q) >= 1 when lambda^2 <=
+    4q, else the larger has (|lambda| + sqrt(lambda^2 - 4q)) / 2.  So the
+    rate is that modulus over q for the largest |lambda| once one q + 1 is
+    taken out (``_outer_eigenvalue``), and 1 / q for one vertex (q >= 1:
+    ``from_graph`` checks that every tree degree is at least 2).  Beyond
+    2 sqrt(q) the rate is rounded once, from the integers of |lambda|.
+
+    The work, two passes of at most V - 1 Lanczos steps of (directed
+    edges) + V products and LANCZOS_BISECTIONS pivots each, is charged to
+    the budget (10^8) first."""
+    n = g.vertex_count()
+    charge(f"2 (vertices - 1) (directed edges + vertices + "
+           f"{LANCZOS_BISECTIONS}) Lanczos products",
+           2 * (n - 1) * (g.edge_count() + n + LANCZOS_BISECTIONS), 10 ** 8)
+    if n == 1:
+        return 1 / q
+    lam = _outer_eigenvalue(g, q)
+    if lam is None:
+        return math.sqrt(1 / q)
+    num, den = lam
+    return (num + math.isqrt(num * num - 4 * q * den * den)) / (2 * q * den)
+
+
+def _outer_eigenvalue(g, q):
+    """The largest |lambda| over the eigenvalues of A once one q + 1 is
+    taken out, as integers (num, den) of num / den, when it exceeds
+    2 sqrt(q); None when none does.
+
+    A = D C with D = diag(|G_v|) and C[v, x] the sum of 1 / |G_f| over the
+    edges f from v to x, symmetric as |G_f| = |G_(reverse f)|: A is similar
+    to the symmetric S = D^(1/2) C D^(1/2), whose Perron vector u, for
+    q + 1, is 1 / sqrt(|G_v|).  Lanczos runs on S from a fixed
+    pseudorandom start kept orthogonal to u (``_lanczos``) and gives the
+    tridiagonal T.  Without reorthogonalization the extreme eigenvalues of
+    T still converge to those of S on the complement of u (lost
+    orthogonality only repeats converged ones), and bisection on T
+    brackets them (``_tridiagonal_ends``).  For an end beyond 2 sqrt(q), a
+    second pass forms its Ritz vector x from the same Lanczos vectors, and
+    lambda is the Rayleigh quotient x S x / x x in integers, off by the
+    square of the residual of x.  A float lambda would not do: the
+    condition number of the rate grows without bound as lambda nears
+    2 sqrt(q)."""
+    n = g.vertex_count()
+    order = [g.vertices[v].order for v in g.vertex_ids]
+    edges = [g.edges[e] for e in g.edge_ids]
+    rows = [g.vertex_index[e.origin] for e in edges]
+    cols = [g.vertex_index[e.terminus] for e in edges]
+    coeffs = [math.sqrt(order[a] * order[b]) / e.order
+              for a, b, e in zip(rows, cols, edges)]
+    pull = ScatterAdd(rows, cols, None if all(c == 1 for c in coeffs)
+                      else coeffs, n)
+    u = _unit([1 / math.sqrt(k) for k in order])
+    start = [derive_seed(LANCZOS_SEED, i) / 2.0 ** 64 - 0.5
+             for i in range(n)]
+    alphas, betas = [], []
+    for _, alpha, beta in _lanczos(pull, u, start, n - 1, q + 1):
+        alphas.append(alpha)
+        betas.append(beta)
+    betas.pop()  # the residual past the last step
+    shifts = [x for x in _tridiagonal_ends(alphas, betas) if x * x > 4 * q]
+    if not shifts:
+        return None
+    weights = [_inverse_iteration(alphas, betas, x) for x in shifts]
+    ritz = [[0.0] * n for _ in shifts]
+    for j, (v, _, _) in enumerate(_lanczos(pull, u, start, len(alphas),
+                                           q + 1)):
+        ritz = [[a + s[j] * b for a, b in zip(x, v)]
+                for x, s in zip(ritz, weights)]
+    # x S x = z C z and x x = z D^-1 z for z = D^(1/2) x, here in integers
+    # times the lcm of the orders
+    lcm = math.lcm(*order, *(e.order for e in edges))
+    quotients = []
+    for x in ritz:
+        z = [a * math.sqrt(k) for a, k in zip(x, order)]
+        scale = 2.0 ** 62 / max(map(abs, z))
+        z = [round(a * scale) for a in z]
+        quotients.append((abs(sum(z[a] * z[b] * (lcm // e.order)
+                                  for a, b, e in zip(rows, cols, edges))),
+                          sum(a * a * (lcm // k) for a, k in zip(z, order))))
+    num, den = max(quotients, key=lambda nd: nd[0] / nd[1])
+    return (num, den) if num * num > 4 * q * den * den else None
+
+
+def _unit(v):
+    norm = math.sqrt(_dot(v, v))
+    return [x / norm for x in v]
+
+
+def _lanczos(pull, u, start, steps, scale):
+    """(v_j, alpha_j, beta_(j+1)) of at most ``steps`` Lanczos steps of the
+    symmetric step ``pull`` from ``start``, each new vector kept orthogonal
+    to the unit vector u; the last when beta_(j+1) <= LANCZOS_BREAKDOWN *
+    scale, an invariant subspace.  The same arguments give the same
+    floats, so a second pass sees the vectors of the first."""
+    def deflate(w):
+        c = _dot(w, u)
+        return [x - c * y for x, y in zip(w, u)]
+
+    v = _unit(deflate(start))
+    prev, beta = [0.0] * len(v), 0.0
+    for _ in range(steps):
+        w = pull(v)
+        alpha = _dot(w, v)
+        w = deflate([x - alpha * y - beta * z
+                     for x, y, z in zip(w, v, prev)])
+        beta = math.sqrt(_dot(w, w))
+        yield v, alpha, beta
+        if beta <= LANCZOS_BREAKDOWN * scale:
+            return
+        prev, v = v, [x / beta for x in w]
+
+
+def _pivots(alphas, betas, x):
+    """The pivots of T - x I = L D L^T for the symmetric tridiagonal T of
+    the diagonal ``alphas`` and the off-diagonal ``betas``, a zero pivot
+    taken as -1e-300.  Their negatives count the eigenvalues below x
+    (Sturm)."""
+    d, out = 1.0, []
+    for a, b in zip(alphas, [0.0] + betas):
+        d = a - x - b * b / d
+        if d == 0.0:
+            d = -1e-300
+        out.append(d)
+    return out
+
+
+def _tridiagonal_ends(alphas, betas):
+    """The shifts just below the least and just above the largest
+    eigenvalue of T, each bracketed by LANCZOS_BISECTIONS halvings of an
+    interval 1 wider on each side than its Gershgorin interval: T - x I is
+    positive definite at the first and negative definite at the second."""
+    off = [0.0] + betas + [0.0]
+    radius = 1 + max(abs(a) + off[i] + off[i + 1]
+                     for i, a in enumerate(alphas))
+    k = len(alphas)
+
+    def edge(side):
+        lo, hi = -radius, radius
+        for _ in range(LANCZOS_BISECTIONS):
+            mid = (lo + hi) / 2
+            if side(sum(d < 0 for d in _pivots(alphas, betas, mid))):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    return edge(lambda c: c > 0)[0], edge(lambda c: c == k)[1]
+
+
+def _inverse_iteration(alphas, betas, x):
+    """The eigenvector of T for its eigenvalue next to x, a definite shift
+    from ``_tridiagonal_ends``: two solves of (T - x I) y = b through its
+    L D L^T factors, from b = 1, each scaled to a largest entry of 1."""
+    d = _pivots(alphas, betas, x)
+    ratios = [b / p for b, p in zip(betas, d)]  # the entries of L
+    y = [1.0] * len(alphas)
+    for _ in range(2):
+        for i, r in enumerate(ratios):  # L c = b
+            y[i + 1] -= r * y[i]
+        y = [c / p for c, p in zip(y, d)]
+        for i in range(len(ratios) - 1, -1, -1):  # L^T y = D^-1 c
+            y[i] -= ratios[i] * y[i + 1]
+        top = max(map(abs, y))
+        y = [c / top for c in y]
+    return y

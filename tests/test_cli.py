@@ -589,7 +589,8 @@ BUDGET_ROWS = [
     (["walk", "harmonic", "--q", "2", "--depth", "3", "--reps", "11"], 33),
     # reps * (max(dxy, dxz) + 1)
     (["walk", "green", "--q", "2", "--dxz", "3", "--reps", "1000"], 4000),
-    (["shift", "decay", "--graph", "builtin:petersen", "--nmax", "7"], 420),
+    # 12 successor ways * nmax on theta, whose rate is 1 by its period
+    (["shift", "decay", "--graph", "builtin:theta", "--nmax", "35"], 420),
     # the quadratic verbs too: (deg D)^2 for each complete quotient of ff
     # cf, 1 + 2 and 1 + 8 of them; for bt quad-orbit, whose root costs 4,
     # 26 orbit points * 5 moves * (deg D + 1) coefficient operations
@@ -619,6 +620,13 @@ BUDGET_ROWS = [
     (["ff", "phi", "--q", "3", "--poly", "Y^4+1"], 3 ** 2),
     (["bt", "hecke", "--q", "3", "--ideal", "Y^4+Y+2"], 3 ** 2),
     (["bt", "farey", "--q", "2", "--t", "3", "--depth", "3"], 2 ** 4 * 2 ** 2),
+    # the spectral rate of shift decay: on Petersen the Ihara-Bass rate,
+    # 2 (10 - 1) (30 + 10 + 64) Lanczos products, above its 60 successor
+    # ways * nmax; letters^3 for LAPACK on a preset (full2's power
+    # iteration takes 1 step of 4 ways)
+    (["shift", "decay", "--graph", "builtin:petersen", "--nmax", "7"],
+     2 * 9 * 104),
+    (["shift", "decay", "--preset", "full2", "--nmax", "1"], 2 ** 3),
 ]
 
 
@@ -1093,31 +1101,51 @@ def _package_parent():
     return Path(geodlab.__file__).resolve().parents[1]
 
 
-def _numpy_free_argv(tmp_path):
-    """EXACT_ARGV and STEP_ARGV, WEIGHTED written as theta with a
-    conductance on every edge, its reverse's drawn apart."""
-    from geodlab.library import theta
+# shift decay where the rate needs no eigensolver: regular graphs without
+# a potential (the Ihara-Bass rate), CUBIC standing for a seeded cubic
+# graph on 40 vertices that the test writes, and periodic ones, weighted or
+# not (rate 1)
+CUBIC = "{cubic}"
+DECAY_FREE_ARGV = [
+    ["shift", "decay", "--graph", graph]
+    for graph in ("builtin:petersen", "builtin:fig8", "builtin:dumbbell",
+                  "builtin:orderchain", CUBIC, "builtin:theta",
+                  "builtin:biregular23", WEIGHTED)]
 
-    g = theta()
+
+def _weighted_file(path, g):
+    """path, with g written to it with a conductance on every edge, its
+    reverse's drawn apart."""
     doc = to_document(g.with_conductance(
         {e: 0.1 * k - 0.2 for k, e in enumerate(g.edge_ids)}))
-    path = tmp_path / "weighted.json"
     path.write_text(json.dumps(doc))
-    return EXACT_ARGV + [[str(path) if a == WEIGHTED else a for a in argv]
-                         for argv in STEP_ARGV]
+    return str(path)
 
 
-# the one graph verb that loads numpy, for the LAPACK oracle of its
-# __spectral_rate__ row
-DECAY_ARGV = ["shift", "decay", "--graph", "builtin:petersen"]
+def _numpy_free_argv(tmp_path):
+    """EXACT_ARGV, STEP_ARGV and DECAY_FREE_ARGV, WEIGHTED written as theta
+    with a conductance on every edge."""
+    from geodlab.library import theta
+
+    files = {WEIGHTED: _weighted_file(tmp_path / "weighted.json", theta()),
+             CUBIC: _regular_graph_file(tmp_path / "cubic.json", 3, 40, 6,
+                                        False)}
+    return EXACT_ARGV + [[files.get(a, a) for a in argv]
+                         for argv in STEP_ARGV + DECAY_FREE_ARGV]
 
 
 def test_exact_verbs_do_not_import_numpy(tmp_path):
-    argvs = _numpy_free_argv(tmp_path) + [DECAY_ARGV]
+    # the one graph verb that loads numpy: shift decay on a weighted
+    # aperiodic graph, for the LAPACK rate of its __spectral_rate__ row
+    from geodlab.library import petersen
+
+    decay = ["shift", "decay", "--graph",
+             _weighted_file(tmp_path / "petersen.json", petersen())]
+    argvs = _numpy_free_argv(tmp_path) + [decay]
     out = _probe(_package_parent(), argvs)
     assert out["missing"] == []
     assert out["codes"] == [0] * len(argvs)
-    assert out["numpy_after"] == [" ".join(DECAY_ARGV)]
+    assert out["numpy_after"] == [" ".join(decay)]
 
 
 def test_import_boundary_sees_a_numpy_import(tmp_path):
@@ -1243,9 +1271,9 @@ def test_quadratic_verbs_match_the_golden_digests():
 CORETYPES = ("Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX")
 
 # Prints, under the OPENBLAS_CORETYPE of its environment, the sha256 of the
-# stdout of each argv (the LAPACK line `__spectral_rate__` left out), and of
-# the exact NBRW law by the dense step dist @ P of the previous kernel: the
-# negative control.
+# stdout of each argv (the line `__spectral_rate__`, from LAPACK on a
+# weighted graph, left out), and of the exact NBRW law by the dense step
+# dist @ P of the previous kernel: the negative control.
 _KERNEL_PROBE = """
 import contextlib, hashlib, io, json, sys
 import numpy as np
@@ -1328,8 +1356,9 @@ def test_printed_floats_do_not_depend_on_the_blas_kernel(tmp_path):
 
 
 def test_printed_floats_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the two verbs that reach BLAS or LAPACK: the eigvals oracle of shift
-    # decay, and np.cov in walk green; the whole stdout of each
+    # the two verbs that reach BLAS or LAPACK: the eigvals rate of shift
+    # decay on the weighted graph (the cubic one takes the Ihara-Bass rate
+    # in pure Python), and np.cov in walk green; the whole stdout of each
     graphs = [_regular_graph_file(tmp_path / "w.json", 4, 30, 5, True),
               _regular_graph_file(tmp_path / "c.json", 3, 40, 6, False)]
     argvs = [["shift", "decay", "--graph", g] for g in graphs]

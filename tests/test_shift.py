@@ -7,6 +7,7 @@ oracles.py: the literal enumeration of periodic Gibbs ratios and the
 brute-force variational fit.
 """
 
+import functools
 import math
 
 import networkx as nx
@@ -36,6 +37,7 @@ from oracles import (
     brute_force_equilibrium,
     dense,
     gibbs_audit_reference,
+    graph_of_groups,
     order_three_lollipop,
     order_three_pair,
     periodic_gibbs_ratios,
@@ -413,6 +415,194 @@ def test_correlation_constant_observable():
     m = equilibrium_measure(EdgeShift.full_shift(2))
     out = correlation_decay(m, [1.0, 1.0], [1.0, 1.0], 10)
     assert max(abs(c) for c in out["cov"]) < 1e-12
+
+
+def _lapack_rate(m):
+    """The oracle: the second largest modulus of numpy's eigenvalues of the
+    dense chain of m."""
+    return np.sort(np.abs(np.linalg.eigvals(dense(m.shift.succ, m.P))))[-2]
+
+
+def _seeded_regular(degree, n, seed):
+    """networkx's random regular graph as a graph of trivial groups."""
+    h = nx.random_regular_graph(degree, n, seed=seed)
+    assert nx.is_connected(h) and not nx.is_bipartite(h)
+    return graph_of_groups({v: 1 for v in h}, [
+        (f"e{k}", u, v) for k, (u, v) in enumerate(sorted(h.edges()))])
+
+
+def _tree_degree(g):
+    """The one tree degree of a regular graph, None for another graph."""
+    degrees = {g.tree_degree(v) for v in g.vertex_ids}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def _two_roses():
+    """Two vertices with three loops each, joined by one edge: tree degree
+    7, and A has the eigenvalue 5 > 2 sqrt(6) besides 7, so the rate is
+    (5 + 1) / 2 / 6 = 1/2."""
+    return graph_of_groups({"a": 1, "b": 1}, [("t", "a", "b")] + [
+        (f"{v}{k}", v, v) for v in "ab" for k in range(3)])
+
+
+# the regular builtins (the cycles, of tree degree 2, have a reducible
+# edge step and no equilibrium), two graphs of groups, two roses and
+# seeded cubic and quartic graphs; of the seeded ones, cubic (20, 21),
+# (40, 2) and (200, 11) and quartic (30, 1) and (200, 8) have an eigenvalue
+# of A beyond 2 sqrt(q) besides q + 1, so their rate is not 1 / sqrt(q)
+RATE_GRAPHS = {
+    **{name: make for name, make in BUILTIN.items()
+       if _tree_degree(make()) not in (None, 2)},
+    "order_three_pair": order_three_pair,
+    "order_three_lollipop": order_three_lollipop,
+    "two_roses": _two_roses,
+    **{f"degree{d}_n{n}_seed{s}": functools.partial(_seeded_regular, d, n, s)
+       for d, n, s in ((3, 20, 1), (3, 20, 21), (3, 40, 2), (3, 200, 1),
+                       (3, 200, 11), (4, 30, 1), (4, 30, 2), (4, 200, 8))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_GRAPHS))
+def test_ihara_bass_rate_matches_lapack(name):
+    g = RATE_GRAPHS[name]()
+    want = _lapack_rate(equilibrium_measure(EdgeShift.from_graph(g)))
+    got = shift._ihara_bass_rate(g, _tree_degree(g) - 1)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_rate_graphs_cover_the_regular_builtins():
+    assert {"fig8", "theta", "petersen", "dumbbell",
+            "orderchain"} <= set(RATE_GRAPHS)
+
+
+def _identity_rate(g, units=True):
+    """The rate read off the roots of the Ihara-Bass identity with numpy's
+    eigenvalues of A: mu^2 - lambda mu + q = 0 for each lambda, and +1 and
+    -1 each m - V >= 0 times; without any root of modulus 1 when ``units``
+    is false.  0 when one root is left."""
+    q = _tree_degree(g) - 1
+    n = g.vertex_count()
+    A = np.zeros((n, n))
+    for e in g.edge_ids:
+        edge = g.edges[e]
+        A[g.vertex_index[edge.origin], g.vertex_index[edge.terminus]] += (
+            g.index_i(e))
+    roots = [1, -1] * (g.edge_count() // 2 - n)
+    for lam in np.linalg.eigvals(A):
+        roots += list(np.roots([1, -lam, q]))
+    if not units:
+        roots = [r for r in roots if abs(abs(r) - 1) > 1e-9]
+    mods = np.sort(np.abs(roots))
+    return mods[-2] / q if len(mods) > 1 else 0.0
+
+
+def test_rate_check_sees_dropped_unit_eigenvalues():
+    # negative control: the roots +-1 are B's second modulus on fig8 (B has
+    # the eigenvalues 3, 1, 1, -1); without them the rate is 0, not 1/3
+    g = figure_eight()
+    want = _lapack_rate(equilibrium_measure(EdgeShift.from_graph(g)))
+    assert abs(want - 1 / 3) <= 1e-12 and shift._ihara_bass_rate(g, 3) == 1 / 3
+    assert abs(_identity_rate(g) - want) <= 1e-12 * want
+    assert abs(_identity_rate(g, units=False) - want) > 1e-12 * want
+
+
+def _exact_rate(g):
+    """|lambda_2(B)| / q and the largest |lambda| of A once one q + 1 is
+    taken out, to 40 digits with mpmath's symmetric eigensolver."""
+    import mpmath
+
+    q = _tree_degree(g) - 1
+    with mpmath.workdps(40):
+        S = mpmath.zeros(g.vertex_count())
+        for e in g.edge_ids:
+            edge = g.edges[e]
+            S[g.vertex_index[edge.origin],
+              g.vertex_index[edge.terminus]] += 1
+        eigs = sorted(mpmath.eigsy(S, eigvals_only=True))
+        lam = max(abs(eigs[0]), abs(eigs[-2]))
+        if lam ** 2 <= 4 * q:
+            return 1 / mpmath.sqrt(q), lam
+        return (lam + mpmath.sqrt(lam ** 2 - 4 * q)) / (2 * q), lam
+
+
+# graphs whose rate comes from an eigenvalue of A beyond 2 sqrt(q): seeded
+# cubic and quartic ones, and two cubic graphs joined by two edges
+def _two_cubes_joined():
+    """Two seeded cubic graphs on 12 vertices, one edge of each swapped
+    for two edges between them."""
+    h = nx.disjoint_union(nx.random_regular_graph(3, 12, seed=5),
+                          nx.random_regular_graph(3, 12, seed=6))
+    (a, b), (c, d) = min(h.edges()), max(h.edges())
+    h.remove_edges_from([(a, b), (c, d)])
+    h.add_edges_from([(a, c), (b, d)])
+    return graph_of_groups({v: 1 for v in h}, [
+        (f"e{k}", u, v) for k, (u, v) in enumerate(sorted(h.edges()))])
+
+
+ROUNDED = [functools.partial(_seeded_regular, 3, 20, 21),
+           functools.partial(_seeded_regular, 3, 40, 2),
+           functools.partial(_seeded_regular, 4, 30, 1), _two_cubes_joined,
+           _two_roses]
+
+
+@pytest.mark.parametrize("make", ROUNDED)
+def test_ihara_bass_rate_is_correctly_rounded(make):
+    import mpmath
+
+    g = make()
+    exact, lam = _exact_rate(g)
+    assert lam ** 2 > 4 * (_tree_degree(g) - 1)
+    got = shift._ihara_bass_rate(g, _tree_degree(g) - 1)
+    assert abs(mpmath.mpf(got) - exact) <= math.ulp(got) / 2
+
+
+def test_rounding_check_sees_a_float_eigenvalue():
+    # negative control: the rate from the nearest float to the eigenvalue,
+    # in floats, is not the nearest float to the rate on every graph
+    import mpmath
+
+    misses = 0
+    for make in ROUNDED:
+        g = make()
+        q = _tree_degree(g) - 1
+        exact, lam = _exact_rate(g)
+        lam = float(lam)
+        rate = (lam + math.sqrt(lam * lam - 4 * q)) / (2 * q)
+        misses += abs(mpmath.mpf(rate) - exact) > math.ulp(rate) / 2
+    assert misses > 0
+
+
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("the dense eigensolver ran")
+
+
+@pytest.mark.parametrize("name", ["theta", "biregular23"])
+@pytest.mark.parametrize("conductance", [False, True])
+def test_periodic_rate_is_one_without_an_eigensolve(monkeypatch, name,
+                                                    conductance):
+    g = BUILTIN[name]()
+    if conductance:
+        g = g.with_conductance({e: 0.1 * k - 0.5
+                                for k, e in enumerate(g.edge_ids)})
+    m = equilibrium_measure(EdgeShift.from_graph(g))
+    monkeypatch.setattr(np.linalg, "eigvals", _no_eigensolve)
+    f = [1.0] + [0.0] * (m.shift.n_letters() - 1)
+    assert correlation_decay(m, f, f, 4)["spectral_rate"] == 1.0
+
+
+def test_eigensolve_check_sees_a_weighted_aperiodic_graph(monkeypatch):
+    # negative control: the blocked eigensolver is reached on a weighted
+    # aperiodic graph, and the regular graphs without a potential do not
+    # reach it
+    m = _orderchain_measure(True)
+    f = [1.0] + [0.0] * (m.shift.n_letters() - 1)
+    monkeypatch.setattr(np.linalg, "eigvals", _no_eigensolve)
+    with pytest.raises(AssertionError, match="eigensolver"):
+        correlation_decay(m, f, f, 4)
+    for make in (petersen, order_two_chain, figure_eight):
+        m = equilibrium_measure(EdgeShift.from_graph(make()))
+        f = [1.0] + [0.0] * (m.shift.n_letters() - 1)
+        assert correlation_decay(m, f, f, 4)["spectral_rate"] < 1
 
 
 # ---------------------------------------------------------------------------
